@@ -7,12 +7,17 @@
 //! journal, and with a live JSONL file sink. The noop column must stay
 //! within 5% of the untelemetered baseline (BENCH_eval.json records the
 //! measured numbers).
+//!
+//! `json-parse` times the JSON reader every archive, summary, wire frame
+//! and campaign spec goes through, on a ~100 KB document shaped like a
+//! warm-start `kb.json`. It prints the document size so the row converts
+//! to MB/s.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cst_gpu_sim::GpuArch;
 use cst_space::Setting;
 use cst_stencil::suite;
-use cst_telemetry::Telemetry;
+use cst_telemetry::{json, Telemetry};
 use cstuner_core::{Evaluator, SimEvaluator};
 use std::hint::black_box;
 
@@ -51,5 +56,49 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_telemetry_overhead);
+/// A `kb.json`-shaped document (`{"kb_version":1,"records":[...]}`)
+/// of about `bytes` bytes, written through the workspace's JSON writer.
+fn kb_document(bytes: usize) -> String {
+    let (stencils, archs) = (["j3d7pt", "rhs4center", "helmholtz"], ["a100", "v100"]);
+    let setting = Setting::baseline().to_string();
+    let mut doc = String::from("{\"kb_version\":1,\"records\":[");
+    for i in 0.. {
+        if doc.len() >= bytes {
+            break;
+        }
+        if i > 0 {
+            doc.push(',');
+        }
+        doc.push_str("{\"stencil\":");
+        json::write_escaped(&mut doc, stencils[i % stencils.len()]);
+        doc.push_str(",\"arch\":");
+        json::write_escaped(&mut doc, archs[i % archs.len()]);
+        doc.push_str(",\"setting\":");
+        json::write_escaped(&mut doc, &setting);
+        doc.push_str(",\"time_ms\":");
+        json::write_f64(&mut doc, 0.125 + i as f64 * 1e-3);
+        doc.push_str(",\"source\":");
+        json::write_escaped(&mut doc, &format!("j3d7pt-a100-csTuner-s{i}"));
+        doc.push_str(",\"origin\":");
+        json::write_escaped(
+            &mut doc,
+            &format!("{:016x}", (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        );
+        doc.push('}');
+    }
+    doc.push_str("]}");
+    doc
+}
+
+fn bench_json_parse(c: &mut Criterion) {
+    let doc = kb_document(100_000);
+    json::parse(&doc).expect("the bench document parses");
+    println!("json-parse document: {} bytes", doc.len());
+    let mut g = c.benchmark_group("json-parse");
+    g.sample_size(20);
+    g.bench_function("kb100k", |b| b.iter(|| json::parse(black_box(&doc))));
+    g.finish();
+}
+
+criterion_group!(benches, bench_telemetry_overhead, bench_json_parse);
 criterion_main!(benches);

@@ -7,7 +7,7 @@
 //! closes the stream.
 
 use crate::proto;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 /// One live protocol connection (post-handshake).
@@ -42,10 +42,7 @@ impl Connection {
 
     /// Send one request line.
     pub fn send_line(&mut self, line: &str) -> Result<(), String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .map_err(|e| format!("send failed: {e}"))
+        proto::write_frame(&mut self.writer, line).map_err(|e| format!("send failed: {e}"))
     }
 
     /// Read the next line; `None` once the daemon closes the stream.

@@ -400,22 +400,19 @@ impl SessionManager {
     }
 
     /// Gather everything a `metrics` frame reports. Point-in-time gauges
-    /// are refreshed from the authoritative session registry just before
-    /// the snapshot, so they can never drift from the states the same
-    /// frame's `sessions` section shows.
+    /// are set from the same per-state session counts the frame's
+    /// `sessions` section shows, so the two can never disagree.
     pub fn ops_snapshot(&self) -> OpsSnapshot {
-        let (queued, running, pairs) = {
-            let g = self.shared.lock().expect("manager lock");
-            (g.queue.len(), g.active - g.queue.len(), g.memo_pairs.clone())
-        };
-        self.metrics.gauge("queue_depth").set(queued as i64);
-        self.metrics.gauge("sessions_running").set(running as i64);
+        let counts = self.counts_by_state();
+        self.metrics.gauge("queue_depth").set(counts.queued as i64);
+        self.metrics.gauge("sessions_running").set(counts.running as i64);
+        let pairs = self.shared.lock().expect("manager lock").memo_pairs.clone();
         let memo = shared_memo_stats()
             .into_iter()
             .filter(|s| pairs.contains(&(s.stencil.clone(), s.arch.clone())))
             .collect();
         OpsSnapshot {
-            counts: self.counts_by_state(),
+            counts,
             snapshot: self.metrics.snapshot(),
             memo,
             wall_uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
@@ -571,15 +568,26 @@ impl SessionManager {
                         }
                     }
                 }
-                session.finalize(SessionState::Done, Some(done), None);
+                self.session_finished(session, SessionState::Done, Some(done), None);
             }
-            Err(e) => session.finalize(SessionState::Failed, None, Some(e.to_string())),
+            Err(e) => {
+                self.session_finished(session, SessionState::Failed, None, Some(e.to_string()))
+            }
         }
-        self.session_finished();
     }
 
-    fn session_finished(&self) {
+    /// Publish a session's terminal state and free its admission slot
+    /// under one manager lock, so a client that has read `session_done`
+    /// never finds the slot still taken.
+    fn session_finished(
+        &self,
+        session: &Session,
+        state: SessionState,
+        done: Option<DoneInfo>,
+        error: Option<String>,
+    ) {
         let mut g = self.shared.lock().expect("manager lock");
+        session.finalize(state, done, error);
         g.active -= 1;
         g.completed += 1;
         drop(g);

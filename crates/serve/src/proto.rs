@@ -19,6 +19,7 @@ use cst_gpu_sim::registry::SharedMemoStats;
 use cst_telemetry::json::{self, write_escaped, write_f64, Value};
 use cst_telemetry::metrics::{MetricsSnapshot, METRICS_VERSION};
 use std::fmt::Write as _;
+use std::io::Write;
 
 /// Wire-protocol version, negotiated via the `hello` frame.
 pub const PROTO_VERSION: u64 = 1;
@@ -33,6 +34,16 @@ pub const PROTOCOL_FRAME_TYPES: [&str; 9] =
 /// The `type` of one streamed line, if it parses as a JSON object.
 pub fn frame_type(line: &str) -> Option<String> {
     json::parse(line).ok()?.get("type")?.as_str().map(str::to_string)
+}
+
+/// Send one line as a frame: the line and its newline in a single
+/// `write_all`, so on a `TCP_NODELAY` stream the frame leaves at once
+/// rather than as a lone newline held back behind a delayed ACK.
+pub fn write_frame(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    w.write_all(frame.as_bytes())
 }
 
 /// Whether a streamed line is a control frame (vs. a journal record).

@@ -4,16 +4,19 @@
 //! One connection carries one request. The handler greets with `hello`,
 //! reads the request line, and either streams a session (`tune`,
 //! `watch`), answers a one-shot query (`status`, `cancel`), or drains
-//! the daemon (`shutdown`). The accept loop polls a nonblocking
-//! listener so a `shutdown` request can stop it promptly after the
-//! drain completes.
+//! the daemon (`shutdown`). The accept loop blocks in `accept`; once
+//! the `shutdown` drain completes, the handler sets the stop flag and
+//! opens one throwaway connection to the listener's own port (loopback
+//! when bound to an unspecified address) to wake the loop so it exits.
+//! Accepted streams set `TCP_NODELAY` and every frame goes out in one
+//! write, so no frame waits on a delayed ACK.
 
 use crate::manager::{Progress, Rejection, Session, SessionLimits, SessionManager};
 use crate::proto;
 use cst_obs::JournalStore;
 use cst_telemetry::metrics::CounterHandle;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -102,19 +105,19 @@ impl Server {
     /// Run the accept loop until a `shutdown` request completes its
     /// drain. Each connection is handled on its own thread.
     pub fn serve(&self) {
-        self.listener.set_nonblocking(true).expect("set nonblocking");
+        let wake = wake_addr(self.local_addr());
         loop {
-            if self.stop.load(Ordering::Relaxed) {
+            let accepted = self.listener.accept();
+            // Pairs with the `shutdown` handler's Release store, made
+            // before it opens the wake-up connection this accept returns.
+            if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
                     let manager = self.manager();
                     let stop = Arc::clone(&self.stop);
-                    std::thread::spawn(move || handle_connection(stream, &manager, &stop));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                    std::thread::spawn(move || handle_connection(stream, &manager, &stop, wake));
                 }
                 Err(e) => {
                     // Transient accept failures (EINTR, ECONNABORTED,
@@ -181,9 +184,20 @@ impl ServerHandle {
     }
 }
 
+/// Where the `shutdown` handler connects to wake the blocked accept
+/// loop: the listener's own port, on loopback if it is bound to an
+/// unspecified address such as `0.0.0.0`.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => bound.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => bound.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    bound
+}
+
 fn send_line(stream: &mut TcpStream, line: &str, wire_out: &CounterHandle) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    proto::write_frame(stream, line)?;
     wire_out.add(line.len() as u64 + 1);
     Ok(())
 }
@@ -222,11 +236,18 @@ fn stream_session(stream: &mut TcpStream, session: &Arc<Session>, wire_out: &Cou
 /// this thread, and its sockets, for the daemon's lifetime).
 const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn handle_connection(mut stream: TcpStream, manager: &Arc<SessionManager>, stop: &AtomicBool) {
+fn handle_connection(
+    mut stream: TcpStream,
+    manager: &Arc<SessionManager>,
+    stop: &AtomicBool,
+    wake: SocketAddr,
+) {
     let metrics = manager.metrics();
     let wire_in = metrics.wall_counter("wall_wire_in_bytes");
     let wire_out = metrics.wall_counter("wall_wire_out_bytes");
-    if send_line(&mut stream, &proto::hello_frame(), &wire_out).is_err() {
+    if stream.set_nodelay(true).is_err()
+        || send_line(&mut stream, &proto::hello_frame(), &wire_out).is_err()
+    {
         return;
     }
     // The timeout only guards the request read; streaming replies below
@@ -325,7 +346,12 @@ fn handle_connection(mut stream: TcpStream, manager: &Arc<SessionManager>, stop:
         Ok(proto::Request::Shutdown) => {
             let completed = manager.begin_shutdown();
             let _ = send_line(&mut stream, &proto::bye_frame(completed), &wire_out);
-            stop.store(true, Ordering::Relaxed);
+            stop.store(true, Ordering::Release);
+            // The accept loop is blocked in `accept`: one throwaway
+            // connection wakes it to see the flag. If the connect fails
+            // (listener already gone, no free descriptor), the next
+            // connection to arrive wakes it instead.
+            let _ = TcpStream::connect(wake);
         }
     }
     metrics.wall_hist(latency_hist).observe(started.elapsed().as_secs_f64() * 1e3);
@@ -389,6 +415,27 @@ mod tests {
         let bye = client::roundtrip(&addr, &proto::shutdown_request_line()).unwrap();
         assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
         handle.join();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_daemon_bound_to_an_unspecified_address() {
+        let handle =
+            Server::spawn(&ServeConfig { addr: "0.0.0.0:0".to_string(), ..ephemeral(1, 1) })
+                .unwrap();
+        let addr = wake_addr(handle.addr).to_string();
+        let bye = client::roundtrip(&addr, &proto::shutdown_request_line()).unwrap();
+        assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
+        // Returns only if the wake-up connection reached the blocked
+        // accept loop through loopback.
+        handle.join();
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:4815"), "127.0.0.1:4815");
+        assert_eq!(wake("[::]:4815"), "[::1]:4815");
+        assert_eq!(wake("192.0.2.7:4815"), "192.0.2.7:4815");
     }
 
     #[test]

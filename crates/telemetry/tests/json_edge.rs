@@ -2,9 +2,14 @@
 //! `cst_telemetry::json`: escape handling, unicode, nesting depth,
 //! exponent-form numbers, and truncated input. Every malformed input must
 //! come back as a clean `Err` — the parser sits on the `cstuner report`
-//! path, so a hostile journal line must never panic the CLI.
+//! path and reads every daemon request line, so a hostile line must never
+//! panic the CLI or abort the daemon.
+//!
+//! The string scanner is checked differentially against the decoder it
+//! replaced, kept below as a character-by-character reference.
 
-use cst_telemetry::json::{parse, write_escaped, Value};
+use cst_telemetry::json::{parse, write_escaped, Value, MAX_DEPTH};
+use proptest::prelude::*;
 
 #[test]
 fn escaped_quotes_and_backslashes_round_trip() {
@@ -66,6 +71,30 @@ fn deeply_nested_objects_and_arrays_parse() {
     assert_eq!(v.as_f64(), Some(1.0));
 }
 
+/// Run `f` on a thread with a 2 MiB stack, the size the daemon's
+/// connection handlers get.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new().stack_size(2 << 20).spawn(f).unwrap().join().unwrap()
+}
+
+#[test]
+fn nesting_past_the_cap_is_a_typed_err_not_a_stack_overflow() {
+    let arrays = on_small_stack(|| parse(&"[".repeat(1 << 20)));
+    assert_eq!(arrays, Err(format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")));
+    let objects = on_small_stack(|| parse(&r#"{"k":"#.repeat(1 << 18)));
+    assert_eq!(objects, Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", 5 * MAX_DEPTH)));
+}
+
+#[test]
+fn nesting_at_the_cap_parses_on_a_small_stack() {
+    let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(on_small_stack(move || parse(&nest(MAX_DEPTH))).is_ok());
+    assert!(on_small_stack(move || parse(&nest(MAX_DEPTH + 1))).is_err());
+    let half = MAX_DEPTH / 2;
+    let mixed = format!("{}1{}", r#"{"k":["#.repeat(half), "]}".repeat(half));
+    assert!(on_small_stack(move || parse(&mixed)).is_ok());
+}
+
 #[test]
 fn numbers_with_exponents_parse_exactly() {
     for (src, want) in [
@@ -117,4 +146,114 @@ fn objects_keep_key_order_and_allow_duplicates_first_wins() {
     // `get` returns the first occurrence of a duplicated key.
     let dup = parse(r#"{"k":1,"k":2}"#).unwrap();
     assert_eq!(dup.get("k").and_then(Value::as_f64), Some(1.0));
+}
+
+#[test]
+fn a_four_mib_string_parses_in_one_pass() {
+    // A decoder that re-validates the rest of the input per character
+    // (the reference below) needs hours for this input. No timing
+    // assertion; the test only has to finish.
+    let literal = r#"héllo wörld 日本 🜁 \"q\" \\ \u00e9\n"#;
+    let decoded = "héllo wörld 日本 🜁 \"q\" \\ é\n";
+    let copies = (4 << 20) / literal.len();
+    let doc = format!("\"{}\"", literal.repeat(copies));
+    assert_eq!(parse(&doc).unwrap().as_str(), Some(decoded.repeat(copies).as_str()));
+}
+
+/// The string decoder as it was before the run scanner: one `char` at a
+/// time, re-validating the rest of the input for each. It reads
+/// documents that are one string literal between optional whitespace
+/// and returns what `parse` returned for them, errors included.
+fn reference_parse_string_doc(input: &str) -> Result<Value, String> {
+    let bytes = input.as_bytes();
+    let err = |pos: usize, msg: &str| format!("{msg} at byte {pos}");
+    let skip_ws = |mut pos: usize| {
+        while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            pos += 1;
+        }
+        pos
+    };
+    let mut pos = skip_ws(0);
+    if bytes.get(pos) != Some(&b'"') {
+        return Err(err(pos, "expected a JSON value"));
+    }
+    pos += 1;
+    let mut out = String::new();
+    loop {
+        match bytes.get(pos) {
+            None => return Err(err(pos, "unterminated string")),
+            Some(b'"') => {
+                pos += 1;
+                break;
+            }
+            Some(b'\\') => {
+                pos += 1;
+                match bytes.get(pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hex = bytes
+                            .get(pos + 1..pos + 5)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .ok_or_else(|| err(pos, "truncated \\u escape"))?;
+                        let code =
+                            u32::from_str_radix(hex, 16).map_err(|_| err(pos, "bad \\u escape"))?;
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        pos += 4;
+                    }
+                    _ => return Err(err(pos, "bad escape")),
+                }
+                pos += 1;
+            }
+            Some(_) => {
+                let rest =
+                    std::str::from_utf8(&bytes[pos..]).map_err(|_| err(pos, "invalid utf-8"))?;
+                let c = rest.chars().next().expect("non-empty");
+                out.push(c);
+                pos += c.len_utf8();
+            }
+        }
+    }
+    pos = skip_ws(pos);
+    if pos != bytes.len() {
+        return Err(err(pos, "trailing data"));
+    }
+    Ok(Value::Str(out))
+}
+
+/// String-literal fragments: plain and multi-byte text, raw control
+/// characters, every escape, `\u` escapes (valid, surrogate, short,
+/// non-hex, sign-prefixed), bad escapes and a stray quote.
+const PIECES: &[&str] = &[
+    "a", "Zq7 ", "é", "ü", "日本", "🜁", "\u{1}", "\t", "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n",
+    "\\r", "\\t", "\\u00e9", "\\u65E5", "\\ud800", "\\u0001", "\\u12", "\\uzzzz", "\\u+abc",
+    "\\uéé", "\\x", "\\é", "\"",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn run_scanner_matches_the_per_character_reference(
+        picks in prop::collection::vec(0usize..PIECES.len(), 0..24),
+        cut in 0usize..1000,
+    ) {
+        let body: String = picks.iter().map(|&i| PIECES[i]).collect();
+        let mut doc = format!(" \"{body}\" ");
+        // Truncate a third of the cases at a character boundary.
+        if cut < 333 {
+            let mut end = cut * doc.len() / 333;
+            while !doc.is_char_boundary(end) {
+                end -= 1;
+            }
+            doc.truncate(end);
+        }
+        prop_assert_eq!(parse(&doc), reference_parse_string_doc(&doc), "doc {:?}", doc);
+    }
 }

@@ -307,3 +307,19 @@ fn overload_gets_a_clean_busy_rejection() {
     let bye = server.shutdown();
     assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
 }
+
+#[test]
+fn a_hostile_deeply_nested_request_gets_an_error_frame_and_the_daemon_serves_on() {
+    // Without the parser's depth cap, 1 MiB of `[` in one request line
+    // overflows the handler's stack and aborts the whole daemon.
+    let server = LoopbackServer::start(1, 1);
+    let reply = server.raw(&"[".repeat(1 << 20));
+    assert_eq!(reply.len(), 1, "error is the whole reply: {reply:#?}");
+    assert_eq!(proto::frame_type(&reply[0]).as_deref(), Some("error"), "{}", reply[0]);
+    assert!(reply[0].contains("nesting deeper than"), "{}", reply[0]);
+
+    let frames = server.tune(&quick_req(1));
+    assert!(frames.last().unwrap().contains("\"state\":\"done\""), "{frames:#?}");
+    let bye = server.shutdown();
+    assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
+}
