@@ -158,7 +158,6 @@ impl Tuner for ArtemisTuner {
         }
         cleaned.shuffle(&mut rng);
         cleaned.truncate(self.enum_limit);
-        eval.prefetch(&cleaned);
         let mut ranked: Vec<(f64, Setting)> = Vec::new();
         for s in cleaned {
             if rec.done(eval) {
@@ -186,8 +185,8 @@ impl Tuner for ArtemisTuner {
                     break;
                 }
                 // Experts sweep each remaining knob over its sensible
-                // range, not the full power-of-two ladder. The sweep's
-                // settings are known up front, so prefetch them together.
+                // range, not the full power-of-two ladder. The sweep is
+                // fixed up front, around the knob's incumbent context.
                 let vals: Vec<u32> = expert_values(p, eval.space().values(p));
                 let sweep: Vec<Setting> = vals
                     .iter()
@@ -198,7 +197,6 @@ impl Tuner for ArtemisTuner {
                         eval.space().is_explicit_valid(&s).then_some(s)
                     })
                     .collect();
-                eval.prefetch(&sweep);
                 for s in sweep {
                     if rec.done(eval) {
                         break;

@@ -135,27 +135,17 @@ impl Tuner for GarveyTuner {
                 .max(2)
                 .min(combos.len());
             combos.truncate(keep);
-            // Realize the whole sampled group up front so the evaluator
-            // can warm its model caches in parallel; measurements then
-            // commit serially with the same done-checks as before.
-            let settings: Vec<Setting> = combos
-                .iter()
-                .map(|combo| {
-                    let mut s = base;
-                    for (&p, &v) in group.iter().zip(combo) {
-                        s.set(p, v);
-                    }
-                    s.canonicalize();
-                    s
-                })
-                .collect();
-            eval.prefetch(&settings);
             let mut best_combo: Option<Vec<u32>> = None;
             let mut best_t = f64::INFINITY;
-            for (combo, &s) in combos.iter().zip(&settings) {
+            for combo in &combos {
                 if rec.done(eval) {
                     break;
                 }
+                let mut s = base;
+                for (&p, &v) in group.iter().zip(combo) {
+                    s.set(p, v);
+                }
+                s.canonicalize();
                 let t = rec.measure(eval, s);
                 if t < best_t {
                     best_t = t;

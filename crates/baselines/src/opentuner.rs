@@ -97,31 +97,18 @@ impl OpenTunerGa {
         }
         state.seed_with(&seeds);
         while !rec.done(eval) {
-            let mut f = |batch: &[Vec<u32>]| -> Vec<f64> {
-                // Decoding is pure, so the whole pending population can be
-                // realized and prefetched at once; measurements stay
-                // serial and respect the budget *inside* the generation,
-                // or the overshoot can grow to a population of evaluations.
-                let settings: Vec<Setting> =
-                    batch.iter().map(|g| Self::decode(eval.space(), g)).collect();
-                if !rec.done(eval) {
-                    eval.prefetch(&settings);
+            // Measurements respect the budget *inside* the generation, or
+            // the overshoot can grow to a population of evaluations.
+            state.step(&mut |g: &[u32]| {
+                if rec.done(eval) {
+                    return f64::NEG_INFINITY;
                 }
-                settings
-                    .iter()
-                    .map(|&s| {
-                        if rec.done(eval) {
-                            return f64::NEG_INFINITY;
-                        }
-                        // OpenTuner explores the raw space: invalid
-                        // settings are discovered the hard way (failed
-                        // compiles, spilled or unlaunchable kernels),
-                        // each costing a charged evaluation.
-                        -rec.measure(eval, s)
-                    })
-                    .collect()
-            };
-            state.step_batched(&mut f);
+                // OpenTuner explores the raw space: invalid settings are
+                // discovered the hard way (failed compiles, spilled or
+                // unlaunchable kernels), each costing a charged evaluation.
+                let s = Self::decode(eval.space(), g);
+                -rec.measure(eval, s)
+            });
         }
         rec.finish(self.name(), eval)
     }
@@ -167,7 +154,7 @@ enum GaPhase {
 }
 
 /// The island GA as an ask/tell [`Optimizer`]: one legacy
-/// `step_batched` call unrolls to `ask(pre-breed pending) → tell →
+/// `GaState::step` call unrolls to `ask(pre-breed pending) → tell →
 /// breed → ask(children) → tell → finish_generation`, with fitness
 /// `-time_ms` and skipped settings mapped to `NEG_INFINITY` exactly as
 /// the closed-loop driver did. Bit-identical to

@@ -1,29 +1,14 @@
-//! Micro-benchmarks of the concurrent evaluation engine:
-//!
-//! - the per-call cost of a footprint/cost-model evaluation with and
-//!   without the simulator's shared memo (a cache hit must be far cheaper
-//!   than a recompute — the hot path queries the same record for
-//!   validity, measurement and clock charge),
-//! - batch population evaluation through `Evaluator::evaluate_batch`
-//!   (parallel prefetch + serial commit) against the plain serial
-//!   `evaluate` loop on a cold evaluator.
+//! Micro-benchmarks of the evaluation hot path: the per-call cost of a
+//! footprint/cost-model evaluation with and without the simulator's
+//! shared memo (a cache hit must be far cheaper than a recompute — the
+//! hot path queries the same record for validity, measurement and clock
+//! charge).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cst_gpu_sim::{GpuArch, GpuSim};
 use cst_space::Setting;
 use cst_stencil::suite;
-use cstuner_core::{Evaluator, SimEvaluator};
 use std::hint::black_box;
-
-fn population(seed: u64, n: usize) -> (SimEvaluator, Vec<Setting>) {
-    let spec = suite::spec_by_name("rhs4center").unwrap();
-    // Draw with a throwaway evaluator: its validity checks warm its own
-    // sim memo, so evaluation below must use a fresh one (fresh caches)
-    // to measure the cold hot path.
-    let mut drawer = SimEvaluator::new(spec.clone(), GpuArch::a100(), seed);
-    let pop: Vec<Setting> = (0..n).map(|_| drawer.random_valid()).collect();
-    (SimEvaluator::new(spec, GpuArch::a100(), seed), pop)
-}
 
 fn bench_footprint_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("eval-hot-path");
@@ -62,63 +47,5 @@ fn bench_footprint_cost(c: &mut Criterion) {
     g.finish();
 }
 
-/// The structure-of-arrays sweep (`GpuSim::evaluate_population`) against
-/// a per-setting `evaluate_full` loop, both on a cold memo: the columnar
-/// path decodes, footprints and costs the population in stage-major
-/// passes and takes each memo shard lock once per batch instead of once
-/// per setting.
-fn bench_population_soa(c: &mut Criterion) {
-    let mut g = c.benchmark_group("population-soa");
-    g.sample_size(20);
-    let spec = suite::spec_by_name("rhs4center").unwrap();
-    let pop: Vec<Setting> = {
-        let mut d = SimEvaluator::new(spec.clone(), GpuArch::a100(), 9);
-        (0..256).map(|_| d.random_valid()).collect()
-    };
-    g.bench_function("soa/256", |b| {
-        b.iter_batched(
-            || GpuSim::new(spec.clone(), GpuArch::a100()),
-            |sim| black_box(sim.evaluate_population(&pop)),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("per-setting/256", |b| {
-        b.iter_batched(
-            || GpuSim::new(spec.clone(), GpuArch::a100()),
-            |sim| {
-                let out: Vec<_> = pop.iter().map(|s| sim.evaluate_full(s)).collect();
-                black_box(out)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_batch_vs_serial(c: &mut Criterion) {
-    let mut g = c.benchmark_group("population-eval");
-    g.sample_size(10);
-    for n in [64usize, 256] {
-        g.bench_function(format!("batch/{n}"), |b| {
-            b.iter_batched(
-                || population(9, n),
-                |(mut e, pop)| black_box(e.evaluate_batch(&pop)),
-                BatchSize::SmallInput,
-            )
-        });
-        g.bench_function(format!("serial/{n}"), |b| {
-            b.iter_batched(
-                || population(9, n),
-                |(mut e, pop)| {
-                    let out: Vec<f64> = pop.iter().map(|s| e.evaluate(s)).collect();
-                    black_box(out)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_footprint_cost, bench_population_soa, bench_batch_vs_serial);
+criterion_group!(benches, bench_footprint_cost);
 criterion_main!(benches);

@@ -6,9 +6,9 @@
 //! [`Setting`]s, the kernel measures them, and the optimizer is *told*
 //! the costs. [`drive`] is the one driver loop that owns everything
 //! around that conversation: iteration accounting and the convergence
-//! curve ([`Recorder`]), budget/cancellation checks, batched prefetching
-//! through [`Evaluator::prefetch`], the `search` telemetry span, and
-//! fault accounting (which rides along inside the evaluator).
+//! curve ([`Recorder`]), budget/cancellation checks, the `search`
+//! telemetry span, and fault accounting (which rides along inside the
+//! evaluator).
 //!
 //! # Determinism contract
 //!
@@ -164,10 +164,9 @@ impl Default for KernelConfig {
 /// loop shared by every tuner in the zoo.
 ///
 /// Per round: check budget/iteration caps (honoring
-/// [`Optimizer::mid_generation`]), `ask`, prefetch the batch (skipped
-/// once expired — prefetch is observably free either way), measure each
-/// setting through the [`Recorder`] (settings past expiry are skipped,
-/// not measured), then `tell` the batch. Ends on an empty ask, the
+/// [`Optimizer::mid_generation`]), `ask`, measure each setting in ask
+/// order through the [`Recorder`] (settings past expiry are skipped, not
+/// measured), then `tell` the batch. Ends on an empty ask, the
 /// budget/iteration caps, or the stall backstop; always finalizes into
 /// the standard [`TuningOutcome`] with curve, fault stats, and a
 /// `search` telemetry span.
@@ -195,9 +194,6 @@ pub fn drive(
         let batch = opt.ask(&mut SearchCtx::new(eval));
         if batch.is_empty() {
             break;
-        }
-        if !rec.done(eval) {
-            eval.prefetch(&batch);
         }
         let mut obs = Vec::with_capacity(batch.len());
         for s in batch {
@@ -317,21 +313,6 @@ impl Recorder {
             );
         }
         t
-    }
-
-    /// Batched [`Recorder::measure`]: the evaluator prefetches the whole
-    /// chunk's model work in parallel, then each setting is measured and
-    /// accounted serially in input order, stopping once [`Recorder::done`]
-    /// holds — the bookkeeping (noise draws, clock charges, curve points)
-    /// is identical to the equivalent serial loop.
-    pub fn measure_batch(&mut self, eval: &mut dyn Evaluator, batch: &[Setting]) {
-        eval.prefetch(batch);
-        for &s in batch {
-            if self.done(eval) {
-                break;
-            }
-            self.measure(eval, s);
-        }
     }
 
     /// Whether the tuner should stop (budget or iteration cap).

@@ -40,32 +40,15 @@ impl PerfDataset {
         let mut seen = std::collections::HashSet::with_capacity(n);
         let mut records = Vec::with_capacity(n);
         // Rejection sampling over the valid space; the space is vastly
-        // larger than any dataset so this terminates quickly. Candidates
-        // are drawn a chunk at a time so the evaluator can warm its model
-        // caches in parallel before the serial accept/profile loop; the
-        // accepted records are the same prefix of the same rng stream a
-        // one-at-a-time loop would produce (the rng is local, so the
-        // tail overdraw in the final chunk is unobservable).
-        const CHUNK: usize = 64;
+        // larger than any dataset so this terminates quickly.
         while records.len() < n {
-            let chunk: Vec<Setting> = (0..CHUNK)
-                .map(|_| {
-                    let mut s = eval.space().random_raw(&mut rng);
-                    eval.space().canonicalize(&mut s);
-                    s
-                })
-                .collect();
-            eval.prefetch(&chunk);
-            for s in chunk {
-                if records.len() >= n {
-                    break;
-                }
-                if !eval.is_valid(&s) || !seen.insert(s) {
-                    continue;
-                }
-                let metrics = eval.profile_offline(&s);
-                records.push(DatasetRecord { setting: s, time_ms: metrics.time_ms, metrics });
+            let mut s = eval.space().random_raw(&mut rng);
+            eval.space().canonicalize(&mut s);
+            if !eval.is_valid(&s) || !seen.insert(s) {
+                continue;
             }
+            let metrics = eval.profile_offline(&s);
+            records.push(DatasetRecord { setting: s, time_ms: metrics.time_ms, metrics });
         }
         PerfDataset { records }
     }

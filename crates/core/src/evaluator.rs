@@ -15,18 +15,6 @@ use cst_stencil::StencilSpec;
 use cst_telemetry::{event, Counter, Hist, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
-
-/// `CST_SERIAL=1` disables parallel prefetching process-wide, for A/B
-/// benchmarking and for proving bit-identical results either way. The
-/// engine also degrades to the serial path on its own when the worker
-/// pool has a single lane (one-CPU hosts, `RAYON_NUM_THREADS=1`) —
-/// fanning out there pays dispatch and bookkeeping costs with no overlap
-/// to gain, and results are bit-identical either way.
-pub fn serial_mode() -> bool {
-    std::env::var("CST_SERIAL").map(|v| v == "1").unwrap_or(false)
-        || rayon::current_num_threads() <= 1
-}
 
 /// A shared cancellation flag for one tuning session.
 ///
@@ -78,25 +66,15 @@ pub trait Evaluator {
     /// free (tuners cache results rather than recompiling).
     fn evaluate(&mut self, s: &Setting) -> f64;
 
-    /// Hint that the settings are about to be evaluated. A concurrent
-    /// implementation may warm its model caches in parallel, but MUST NOT
-    /// change any observable state — clock, rng stream, evaluation counts
-    /// and subsequent `evaluate` results are exactly as if prefetch was
-    /// never called. Default: no-op.
+    /// Hint that the settings are about to be evaluated. An
+    /// implementation MUST NOT change any observable state here. No
+    /// tuner calls it: every session evaluates serially, in ask order.
+    /// Default: no-op.
     fn prefetch(&mut self, _batch: &[Setting]) {}
 
-    /// Evaluate a batch of settings, returning times in input order.
-    /// Semantically identical to calling [`Evaluator::evaluate`] in a
-    /// loop (the clock is charged in canonical input order); concurrent
-    /// implementations overlap only the deterministic model work. An
-    /// empty batch returns an explicit empty result without touching the
-    /// prefetcher, the clock or any counter — it is not a "successful
-    /// evaluation of nothing".
+    /// Evaluate a batch of settings in input order, exactly as an
+    /// [`Evaluator::evaluate`] loop does. No tuner calls it.
     fn evaluate_batch(&mut self, batch: &[Setting]) -> Vec<f64> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        self.prefetch(batch);
         batch.iter().map(|s| self.evaluate(s)).collect()
     }
 
@@ -185,9 +163,7 @@ impl SimEvaluator {
 
     /// Attach a telemetry handle: the measurement path then maintains the
     /// evaluation/memo/fault counters and emits `quarantine` records.
-    /// Counters are updated only on the serial commit path (never from
-    /// `prefetch`), so an attached journal stays deterministic. The
-    /// default is the noop handle.
+    /// The default is the noop handle.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
     }
@@ -313,32 +289,6 @@ impl SimEvaluator {
         }
     }
 
-    /// Serial commit tail for one fresh setting: draw measurement noise
-    /// (or run the fault path), charge the clock, memoize, count. This is
-    /// the only place observable state changes, so `evaluate` and the
-    /// batched path share it and stay bit-identical by construction.
-    fn commit_record(&mut self, s: &Setting, record: &EvalRecord) -> f64 {
-        let measured = if self.faults.is_active() {
-            self.evaluate_faulty(s, record)
-        } else {
-            let m = cst_gpu_sim::noisy_measurement(record.time_ms(), &mut self.rng);
-            self.clock.advance(record.cost_s);
-            m
-        };
-        self.unique += 1;
-        self.memo.insert(*s, measured);
-        self.tel.add(Counter::EvalsCommitted, 1);
-        self.tel.observe(Hist::EvalTimeMs, measured);
-        measured
-    }
-
-    /// Settings from `batch` that still need a model record: not yet in
-    /// the measurement memo, deduplicated, first occurrence first.
-    fn pending_distinct(&self, batch: &[Setting]) -> Vec<Setting> {
-        let mut seen = cst_space::setting_set_with_capacity(batch.len());
-        batch.iter().filter(|s| !self.memo.contains_key(*s) && seen.insert(**s)).copied().collect()
-    }
-
     /// Opt this session's simulator into the process-wide shared memo so
     /// concurrent sessions on the same (stencil, arch) hit each other's
     /// cache — see [`cst_gpu_sim::GpuSim::enable_shared_memo`] for the
@@ -373,78 +323,18 @@ impl Evaluator for SimEvaluator {
         // One model evaluation yields both the measured time and the clock
         // charge (the old path recomputed the footprint for each).
         let record = self.valid.sim().evaluate_full(s);
-        self.commit_record(s, &record)
-    }
-
-    fn prefetch(&mut self, batch: &[Setting]) {
-        let sim = self.valid.sim();
-        if !sim.has_memo() {
-            return; // nothing to warm — records would be recomputed anyway
-        }
-        let todo = self.pending_distinct(batch);
-        if todo.len() < 2 {
-            return;
-        }
-        // Warm the sim-level memo through the structure-of-arrays batch
-        // path. Only deterministic model output is computed here; noise
-        // draws, the clock and the evaluator memo are untouched, so
-        // observable state is exactly as if this was never called. With a
-        // single worker lane one column sweep beats a parallel fan-out's
-        // dispatch overhead; otherwise each lane sweeps a column chunk.
-        if serial_mode() {
-            let _ = sim.evaluate_population(&todo);
-            return;
-        }
-        let lanes = rayon::current_num_threads().max(1);
-        let chunk = todo.len().div_ceil(lanes).max(8);
-        let chunks: Vec<&[Setting]> = todo.chunks(chunk).collect();
-        chunks.into_par_iter().for_each(|settings| {
-            let _ = sim.evaluate_population(settings);
-        });
-    }
-
-    fn evaluate_batch(&mut self, batch: &[Setting]) -> Vec<f64> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // With worker lanes, prefetch fans the pending column out so the
-        // collection pass below is all sim-memo hits. On a single lane
-        // that would just walk the batch twice: skip straight to the one
-        // population pass, which computes and returns the records itself.
-        if !serial_mode() {
-            self.prefetch(batch);
-        }
-        // One population pass resolves every pending record, then the
-        // serial commit walks the batch in canonical input order:
-        // counters, rng draws and clock charges happen exactly as in the
-        // plain evaluate loop. `todo` holds the first occurrence of each
-        // pending setting in batch order, so the commit loop consumes the
-        // record column with a cursor — every miss position that is not a
-        // duplicate-of-earlier lines up with the next column entry.
-        let todo = self.pending_distinct(batch);
-        let recs =
-            if todo.is_empty() { Vec::new() } else { self.valid.sim().evaluate_population(&todo) };
-        let mut next = 0usize;
-        batch
-            .iter()
-            .map(|s| {
-                self.tel.add(Counter::EvalsAttempted, 1);
-                if let Some(&t) = self.memo.get(s) {
-                    self.tel.add(Counter::MemoHits, 1);
-                    return t;
-                }
-                self.tel.add(Counter::MemoMisses, 1);
-                let record = if next < todo.len() && todo[next] == *s {
-                    next += 1;
-                    recs[next - 1].clone()
-                } else {
-                    // Unreachable while pending_distinct preserves batch
-                    // order, but a recompute is always safe and identical.
-                    self.valid.sim().evaluate_full(s)
-                };
-                self.commit_record(s, &record)
-            })
-            .collect()
+        let measured = if self.faults.is_active() {
+            self.evaluate_faulty(s, &record)
+        } else {
+            let m = cst_gpu_sim::noisy_measurement(record.time_ms(), &mut self.rng);
+            self.clock.advance(record.cost_s);
+            m
+        };
+        self.unique += 1;
+        self.memo.insert(*s, measured);
+        self.tel.add(Counter::EvalsCommitted, 1);
+        self.tel.observe(Hist::EvalTimeMs, measured);
+        measured
     }
 
     fn profile_offline(&mut self, s: &Setting) -> MetricsReport {
@@ -479,20 +369,6 @@ mod tests {
 
     fn eval() -> SimEvaluator {
         SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 1)
-    }
-
-    /// Force a multi-lane worker pool even on single-CPU hosts, so the
-    /// prefetch/batch tests exercise real cross-thread cache warming
-    /// rather than `serial_mode()`'s one-lane degradation. Must run before
-    /// the pool's first use anywhere in this test binary.
-    fn force_parallel_lanes() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                std::env::set_var("RAYON_NUM_THREADS", "3");
-            }
-            let _ = rayon::current_num_threads();
-        });
     }
 
     #[test]
@@ -576,55 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_changes_no_observable_state() {
-        force_parallel_lanes();
-        let mut e = eval();
-        let batch: Vec<Setting> = (0..32).map(|_| e.random_valid()).collect();
-        let mut witness = e.clone();
-        e.prefetch(&batch);
-        assert_eq!(e.clock().now_s(), 0.0);
-        assert_eq!(e.unique_evaluations(), 0);
-        // Subsequent evaluations must be bit-identical to a run that never
-        // prefetched (same rng draws, same clock charges).
-        for s in &batch {
-            assert_eq!(e.evaluate(s), witness.evaluate(s));
-        }
-        assert_eq!(e.clock().now_s(), witness.clock().now_s());
-    }
-
-    #[test]
-    fn batch_evaluation_matches_serial_loop() {
-        force_parallel_lanes();
-        let mut a = eval();
-        let mut batch: Vec<Setting> = (0..48).map(|_| a.random_valid()).collect();
-        // Include repeats so the memoized path is exercised mid-batch.
-        let dup = batch[3];
-        batch.push(dup);
-        let mut b = a.clone();
-        let batched = a.evaluate_batch(&batch);
-        let serial: Vec<f64> = batch.iter().map(|s| b.evaluate(s)).collect();
-        assert_eq!(batched, serial);
-        assert_eq!(a.clock().now_s(), b.clock().now_s());
-        assert_eq!(a.unique_evaluations(), b.unique_evaluations());
-    }
-
-    #[test]
     fn measurements_use_noise_but_stay_close_to_model() {
         let mut e = eval();
         let s = Setting::baseline();
         let measured = e.evaluate(&s);
         let model = e.sim().kernel_time_ms(&s);
         assert!((measured / model - 1.0).abs() < 0.1, "{measured} vs {model}");
-    }
-
-    #[test]
-    fn empty_batch_is_an_explicit_empty_result() {
-        let mut e = eval();
-        let out = e.evaluate_batch(&[]);
-        assert!(out.is_empty());
-        assert_eq!(e.clock().now_s(), 0.0, "empty batch must not charge the clock");
-        assert_eq!(e.unique_evaluations(), 0, "empty batch must not count evaluations");
-        assert_eq!(e.fault_stats(), FaultStats::default());
     }
 
     #[test]
@@ -661,7 +494,7 @@ mod tests {
         let run = || {
             let mut e = eval().with_fault_profile(profile);
             let batch: Vec<Setting> = (0..128).map(|_| e.random_valid()).collect();
-            let times = e.evaluate_batch(&batch);
+            let times: Vec<f64> = batch.iter().map(|s| e.evaluate(s)).collect();
             (times, e.clock().now_s(), e.fault_stats(), e.quarantined_count())
         };
         let (t1, c1, s1, q1) = run();

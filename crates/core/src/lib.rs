@@ -27,7 +27,6 @@
 //! and iso-time comparisons.
 
 pub mod asktell;
-pub mod batch;
 pub mod dataset;
 pub mod evaluator;
 pub mod grouping;
@@ -37,7 +36,6 @@ pub mod sampling;
 pub mod search;
 
 pub use asktell::{drive, KernelConfig, Observation, Optimizer, Recorder, SearchCtx};
-pub use batch::{BatchEvaluator, BatchStats};
 pub use cst_gpu_sim::{FaultKind, FaultProfile, FaultStats};
 pub use dataset::{DatasetRecord, PerfDataset};
 pub use evaluator::{CancelToken, Evaluator, SimEvaluator};

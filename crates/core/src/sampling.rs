@@ -107,10 +107,9 @@ impl SampledSpace {
     /// Predicted-slowness score of a full setting under the tuner's own
     /// fitted models: the PMNF time model anchors the score and each
     /// metric model refines it, weighted by its signed correlation with
-    /// time — the same scoring rule the sampling cut applies. Pure,
-    /// cheap and thread-safe, so concurrent screening (e.g. the island
-    /// GA's parallel driver) can rank candidates without touching the
-    /// evaluator.
+    /// time — the same scoring rule the sampling cut applies. Pure and
+    /// cheap, so screening (the refinement sweep's island GA) can rank
+    /// candidates without touching the evaluator.
     pub fn predicted_slowness(&self, s: &Setting) -> f64 {
         let x: Vec<f64> = s.0.iter().map(|&v| v as f64).collect();
         let mut sc = 2.0 * (self.time_model.predict(&x) - self.time_mu) / self.time_sigma;

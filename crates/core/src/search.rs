@@ -10,7 +10,7 @@
 //! individual's value and the search narrows to the next group — the
 //! approximation that removes the hand-tuned iteration count.
 
-use crate::evaluator::{serial_mode, Evaluator};
+use crate::evaluator::Evaluator;
 use crate::pipeline::CurvePoint;
 use crate::sampling::SampledSpace;
 use cst_ga::{GaConfig, GaState, Genome, IslandGa};
@@ -22,13 +22,8 @@ use cst_telemetry::{event, Telemetry};
 /// before the iterative per-group refinement takes over.
 const GA_BUDGET_SHARE: f64 = 0.2;
 
-/// Candidates per prefetch chunk in the exhaustive pre-pass: large enough
-/// to keep every core busy warming the simulator memo, small enough that
-/// an expiring budget wastes little speculative model work.
-const PREFETCH_CHUNK: usize = 64;
-
 /// Group cardinality above which the refinement sweep adds a nominee
-/// screened by the parallel island GA over the tuner's own PMNF models.
+/// screened by the island GA over the tuner's own PMNF models.
 const SCREEN_CARD_MIN: u32 = 512;
 
 /// Search stage configuration.
@@ -134,41 +129,28 @@ pub fn evolutionary_search(
 
     // Degeneration rule (§IV-E): a sampled space that fits inside one
     // population is searched exhaustively — the GA has nothing to evolve.
-    // Candidates are enumerated in chunks so the evaluator can warm its
-    // model caches in parallel; the measured commits (and every expiry
-    // check) stay serial in enumeration order, exactly as an unchunked
-    // loop would run them.
     if sampled.size() <= pop_total as u64 {
         let mut idx = vec![0u32; cards.len()];
-        let mut exhausted = false;
-        'exh: while !exhausted {
-            let mut chunk: Vec<Vec<u32>> = Vec::with_capacity(PREFETCH_CHUNK);
-            while chunk.len() < PREFETCH_CHUNK && !exhausted {
-                chunk.push(idx.clone());
-                let mut d = cards.len();
-                loop {
-                    if d == 0 {
-                        exhausted = true;
-                        break;
-                    }
-                    d -= 1;
-                    idx[d] += 1;
-                    if idx[d] < cards[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
+        'exh: loop {
+            if eval.expired() || iteration >= cfg.max_iterations {
+                break;
             }
-            let settings: Vec<Setting> = chunk.iter().map(|g| sampled.decode(g)).collect();
-            eval.prefetch(&settings);
-            for (genes, &s) in chunk.iter().zip(&settings) {
-                if eval.expired() || iteration >= cfg.max_iterations {
+            let t = measure!(sampled.decode(&idx));
+            if t <= best_ms {
+                best_genes = idx.clone();
+            }
+            // Odometer step; wrapping the first digit ends the enumeration.
+            let mut d = cards.len();
+            loop {
+                if d == 0 {
                     break 'exh;
                 }
-                let t = measure!(s);
-                if t <= best_ms {
-                    best_genes = genes.clone();
+                d -= 1;
+                idx[d] += 1;
+                if idx[d] < cards[d] {
+                    break;
                 }
+                idx[d] = 0;
             }
         }
     } else if !eval.expired() && iteration < cfg.max_iterations {
@@ -204,17 +186,8 @@ pub fn evolutionary_search(
             && (ga_budget_s.is_infinite() || eval.clock().now_s() - ga_start_s < ga_budget_s)
         {
             let uniques_before = eval.unique_evaluations();
-            // Whole-population batches: the evaluator prefetches every
-            // pending individual's model record in parallel, then the
-            // measurements commit serially in island-major order — the
-            // exact order (and hence rng/clock trajectory) of the serial
-            // driver.
-            let mut f = |batch: &[Vec<u32>]| -> Vec<f64> {
-                let settings: Vec<Setting> = batch.iter().map(|g| sampled.decode(g)).collect();
-                eval.prefetch(&settings);
-                settings.iter().map(|&s| -measure!(s)).collect()
-            };
-            state.step_batched(&mut f);
+            // Measurements commit in island-major order.
+            state.step(&mut |g: &[u32]| -measure!(sampled.decode(g)));
             // One generation = one iteration, even if the population only
             // re-visited memoized settings (cached results are free on
             // real hardware too).
@@ -282,10 +255,10 @@ pub fn evolutionary_search(
                 // first, then a stride sample when the group is large
                 // (the stride rotates with the round index, so successive
                 // rounds cover different residues), plus — for very large
-                // groups — a nominee screened by the parallel island GA
-                // over the tuner's own PMNF prediction (no simulator
-                // access, so screening is free and thread-safe; only the
-                // nominee's *measurement* below touches the clock).
+                // groups — a nominee screened by the island GA over the
+                // tuner's own PMNF prediction (no simulator access, so
+                // screening is free; only the nominee's *measurement*
+                // below touches the clock).
                 let card = cards[k];
                 let stride = (card / 256).max(1);
                 let mut cand: Vec<u32> = vec![current[k]];
@@ -302,23 +275,15 @@ pub fn evolutionary_search(
                         cand.push(nominee);
                     }
                 }
-                // Warm the model caches for the whole sweep in one go,
-                // then commit measurements serially in candidate order.
-                let genes_of = |g: u32| {
-                    let mut genes = current.clone();
-                    genes[k] = g;
-                    genes
-                };
-                let settings: Vec<Setting> =
-                    cand.iter().map(|&g| sampled.decode(&genes_of(g))).collect();
-                eval.prefetch(&settings);
+                let mut genes = current.clone();
                 let mut best_g = current[k];
-                let mut best_t = measure!(settings[0]);
-                for (&g, &s) in cand.iter().zip(&settings).skip(1) {
+                let mut best_t = measure!(sampled.decode(&genes));
+                for &g in &cand[1..] {
                     if eval.expired() || iteration >= cfg.max_iterations {
                         break;
                     }
-                    let t = measure!(s);
+                    genes[k] = g;
+                    let t = measure!(sampled.decode(&genes));
                     if t < best_t {
                         best_t = t;
                         best_g = g;
@@ -354,14 +319,11 @@ pub fn evolutionary_search(
     SearchResult { best_setting, best_ms, curve, iterations: iteration }
 }
 
-/// Nominate a gene value for group `k` by running the island GA's
-/// concurrent driver over the tuner's own predicted-slowness score, every
-/// other gene frozen to the incumbent context. The fitness is a pure
-/// function of the genes (a PMNF prediction — no simulator, no clock, no
-/// noise), so the parallel and serial drivers produce bit-identical
-/// nominees and only wall-clock differs; `CST_SERIAL=1` forces the serial
-/// driver for A/B benchmarking. Only the nominee's subsequent measurement
-/// is charged to the tuning clock.
+/// Nominate a gene value for group `k` by running the island GA over the
+/// tuner's own predicted-slowness score, every other gene frozen to the
+/// incumbent context. The fitness is a pure function of the genes (a PMNF
+/// prediction — no simulator, no clock, no noise). Only the nominee's
+/// subsequent measurement is charged to the tuning clock.
 fn screen_group(
     sampled: &SampledSpace,
     cards: &[u32],
@@ -377,12 +339,7 @@ fn screen_group(
         .with_frozen(&frozen);
     let fitness = |genes: &[u32]| -sampled.predicted_slowness(&sampled.decode(genes));
     let sub_seed = seed ^ 0x9e37_79b9_7f4a_7c15 ^ (k as u64);
-    let summary = if serial_mode() {
-        ga.run_serial(6, sub_seed, fitness)
-    } else {
-        ga.run_parallel(6, sub_seed, fitness)
-    };
-    summary.best.genes[k]
+    ga.run_serial(6, sub_seed, fitness).best.genes[k]
 }
 
 #[cfg(test)]

@@ -1,117 +1,14 @@
-//! The concurrent evaluation engine's core guarantee: for a fixed seed,
-//! the batched/parallel hot path produces results bit-identical to the
-//! serial path. Parallelism only overlaps deterministic model work
-//! (prefetching the simulator memo, screening on the tuner's own PMNF
-//! models); every observable — measurement noise draws, virtual-clock
-//! charges, mid-run expiry checks, evaluation counts — commits serially
-//! in canonical order.
+//! The simulator memo is semantically invisible: every cached quantity
+//! equals its uncached recomputation.
 
 use cst_gpu_sim::{GpuArch, GpuSim};
 use cst_space::{ParamId, Setting};
-use cstuner_core::search::{evolutionary_search, SearchConfig};
-use cstuner_core::{
-    combine_metrics, group_from_dataset, sample_space, select_representatives, CsTuner,
-    CsTunerConfig, Evaluator, PerfDataset, SamplingConfig, SimEvaluator, Tuner, TuningOutcome,
-};
 use proptest::prelude::*;
-
-/// Run a closure with `CST_SERIAL` forced to the given mode, restoring the
-/// variable afterwards. The comparisons below keep both runs inside one
-/// test so no other test observes the flip; the engine's determinism
-/// guarantee means even a mid-run flip could not change results, only
-/// wall-clock.
-/// Force a multi-lane worker pool even on single-CPU hosts, so the
-/// parallel arms below genuinely thread (the engine otherwise degrades to
-/// the serial path when the pool has one lane). The tests in this binary
-/// are the pool's only users, so calling this first locks the lane count
-/// before first use.
-fn force_parallel_lanes() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-            std::env::set_var("RAYON_NUM_THREADS", "3");
-        }
-        let _ = rayon::current_num_threads();
-    });
-}
-
-fn with_serial_mode<T>(serial: bool, f: impl FnOnce() -> T) -> T {
-    if serial {
-        std::env::set_var("CST_SERIAL", "1");
-    } else {
-        std::env::remove_var("CST_SERIAL");
-    }
-    let out = f();
-    std::env::remove_var("CST_SERIAL");
-    out
-}
-
-fn assert_outcomes_identical(a: &TuningOutcome, b: &TuningOutcome) {
-    assert_eq!(a.best_setting, b.best_setting, "best setting diverged");
-    assert_eq!(a.best_time_ms, b.best_time_ms, "best time diverged");
-    assert_eq!(a.curve, b.curve, "convergence curve diverged");
-    assert_eq!(a.evaluations, b.evaluations, "unique evaluation count diverged");
-    assert_eq!(a.search_s, b.search_s, "final virtual clock diverged");
-    // `preproc` is host wall-clock and intentionally excluded.
-}
-
-#[test]
-fn full_pipeline_is_bit_identical_serial_vs_parallel() {
-    force_parallel_lanes();
-    for seed in [3u64, 11] {
-        let run = |serial: bool| {
-            with_serial_mode(serial, || {
-                let spec = cst_stencil::spec_by_name("j3d7pt").unwrap();
-                let mut e = SimEvaluator::with_budget(spec, GpuArch::a100(), seed, 80.0);
-                let cfg = CsTunerConfig {
-                    dataset_size: 48,
-                    max_iterations: 12,
-                    codegen_cap: 8,
-                    ..Default::default()
-                };
-                CsTuner::new(cfg).tune(&mut e, seed).unwrap()
-            })
-        };
-        assert_outcomes_identical(&run(true), &run(false));
-    }
-}
-
-#[test]
-fn evolutionary_search_is_bit_identical_serial_vs_parallel() {
-    force_parallel_lanes();
-    for seed in [5u64, 21] {
-        let run = |serial: bool| {
-            with_serial_mode(serial, || {
-                let spec = cst_stencil::spec_by_name("helmholtz").unwrap();
-                let mut e = SimEvaluator::new(spec, GpuArch::a100(), seed);
-                let ds = PerfDataset::collect(&mut e, 48, seed);
-                let groups = group_from_dataset(&ds);
-                let reps = select_representatives(&ds, &combine_metrics(&ds, 4));
-                let tel = cst_telemetry::Telemetry::noop();
-                let sampled =
-                    sample_space(&ds, &groups, &reps, &e, &SamplingConfig::default(), &tel);
-                let cfg = SearchConfig { max_iterations: 10, ..Default::default() };
-                let r = evolutionary_search(&mut e, &sampled, &cfg, seed, &tel);
-                (
-                    r.best_setting,
-                    r.best_ms,
-                    r.curve,
-                    r.iterations,
-                    e.unique_evaluations(),
-                    e.clock().now_s(),
-                )
-            })
-        };
-        assert_eq!(run(true), run(false));
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The simulator memo is semantically invisible: every cached quantity
-    /// equals its uncached recomputation, for arbitrary (canonicalized)
-    /// settings including invalid ones.
+    /// For arbitrary (canonicalized) settings, including invalid ones.
     #[test]
     fn memoized_cost_equals_uncached_cost(
         picks in prop::collection::vec(0usize..1024, cst_space::N_PARAMS),

@@ -1,10 +1,9 @@
-//! The island engine: neighborhood breeding, ring migration, two drivers.
+//! The island engine: neighborhood breeding and ring migration.
 
 use crate::genome::{Genome, Individual};
 use cst_telemetry::{event, Counter, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// Genetic algorithm options, defaulting to the paper's §V-A values:
 /// 2 sub-populations of 16 individuals, crossover 0.8, mutation 0.005.
@@ -94,7 +93,7 @@ impl GaState {
         }
     }
 
-    /// Attach a telemetry handle: each [`GaState::step_batched`] then
+    /// Attach a telemetry handle: each generation then
     /// emits a `ga_gen` record with the per-island best-fitness
     /// trajectory. Telemetry-carrying callers report fitness as negated
     /// milliseconds, so the record's `best_ms`/`island_best` fields are
@@ -186,28 +185,11 @@ impl GaState {
     /// `eval` maps genes to fitness (higher is better; return
     /// `f64::NEG_INFINITY` for infeasible candidates).
     pub fn step(&mut self, eval: &mut impl FnMut(&[u32]) -> f64) {
-        self.step_batched(&mut |batch: &[Vec<u32>]| batch.iter().map(|g| eval(g)).collect());
-    }
-
-    /// [`GaState::step`] with batched fitness evaluation: both evaluation
-    /// phases hand the whole pending population to `eval_batch` at once,
-    /// which may evaluate it concurrently as long as the returned vector
-    /// lines up index-for-index with the input (island-major order, the
-    /// same order the serial driver would have used). Breeding, best
-    /// tracking and migration are unchanged, so a serial `eval_batch`
-    /// closure reproduces [`GaState::step`] bit-for-bit.
-    ///
-    /// The tuner's driver wires `eval_batch` to the evaluator's batch path
-    /// (`Evaluator::evaluate_batch` in `cstuner-core`), which hands the
-    /// whole generation to the simulator's structure-of-arrays
-    /// `evaluate_population` sweep before committing results serially — so
-    /// batching here is what unlocks the columnar hot path.
-    pub fn step_batched(&mut self, eval_batch: &mut impl FnMut(&[Vec<u32>]) -> Vec<f64>) {
-        self.eval_pending(eval_batch);
+        self.eval_pending(eval);
         self.breed();
         // Evaluate the new generation immediately so callers observe a
         // consistent population after each step.
-        self.eval_pending(eval_batch);
+        self.eval_pending(eval);
         self.finish_generation();
     }
 
@@ -216,7 +198,7 @@ impl GaState {
     /// [`GaState::assign_pending`] call must cover. Together with
     /// [`GaState::breed_generation`] and [`GaState::finish_generation`]
     /// this is the resumable (ask/tell-style) form of
-    /// [`GaState::step_batched`]: one step is `pending → assign → breed →
+    /// [`GaState::step`]: one step is `pending → assign → breed →
     /// pending → assign → finish`, and an external driver interleaving
     /// its own bookkeeping between those calls reproduces the closed-loop
     /// step bit for bit.
@@ -256,7 +238,7 @@ impl GaState {
     }
 
     /// Breed the next generation (the public split-phase form of the
-    /// middle of [`GaState::step_batched`]). New children carry
+    /// middle of [`GaState::step`]). New children carry
     /// `NEG_INFINITY` fitness, so they appear in the next
     /// [`GaState::pending_genes`] batch.
     pub fn breed_generation(&mut self) {
@@ -291,13 +273,11 @@ impl GaState {
         }
     }
 
-    /// Evaluate every individual without finite fitness (one batch call,
-    /// island-major order) and refresh the best-so-far over the whole
-    /// population using the serial driver's first-encounter tie rule.
-    fn eval_pending(&mut self, eval_batch: &mut impl FnMut(&[Vec<u32>]) -> Vec<f64>) {
-        let pending = self.pending_genes();
-        let fits = if pending.is_empty() { Vec::new() } else { eval_batch(&pending) };
-        assert_eq!(fits.len(), pending.len(), "batch evaluator arity mismatch");
+    /// Evaluate every individual without finite fitness, in island-major
+    /// order, and refresh the best-so-far over the whole population using
+    /// the first-encounter tie rule.
+    fn eval_pending(&mut self, eval: &mut impl FnMut(&[u32]) -> f64) {
+        let fits: Vec<f64> = self.pending_genes().iter().map(|g| eval(g)).collect();
         self.assign_pending(&fits);
     }
 
@@ -411,21 +391,9 @@ fn select_parents(pop: &[Individual], slot: usize, rng: &mut impl Rng) -> (usize
     (a, b)
 }
 
-/// Fan a batch of genomes across the persistent worker pool, preserving
-/// input order in the returned fitness vector. Spawning OS threads per
-/// generation would cost more than a generation's worth of fitness calls;
-/// the pool amortizes that, and nested calls from inside a pool worker
-/// degrade to a serial loop so outer parallelism never multiplies.
-fn eval_batch_threads<F: Fn(&[u32]) -> f64 + Sync>(eval: &F, batch: &[Vec<u32>]) -> Vec<f64> {
-    batch.par_iter().map(|g| eval(g)).collect()
-}
-
-/// The parallel driver: islands advance in deterministic lockstep while
-/// each generation's pending individuals are evaluated concurrently — the
-/// analogue of the paper's MPI deployment, but with results that are
-/// bit-identical to a serial run of the same seed (breeding, migration
-/// and best-tracking consume fitnesses in canonical island-major order
-/// regardless of which worker thread produced them).
+/// A self-contained island GA run: islands advance in deterministic
+/// lockstep over a pure fitness function, the in-process analogue of the
+/// paper's MPI deployment.
 #[derive(Debug, Clone)]
 pub struct IslandGa {
     genome: Genome,
@@ -435,7 +403,7 @@ pub struct IslandGa {
 }
 
 impl IslandGa {
-    /// Build a parallel island GA.
+    /// Build an island GA.
     pub fn new(genome: Genome, cfg: GaConfig) -> Self {
         IslandGa { genome, cfg, seeds: Vec::new(), frozen: Vec::new() }
     }
@@ -465,18 +433,15 @@ impl IslandGa {
         state
     }
 
-    /// Run `generations` generations, driving every evaluation phase
-    /// through `eval_batch` (which may fan out; the returned vector must
-    /// line up with the input batch).
-    pub fn run_batched(
-        &self,
-        generations: u32,
-        seed: u64,
-        eval_batch: &mut impl FnMut(&[Vec<u32>]) -> Vec<f64>,
-    ) -> GaSummary {
+    /// Run `generations` generations, evaluating one individual at a
+    /// time in island-major order.
+    pub fn run_serial<F>(&self, generations: u32, seed: u64, eval: F) -> GaSummary
+    where
+        F: Fn(&[u32]) -> f64,
+    {
         let mut state = self.build_state(seed);
         for _ in 0..generations {
-            state.step_batched(eval_batch);
+            state.step(&mut |g: &[u32]| eval(g));
         }
         GaSummary {
             best: state.best().cloned().expect("ran at least one generation"),
@@ -484,45 +449,11 @@ impl IslandGa {
             evaluations: state.evaluations(),
         }
     }
-
-    /// Run with each generation's population evaluated concurrently on
-    /// the persistent worker pool. `eval` must be pure per call (same
-    /// genes ⇒ same fitness) for the run to stay deterministic; results
-    /// are then identical to [`IslandGa::run_serial`].
-    pub fn run_parallel<F>(&self, generations: u32, seed: u64, eval: F) -> GaSummary
-    where
-        F: Fn(&[u32]) -> f64 + Sync,
-    {
-        self.run_batched(generations, seed, &mut |batch| eval_batch_threads(&eval, batch))
-    }
-
-    /// Serial reference driver: same trajectory as
-    /// [`IslandGa::run_parallel`], one evaluation at a time.
-    pub fn run_serial<F>(&self, generations: u32, seed: u64, eval: F) -> GaSummary
-    where
-        F: Fn(&[u32]) -> f64,
-    {
-        self.run_batched(generations, seed, &mut |batch| batch.iter().map(|g| eval(g)).collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Force a multi-lane worker pool even on single-CPU hosts, so the
-    /// parallel-driver tests exercise real cross-thread evaluation rather
-    /// than the pool's serial fast path. Must run before the pool's first
-    /// use anywhere in this test binary (the lane count is locked then).
-    fn force_parallel_lanes() {
-        static ONCE: std::sync::Once = std::sync::Once::new();
-        ONCE.call_once(|| {
-            if std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                std::env::set_var("RAYON_NUM_THREADS", "3");
-            }
-            let _ = rayon::current_num_threads();
-        });
-    }
 
     /// A deceptive multimodal fitness over 6 genes of cardinality 16:
     /// global optimum at all-12, local traps at all-3.
@@ -607,24 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn step_batched_matches_serial_step() {
-        let mut serial = GaState::new(genome(), GaConfig::default(), 19);
-        let mut batched = serial.clone();
-        let mut eval = |g: &[u32]| fitness(g);
-        let mut eval_batch =
-            |batch: &[Vec<u32>]| batch.iter().map(|g| fitness(g)).collect::<Vec<_>>();
-        for _ in 0..12 {
-            serial.step(&mut eval);
-            batched.step_batched(&mut eval_batch);
-            assert_eq!(serial.best(), batched.best());
-            assert_eq!(serial.evaluations(), batched.evaluations());
-            let a: Vec<_> = serial.population().cloned().collect();
-            let b: Vec<_> = batched.population().cloned().collect();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn migration_spreads_good_genes() {
         // With migration the second island benefits from the first's
         // discoveries; verify runs with migration at least match isolated
@@ -644,27 +557,6 @@ mod tests {
             acc
         };
         assert!(score(cfg_mig) >= score(cfg_iso) - 1.0);
-    }
-
-    #[test]
-    fn parallel_driver_matches_quality() {
-        force_parallel_lanes();
-        let ga = IslandGa::new(genome(), GaConfig::default());
-        let summary = ga.run_parallel(40, 13, fitness);
-        assert!(summary.best.fitness > -6.0, "fitness {}", summary.best.fitness);
-        assert!(summary.evaluations > 0);
-        assert_eq!(summary.generations, 40);
-    }
-
-    #[test]
-    fn parallel_driver_is_bit_identical_to_serial() {
-        force_parallel_lanes();
-        let ga = IslandGa::new(genome(), GaConfig::default());
-        for seed in [13, 99] {
-            let par = ga.run_parallel(25, seed, fitness);
-            let ser = ga.run_serial(25, seed, fitness);
-            assert_eq!(par, ser);
-        }
     }
 
     #[test]

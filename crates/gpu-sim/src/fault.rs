@@ -10,11 +10,11 @@
 //!
 //! This module injects those faults *deterministically*: whether a given
 //! (setting, attempt) pair faults — and which way — is a pure function of
-//! the [`FaultProfile`]'s seed, independent of thread interleaving,
-//! prefetch order, and the evaluator's measurement-noise rng stream. Two
-//! runs with the same seeds therefore observe byte-identical fault
-//! sequences, and a zero-probability profile is *exactly* the fault-free
-//! path (no extra rng draws, no extra clock charges).
+//! the [`FaultProfile`]'s seed, independent of thread interleaving and
+//! the evaluator's measurement-noise rng stream. Two runs with the same
+//! seeds therefore observe byte-identical fault sequences, and a
+//! zero-probability profile is *exactly* the fault-free path (no extra
+//! rng draws, no extra clock charges).
 
 use cst_space::Setting;
 

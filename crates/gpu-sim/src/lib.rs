@@ -15,8 +15,8 @@
 //! - [`metrics`]: Nsight-style metric vectors for the paper's
 //!   metric-combination stage (§IV-D).
 //! - [`precomp`]: setting-independent model tables hoisted out of the
-//!   evaluation hot path, with a structure-of-arrays batch sweep —
-//!   bit-identical to the direct [`footprint`]/[`cost`] composition.
+//!   evaluation hot path, bit-identical to the direct
+//!   [`footprint`]/[`cost`] composition.
 //! - [`registry`]: opt-in process-wide memo sharing keyed by
 //!   (stencil, arch), so concurrent serve sessions hit each other's cache.
 //! - [`valid`]: the composed explicit+implicit validity check ("only

@@ -54,7 +54,7 @@ type ShardMap = HashMap<Setting, Arc<EvalRecord>, BuildFastHasher>;
 pub struct SimMemo {
     shards: [RwLock<ShardMap>; N_SHARDS],
     // Relaxed monitoring counters, NOT part of the determinism contract:
-    // under parallel prefetch the hit/miss split depends on thread timing,
+    // under concurrent sessions the hit/miss split depends on thread timing,
     // so these feed dashboards and logs only — never the run journal,
     // whose memo counters come from the evaluator's serial commit path.
     hits: AtomicU64,
@@ -185,97 +185,8 @@ impl SimMemo {
         out
     }
 
-    /// Batched [`SimMemo::get_or_insert_with`]: one read-lock pass per
-    /// touched shard resolves the hits, `compute` receives every miss as
-    /// a single slice (shard-grouped order), and one write-lock pass per
-    /// shard inserts the fresh records (first insert wins on races and on
-    /// duplicate batch positions, so duplicates still come out pointing
-    /// at one shared record). Output order matches `batch`.
-    ///
-    /// Duplicate *misses* are computed redundantly rather than deduped:
-    /// the hot caller ([`crate::GpuSim::evaluate_population`] behind the
-    /// evaluator's pending-distinct filter) never passes duplicates, and
-    /// a per-call dedup map costs more than the rare wasted recompute of
-    /// a deterministic record.
-    pub fn get_or_insert_batch(
-        &self,
-        batch: &[Setting],
-        compute: impl FnOnce(&[Setting]) -> Vec<EvalRecord>,
-    ) -> Vec<Arc<EvalRecord>> {
-        let n = batch.len();
-        // Group positions by shard with a counting sort: one flat index
-        // vector instead of sixteen growing ones.
-        let shard_of: Vec<u8> = batch.iter().map(|s| shard_index(s) as u8).collect();
-        let mut start = [0usize; N_SHARDS + 1];
-        for &k in &shard_of {
-            start[k as usize + 1] += 1;
-        }
-        for k in 0..N_SHARDS {
-            start[k + 1] += start[k];
-        }
-        let mut grouped: Vec<u32> = vec![0; n];
-        let mut cursor = start;
-        for (i, &k) in shard_of.iter().enumerate() {
-            grouped[cursor[k as usize]] = i as u32;
-            cursor[k as usize] += 1;
-        }
-
-        let mut out: Vec<Option<Arc<EvalRecord>>> = vec![None; n];
-        // Misses in shard-grouped order: positions, then per-shard counts
-        // so the write pass can walk the same contiguous runs.
-        let mut miss_pos: Vec<u32> = Vec::new();
-        let mut miss_end = [0usize; N_SHARDS];
-        let mut hits = 0u64;
-        for (k, shard) in self.shards.iter().enumerate() {
-            let idxs = &grouped[start[k]..start[k + 1]];
-            if !idxs.is_empty() {
-                let map = shard.read().unwrap();
-                for &i in idxs {
-                    if let Some(r) = map.get(&batch[i as usize]) {
-                        out[i as usize] = Some(r.clone());
-                        hits += 1;
-                    } else {
-                        miss_pos.push(i);
-                    }
-                }
-            }
-            miss_end[k] = miss_pos.len();
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        if miss_pos.is_empty() {
-            return out.into_iter().map(|r| r.expect("all positions resolved")).collect();
-        }
-        self.misses.fetch_add(miss_pos.len() as u64, Ordering::Relaxed);
-
-        let missing: Vec<Setting> = miss_pos.iter().map(|&i| batch[i as usize]).collect();
-        let computed = compute(&missing);
-        debug_assert_eq!(computed.len(), missing.len());
-        let mut fresh: Vec<Option<EvalRecord>> = computed.into_iter().map(Some).collect();
-
-        let mut lo = 0usize;
-        for (k, shard) in self.shards.iter().enumerate() {
-            let hi = miss_end[k];
-            if lo < hi {
-                let mut w = shard.write().unwrap();
-                for j in lo..hi {
-                    let i = miss_pos[j] as usize;
-                    let rec = match w.entry(batch[i]) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
-                        std::collections::hash_map::Entry::Vacant(v) => v
-                            .insert(Arc::new(fresh[j].take().expect("each miss used once")))
-                            .clone(),
-                    };
-                    out[i] = Some(rec);
-                }
-                self.evict_overflow(&mut w);
-            }
-            lo = hi;
-        }
-        out.into_iter().map(|r| r.expect("all positions resolved")).collect()
-    }
-
     /// Monitoring counters: lookups served from cache vs computed fresh.
-    /// Racy-by-design under concurrent prefetch (relaxed atomics) — use
+    /// Racy-by-design under concurrent sessions (relaxed atomics) — use
     /// for observability, never for determinism-sensitive output.
     pub fn stats(&self) -> MemoStats {
         MemoStats {
@@ -368,40 +279,6 @@ mod tests {
         assert_eq!(memo.len(), 32);
         memo.clear();
         assert!(memo.is_empty());
-    }
-
-    #[test]
-    fn batch_lookup_resolves_misses_and_duplicates_share_one_record() {
-        let memo = SimMemo::new();
-        let mut a = Setting::baseline();
-        a.0[0] = 7;
-        let b = Setting::baseline();
-        // Pre-populate `b`, then ask for [a, b, a, a]: `a` misses three
-        // times (duplicate misses compute redundantly — the hot caller
-        // dedups upstream), but the first insert wins, so every duplicate
-        // position resolves to the same cached record.
-        memo.get_or_insert_with(&b, || dummy_record(1.0));
-        let out = memo.get_or_insert_batch(&[a, b, a, a], |missing| {
-            assert!(missing.iter().all(|s| *s == a), "only `a` misses");
-            missing.iter().map(|_| dummy_record(5.0)).collect()
-        });
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0].time_ms(), 5.0);
-        assert_eq!(out[1].time_ms(), 1.0);
-        assert!(Arc::ptr_eq(&out[0], &out[2]) && Arc::ptr_eq(&out[0], &out[3]));
-        assert_eq!(memo.len(), 2, "one record per distinct setting");
-        let stats = memo.stats();
-        assert_eq!(stats.hits, 1, "batch hit on b");
-        assert_eq!(stats.misses, 4, "initial insert + three batch misses");
-    }
-
-    #[test]
-    fn batch_lookup_of_all_hits_computes_nothing() {
-        let memo = SimMemo::new();
-        let s = Setting::baseline();
-        memo.get_or_insert_with(&s, || dummy_record(3.0));
-        let out = memo.get_or_insert_batch(&[s, s], |_| unreachable!("no miss to compute"));
-        assert!(out.iter().all(|r| r.time_ms() == 3.0));
     }
 
     #[test]

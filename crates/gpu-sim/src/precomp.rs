@@ -30,8 +30,7 @@ use cst_stencil::{StencilClass, StencilSpec};
 
 /// Per-setting values decoded once per record. The accessor calls on
 /// [`Setting`] are cheap, but the three model stages used to re-decode
-/// them independently; the batch path decodes a whole population into a
-/// column of these before running each stage over the column.
+/// them independently.
 #[derive(Debug, Clone)]
 struct Decoded {
     streaming: bool,
@@ -503,19 +502,6 @@ impl ModelPrecomp {
         let cost_s = self.eval_cost_stage(&d, cost.total_ms);
         EvalRecord { footprint, cost, cost_s }
     }
-
-    /// Batch evaluation: one output column of records, computed by a
-    /// single fused sweep. An earlier stage-major variant (materialize a
-    /// `Decoded` column, then a `Footprint` column, then costs) measured
-    /// ~30% *slower* here — each stage's working set fits in registers,
-    /// so spilling intermediates to memory between stages costs more than
-    /// the instruction-cache locality buys. The batch-level win lives in
-    /// [`crate::SimMemo::get_or_insert_batch`], which resolves the whole
-    /// column with one lock round per shard. Record `i` is bit-identical
-    /// to `record(&batch[i])`.
-    pub fn record_batch(&self, batch: &[Setting]) -> Vec<EvalRecord> {
-        batch.iter().map(|s| self.record(s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -614,20 +600,6 @@ mod tests {
         for _ in 0..40 {
             let s = space.random_raw(&mut rng);
             assert_bit_identical(&pre.record(&s), &direct_record(&spec, &arch, &s, &mp));
-        }
-    }
-
-    #[test]
-    fn record_batch_matches_per_setting_records() {
-        let spec = suite::spec_by_name("j3d27pt").unwrap();
-        let pre = ModelPrecomp::new(spec.clone(), GpuArch::a100(), ModelParams::default());
-        let space = OptSpace::for_stencil(&spec);
-        let mut rng = StdRng::seed_from_u64(9);
-        let batch: Vec<Setting> = (0..64).map(|_| space.random_raw(&mut rng)).collect();
-        let column = pre.record_batch(&batch);
-        assert_eq!(column.len(), batch.len());
-        for (s, r) in batch.iter().zip(&column) {
-            assert_bit_identical(r, &pre.record(s));
         }
     }
 }

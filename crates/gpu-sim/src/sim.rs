@@ -77,7 +77,7 @@ impl GpuSim {
     }
 
     /// Monitoring counters of the backing memo (all-zero when disabled).
-    /// Racy-by-design under concurrent prefetch; never journal material.
+    /// Racy-by-design under concurrent sessions; never journal material.
     pub fn memo_stats(&self) -> MemoStats {
         self.memo.as_ref().map_or_else(MemoStats::default, |m| m.stats())
     }
@@ -107,21 +107,6 @@ impl GpuSim {
         match &self.memo {
             Some(memo) => memo.get_or_insert_with(s, || self.compute_record(s)),
             None => Arc::new(self.compute_record(s)),
-        }
-    }
-
-    /// Batch counterpart of [`GpuSim::evaluate_full`]: one memo pass
-    /// resolves the hits, and the distinct misses are evaluated in a
-    /// single structure-of-arrays column sweep
-    /// ([`ModelPrecomp::record_batch`]). Record `i` is the same record a
-    /// serial `evaluate_full` loop would produce for `batch[i]`; only the
-    /// locking and memory layout differ.
-    pub fn evaluate_population(&self, batch: &[Setting]) -> Vec<Arc<EvalRecord>> {
-        match &self.memo {
-            Some(memo) => {
-                memo.get_or_insert_batch(batch, |missing| self.precomp.record_batch(missing))
-            }
-            None => self.precomp.record_batch(batch).into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -204,7 +189,7 @@ impl PartialEq<Footprint> for FootprintView {
 }
 
 /// Apply one draw of measurement noise to a modeled kernel time — the
-/// stochastic half of [`GpuSim::measure`], split out so batch evaluators
+/// stochastic half of [`GpuSim::measure`], split out so evaluators
 /// can reuse a cached [`EvalRecord`]'s deterministic time while drawing
 /// noise in canonical commit order. Non-finite times consume no
 /// randomness and pass through unchanged.
@@ -292,47 +277,6 @@ mod tests {
         let _ = clone.resource_ok(&Setting::baseline());
         let _ = clone.eval_cost_s(&Setting::baseline());
         assert_eq!(sim.memo_len(), 1);
-    }
-
-    #[test]
-    fn population_matches_serial_evaluate_full() {
-        let sim = GpuSim::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100());
-        let vs = crate::valid::ValidSpace::new(
-            cst_space::OptSpace::for_stencil(sim.spec()),
-            sim.clone(),
-        );
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut batch: Vec<Setting> = (0..48).map(|_| vs.random_valid(&mut rng)).collect();
-        batch.push(batch[5]); // duplicate exercises the shared-Arc path
-        let pop = sim.evaluate_population(&batch);
-        assert_eq!(pop.len(), batch.len());
-        for (s, r) in batch.iter().zip(&pop) {
-            let serial = sim.evaluate_full(s);
-            assert!(Arc::ptr_eq(r, &serial), "population and serial must share the cache entry");
-        }
-        assert!(Arc::ptr_eq(&pop[5], &pop[48]), "duplicate settings share one record");
-    }
-
-    #[test]
-    fn population_without_memo_matches_memoized_results() {
-        let spec = suite::spec_by_name("j3d7pt").unwrap();
-        let cached = GpuSim::new(spec.clone(), GpuArch::v100());
-        let uncached = GpuSim::new(spec, GpuArch::v100()).without_memo();
-        assert!(cached.has_memo() && !uncached.has_memo());
-        let batch: Vec<Setting> = (1..=16u32)
-            .map(|v| {
-                let mut s = Setting::baseline();
-                s.0[ParamId::UFy.index()] = v.next_power_of_two();
-                s
-            })
-            .collect();
-        let a = cached.evaluate_population(&batch);
-        let b = uncached.evaluate_population(&batch);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.time_ms().to_bits(), y.time_ms().to_bits());
-            assert_eq!(x.cost_s.to_bits(), y.cost_s.to_bits());
-        }
-        assert_eq!(uncached.memo_len(), 0, "no-memo population path must not cache");
     }
 
     #[test]

@@ -339,7 +339,7 @@ pub fn status_frame(counts: &SessionCounts, rows: &[SessionRow]) -> String {
 /// section (session counts, counters, gauges, histograms) precedes the
 /// first `wall*` key, and everything wall-clock-derived — uptime, wire
 /// byte totals, request latency digests and the shared-memo stats (whose
-/// hit/miss split is thread-timing-dependent under parallel prefetch) —
+/// hit/miss split is thread-timing-dependent under concurrent sessions) —
 /// is serialized contiguously last, so
 /// [`cst_telemetry::strip_wall_fields`] reduces the frame to a
 /// byte-deterministic core.

@@ -1,9 +1,9 @@
 //! Test harness for the csTuner reproduction.
 //!
 //! The workspace's correctness story rests on three properties: the
-//! pipeline is *bit-deterministic* for a fixed seed (serial or parallel,
-//! memoized or not), a *zero-probability fault profile is exactly the
-//! fault-free path*, and a hostile testbed (injected compile errors,
+//! pipeline is *bit-deterministic* for a fixed seed (memoized or not), a
+//! *zero-probability fault profile is exactly the fault-free path*, and a
+//! hostile testbed (injected compile errors,
 //! launch failures, timeouts, timing outliers) degrades every search
 //! driver gracefully instead of crashing it. This crate packages the
 //! machinery to keep those properties locked down:
@@ -14,9 +14,8 @@
 //!   vendored `proptest` strategies (no new external dependencies), for
 //!   tests that need explicit control over cases and failure reporting.
 //! - [`oracle`]: differential oracles — memoized vs unmemoized simulator,
-//!   serial vs batched evaluator, zero-probability faults vs fault-free,
-//!   and same-seed faulty-run determinism — each comparing *bits*, not
-//!   approximate values.
+//!   zero-probability faults vs fault-free, and same-seed faulty-run
+//!   determinism — each comparing *bits*, not approximate values.
 //! - [`golden`]: golden-trace regression fixtures for `--quick`-scale
 //!   runs, blessed with `CST_BLESS=1` and diffed byte-for-byte otherwise.
 //! - [`loopback`]: a real cst-serve daemon on an ephemeral localhost
@@ -41,7 +40,7 @@ pub use golden::{
 };
 pub use loopback::{split_stream, LoopbackServer};
 pub use oracle::{
-    batch_vs_serial, fault_run_determinism, journal_transparency, memo_transparency,
-    outcomes_bit_equal, precomp_vs_direct, zero_fault_transparency,
+    fault_run_determinism, journal_transparency, memo_transparency, outcomes_bit_equal,
+    precomp_vs_direct, zero_fault_transparency,
 };
 pub use runner::PropRunner;

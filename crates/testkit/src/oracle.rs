@@ -2,11 +2,10 @@
 //!
 //! Each oracle runs the same workload down two code paths that the
 //! engine promises are observationally identical — memoized vs
-//! unmemoized simulator, batched vs serial evaluator, zero-probability
-//! faults vs fault-free, same-seed run vs rerun — and compares the
-//! results as *bits* (`f64::to_bits`), not approximately. Any divergence
-//! returns `Err` with the first mismatching site, so a regression
-//! pinpoints itself.
+//! unmemoized simulator, zero-probability faults vs fault-free, same-seed
+//! run vs rerun — and compares the results as *bits* (`f64::to_bits`),
+//! not approximately. Any divergence returns `Err` with the first
+//! mismatching site, so a regression pinpoints itself.
 
 use cst_gpu_sim::cost::{eval_cost_s, kernel_cost_from_footprint};
 use cst_gpu_sim::footprint::footprint;
@@ -121,8 +120,7 @@ fn records_equal(label: &str, a: &EvalRecord, b: &EvalRecord) -> Result<(), Stri
 
 /// Oracle: the precomputed model ([`ModelPrecomp`], the simulator hot
 /// path) is bit-identical to the direct reference composition
-/// `footprint → kernel_cost_from_footprint → eval_cost_s` — for both the
-/// per-setting `record` and the columnar `record_batch` path, on valid
+/// `footprint → kernel_cost_from_footprint → eval_cost_s`, on valid
 /// settings and on raw (spilled / overflowing / unlaunchable) corners.
 pub fn precomp_vs_direct(
     spec: &StencilSpec,
@@ -145,45 +143,12 @@ pub fn precomp_vs_direct(
             EvalRecord { footprint: f, cost, cost_s }
         })
         .collect();
-    let column = pre.record_batch(&batch);
     for (i, (s, d)) in batch.iter().zip(&direct).enumerate() {
         records_equal(&format!("record[{i}]"), &pre.record(s), d)?;
-        records_equal(&format!("record_batch[{i}]"), &column[i], d)?;
         // The memoized simulator front door serves the same bits.
         records_equal(&format!("evaluate_full[{i}]"), &sim.evaluate_full(s), d)?;
     }
     Ok(())
-}
-
-/// Oracle: [`SimEvaluator::evaluate_batch`] (parallel prefetch + serial
-/// commit) is bit-identical to a plain `evaluate` loop — same times, same
-/// clock trajectory, same evaluation counts, same fault counters — under
-/// any fault profile.
-pub fn batch_vs_serial(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    seed: u64,
-    profile: FaultProfile,
-    n: usize,
-) -> Result<(), String> {
-    let mut batched =
-        SimEvaluator::new(spec.clone(), arch.clone(), seed).with_fault_profile(profile);
-    let mut serial = batched.clone();
-    let mut batch = valid_settings(batched.valid_space(), seed, n);
-    let dups: Vec<Setting> = batch.iter().take(n / 4).copied().collect();
-    batch.extend(dups);
-    let tb = batched.evaluate_batch(&batch);
-    let ts: Vec<f64> = batch.iter().map(|s| serial.evaluate(s)).collect();
-    bits_equal("batch vs serial times", &tb, &ts)?;
-    bits_equal("clock", &[batched.clock().now_s()], &[serial.clock().now_s()])?;
-    if batched.unique_evaluations() != serial.unique_evaluations() {
-        return Err(format!(
-            "unique evaluations diverged: {} vs {}",
-            batched.unique_evaluations(),
-            serial.unique_evaluations()
-        ));
-    }
-    stats_equal(batched.fault_stats(), serial.fault_stats())
 }
 
 /// Oracle: a *zero-probability* fault profile (any seed, any retry
@@ -230,7 +195,7 @@ pub fn fault_run_determinism(
     let run = || {
         let mut e = SimEvaluator::new(spec.clone(), arch.clone(), seed).with_fault_profile(profile);
         let batch = valid_settings(e.valid_space(), seed, n);
-        let times = e.evaluate_batch(&batch);
+        let times: Vec<f64> = batch.iter().map(|s| e.evaluate(s)).collect();
         (times, e.clock().now_s(), e.fault_stats(), e.quarantined_count())
     };
     let (t1, c1, s1, q1) = run();
@@ -343,8 +308,6 @@ mod tests {
         let spec = suite::spec_by_name("j3d7pt").unwrap();
         let arch = GpuArch::a100();
         memo_transparency(&spec, &arch, 1, 24).unwrap();
-        batch_vs_serial(&spec, &arch, 1, FaultProfile::off(), 24).unwrap();
-        batch_vs_serial(&spec, &arch, 1, FaultProfile::hostile(3), 24).unwrap();
         zero_fault_transparency(&spec, &arch, 1, 24).unwrap();
         fault_run_determinism(&spec, &arch, 1, FaultProfile::hostile(5), 24).unwrap();
     }

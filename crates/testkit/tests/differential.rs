@@ -1,11 +1,11 @@
 //! Differential oracle suite: two code paths that must agree to the bit,
 //! swept over stencils, seeds and generated fault profiles.
 
-use cst_gpu_sim::{FaultProfile, GpuArch};
+use cst_gpu_sim::GpuArch;
 use cst_stencil::suite;
 use cst_testkit::{
-    arb_fault_profile, batch_vs_serial, fault_run_determinism, memo_transparency,
-    zero_fault_transparency, PropRunner,
+    arb_fault_profile, fault_run_determinism, memo_transparency, zero_fault_transparency,
+    PropRunner,
 };
 
 const STENCILS: [&str; 3] = ["j3d7pt", "cheby", "helmholtz"];
@@ -19,29 +19,6 @@ fn memoized_and_unmemoized_sim_agree() {
     // A second architecture: the memo key must not leak across arch params.
     let spec = suite::spec_by_name("j3d7pt").unwrap();
     memo_transparency(&spec, &GpuArch::v100(), 9, 48).unwrap();
-}
-
-#[test]
-fn batched_and_serial_evaluator_agree_fault_free() {
-    for (i, name) in STENCILS.iter().enumerate() {
-        let spec = suite::spec_by_name(name).unwrap();
-        batch_vs_serial(&spec, &GpuArch::a100(), i as u64, FaultProfile::off(), 48).unwrap();
-    }
-}
-
-#[test]
-fn batched_and_serial_evaluator_agree_under_faults() {
-    for (i, name) in STENCILS.iter().enumerate() {
-        let spec = suite::spec_by_name(name).unwrap();
-        batch_vs_serial(
-            &spec,
-            &GpuArch::a100(),
-            i as u64,
-            FaultProfile::hostile(42 + i as u64),
-            48,
-        )
-        .unwrap();
-    }
 }
 
 #[test]
@@ -60,6 +37,5 @@ fn faulty_runs_reproduce_across_generated_profiles() {
     PropRunner::new("faulty-runs-reproduce").cases(12).run(&arb_fault_profile(), |profile| {
         case += 1;
         fault_run_determinism(&spec, &arch, case, profile, 24)
-            .and_then(|()| batch_vs_serial(&spec, &arch, case, profile, 24))
     });
 }

@@ -10,8 +10,8 @@
 //! golden fixtures.
 //!
 //! The fault-injection CI leg (`CST_FORCE_LANES=4 CST_FAULT_SEED=7`)
-//! reruns this binary with forced batch lanes, so lane-width variants of
-//! the same equivalence are covered without extra code here.
+//! reruns this binary with an ambient fault seed, which the explicit
+//! per-case profiles here override.
 
 use cst_baselines::OpenTunerGa;
 use cst_gpu_sim::{FaultProfile, GpuArch};
