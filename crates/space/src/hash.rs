@@ -97,11 +97,6 @@ pub fn setting_map_with_capacity<V>(cap: usize) -> SettingMap<V> {
     SettingMap::with_capacity_and_hasher(cap, BuildFastHasher::default())
 }
 
-/// A [`SettingSet`] with preallocated capacity.
-pub fn setting_set_with_capacity(cap: usize) -> SettingSet {
-    SettingSet::with_capacity_and_hasher(cap, BuildFastHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +127,7 @@ mod tests {
     #[test]
     fn map_and_set_round_trip() {
         let mut m: SettingMap<u32> = setting_map_with_capacity(4);
-        let mut set: SettingSet = setting_set_with_capacity(4);
+        let mut set = SettingSet::default();
         let a = Setting::baseline();
         let c = a.with(crate::ParamId::TBx, 64);
         m.insert(a, 1);

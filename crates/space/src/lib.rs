@@ -21,10 +21,7 @@ pub mod param;
 pub mod setting;
 pub mod space;
 
-pub use hash::{
-    setting_map_with_capacity, setting_set_with_capacity, BuildFastHasher, FastHasher, SettingMap,
-    SettingSet,
-};
+pub use hash::{setting_map_with_capacity, BuildFastHasher, FastHasher, SettingMap, SettingSet};
 pub use param::{ParamId, ParamKind, N_PARAMS};
 pub use setting::Setting;
 pub use space::{ConstraintViolation, OptSpace};
