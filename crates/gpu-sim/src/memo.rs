@@ -125,9 +125,9 @@ impl SimMemo {
     }
 
     /// Set the entry cap (0 = unbounded) and immediately trim overflowing
-    /// shards. The cap is spread evenly over the shards, so occupancy can
-    /// briefly sit slightly above `cap` between inserts into different
-    /// shards, never by more than one batch.
+    /// shards. The cap is spread evenly over the shards, rounding each
+    /// shard's share up, so occupancy can sit above `cap` by less than one
+    /// entry per shard.
     pub fn set_cap(&self, cap: usize) {
         self.cap.store(cap, Ordering::Relaxed);
         if cap > 0 {
