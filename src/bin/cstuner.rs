@@ -1,58 +1,52 @@
 //! `cstuner` — command-line front end.
 //!
 //! ```text
-//! cstuner list                                   # available stencils & GPUs
-//! cstuner version                                # crate + journal schema versions
-//! cstuner tune  --stencil cheby [--arch a100] [--budget 100] [--seed 0]
-//!               [--tuner cstuner|garvey|opentuner|artemis|random|grid|anneal|forest]
-//!               [--quick] [--journal run.jsonl] [--fault-off] [--warm STORE]
-//! cstuner codegen --stencil cheby [--arch a100] [--budget 60] [--out k.cu]
-//! cstuner report run.jsonl [--json]              # render a run journal
-//! cstuner journal-check run.jsonl                # schema-validate a journal
-//! cstuner metrics-check metrics.json             # validate a metrics frame
-//! cstuner obs ingest J.jsonl... [--store DIR] [--name N]   # archive runs
-//! cstuner obs diff BASE CAND                     # compare two runs
-//! cstuner obs gate BASE CAND [--save FILE]       # drift gate (exit 1 on regress)
-//! cstuner obs dashboard [--store DIR] [--json]   # whole-archive table
-//! cstuner obs profile RUN [--json|--fold]        # span-profile a journal
-//! cstuner obs profile BASE CAND --diff           # compare two span profiles
-//! cstuner kb build [--store DIR]                 # mine kb.json from an archive
-//! cstuner kb stat  [--store DIR]                 # knowledge-base inventory
-//! cstuner kb rank  --stencil S [--arch A] [--store DIR] [--top K] [--seed N]
-//! cstuner kb gate  COLD WARM [--pct 5]           # warm must reach the milestone
-//!                                                # in <= the cold run's evals
-//! cstuner campaign run <spec.json> [--store DIR] [--addr HOST:PORT] [--fresh] [--json]
+//! cstuner list
+//! cstuner version
+//! cstuner tune [--stencil S] [--arch A] [--budget SECONDS] [--seed N] [--tuner T]
+//!     [--quick] [--journal FILE|$CST_JOURNAL] [--fault-off] [--warm STORE|$CST_WARM]
+//! cstuner codegen [--stencil S] [--arch A] [--budget SECONDS] [--seed N] [--tuner T]
+//!     [--quick] [--journal FILE|$CST_JOURNAL] [--fault-off] [--warm STORE|$CST_WARM]
+//!     [--out FILE]
+//! cstuner report <journal.jsonl> [--json]
+//! cstuner journal-check <journal.jsonl>
+//! cstuner metrics-check <metrics.json>
+//! cstuner obs ingest <journal.jsonl>... [--store DIR] [--name NAME]
+//! cstuner obs diff <baseline> <candidate>
+//! cstuner obs gate <baseline> <candidate> [--save FILE]
+//! cstuner obs dashboard [--store DIR] [--save FILE] [--json]
+//! cstuner obs profile <run> [<candidate>] [--json] [--fold] [--diff]
+//! cstuner kb build [--store DIR]
+//! cstuner kb stat [--store DIR]
+//! cstuner kb rank [--store DIR] [--stencil S] [--arch A] [--top K] [--seed N]
+//! cstuner kb gate <cold-run> <warm-run> [--pct PCT]
+//! cstuner campaign run <spec.json> [--store DIR] [--addr HOST:PORT|$CST_ADDR] [--fresh]
+//!     [--json]
 //! cstuner campaign status <spec.json> [--store DIR]
 //! cstuner campaign report <spec.json> [--store DIR] [--json] [--save FILE]
-//! cstuner campaign gate <spec.json> --baseline DIR [--store DIR] [--save FILE]
-//! cstuner serve [--addr HOST:PORT] [--workers N] [--queue N] [--archive DIR] [--memo-cap N]
-//! cstuner client tune   [--addr HOST:PORT] [tune flags]     # tune via a daemon
-//! cstuner client status [--session N] [--addr HOST:PORT]    # one session, or all
-//! cstuner client watch  --session N [--addr HOST:PORT] [--journal FILE]
-//! cstuner client cancel --session N [--addr HOST:PORT]
-//! cstuner client metrics [--addr HOST:PORT] [--json] [--watch] [--interval S] [--count N]
-//! cstuner client shutdown [--addr HOST:PORT]     # drain and stop the daemon
-//! cstuner top [--addr HOST:PORT] [--interval S] [--count N]  # live daemon dashboard
+//! cstuner campaign gate <spec.json> [--store DIR] [--baseline DIR] [--save FILE]
+//! cstuner serve [--addr HOST:PORT] [--workers N] [--queue N] [--archive DIR]
+//!     [--memo-cap N]
+//! cstuner client tune [--stencil S] [--arch A] [--budget SECONDS] [--seed N] [--tuner T]
+//!     [--quick] [--journal FILE] [--fault-off] [--warm STORE|$CST_WARM]
+//!     [--addr HOST:PORT|$CST_ADDR]
+//! cstuner client status [--addr HOST:PORT|$CST_ADDR] [--session N]
+//! cstuner client watch [--addr HOST:PORT|$CST_ADDR] [--session N] [--journal FILE]
+//! cstuner client cancel [--addr HOST:PORT|$CST_ADDR] [--session N]
+//! cstuner client metrics [--addr HOST:PORT|$CST_ADDR] [--json] [--watch] [--interval S]
+//!     [--count N]
+//! cstuner client shutdown [--addr HOST:PORT|$CST_ADDR]
+//! cstuner top [--addr HOST:PORT|$CST_ADDR] [--interval S] [--count N]
 //! ```
 //!
-//! Every `--addr` above falls back to the `CST_ADDR` env var (the flag
-//! wins), then to the serve default.
-//!
-//! `tune` runs one iso-time tuning session and prints the outcome;
-//! `codegen` additionally emits the winning CUDA kernel. `--journal`
-//! (or the `CST_JOURNAL` env var) writes a JSONL run journal; `report`
-//! and `journal-check` consume one. The `obs` family is the cross-run
-//! observatory: `ingest` archives journals as versioned summaries under a
-//! store directory (`results/obs` by default), `diff`/`gate`/`dashboard`
-//! compare them (each run argument may be a `*.summary.json` or a raw
-//! journal). The `campaign` family expands a declarative spec (stencil ×
-//! arch × tuner × budget × seed matrix) into cells, runs them — locally
-//! in parallel or via a daemon — into a campaign-scoped archive with
-//! resume-on-rerun, and reports/gates the aggregate.
-//! `serve` starts the tuning-as-a-service daemon and `client`
-//! talks to one: a served `client tune` streams the exact journal a
-//! local `tune --journal` would write. Invoking `cstuner --quick ...`
-//! with no subcommand is shorthand for `cstuner tune --quick ...`.
+//! Each command above is one row of `COMMANDS`: its operands, its flags,
+//! a one-line help and its handler. Each flag declares the `Kind` of
+//! value it takes and, where shown as `|$VAR`, the env var it falls back
+//! to when absent or empty (the flag wins). `parse` checks a command line
+//! against its row and exits 2 on bad input before the handler runs;
+//! `cstuner help` renders the same rows. `cstuner --quick ...` is
+//! shorthand for `cstuner tune --quick ...`. A served `client tune`
+//! streams the exact journal a local `tune --journal` would write.
 
 use cstuner::baselines::zoo::edit_distance;
 use cstuner::campaign;
@@ -64,115 +58,381 @@ use cstuner::sim::FaultStats;
 use cstuner::stencil::{suite, suite_ext};
 use cstuner::telemetry::json::{self, Value};
 use cstuner::telemetry::{report, schema};
+use cstuner::transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K, KB_FILE, KB_VERSION};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io::{IsTerminal, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-/// Split an argument list into `--key [value]` flags and positionals.
-fn parse_args(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
-    let mut flags = HashMap::new();
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            // A flag followed by another flag (or nothing) is boolean:
-            // `--quick --journal run.jsonl` must not eat `--journal`.
-            match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => {
-                    flags.insert(key.to_string(), next.clone());
-                    i += 2;
-                }
-                _ => {
-                    flags.insert(key.to_string(), String::new());
-                    i += 1;
-                }
-            }
+/// The value a flag takes.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// None: the flag is present or absent.
+    Switch,
+    Text,
+    /// A non-negative integer.
+    U64,
+    /// A positive, finite number of seconds (one a `Duration` can hold).
+    Seconds,
+    /// `HOST:PORT` with a 16-bit port.
+    Addr,
+}
+
+/// One `--name` a command accepts.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The value's placeholder in usage text.
+    meta: &'static str,
+    /// Env var read when the flag is absent or empty.
+    env: Option<&'static str>,
+}
+
+const fn flag(name: &'static str, kind: Kind, meta: &'static str) -> Flag {
+    Flag { name, kind, meta, env: None }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    flag(name, Kind::Switch, "")
+}
+
+impl Flag {
+    const fn or_env(self, var: &'static str) -> Flag {
+        Flag { env: Some(var), ..self }
+    }
+
+    fn synopsis(&self) -> String {
+        let meta = if self.meta.is_empty() { String::new() } else { format!(" {}", self.meta) };
+        let env = self.env.map(|v| format!("|${v}")).unwrap_or_default();
+        format!("[--{}{meta}{env}]", self.name)
+    }
+}
+
+const STENCIL: Flag = flag("stencil", Kind::Text, "S");
+const ARCH: Flag = flag("arch", Kind::Text, "A");
+const BUDGET: Flag = flag("budget", Kind::Seconds, "SECONDS");
+const SEED: Flag = flag("seed", Kind::U64, "N");
+const TUNER: Flag = flag("tuner", Kind::Text, "T");
+const QUICK: Flag = switch("quick");
+const JOURNAL: Flag = flag("journal", Kind::Text, "FILE");
+const FAULT_OFF: Flag = switch("fault-off");
+const WARM: Flag = flag("warm", Kind::Text, "STORE").or_env("CST_WARM");
+const STORE: Flag = flag("store", Kind::Text, "DIR");
+const SAVE: Flag = flag("save", Kind::Text, "FILE");
+const JSON: Flag = switch("json");
+const ADDR: Flag = flag("addr", Kind::Addr, "HOST:PORT").or_env("CST_ADDR");
+const SESSION: Flag = flag("session", Kind::U64, "N");
+const INTERVAL: Flag = flag("interval", Kind::Seconds, "S");
+const COUNT: Flag = flag("count", Kind::U64, "N");
+
+/// One command: the words that select it, its operands (`[x]` is
+/// optional, a trailing `x...` takes one or more), its flags in the
+/// order usage and error hints list them, its handler and its help.
+struct Command {
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args),
+    help: &'static str,
+}
+
+const fn row(
+    name: &'static str,
+    operands: &'static [&'static str],
+    flags: &'static [Flag],
+    run: fn(&Args),
+    help: &'static str,
+) -> Command {
+    Command { name, operands, flags, run, help }
+}
+
+impl Command {
+    /// The family a row belongs to: `obs` for `obs gate`, `report` for `report`.
+    fn family(&self) -> &'static str {
+        self.name.split_once(' ').map_or(self.name, |(family, _)| family)
+    }
+
+    fn arity(&self) -> (usize, usize) {
+        let min = self.operands.iter().filter(|o| !o.starts_with('[')).count();
+        let repeats = self.operands.last().is_some_and(|o| o.ends_with("..."));
+        (min, if repeats { usize::MAX } else { self.operands.len() })
+    }
+}
+
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    row("list", &[], &[], cmd_list,
+        "available stencils, GPUs and tuners"),
+    row("version", &[], &[], cmd_version,
+        "crate and journal schema versions, registered tuners"),
+    row("tune", &[], &[STENCIL, ARCH, BUDGET, SEED, TUNER, QUICK, JOURNAL.or_env("CST_JOURNAL"),
+            FAULT_OFF, WARM], cmd_tune,
+        "run one iso-time tuning session and print its outcome"),
+    row("codegen", &[], &[STENCIL, ARCH, BUDGET, SEED, TUNER, QUICK, JOURNAL.or_env("CST_JOURNAL"),
+            FAULT_OFF, WARM, flag("out", Kind::Text, "FILE")], cmd_codegen,
+        "tune, then emit the winning CUDA kernel (to stdout unless --out)"),
+    row("report", &["<journal.jsonl>"], &[JSON], cmd_report,
+        "render a run journal; --json prints its run summary"),
+    row("journal-check", &["<journal.jsonl>"], &[], cmd_journal_check,
+        "schema-validate a run journal"),
+    row("metrics-check", &["<metrics.json>"], &[], cmd_metrics_check,
+        "validate a captured metrics frame"),
+    row("obs ingest", &["<journal.jsonl>..."], &[STORE, flag("name", Kind::Text, "NAME")],
+        obs_ingest, "archive runs as summaries (store: results/obs)"),
+    row("obs diff", &["<baseline>", "<candidate>"], &[], obs_diff,
+        "compare two runs, each a *.summary.json or a raw journal"),
+    row("obs gate", &["<baseline>", "<candidate>"], &[SAVE], obs_gate,
+        "drift gate: exit 1 on a regression"),
+    row("obs dashboard", &[], &[STORE, SAVE, JSON], obs_dashboard,
+        "whole-archive table"),
+    row("obs profile", &["<run>", "[<candidate>]"], &[JSON, switch("fold"), switch("diff")],
+        obs_profile, "span-profile a run, or compare two with --diff"),
+    row("kb build", &[], &[STORE], kb_build,
+        "mine <store>/kb.json from the archive (store: results/obs)"),
+    row("kb stat", &[], &[STORE], kb_stat,
+        "knowledge-base inventory"),
+    row("kb rank", &[], &[STORE, STENCIL, ARCH, flag("top", Kind::U64, "K"), SEED], kb_rank,
+        "surrogate-ranked warm-start seeds for --stencil (required)"),
+    row("kb gate", &["<cold-run>", "<warm-run>"], &[flag("pct", Kind::U64, "PCT")], kb_gate,
+        "exit 1 unless warm reached the --pct (5) milestone in <= cold's evals"),
+    row("campaign run", &["<spec.json>"], &[STORE, ADDR, switch("fresh"), JSON], campaign_run,
+        "run or resume the matrix (--addr: via a daemon; --fresh: drop its cells)"),
+    row("campaign status", &["<spec.json>"], &[STORE], campaign_status,
+        "archived vs pending cells (store: results/campaign/<name>)"),
+    row("campaign report", &["<spec.json>"], &[STORE, JSON, SAVE], campaign_report,
+        "comparative dashboard over the archived matrix"),
+    row("campaign gate", &["<spec.json>"], &[STORE, flag("baseline", Kind::Text, "DIR"), SAVE],
+        campaign_gate, "verdict vs the --baseline store (required); exit 1 on a regression"),
+    row("serve", &[], &[flag("addr", Kind::Addr, "HOST:PORT"), flag("workers", Kind::U64, "N"),
+            flag("queue", Kind::U64, "N"), flag("archive", Kind::Text, "DIR"),
+            flag("memo-cap", Kind::U64, "N")], cmd_serve,
+        "run the tuning daemon until a client sends shutdown"),
+    row("client tune", &[], &[STENCIL, ARCH, BUDGET, SEED, TUNER, QUICK, JOURNAL, FAULT_OFF, WARM,
+            ADDR], client_tune,
+        "submit a session to a daemon and stream its journal"),
+    row("client status", &[], &[ADDR, SESSION], client_status,
+        "one session's state, or all sessions"),
+    row("client watch", &[], &[ADDR, SESSION, JOURNAL], client_watch,
+        "replay and follow a session's stream (--session required)"),
+    row("client cancel", &[], &[ADDR, SESSION], client_cancel,
+        "cancel a queued or running session (--session required)"),
+    row("client metrics", &[], &[ADDR, JSON, switch("watch"), INTERVAL, COUNT], client_metrics,
+        "live operational metrics snapshot; --watch polls every --interval (2) s"),
+    row("client shutdown", &[], &[ADDR], client_shutdown,
+        "drain in-flight sessions and stop the daemon"),
+    row("top", &[], &[ADDR, INTERVAL, COUNT], metrics_watch,
+        "live daemon dashboard (client metrics --watch)"),
+];
+
+/// A row's synopsis, wrapped at 88 columns with continuation lines
+/// indented by four.
+fn synopsis(cmd: &Command) -> Vec<String> {
+    let mut lines = Vec::new();
+    let mut line = format!("cstuner {}", cmd.name);
+    let operands = cmd.operands.iter().map(|o| o.to_string());
+    for word in operands.chain(cmd.flags.iter().map(Flag::synopsis)) {
+        if line.len() + 1 + word.len() > 88 {
+            lines.push(std::mem::replace(&mut line, format!("    {word}")));
         } else {
-            positionals.push(args[i].clone());
-            i += 1;
+            line = format!("{line} {word}");
         }
     }
-    (flags, positionals)
+    lines.push(line);
+    lines
 }
 
-/// Reject flags outside `allowed` with exit 2 and, when a flag is a
-/// near-miss (edit distance <= 2), a `did you mean` hint.
-fn check_flags(context: &str, flags: &HashMap<String, String>, allowed: &[&str]) {
-    let mut keys: Vec<&String> = flags.keys().collect();
-    keys.sort();
-    for key in keys {
-        if allowed.contains(&key.as_str()) {
+/// Usage for every row of `family`, or for every row when it is empty.
+fn usage(family: &str) -> String {
+    let mut out = String::new();
+    for cmd in COMMANDS.iter().filter(|c| family.is_empty() || c.family() == family) {
+        for line in synopsis(cmd) {
+            let lead = if out.is_empty() { "usage: " } else { "       " };
+            let _ = writeln!(out, "{lead}{line}");
+        }
+        let _ = writeln!(out, "               {}", cmd.help);
+    }
+    out.trim_end().to_string()
+}
+
+/// A command line checked against its row: the operands, and the value
+/// of each flag given or supplied by its env fallback (empty for a
+/// switch).
+struct Args {
+    operands: Vec<String>,
+    values: HashMap<&'static str, String>,
+}
+
+impl Args {
+    fn on(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn u64(&self, name: &str) -> Option<u64> {
+        self.text(name).map(|v| v.parse().expect("a u64 flag, checked by parse"))
+    }
+
+    fn seconds(&self, name: &str) -> Option<f64> {
+        self.text(name).map(|v| v.parse().expect("a seconds flag, checked by parse"))
+    }
+}
+
+impl Kind {
+    /// Check one raw value; `source` (the flag, or its env var) names it
+    /// in the error.
+    fn check(self, source: &str, raw: &str) -> Result<(), String> {
+        let expected = match self {
+            Kind::Switch | Kind::Text => return Ok(()),
+            Kind::U64 if raw.parse::<u64>().is_ok() => return Ok(()),
+            Kind::U64 => "a non-negative integer",
+            Kind::Seconds => match raw.parse::<f64>() {
+                Ok(s) if s > 0.0 && Duration::try_from_secs_f64(s).is_ok() => return Ok(()),
+                Ok(_) => "a positive, finite number of seconds",
+                Err(_) => "a number",
+            },
+            Kind::Addr => match raw.rsplit_once(':') {
+                Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok() => {
+                    return Ok(())
+                }
+                _ => "HOST:PORT with a 16-bit port",
+            },
+        };
+        Err(format!("{source} expects {expected}, got `{raw}`"))
+    }
+}
+
+/// Check `argv`, the words after the command's name, against `cmd`'s
+/// row. Unknown flags are reported first, then the operand count, then
+/// the values in the row's flag order. A value flag followed by another
+/// flag, or by nothing, is given the empty value.
+fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
+    let mut raw: HashMap<&str, String> = HashMap::new();
+    let mut operands = Vec::new();
+    let mut argv = argv.iter().peekable();
+    while let Some(arg) = argv.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            operands.push(arg.clone());
             continue;
+        };
+        let flag =
+            cmd.flags.iter().find(|f| f.name == name).ok_or_else(|| unknown_flag(cmd, name))?;
+        let value = match flag.kind {
+            Kind::Switch => None,
+            _ => argv.next_if(|next| !next.starts_with("--")),
+        };
+        raw.insert(flag.name, value.cloned().unwrap_or_default());
+    }
+    let (min, max) = cmd.arity();
+    if !(min..=max).contains(&operands.len()) {
+        return Err(usage(cmd.family()));
+    }
+    let mut values = HashMap::new();
+    for flag in cmd.flags {
+        // The env var stands in for an absent or empty flag.
+        let given = raw.remove(flag.name).filter(|v| !v.is_empty() || flag.env.is_none());
+        let (source, value) = match (given, flag.env) {
+            (Some(value), _) => (format!("--{}", flag.name), value),
+            (None, Some(var)) => match std::env::var(var) {
+                Ok(value) if !value.is_empty() => (var.to_string(), value),
+                _ => continue,
+            },
+            (None, None) => continue,
+        };
+        flag.kind.check(&source, &value)?;
+        values.insert(flag.name, value);
+    }
+    Ok(Args { operands, values })
+}
+
+/// The error for a flag `cmd` does not take, with a `did you mean` hint
+/// when one of its flags is a near miss (edit distance <= 2).
+fn unknown_flag(cmd: &Command, name: &str) -> String {
+    let mut msg = format!("unknown flag `--{name}` for `cstuner {}`\n", cmd.name);
+    let near = cmd
+        .flags
+        .iter()
+        .map(|f| (edit_distance(name, f.name), f.name))
+        .filter(|(d, _)| *d <= 2)
+        .min();
+    match near {
+        Some((_, near)) => msg += &format!("did you mean `--{near}`?"),
+        None if cmd.flags.is_empty() => msg += &format!("`cstuner {}` takes no flags", cmd.name),
+        None => {
+            let list: Vec<String> = cmd.flags.iter().map(|f| format!("--{}", f.name)).collect();
+            msg += &format!("supported: {}", list.join(", "));
         }
-        eprintln!("unknown flag `--{key}` for `cstuner {context}`");
-        let hint =
-            allowed.iter().map(|a| (edit_distance(key, a), *a)).filter(|(d, _)| *d <= 2).min();
-        match hint {
-            Some((_, near)) => eprintln!("did you mean `--{near}`?"),
-            None if allowed.is_empty() => eprintln!("`cstuner {context}` takes no flags"),
-            None => {
-                let list: Vec<String> = allowed.iter().map(|a| format!("--{a}")).collect();
-                eprintln!("supported: {}", list.join(", "));
-            }
-        }
-        std::process::exit(2);
+    }
+    msg
+}
+
+/// The row `argv` selects and the words after its name. A leading flag
+/// means `tune`; no command, or `help`, prints usage and exits 0; an
+/// unknown command exits 2.
+fn find_command(argv: &[String]) -> (&'static Command, &[String]) {
+    let word = |i: usize| argv.get(i).map_or("", String::as_str);
+    let find = |name: &str| COMMANDS.iter().find(|c| c.name == name);
+    match word(0) {
+        "" | "help" => die(0, usage("")),
+        "--version" => return (find("version").expect("version row"), &argv[1..]),
+        first if first.starts_with("--") => return (find("tune").expect("tune row"), argv),
+        _ => {}
+    }
+    let pair = format!("{} {}", word(0), word(1));
+    if let Some(cmd) = find(&pair) {
+        return (cmd, &argv[2..]);
+    }
+    if let Some(cmd) = find(word(0)) {
+        return (cmd, &argv[1..]);
+    }
+    match (COMMANDS.iter().any(|c| c.family() == word(0)), word(1)) {
+        (true, "") => die(2, usage(word(0))),
+        (true, _) => die(2, format!("unknown command `{pair}`\n{}", usage(word(0)))),
+        (false, _) => die(2, format!("unknown command `{}`\n{}", word(0), usage(""))),
     }
 }
 
-/// Flags shared by `tune`, `codegen` and `client tune`.
-const TUNE_FLAGS: [&str; 9] =
-    ["stencil", "arch", "budget", "seed", "tuner", "quick", "journal", "fault-off", "warm"];
-
-fn flag_u64(flags: &HashMap<String, String>, key: &str) -> Option<u64> {
-    flags.get(key).map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--{key} expects a non-negative integer, got `{raw}`");
-            std::process::exit(2);
-        })
-    })
+/// Print `msg` to stderr and exit with `code`: 2 for bad input, 1 for a
+/// failure while running.
+fn die(code: i32, msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
 }
 
-fn flag_f64(flags: &HashMap<String, String>, key: &str) -> Option<f64> {
-    flags.get(key).map(|raw| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--{key} expects a number, got `{raw}`");
-            std::process::exit(2);
-        })
-    })
+trait OrDie<T> {
+    /// The value, or [`die`] with the error as the message.
+    fn or_die(self, code: i32) -> T;
 }
 
-/// Warm-start store from `--warm DIR` or the `CST_WARM` env var; the
-/// flag wins. `None` is the cold path.
-fn warm_override(flags: &HashMap<String, String>) -> Option<String> {
-    flags
-        .get("warm")
-        .filter(|d| !d.is_empty())
-        .cloned()
-        .or_else(|| std::env::var("CST_WARM").ok().filter(|d| !d.is_empty()))
+impl<T, E: Display> OrDie<T> for Result<T, E> {
+    fn or_die(self, code: i32) -> T {
+        self.unwrap_or_else(|e| die(code, e))
+    }
 }
 
-/// Validate tune-family flags into a [`TuneRequest`] (exit 2 on error).
-fn tune_request_from_flags(flags: &HashMap<String, String>) -> TuneRequest {
-    let fault = flags.contains_key("fault-off").then_some(FaultSpec::Off);
-    let mut req = TuneRequest::build(
-        flags.get("stencil").map(String::as_str),
-        flags.get("arch").map(String::as_str),
-        flags.get("tuner").map(String::as_str),
-        flag_u64(flags, "seed"),
-        flag_f64(flags, "budget"),
-        flags.contains_key("quick"),
-        fault,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    req.warm = warm_override(flags);
-    req
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = find_command(&argv);
+    let args = parse(cmd, rest).or_die(2);
+    (cmd.run)(&args);
 }
 
-fn cmd_list() {
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(2, format!("cannot read `{path}`: {e}")))
+}
+
+/// Write `text` to `--save FILE` when one is given.
+fn save(args: &Args, text: &str) {
+    if let Some(path) = args.text("save").filter(|p| !p.is_empty()) {
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| die(2, format!("cannot write `{path}`: {e}")));
+    }
+}
+
+fn cmd_list(_: &Args) {
     println!("Stencils (paper suite):");
     for k in suite::all_kernels() {
         println!(
@@ -196,39 +456,47 @@ fn cmd_list() {
     println!("Warm-start: {}", warm_provider_line());
 }
 
+fn cmd_version(_: &Args) {
+    println!(
+        "cstuner {} (journal schema v{})",
+        env!("CARGO_PKG_VERSION"),
+        cstuner::telemetry::SCHEMA_VERSION
+    );
+    println!("tuners: {}", cstuner::baselines::zoo::flag_list());
+    println!("warm-start: {}", warm_provider_line());
+}
+
 /// One-line warm-start provider report shared by `list` and `version`:
 /// the KB schema this build speaks and whether `CST_WARM` names a store
 /// with a built index.
 fn warm_provider_line() -> String {
-    let version = cstuner::transfer::KB_VERSION;
     match std::env::var("CST_WARM").ok().filter(|d| !d.is_empty()) {
         Some(dir) => {
-            let state = if cstuner::transfer::KnowledgeBase::path_in(Path::new(&dir)).exists() {
+            let state = if KnowledgeBase::path_in(Path::new(&dir)).exists() {
                 "kb.json present"
             } else {
                 "kb.json missing — run `cstuner kb build`"
             };
-            format!("kb schema v{version}, provider CST_WARM={dir} ({state})")
+            format!("kb schema v{KB_VERSION}, provider CST_WARM={dir} ({state})")
         }
-        None => format!("kb schema v{version}, no provider configured (--warm DIR or CST_WARM)"),
+        None => format!("kb schema v{KB_VERSION}, no provider configured (--warm DIR or CST_WARM)"),
     }
 }
 
-/// Journal sink from `--journal PATH` or the `CST_JOURNAL` env var; the
-/// flag wins. Absent both, the returned handle is the zero-cost noop.
-fn journal_telemetry(flags: &HashMap<String, String>) -> Telemetry {
-    let path = flags
-        .get("journal")
-        .filter(|p| !p.is_empty())
-        .cloned()
-        .or_else(|| std::env::var("CST_JOURNAL").ok().filter(|p| !p.is_empty()));
-    match path {
-        Some(p) => Telemetry::to_file(std::path::Path::new(&p)).unwrap_or_else(|e| {
-            eprintln!("cannot open journal `{p}`: {e}");
-            std::process::exit(2);
-        }),
-        None => Telemetry::noop(),
-    }
+/// A tune-family command line as a validated [`TuneRequest`] (exit 2).
+fn tune_request(args: &Args) -> TuneRequest {
+    let mut req = TuneRequest::build(
+        args.text("stencil"),
+        args.text("arch"),
+        args.text("tuner"),
+        args.u64("seed"),
+        args.seconds("budget"),
+        args.on("quick"),
+        args.on("fault-off").then_some(FaultSpec::Off),
+    )
+    .or_die(2);
+    req.warm = args.text("warm").map(str::to_string);
+    req
 }
 
 /// Human-readable outcome block, identical for local and served runs.
@@ -255,21 +523,23 @@ fn print_outcome(d: &DoneInfo) {
     }
 }
 
-fn run_tune(flags: &HashMap<String, String>) -> (StencilKernel, SessionOutcome) {
-    let req = tune_request_from_flags(flags);
+fn run_tune(args: &Args) -> (StencilKernel, SessionOutcome) {
+    let req = tune_request(args);
     let kernel = cstuner::serve::find_stencil(&req.stencil).expect("request validated");
     let arch = GpuArch::by_name(&req.arch).expect("request validated");
     let tuner_display =
         cstuner::serve::build_tuner(&req.tuner, req.quick).expect("request validated").name();
-    let tel = journal_telemetry(flags);
+    let tel = match args.text("journal") {
+        Some(p) => Telemetry::to_file(Path::new(p))
+            .unwrap_or_else(|e| die(2, format!("cannot open journal `{p}`: {e}"))),
+        None => Telemetry::noop(),
+    };
     eprintln!(
         "Tuning {} on simulated {} with {} ({}s budget, seed {})...",
         kernel.spec.name, arch.name, tuner_display, req.budget_s, req.seed
     );
-    let session = cstuner::serve::run_session(&req, &tel, None).unwrap_or_else(|e| {
-        eprintln!("tuning failed: {e}");
-        std::process::exit(1);
-    });
+    let session = cstuner::serve::run_session(&req, &tel, None)
+        .unwrap_or_else(|e| die(1, format!("tuning failed: {e}")));
     if let Some(w) = &session.warm {
         eprintln!(
             "warm-start: {} seeds from {} ({} mode, {} training rows)",
@@ -280,485 +550,357 @@ fn run_tune(flags: &HashMap<String, String>) -> (StencilKernel, SessionOutcome) 
     (kernel, session)
 }
 
-fn read_journal_lines(args: &[String]) -> Vec<String> {
-    let path = args.iter().find(|a| !a.starts_with("--")).unwrap_or_else(|| {
-        eprintln!("usage: cstuner <report|journal-check> <journal.jsonl>");
-        std::process::exit(2);
-    });
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
-    text.lines().map(str::to_string).collect()
+fn cmd_tune(args: &Args) {
+    run_tune(args);
 }
 
-fn obs_usage() -> ! {
-    eprintln!(
-        "usage: cstuner obs <command>\n  \
-         obs ingest <journal.jsonl>... [--store DIR] [--name NAME]   archive runs as summaries\n  \
-         obs diff <baseline> <candidate>                             compare two runs\n  \
-         obs gate <baseline> <candidate> [--save FILE]               drift gate (exit 1 on regress)\n  \
-         obs dashboard [--store DIR] [--save FILE] [--json]          whole-archive table\n  \
-         obs profile <run> [--json|--fold]                           span-profile a run\n  \
-         obs profile <baseline> <candidate> --diff                   compare two profiles\n\
-         run arguments accept a *.summary.json or a raw JSONL journal; \
-         the store defaults to results/obs"
+fn cmd_codegen(args: &Args) {
+    let (kernel, session) = run_tune(args);
+    let src = generate_cuda(&kernel, &session.outcome.best_setting);
+    match args.text("out").filter(|p| !p.is_empty()) {
+        Some(path) => {
+            std::fs::write(path, &src.code)
+                .unwrap_or_else(|e| die(2, format!("cannot write `{path}`: {e}")));
+            eprintln!("wrote {} bytes to {path}", src.code.len());
+        }
+        None => println!("\n{}", src.code),
+    }
+}
+
+fn journal_lines(args: &Args) -> Vec<String> {
+    read_file(&args.operands[0]).lines().map(str::to_string).collect()
+}
+
+fn cmd_report(args: &Args) {
+    let lines = journal_lines(args);
+    let text = if args.on("json") {
+        // Machine-readable form: the same versioned RunSummary the obs
+        // archive stores, as one JSON object.
+        obs::summarize("report", &lines).map(|summary| summary.to_json() + "\n")
+    } else {
+        report::render_report(&lines)
+    };
+    print!("{}", text.unwrap_or_else(|e| die(1, format!("invalid journal: {e}"))));
+}
+
+fn cmd_journal_check(args: &Args) {
+    let summary = schema::validate_journal(&journal_lines(args))
+        .unwrap_or_else(|e| die(1, format!("invalid journal: {e}")));
+    println!(
+        "ok: {} records, {} event types ({})",
+        summary.records,
+        summary.types_seen.len(),
+        summary.types_seen.join(", ")
     );
-    std::process::exit(2);
+}
+
+fn cmd_metrics_check(args: &Args) {
+    let path = &args.operands[0];
+    let text = read_file(path);
+    let Some(line) = text.lines().find(|l| !l.trim().is_empty()) else {
+        die(1, format!("`{path}` is empty"))
+    };
+    cstuner::serve::validate_metrics_frame(line)
+        .unwrap_or_else(|e| die(1, format!("invalid metrics frame: {e}")));
+    println!("ok: valid metrics frame");
+}
+
+/// The obs/kb archive directory: `--store DIR`, by default `results/obs`.
+fn obs_store_dir(args: &Args) -> &str {
+    args.text("store").unwrap_or("results/obs")
+}
+
+fn obs_store(args: &Args) -> JournalStore {
+    JournalStore::open(Path::new(obs_store_dir(args))).or_die(2)
 }
 
 fn obs_load(path: &str) -> obs::RunSummary {
-    obs::load_run(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot load run `{path}`: {e}");
-        std::process::exit(2);
-    })
+    obs::load_run(Path::new(path))
+        .unwrap_or_else(|e| die(2, format!("cannot load run `{path}`: {e}")))
 }
 
 /// Load a run argument as a span profile: a raw journal folds its span
 /// tree; a `*.summary.json` falls back to the flat per-stage profile.
 fn obs_profile_load(path: &str) -> obs::Profile {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
+    let text = read_file(path);
     let source = Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or(path).to_string();
     let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
     if first.contains("\"summary_version\"") {
-        match obs::RunSummary::from_json(first) {
-            Ok(s) => obs::profile_summary(&source, &s),
-            Err(e) => {
-                eprintln!("cannot load summary `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
+        let summary = obs::RunSummary::from_json(first)
+            .unwrap_or_else(|e| die(2, format!("cannot load summary `{path}`: {e}")));
+        obs::profile_summary(&source, &summary)
     } else {
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        obs::profile_journal(&source, &lines).unwrap_or_else(|e| {
-            eprintln!("cannot profile `{path}`: {e}");
-            std::process::exit(1);
-        })
+        obs::profile_journal(&source, &lines)
+            .unwrap_or_else(|e| die(1, format!("cannot profile `{path}`: {e}")))
     }
 }
 
-/// The `cstuner obs` family: journal archive, run diff, drift gate and
-/// archive dashboard.
-fn cmd_obs(args: &[String]) {
-    let sub = args.first().map(String::as_str).unwrap_or("");
-    let (flags, positionals) = parse_args(&args[1.min(args.len())..]);
-    let store_dir = flags.get("store").cloned().unwrap_or_else(|| "results/obs".to_string());
-    match sub {
-        "ingest" => {
-            check_flags("obs ingest", &flags, &["store", "name"]);
-            if positionals.is_empty() {
-                obs_usage();
-            }
-            if flags.contains_key("name") && positionals.len() > 1 {
-                eprintln!("--name only applies to a single journal");
-                std::process::exit(2);
-            }
-            let store = JournalStore::open(Path::new(&store_dir)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            for journal in &positionals {
-                let name = flags.get("name").map(String::as_str);
-                match store.ingest_file(Path::new(journal), name) {
-                    Ok(s) => println!(
-                        "ingested {} -> {} (best {:.4} ms, {} evals)",
-                        journal,
-                        store.path_of(&s.source).display(),
-                        s.best_ms,
-                        s.evaluations
-                    ),
-                    Err(e) => {
-                        eprintln!("cannot ingest `{journal}`: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        "diff" => {
-            check_flags("obs diff", &flags, &[]);
-            let [base, cand] = positionals.as_slice() else { obs_usage() };
-            let diff = obs::diff_runs(&obs_load(base), &obs_load(cand));
-            print!("{}", obs::render_diff(&diff));
-        }
-        "gate" => {
-            check_flags("obs gate", &flags, &["save"]);
-            let [base, cand] = positionals.as_slice() else { obs_usage() };
-            let diff = obs::diff_runs(&obs_load(base), &obs_load(cand));
-            let policy = DriftPolicy::default();
-            let gate = obs::evaluate_gate(&diff, &policy);
-            let dashboard = obs::render_gate_dashboard(&gate, &policy);
-            print!("{dashboard}");
-            println!("{}", obs::verdict_json(&gate));
-            if let Some(path) = flags.get("save").filter(|p| !p.is_empty()) {
-                let saved = format!("{dashboard}{}\n", obs::verdict_json(&gate));
-                std::fs::write(path, saved).unwrap_or_else(|e| {
-                    eprintln!("cannot write `{path}`: {e}");
-                    std::process::exit(2);
-                });
-            }
-            std::process::exit(gate.exit_code());
-        }
-        "profile" => {
-            check_flags("obs profile", &flags, &["json", "fold", "diff"]);
-            if flags.contains_key("diff") {
-                let [base, cand] = positionals.as_slice() else { obs_usage() };
-                let (b, c) = (obs_profile_load(base), obs_profile_load(cand));
-                let metrics = obs::diff_profiles(&b, &c);
-                print!("{}", obs::render_profile_diff(&b, &c, &metrics));
-            } else {
-                let [run] = positionals.as_slice() else { obs_usage() };
-                let p = obs_profile_load(run);
-                if flags.contains_key("json") {
-                    println!("{}", obs::profile_json(&p));
-                } else if flags.contains_key("fold") {
-                    print!("{}", obs::render_fold(&p));
-                } else {
-                    print!("{}", obs::render_profile(&p));
-                }
-            }
-        }
-        "dashboard" => {
-            check_flags("obs dashboard", &flags, &["store", "save", "json"]);
-            let store = JournalStore::open(Path::new(&store_dir)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let summaries = store.load_all().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            let text = if flags.contains_key("json") {
-                obs::dashboard_json(&summaries) + "\n"
-            } else {
-                obs::render_dashboard(&summaries)
-            };
-            print!("{text}");
-            if let Some(path) = flags.get("save").filter(|p| !p.is_empty()) {
-                std::fs::write(path, &text).unwrap_or_else(|e| {
-                    eprintln!("cannot write `{path}`: {e}");
-                    std::process::exit(2);
-                });
-            }
-        }
-        _ => obs_usage(),
+fn obs_ingest(args: &Args) {
+    let name = args.text("name");
+    if name.is_some() && args.operands.len() > 1 {
+        die(2, "--name only applies to a single journal");
+    }
+    let store = obs_store(args);
+    for journal in &args.operands {
+        let s = store
+            .ingest_file(Path::new(journal), name)
+            .unwrap_or_else(|e| die(1, format!("cannot ingest `{journal}`: {e}")));
+        println!(
+            "ingested {} -> {} (best {:.4} ms, {} evals)",
+            journal,
+            store.path_of(&s.source).display(),
+            s.best_ms,
+            s.evaluations
+        );
     }
 }
 
-fn kb_usage() -> ! {
-    eprintln!(
-        "usage: cstuner kb <command>\n  \
-         kb build [--store DIR]                         mine <store>/kb.json from the archive\n  \
-         kb stat  [--store DIR]                         knowledge-base inventory\n  \
-         kb rank  --stencil S [--arch A] [--store DIR] [--top K] [--seed N]\n      \
-           surrogate-ranked warm-start seeds for a target\n  \
-         kb gate  <cold-run> <warm-run> [--pct 5]\n      \
-           exit 1 unless the warm run reached the milestone in <= the cold run's evals\n\
-         the store defaults to results/obs; run arguments accept a *.summary.json or a raw journal"
-    );
-    std::process::exit(2);
+fn obs_diff(args: &Args) {
+    let diff = obs::diff_runs(&obs_load(&args.operands[0]), &obs_load(&args.operands[1]));
+    print!("{}", obs::render_diff(&diff));
 }
 
-/// The `cstuner kb` family: build, inspect and exploit the warm-start
-/// knowledge base (see `cst-transfer`).
-fn cmd_kb(args: &[String]) {
-    use cstuner::transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K, KB_VERSION};
-    let sub = args.first().map(String::as_str).unwrap_or("");
-    let (flags, positionals) = parse_args(&args[1.min(args.len())..]);
-    let store_dir = flags.get("store").cloned().unwrap_or_else(|| "results/obs".to_string());
-    let load_kb = || {
-        KnowledgeBase::load(Path::new(&store_dir))
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            })
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "no {} in `{store_dir}` — run `cstuner kb build` first",
-                    cstuner::transfer::KB_FILE
-                );
-                std::process::exit(1);
-            })
+fn obs_gate(args: &Args) {
+    let diff = obs::diff_runs(&obs_load(&args.operands[0]), &obs_load(&args.operands[1]));
+    let policy = DriftPolicy::default();
+    let gate = obs::evaluate_gate(&diff, &policy);
+    let text =
+        format!("{}{}\n", obs::render_gate_dashboard(&gate, &policy), obs::verdict_json(&gate));
+    print!("{text}");
+    save(args, &text);
+    std::process::exit(gate.exit_code());
+}
+
+fn obs_profile(args: &Args) {
+    match (args.operands.as_slice(), args.on("diff")) {
+        ([base, cand], true) => {
+            let (b, c) = (obs_profile_load(base), obs_profile_load(cand));
+            let metrics = obs::diff_profiles(&b, &c);
+            print!("{}", obs::render_profile_diff(&b, &c, &metrics));
+        }
+        ([run], false) => {
+            let p = obs_profile_load(run);
+            if args.on("json") {
+                println!("{}", obs::profile_json(&p));
+            } else if args.on("fold") {
+                print!("{}", obs::render_fold(&p));
+            } else {
+                print!("{}", obs::render_profile(&p));
+            }
+        }
+        _ => die(2, usage("obs")),
+    }
+}
+
+fn obs_dashboard(args: &Args) {
+    let summaries = obs_store(args).load_all().or_die(1);
+    let text = if args.on("json") {
+        obs::dashboard_json(&summaries) + "\n"
+    } else {
+        obs::render_dashboard(&summaries)
     };
-    match sub {
-        "build" => {
-            check_flags("kb build", &flags, &["store"]);
-            let store = JournalStore::open(Path::new(&store_dir)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let build = KnowledgeBase::build(&store).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            for warning in &build.warnings {
-                eprintln!("warning: {warning}");
-            }
-            build.kb.save(store.dir()).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            println!(
-                "kb build: {} records from {} runs -> {} (schema v{KB_VERSION}, {} skipped)",
-                build.kb.records.len(),
-                store.list().map(|l| l.len()).unwrap_or(0),
-                KnowledgeBase::path_in(store.dir()).display(),
-                build.warnings.len()
-            );
-        }
-        "stat" => {
-            check_flags("kb stat", &flags, &["store"]);
-            let kb = load_kb();
-            println!(
-                "kb stat: schema v{KB_VERSION}, {} records, {} (stencil, arch) pairs",
-                kb.records.len(),
-                kb.pairs().len()
-            );
-            for (stencil, arch, n) in kb.pairs() {
-                println!("  {stencil:<11} {arch:<6} {n:>6} records");
-            }
-        }
-        "rank" => {
-            check_flags("kb rank", &flags, &["store", "stencil", "arch", "top", "seed"]);
-            let Some(stencil) = flags.get("stencil").filter(|s| !s.is_empty()) else {
-                eprintln!("--stencil is required for `cstuner kb rank`");
-                std::process::exit(2);
-            };
-            let arch = flags.get("arch").map(String::as_str).unwrap_or("A100");
-            let top = flag_u64(&flags, "top").map(|t| t as usize).unwrap_or(DEFAULT_TOP_K);
-            let seed = flag_u64(&flags, "seed").unwrap_or(0);
-            let kb = load_kb();
-            let w = warm_seeds(&kb, stencil, arch, top, seed);
-            println!(
-                "kb rank: {stencil} on {arch} — {} mode, {} training rows, {} candidates",
-                w.mode, w.n_train, w.candidates
-            );
-            for (i, s) in w.seeds.iter().enumerate() {
-                println!("  #{:<3} {s}", i + 1);
-            }
-            if w.seeds.is_empty() {
-                println!("  (no recorded settings for this stencil)");
-            }
-        }
-        "gate" => {
-            check_flags("kb gate", &flags, &["pct"]);
-            let [cold, warm] = positionals.as_slice() else { kb_usage() };
-            let pct = flag_u64(&flags, "pct").unwrap_or(5) as u32;
-            let (cold_run, warm_run) = (obs_load(cold), obs_load(warm));
-            let evals = |run: &obs::RunSummary, label: &str| match run.milestone(pct) {
-                Some(m) => {
-                    println!(
-                        "{label:<5} {:<24} within {pct}% after {} evals (iteration {})",
-                        run.source, m.evals, m.iteration
-                    );
-                    m.evals
-                }
-                None => {
-                    println!("{label:<5} {:<24} never reached within {pct}%", run.source);
-                    u64::MAX
-                }
-            };
-            let (c, w) = (evals(&cold_run, "cold"), evals(&warm_run, "warm"));
-            if w <= c {
-                println!(
-                    "kb gate: PASS — warm start reached the {pct}% milestone in <= cold evals"
-                );
-            } else {
-                println!("kb gate: FAIL — warm start needed more evals than cold");
-                std::process::exit(1);
-            }
-        }
-        _ => kb_usage(),
+    print!("{text}");
+    save(args, &text);
+}
+
+/// The knowledge base in the obs store (exit 1 when broken or absent).
+fn load_kb(args: &Args) -> KnowledgeBase {
+    let dir = obs_store_dir(args);
+    KnowledgeBase::load(Path::new(dir)).or_die(1).unwrap_or_else(|| {
+        die(1, format!("no {KB_FILE} in `{dir}` — run `cstuner kb build` first"))
+    })
+}
+
+fn kb_build(args: &Args) {
+    let store = obs_store(args);
+    let build = KnowledgeBase::build(&store).or_die(1);
+    for warning in &build.warnings {
+        eprintln!("warning: {warning}");
+    }
+    build.kb.save(store.dir()).or_die(1);
+    println!(
+        "kb build: {} records from {} runs -> {} (schema v{KB_VERSION}, {} skipped)",
+        build.kb.records.len(),
+        store.list().map(|l| l.len()).unwrap_or(0),
+        KnowledgeBase::path_in(store.dir()).display(),
+        build.warnings.len()
+    );
+}
+
+fn kb_stat(args: &Args) {
+    let kb = load_kb(args);
+    println!(
+        "kb stat: schema v{KB_VERSION}, {} records, {} (stencil, arch) pairs",
+        kb.records.len(),
+        kb.pairs().len()
+    );
+    for (stencil, arch, n) in kb.pairs() {
+        println!("  {stencil:<11} {arch:<6} {n:>6} records");
     }
 }
 
-fn campaign_usage() -> ! {
-    eprintln!(
-        "usage: cstuner campaign <command> <spec.json>\n  \
-         campaign run <spec.json> [--store DIR] [--addr HOST:PORT] [--fresh] [--json]\n      \
-           run (or resume) the matrix; --addr fans cells to a cst-serve daemon,\n      \
-           --fresh drops this spec's archived cells first\n  \
-         campaign status <spec.json> [--store DIR]       archived vs pending cells\n  \
-         campaign report <spec.json> [--store DIR] [--json] [--save FILE]\n      \
-           comparative dashboard over the archived matrix\n  \
-         campaign gate <spec.json> --baseline DIR [--store DIR] [--save FILE]\n      \
-           significance-aware verdict vs a baseline campaign store (exit 1 on regress)\n\
-         the store defaults to results/campaign/<name>"
+fn kb_rank(args: &Args) {
+    let Some(stencil) = args.text("stencil").filter(|s| !s.is_empty()) else {
+        die(2, "--stencil is required for `cstuner kb rank`")
+    };
+    let arch = args.text("arch").unwrap_or("A100");
+    let top = args.u64("top").map_or(DEFAULT_TOP_K, |t| t as usize);
+    let kb = load_kb(args);
+    let w = warm_seeds(&kb, stencil, arch, top, args.u64("seed").unwrap_or(0));
+    println!(
+        "kb rank: {stencil} on {arch} — {} mode, {} training rows, {} candidates",
+        w.mode, w.n_train, w.candidates
     );
-    std::process::exit(2);
+    for (i, s) in w.seeds.iter().enumerate() {
+        println!("  #{:<3} {s}", i + 1);
+    }
+    if w.seeds.is_empty() {
+        println!("  (no recorded settings for this stencil)");
+    }
 }
 
-/// Read and validate the spec named by the first positional (exit 2).
-fn campaign_spec(positionals: &[String]) -> campaign::CampaignSpec {
-    let Some(path) = positionals.first() else { campaign_usage() };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
-    campaign::CampaignSpec::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("invalid campaign spec `{path}`: {e}");
-        std::process::exit(2);
-    })
+fn kb_gate(args: &Args) {
+    let pct = args.u64("pct").unwrap_or(5) as u32;
+    let (cold_run, warm_run) = (obs_load(&args.operands[0]), obs_load(&args.operands[1]));
+    let evals = |run: &obs::RunSummary, label: &str| match run.milestone(pct) {
+        Some(m) => {
+            println!(
+                "{label:<5} {:<24} within {pct}% after {} evals (iteration {})",
+                run.source, m.evals, m.iteration
+            );
+            m.evals
+        }
+        None => {
+            println!("{label:<5} {:<24} never reached within {pct}%", run.source);
+            u64::MAX
+        }
+    };
+    let (c, w) = (evals(&cold_run, "cold"), evals(&warm_run, "warm"));
+    if w <= c {
+        println!("kb gate: PASS — warm start reached the {pct}% milestone in <= cold evals");
+    } else {
+        println!("kb gate: FAIL — warm start needed more evals than cold");
+        std::process::exit(1);
+    }
+}
+
+/// Read and validate the spec named by the operand (exit 2).
+fn campaign_spec(args: &Args) -> campaign::CampaignSpec {
+    let path = &args.operands[0];
+    campaign::CampaignSpec::from_json(&read_file(path))
+        .unwrap_or_else(|e| die(2, format!("invalid campaign spec `{path}`: {e}")))
 }
 
 /// The campaign-scoped archive: `--store DIR` or `results/campaign/<name>`.
-fn campaign_store(flags: &HashMap<String, String>, spec: &campaign::CampaignSpec) -> JournalStore {
-    let dir = flags
-        .get("store")
-        .filter(|d| !d.is_empty())
-        .cloned()
-        .unwrap_or_else(|| format!("results/campaign/{}", spec.name));
-    JournalStore::open(Path::new(&dir)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+fn campaign_store(args: &Args, spec: &campaign::CampaignSpec) -> JournalStore {
+    let dir = match args.text("store").filter(|d| !d.is_empty()) {
+        Some(dir) => dir.to_string(),
+        None => format!("results/campaign/{}", spec.name),
+    };
+    JournalStore::open(Path::new(&dir)).or_die(2)
 }
 
-/// Load the archived matrix for reporting (exit 1 on a broken store).
-fn campaign_load(
-    spec: &campaign::CampaignSpec,
-    store: &JournalStore,
-) -> (Vec<(campaign::Cell, obs::RunSummary)>, Vec<campaign::Cell>) {
-    campaign::load_cells(spec, store).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    })
-}
-
-/// The `cstuner campaign` family: run/resume a declarative matrix,
-/// inspect its archive, and gate it against a baseline campaign.
-fn cmd_campaign(args: &[String]) {
-    let sub = args.first().map(String::as_str).unwrap_or("");
-    let (flags, positionals) = parse_args(&args[1.min(args.len())..]);
-    match sub {
-        "run" => {
-            check_flags("campaign run", &flags, &["store", "addr", "fresh", "json"]);
-            let spec = campaign_spec(&positionals);
-            let store = campaign_store(&flags, &spec);
-            if flags.contains_key("fresh") {
-                let removed = campaign::forget_cells(&spec, &store).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-                eprintln!("dropped {removed} archived cells");
-            }
-            let backend = match addr_override(&flags) {
-                Some(addr) => campaign::Backend::Daemon(addr),
-                None => campaign::Backend::InProcess,
-            };
-            let opts = campaign::ExecOptions { backend, stop_after: None };
-            let run = campaign::run_campaign(&spec, &store, &opts, &mut |i, total, cell, state| {
-                let what = match state {
-                    campaign::CellState::Cached => "cached",
-                    campaign::CellState::Ran => "done",
-                };
-                eprintln!("  [{i}/{total}] {} {what}", cell.name());
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            println!(
-                "campaign {}: {} executed, {} cached ({} cells) -> {}",
-                spec.name,
-                run.executed,
-                run.cached,
-                run.cells.len(),
-                store.dir().display()
-            );
-            let (have, missing) = campaign_load(&spec, &store);
-            let stats = campaign::aggregate(&have);
-            if flags.contains_key("json") {
-                println!("{}", campaign::campaign_json(&spec.name, &stats, &missing));
-            } else {
-                print!("{}", campaign::render_campaign(&spec.name, &stats, &missing));
-            }
-        }
-        "status" => {
-            check_flags("campaign status", &flags, &["store"]);
-            let spec = campaign_spec(&positionals);
-            let store = campaign_store(&flags, &spec);
-            let (have, missing) = campaign_load(&spec, &store);
-            println!(
-                "campaign {}: {}/{} cells archived in {}",
-                spec.name,
-                have.len(),
-                have.len() + missing.len(),
-                store.dir().display()
-            );
-            for cell in &missing {
-                println!("  pending {}", cell.name());
-            }
-        }
-        "report" => {
-            check_flags("campaign report", &flags, &["store", "json", "save"]);
-            let spec = campaign_spec(&positionals);
-            let store = campaign_store(&flags, &spec);
-            let (have, missing) = campaign_load(&spec, &store);
-            let stats = campaign::aggregate(&have);
-            let text = if flags.contains_key("json") {
-                campaign::campaign_json(&spec.name, &stats, &missing) + "\n"
-            } else {
-                campaign::render_campaign(&spec.name, &stats, &missing)
-            };
-            print!("{text}");
-            if let Some(path) = flags.get("save").filter(|p| !p.is_empty()) {
-                std::fs::write(path, &text).unwrap_or_else(|e| {
-                    eprintln!("cannot write `{path}`: {e}");
-                    std::process::exit(2);
-                });
-            }
-        }
-        "gate" => {
-            check_flags("campaign gate", &flags, &["store", "baseline", "save"]);
-            let spec = campaign_spec(&positionals);
-            let Some(baseline_dir) = flags.get("baseline").filter(|d| !d.is_empty()) else {
-                eprintln!("--baseline is required: a campaign store directory to gate against");
-                std::process::exit(2);
-            };
-            let store = campaign_store(&flags, &spec);
-            let baseline_store = JournalStore::open(Path::new(baseline_dir)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            let (baseline, _) = campaign_load(&spec, &baseline_store);
-            let (candidate, _) = campaign_load(&spec, &store);
-            let policy = DriftPolicy::default();
-            let gate = campaign::gate_campaign(&baseline, &candidate, &policy);
-            let dashboard = campaign::render_campaign_gate(&gate, &policy);
-            print!("{dashboard}");
-            println!("{}", campaign::campaign_verdict_json(&gate));
-            if let Some(path) = flags.get("save").filter(|p| !p.is_empty()) {
-                let saved = format!("{dashboard}{}\n", campaign::campaign_verdict_json(&gate));
-                std::fs::write(path, saved).unwrap_or_else(|e| {
-                    eprintln!("cannot write `{path}`: {e}");
-                    std::process::exit(2);
-                });
-            }
-            std::process::exit(gate.exit_code());
-        }
-        _ => campaign_usage(),
+fn campaign_run(args: &Args) {
+    let spec = campaign_spec(args);
+    let store = campaign_store(args, &spec);
+    if args.on("fresh") {
+        let removed = campaign::forget_cells(&spec, &store).or_die(1);
+        eprintln!("dropped {removed} archived cells");
     }
+    let backend = match args.text("addr") {
+        Some(addr) => campaign::Backend::Daemon(addr.to_string()),
+        None => campaign::Backend::InProcess,
+    };
+    let opts = campaign::ExecOptions { backend, stop_after: None };
+    let run = campaign::run_campaign(&spec, &store, &opts, &mut |i, total, cell, state| {
+        let what = match state {
+            campaign::CellState::Cached => "cached",
+            campaign::CellState::Ran => "done",
+        };
+        eprintln!("  [{i}/{total}] {} {what}", cell.name());
+    })
+    .or_die(1);
+    println!(
+        "campaign {}: {} executed, {} cached ({} cells) -> {}",
+        spec.name,
+        run.executed,
+        run.cached,
+        run.cells.len(),
+        store.dir().display()
+    );
+    let (have, missing) = campaign::load_cells(&spec, &store).or_die(1);
+    let stats = campaign::aggregate(&have);
+    if args.on("json") {
+        println!("{}", campaign::campaign_json(&spec.name, &stats, &missing));
+    } else {
+        print!("{}", campaign::render_campaign(&spec.name, &stats, &missing));
+    }
+}
+
+fn campaign_status(args: &Args) {
+    let spec = campaign_spec(args);
+    let store = campaign_store(args, &spec);
+    let (have, missing) = campaign::load_cells(&spec, &store).or_die(1);
+    println!(
+        "campaign {}: {}/{} cells archived in {}",
+        spec.name,
+        have.len(),
+        have.len() + missing.len(),
+        store.dir().display()
+    );
+    for cell in &missing {
+        println!("  pending {}", cell.name());
+    }
+}
+
+fn campaign_report(args: &Args) {
+    let spec = campaign_spec(args);
+    let store = campaign_store(args, &spec);
+    let (have, missing) = campaign::load_cells(&spec, &store).or_die(1);
+    let stats = campaign::aggregate(&have);
+    let text = if args.on("json") {
+        campaign::campaign_json(&spec.name, &stats, &missing) + "\n"
+    } else {
+        campaign::render_campaign(&spec.name, &stats, &missing)
+    };
+    print!("{text}");
+    save(args, &text);
+}
+
+fn campaign_gate(args: &Args) {
+    let spec = campaign_spec(args);
+    let Some(baseline_dir) = args.text("baseline").filter(|d| !d.is_empty()) else {
+        die(2, "--baseline is required: a campaign store directory to gate against")
+    };
+    let store = campaign_store(args, &spec);
+    let baseline_store = JournalStore::open(Path::new(baseline_dir)).or_die(2);
+    let (baseline, _) = campaign::load_cells(&spec, &baseline_store).or_die(1);
+    let (candidate, _) = campaign::load_cells(&spec, &store).or_die(1);
+    let policy = DriftPolicy::default();
+    let gate = campaign::gate_campaign(&baseline, &candidate, &policy);
+    let text = format!(
+        "{}{}\n",
+        campaign::render_campaign_gate(&gate, &policy),
+        campaign::campaign_verdict_json(&gate)
+    );
+    print!("{text}");
+    save(args, &text);
+    std::process::exit(gate.exit_code());
 }
 
 /// `cstuner serve`: run the tuning-as-a-service daemon in the
 /// foreground until a client sends `shutdown`.
-fn cmd_serve(flags: &HashMap<String, String>) {
-    check_flags("serve", flags, &["addr", "workers", "queue", "archive", "memo-cap"]);
+fn cmd_serve(args: &Args) {
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
-        addr: flags.get("addr").cloned().unwrap_or(defaults.addr),
-        workers: flag_u64(flags, "workers").map(|w| w as usize).unwrap_or(defaults.workers),
-        queue_depth: flag_u64(flags, "queue").map(|q| q as usize).unwrap_or(defaults.queue_depth),
-        archive: flags.get("archive").filter(|p| !p.is_empty()).map(std::path::PathBuf::from),
-        memo_cap: flag_u64(flags, "memo-cap").map(|c| c as usize),
+        addr: args.text("addr").map_or(defaults.addr, str::to_string),
+        workers: args.u64("workers").map_or(defaults.workers, |w| w as usize),
+        queue_depth: args.u64("queue").map_or(defaults.queue_depth, |q| q as usize),
+        archive: args.text("archive").filter(|p| !p.is_empty()).map(PathBuf::from),
+        memo_cap: args.u64("memo-cap").map(|c| c as usize),
     };
-    let server = Server::bind(&cfg).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let server = Server::bind(&cfg).or_die(1);
     // Stdout is line-buffered: this line reaches a redirected log
     // immediately, so scripts can parse the (possibly ephemeral) port.
     println!("listening on {}", server.local_addr());
@@ -776,40 +918,29 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     eprintln!("cst-serve: drained and stopped");
 }
 
-/// Daemon address override from `--addr` or the `CST_ADDR` env var; the
-/// flag wins. Whichever source supplies the address is validated as
-/// `HOST:PORT` and named in the error (exit 2) when malformed.
-fn addr_override(flags: &HashMap<String, String>) -> Option<String> {
-    let (addr, source) = match flags.get("addr").filter(|a| !a.is_empty()) {
-        Some(a) => (a.clone(), "--addr"),
-        None => (std::env::var("CST_ADDR").ok().filter(|a| !a.is_empty())?, "CST_ADDR"),
-    };
-    let valid = addr
-        .rsplit_once(':')
-        .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
-    if !valid {
-        eprintln!("{source} expects HOST:PORT with a 16-bit port, got `{addr}`");
-        std::process::exit(2);
+/// The daemon a client command talks to: `--addr`, `CST_ADDR`, or the
+/// serve default.
+fn daemon_addr(args: &Args) -> String {
+    args.text("addr").map_or_else(|| ServeConfig::default().addr, str::to_string)
+}
+
+fn client_connect(args: &Args) -> Connection {
+    Connection::connect(&daemon_addr(args)).or_die(1)
+}
+
+/// Send one request and return the daemon's first reply frame (exit 1
+/// when it sends none).
+fn daemon_reply(args: &Args, request: &str) -> String {
+    let frames = cstuner::serve::roundtrip(&daemon_addr(args), request).or_die(1);
+    frames.into_iter().next().unwrap_or_else(|| die(1, "daemon sent no reply"))
+}
+
+/// `frame`, unless it is not of type `want` (exit 1).
+fn expect_frame(frame: String, want: &str) -> String {
+    if proto::frame_type(&frame).as_deref() != Some(want) {
+        die(1, format!("unexpected reply: {frame}"));
     }
-    Some(addr)
-}
-
-fn client_addr(flags: &HashMap<String, String>) -> String {
-    addr_override(flags).unwrap_or_else(|| ServeConfig::default().addr)
-}
-
-fn client_connect(flags: &HashMap<String, String>) -> Connection {
-    Connection::connect(&client_addr(flags)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    })
-}
-
-fn client_session_id(flags: &HashMap<String, String>) -> u64 {
-    flag_u64(flags, "session").unwrap_or_else(|| {
-        eprintln!("--session is required");
-        std::process::exit(2);
-    })
+    frame
 }
 
 fn json_u64(v: &Value, key: &str) -> u64 {
@@ -847,26 +978,17 @@ fn done_info_from_frame(v: &Value) -> DoneInfo {
 /// Consume a session stream (from `client tune` or `client watch`):
 /// control frames drive the terminal UX, journal records optionally tee
 /// into `--journal FILE`. Exits nonzero unless the session finished.
-fn client_stream(conn: &mut Connection, flags: &HashMap<String, String>) {
+fn client_stream(conn: &mut Connection, args: &Args) {
     let mut journal: Option<std::fs::File> =
-        flags.get("journal").filter(|p| !p.is_empty()).map(|p| {
-            std::fs::File::create(p).unwrap_or_else(|e| {
-                eprintln!("cannot open journal `{p}`: {e}");
-                std::process::exit(2);
-            })
+        args.text("journal").filter(|p| !p.is_empty()).map(|p| {
+            std::fs::File::create(p)
+                .unwrap_or_else(|e| die(2, format!("cannot open journal `{p}`: {e}")))
         });
     loop {
-        let frame = match conn.next_frame() {
-            Ok(Some(f)) => f,
-            Ok(None) => {
-                eprintln!("daemon closed the stream before the session finished");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
+        let frame = conn
+            .next_frame()
+            .or_die(1)
+            .unwrap_or_else(|| die(1, "daemon closed the stream before the session finished"));
         match proto::frame_type(&frame).as_deref() {
             Some("accepted") => {
                 let v = json::parse(&frame).expect("daemon frames are valid JSON");
@@ -874,18 +996,19 @@ fn client_stream(conn: &mut Connection, flags: &HashMap<String, String>) {
             }
             Some("busy") => {
                 let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                eprintln!(
-                    "daemon busy: {} running, {} queued (limit {})",
-                    json_u64(&v, "running"),
-                    json_u64(&v, "queued"),
-                    json_u64(&v, "limit")
+                die(
+                    1,
+                    format!(
+                        "daemon busy: {} running, {} queued (limit {})",
+                        json_u64(&v, "running"),
+                        json_u64(&v, "queued"),
+                        json_u64(&v, "limit")
+                    ),
                 );
-                std::process::exit(1);
             }
             Some("error") => {
                 let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                eprintln!("{}", json_str(&v, "message"));
-                std::process::exit(1);
+                die(1, json_str(&v, "message"));
             }
             Some("session_done") => {
                 let v = json::parse(&frame).expect("daemon frames are valid JSON");
@@ -896,43 +1019,108 @@ fn client_stream(conn: &mut Connection, flags: &HashMap<String, String>) {
                 }
                 let error = json_str(&v, "error");
                 if error.is_empty() {
-                    eprintln!("session {}: {state}", json_u64(&v, "session"));
-                } else {
-                    eprintln!("tuning failed: {error}");
+                    die(1, format!("session {}: {state}", json_u64(&v, "session")));
                 }
-                std::process::exit(1);
+                die(1, format!("tuning failed: {error}"));
             }
             _ => {
                 // A raw journal record, verbatim from the daemon.
                 if let Some(f) = journal.as_mut() {
-                    writeln!(f, "{frame}").unwrap_or_else(|e| {
-                        eprintln!("cannot write journal: {e}");
-                        std::process::exit(2);
-                    });
+                    writeln!(f, "{frame}")
+                        .unwrap_or_else(|e| die(2, format!("cannot write journal: {e}")));
                 }
             }
         }
     }
 }
 
-/// Fetch one `metrics` frame from the daemon (exit 1 on anything else).
-fn fetch_metrics_frame(addr: &str) -> String {
-    let frames =
-        cstuner::serve::roundtrip(addr, &proto::metrics_request_line()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-    match frames.first() {
-        Some(frame) if proto::frame_type(frame).as_deref() == Some("metrics") => frame.clone(),
-        Some(frame) => {
-            eprintln!("unexpected reply: {frame}");
-            std::process::exit(1);
+fn client_tune(args: &Args) {
+    let req = tune_request(args);
+    let mut conn = client_connect(args);
+    conn.send_line(&proto::tune_request_line(&req)).or_die(1);
+    client_stream(&mut conn, args);
+}
+
+fn client_watch(args: &Args) {
+    let session = args.u64("session").unwrap_or_else(|| die(2, "--session is required"));
+    let mut conn = client_connect(args);
+    conn.send_line(&proto::session_request_line("watch", session)).or_die(1);
+    client_stream(&mut conn, args);
+}
+
+fn client_status(args: &Args) {
+    // Without --session: the whole-daemon summary.
+    let request = match args.u64("session") {
+        Some(id) => proto::session_request_line("status", id),
+        None => proto::status_summary_request_line(),
+    };
+    print_session_reply(&daemon_reply(args, &request));
+}
+
+fn client_cancel(args: &Args) {
+    let session = args.u64("session").unwrap_or_else(|| die(2, "--session is required"));
+    print_session_reply(&daemon_reply(args, &proto::session_request_line("cancel", session)));
+}
+
+/// Print a `session` or `status` reply; anything else is the daemon's
+/// error (exit 1).
+fn print_session_reply(frame: &str) {
+    let v = json::parse(frame).expect("daemon frames are valid JSON");
+    match proto::frame_type(frame).as_deref() {
+        Some("session") => println!(
+            "session {}: {} ({} records)",
+            json_u64(&v, "session"),
+            json_str(&v, "state"),
+            json_u64(&v, "records")
+        ),
+        Some("status") => {
+            let s = v.get("sessions");
+            let count = |k: &str| s.map(|s| json_u64(s, k)).unwrap_or(0);
+            println!(
+                "sessions: {} queued, {} running, {} done, {} failed, {} cancelled",
+                count("queued"),
+                count("running"),
+                count("done"),
+                count("failed"),
+                count("cancelled")
+            );
+            for row in v.get("list").and_then(Value::as_arr).unwrap_or(&[]) {
+                println!(
+                    "  session {}: {} ({} records) {}/{} {} seed {}",
+                    json_u64(row, "session"),
+                    json_str(row, "state"),
+                    json_u64(row, "records"),
+                    json_str(row, "stencil"),
+                    json_str(row, "arch"),
+                    json_str(row, "tuner"),
+                    json_u64(row, "seed")
+                );
+            }
         }
-        None => {
-            eprintln!("daemon sent no reply");
-            std::process::exit(1);
-        }
+        _ => die(1, json_str(&v, "message")),
     }
+}
+
+fn client_metrics(args: &Args) {
+    if args.on("watch") {
+        return metrics_watch(args);
+    }
+    let frame = fetch_metrics_frame(args);
+    if args.on("json") {
+        println!("{frame}");
+    } else {
+        print!("{}", render_metrics_frame(&frame));
+    }
+}
+
+fn client_shutdown(args: &Args) {
+    let frame = expect_frame(daemon_reply(args, &proto::shutdown_request_line()), "bye");
+    let v = json::parse(&frame).expect("daemon frames are valid JSON");
+    println!("daemon stopped after {} sessions", json_u64(&v, "sessions_completed"));
+}
+
+fn fetch_metrics_frame(args: &Args) -> String {
+    expect_frame(daemon_reply(args, &proto::metrics_request_line()), "metrics")
 }
 
 /// One `name value` line per numeric field of an object section.
@@ -1021,15 +1209,17 @@ fn render_metrics_frame(frame: &str) -> String {
     out
 }
 
-/// Poll the daemon's metrics every `interval_s` seconds and render the
-/// dashboard — one connection per poll, since the daemon answers one
-/// request per connection. `count` bounds the polls (`None` = forever).
-/// On a terminal each poll repaints the screen; piped output separates
-/// polls with a blank line.
-fn metrics_watch(addr: &str, interval_s: f64, count: Option<u64>) {
+/// Poll the daemon's metrics every `--interval` seconds (2 by default)
+/// and render the dashboard — one connection per poll, since the daemon
+/// answers one request per connection. `--count` bounds the polls
+/// (absent = forever). On a terminal each poll repaints the screen;
+/// piped output separates polls with a blank line.
+fn metrics_watch(args: &Args) {
+    let interval = Duration::from_secs_f64(args.seconds("interval").unwrap_or(2.0).max(0.05));
+    let count = args.u64("count");
     let mut polls = 0u64;
     loop {
-        let frame = fetch_metrics_frame(addr);
+        let frame = fetch_metrics_frame(args);
         if std::io::stdout().is_terminal() {
             print!("\x1b[2J\x1b[H");
         } else if polls > 0 {
@@ -1040,277 +1230,24 @@ fn metrics_watch(addr: &str, interval_s: f64, count: Option<u64>) {
         if count.is_some_and(|c| polls >= c) {
             return;
         }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval_s.max(0.05)));
+        std::thread::sleep(interval);
     }
 }
 
-/// `cstuner client`: talk to a running daemon.
-fn cmd_client(args: &[String]) {
-    let sub = args.first().map(String::as_str).unwrap_or("");
-    let (flags, _) = parse_args(&args[1.min(args.len())..]);
-    match sub {
-        "tune" => {
-            let mut allowed: Vec<&str> = TUNE_FLAGS.to_vec();
-            allowed.push("addr");
-            check_flags("client tune", &flags, &allowed);
-            let req = tune_request_from_flags(&flags);
-            let mut conn = client_connect(&flags);
-            conn.send_line(&proto::tune_request_line(&req)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            client_stream(&mut conn, &flags);
-        }
-        "watch" => {
-            check_flags("client watch", &flags, &["addr", "session", "journal"]);
-            let session = client_session_id(&flags);
-            let mut conn = client_connect(&flags);
-            conn.send_line(&proto::session_request_line("watch", session)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            client_stream(&mut conn, &flags);
-        }
-        "status" | "cancel" => {
-            check_flags(&format!("client {sub}"), &flags, &["addr", "session"]);
-            // `status` without --session asks for the whole-daemon
-            // summary; `cancel` always needs a target session.
-            let session = match (sub, flag_u64(&flags, "session")) {
-                ("cancel", None) => Some(client_session_id(&flags)),
-                (_, s) => s,
-            };
-            let request = match session {
-                Some(id) => proto::session_request_line(sub, id),
-                None => proto::status_summary_request_line(),
-            };
-            let frames =
-                cstuner::serve::roundtrip(&client_addr(&flags), &request).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            let Some(frame) = frames.first() else {
-                eprintln!("daemon sent no reply");
-                std::process::exit(1);
-            };
-            let v = json::parse(frame).expect("daemon frames are valid JSON");
-            match proto::frame_type(frame).as_deref() {
-                Some("session") => println!(
-                    "session {}: {} ({} records)",
-                    json_u64(&v, "session"),
-                    json_str(&v, "state"),
-                    json_u64(&v, "records")
-                ),
-                Some("status") => {
-                    let s = v.get("sessions");
-                    let count = |k: &str| s.map(|s| json_u64(s, k)).unwrap_or(0);
-                    println!(
-                        "sessions: {} queued, {} running, {} done, {} failed, {} cancelled",
-                        count("queued"),
-                        count("running"),
-                        count("done"),
-                        count("failed"),
-                        count("cancelled")
-                    );
-                    for row in v.get("list").and_then(Value::as_arr).unwrap_or(&[]) {
-                        println!(
-                            "  session {}: {} ({} records) {}/{} {} seed {}",
-                            json_u64(row, "session"),
-                            json_str(row, "state"),
-                            json_u64(row, "records"),
-                            json_str(row, "stencil"),
-                            json_str(row, "arch"),
-                            json_str(row, "tuner"),
-                            json_u64(row, "seed")
-                        );
-                    }
-                }
-                _ => {
-                    eprintln!("{}", json_str(&v, "message"));
-                    std::process::exit(1);
-                }
-            }
-        }
-        "metrics" => {
-            check_flags("client metrics", &flags, &["addr", "json", "watch", "interval", "count"]);
-            let addr = client_addr(&flags);
-            if flags.contains_key("watch") {
-                let interval = flag_f64(&flags, "interval").unwrap_or(2.0);
-                metrics_watch(&addr, interval, flag_u64(&flags, "count"));
-            } else {
-                let frame = fetch_metrics_frame(&addr);
-                if flags.contains_key("json") {
-                    println!("{frame}");
-                } else {
-                    print!("{}", render_metrics_frame(&frame));
-                }
-            }
-        }
-        "shutdown" => {
-            check_flags("client shutdown", &flags, &["addr"]);
-            let frames =
-                cstuner::serve::roundtrip(&client_addr(&flags), &proto::shutdown_request_line())
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    });
-            match frames.first() {
-                Some(frame) if proto::frame_type(frame).as_deref() == Some("bye") => {
-                    let v = json::parse(frame).expect("daemon frames are valid JSON");
-                    println!(
-                        "daemon stopped after {} sessions",
-                        json_u64(&v, "sessions_completed")
-                    );
-                }
-                Some(frame) => {
-                    eprintln!("unexpected reply: {frame}");
-                    std::process::exit(1);
-                }
-                None => {
-                    eprintln!("daemon sent no reply");
-                    std::process::exit(1);
-                }
-            }
-        }
-        _ => {
-            eprintln!(
-                "usage: cstuner client <command> [--addr HOST:PORT]\n  \
-                 client tune [tune flags]        submit a session and stream its journal\n  \
-                 client status [--session N]     one-shot session state, or all sessions\n  \
-                 client watch --session N        replay-and-follow a session's stream\n  \
-                 client cancel --session N       cancel a queued or running session\n  \
-                 client metrics [--json] [--watch [--interval S] [--count N]]\n                                  \
-                 live operational metrics snapshot\n  \
-                 client shutdown                 drain in-flight sessions, stop the daemon\n\
-                 --addr falls back to the CST_ADDR env var, then the serve default"
-            );
-            std::process::exit(2);
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn cmd_version() {
-    println!(
-        "cstuner {} (journal schema v{})",
-        env!("CARGO_PKG_VERSION"),
-        cstuner::telemetry::SCHEMA_VERSION
-    );
-    println!("tuners: {}", cstuner::baselines::zoo::flag_list());
-    println!("warm-start: {}", warm_provider_line());
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    if cmd == "version" || cmd == "--version" {
-        cmd_version();
-        return;
-    }
-    // `cstuner --quick --journal run.jsonl` is shorthand for `tune`.
-    let (cmd, rest) =
-        if cmd.starts_with("--") { ("tune", &args[..]) } else { (cmd, &args[1.min(args.len())..]) };
-    let (flags, _) = parse_args(rest);
-    match cmd {
-        "list" => {
-            check_flags("list", &flags, &[]);
-            cmd_list();
-        }
-        "tune" => {
-            check_flags("tune", &flags, &TUNE_FLAGS);
-            run_tune(&flags);
-        }
-        "codegen" => {
-            let mut allowed: Vec<&str> = TUNE_FLAGS.to_vec();
-            allowed.push("out");
-            check_flags("codegen", &flags, &allowed);
-            let (kernel, session) = run_tune(&flags);
-            let src = generate_cuda(&kernel, &session.outcome.best_setting);
-            match flags.get("out") {
-                Some(path) if !path.is_empty() => {
-                    std::fs::write(path, &src.code).expect("write CUDA source");
-                    eprintln!("wrote {} bytes to {path}", src.code.len());
-                }
-                _ => println!("\n{}", src.code),
-            }
-        }
-        "report" => {
-            check_flags("report", &flags, &["json"]);
-            let lines = read_journal_lines(rest);
-            if flags.contains_key("json") {
-                // Machine-readable form: the same versioned RunSummary the
-                // obs archive stores, as one JSON object.
-                match obs::summarize("report", &lines) {
-                    Ok(summary) => println!("{}", summary.to_json()),
-                    Err(e) => {
-                        eprintln!("invalid journal: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                match report::render_report(&lines) {
-                    Ok(text) => print!("{text}"),
-                    Err(e) => {
-                        eprintln!("invalid journal: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        "journal-check" => {
-            check_flags("journal-check", &flags, &[]);
-            let lines = read_journal_lines(rest);
-            match schema::validate_journal(&lines) {
-                Ok(summary) => {
-                    println!(
-                        "ok: {} records, {} event types ({})",
-                        summary.records,
-                        summary.types_seen.len(),
-                        summary.types_seen.join(", ")
-                    );
-                }
-                Err(e) => {
-                    eprintln!("invalid journal: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "metrics-check" => {
-            check_flags("metrics-check", &flags, &[]);
-            let Some(path) = rest.iter().find(|a| !a.starts_with("--")) else {
-                eprintln!("usage: cstuner metrics-check <metrics.json>");
-                std::process::exit(2);
-            };
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read `{path}`: {e}");
-                std::process::exit(2);
-            });
-            let Some(line) = text.lines().find(|l| !l.trim().is_empty()) else {
-                eprintln!("`{path}` is empty");
-                std::process::exit(1);
-            };
-            match cstuner::serve::validate_metrics_frame(line) {
-                Ok(()) => println!("ok: valid metrics frame"),
-                Err(e) => {
-                    eprintln!("invalid metrics frame: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "obs" => cmd_obs(rest),
-        "kb" => cmd_kb(rest),
-        "campaign" => cmd_campaign(rest),
-        "serve" => cmd_serve(&flags),
-        "client" => cmd_client(rest),
-        "top" => {
-            check_flags("top", &flags, &["addr", "interval", "count"]);
-            let interval = flag_f64(&flags, "interval").unwrap_or(2.0);
-            metrics_watch(&client_addr(&flags), interval, flag_u64(&flags, "count"));
-        }
-        _ => {
-            eprintln!(
-                "usage: cstuner <list|version|tune|codegen|report|journal-check|metrics-check|obs|kb|campaign|serve|client|top> \
-                 [--stencil S] [--arch a100|v100] [--budget SECONDS] [--seed N] [--tuner T] \
-                 [--quick] [--journal FILE] [--out FILE] [--addr HOST:PORT]"
-            );
-        }
+    #[test]
+    fn the_module_doc_synopsis_is_the_table() {
+        let doc: Vec<&str> = include_str!("cstuner.rs")
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .map(|l| l.strip_prefix("//! ").unwrap_or(l))
+            .collect();
+        let table: Vec<String> = COMMANDS.iter().flat_map(synopsis).collect();
+        assert_eq!(doc, table);
     }
 }

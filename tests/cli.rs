@@ -142,3 +142,70 @@ fn obs_dashboard_json_is_machine_readable() {
     assert_eq!(String::from_utf8_lossy(&out.stdout), "{\"runs\":0,\"summaries\":[]}\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A scratch directory unique to this test process and `tag`.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("cst_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn unknown_commands_exit_2_with_usage_on_stderr() {
+    let out = cstuner(&["bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown command `bogus`"), "{err}");
+    assert!(err.contains("usage: cstuner"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn switches_read_the_same_before_and_after_operands() {
+    let dir = scratch("switch_order");
+    let run = dir.join("run.jsonl");
+    let run = run.to_str().unwrap();
+    let out = cstuner(&["tune", "--quick", "--seed", "1", "--journal", run]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for cmd in [&["obs", "profile"][..], &["report"][..]] {
+        let first = cstuner(&[cmd, &["--json", run]].concat());
+        let last = cstuner(&[cmd, &[run, "--json"]].concat());
+        assert!(last.status.success(), "{cmd:?}: {}", String::from_utf8_lossy(&last.stderr));
+        assert_eq!(
+            first.status.code(),
+            Some(0),
+            "{cmd:?}: {}",
+            String::from_utf8_lossy(&first.stderr)
+        );
+        assert_eq!(first.stdout, last.stdout, "{cmd:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn campaign_report_takes_json_before_the_spec() {
+    let dir = scratch("campaign_json_first");
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_smoke.json");
+    let out = cstuner(&["campaign", "report", "--json", spec, "--store", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_intervals_are_rejected_before_connecting() {
+    let out = cstuner(&["top", "--addr", "127.0.0.1:1", "--interval", "inf"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--interval"), "{err}");
+    assert!(!err.contains("connect"), "{err}");
+}
+
+#[test]
+fn codegen_reports_an_unwritable_out_path() {
+    let out = cstuner(&["codegen", "--quick", "--out", "/nonexistent/dir/k.cu"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot write `/nonexistent/dir/k.cu`"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
