@@ -70,6 +70,7 @@ use std::time::Duration;
 enum Kind {
     /// None: the flag is present or absent.
     Switch,
+    /// Any string.
     Text,
     /// A non-negative integer.
     U64,
@@ -158,6 +159,22 @@ impl Command {
         let repeats = self.operands.last().is_some_and(|o| o.ends_with("..."));
         (min, if repeats { usize::MAX } else { self.operands.len() })
     }
+    /// The row's synopsis, wrapped at 88 columns with continuation lines
+    /// indented by four.
+    fn synopsis(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        let mut line = format!("cstuner {}", self.name);
+        let operands = self.operands.iter().map(|o| o.to_string());
+        for word in operands.chain(self.flags.iter().map(Flag::synopsis)) {
+            if line.len() + 1 + word.len() > 88 {
+                lines.push(std::mem::replace(&mut line, format!("    {word}")));
+            } else {
+                line = format!("{line} {word}");
+            }
+        }
+        lines.push(line);
+        lines
+    }
 }
 
 #[rustfmt::skip]
@@ -225,28 +242,11 @@ static COMMANDS: &[Command] = &[
         "live daemon dashboard (client metrics --watch)"),
 ];
 
-/// A row's synopsis, wrapped at 88 columns with continuation lines
-/// indented by four.
-fn synopsis(cmd: &Command) -> Vec<String> {
-    let mut lines = Vec::new();
-    let mut line = format!("cstuner {}", cmd.name);
-    let operands = cmd.operands.iter().map(|o| o.to_string());
-    for word in operands.chain(cmd.flags.iter().map(Flag::synopsis)) {
-        if line.len() + 1 + word.len() > 88 {
-            lines.push(std::mem::replace(&mut line, format!("    {word}")));
-        } else {
-            line = format!("{line} {word}");
-        }
-    }
-    lines.push(line);
-    lines
-}
-
 /// Usage for every row of `family`, or for every row when it is empty.
 fn usage(family: &str) -> String {
     let mut out = String::new();
     for cmd in COMMANDS.iter().filter(|c| family.is_empty() || c.family() == family) {
-        for line in synopsis(cmd) {
+        for line in cmd.synopsis() {
             let lead = if out.is_empty() { "usage: " } else { "       " };
             let _ = writeln!(out, "{lead}{line}");
         }
@@ -424,11 +424,14 @@ fn read_file(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| die(2, format!("cannot read `{path}`: {e}")))
 }
 
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(2, format!("cannot write `{path}`: {e}")));
+}
+
 /// Write `text` to `--save FILE` when one is given.
 fn save(args: &Args, text: &str) {
     if let Some(path) = args.text("save").filter(|p| !p.is_empty()) {
-        std::fs::write(path, text)
-            .unwrap_or_else(|e| die(2, format!("cannot write `{path}`: {e}")));
+        write_file(path, text);
     }
 }
 
@@ -559,8 +562,7 @@ fn cmd_codegen(args: &Args) {
     let src = generate_cuda(&kernel, &session.outcome.best_setting);
     match args.text("out").filter(|p| !p.is_empty()) {
         Some(path) => {
-            std::fs::write(path, &src.code)
-                .unwrap_or_else(|e| die(2, format!("cannot write `{path}`: {e}")));
+            write_file(path, &src.code);
             eprintln!("wrote {} bytes to {path}", src.code.len());
         }
         None => println!("\n{}", src.code),
@@ -1247,7 +1249,7 @@ mod tests {
             .take_while(|l| *l != "//! ```")
             .map(|l| l.strip_prefix("//! ").unwrap_or(l))
             .collect();
-        let table: Vec<String> = COMMANDS.iter().flat_map(synopsis).collect();
+        let table: Vec<String> = COMMANDS.iter().flat_map(Command::synopsis).collect();
         assert_eq!(doc, table);
     }
 }
