@@ -11,78 +11,17 @@
 
 use cst_space::{ParamId, Setting, SettingSet, N_PARAMS};
 use cst_telemetry::Telemetry;
-use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, TuneError, Tuner,
-    TuningOutcome,
-};
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// The simulated-annealing tuner.
-#[derive(Debug, Clone)]
-pub struct AnnealTuner {
-    /// Evaluations per recorded iteration (matched to the GA population).
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-    /// Initial temperature as a fraction of the first measured time.
-    pub t0_frac: f64,
-    /// Geometric cooling factor per accepted-or-rejected step.
-    pub alpha: f64,
-    /// Warm-start seeds walked before the baseline start.
-    pub warm: Vec<Setting>,
-}
-
-impl Default for AnnealTuner {
-    fn default() -> Self {
-        AnnealTuner {
-            pop: 32,
-            max_iterations: u32::MAX,
-            t0_frac: 0.3,
-            alpha: 0.97,
-            warm: Vec::new(),
-        }
-    }
-}
-
-impl Tuner for AnnealTuner {
-    fn name(&self) -> &'static str {
-        "Anneal"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn warm_start(&mut self, seeds: Vec<Setting>) {
-        self.warm = seeds;
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let mut opt = SaOptimizer::new(self.t0_frac, self.alpha);
-        let cfg = KernelConfig {
-            pop: self.pop,
-            max_iterations: self.max_iterations,
-            // The walk proposes unseen settings (with a random-restart
-            // fallback), so this backstop fires only if the reachable
-            // space is genuinely exhausted.
-            stall_limit: 10_000,
-            warm: self.warm.clone(),
-        };
-        drive(&mut opt, eval, &cfg, seed, tel)
-    }
-}
 
 /// Simulated annealing as an ask/tell [`Optimizer`]: batch-of-one asks,
 /// Metropolis accept/reject in `tell`.
 #[derive(Debug)]
 pub struct SaOptimizer {
+    /// Initial temperature as a fraction of the first measured time.
     t0_frac: f64,
+    /// Geometric cooling factor per accepted-or-rejected step.
     alpha: f64,
     rng: StdRng,
     /// Incumbent setting and its measured time (None before the first
@@ -155,6 +94,13 @@ impl SaOptimizer {
     }
 }
 
+impl Default for SaOptimizer {
+    /// Start at 30% of the first measured time, cool by 3% per step.
+    fn default() -> Self {
+        SaOptimizer::new(0.3, 0.97)
+    }
+}
+
 impl Optimizer for SaOptimizer {
     fn name(&self) -> &'static str {
         "Anneal"
@@ -168,8 +114,9 @@ impl Optimizer for SaOptimizer {
         self.seen.clear();
     }
 
-    fn warm_start(&mut self, seeds: &[Setting]) {
+    fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.iter().copied().collect();
+        self.warm.len()
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
@@ -235,13 +182,17 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+
+    fn anneal(pop: usize, max_iterations: u32) -> KernelTuner {
+        let cfg = KernelConfig { pop, max_iterations, stall_limit: 10_000 };
+        KernelTuner::new(|| Box::new(SaOptimizer::default()), cfg)
+    }
 
     #[test]
     fn anneal_finds_finite_best_and_improves() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 7);
-        let mut t = AnnealTuner { pop: 8, max_iterations: 10, ..Default::default() };
-        let out = t.tune(&mut e, 7).unwrap();
+        let out = anneal(8, 10).tune(&mut e, 7).unwrap();
         assert_eq!(out.tuner, "Anneal");
         assert!(out.best_time_ms.is_finite());
         let first = out.curve.first().unwrap().best_ms;
@@ -254,7 +205,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::v100(), 5);
-            AnnealTuner { pop: 8, max_iterations: 6, ..Default::default() }.tune(&mut e, 5).unwrap()
+            anneal(8, 6).tune(&mut e, 5).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
@@ -270,7 +221,7 @@ mod tests {
             4,
             15.0,
         );
-        let out = AnnealTuner::default().tune(&mut e, 4).unwrap();
+        let out = anneal(32, u32::MAX).tune(&mut e, 4).unwrap();
         assert!(out.search_s >= 15.0);
         assert!(out.search_s < 25.0);
     }

@@ -8,33 +8,13 @@
 //! learned from data — effective for most stencils (§V-C) but without the
 //! generality of csTuner's statistic-driven grouping (§V-D).
 
-use crate::common::Recorder;
 use cst_space::{ParamId, Setting};
 use cst_stencil::StencilClass;
 use cst_telemetry::Telemetry;
-use cstuner_core::{Evaluator, TuneError, Tuner, TuningOutcome};
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// The Artemis baseline.
-#[derive(Debug, Clone)]
-pub struct ArtemisTuner {
-    /// High-performance candidates kept after the first phase.
-    pub candidates: usize,
-    /// Evaluations per iteration (matched to the GA population size).
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-    /// Cap on enumerated combinations of the high-impact phase.
-    pub enum_limit: usize,
-}
-
-impl Default for ArtemisTuner {
-    fn default() -> Self {
-        ArtemisTuner { candidates: 4, pop: 32, max_iterations: u32::MAX, enum_limit: 1024 }
-    }
-}
 
 /// Expert choice of high-impact optimizations per stencil class:
 /// bandwidth-bound stencils live or die by the thread-block shape,
@@ -90,24 +70,127 @@ pub fn expert_values(p: ParamId, full: &[u32]) -> Vec<u32> {
     }
 }
 
-impl Tuner for ArtemisTuner {
+/// What the pending ask holds, and so how its tell settles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Phase 1: the shuffled expert grid.
+    Grid,
+    /// Phase 2: one kept candidate's own measurement.
+    Candidate,
+    /// Phase 2: one low-impact knob's sweep around the incumbent.
+    Sweep,
+}
+
+/// The Artemis baseline as an ask/tell [`Optimizer`]: one ask for the
+/// whole phase-1 grid, then per kept candidate one ask for the candidate
+/// and one per low-impact knob's sweep. It takes no warm-start seeds:
+/// its starting points are the expert grid.
+#[derive(Debug, Clone)]
+pub struct ArtemisOptimizer {
+    /// High-performance candidates kept after the first phase.
+    candidates: usize,
+    /// Cap on enumerated combinations of the high-impact phase.
+    enum_limit: usize,
+    stage: Stage,
+    /// The phase-1 grid, built in `init` and asked once.
+    grid: Vec<Setting>,
+    /// Phase-1 survivors, fastest first, and the next one to refine.
+    ranked: Vec<Setting>,
+    next_candidate: usize,
+    /// The low-impact knobs swept in phase 2 and the next one to sweep.
+    low: Vec<ParamId>,
+    next_param: usize,
+    /// The phase-2 incumbent and its time.
+    current: Setting,
+    current_t: f64,
+    /// The pending ask and the times told for it so far, in ask order.
+    asked: Vec<Setting>,
+    told: Vec<Option<f64>>,
+}
+
+impl ArtemisOptimizer {
+    /// New tuner state; the grid is built in `init`.
+    pub fn new(candidates: usize, enum_limit: usize) -> Self {
+        ArtemisOptimizer {
+            candidates,
+            enum_limit,
+            stage: Stage::Grid,
+            grid: Vec::new(),
+            ranked: Vec::new(),
+            next_candidate: 0,
+            low: Vec::new(),
+            next_param: 0,
+            current: Setting::baseline(),
+            current_t: f64::INFINITY,
+            asked: Vec::new(),
+            told: Vec::new(),
+        }
+    }
+
+    /// The next batch to measure, advancing the stage; empty once every
+    /// kept candidate is refined.
+    fn next_batch(&mut self, ctx: &SearchCtx<'_>) -> Vec<Setting> {
+        loop {
+            match self.stage {
+                Stage::Grid => {
+                    if !self.grid.is_empty() {
+                        return std::mem::take(&mut self.grid);
+                    }
+                    self.stage = Stage::Candidate;
+                }
+                Stage::Candidate => {
+                    let Some(&cand) = self.ranked.get(self.next_candidate) else {
+                        return Vec::new();
+                    };
+                    self.next_candidate += 1;
+                    self.next_param = 0;
+                    self.current = cand;
+                    return vec![cand];
+                }
+                Stage::Sweep => {
+                    let Some(&p) = self.low.get(self.next_param) else {
+                        self.stage = Stage::Candidate;
+                        continue;
+                    };
+                    self.next_param += 1;
+                    // Experts sweep each remaining knob over its sensible
+                    // range, not the full power-of-two ladder. The sweep
+                    // is fixed up front, around the knob's incumbent
+                    // context.
+                    let current = self.current;
+                    let sweep: Vec<Setting> = expert_values(p, ctx.space().values(p))
+                        .into_iter()
+                        .filter(|&v| v != current.get(p))
+                        .filter_map(|v| {
+                            let mut s = current.with(p, v);
+                            ctx.space().canonicalize(&mut s);
+                            ctx.space().is_explicit_valid(&s).then_some(s)
+                        })
+                        .collect();
+                    if !sweep.is_empty() {
+                        return sweep;
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Default for ArtemisOptimizer {
+    /// Keep 4 candidates from a grid of at most 1024 settings.
+    fn default() -> Self {
+        ArtemisOptimizer::new(4, 1024)
+    }
+}
+
+impl Optimizer for ArtemisOptimizer {
     fn name(&self) -> &'static str {
         "Artemis"
     }
 
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let high = high_impact_params(eval.spec().class);
+    fn init(&mut self, ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
+        let high = high_impact_params(ctx.spec().class);
         let base = Setting::baseline();
-        let mut rec = Recorder::new(self.pop, self.max_iterations).with_telemetry(tel);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0a87_e315);
 
         // Phase 1: the expert's coarse high-impact sweep. Rather than the
@@ -120,7 +203,7 @@ impl Tuner for ArtemisTuner {
         // streaming at full extent (no concurrent-streaming SB sweep —
         // that interaction is exactly what data-driven tuning discovers),
         // and register-level levers for compute-bound kernels.
-        let ext_sd = eval.spec().grid[2] as u32;
+        let ext_sd = ctx.spec().grid[2] as u32;
         let tb_shapes: [(u32, u32); 5] = [(32, 4), (64, 2), (32, 8), (128, 1), (64, 4)];
         let mut phase1: Vec<Setting> = Vec::new();
         for &(tbx, tby) in &tb_shapes {
@@ -135,7 +218,7 @@ impl Tuner for ArtemisTuner {
                     .with(ParamId::SB, ext_sd),
             ];
             for v in variants {
-                match eval.spec().class {
+                match ctx.spec().class {
                     StencilClass::MemoryBound => phase1.push(v),
                     StencilClass::ComputeBound => {
                         // Compute-bound kernels: also probe unrolling and
@@ -151,65 +234,69 @@ impl Tuner for ArtemisTuner {
         }
         let mut cleaned: Vec<Setting> = Vec::new();
         for mut s in phase1 {
-            eval.space().canonicalize(&mut s);
-            if eval.space().is_explicit_valid(&s) && !cleaned.contains(&s) {
+            ctx.space().canonicalize(&mut s);
+            if ctx.space().is_explicit_valid(&s) && !cleaned.contains(&s) {
                 cleaned.push(s);
             }
         }
         cleaned.shuffle(&mut rng);
         cleaned.truncate(self.enum_limit);
-        let mut ranked: Vec<(f64, Setting)> = Vec::new();
-        for s in cleaned {
-            if rec.done(eval) {
-                break;
-            }
-            let t = rec.measure(eval, s);
-            if t.is_finite() {
-                ranked.push((t, s));
-            }
-        }
-        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        ranked.truncate(self.candidates);
 
-        // Phase 2: per candidate, greedy coordinate sweep over the
-        // low-impact parameters.
-        let low = low_impact_params(&high);
-        for (_, cand) in ranked {
-            if rec.done(eval) {
-                break;
-            }
-            let mut current = cand;
-            let mut current_t = rec.measure(eval, current);
-            for &p in &low {
-                if rec.done(eval) {
-                    break;
-                }
-                // Experts sweep each remaining knob over its sensible
-                // range, not the full power-of-two ladder. The sweep is
-                // fixed up front, around the knob's incumbent context.
-                let vals: Vec<u32> = expert_values(p, eval.space().values(p));
-                let sweep: Vec<Setting> = vals
+        *self = ArtemisOptimizer {
+            grid: cleaned,
+            // Phase 2: per candidate, greedy coordinate sweep over the
+            // low-impact parameters.
+            low: low_impact_params(&high),
+            ..ArtemisOptimizer::new(self.candidates, self.enum_limit)
+        };
+    }
+
+    fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
+        self.told.clear();
+        self.asked = self.next_batch(ctx);
+        self.asked.clone()
+    }
+
+    fn tell(&mut self, obs: &[Observation]) {
+        self.told.extend(obs.iter().map(|o| o.time_ms));
+        if self.asked.is_empty() || self.told.len() < self.asked.len() {
+            return;
+        }
+        match self.stage {
+            Stage::Grid => {
+                // Keep the fastest few finite grid points as candidates.
+                let mut ranked: Vec<(f64, Setting)> = self
+                    .asked
                     .iter()
-                    .filter(|&&v| v != current.get(p))
-                    .filter_map(|&v| {
-                        let mut s = current.with(p, v);
-                        eval.space().canonicalize(&mut s);
-                        eval.space().is_explicit_valid(&s).then_some(s)
-                    })
+                    .zip(&self.told)
+                    .filter_map(|(&s, t)| t.filter(|t| t.is_finite()).map(|t| (t, s)))
                     .collect();
-                for s in sweep {
-                    if rec.done(eval) {
-                        break;
-                    }
-                    let t = rec.measure(eval, s);
-                    if t < current_t {
-                        current_t = t;
-                        current = s;
+                ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                ranked.truncate(self.candidates);
+                self.ranked = ranked.into_iter().map(|(_, s)| s).collect();
+                self.stage = Stage::Candidate;
+            }
+            Stage::Candidate => {
+                self.current_t = self.told[0].unwrap_or(f64::INFINITY);
+                self.stage = Stage::Sweep;
+            }
+            Stage::Sweep => {
+                for (&s, t) in self.asked.iter().zip(&self.told) {
+                    if let Some(t) = *t {
+                        if t < self.current_t {
+                            self.current_t = t;
+                            self.current = s;
+                        }
                     }
                 }
             }
         }
-        rec.finish(self.name(), eval)
+    }
+
+    fn asks_valid_only(&self) -> bool {
+        // Expert settings are checked against the explicit constraints
+        // only; resource overruns are found by measuring.
+        false
     }
 }
 
@@ -218,7 +305,12 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+
+    fn artemis(max_iterations: u32) -> KernelTuner {
+        let cfg = KernelConfig { max_iterations, ..KernelConfig::DEFAULT };
+        KernelTuner::new(|| Box::new(ArtemisOptimizer::default()), cfg)
+    }
 
     #[test]
     fn high_impact_depends_on_class() {
@@ -239,8 +331,7 @@ mod tests {
     #[test]
     fn artemis_beats_naive_baseline() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d27pt").unwrap(), GpuArch::a100(), 13);
-        let mut t = ArtemisTuner { max_iterations: 25, ..Default::default() };
-        let out = t.tune(&mut e, 13).unwrap();
+        let out = artemis(25).tune(&mut e, 13).unwrap();
         let baseline = e.sim().kernel_time_ms(&Setting::baseline());
         assert!(out.best_time_ms <= baseline, "{} vs {}", out.best_time_ms, baseline);
     }
@@ -248,8 +339,7 @@ mod tests {
     #[test]
     fn respects_iteration_cap() {
         let mut e = SimEvaluator::new(suite::spec_by_name("addsgd4").unwrap(), GpuArch::a100(), 17);
-        let mut t = ArtemisTuner { max_iterations: 3, ..Default::default() };
-        let out = t.tune(&mut e, 17).unwrap();
+        let out = artemis(3).tune(&mut e, 17).unwrap();
         assert!(out.curve.last().unwrap().iteration <= 4);
     }
 }

@@ -14,80 +14,9 @@
 use cst_ml::Surrogate;
 use cst_space::{Setting, N_PARAMS};
 use cst_telemetry::Telemetry;
-use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, TuneError, Tuner,
-    TuningOutcome,
-};
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The forest-surrogate tuner.
-#[derive(Debug, Clone)]
-pub struct ForestTuner {
-    /// Evaluations per recorded iteration (and per ask, post-ranking).
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-    /// Candidate pool over-draw factor per ask.
-    pub pool_factor: usize,
-    /// Told records required before the forest starts ranking.
-    pub min_train: usize,
-    /// Warm-start seeds served as the first ask.
-    pub warm: Vec<Setting>,
-    /// Pre-trained surrogate (from the transfer KB) that ranks the pool
-    /// before enough online records exist. `None` = cold start degrades
-    /// to random search exactly as before.
-    pub pretrained: Option<Surrogate>,
-}
-
-impl Default for ForestTuner {
-    fn default() -> Self {
-        ForestTuner {
-            pop: 32,
-            max_iterations: u32::MAX,
-            pool_factor: 4,
-            min_train: 32,
-            warm: Vec::new(),
-            pretrained: None,
-        }
-    }
-}
-
-impl Tuner for ForestTuner {
-    fn name(&self) -> &'static str {
-        "Forest"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn warm_start(&mut self, seeds: Vec<Setting>) {
-        self.warm = seeds;
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let mut opt = ForestOptimizer::new(self.pop, self.pool_factor, self.min_train);
-        if let Some(pre) = self.pretrained.clone() {
-            opt = opt.with_pretrained(pre);
-        }
-        let cfg = KernelConfig {
-            pop: self.pop,
-            max_iterations: self.max_iterations,
-            // Candidates come off the evaluator's uniform valid stream,
-            // so fresh settings keep arriving; the backstop only fires on
-            // a space small enough to memoize completely.
-            stall_limit: 10_000,
-            warm: self.warm.clone(),
-        };
-        drive(&mut opt, eval, &cfg, seed, tel)
-    }
-}
 
 /// Most recent told records kept as forest training data.
 const TRAIN_WINDOW: usize = 512;
@@ -96,16 +25,17 @@ const TRAIN_WINDOW: usize = 512;
 /// predicted P(fast), keep the top `pop`.
 #[derive(Debug)]
 pub struct ForestOptimizer {
+    /// Settings per ask, after ranking.
     pop: usize,
+    /// Candidate pool over-draw factor per ask.
     pool_factor: usize,
+    /// Told records required before the forest starts ranking.
     min_train: usize,
     rng: StdRng,
     /// (features, measured ms) for every finite told evaluation.
     records: Vec<([f64; N_PARAMS], f64)>,
     /// Warm-start seeds served as the first ask.
     warm: Vec<Setting>,
-    /// KB-trained surrogate used below `min_train` instead of random.
-    pretrained: Option<Surrogate>,
 }
 
 impl ForestOptimizer {
@@ -119,16 +49,7 @@ impl ForestOptimizer {
             rng: StdRng::seed_from_u64(0),
             records: Vec::new(),
             warm: Vec::new(),
-            pretrained: None,
         }
-    }
-
-    /// Attach a pre-trained surrogate (transfer KB path): it ranks the
-    /// candidate pool during the cold-start window where the online path
-    /// would fall back to random search.
-    pub fn with_pretrained(mut self, surrogate: Surrogate) -> Self {
-        self.pretrained = Some(surrogate);
-        self
     }
 
     /// Fit a fast/slow surrogate on the record window (Garvey's q30
@@ -142,20 +63,27 @@ impl ForestOptimizer {
     }
 }
 
+impl Default for ForestOptimizer {
+    /// 32 settings per ask from a pool of 128, ranking from 32 records on.
+    fn default() -> Self {
+        ForestOptimizer::new(32, 4, 32)
+    }
+}
+
 impl Optimizer for ForestOptimizer {
     fn name(&self) -> &'static str {
         "Forest"
     }
 
     fn init(&mut self, _ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
-        // `warm` and `pretrained` survive init: the kernel offers seeds
-        // first, then inits.
+        // `warm` survives init: the kernel offers seeds first, then inits.
         self.rng = StdRng::seed_from_u64(seed ^ 0x0f0e_e57a);
         self.records.clear();
     }
 
-    fn warm_start(&mut self, seeds: &[Setting]) {
+    fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.to_vec();
+        self.warm.len()
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
@@ -179,14 +107,6 @@ impl Optimizer for ForestOptimizer {
         let pool: Vec<Setting> =
             (0..self.pop * self.pool_factor).map(|_| ctx.random_valid()).collect();
         if self.records.len() < self.min_train {
-            if let Some(pre) = &self.pretrained {
-                // Transfer path: the KB surrogate ranks the pool during
-                // the window the online path would explore at random.
-                let scores: Vec<f64> = pool.iter().map(|s| pre.score(&s.features())).collect();
-                let mut order: Vec<usize> = (0..pool.len()).collect();
-                order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-                return order.into_iter().take(self.pop).map(|i| pool[i]).collect();
-            }
             // Cold start: plain random search until the forest has data.
             return pool.into_iter().take(self.pop).collect();
         }
@@ -218,12 +138,16 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
+
+    fn forest(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
+        KernelTuner::new(make, KernelConfig { pop: 8, max_iterations, stall_limit: 10_000 })
+    }
 
     #[test]
     fn forest_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 6);
-        let mut t = ForestTuner { pop: 8, max_iterations: 8, ..Default::default() };
+        let mut t = forest(|| Box::new(ForestOptimizer::new(8, 4, 32)), 8);
         let out = t.tune(&mut e, 6).unwrap();
         assert_eq!(out.tuner, "Forest");
         assert!(out.best_time_ms.is_finite());
@@ -235,9 +159,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100(), 8);
-            ForestTuner { pop: 8, max_iterations: 6, min_train: 8, ..Default::default() }
-                .tune(&mut e, 8)
-                .unwrap()
+            forest(|| Box::new(ForestOptimizer::new(8, 4, 8)), 6).tune(&mut e, 8).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
@@ -256,7 +178,7 @@ mod tests {
             9,
             40.0,
         );
-        let out = ForestTuner { pop: 8, min_train: 4, ..Default::default() }.tune(&mut e, 9);
+        let out = forest(|| Box::new(ForestOptimizer::new(8, 4, 4)), u32::MAX).tune(&mut e, 9);
         assert!(out.unwrap().best_time_ms.is_finite());
     }
 }

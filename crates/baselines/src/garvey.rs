@@ -11,41 +11,13 @@
 //! settings determined by Garvey achieve the worst performance due to the
 //! low quality of the sampled search space").
 
-use crate::common::Recorder;
 use cst_ml::Surrogate;
 use cst_space::{ParamId, Setting};
 use cst_telemetry::Telemetry;
-use cstuner_core::{Evaluator, PerfDataset, TuneError, Tuner, TuningOutcome};
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// The Garvey baseline.
-#[derive(Debug, Clone)]
-pub struct GarveyTuner {
-    /// Offline dataset size used to train the memory-type forest.
-    pub dataset_size: usize,
-    /// Random sampling ratio per group (§V-A2: 10%).
-    pub sampling_ratio: f64,
-    /// Evaluations per iteration (matched to the GA population size).
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-    /// Cap on enumerated combinations per group.
-    pub enum_limit: usize,
-}
-
-impl Default for GarveyTuner {
-    fn default() -> Self {
-        GarveyTuner {
-            dataset_size: 128,
-            sampling_ratio: 0.10,
-            pop: 32,
-            max_iterations: u32::MAX,
-            enum_limit: 8192,
-        }
-    }
-}
 
 /// Memory-type classes the random forest predicts: the cross product of
 /// shared-memory and constant-memory usage.
@@ -54,40 +26,102 @@ fn memory_class(s: &Setting) -> usize {
 }
 
 /// Expert grouping by dimension ("we select the optimization of grouping
-/// by dimension in [13]"): x/y/z parameter bundles plus the streaming
+/// by dimension in \[13\]"): x/y/z parameter bundles plus the streaming
 /// bundle and retiming.
-fn dimension_groups() -> Vec<Vec<ParamId>> {
-    vec![
-        vec![ParamId::TBx, ParamId::UFx, ParamId::CMx, ParamId::BMx],
-        vec![ParamId::TBy, ParamId::UFy, ParamId::CMy, ParamId::BMy],
-        vec![ParamId::TBz, ParamId::UFz, ParamId::CMz, ParamId::BMz],
-        vec![ParamId::UseStreaming, ParamId::SD, ParamId::SB, ParamId::UsePrefetching],
-        vec![ParamId::UseRetiming],
-    ]
+const DIMENSION_GROUPS: [&[ParamId]; 5] = [
+    &[ParamId::TBx, ParamId::UFx, ParamId::CMx, ParamId::BMx],
+    &[ParamId::TBy, ParamId::UFy, ParamId::CMy, ParamId::BMy],
+    &[ParamId::TBz, ParamId::UFz, ParamId::CMz, ParamId::BMz],
+    &[ParamId::UseStreaming, ParamId::SD, ParamId::SB, ParamId::UsePrefetching],
+    &[ParamId::UseRetiming],
+];
+
+/// The Garvey baseline as an ask/tell [`Optimizer`]. `init` trains the
+/// memory-type forest on the uncharged offline dataset and fixes the
+/// starting setting; the first ask measures it, and every later ask is
+/// one dimension group's random sample around the incumbent, searched
+/// exhaustively. It takes no warm-start seeds: its starting point is the
+/// forest's pick.
+#[derive(Debug, Clone)]
+pub struct GarveyOptimizer {
+    /// Offline dataset size used to train the memory-type forest.
+    dataset_size: usize,
+    /// Random sampling ratio per group (§V-A2: 10%).
+    sampling_ratio: f64,
+    /// Cap on enumerated combinations per group.
+    enum_limit: usize,
+    rng: StdRng,
+    /// The incumbent every group's sample is drawn around.
+    base: Setting,
+    /// Whether the incumbent itself has been asked.
+    started: bool,
+    /// Index of the next group in [`DIMENSION_GROUPS`] to search.
+    next_group: usize,
+    /// The group being searched and its asked combinations (both empty
+    /// for the incumbent's own ask).
+    group: &'static [ParamId],
+    combos: Vec<Vec<u32>>,
+    /// Times told for the current ask, in ask order.
+    told: Vec<Option<f64>>,
 }
 
-impl Tuner for GarveyTuner {
+impl GarveyOptimizer {
+    /// New tuner state; the dataset, forest and rng are built in `init`.
+    pub fn new(dataset_size: usize, sampling_ratio: f64, enum_limit: usize) -> Self {
+        GarveyOptimizer {
+            dataset_size,
+            sampling_ratio,
+            enum_limit,
+            rng: StdRng::seed_from_u64(0),
+            base: Setting::baseline(),
+            started: false,
+            next_group: 0,
+            group: &[],
+            combos: Vec::new(),
+            told: Vec::new(),
+        }
+    }
+
+    /// The current group's sample is fully told: move the incumbent to
+    /// its fastest finite combination, if any.
+    fn settle_group(&mut self) {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, t) in self.told.iter().enumerate() {
+            if let Some(t) = *t {
+                if t < best.map_or(f64::INFINITY, |(_, b)| b) {
+                    best = Some((i, t));
+                }
+            }
+        }
+        if let Some((i, _)) = best {
+            for (&p, &v) in self.group.iter().zip(&self.combos[i]) {
+                self.base.set(p, v);
+            }
+            self.base.canonicalize();
+        }
+    }
+}
+
+impl Default for GarveyOptimizer {
+    /// The paper's 128-setting dataset and 10% sampling (§V-A2).
+    fn default() -> Self {
+        GarveyOptimizer::new(128, 0.10, 8192)
+    }
+}
+
+impl Optimizer for GarveyOptimizer {
     fn name(&self) -> &'static str {
         "Garvey"
     }
 
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
+    fn init(&mut self, ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6a2_7e1);
         // Offline: dataset for the memory-type forest (like csTuner's
         // dataset, not charged to the tuning clock).
-        let dataset = PerfDataset::collect(eval, self.dataset_size, seed);
+        let dataset = ctx.dataset(self.dataset_size, seed);
 
         // Train the shared fast/slow surrogate (q30 labeling lives in
-        // cst_ml::Surrogate now), then pick the memory class with the
+        // cst_ml::Surrogate), then pick the memory class with the
         // highest predicted-fast vote.
         let times = dataset.times();
         let xs: Vec<Vec<f64>> =
@@ -121,47 +155,63 @@ impl Tuner for GarveyTuner {
         base.set(ParamId::UseShared, 1 + (best_class & 1) as u32);
         base.set(ParamId::UseConstant, 1 + ((best_class >> 1) & 1) as u32);
 
+        *self = GarveyOptimizer {
+            rng,
+            base,
+            ..GarveyOptimizer::new(self.dataset_size, self.sampling_ratio, self.enum_limit)
+        };
+    }
+
+    fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
+        self.told.clear();
+        self.combos.clear();
+        if !self.started {
+            self.started = true;
+            return vec![self.base];
+        }
         // Iterative per-group exhaustive search over *randomly* sampled
         // group combinations.
-        let mut rec = Recorder::new(self.pop, self.max_iterations).with_telemetry(tel);
-        rec.measure(eval, base);
-        for group in dimension_groups() {
-            if rec.done(eval) {
-                break;
-            }
-            let mut combos = eval.space().enumerate_group_repaired(&base, &group, self.enum_limit);
-            combos.shuffle(&mut rng);
+        while let Some(&group) = DIMENSION_GROUPS.get(self.next_group) {
+            self.next_group += 1;
+            let mut combos =
+                ctx.space().enumerate_group_repaired(&self.base, group, self.enum_limit);
+            combos.shuffle(&mut self.rng);
             let keep = ((combos.len() as f64 * self.sampling_ratio).ceil() as usize)
                 .max(2)
                 .min(combos.len());
             combos.truncate(keep);
-            let mut best_combo: Option<Vec<u32>> = None;
-            let mut best_t = f64::INFINITY;
-            for combo in &combos {
-                if rec.done(eval) {
-                    break;
-                }
-                let mut s = base;
-                for (&p, &v) in group.iter().zip(combo) {
-                    s.set(p, v);
-                }
-                s.canonicalize();
-                let t = rec.measure(eval, s);
-                if t < best_t {
-                    best_t = t;
-                    best_combo = Some(combo.clone());
-                }
+            if combos.is_empty() {
+                continue;
             }
-            if let Some(combo) = best_combo {
-                if best_t.is_finite() {
-                    for (&p, &v) in group.iter().zip(&combo) {
-                        base.set(p, v);
+            let batch = combos
+                .iter()
+                .map(|combo| {
+                    let mut s = self.base;
+                    for (&p, &v) in group.iter().zip(combo) {
+                        s.set(p, v);
                     }
-                    base.canonicalize();
-                }
-            }
+                    s.canonicalize();
+                    s
+                })
+                .collect();
+            self.group = group;
+            self.combos = combos;
+            return batch;
         }
-        rec.finish(self.name(), eval)
+        Vec::new()
+    }
+
+    fn tell(&mut self, obs: &[Observation]) {
+        self.told.extend(obs.iter().map(|o| o.time_ms));
+        if !self.combos.is_empty() && self.told.len() == self.combos.len() {
+            self.settle_group();
+        }
+    }
+
+    fn asks_valid_only(&self) -> bool {
+        // Fixing the memory type and substituting group combinations can
+        // leave the resource limits; Garvey finds out by measuring.
+        false
     }
 }
 
@@ -170,10 +220,14 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
 
-    fn quick() -> GarveyTuner {
-        GarveyTuner { dataset_size: 48, max_iterations: 20, ..Default::default() }
+    fn garvey(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
+        KernelTuner::new(make, KernelConfig { max_iterations, ..KernelConfig::DEFAULT })
+    }
+
+    fn quick() -> KernelTuner {
+        garvey(|| Box::new(GarveyOptimizer::new(48, 0.10, 8192)), 20)
     }
 
     #[test]
@@ -189,8 +243,7 @@ mod tests {
 
     #[test]
     fn dimension_groups_partition_non_memory_params() {
-        let groups = dimension_groups();
-        let mut all: Vec<ParamId> = groups.concat();
+        let mut all: Vec<ParamId> = DIMENSION_GROUPS.concat();
         all.sort();
         all.dedup();
         assert_eq!(all.len(), 17); // everything except the two memory bools
@@ -224,12 +277,7 @@ mod tests {
         // iteration cap, with far fewer evaluations than the full group
         // spaces contain.
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 5);
-        let mut t = GarveyTuner {
-            dataset_size: 48,
-            sampling_ratio: 0.05,
-            max_iterations: 1000,
-            ..Default::default()
-        };
+        let mut t = garvey(|| Box::new(GarveyOptimizer::new(48, 0.05, 8192)), 1000);
         let out = t.tune(&mut e, 5).unwrap();
         assert!(out.evaluations < 500, "evaluated {}", out.evaluations);
         assert!(out.best_time_ms.is_finite());

@@ -10,63 +10,14 @@
 
 use cst_space::{ParamId, Setting, SettingSet};
 use cst_telemetry::Telemetry;
-use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, TuneError, Tuner,
-    TuningOutcome,
-};
-
-/// The grid-sweep baseline.
-#[derive(Debug, Clone)]
-pub struct GridSearch {
-    /// Lattice levels per parameter (evenly spaced over its value list).
-    pub levels: usize,
-    /// Evaluations per recorded iteration.
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-}
-
-impl Default for GridSearch {
-    fn default() -> Self {
-        GridSearch { levels: 4, pop: 32, max_iterations: u32::MAX }
-    }
-}
-
-impl Tuner for GridSearch {
-    fn name(&self) -> &'static str {
-        "Grid"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let mut opt = GridOptimizer::new(self.levels, self.pop);
-        let cfg = KernelConfig {
-            pop: self.pop,
-            max_iterations: self.max_iterations,
-            // Backstop only: the seen-filter below already guarantees
-            // every asked setting is new to this run.
-            stall_limit: 10_000,
-            // Grid sweeps visit the lattice exhaustively; warm-start
-            // seeds would only reorder coverage, so none are taken.
-            warm: Vec::new(),
-        };
-        drive(&mut opt, eval, &cfg, seed, tel)
-    }
-}
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 
 /// Grid sweep as an ask/tell [`Optimizer`]: a mixed-radix odometer over
 /// per-parameter lattice index lists, canonicalized and deduplicated
 /// (canonicalization collapses inactive-dimension combos onto one
 /// setting), `pop` fresh lattice points per ask, empty ask once the
-/// lattice is exhausted.
+/// lattice is exhausted. It takes no warm-start seeds: the sweep visits
+/// the lattice exhaustively, so seeds would only reorder its coverage.
 #[derive(Debug)]
 pub struct GridOptimizer {
     levels: usize,
@@ -109,6 +60,13 @@ impl GridOptimizer {
         }
         self.cursor = None;
         false
+    }
+}
+
+impl Default for GridOptimizer {
+    /// Four lattice levels per parameter, 32 settings per ask.
+    fn default() -> Self {
+        GridOptimizer::new(4, 32)
     }
 }
 
@@ -176,16 +134,15 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
 
     #[test]
     fn grid_finds_finite_best_and_is_seedless_deterministic() {
         let run = |seed| {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 1);
-            GridSearch { pop: 8, max_iterations: 4, ..Default::default() }
-                .tune(&mut e, seed)
-                .unwrap()
+            let cfg = KernelConfig { pop: 8, max_iterations: 4, stall_limit: 10_000 };
+            KernelTuner::new(|| Box::new(GridOptimizer::new(4, 8)), cfg).tune(&mut e, seed).unwrap()
         };
         let a = run(1);
         let b = run(99);
@@ -202,7 +159,9 @@ mod tests {
         // list): the sweep exhausts after one setting and the run ends
         // without touching the budget loop.
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 2);
-        let out = GridSearch { levels: 1, pop: 8, max_iterations: 100 }.tune(&mut e, 2).unwrap();
+        let cfg = KernelConfig { pop: 8, max_iterations: 100, stall_limit: 10_000 };
+        let out =
+            KernelTuner::new(|| Box::new(GridOptimizer::new(1, 8)), cfg).tune(&mut e, 2).unwrap();
         assert_eq!(out.evaluations, 1);
     }
 

@@ -15,29 +15,26 @@
 //! [`OpenTunerGa::tune_legacy`] solely as the reference side of the
 //! `ga_asktell_oracle` differential test — the two are bit-identical.
 
-use crate::common::Recorder;
 use cst_ga::{GaConfig, GaState, Genome};
 use cst_space::{OptSpace, ParamId, Setting, N_PARAMS};
 use cst_telemetry::Telemetry;
 use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, TuneError, Tuner,
-    TuningOutcome,
+    Evaluator, Observation, Optimizer, Recorder, SearchCtx, TuneError, TuningOutcome,
 };
 
-/// The OpenTuner-like baseline.
+/// The pre-kernel closed-loop OpenTuner GA, kept only as the reference
+/// implementation [`GaOptimizer`] is proven bit-identical against.
 #[derive(Debug, Clone)]
 pub struct OpenTunerGa {
     /// GA options (kept consistent with csTuner per §V-A2).
     pub ga: GaConfig,
     /// Iteration cap.
     pub max_iterations: u32,
-    /// Warm-start seeds folded into the initial population.
-    pub warm: Vec<Setting>,
 }
 
 impl Default for OpenTunerGa {
     fn default() -> Self {
-        OpenTunerGa { ga: GaConfig::default(), max_iterations: u32::MAX, warm: Vec::new() }
+        OpenTunerGa { ga: GaConfig::default(), max_iterations: u32::MAX }
     }
 }
 
@@ -58,7 +55,8 @@ impl OpenTunerGa {
 
     /// The pre-kernel closed-loop driver, kept verbatim as the reference
     /// implementation for the `ga_asktell_oracle` differential test.
-    /// Production tuning goes through [`cstuner_core::drive`].
+    /// Production tuning drives [`GaOptimizer`] through
+    /// [`cstuner_core::drive`].
     pub fn tune_legacy(
         &mut self,
         eval: &mut dyn Evaluator,
@@ -110,37 +108,7 @@ impl OpenTunerGa {
                 -rec.measure(eval, s)
             });
         }
-        rec.finish(self.name(), eval)
-    }
-}
-
-impl Tuner for OpenTunerGa {
-    fn name(&self) -> &'static str {
-        "OpenTuner"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn warm_start(&mut self, seeds: Vec<Setting>) {
-        self.warm = seeds;
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let mut opt = GaOptimizer::new(self.ga);
-        let cfg = KernelConfig {
-            pop: self.ga.n_islands * self.ga.pop_per_island,
-            max_iterations: self.max_iterations,
-            warm: self.warm.clone(),
-            ..KernelConfig::default()
-        };
-        drive(&mut opt, eval, &cfg, seed, tel)
+        rec.finish("OpenTuner", eval)
     }
 }
 
@@ -204,13 +172,21 @@ impl GaOptimizer {
     }
 }
 
+impl Default for GaOptimizer {
+    /// csTuner's GA options (§V-A2).
+    fn default() -> Self {
+        GaOptimizer::new(GaConfig::default())
+    }
+}
+
 impl Optimizer for GaOptimizer {
     fn name(&self) -> &'static str {
         "OpenTuner"
     }
 
-    fn warm_start(&mut self, seeds: &[Setting]) {
+    fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.to_vec();
+        self.warm.len()
     }
 
     fn init(&mut self, ctx: &mut SearchCtx<'_>, seed: u64, tel: &Telemetry) {
@@ -303,13 +279,17 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+
+    fn opentuner(max_iterations: u32) -> KernelTuner {
+        let cfg = KernelConfig { max_iterations, ..KernelConfig::DEFAULT };
+        KernelTuner::new(|| Box::new(GaOptimizer::default()), cfg)
+    }
 
     #[test]
     fn opentuner_improves_over_iterations() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 5);
-        let mut t = OpenTunerGa { max_iterations: 12, ..Default::default() };
-        let out = t.tune(&mut e, 5).unwrap();
+        let out = opentuner(12).tune(&mut e, 5).unwrap();
         assert!(out.best_time_ms.is_finite());
         let first = out.curve.first().unwrap().best_ms;
         let last = out.curve.last().unwrap().best_ms;
@@ -321,10 +301,7 @@ mod tests {
         let run = |seed| {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100(), seed);
-            OpenTunerGa { max_iterations: 6, ..Default::default() }
-                .tune(&mut e, seed)
-                .unwrap()
-                .best_time_ms
+            opentuner(6).tune(&mut e, seed).unwrap().best_time_ms
         };
         assert_eq!(run(9), run(9));
     }
@@ -348,7 +325,7 @@ mod tests {
         // valid settings dominate random raw draws.
         let spec = suite::spec_by_name("cheby").unwrap();
         let mut e = SimEvaluator::new(spec.clone(), GpuArch::a100(), 3);
-        let out = OpenTunerGa { max_iterations: 1, ..Default::default() }.tune(&mut e, 3).unwrap();
+        let out = opentuner(1).tune(&mut e, 3).unwrap();
         let baseline = e.sim().kernel_time_ms(&Setting::baseline());
         assert!(
             out.curve[0].best_ms < baseline * 3.0,
@@ -367,7 +344,7 @@ mod tests {
             let mut e1 = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), seed, 40.0);
             let mut e2 = SimEvaluator::with_budget(spec, GpuArch::a100(), seed, 40.0);
             let a = OpenTunerGa::default().tune_legacy(&mut e1, seed).unwrap();
-            let b = OpenTunerGa::default().tune(&mut e2, seed).unwrap();
+            let b = opentuner(u32::MAX).tune(&mut e2, seed).unwrap();
             assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
             assert_eq!(a.best_setting, b.best_setting);
             assert_eq!(a.evaluations, b.evaluations);

@@ -1,64 +1,13 @@
 //! Uniform random search over valid settings.
 
 use cst_space::Setting;
-use cst_telemetry::Telemetry;
-use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, TuneError, Tuner,
-    TuningOutcome,
-};
+use cstuner_core::{Observation, Optimizer, SearchCtx};
 
-/// The sanity-floor baseline: draw valid settings uniformly and keep the
-/// best. Any informed tuner must beat this at equal budget.
-#[derive(Debug, Clone)]
-pub struct RandomSearch {
-    /// Evaluations per iteration (matched to the GA population).
-    pub pop: usize,
-    /// Iteration cap.
-    pub max_iterations: u32,
-    /// Warm-start seeds served in the first population.
-    pub warm: Vec<Setting>,
-}
-
-impl Default for RandomSearch {
-    fn default() -> Self {
-        RandomSearch { pop: 32, max_iterations: u32::MAX, warm: Vec::new() }
-    }
-}
-
-impl Tuner for RandomSearch {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
-    fn warm_start(&mut self, seeds: Vec<Setting>) {
-        self.warm = seeds;
-    }
-
-    fn tune_with_telemetry(
-        &mut self,
-        eval: &mut dyn Evaluator,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let mut opt = RandomOptimizer { pop: self.pop, ..RandomOptimizer::default() };
-        let cfg = KernelConfig {
-            pop: self.pop,
-            max_iterations: self.max_iterations,
-            warm: self.warm.clone(),
-            ..KernelConfig::default()
-        };
-        drive(&mut opt, eval, &cfg, seed, tel)
-    }
-}
-
-/// Random search as an ask/tell [`Optimizer`]: one population of valid
-/// draws per ask (all randomness on the evaluator's seeded stream, so
-/// draw order matches the pre-kernel loop bit for bit), nothing learned
-/// from tells.
+/// The sanity-floor baseline as an ask/tell [`Optimizer`]: one
+/// population of valid draws per ask (all randomness on the evaluator's
+/// seeded stream, so draw order matches the pre-kernel loop bit for
+/// bit), nothing learned from tells. Any informed tuner must beat this
+/// at equal budget.
 #[derive(Debug, Clone)]
 pub struct RandomOptimizer {
     /// Draws per ask (matched to the recorded iteration size).
@@ -79,8 +28,9 @@ impl Optimizer for RandomOptimizer {
         "Random"
     }
 
-    fn warm_start(&mut self, seeds: &[Setting]) {
+    fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.to_vec();
+        self.warm.len()
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
@@ -110,12 +60,13 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::SimEvaluator;
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
 
     #[test]
     fn random_search_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 3);
-        let mut t = RandomSearch { pop: 8, max_iterations: 5, ..Default::default() };
+        let cfg = KernelConfig { pop: 8, max_iterations: 5, ..KernelConfig::DEFAULT };
+        let mut t = KernelTuner::new(|| Box::new(RandomOptimizer { pop: 8, warm: vec![] }), cfg);
         let out = t.tune(&mut e, 3).unwrap();
         assert_eq!(out.tuner, "Random");
         assert!(out.best_time_ms.is_finite());
@@ -130,7 +81,8 @@ mod tests {
             4,
             15.0,
         );
-        let mut t = RandomSearch::default();
+        let mut t =
+            KernelTuner::new(|| Box::new(RandomOptimizer::default()), KernelConfig::DEFAULT);
         let out = t.tune(&mut e, 4).unwrap();
         assert!(out.search_s >= 15.0);
         assert!(out.search_s < 25.0);

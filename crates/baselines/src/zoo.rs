@@ -3,14 +3,17 @@
 //! The CLI (`cstuner tune --tuner`, `cstuner version`, `cstuner list`),
 //! the serve daemon's request validation, the shootout example, and the
 //! testkit property suites all resolve tuners here, so adding a tuner
-//! is one [`TunerEntry`] — the flag name, the journal display name, the
-//! builder, and (for kernel-based strategies) the raw [`Optimizer`]
-//! constructor the ask/tell property suite probes directly.
+//! is one [`TunerEntry`] — the flag name, the journal display name, and
+//! its [`Optimizer`] with the driver knobs it runs under. Only csTuner,
+//! whose staged pipeline keeps its own search loop, has no optimizer.
 
 use crate::{
-    AnnealTuner, ArtemisTuner, ForestTuner, GarveyTuner, GridSearch, OpenTunerGa, RandomSearch,
+    ArtemisOptimizer, ForestOptimizer, GaOptimizer, GarveyOptimizer, GridOptimizer,
+    RandomOptimizer, SaOptimizer,
 };
-use cstuner_core::{CsTuner, CsTunerConfig, Optimizer, Tuner};
+use cstuner_core::{
+    CsTuner, CsTunerConfig, KernelConfig, KernelTuner, MakeOptimizer, Optimizer, Tuner,
+};
 
 /// One registered tuner.
 pub struct TunerEntry {
@@ -20,27 +23,35 @@ pub struct TunerEntry {
     pub display: &'static str,
     /// One-line description for `cstuner list` / `version`.
     pub summary: &'static str,
-    build: fn(bool) -> Box<dyn Tuner>,
-    optimizer: Option<fn() -> Box<dyn Optimizer>>,
+    /// The ask/tell strategy and the driver knobs it runs under; `None`
+    /// for csTuner.
+    kernel: Option<(MakeOptimizer, KernelConfig)>,
 }
 
 impl TunerEntry {
     /// Build the tuner; `quick` selects the CLI's reduced-scale csTuner
     /// configuration (other tuners are already budget-bound).
     pub fn build(&self, quick: bool) -> Box<dyn Tuner> {
-        (self.build)(quick)
+        match self.kernel_tuner() {
+            Some(t) => Box::new(t),
+            None => Box::new(cstuner(quick)),
+        }
     }
 
-    /// The raw ask/tell optimizer behind this tuner, for strategies that
-    /// run through the kernel (`None` for the pipeline-style tuners:
-    /// csTuner, Garvey, Artemis). The testkit property suite uses this
-    /// to probe `ask`/`tell` directly.
+    /// The kernel tuner behind this entry, whose driver knobs a caller
+    /// may adjust (`None` for csTuner).
+    pub fn kernel_tuner(&self) -> Option<KernelTuner> {
+        self.kernel.map(|(make, cfg)| KernelTuner::new(make, cfg))
+    }
+
+    /// A fresh ask/tell optimizer of this entry (`None` for csTuner). The
+    /// testkit property suite uses this to probe `ask`/`tell` directly.
     pub fn optimizer(&self) -> Option<Box<dyn Optimizer>> {
-        self.optimizer.map(|f| f())
+        self.kernel.map(|(make, _)| make())
     }
 }
 
-fn build_cstuner(quick: bool) -> Box<dyn Tuner> {
+fn cstuner(quick: bool) -> CsTuner {
     let cfg = if quick {
         CsTunerConfig {
             dataset_size: 48,
@@ -51,116 +62,64 @@ fn build_cstuner(quick: bool) -> Box<dyn Tuner> {
     } else {
         CsTunerConfig::default()
     };
-    Box::new(CsTuner::new(cfg))
+    CsTuner::new(cfg)
 }
 
-fn build_garvey(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(GarveyTuner::default())
-}
-
-fn build_opentuner(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(OpenTunerGa::default())
-}
-
-fn build_artemis(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(ArtemisTuner::default())
-}
-
-fn build_random(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(RandomSearch::default())
-}
-
-fn build_grid(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(GridSearch::default())
-}
-
-fn build_anneal(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(AnnealTuner::default())
-}
-
-fn build_forest(_quick: bool) -> Box<dyn Tuner> {
-    Box::new(ForestTuner::default())
-}
-
-fn opt_opentuner() -> Box<dyn Optimizer> {
-    Box::new(crate::opentuner::GaOptimizer::new(Default::default()))
-}
-
-fn opt_random() -> Box<dyn Optimizer> {
-    Box::new(crate::random::RandomOptimizer::default())
-}
-
-fn opt_grid() -> Box<dyn Optimizer> {
-    let g = GridSearch::default();
-    Box::new(crate::grid::GridOptimizer::new(g.levels, g.pop))
-}
-
-fn opt_anneal() -> Box<dyn Optimizer> {
-    let a = AnnealTuner::default();
-    Box::new(crate::anneal::SaOptimizer::new(a.t0_frac, a.alpha))
-}
-
-fn opt_forest() -> Box<dyn Optimizer> {
-    let f = ForestTuner::default();
-    Box::new(crate::forest::ForestOptimizer::new(f.pop, f.pool_factor, f.min_train))
-}
+/// A finite stall backstop for strategies that could, in a small enough
+/// space, keep proposing only memoized settings: the grid's seen-filter,
+/// the annealer's unseen-neighbor walk and the forest's uniform pool all
+/// keep fresh settings coming, so it fires only once the reachable space
+/// is exhausted.
+const BACKSTOPPED: KernelConfig = KernelConfig { stall_limit: 10_000, ..KernelConfig::DEFAULT };
 
 static TUNERS: [TunerEntry; 8] = [
     TunerEntry {
         flag: "cstuner",
         display: "csTuner",
         summary: "the paper's pipeline: grouping, PMNF sampling, approximating GA",
-        build: build_cstuner,
-        optimizer: None,
+        kernel: None,
     },
     TunerEntry {
         flag: "garvey",
         display: "Garvey",
         summary: "forest memory-type prediction + per-dimension group search",
-        build: build_garvey,
-        optimizer: None,
+        kernel: Some((|| Box::new(GarveyOptimizer::default()), KernelConfig::DEFAULT)),
     },
     TunerEntry {
         flag: "opentuner",
         display: "OpenTuner",
         summary: "global GA over the full space (via the ask/tell kernel)",
-        build: build_opentuner,
-        optimizer: Some(opt_opentuner),
+        kernel: Some((|| Box::new(GaOptimizer::default()), KernelConfig::DEFAULT)),
     },
     TunerEntry {
         flag: "artemis",
         display: "Artemis",
         summary: "hierarchical expert tuning: high-impact first, then greedy",
-        build: build_artemis,
-        optimizer: None,
+        kernel: Some((|| Box::new(ArtemisOptimizer::default()), KernelConfig::DEFAULT)),
     },
     TunerEntry {
         flag: "random",
         display: "Random",
         summary: "uniform valid sampling, the floor every tuner must beat",
-        build: build_random,
-        optimizer: Some(opt_random),
+        kernel: Some((|| Box::new(RandomOptimizer::default()), KernelConfig::DEFAULT)),
     },
     TunerEntry {
         flag: "grid",
         display: "Grid",
         summary: "deterministic coarse lattice sweep, no rng at all",
-        build: build_grid,
-        optimizer: Some(opt_grid),
+        kernel: Some((|| Box::new(GridOptimizer::default()), BACKSTOPPED)),
     },
     TunerEntry {
         flag: "anneal",
         display: "Anneal",
         summary: "single-chain simulated annealing with Metropolis accepts",
-        build: build_anneal,
-        optimizer: Some(opt_anneal),
+        kernel: Some((|| Box::new(SaOptimizer::default()), BACKSTOPPED)),
     },
     TunerEntry {
         flag: "forest",
         display: "Forest",
         summary: "online random-forest surrogate pre-ranking candidates",
-        build: build_forest,
-        optimizer: Some(opt_forest),
+        kernel: Some((|| Box::new(ForestOptimizer::default()), BACKSTOPPED)),
     },
 ];
 
@@ -243,17 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn build_display_matches_entry() {
-        for t in tuners() {
-            assert_eq!(t.build(true).name(), t.display, "{}", t.flag);
-        }
-    }
-
-    #[test]
     fn optimizer_names_match_entries() {
+        // Every entry but csTuner, which keeps its own search loop, is an
+        // ask/tell optimizer the property suite can probe.
         for t in tuners() {
-            if let Some(opt) = t.optimizer() {
-                assert_eq!(opt.name(), t.display, "{}", t.flag);
+            match t.optimizer() {
+                Some(opt) => assert_eq!(opt.name(), t.display, "{}", t.flag),
+                None => assert_eq!(t.flag, "cstuner"),
             }
         }
     }
@@ -270,6 +225,7 @@ mod tests {
             let mut tuner = t.build(true);
             let out = tuner.tune(&mut e, 1).unwrap();
             assert!(out.best_time_ms.is_finite(), "{}", t.flag);
+            assert_eq!(out.tuner, t.display, "{}", t.flag);
         }
     }
 

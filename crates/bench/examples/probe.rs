@@ -7,30 +7,22 @@
 //! cargo run -p cst-bench --release --example probe
 //! ```
 
-use cst_baselines::{ArtemisTuner, GarveyTuner, OpenTunerGa, RandomSearch};
+use cst_baselines::zoo;
 use cst_gpu_sim::GpuArch;
-use cstuner_core::{CsTuner, CsTunerConfig, SimEvaluator, Tuner};
+use cstuner_core::SimEvaluator;
 
 fn main() {
     let seeds = 5u64;
     for name in ["j3d7pt", "cheby", "hypterm", "rhs4center"] {
         let spec = cst_stencil::spec_by_name(name).unwrap();
         println!("=== {name} (iso-time 100s, seed-avg over {seeds}) ===");
-        let tuners: Vec<Box<dyn Fn() -> Box<dyn Tuner>>> = vec![
-            Box::new(|| Box::new(CsTuner::new(CsTunerConfig::default()))),
-            Box::new(|| Box::new(GarveyTuner::default())),
-            Box::new(|| Box::new(OpenTunerGa::default())),
-            Box::new(|| Box::new(ArtemisTuner::default())),
-            Box::new(|| Box::new(RandomSearch::default())),
-        ];
-        for mk in &tuners {
+        for flag in ["cstuner", "garvey", "opentuner", "artemis", "random"] {
             let mut acc = 0.0;
             let mut iters = 0.0;
             let mut nm = "";
             for seed in 0..seeds {
                 let mut e = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), seed, 100.0);
-                let mut t = mk();
-                let out = t.tune(&mut e, seed).unwrap();
+                let out = zoo::build(flag, false).unwrap().tune(&mut e, seed).unwrap();
                 acc += out.best_time_ms;
                 iters += out.curve.last().unwrap().iteration as f64;
                 nm = out.tuner;

@@ -2,7 +2,7 @@
 //! (§V-C, Fig. 9; §V-D, Fig. 10), the sampling-ratio sweep (§V-E, Fig. 11)
 //! and the pre-processing breakdown (§V-F, Fig. 12).
 
-use cst_baselines::{ArtemisTuner, GarveyTuner, OpenTunerGa, RandomSearch};
+use cst_baselines::zoo;
 use cst_gpu_sim::GpuArch;
 use cst_stencil::StencilSpec;
 use cstuner_core::{CsTuner, CsTunerConfig, SamplingConfig, SimEvaluator, Tuner, TuningOutcome};
@@ -43,15 +43,14 @@ impl TunerKind {
     /// Build the tuner with the paper's §V-A options and the given
     /// iteration cap.
     pub fn build(self, max_iterations: u32) -> Box<dyn Tuner> {
-        match self {
-            TunerKind::CsTuner => {
-                Box::new(CsTuner::new(CsTunerConfig { max_iterations, ..Default::default() }))
-            }
-            TunerKind::Garvey => Box::new(GarveyTuner { max_iterations, ..Default::default() }),
-            TunerKind::OpenTuner => Box::new(OpenTunerGa { max_iterations, ..Default::default() }),
-            TunerKind::Artemis => Box::new(ArtemisTuner { max_iterations, ..Default::default() }),
-            TunerKind::Random => Box::new(RandomSearch { max_iterations, ..Default::default() }),
+        if self == TunerKind::CsTuner {
+            return Box::new(CsTuner::new(CsTunerConfig { max_iterations, ..Default::default() }));
         }
+        let mut tuner = zoo::find(&self.name().to_lowercase())
+            .and_then(zoo::TunerEntry::kernel_tuner)
+            .expect("every baseline is a registered kernel tuner");
+        tuner.cfg.max_iterations = max_iterations;
+        Box::new(tuner)
     }
 }
 

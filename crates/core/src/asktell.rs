@@ -1,14 +1,15 @@
 //! The ask/tell search kernel.
 //!
-//! Every search strategy — the island GA, the random/grid baselines,
-//! simulated annealing, the forest surrogate — reduces to the same
-//! minimal conversation: the optimizer *asks* for a batch of candidate
-//! [`Setting`]s, the kernel measures them, and the optimizer is *told*
-//! the costs. [`drive`] is the one driver loop that owns everything
-//! around that conversation: iteration accounting and the convergence
-//! curve ([`Recorder`]), budget/cancellation checks, the `search`
-//! telemetry span, and fault accounting (which rides along inside the
-//! evaluator).
+//! Every search strategy of the zoo — the island GA, the Garvey and
+//! Artemis baselines, random and grid search, simulated annealing, the
+//! forest surrogate — reduces to the same minimal conversation: the
+//! optimizer *asks* for a batch of candidate [`Setting`]s, the kernel
+//! measures them, and the optimizer is *told* the costs. [`drive`] is
+//! the one driver loop that owns everything around that conversation:
+//! iteration accounting and the convergence curve ([`Recorder`]),
+//! budget/cancellation checks, the `search` telemetry span, and fault
+//! accounting (which rides along inside the evaluator). [`KernelTuner`]
+//! is the one [`Tuner`] every strategy runs behind.
 //!
 //! # Determinism contract
 //!
@@ -37,8 +38,9 @@ use cst_space::Setting;
 use cst_stencil::StencilSpec;
 use cst_telemetry::{event, Telemetry};
 
+use crate::dataset::PerfDataset;
 use crate::evaluator::Evaluator;
-use crate::pipeline::{CurvePoint, PreprocBreakdown, TuneError, TuningOutcome};
+use crate::pipeline::{CurvePoint, PreprocBreakdown, TuneError, Tuner, TuningOutcome};
 
 /// One measured (or skipped) candidate reported back to the optimizer.
 #[derive(Debug, Clone, Copy)]
@@ -54,9 +56,10 @@ pub struct Observation {
 /// The slice of the evaluator an optimizer may see while proposing.
 ///
 /// Proposal-time access is deliberately narrow: the space, the stencil,
-/// validity, and the evaluator's seeded `random_valid` stream.
-/// Measurement, the clock, and budget state stay owned by the driver so
-/// every strategy pays for candidates the same way.
+/// validity, the evaluator's seeded `random_valid` stream, and the
+/// uncharged offline dataset. Measurement, the clock, and budget state
+/// stay owned by the driver so every strategy pays for candidates the
+/// same way.
 pub struct SearchCtx<'a> {
     eval: &'a mut dyn Evaluator,
 }
@@ -86,6 +89,13 @@ impl<'a> SearchCtx<'a> {
     /// stream. Draw order is observable — see the determinism contract.
     pub fn random_valid(&mut self) -> Setting {
         self.eval.random_valid()
+    }
+
+    /// Profile `n` distinct valid settings offline
+    /// ([`PerfDataset::collect`]). Offline profiling is not charged to the
+    /// tuning clock, exactly as csTuner's own dataset stage.
+    pub fn dataset(&mut self, n: usize, seed: u64) -> PerfDataset {
+        PerfDataset::collect(self.eval, n, seed)
     }
 }
 
@@ -123,17 +133,20 @@ pub trait Optimizer {
     }
 
     /// Offer warm-start seeds (surrogate-ranked settings from the
-    /// transfer knowledge base) before [`Optimizer::init`]. Strategies
-    /// that support seeding fold them into their starting points; the
-    /// default ignores them. The kernel only calls this with a non-empty
-    /// slice, so a run without seeds takes exactly the legacy code path
-    /// (see the determinism contract: warm-start changes starting points,
-    /// never the evaluator or the measurement stream).
-    fn warm_start(&mut self, _seeds: &[Setting]) {}
+    /// transfer knowledge base) before [`Optimizer::init`], returning how
+    /// many the strategy keeps. Strategies that support seeding fold them
+    /// into their starting points; the default ignores them and keeps 0.
+    /// A [`KernelTuner`] run without seeds never calls this, so it takes
+    /// exactly the cold code path (see the determinism contract:
+    /// warm-start changes starting points, never the evaluator or the
+    /// measurement stream).
+    fn warm_start(&mut self, _seeds: &[Setting]) -> usize {
+        0
+    }
 }
 
 /// Driver knobs for one [`drive`] run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
     /// Evaluations per recorded iteration (csTuner's population-size
     /// accounting, §V-A2).
@@ -144,20 +157,18 @@ pub struct KernelConfig {
     /// (non-memoized) evaluation. Memoized repeats charge nothing to the
     /// clock, so a strategy proposing only seen settings would otherwise
     /// spin forever inside an iso-time budget. Legacy-parity strategies
-    /// (GA, random) keep the default `u64::MAX` — their draw streams
-    /// always reach fresh settings — while model-guided strategies set a
-    /// finite limit as a liveness backstop.
+    /// (GA, random, Garvey, Artemis) keep the default `u64::MAX` — they
+    /// end on their own or their draw streams always reach fresh
+    /// settings — while model-guided strategies set a finite limit as a
+    /// liveness backstop.
     pub stall_limit: u64,
-    /// Warm-start seeds handed to [`Optimizer::warm_start`] before
-    /// `init`. Empty (the default) means a cold start and is guaranteed
-    /// bit-identical to a build without warm-start support.
-    pub warm: Vec<Setting>,
 }
 
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig { pop: 32, max_iterations: u32::MAX, stall_limit: u64::MAX, warm: Vec::new() }
-    }
+impl KernelConfig {
+    /// csTuner's population of 32 evaluations per iteration, bound only by
+    /// the budget, with no stall backstop.
+    pub const DEFAULT: KernelConfig =
+        KernelConfig { pop: 32, max_iterations: u32::MAX, stall_limit: u64::MAX };
 }
 
 /// Run an optimizer to completion under one evaluator: the single search
@@ -179,9 +190,6 @@ pub fn drive(
 ) -> Result<TuningOutcome, TuneError> {
     let mut rec = Recorder::new(cfg.pop, cfg.max_iterations).with_telemetry(tel);
     let span = tel.span("search", eval.clock().now_s());
-    if !cfg.warm.is_empty() {
-        opt.warm_start(&cfg.warm);
-    }
     opt.init(&mut SearchCtx::new(eval), seed, tel);
     let mut stalled: u64 = 0;
     loop {
@@ -215,6 +223,51 @@ pub fn drive(
     let out = rec.finish(opt.name(), eval);
     span.end(eval.clock().now_s());
     out
+}
+
+/// Builds a fresh optimizer; a [`KernelTuner`] calls it once per run.
+pub type MakeOptimizer = fn() -> Box<dyn Optimizer>;
+
+/// The [`Tuner`] every ask/tell strategy runs behind: a fresh optimizer
+/// from `make` per tuning run (a tuner value may be reused, and no
+/// optimizer state may leak from one run into the next), handed the
+/// warm-start seeds, then [`drive`]n under `cfg`.
+#[derive(Debug, Clone)]
+pub struct KernelTuner {
+    make: MakeOptimizer,
+    /// Driver knobs of every run.
+    pub cfg: KernelConfig,
+    warm: Vec<Setting>,
+}
+
+impl KernelTuner {
+    /// A tuner over the optimizers `make` builds.
+    pub fn new(make: MakeOptimizer, cfg: KernelConfig) -> Self {
+        KernelTuner { make, cfg, warm: Vec::new() }
+    }
+}
+
+impl Tuner for KernelTuner {
+    fn warm_start(&mut self, seeds: Vec<Setting>) -> usize {
+        // Optimizers are built per run; a throwaway one says whether this
+        // strategy takes seeds at all.
+        let kept = (self.make)().warm_start(&seeds);
+        self.warm = if kept > 0 { seeds } else { Vec::new() };
+        kept
+    }
+
+    fn tune_with_telemetry(
+        &mut self,
+        eval: &mut dyn Evaluator,
+        seed: u64,
+        tel: &Telemetry,
+    ) -> Result<TuningOutcome, TuneError> {
+        let mut opt = (self.make)();
+        if !self.warm.is_empty() {
+            opt.warm_start(&self.warm);
+        }
+        drive(opt.as_mut(), eval, &self.cfg, seed, tel)
+    }
 }
 
 /// Batches evaluations into iterations of `pop` and records the
@@ -296,23 +349,39 @@ impl Recorder {
             }
         }
         if self.in_iter >= self.pop {
-            self.in_iter = 0;
-            self.iteration += 1;
-            self.curve.push(CurvePoint {
-                iteration: self.iteration,
-                elapsed_s: eval.clock().now_s(),
-                best_ms: self.best_ms,
-            });
-            event!(
-                self.tel,
-                "iteration",
-                iteration = self.iteration,
-                v_s = eval.clock().now_s(),
-                best_ms = self.best_ms,
-                evals = eval.unique_evaluations(),
-            );
+            self.close_iteration(eval);
         }
         t
+    }
+
+    /// Close the current iteration now, however few fresh evaluations it
+    /// holds: record a curve point and journal an `iteration` event.
+    /// csTuner closes one iteration per GA generation this way (§V-A2).
+    pub(crate) fn close_iteration(&mut self, eval: &dyn Evaluator) {
+        self.in_iter = 0;
+        self.iteration += 1;
+        self.curve.push(CurvePoint {
+            iteration: self.iteration,
+            elapsed_s: eval.clock().now_s(),
+            best_ms: self.best_ms,
+        });
+        event!(
+            self.tel,
+            "iteration",
+            iteration = self.iteration,
+            v_s = eval.clock().now_s(),
+            best_ms = self.best_ms,
+            evals = eval.unique_evaluations(),
+        );
+    }
+
+    /// Close a trailing partial iteration, or the first one if none
+    /// closed, so short runs still have a curve. Journals no samples:
+    /// that is [`Recorder::finish`]'s job.
+    pub(crate) fn flush(&mut self, eval: &dyn Evaluator) {
+        if self.in_iter > 0 || self.curve.is_empty() {
+            self.close_iteration(eval);
+        }
     }
 
     /// Whether the tuner should stop (budget or iteration cap).
@@ -323,6 +392,16 @@ impl Recorder {
     /// Current best time.
     pub fn best_ms(&self) -> f64 {
         self.best_ms
+    }
+
+    /// Iterations closed so far.
+    pub(crate) fn iterations(&self) -> u32 {
+        self.iteration
+    }
+
+    /// The best-so-far curve, one point per closed iteration.
+    pub(crate) fn into_curve(self) -> Vec<CurvePoint> {
+        self.curve
     }
 
     /// Current best setting, if any finite evaluation happened.
@@ -348,22 +427,7 @@ impl Recorder {
         name: &'static str,
         eval: &dyn Evaluator,
     ) -> Result<TuningOutcome, TuneError> {
-        if self.in_iter > 0 || self.curve.is_empty() {
-            self.iteration += 1;
-            self.curve.push(CurvePoint {
-                iteration: self.iteration,
-                elapsed_s: eval.clock().now_s(),
-                best_ms: self.best_ms,
-            });
-            event!(
-                self.tel,
-                "iteration",
-                iteration = self.iteration,
-                v_s = eval.clock().now_s(),
-                best_ms = self.best_ms,
-                evals = eval.unique_evaluations(),
-            );
-        }
+        self.flush(eval);
         let best_setting = self.best_setting.ok_or(TuneError::BudgetTooSmall)?;
         if !self.best_ms.is_finite() {
             return Err(TuneError::EmptySpace);
@@ -450,7 +514,7 @@ mod tests {
             1e9,
         );
         let mut opt = OneTrickPony { s: None };
-        let cfg = KernelConfig { pop: 1, stall_limit: 16, ..KernelConfig::default() };
+        let cfg = KernelConfig { pop: 1, stall_limit: 16, ..KernelConfig::DEFAULT };
         let out = drive(&mut opt, &mut e, &cfg, 3, &Telemetry::noop()).unwrap();
         assert_eq!(out.evaluations, 1, "one fresh evaluation, then memoized spins");
         assert!(out.best_time_ms.is_finite());
@@ -505,7 +569,7 @@ mod tests {
     #[test]
     fn drive_empty_ask_is_budget_too_small() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 0);
-        let err = drive(&mut Mute, &mut e, &KernelConfig::default(), 0, &Telemetry::noop());
+        let err = drive(&mut Mute, &mut e, &KernelConfig::DEFAULT, 0, &Telemetry::noop());
         assert!(matches!(err, Err(TuneError::BudgetTooSmall)));
     }
 }

@@ -24,7 +24,9 @@
 //!
 //! The [`Tuner`] trait and [`TuningOutcome`] curve format are shared with
 //! the baselines in `cst-baselines`, enabling the paper's iso-iteration
-//! and iso-time comparisons.
+//! and iso-time comparisons. [`CsTuner`] implements it with its own
+//! staged pipeline; every baseline is an [`Optimizer`] behind the one
+//! [`KernelTuner`], which runs it through the [`asktell`] kernel.
 
 pub mod asktell;
 pub mod dataset;
@@ -35,7 +37,9 @@ pub mod pipeline;
 pub mod sampling;
 pub mod search;
 
-pub use asktell::{drive, KernelConfig, Observation, Optimizer, Recorder, SearchCtx};
+pub use asktell::{
+    drive, KernelConfig, KernelTuner, MakeOptimizer, Observation, Optimizer, Recorder, SearchCtx,
+};
 pub use cst_gpu_sim::{FaultKind, FaultProfile, FaultStats};
 pub use dataset::{DatasetRecord, PerfDataset};
 pub use evaluator::{CancelToken, Evaluator, SimEvaluator};

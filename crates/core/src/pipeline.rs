@@ -106,38 +106,32 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// The common auto-tuner interface shared by csTuner and the baselines.
+/// The common auto-tuner interface: csTuner's staged pipeline and the
+/// [`KernelTuner`](crate::KernelTuner) every ask/tell strategy runs
+/// behind.
 pub trait Tuner {
-    /// Display name used in experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// Run one tuning session against the evaluator. The evaluator's
-    /// virtual clock carries the iso-time budget; `seed` controls all
-    /// stochastic choices.
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError>;
-
-    /// Offer surrogate-ranked warm-start seeds for the next `tune` call.
-    /// Tuners built on the ask/tell kernel forward them through
-    /// [`KernelConfig::warm`](crate::KernelConfig); the default ignores
-    /// them, so tuners without a seeding notion (grid sweeps, the staged
-    /// csTuner pipeline) remain valid implementations.
-    fn warm_start(&mut self, seeds: Vec<Setting>) {
-        let _ = seeds;
-    }
-
-    /// [`Tuner::tune`] with a telemetry handle: instrumented tuners
-    /// journal their stages, iterations and counters through `tel`.
-    /// The default ignores the handle and runs the plain `tune`, so
-    /// un-instrumented tuners remain valid implementations and journals
-    /// they appear in simply carry fewer records.
+    /// Run one tuning session against the evaluator, journaling stages,
+    /// iterations and counters through `tel`. The evaluator's virtual
+    /// clock carries the iso-time budget; `seed` controls all stochastic
+    /// choices.
     fn tune_with_telemetry(
         &mut self,
         eval: &mut dyn Evaluator,
         seed: u64,
         tel: &Telemetry,
-    ) -> Result<TuningOutcome, TuneError> {
-        let _ = tel;
-        self.tune(eval, seed)
+    ) -> Result<TuningOutcome, TuneError>;
+
+    /// [`Tuner::tune_with_telemetry`] with the journal off.
+    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
+        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
+    }
+
+    /// Offer surrogate-ranked warm-start seeds for the next tuning run
+    /// and return how many the tuner keeps. The default keeps none:
+    /// csTuner's staged pipeline has no seeding notion.
+    fn warm_start(&mut self, seeds: Vec<Setting>) -> usize {
+        let _ = seeds;
+        0
     }
 }
 
@@ -233,14 +227,6 @@ impl CsTuner {
 }
 
 impl Tuner for CsTuner {
-    fn name(&self) -> &'static str {
-        "csTuner"
-    }
-
-    fn tune(&mut self, eval: &mut dyn Evaluator, seed: u64) -> Result<TuningOutcome, TuneError> {
-        self.tune_with_telemetry(eval, seed, &Telemetry::noop())
-    }
-
     fn tune_with_telemetry(
         &mut self,
         eval: &mut dyn Evaluator,
@@ -337,7 +323,7 @@ impl Tuner for CsTuner {
             return Err(TuneError::EmptySpace);
         }
         Ok(TuningOutcome {
-            tuner: self.name(),
+            tuner: "csTuner",
             best_setting: result.best_setting,
             best_time_ms: result.best_ms,
             curve: result.curve,

@@ -10,6 +10,7 @@
 //! individual's value and the search narrows to the next group — the
 //! approximation that removes the hand-tuned iteration count.
 
+use crate::asktell::Recorder;
 use crate::evaluator::Evaluator;
 use crate::pipeline::CurvePoint;
 use crate::sampling::SampledSpace;
@@ -73,54 +74,19 @@ pub fn evolutionary_search(
 ) -> SearchResult {
     let cards = sampled.cards();
     let pop_total = cfg.ga.n_islands * cfg.ga.pop_per_island;
-    let mut best_ms = f64::INFINITY;
-    let mut best_setting = sampled.base;
-    let mut curve: Vec<CurvePoint> = Vec::new();
-    let mut iteration = 0u32;
-    let mut evals_in_iter = 0usize;
-
     // Iteration accounting matches the paper's §V-A2 convention: one
     // iteration is one GA generation (≈ one population of evaluations);
-    // the exhaustive pre-pass batches its evaluations the same way.
-    macro_rules! measure {
-        ($setting:expr) => {{
-            let s: Setting = $setting;
-            let before = eval.unique_evaluations();
-            let t = if eval.is_valid(&s) { eval.evaluate(&s) } else { f64::INFINITY };
-            if t < best_ms {
-                best_ms = t;
-                best_setting = s;
-            }
-            // Only fresh evaluations advance the iteration counter;
-            // memoized repeats are free on real hardware too.
-            if eval.unique_evaluations() > before {
-                evals_in_iter += 1;
-            }
-            if evals_in_iter >= pop_total {
-                evals_in_iter = 0;
-                iteration += 1;
-                let elapsed_s = eval.clock().now_s();
-                curve.push(CurvePoint { iteration, elapsed_s, best_ms });
-                event!(
-                    tel,
-                    "iteration",
-                    iteration = iteration,
-                    v_s = elapsed_s,
-                    best_ms = best_ms,
-                    evals = eval.unique_evaluations()
-                );
-            }
-            t
-        }};
-    }
+    // the exhaustive pre-pass and the refinement batch their evaluations
+    // by population size.
+    let mut rec = Recorder::new(pop_total, cfg.max_iterations).with_telemetry(tel);
 
     // Seed the incumbent and the untuned default configuration — a tuner
     // must never report a setting worse than what the user started with.
-    let _ = measure!(sampled.base);
+    measure_valid(&mut rec, eval, sampled.base);
     let mut default = Setting::baseline();
     default.canonicalize();
     if eval.is_valid(&default) {
-        let _ = measure!(default);
+        measure_valid(&mut rec, eval, default);
     }
 
     let base_genes = sampled.base_genes().unwrap_or_else(|| vec![0; cards.len()]);
@@ -132,11 +98,11 @@ pub fn evolutionary_search(
     if sampled.size() <= pop_total as u64 {
         let mut idx = vec![0u32; cards.len()];
         'exh: loop {
-            if eval.expired() || iteration >= cfg.max_iterations {
+            if rec.done(eval) {
                 break;
             }
-            let t = measure!(sampled.decode(&idx));
-            if t <= best_ms {
+            let t = measure_valid(&mut rec, eval, sampled.decode(&idx));
+            if t <= rec.best_ms() {
                 best_genes = idx.clone();
             }
             // Odometer step; wrapping the first digit ends the enumeration.
@@ -153,7 +119,7 @@ pub fn evolutionary_search(
                 idx[d] = 0;
             }
         }
-    } else if !eval.expired() && iteration < cfg.max_iterations {
+    } else if !rec.done(eval) {
         // Genetic search over all group genes jointly; the approximation
         // pins groups one by one in impact order as the population's
         // CV(top-n) converges.
@@ -176,33 +142,21 @@ pub fn evolutionary_search(
         // bounds the phase instead: half the iteration budget, with a
         // fallback of 64 generations when that too is unbounded.
         let ga_iter_cap = match cfg.max_iterations {
-            u32::MAX => iteration.saturating_add(64),
-            cap => iteration + (cap - iteration) / 2,
+            u32::MAX => rec.iterations().saturating_add(64),
+            cap => rec.iterations() + (cap - rec.iterations()) / 2,
         };
         while cursor < open_groups.len()
-            && !eval.expired()
-            && iteration < cfg.max_iterations
-            && iteration < ga_iter_cap
+            && !rec.done(eval)
+            && rec.iterations() < ga_iter_cap
             && (ga_budget_s.is_infinite() || eval.clock().now_s() - ga_start_s < ga_budget_s)
         {
             let uniques_before = eval.unique_evaluations();
             // Measurements commit in island-major order.
-            state.step(&mut |g: &[u32]| -measure!(sampled.decode(g)));
+            state.step(&mut |g: &[u32]| -measure_valid(&mut rec, eval, sampled.decode(g)));
             // One generation = one iteration, even if the population only
             // re-visited memoized settings (cached results are free on
             // real hardware too).
-            evals_in_iter = 0;
-            iteration += 1;
-            let elapsed_s = eval.clock().now_s();
-            curve.push(CurvePoint { iteration, elapsed_s, best_ms });
-            event!(
-                tel,
-                "iteration",
-                iteration = iteration,
-                v_s = elapsed_s,
-                best_ms = best_ms,
-                evals = eval.unique_evaluations()
-            );
+            rec.close_iteration(eval);
             // A population that bred no unevaluated setting has converged
             // in practice; stalling twice force-pins the cursor group so
             // the search narrows instead of spinning.
@@ -223,7 +177,7 @@ pub fn evolutionary_search(
                     tel,
                     "group_pinned",
                     group = g,
-                    iteration = iteration,
+                    iteration = rec.iterations(),
                     v_s = eval.clock().now_s()
                 );
                 cursor += 1;
@@ -242,13 +196,13 @@ pub fn evolutionary_search(
     // incumbent until a coordinate-descent fixed point. Re-evaluations of
     // memoized settings are free, so each round only pays for genuinely new
     // combinations unlocked by the updated context.
-    if !eval.expired() && iteration < cfg.max_iterations {
+    if !rec.done(eval) {
         let mut current = best_genes;
         let mut rounds = 0;
         loop {
             let mut improved = false;
             for &k in &order {
-                if eval.expired() || iteration >= cfg.max_iterations {
+                if rec.done(eval) {
                     break;
                 }
                 // Candidate gene values for this group: the incumbent
@@ -277,13 +231,13 @@ pub fn evolutionary_search(
                 }
                 let mut genes = current.clone();
                 let mut best_g = current[k];
-                let mut best_t = measure!(sampled.decode(&genes));
+                let mut best_t = measure_valid(&mut rec, eval, sampled.decode(&genes));
                 for &g in &cand[1..] {
-                    if eval.expired() || iteration >= cfg.max_iterations {
+                    if rec.done(eval) {
                         break;
                     }
                     genes[k] = g;
-                    let t = measure!(sampled.decode(&genes));
+                    let t = measure_valid(&mut rec, eval, sampled.decode(&genes));
                     if t < best_t {
                         best_t = t;
                         best_g = g;
@@ -295,28 +249,29 @@ pub fn evolutionary_search(
                 }
             }
             rounds += 1;
-            if !improved || rounds >= 8 || eval.expired() || iteration >= cfg.max_iterations {
+            if !improved || rounds >= 8 || rec.done(eval) {
                 break;
             }
         }
     }
 
-    // Flush a trailing partial iteration so short runs still have a curve.
-    if evals_in_iter > 0 || curve.is_empty() {
-        iteration += 1;
-        let elapsed_s = eval.clock().now_s();
-        curve.push(CurvePoint { iteration, elapsed_s, best_ms });
-        event!(
-            tel,
-            "iteration",
-            iteration = iteration,
-            v_s = elapsed_s,
-            best_ms = best_ms,
-            evals = eval.unique_evaluations()
-        );
+    rec.flush(eval);
+    SearchResult {
+        best_setting: rec.best_setting().unwrap_or(sampled.base),
+        best_ms: rec.best_ms(),
+        iterations: rec.iterations(),
+        curve: rec.into_curve(),
     }
+}
 
-    SearchResult { best_setting, best_ms, curve, iterations: iteration }
+/// Measure a setting through the recorder. Invalid settings are never
+/// evaluated: they charge nothing and count as the worst possible time.
+fn measure_valid(rec: &mut Recorder, eval: &mut dyn Evaluator, s: Setting) -> f64 {
+    if eval.is_valid(&s) {
+        rec.measure(eval, s)
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Nominate a gene value for group `k` by running the island GA over the

@@ -82,7 +82,7 @@ fn offspring_of_valid_parents_are_valid_or_rejected_never_evaluated() {
     let genome = tuning_genome(space);
     let mut rng = seeded_rng(23);
 
-    // The guard of `search.rs`'s `measure!`, instrumented: the simulated
+    // The guard of `search.rs`'s `measure_valid`, instrumented: the simulated
     // evaluation only happens behind `is_valid`, and we count both arms.
     let mut evaluated = 0u32;
     let mut rejected = 0u32;

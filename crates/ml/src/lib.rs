@@ -1,7 +1,7 @@
 //! Minimal machine-learning substrate: CART decision trees and a random
 //! forest classifier.
 //!
-//! The Garvey baseline (§II-C, [13]) trains a random forest to predict the
+//! The Garvey baseline (§II-C, \[13\]) trains a random forest to predict the
 //! optimal *memory type* (global / shared / constant+shared …) of a stencil
 //! from kernel features before searching the remaining parameters. No ML
 //! crates are in the approved dependency set, so the forest is built from

@@ -1,7 +1,7 @@
 //! Quantile-label performance surrogate: the one fast/slow forest shared
 //! by every consumer in the workspace.
 //!
-//! Garvey's memory-type predictor, the online `ForestTuner`, and the
+//! Garvey's memory-type predictor, the online forest tuner, and the
 //! transfer knowledge base all reduce to the same scheme — label the
 //! fastest [`FAST_QUANTILE`] of observed times as "fast", fit a
 //! [`RandomForest`] classifier on feature vectors, and rank candidates by
@@ -18,7 +18,7 @@ pub const FAST_QUANTILE: f64 = 0.3;
 
 /// The fast-time threshold of a sample: sort and take the
 /// [`FAST_QUANTILE`] order statistic, exactly as the historical Garvey /
-/// `ForestTuner` copies did.
+/// forest-tuner copies did.
 ///
 /// # Panics
 /// Panics on an empty slice or NaN times (callers feed measured,

@@ -159,7 +159,8 @@ pub struct WarmInfo {
     pub mode: String,
     /// Surrogate training rows (0 for observed/empty/error).
     pub n_train: usize,
-    /// Seeds actually offered to the tuner.
+    /// Seeds the tuner kept: 0 when the store offered none, and for the
+    /// tuners that take no seeds (csTuner, grid, Garvey, Artemis).
     pub seeds: usize,
 }
 
@@ -194,16 +195,8 @@ fn apply_warm_start(
         }
     };
     let w = warm_seeds(&kb, stencil, arch, DEFAULT_TOP_K, seed);
-    let info = WarmInfo {
-        store: store_dir.to_string(),
-        mode: w.mode.to_string(),
-        n_train: w.n_train,
-        seeds: w.seeds.len(),
-    };
-    if !w.seeds.is_empty() {
-        tuner.warm_start(w.seeds);
-    }
-    info
+    let seeds = tuner.warm_start(w.seeds);
+    WarmInfo { store: store_dir.to_string(), mode: w.mode.to_string(), n_train: w.n_train, seeds }
 }
 
 /// The deterministic result summary a `session_done` frame carries —

@@ -1,6 +1,6 @@
-//! Fast hashing for [`Setting`]-keyed containers.
+//! Fast hashing for [`Setting`](crate::Setting)-keyed containers.
 //!
-//! A [`Setting`] is 19 `u32`s (76 bytes). The standard library's default
+//! A [`Setting`](crate::Setting) is 19 `u32`s (76 bytes). The standard library's default
 //! SipHash is DoS-resistant but processes that key in many dependent
 //! rounds, and it sits on the evaluator's hottest path: every memo
 //! lookup, dedup pass and shard probe hashes a full setting. Settings are
@@ -84,12 +84,12 @@ impl Hasher for FastHasher {
 /// `BuildHasher` for [`FastHasher`] (stateless, so `Default` suffices).
 pub type BuildFastHasher = BuildHasherDefault<FastHasher>;
 
-/// `HashMap` keyed by [`Setting`] (or any internal key) with the fast
-/// hasher. Construct with `SettingMap::default()` or
+/// `HashMap` keyed by [`Setting`](crate::Setting) (or any internal key)
+/// with the fast hasher. Construct with `SettingMap::default()` or
 /// [`setting_map_with_capacity`].
 pub type SettingMap<V> = HashMap<crate::Setting, V, BuildFastHasher>;
 
-/// `HashSet` of [`Setting`]s with the fast hasher.
+/// `HashSet` of [`Setting`](crate::Setting)s with the fast hasher.
 pub type SettingSet = HashSet<crate::Setting, BuildFastHasher>;
 
 /// A [`SettingMap`] with preallocated capacity.

@@ -5,9 +5,9 @@
 //! - [`TapStencil`]: a single linear combination of neighbor taps over one
 //!   input array — enough for the Jacobi/Helmholtz class and for the loop
 //!   transformation equivalence tests.
-//! - [`KernelDef`] (see [`crate::suite`]): multi-stage dataflow over several
-//!   arrays built from [`Tap`] sums, used to express the high-FLOP seismic
-//!   kernels with realistic operation counts.
+//! - [`KernelDef`](crate::KernelDef) (see [`crate::suite`]): multi-stage
+//!   dataflow over several arrays built from [`Tap`] sums, used to express
+//!   the high-FLOP seismic kernels with realistic operation counts.
 
 /// A single stencil tap: a signed offset and its coefficient.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,11 +1,12 @@
 //! Property suite for the ask/tell optimizer contract.
 //!
-//! Every tuner in the zoo — pipeline-style and kernel-native alike —
-//! must honor the kernel's contract (`crates/core/src/asktell.rs`):
-//! asked settings are valid when the strategy claims validity, the
-//! iso-time budget is never exceeded by more than one in-flight
-//! evaluation, `tell` chunking never changes the outcome, and two
-//! same-seed runs are byte-identical end to end.
+//! Every tuner in the zoo must honor the kernel's contract
+//! (`crates/core/src/asktell.rs`): asked settings are valid when the
+//! strategy claims validity, the iso-time budget is never exceeded by
+//! more than one in-flight evaluation, `tell` chunking never changes the
+//! outcome, and two same-seed runs are byte-identical end to end. Every
+//! entry but csTuner, which keeps its own search loop, exposes its
+//! optimizer to the raw `ask`/`tell` probes.
 
 use cst_baselines::zoo;
 use cst_gpu_sim::GpuArch;
@@ -14,7 +15,7 @@ use cst_stencil::suite;
 use cst_telemetry::Telemetry;
 use cst_testkit::{outcomes_bit_equal, quick_tuner_journal, PropRunner};
 use cstuner_core::{
-    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, SimEvaluator,
+    drive, Evaluator, KernelConfig, Observation, Optimizer, SearchCtx, SimEvaluator, Tuner,
 };
 
 fn sim(seed: u64, budget_s: f64) -> SimEvaluator {
@@ -26,7 +27,7 @@ fn sim(seed: u64, budget_s: f64) -> SimEvaluator {
     )
 }
 
-/// Probe each kernel-native strategy's raw `ask`/`tell` conversation:
+/// Probe each kernel strategy's raw `ask`/`tell` conversation:
 /// every asked setting must satisfy full (stencil, arch) validity when
 /// the strategy claims `asks_valid_only`, across proptest-drawn seeds.
 #[test]
@@ -119,7 +120,7 @@ fn tell_chunking_never_changes_the_outcome() {
     for entry in zoo::tuners() {
         let Some(mut plain) = entry.optimizer() else { continue };
         let Some(inner) = entry.optimizer() else { continue };
-        let cfg = KernelConfig { pop: 32, max_iterations: 6, stall_limit: 10_000, warm: vec![] };
+        let cfg = KernelConfig { pop: 32, max_iterations: 6, stall_limit: 10_000 };
 
         let mut e = sim(7, 18.0);
         let whole = drive(&mut *plain, &mut e, &cfg, 7, &Telemetry::noop())
@@ -135,10 +136,33 @@ fn tell_chunking_never_changes_the_outcome() {
     }
 }
 
+/// One kernel tuner value may run many sessions (the experiment harness
+/// and the pipeline tests reuse tuner values). Each run builds a fresh
+/// optimizer, so a second same-seed run on a fresh evaluator repeats the
+/// first bit for bit — warm seeds included, which the seeding strategies
+/// consume as they run.
+#[test]
+fn reused_kernel_tuners_repeat_their_runs_bit_for_bit() {
+    let mut donor = sim(99, 1e9);
+    let seeds: Vec<Setting> = (0..8).map(|_| donor.random_valid()).collect();
+    for entry in zoo::tuners() {
+        let Some(mut tuner) = entry.kernel_tuner() else { continue };
+        tuner.warm_start(seeds.clone());
+        let first = tuner
+            .tune(&mut sim(4, 10.0), 4)
+            .unwrap_or_else(|err| panic!("{}: {err:?}", entry.flag));
+        let second = tuner
+            .tune(&mut sim(4, 10.0), 4)
+            .unwrap_or_else(|err| panic!("{} (rerun): {err:?}", entry.flag));
+        outcomes_bit_equal(&first, &second)
+            .unwrap_or_else(|err| panic!("{}: reused tuner diverged: {err}", entry.flag));
+    }
+}
+
 /// Two same-seed runs of every registered tuner through the production
 /// session path produce byte-identical journals (wall fields stripped) —
-/// the end-to-end form of the determinism contract, covering the
-/// pipeline-style tuners the raw probes above cannot reach.
+/// the end-to-end form of the determinism contract, covering csTuner,
+/// which the raw probes above cannot reach.
 #[test]
 fn same_seed_runs_are_byte_identical_across_the_zoo() {
     for entry in zoo::tuners() {

@@ -13,33 +13,36 @@
 //! reruns this binary with an ambient fault seed, which the explicit
 //! per-case profiles here override.
 
-use cst_baselines::OpenTunerGa;
+use cst_baselines::{zoo, OpenTunerGa};
 use cst_gpu_sim::{FaultProfile, GpuArch};
 use cst_stencil::suite;
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use cst_testkit::outcomes_bit_equal;
-use cstuner_core::{SimEvaluator, Tuner};
+use cstuner_core::SimEvaluator;
 
 /// Normalize a journal for legacy-vs-kernel comparison: strip wall-clock
 /// fields, drop the kernel's `search` span records (the one intentional
 /// addition — the legacy driver never emitted spans), and erase the
-/// `seq` numbers those extra records shift.
+/// `seq` numbers and the `journal_end` record count those extra records
+/// shift.
 fn normalize(lines: &[String]) -> Vec<String> {
     lines
         .iter()
         .filter(|l| !l.contains("\"type\":\"span_start\"") && !l.contains("\"type\":\"span_end\""))
-        .map(|l| {
-            let l = strip_wall_fields(l);
-            match l.find(",\"seq\":") {
-                Some(i) => {
-                    let rest = &l[i + 7..];
-                    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-                    format!("{}{}", &l[..i], &rest[end..])
-                }
-                None => l,
-            }
-        })
+        .map(|l| erase_count(&erase_count(&strip_wall_fields(l), ",\"seq\":"), ",\"events\":"))
         .collect()
+}
+
+/// `line` with the digits after the first `key` removed.
+fn erase_count(line: &str, key: &str) -> String {
+    match line.find(key) {
+        Some(i) => {
+            let rest = &line[i + key.len()..];
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+            format!("{}{}", &line[..i], &rest[end..])
+        }
+        None => line.to_string(),
+    }
 }
 
 /// Run the same (stencil, arch, profile, seed, budget) through both GA
@@ -67,7 +70,8 @@ fn legacy_vs_kernel(
     let mut eval =
         SimEvaluator::with_budget(spec, arch.clone(), seed, budget_s).with_fault_profile(profile);
     eval.set_telemetry(&tel_kernel);
-    let kernel = OpenTunerGa::default()
+    let kernel = zoo::build("opentuner", false)
+        .expect("registered")
         .tune_with_telemetry(&mut eval, seed, &tel_kernel)
         .unwrap_or_else(|e| panic!("kernel {stencil}/{} seed {seed}: {e:?}", arch.name));
 

@@ -118,6 +118,24 @@ fn populated_kb_seeds_the_session_deterministically() {
 }
 
 #[test]
+fn warm_info_counts_only_the_seeds_the_tuner_keeps() {
+    // csTuner and the grid sweep take no seeds: a populated KB must not
+    // be reported (or counted by the daemon) as seeding them, and their
+    // warm runs are their cold runs.
+    let (dir, store) = populated_store("kept", &[31]);
+    let warm = store.dir().to_str().unwrap();
+    for tuner in ["cstuner", "grid"] {
+        let (cold_lines, _) = run(&request(tuner, 5, None));
+        let (warm_lines, session) = run(&request(tuner, 5, Some(warm)));
+        assert_eq!(session.warm.expect("warm info").seeds, 0, "{tuner} kept seeds");
+        assert_eq!(warm_lines, cold_lines, "{tuner}: dropped seeds changed the run");
+    }
+    let (_, session) = run(&request("random", 5, Some(warm)));
+    assert!(session.warm.expect("warm info").seeds > 0, "random kept no seeds");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn kb_rebuilds_are_byte_identical() {
     // Same store, two builds (and two saves): identical bytes on disk.
     let (dir, store) = populated_store("rebuild", &[21]);

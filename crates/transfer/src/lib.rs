@@ -9,8 +9,8 @@
 //! versioned, byte-deterministic `kb.json` index, and [`WarmStart`]
 //! trains the shared [`cst_ml::Surrogate`] on those records to pre-rank
 //! previously seen settings before any simulated measurement. The
-//! surrogate's top picks are offered to tuners via
-//! `Tuner::warm_start` / `KernelConfig::warm`.
+//! surrogate's top picks are offered to tuners via `Tuner::warm_start`,
+//! which hands them to the kernel strategies that take seeds.
 //!
 //! Determinism contract (pinned by the testkit differential oracle):
 //! warm-start changes **only starting points**, never the evaluator —

@@ -4,7 +4,7 @@
 //! ranks every setting the archive has ever measured for that stencil
 //! and returns the top K as seeds for `Tuner::warm_start`. Ranking uses
 //! the shared [`cst_ml::Surrogate`] (the same q30 quantile-label forest
-//! the online ForestTuner trains) fit on KB records:
+//! the online forest tuner trains) fit on KB records:
 //!
 //! - **exact**: the (stencil, arch) pair has enough records — train on
 //!   setting features alone.
@@ -139,13 +139,6 @@ impl TransferSurrogate {
         let mut x = s.features().to_vec();
         x.extend_from_slice(&self.target);
         self.inner.score(&x)
-    }
-
-    /// The underlying shared surrogate — hand this to
-    /// `ForestTuner::pretrained` so the online path starts from the
-    /// transferred model instead of random below `min_train`.
-    pub fn surrogate(&self) -> &Surrogate {
-        &self.inner
     }
 }
 
@@ -284,7 +277,7 @@ mod tests {
         assert_eq!(w.seeds.len(), 4);
         let sur = TransferSurrogate::fit(&kb, "j3d7pt", "a100", 7).unwrap();
         assert_eq!(sur.mode(), "cross-arch");
-        assert!(sur.surrogate().n_train() > 0);
+        assert!(sur.n_train() > 0);
     }
 
     #[test]

@@ -531,7 +531,7 @@ fn run_tune(args: &Args) -> (StencilKernel, SessionOutcome) {
     let kernel = cstuner::serve::find_stencil(&req.stencil).expect("request validated");
     let arch = GpuArch::by_name(&req.arch).expect("request validated");
     let tuner_display =
-        cstuner::serve::build_tuner(&req.tuner, req.quick).expect("request validated").name();
+        cstuner::baselines::zoo::find(&req.tuner).expect("request validated").display;
     let tel = match args.text("journal") {
         Some(p) => Telemetry::to_file(Path::new(p))
             .unwrap_or_else(|e| die(2, format!("cannot open journal `{p}`: {e}"))),

@@ -15,7 +15,9 @@
 //! - [`codegen`] — CUDA C source generation per (stencil, setting).
 //! - [`core`] — the csTuner pipeline: grouping, sampling, evolutionary
 //!   search with approximation.
-//! - [`baselines`] — Garvey / OpenTuner-style / Artemis-style tuners.
+//! - [`baselines`] — Garvey / OpenTuner-style / Artemis-style tuners and
+//!   the kernel-native strategies, each an ask/tell `Optimizer`, plus the
+//!   `zoo` registry of every tuner by flag name.
 //! - [`obs`] — cross-run regression observatory: journal archive,
 //!   run-diff engine, drift detection, and the CI perf gate.
 //! - [`campaign`] — declarative benchmarking campaigns: stencil × arch ×
@@ -61,10 +63,11 @@ pub use cstuner_core as core;
 /// Convenient single-import surface for applications.
 pub mod prelude {
     pub use crate::baselines::{
-        AnnealTuner, ArtemisTuner, ForestTuner, GarveyTuner, GridSearch, OpenTunerGa, RandomSearch,
+        zoo, ArtemisOptimizer, ForestOptimizer, GaOptimizer, GarveyOptimizer, GridOptimizer,
+        RandomOptimizer, SaOptimizer,
     };
     pub use crate::codegen::generate_cuda;
-    pub use crate::core::{drive, KernelConfig, Observation, Optimizer, SearchCtx};
+    pub use crate::core::{drive, KernelConfig, KernelTuner, Observation, Optimizer, SearchCtx};
     pub use crate::core::{CsTuner, CsTunerConfig, Evaluator, SimEvaluator, Tuner, TuningOutcome};
     pub use crate::ga::{GaConfig, IslandGa};
     pub use crate::sim::{GpuArch, GpuSim, MetricsReport};

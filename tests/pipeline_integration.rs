@@ -50,24 +50,24 @@ fn tuned_setting_produces_generatable_cuda() {
 #[test]
 fn all_tuners_complete_under_iso_time_budget() {
     let spec = suite::spec_by_name("helmholtz").unwrap();
-    let mut tuners: Vec<Box<dyn Tuner>> = vec![
-        Box::new(CsTuner::new(CsTunerConfig::default())),
-        Box::new(GarveyTuner { dataset_size: 48, ..Default::default() }),
-        Box::new(OpenTunerGa::default()),
-        Box::new(ArtemisTuner::default()),
-        Box::new(RandomSearch::default()),
+    let garvey = || -> Box<dyn Optimizer> { Box::new(GarveyOptimizer::new(48, 0.10, 8192)) };
+    let mut tuners: Vec<(&str, Box<dyn Tuner>)> = vec![
+        ("csTuner", Box::new(CsTuner::new(CsTunerConfig::default()))),
+        ("Garvey", Box::new(KernelTuner::new(garvey, KernelConfig::DEFAULT))),
+        ("OpenTuner", zoo::build("opentuner", false).unwrap()),
+        ("Artemis", zoo::build("artemis", false).unwrap()),
+        ("Random", zoo::build("random", false).unwrap()),
     ];
-    for tuner in tuners.iter_mut() {
+    for (name, tuner) in tuners.iter_mut() {
         let mut eval = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), 1, 40.0);
-        let out =
-            tuner.tune(&mut eval, 1).unwrap_or_else(|e| panic!("{} failed: {e}", tuner.name()));
-        assert!(out.best_time_ms.is_finite(), "{}", tuner.name());
-        assert!(out.search_s <= 45.0, "{} took {}s", tuner.name(), out.search_s);
+        let out = tuner.tune(&mut eval, 1).unwrap_or_else(|e| panic!("{name} failed: {e}"));
+        assert!(out.best_time_ms.is_finite(), "{name}");
+        assert!(out.search_s <= 45.0, "{name} took {}s", out.search_s);
         // Curves are monotone non-increasing in best and non-decreasing in
         // time/iteration.
         for w in out.curve.windows(2) {
-            assert!(w[1].best_ms <= w[0].best_ms, "{}", tuner.name());
-            assert!(w[1].elapsed_s >= w[0].elapsed_s, "{}", tuner.name());
+            assert!(w[1].best_ms <= w[0].best_ms, "{name}");
+            assert!(w[1].elapsed_s >= w[0].elapsed_s, "{name}");
         }
     }
 }
@@ -83,7 +83,7 @@ fn cstuner_beats_random_search_iso_time() {
         cs_total +=
             CsTuner::new(CsTunerConfig::default()).tune(&mut e1, seed).unwrap().best_time_ms;
         let mut e2 = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), seed, 60.0);
-        rnd_total += RandomSearch::default().tune(&mut e2, seed).unwrap().best_time_ms;
+        rnd_total += zoo::build("random", false).unwrap().tune(&mut e2, seed).unwrap().best_time_ms;
     }
     assert!(
         cs_total < rnd_total,
