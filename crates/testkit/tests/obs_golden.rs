@@ -5,12 +5,13 @@
 //! observatory output is pinnable byte-for-byte. These fixtures are the
 //! regression gate's own regression tests: the blessed `RunSummary` is
 //! the committed-baseline format CI diffs fresh runs against, and the
-//! pinned `obs diff` text freezes the comparison rendering for two fixed
-//! journals. Re-bless after an intentional change with
+//! pinned `obs diff` and `cstuner report` texts freeze the renderings of
+//! two fixed journals. Re-bless after an intentional change with
 //! `CST_BLESS=1 cargo test -p cst-testkit --test obs_golden`.
 
 use cst_gpu_sim::{FaultProfile, GpuArch};
 use cst_obs::{diff_runs, evaluate_gate, render_diff, summarize, DriftClass, DriftPolicy};
+use cst_telemetry::report::render_report;
 use cst_testkit::{check_golden, quick_tune_journal, TraceOptions};
 
 fn clean_run() -> cst_obs::RunSummary {
@@ -88,4 +89,19 @@ fn summary_round_trips_through_the_archive_format() {
     let s = clean_run();
     let back = cst_obs::RunSummary::from_json(&s.to_json()).expect("parse own serialization");
     assert_eq!(back, s);
+}
+
+#[test]
+fn report_text_is_pinned() {
+    // `cstuner report` over the same two wall-stripped journals the
+    // summaries above come from: the stage table, convergence, sampling
+    // and counter sections, byte for byte.
+    for (name, profile) in [
+        ("report_quick_j3d7pt_a100", FaultProfile::off()),
+        ("report_quick_j3d7pt_a100_hostile", FaultProfile::hostile(7)),
+    ] {
+        let opts = TraceOptions { profile, ..Default::default() };
+        let lines = quick_tune_journal("j3d7pt", &GpuArch::a100(), &opts);
+        check_golden(name, &render_report(&lines).expect("render report"));
+    }
 }
