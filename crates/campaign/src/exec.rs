@@ -18,8 +18,7 @@
 use crate::spec::{CampaignSpec, Cell};
 use cst_obs::{JournalStore, RunSummary};
 use cst_serve::proto;
-use cst_serve::{client, run_session, TuneRequest};
-use cst_telemetry::json::{self, Value};
+use cst_serve::{run_session, Connection, StreamEvent, TuneRequest};
 use cst_telemetry::metrics;
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use rayon::prelude::*;
@@ -186,51 +185,20 @@ fn run_cell_local(req: &TuneRequest) -> Result<Vec<String>, String> {
 }
 
 /// Run one cell on a `cst-serve` daemon: one connection, one request,
-/// journal frames collected until `session_done`. Control frames are
-/// recognized by [`proto::is_protocol_frame`] and filtered out; the
-/// journal lines are wall-stripped client-side so local and remote
+/// journal records collected until `session_done` by the client's stream
+/// reader; they are wall-stripped client-side so local and remote
 /// backends archive identical bytes.
 fn run_cell_remote(addr: &str, req: &TuneRequest) -> Result<Vec<String>, String> {
-    let frames = client::roundtrip(addr, &proto::tune_request_line(req))?;
+    let mut conn = Connection::connect(addr)?;
+    conn.send_line(&proto::tune_request_line(req))?;
     let mut journal = Vec::new();
-    let mut finished = false;
-    for frame in &frames {
-        if !proto::is_protocol_frame(frame) {
-            journal.push(strip_wall_fields(frame));
-            continue;
+    conn.follow_session(|event| {
+        if let StreamEvent::Record(line) = event {
+            journal.push(strip_wall_fields(line));
         }
-        match proto::frame_type(frame).as_deref() {
-            Some("busy") => return Err(format!("daemon at {addr} is at capacity")),
-            Some("error") => {
-                return Err(frame_field(frame, "message")
-                    .unwrap_or_else(|| format!("daemon error: {frame}")));
-            }
-            Some("session_done") => {
-                let state = frame_field(frame, "state").unwrap_or_default();
-                if state == "done" {
-                    finished = true;
-                } else {
-                    return Err(frame_field(frame, "error")
-                        .unwrap_or_else(|| format!("session ended in state `{state}`")));
-                }
-            }
-            // `accepted` / `session` progress frames carry no journal
-            // content; `hello` is consumed by the client handshake.
-            _ => {}
-        }
-    }
-    if !finished {
-        return Err(format!("daemon at {addr} closed the stream before session_done"));
-    }
+    })
+    .map_err(|e| e.to_string())?;
     Ok(journal)
-}
-
-/// Pull one string field out of a protocol frame.
-fn frame_field(frame: &str, key: &str) -> Option<String> {
-    match json::parse(frame) {
-        Ok(v @ Value::Obj(_)) => v.get(key).and_then(Value::as_str).map(str::to_string),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

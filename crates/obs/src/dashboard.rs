@@ -7,6 +7,7 @@
 //! and the shootout example's multi-tuner archive.
 
 use crate::summary::{RunSummary, MILESTONE_PCTS};
+use cst_telemetry::json;
 use std::fmt::Write as _;
 
 fn fmt(x: f64) -> String {
@@ -118,12 +119,7 @@ pub fn render_dashboard(summaries: &[RunSummary]) -> String {
 pub fn dashboard_json(summaries: &[RunSummary]) -> String {
     let mut o = String::with_capacity(256);
     let _ = write!(o, "{{\"runs\":{},\"summaries\":[", summaries.len());
-    for (i, s) in summaries.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&s.to_json());
-    }
+    json::write_joined(&mut o, summaries, |o, s| o.push_str(&s.to_json()));
     o.push_str("]}");
     o
 }

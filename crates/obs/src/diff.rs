@@ -69,6 +69,21 @@ impl MetricDelta {
             Direction::Neutral => None,
         }
     }
+
+    /// The table marker that spells the sign convention out: `(better)` /
+    /// `(worse)` per the metric's direction, `(shifted)` for neutral
+    /// metrics, `(appeared)` / `(vanished)` for one-sided ones.
+    pub fn marker(&self) -> &'static str {
+        match (self.baseline, self.candidate) {
+            (None, Some(_)) => " (appeared)",
+            (Some(_), None) => " (vanished)",
+            _ => match self.improved() {
+                Some(true) => " (better)",
+                Some(false) => " (worse)",
+                None => " (shifted)",
+            },
+        }
+    }
 }
 
 /// The full comparison of two runs or two run groups.
@@ -206,7 +221,8 @@ pub fn diff_groups(
     }
 }
 
-fn fmt_value(v: Option<f64>) -> String {
+/// A metric value for a text table (`-` when absent).
+pub(crate) fn fmt_value(v: Option<f64>) -> String {
     match v {
         None => "-".to_string(),
         Some(x) if x == x.trunc() && x.abs() < 1e9 => format!("{x:.1}"),
@@ -214,10 +230,9 @@ fn fmt_value(v: Option<f64>) -> String {
     }
 }
 
-/// Render a diff as an aligned text table. Deterministic: depends only on
-/// the two summaries. The trailing marker spells the sign convention out:
-/// `(better)` / `(worse)` per the metric's direction, `(shifted)` for
-/// neutral metrics, `(appeared)` / `(vanished)` for one-sided metrics.
+/// Render a diff as an aligned text table, each row ending in its
+/// [`MetricDelta::marker`]. Deterministic: depends only on the two
+/// summaries.
 pub fn render_diff(diff: &RunDiff) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -236,25 +251,17 @@ pub fn render_diff(diff: &RunDiff) -> String {
         if m.baseline == m.candidate {
             continue;
         }
-        let marker = match (m.baseline, m.candidate) {
-            (None, Some(_)) => " (appeared)",
-            (Some(_), None) => " (vanished)",
-            _ => match m.improved() {
-                Some(true) => " (better)",
-                Some(false) => " (worse)",
-                None => " (shifted)",
-            },
-        };
         let delta = m.delta().map(|d| format!("{d:+.4}")).unwrap_or_else(|| "-".to_string());
         let rel = m.rel().map(|r| format!("{:+.1}%", 100.0 * r)).unwrap_or_else(|| "-".to_string());
         let _ = writeln!(
             out,
-            "{:<24} {:>12} {:>12} {:>10} {:>9}{marker}",
+            "{:<24} {:>12} {:>12} {:>10} {:>9}{}",
             m.name,
             fmt_value(m.baseline),
             fmt_value(m.candidate),
             delta,
-            rel
+            rel,
+            m.marker()
         );
     }
     if diff.metrics.iter().all(|m| m.baseline == m.candidate) {

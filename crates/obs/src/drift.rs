@@ -9,7 +9,7 @@
 //! `ok`. The gate verdict is the worst class over all metrics; `regress`
 //! is what fails CI.
 
-use crate::diff::{Direction, MetricDelta, RunDiff};
+use crate::diff::{fmt_value, Direction, MetricDelta, RunDiff};
 use cst_telemetry::json;
 use std::fmt::Write as _;
 
@@ -179,14 +179,6 @@ pub fn evaluate_gate(diff: &RunDiff, policy: &DriftPolicy) -> GateReport {
     GateReport { diff: diff.clone(), findings, verdict }
 }
 
-fn fmt_opt(v: Option<f64>) -> String {
-    match v {
-        None => "-".to_string(),
-        Some(x) if x == x.trunc() && x.abs() < 1e9 => format!("{x:.1}"),
-        Some(x) => format!("{x:.4}"),
-    }
-}
-
 /// Render the gate dashboard: verdict header, then every non-`ok` finding
 /// with its thresholds, then a one-line count of the quiet metrics.
 /// Deterministic for fixed inputs.
@@ -217,8 +209,8 @@ pub fn render_gate_dashboard(report: &GateReport, policy: &DriftPolicy) -> Strin
                 "{:<8} {:<24} {:>12} {:>12} {:>9} {:>6.0}%/{:.0}%",
                 f.class.label(),
                 m.name,
-                fmt_opt(m.baseline),
-                fmt_opt(m.candidate),
+                fmt_value(m.baseline),
+                fmt_value(m.candidate),
                 rel,
                 100.0 * t.rel_warn,
                 100.0 * t.rel_regress
@@ -253,21 +245,17 @@ pub fn verdict_json(report: &GateReport) -> String {
         report.of_class(DriftClass::Regress).len()
     );
     o.push_str(",\"findings\":[");
-    let mut first = true;
-    for f in report.findings.iter().filter(|f| f.class != DriftClass::Ok) {
-        if !first {
-            o.push(',');
-        }
-        first = false;
+    let flagged = report.findings.iter().filter(|f| f.class != DriftClass::Ok);
+    json::write_joined(&mut o, flagged, |o, f| {
         let _ = write!(o, "{{\"metric\":");
-        json::write_escaped(&mut o, &f.metric.name);
+        json::write_escaped(o, &f.metric.name);
         let _ = write!(o, ",\"class\":\"{}\"", f.class.label());
         o.push_str(",\"baseline\":");
-        json::write_f64(&mut o, f.metric.baseline.unwrap_or(f64::NAN));
+        json::write_f64(o, f.metric.baseline.unwrap_or(f64::NAN));
         o.push_str(",\"candidate\":");
-        json::write_f64(&mut o, f.metric.candidate.unwrap_or(f64::NAN));
+        json::write_f64(o, f.metric.candidate.unwrap_or(f64::NAN));
         o.push('}');
-    }
+    });
     o.push_str("]}");
     o
 }

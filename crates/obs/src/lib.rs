@@ -1,20 +1,23 @@
 //! Cross-run regression observatory for the csTuner pipeline.
 //!
 //! The run journal (`cst-telemetry`) records everything one tuning
-//! session did; this crate is the layer above it that makes *runs
-//! comparable*:
+//! session did, and its one reader ([`cst_telemetry::journal::read`])
+//! parses and folds a journal in one pass. This crate is the layer above
+//! that makes *runs comparable*; its summary and profile both render
+//! that fold:
 //!
 //! - [`summary`] distills a journal into a versioned [`RunSummary`] —
 //!   best cost, convergence milestones (virtual seconds and evaluations
 //!   to land within x% of the final best), per-stage virtual-cost
 //!   shares, memo hit ratio, fault/quarantine rates and counter totals.
-//!   Wall-clock quantities are excluded by construction, so a summary is
-//!   a pure, bit-deterministic function of the journal's deterministic
-//!   core.
+//!   It keeps only virtual-clock quantities, so a summary is a pure,
+//!   bit-deterministic function of the journal's deterministic core.
 //! - [`store`] is the journal archive: [`JournalStore`] ingests N JSONL
 //!   journals into `*.summary.json` records under a directory
 //!   (`results/obs/` by convention) that later sessions — warm-start
 //!   seeding, dashboards, CI — read back without re-parsing journals.
+//!   [`load_run`] is the one place that tells a journal file from a
+//!   summary file.
 //! - [`diff`] compares two runs, or two labeled groups of runs,
 //!   field-by-field with signed relative deltas and explicit
 //!   better/worse conventions per metric.
@@ -25,9 +28,9 @@
 //!   `cstuner obs gate`, CI's cross-commit performance gate.
 //! - [`dashboard`] renders N summaries side by side for eyeballing a
 //!   whole archive at once.
-//! - [`profile`] folds a journal's span records into a deterministic
-//!   self/total/calls profile per call path — text tree, versioned JSON,
-//!   collapsed-stack output and direction-tagged profile diffs.
+//! - [`profile`] renders the fold's span rows — self/total/calls per
+//!   call path — as a text tree, versioned JSON, collapsed stacks and
+//!   direction-tagged profile diffs.
 
 pub mod dashboard;
 pub mod diff;
@@ -45,5 +48,5 @@ pub use profile::{
     diff_profiles, profile_journal, profile_json, profile_summary, render_fold, render_profile,
     render_profile_diff, Profile, ProfileRow, PROFILE_VERSION,
 };
-pub use store::{load_run, JournalStore};
+pub use store::{load_run, JournalStore, Run};
 pub use summary::{summarize, HistSummary, Milestone, RunSummary, MILESTONE_PCTS, SUMMARY_VERSION};

@@ -1,66 +1,37 @@
-//! Span-profile analyzer: fold a journal's span records into a
-//! deterministic self-time / total-time / call-count profile.
+//! Span-profile analyzer: a deterministic self-time / total-time /
+//! call-count profile of a run.
 //!
 //! The run journal brackets every pipeline stage with `span_start` /
-//! `span_end` records on the virtual clock. [`profile_journal`] replays
-//! those records against a span stack, aggregating by **call path** (the
-//! stack of enclosing span names), so nested and repeated spans fold into
-//! one row per distinct path with summed virtual cost, the portion not
-//! attributed to child spans (self time), and a call count. Histogram
-//! digests from the journal's `counters` record ride along with p50/p95
-//! estimates, giving the profile a latency-distribution column where the
-//! journal recorded one.
+//! `span_end` records on the virtual clock. The telemetry crate's one
+//! journal reader ([`journal::read`]) replays them against a span stack
+//! into one row per **call path** (the stack of enclosing span names):
+//! summed virtual cost, self time (the part not attributed to child
+//! spans) and a call count. A [`Profile`] is those rows plus the fold's
+//! histogram digests, whose p50/p95 estimates give it a latency column.
 //!
 //! Everything here is a pure function of the journal's deterministic
-//! core: wall-clock fields are never read, rows keep first-completion
-//! order, and floats go through the canonical JSON writer — profiling
-//! the same journal twice yields byte-identical text, JSON and folded
-//! output. [`diff_profiles`] compares two profiles path-by-path with the
-//! diff engine's [`MetricDelta`] conventions (`delta = candidate −
-//! baseline`, direction-tagged markers), and [`render_fold`] emits
-//! collapsed-stack lines (`path;to;span <self_µs>`) for flamegraph
-//! tooling.
+//! core: the fold sums the wall-clock fields but a profile never renders
+//! them, rows keep first-completion order, and floats go through the
+//! canonical JSON writer — profiling the same journal twice yields
+//! byte-identical text, JSON and folded output. [`diff_profiles`]
+//! compares two profiles path-by-path with the diff engine's
+//! [`MetricDelta`] conventions (`delta = candidate − baseline`,
+//! direction-tagged markers), and [`render_fold`] emits collapsed-stack
+//! lines (`path;to;span <self_µs>`) for flamegraph tooling.
 
 use crate::diff::{Direction, MetricDelta};
-use crate::summary::{summarize, HistSummary, RunSummary};
+use crate::summary::{HistSummary, RunSummary};
+use cst_telemetry::journal::{self, Journal};
 use cst_telemetry::json;
 use std::fmt::Write as _;
+
+/// One aggregated call path: every completion of a span whose enclosing
+/// span stack spelled the same sequence of names.
+pub use cst_telemetry::journal::SpanRow as ProfileRow;
 
 /// Version stamped into `profile_json` output. Bump when a field is
 /// removed, renamed, or changes meaning.
 pub const PROFILE_VERSION: u64 = 1;
-
-/// One aggregated call path: every completion of a span whose enclosing
-/// span stack spelled the same sequence of names.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileRow {
-    /// Call path from the outermost enclosing span to this one.
-    pub path: Vec<String>,
-    /// Completions folded into this row.
-    pub calls: u64,
-    /// Summed virtual cost (seconds), children included.
-    pub total_s: f64,
-    /// Summed virtual cost minus the cost attributed to child spans.
-    pub self_s: f64,
-}
-
-impl ProfileRow {
-    /// Span name (last path element).
-    pub fn name(&self) -> &str {
-        self.path.last().map(String::as_str).unwrap_or("?")
-    }
-
-    /// Nesting depth (0 for root spans).
-    pub fn depth(&self) -> usize {
-        self.path.len().saturating_sub(1)
-    }
-
-    /// The path joined with `;` — the row's stable identity, and the
-    /// stack syntax of the collapsed-stack output.
-    pub fn key(&self) -> String {
-        self.path.join(";")
-    }
-}
 
 /// A folded span profile of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,103 +47,26 @@ pub struct Profile {
 impl Profile {
     /// Summed virtual cost of root spans — the profile's 100% mark.
     pub fn total_s(&self) -> f64 {
-        self.rows.iter().filter(|r| r.depth() == 0).map(|r| r.total_s).sum()
+        journal::roots_total_s(&self.rows)
     }
 
     /// Look up a row by its `;`-joined path.
     pub fn row(&self, key: &str) -> Option<&ProfileRow> {
         self.rows.iter().find(|r| r.key() == key)
     }
+
+    /// The profile of a folded journal: its span rows and histogram
+    /// digests.
+    pub fn from_journal(source: &str, j: Journal) -> Profile {
+        Profile { source: source.to_string(), rows: j.spans, hists: j.hists }
+    }
 }
 
-/// One open span on the replay stack.
-struct OpenSpan {
-    name: String,
-    start_v_s: f64,
-    child_cost_s: f64,
-}
-
-/// Fold a journal (one JSON record per line, wall fields tolerated and
-/// ignored) into a [`Profile`]. The journal is schema-validated first; a
-/// malformed journal is an error, not a half-filled profile.
-///
-/// Robustness rules, all deterministic: a `span_end` with no matching
-/// open span folds as a root-level path of its own name; open spans left
-/// at end-of-journal are closed LIFO at the journal's final `v_s`, their
-/// cost the clock distance since their start.
+/// Fold a journal (one JSON record per line, wall fields tolerated) into
+/// a [`Profile`]. A malformed journal is an error, not a half-filled
+/// profile.
 pub fn profile_journal(source: &str, lines: &[String]) -> Result<Profile, String> {
-    let summary = summarize(source, lines)?;
-    let records: Vec<json::Value> =
-        lines.iter().map(|l| json::parse(l).expect("validated")).collect();
-
-    let mut rows: Vec<ProfileRow> = Vec::new();
-    let mut open: Vec<OpenSpan> = Vec::new();
-    let mut fold = |open: &mut Vec<OpenSpan>, span: OpenSpan, cost_s: f64| {
-        let self_s = cost_s - span.child_cost_s;
-        if let Some(parent) = open.last_mut() {
-            parent.child_cost_s += cost_s;
-        }
-        let mut path: Vec<String> = open.iter().map(|o| o.name.clone()).collect();
-        path.push(span.name);
-        match rows.iter_mut().find(|r| r.path == path) {
-            Some(r) => {
-                r.calls += 1;
-                r.total_s += cost_s;
-                r.self_s += self_s;
-            }
-            None => rows.push(ProfileRow { path, calls: 1, total_s: cost_s, self_s }),
-        }
-    };
-
-    let mut final_v_s = 0.0;
-    for rec in &records {
-        let ty = rec.get("type").and_then(json::Value::as_str).unwrap_or("");
-        if let Some(v) = rec.get("v_s").and_then(json::Value::as_f64) {
-            final_v_s = v;
-        }
-        match ty {
-            "span_start" => {
-                let name = rec.get("name").and_then(json::Value::as_str).unwrap_or("?");
-                let v_s = rec.get("v_s").and_then(json::Value::as_f64).unwrap_or(0.0);
-                open.push(OpenSpan { name: name.to_string(), start_v_s: v_s, child_cost_s: 0.0 });
-            }
-            "span_end" => {
-                let name = rec.get("name").and_then(json::Value::as_str).unwrap_or("?");
-                let cost = rec.get("v_cost_s").and_then(json::Value::as_f64).unwrap_or(0.0);
-                match open.iter().rposition(|o| o.name == name) {
-                    Some(pos) => {
-                        // Anything opened above the match never got its
-                        // span_end (a crashed stage): close it first,
-                        // LIFO, at this record's clock.
-                        let v_s = rec.get("v_s").and_then(json::Value::as_f64).unwrap_or(0.0);
-                        while open.len() > pos + 1 {
-                            let stray = open.pop().expect("len checked");
-                            let stray_cost = (v_s - stray.start_v_s).max(0.0);
-                            fold(&mut open, stray, stray_cost);
-                        }
-                        let span = open.pop().expect("pos exists");
-                        fold(&mut open, span, cost);
-                    }
-                    None => {
-                        // Unmatched end: fold as a root-level path.
-                        let mut detached = Vec::new();
-                        fold(
-                            &mut detached,
-                            OpenSpan { name: name.to_string(), start_v_s: 0.0, child_cost_s: 0.0 },
-                            cost,
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    while let Some(span) = open.pop() {
-        let cost = (final_v_s - span.start_v_s).max(0.0);
-        fold(&mut open, span, cost);
-    }
-
-    Ok(Profile { source: source.to_string(), rows, hists: summary.hists })
+    Ok(Profile::from_journal(source, journal::read(lines)?))
 }
 
 /// Build a flat profile from an archived [`RunSummary`] — summaries keep
@@ -187,6 +81,7 @@ pub fn profile_summary(source: &str, summary: &RunSummary) -> Profile {
             calls: 1,
             total_s: st.v_cost_s,
             self_s: st.v_cost_s,
+            wall_ms: None,
         })
         .collect();
     Profile { source: source.to_string(), rows, hists: summary.hists.clone() }
@@ -244,33 +139,27 @@ pub fn profile_json(p: &Profile) -> String {
     o.push_str(",\"total_s\":");
     json::write_f64(&mut o, p.total_s());
     o.push_str(",\"spans\":[");
-    for (i, r) in p.rows.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    json::write_joined(&mut o, &p.rows, |o, r| {
         o.push_str("{\"path\":");
-        json::write_escaped(&mut o, &r.key());
+        json::write_escaped(o, &r.key());
         let _ = write!(o, ",\"depth\":{},\"calls\":{}", r.depth(), r.calls);
         o.push_str(",\"total_s\":");
-        json::write_f64(&mut o, r.total_s);
+        json::write_f64(o, r.total_s);
         o.push_str(",\"self_s\":");
-        json::write_f64(&mut o, r.self_s);
+        json::write_f64(o, r.self_s);
         o.push('}');
-    }
+    });
     o.push_str("],\"hists\":[");
-    for (i, h) in p.hists.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
+    json::write_joined(&mut o, &p.hists, |o, h| {
         o.push_str("{\"name\":");
-        json::write_escaped(&mut o, &h.name);
+        json::write_escaped(o, &h.name);
         let _ = write!(o, ",\"count\":{}", h.count);
         for (k, v) in [("p50", h.p50), ("p95", h.p95), ("max", h.max)] {
             let _ = write!(o, ",\"{k}\":");
-            json::write_f64(&mut o, v);
+            json::write_f64(o, v);
         }
         o.push('}');
-    }
+    });
     o.push_str("]}");
     o
 }
@@ -329,9 +218,8 @@ pub fn diff_profiles(baseline: &Profile, candidate: &Profile) -> Vec<MetricDelta
     metrics
 }
 
-/// Render a profile diff as an aligned table with the diff engine's
-/// marker conventions (`(better)` / `(worse)` / `(shifted)` /
-/// `(appeared)` / `(vanished)`); identical rows stay out of the table.
+/// Render a profile diff as an aligned table, each row ending in its
+/// [`MetricDelta::marker`]; identical rows stay out of the table.
 pub fn render_profile_diff(
     baseline: &Profile,
     candidate: &Profile,
@@ -344,36 +232,20 @@ pub fn render_profile_diff(
         "{:<40} {:>12} {:>12} {:>10}",
         "span:metric", "baseline", "candidate", "delta"
     );
-    let mut differing = 0usize;
-    for m in metrics {
-        if m.baseline == m.candidate {
-            continue;
-        }
-        differing += 1;
-        let marker = match (m.baseline, m.candidate) {
-            (None, Some(_)) => " (appeared)",
-            (Some(_), None) => " (vanished)",
-            _ => match m.improved() {
-                Some(true) => " (better)",
-                Some(false) => " (worse)",
-                None => " (shifted)",
-            },
-        };
-        let fmt = |v: Option<f64>| match v {
-            None => "-".to_string(),
-            Some(x) => format!("{x:.6}"),
-        };
+    for m in metrics.iter().filter(|m| m.baseline != m.candidate) {
+        let fmt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.6}"));
         let delta = m.delta().map(|d| format!("{d:+.6}")).unwrap_or_else(|| "-".to_string());
         let _ = writeln!(
             out,
-            "{:<40} {:>12} {:>12} {:>10}{marker}",
+            "{:<40} {:>12} {:>12} {:>10}{}",
             m.name,
             fmt(m.baseline),
             fmt(m.candidate),
-            delta
+            delta,
+            m.marker()
         );
     }
-    if differing == 0 {
+    if metrics.iter().all(|m| m.baseline == m.candidate) {
         let _ = writeln!(out, "(no differences)");
     }
     out
@@ -382,6 +254,7 @@ pub fn render_profile_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::summarize;
     use cst_telemetry::{event, strip_wall_fields, Telemetry};
 
     /// A journal with nested and repeated spans: search contains two
@@ -419,6 +292,10 @@ mod tests {
         assert!((search.self_s - 5.5).abs() < 1e-12, "children attributed: {}", search.self_s);
         assert!((p.total_s() - 9.25).abs() < 1e-12);
         assert_eq!(p.hists.len(), 1);
+        // The report lists the same rows by path and totals the roots.
+        let text = cst_telemetry::report::render_report(&nested_journal()).unwrap();
+        assert!(text.contains("search;model_fit       3.5000"), "{text}");
+        assert!(text.contains("total                9.2500"), "{text}");
     }
 
     #[test]
@@ -447,6 +324,14 @@ mod tests {
         let p = profile_journal("trunc", &lines).unwrap();
         let row = p.row("search").unwrap();
         assert!((row.total_s - 4.0).abs() < 1e-12, "closed at final v_s: {row:?}");
+        // The summary's stage costs fold by the same rules.
+        let s = summarize("trunc", &lines).unwrap();
+        assert_eq!(s.stages.len(), 1);
+        assert!((s.stage_share("search") - 1.0).abs() < 1e-12);
+        assert!((s.total_stage_cost_s() - 4.0).abs() < 1e-12, "{:?}", s.stages);
+        // So does the report's stage table.
+        let text = cst_telemetry::report::render_report(&lines).unwrap();
+        assert!(text.contains("search               4.0000   100.0%"), "{text}");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! original journals, which can be gigabytes across a sweep while the
 //! archive stays kilobytes.
 
+use crate::profile::{profile_summary, Profile};
 use crate::summary::{summarize, RunSummary};
+use cst_telemetry::journal;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -51,7 +53,7 @@ impl JournalStore {
     /// Summarize a journal file (JSONL) and archive it. The run name
     /// defaults to the journal's file stem unless `name` is given.
     pub fn ingest_file(&self, journal: &Path, name: Option<&str>) -> Result<RunSummary, String> {
-        let lines = read_jsonl(journal)?;
+        let lines: Vec<String> = read_text(journal)?.lines().map(str::to_string).collect();
         let stem = journal.file_stem().and_then(|s| s.to_str()).unwrap_or("run");
         // Summarize errors carry `line N:`; prefix the journal path so a
         // failed sweep ingest names the offending file.
@@ -62,8 +64,7 @@ impl JournalStore {
     /// Load one archived summary by name.
     pub fn load(&self, name: &str) -> Result<RunSummary, String> {
         let path = self.path_of(name);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let text = read_text(&path)?;
         // A summary is one JSON object on its first line.
         RunSummary::from_json(&text).map_err(|e| format!("{}: line 1: {e}", path.display()))
     }
@@ -89,27 +90,41 @@ impl JournalStore {
     }
 }
 
-fn read_jsonl(path: &Path) -> Result<Vec<String>, String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(text.lines().map(str::to_string).collect())
+fn read_text(path: &Path) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// A run loaded by [`load_run`]: its summary and its span profile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The run's summary.
+    pub summary: RunSummary,
+    /// The run's span profile: the journal's span tree, or a summary's
+    /// flat per-stage rows.
+    pub profile: Profile,
 }
 
 /// Load a run from any supported file: a `*.summary.json` archive record
 /// or a raw JSONL journal (detected by its `journal_start` first line,
 /// which a summary — a single JSON object keyed `summary_version` — never
-/// has). Lets `cstuner obs diff`/`gate` accept either form.
-pub fn load_run(path: &Path) -> Result<RunSummary, String> {
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+/// has). The one place that tells the two apart, so `cstuner obs
+/// diff`/`gate`/`profile` accept either form.
+pub fn load_run(path: &Path) -> Result<Run, String> {
+    let text = read_text(path)?;
+    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("run");
     let first = text.lines().next().unwrap_or("");
     if first.contains("\"type\":\"journal_start\"") {
         let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("run");
         // Validation errors carry `line N:`; prefix the file path.
-        summarize(stem, &lines).map_err(|e| format!("{}: {e}", path.display()))
+        let j = journal::read(&lines).map_err(|e| format!("{}: {e}", path.display()))?;
+        Ok(Run {
+            summary: RunSummary::from_journal(stem, &j),
+            profile: Profile::from_journal(stem, j),
+        })
     } else {
-        RunSummary::from_json(&text).map_err(|e| format!("{}: line 1: {e}", path.display()))
+        let summary =
+            RunSummary::from_json(&text).map_err(|e| format!("{}: line 1: {e}", path.display()))?;
+        Ok(Run { profile: profile_summary(stem, &summary), summary })
     }
 }
 
@@ -166,10 +181,12 @@ mod tests {
         let jpath = dir.join("run.jsonl");
         fs::write(&jpath, journal().join("\n")).unwrap();
         let from_journal = load_run(&jpath).unwrap();
+        assert_eq!(from_journal.summary, summarize("run", &journal()).unwrap());
         let spath = dir.join("run.summary.json");
-        fs::write(&spath, from_journal.to_json()).unwrap();
+        fs::write(&spath, from_journal.summary.to_json()).unwrap();
         let from_summary = load_run(&spath).unwrap();
-        assert_eq!(from_journal, from_summary);
+        assert_eq!(from_journal.summary, from_summary.summary);
+        assert_eq!(from_summary.profile, profile_summary("run.summary", &from_summary.summary));
         let _ = fs::remove_dir_all(&dir);
     }
 

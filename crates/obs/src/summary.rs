@@ -1,10 +1,12 @@
 //! Per-run summaries: the archive's unit record.
 //!
-//! [`summarize`] reduces a validated run journal to a [`RunSummary`] —
-//! every cross-run comparison in this crate happens over summaries, never
-//! raw journals. The summary keeps only **virtual-clock** quantities
-//! (wall-clock fields are excluded by construction), so summarizing the
-//! same journal twice, on any host, yields byte-identical JSON.
+//! [`summarize`] reduces a run journal to a [`RunSummary`] — every
+//! cross-run comparison in this crate happens over summaries, never raw
+//! journals. The summary renders the telemetry crate's one journal fold
+//! ([`journal::read`]): its stage costs are the fold's span rows summed
+//! by name. The fold reads the wall-clock fields, but the summary keeps
+//! only **virtual-clock** quantities, so summarizing the same journal
+//! twice, on any host, yields byte-identical JSON.
 //!
 //! The on-disk format (`*.summary.json`, one JSON object per file) is
 //! versioned by [`SUMMARY_VERSION`], independently of the journal schema:
@@ -12,9 +14,12 @@
 //! the summary version only, and [`RunSummary::from_json`] rejects
 //! versions it does not understand.
 
+use cst_telemetry::journal::{self, num, text, uint, Journal};
 use cst_telemetry::json::{self, Value};
-use cst_telemetry::{report, schema, Counter};
+use cst_telemetry::Counter;
 use std::fmt::Write as _;
+
+pub use cst_telemetry::journal::HistSummary;
 
 /// Version stamped into every `*.summary.json`. Bump when a field is
 /// removed, renamed, or changes meaning; adding optional fields is
@@ -41,28 +46,8 @@ pub struct Milestone {
     pub evals: u64,
 }
 
-/// Condensed view of one journal histogram: moments plus the p50/p95
-/// log-bucket estimates from [`report::hist_percentile`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistSummary {
-    /// Histogram name (e.g. `eval_time_ms`).
-    pub name: String,
-    /// Observations recorded.
-    pub count: u64,
-    /// Mean observation.
-    pub mean: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-    /// Estimated median.
-    pub p50: f64,
-    /// Estimated 95th percentile.
-    pub p95: f64,
-}
-
-/// One aggregated pipeline stage: total virtual cost across the run's
-/// `span_end` records of that name, in first-completion order.
+/// One aggregated pipeline stage: total virtual cost of the run's span
+/// rows of that name, in first-completion order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageCost {
     /// Span name (`dataset`, `grouping`, `sampling`, `codegen`, `search`).
@@ -146,14 +131,6 @@ impl RunSummary {
     }
 }
 
-fn num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
-fn uint(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_u64).unwrap_or(0)
-}
-
 fn ratio(n: u64, d: u64) -> f64 {
     if d == 0 {
         0.0
@@ -163,155 +140,102 @@ fn ratio(n: u64, d: u64) -> f64 {
 }
 
 /// Distill a journal (one JSON record per line, wall fields tolerated and
-/// ignored) into a [`RunSummary`]. The journal is schema-validated first;
-/// a malformed journal is an error, not a half-filled summary.
+/// ignored) into a [`RunSummary`]. A malformed journal is an error, not a
+/// half-filled summary.
 pub fn summarize(source: &str, lines: &[String]) -> Result<RunSummary, String> {
-    schema::validate_journal(lines)?;
-    let records: Vec<Value> = lines.iter().map(|l| json::parse(l).expect("validated")).collect();
-    let of_type = |ty: &str| -> Vec<&Value> {
-        records.iter().filter(|r| r.get("type").and_then(Value::as_str) == Some(ty)).collect()
-    };
+    Ok(RunSummary::from_journal(source, &journal::read(lines)?))
+}
 
-    let meta = of_type("run_meta");
-    let meta_str = |key: &str| -> String {
-        meta.iter().find_map(|m| m.get(key).and_then(Value::as_str)).unwrap_or("?").to_string()
-    };
-    let outcome = of_type("outcome").first().copied();
-    let counters_rec = of_type("counters").first().copied();
-    let journal_end = of_type("journal_end").first().copied();
+impl RunSummary {
+    /// Summarize a folded journal.
+    pub fn from_journal(source: &str, j: &Journal) -> RunSummary {
+        let meta = |key: &'static str| j.run_meta.iter().filter_map(move |m| m.get(key));
+        let meta_str =
+            |key: &'static str| meta(key).find_map(Value::as_str).unwrap_or("?").to_string();
+        let outcome = j.outcomes.first();
 
-    // Final quantities: prefer the explicit outcome record, fall back to
-    // the iteration stream / counters for journals of aborted runs.
-    let iterations = of_type("iteration");
-    let last_iter_best = iterations.iter().rev().find_map(|it| num(it, "best_ms"));
-    let best_ms =
-        outcome.and_then(|o| num(o, "best_ms")).or(last_iter_best).unwrap_or(f64::INFINITY);
-    let evaluations = outcome
-        .map(|o| uint(o, "evaluations"))
-        .unwrap_or_else(|| counters_rec.map(|c| uint(c, "evals_committed")).unwrap_or(0));
-    let search_s = outcome
-        .and_then(|o| num(o, "search_s"))
-        .or_else(|| journal_end.and_then(|e| num(e, "v_s")))
-        .unwrap_or(0.0);
+        // Final quantities: prefer the explicit outcome record, fall back
+        // to the iteration stream / counters for journals of aborted runs.
+        let best_ms = outcome
+            .and_then(|o| num(o, "best_ms"))
+            .or_else(|| j.iterations.iter().rev().find_map(|it| num(it, "best_ms")))
+            .unwrap_or(f64::INFINITY);
 
-    // Convergence milestones: the first iteration whose best-so-far is
-    // within each band of the final best. Iterations with a null best
-    // (nothing finite measured yet) cannot enter any band.
-    let mut milestones = Vec::new();
-    if best_ms.is_finite() {
-        for pct in MILESTONE_PCTS {
-            let band = best_ms * (1.0 + pct as f64 / 100.0);
-            let hit = iterations.iter().find(|it| match num(it, "best_ms") {
-                Some(b) => b <= band,
-                None => false,
-            });
-            if let Some(it) = hit {
-                milestones.push(Milestone {
+        // Convergence milestones: the first iteration whose best-so-far is
+        // within each band of the final best. Iterations with a null best
+        // (nothing finite measured yet) cannot enter any band.
+        let milestones = MILESTONE_PCTS
+            .into_iter()
+            .filter(|_| best_ms.is_finite())
+            .filter_map(|pct| {
+                let band = best_ms * (1.0 + pct as f64 / 100.0);
+                let it =
+                    j.iterations.iter().find(|it| num(it, "best_ms").is_some_and(|b| b <= band))?;
+                Some(Milestone {
                     within_pct: pct,
                     iteration: uint(it, "iteration"),
                     v_s: num(it, "v_s").unwrap_or(0.0),
                     evals: uint(it, "evals"),
-                });
+                })
+            })
+            .collect();
+
+        // Per-stage virtual costs: the span rows summed by name, in
+        // first-completion order.
+        let mut stages: Vec<StageCost> = Vec::new();
+        for r in &j.spans {
+            match stages.iter_mut().find(|st| st.name == r.name()) {
+                Some(st) => st.v_cost_s += r.total_s,
+                None => stages.push(StageCost { name: r.name().to_string(), v_cost_s: r.total_s }),
             }
+        }
+
+        // Counter totals read 0 without a `counters` record.
+        let counter = |key: &str| j.counters.as_ref().map_or(0, |c| uint(c, key));
+        let attempted = counter("evals_attempted");
+        let (hits, misses) = (counter("memo_hits"), counter("memo_misses"));
+        let failures =
+            counter("fault_compile") + counter("fault_launch") + counter("fault_timeout");
+        RunSummary {
+            version: SUMMARY_VERSION,
+            source: source.to_string(),
+            stencil: meta_str("stencil"),
+            arch: meta_str("arch"),
+            tuner: match meta_str("tuner") {
+                t if t != "?" => t,
+                _ => outcome.map_or("?", |o| text(o, "tuner")).to_string(),
+            },
+            seed: meta("seed").find_map(Value::as_u64).unwrap_or(0),
+            budget_s: meta("budget_s").find_map(Value::as_f64).unwrap_or(0.0),
+            best_ms,
+            evaluations: outcome
+                .map_or_else(|| counter("evals_committed"), |o| uint(o, "evaluations")),
+            search_s: outcome.and_then(|o| num(o, "search_s")).unwrap_or(j.final_v_s),
+            iterations: j.iterations.len() as u64,
+            ga_generations: counter("ga_generations"),
+            memo_hit_ratio: ratio(hits, hits + misses),
+            fault_rate: ratio(failures, attempted),
+            quarantine_rate: ratio(counter("fault_quarantined"), attempted),
+            milestones,
+            stages,
+            counters: j
+                .counters
+                .iter()
+                .flat_map(|c| Counter::ALL.map(|k| (k.name().to_string(), uint(c, k.name()))))
+                .collect(),
+            hists: j.hists.clone(),
+            // A null time (non-finite measurement) reads back as INFINITY
+            // and is filtered by KB extraction, not here.
+            samples: j
+                .samples
+                .iter()
+                .map(|r| {
+                    (text(r, "setting").to_string(), num(r, "time_ms").unwrap_or(f64::INFINITY))
+                })
+                .collect(),
         }
     }
 
-    // Per-stage virtual costs, aggregated by span name in
-    // first-completion order (nested or repeated spans sum up).
-    let mut stages: Vec<StageCost> = Vec::new();
-    for s in of_type("span_end") {
-        let name = s.get("name").and_then(Value::as_str).unwrap_or("?");
-        let cost = num(s, "v_cost_s").unwrap_or(0.0);
-        match stages.iter_mut().find(|st| st.name == name) {
-            Some(st) => st.v_cost_s += cost,
-            None => stages.push(StageCost { name: name.to_string(), v_cost_s: cost }),
-        }
-    }
-
-    // Counter totals and histogram condensates from the counters record.
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    let mut hists: Vec<HistSummary> = Vec::new();
-    if let Some(c) = counters_rec {
-        for ctr in Counter::ALL {
-            counters.push((ctr.name().to_string(), uint(c, ctr.name())));
-        }
-        if let Value::Obj(fields) = c {
-            for (key, h) in fields.iter().filter(|(k, _)| k.starts_with("hist_")) {
-                let count = uint(h, "count");
-                // An empty histogram has no moments worth archiving (and
-                // its NaN placeholders would poison summary equality).
-                if count == 0 {
-                    continue;
-                }
-                let (p50, p95) = report::hist_percentiles(h).unwrap_or((f64::NAN, f64::NAN));
-                hists.push(HistSummary {
-                    name: key["hist_".len()..].to_string(),
-                    count,
-                    mean: num(h, "sum").unwrap_or(0.0) / count as f64,
-                    min: num(h, "min").unwrap_or(f64::NAN),
-                    max: num(h, "max").unwrap_or(f64::NAN),
-                    p50,
-                    p95,
-                });
-            }
-        }
-    }
-
-    // Sampled training pairs for the transfer knowledge base. A null
-    // time (non-finite measurement) reads back as INFINITY and is
-    // filtered by KB extraction, not here.
-    let samples: Vec<(String, f64)> = of_type("sample")
-        .iter()
-        .map(|r| {
-            let setting = r.get("setting").and_then(Value::as_str).unwrap_or("?").to_string();
-            let t = num(r, "time_ms").unwrap_or(f64::INFINITY);
-            (setting, t)
-        })
-        .collect();
-
-    let attempted = counters_rec.map(|c| uint(c, "evals_attempted")).unwrap_or(0);
-    let hits = counters_rec.map(|c| uint(c, "memo_hits")).unwrap_or(0);
-    let misses = counters_rec.map(|c| uint(c, "memo_misses")).unwrap_or(0);
-    let failures = counters_rec
-        .map(|c| uint(c, "fault_compile") + uint(c, "fault_launch") + uint(c, "fault_timeout"))
-        .unwrap_or(0);
-    let quarantined = counters_rec.map(|c| uint(c, "fault_quarantined")).unwrap_or(0);
-
-    Ok(RunSummary {
-        version: SUMMARY_VERSION,
-        source: source.to_string(),
-        stencil: meta_str("stencil"),
-        arch: meta_str("arch"),
-        tuner: {
-            let t = meta_str("tuner");
-            if t != "?" {
-                t
-            } else {
-                outcome
-                    .and_then(|o| o.get("tuner").and_then(Value::as_str))
-                    .unwrap_or("?")
-                    .to_string()
-            }
-        },
-        seed: meta.iter().find_map(|m| m.get("seed").and_then(Value::as_u64)).unwrap_or(0),
-        budget_s: meta.iter().find_map(|m| num(m, "budget_s")).unwrap_or(0.0),
-        best_ms,
-        evaluations,
-        search_s,
-        iterations: iterations.len() as u64,
-        ga_generations: counters_rec.map(|c| uint(c, "ga_generations")).unwrap_or(0),
-        memo_hit_ratio: ratio(hits, hits + misses),
-        fault_rate: ratio(failures, attempted),
-        quarantine_rate: ratio(quarantined, attempted),
-        milestones,
-        stages,
-        counters,
-        hists,
-        samples,
-    })
-}
-
-impl RunSummary {
     /// Serialize to the versioned single-line JSON format. Field order is
     /// fixed and floats use the journal's canonical formatting, so the
     /// output is byte-deterministic.
@@ -346,67 +270,52 @@ impl RunSummary {
             json::write_f64(&mut o, v);
         }
         o.push_str(",\"milestones\":[");
-        for (i, m) in self.milestones.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
+        json::write_joined(&mut o, &self.milestones, |o, m| {
             let _ = write!(
                 o,
                 "{{\"within_pct\":{},\"iteration\":{},\"v_s\":",
                 m.within_pct, m.iteration
             );
-            json::write_f64(&mut o, m.v_s);
+            json::write_f64(o, m.v_s);
             let _ = write!(o, ",\"evals\":{}}}", m.evals);
-        }
+        });
         o.push_str("],\"stages\":[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
+        json::write_joined(&mut o, &self.stages, |o, s| {
             o.push_str("{\"name\":");
-            json::write_escaped(&mut o, &s.name);
+            json::write_escaped(o, &s.name);
             o.push_str(",\"v_cost_s\":");
-            json::write_f64(&mut o, s.v_cost_s);
+            json::write_f64(o, s.v_cost_s);
             o.push('}');
-        }
+        });
         o.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
+        json::write_joined(&mut o, &self.counters, |o, (k, v)| {
             let _ = write!(o, "\"{k}\":{v}");
-        }
+        });
         o.push_str("},\"hists\":[");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
+        json::write_joined(&mut o, &self.hists, |o, h| {
             o.push_str("{\"name\":");
-            json::write_escaped(&mut o, &h.name);
+            json::write_escaped(o, &h.name);
             let _ = write!(o, ",\"count\":{}", h.count);
             for (k, v) in
                 [("mean", h.mean), ("min", h.min), ("max", h.max), ("p50", h.p50), ("p95", h.p95)]
             {
                 let _ = write!(o, ",\"{k}\":");
-                json::write_f64(&mut o, v);
+                json::write_f64(o, v);
             }
             o.push('}');
-        }
+        });
         o.push(']');
         // Conditional so sample-free summaries keep the bytes they had
         // before the field existed (committed baselines stay valid).
         if !self.samples.is_empty() {
             o.push_str(",\"samples\":[");
-            for (i, (setting, t)) in self.samples.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
+            json::write_joined(&mut o, &self.samples, |o, (setting, t)| {
                 o.push_str("{\"setting\":");
-                json::write_escaped(&mut o, setting);
+                json::write_escaped(o, setting);
                 o.push_str(",\"time_ms\":");
-                json::write_f64(&mut o, *t);
+                json::write_f64(o, *t);
                 o.push('}');
-            }
+            });
             o.push(']');
         }
         o.push('}');
@@ -414,8 +323,10 @@ impl RunSummary {
     }
 
     /// Parse a `*.summary.json` document, rejecting unknown versions.
-    pub fn from_json(text: &str) -> Result<RunSummary, String> {
-        let v = json::parse(text.trim())?;
+    /// Non-finite floats serialize as null; each reads back as the
+    /// non-finite value its field semantically carries.
+    pub fn from_json(doc: &str) -> Result<RunSummary, String> {
+        let v = json::parse(doc.trim())?;
         let version =
             v.get("summary_version").and_then(Value::as_u64).ok_or("missing summary_version")?;
         if version != SUMMARY_VERSION {
@@ -423,59 +334,10 @@ impl RunSummary {
                 "summary version {version}, this build understands {SUMMARY_VERSION}"
             ));
         }
-        let s =
-            |key: &str| -> String { v.get(key).and_then(Value::as_str).unwrap_or("?").to_string() };
-        // Non-finite floats serialize as null; read them back as the
-        // non-finite value the field semantically carries.
-        let f = |obj: &Value, key: &str, absent: f64| -> f64 {
-            match obj.get(key) {
-                Some(Value::Num(x)) => *x,
-                _ => absent,
-            }
-        };
-        let mut milestones = Vec::new();
-        for m in v.get("milestones").and_then(Value::as_arr).unwrap_or(&[]) {
-            milestones.push(Milestone {
-                within_pct: uint(m, "within_pct") as u32,
-                iteration: uint(m, "iteration"),
-                v_s: f(m, "v_s", 0.0),
-                evals: uint(m, "evals"),
-            });
-        }
-        let mut stages = Vec::new();
-        for st in v.get("stages").and_then(Value::as_arr).unwrap_or(&[]) {
-            stages.push(StageCost {
-                name: st.get("name").and_then(Value::as_str).unwrap_or("?").to_string(),
-                v_cost_s: f(st, "v_cost_s", 0.0),
-            });
-        }
-        let mut counters = Vec::new();
-        if let Some(Value::Obj(fields)) = v.get("counters") {
-            for (k, c) in fields {
-                counters.push((k.clone(), c.as_u64().unwrap_or(0)));
-            }
-        }
-        let mut hists = Vec::new();
-        for h in v.get("hists").and_then(Value::as_arr).unwrap_or(&[]) {
-            hists.push(HistSummary {
-                name: h.get("name").and_then(Value::as_str).unwrap_or("?").to_string(),
-                count: uint(h, "count"),
-                mean: f(h, "mean", f64::NAN),
-                min: f(h, "min", f64::NAN),
-                max: f(h, "max", f64::NAN),
-                p50: f(h, "p50", f64::NAN),
-                p95: f(h, "p95", f64::NAN),
-            });
-        }
-        // `samples` is optional: summaries written before the field
-        // existed parse to an empty log.
-        let mut samples = Vec::new();
-        for r in v.get("samples").and_then(Value::as_arr).unwrap_or(&[]) {
-            samples.push((
-                r.get("setting").and_then(Value::as_str).unwrap_or("?").to_string(),
-                f(r, "time_ms", f64::INFINITY),
-            ));
-        }
+        let list = |key: &str| v.get(key).and_then(Value::as_arr).unwrap_or(&[]).iter();
+        let s = |key: &str| text(&v, key).to_string();
+        let f = |key: &str, absent: f64| num(&v, key).unwrap_or(absent);
+        let nan = |h: &Value, key: &str| num(h, key).unwrap_or(f64::NAN);
         Ok(RunSummary {
             version,
             source: s("source"),
@@ -483,20 +345,53 @@ impl RunSummary {
             arch: s("arch"),
             tuner: s("tuner"),
             seed: uint(&v, "seed"),
-            budget_s: f(&v, "budget_s", 0.0),
-            best_ms: f(&v, "best_ms", f64::INFINITY),
+            budget_s: f("budget_s", 0.0),
+            best_ms: f("best_ms", f64::INFINITY),
             evaluations: uint(&v, "evaluations"),
-            search_s: f(&v, "search_s", 0.0),
+            search_s: f("search_s", 0.0),
             iterations: uint(&v, "iterations"),
             ga_generations: uint(&v, "ga_generations"),
-            memo_hit_ratio: f(&v, "memo_hit_ratio", 0.0),
-            fault_rate: f(&v, "fault_rate", 0.0),
-            quarantine_rate: f(&v, "quarantine_rate", 0.0),
-            milestones,
-            stages,
-            counters,
-            hists,
-            samples,
+            memo_hit_ratio: f("memo_hit_ratio", 0.0),
+            fault_rate: f("fault_rate", 0.0),
+            quarantine_rate: f("quarantine_rate", 0.0),
+            milestones: list("milestones")
+                .map(|m| Milestone {
+                    within_pct: uint(m, "within_pct") as u32,
+                    iteration: uint(m, "iteration"),
+                    v_s: num(m, "v_s").unwrap_or(0.0),
+                    evals: uint(m, "evals"),
+                })
+                .collect(),
+            stages: list("stages")
+                .map(|st| StageCost {
+                    name: text(st, "name").to_string(),
+                    v_cost_s: num(st, "v_cost_s").unwrap_or(0.0),
+                })
+                .collect(),
+            counters: match v.get("counters") {
+                Some(Value::Obj(fields)) => {
+                    fields.iter().map(|(k, c)| (k.clone(), c.as_u64().unwrap_or(0))).collect()
+                }
+                _ => Vec::new(),
+            },
+            hists: list("hists")
+                .map(|h| HistSummary {
+                    name: text(h, "name").to_string(),
+                    count: uint(h, "count"),
+                    mean: nan(h, "mean"),
+                    min: nan(h, "min"),
+                    max: nan(h, "max"),
+                    p50: nan(h, "p50"),
+                    p95: nan(h, "p95"),
+                })
+                .collect(),
+            // `samples` is optional: summaries written before the field
+            // existed parse to an empty log.
+            samples: list("samples")
+                .map(|r| {
+                    (text(r, "setting").to_string(), num(r, "time_ms").unwrap_or(f64::INFINITY))
+                })
+                .collect(),
         })
     }
 }

@@ -14,8 +14,9 @@
 //! - [`manager`]: session registry, bounded admission, worker pool,
 //!   cancellation, optional archive auto-ingest, shutdown drain.
 //! - [`server`]: the TCP accept loop and per-connection handling.
-//! - [`client`]: a minimal blocking client used by `cstuner client` and
-//!   the test harness.
+//! - [`client`]: a minimal blocking client used by `cstuner client`, the
+//!   campaign executor and the test harness, with the one reader of a
+//!   session's reply stream.
 
 pub mod client;
 pub mod manager;
@@ -23,7 +24,7 @@ pub mod proto;
 pub mod server;
 pub mod session;
 
-pub use client::{roundtrip, Connection};
+pub use client::{roundtrip, Connection, StreamError, StreamEvent};
 pub use manager::{
     OpsSnapshot, Progress, Rejection, Session, SessionCounts, SessionLimits, SessionManager,
     SessionRow, SessionState,

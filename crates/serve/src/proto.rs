@@ -16,6 +16,7 @@
 use crate::manager::{SessionCounts, SessionRow};
 use crate::session::{DoneInfo, FaultSpec, TuneRequest};
 use cst_gpu_sim::registry::SharedMemoStats;
+use cst_gpu_sim::FaultStats;
 use cst_telemetry::json::{self, write_escaped, write_f64, Value};
 use cst_telemetry::metrics::{MetricsSnapshot, METRICS_VERSION};
 use std::fmt::Write as _;
@@ -291,6 +292,30 @@ pub fn session_done_frame(
     }
     s.push('}');
     s
+}
+
+/// Rebuild the outcome summary a `done` session's `session_done` frame
+/// carries (a missing number reads as NaN, a missing string as empty).
+pub fn done_info_from_frame(v: &Value) -> DoneInfo {
+    let uint = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let float = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+    let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or("").to_string();
+    DoneInfo {
+        tuner: text("tuner"),
+        best_ms: float("best_ms"),
+        baseline_ms: float("baseline_ms"),
+        setting: text("setting"),
+        evaluations: uint("evaluations"),
+        search_s: float("search_s"),
+        faults: FaultStats {
+            compile_errors: uint("fault_compile"),
+            launch_failures: uint("fault_launch"),
+            timeouts: uint("fault_timeout"),
+            outliers: uint("fault_outliers"),
+            retries: uint("fault_retries"),
+            quarantined: uint("fault_quarantined"),
+        },
+    }
 }
 
 /// Farewell after a shutdown drain.

@@ -102,6 +102,21 @@ pub fn write_f64(out: &mut String, x: f64) {
     }
 }
 
+/// Append `items` comma-separated, each written by `write`: the body of
+/// a JSON array or object.
+pub fn write_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut write: impl FnMut(&mut String, T),
+) {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(out, item);
+    }
+}
+
 /// Append `s` to `out` as a JSON string literal (quoted and escaped).
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');

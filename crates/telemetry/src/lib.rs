@@ -17,10 +17,13 @@
 //! so [`strip_wall_fields`] reduces a journal to its deterministic core:
 //! two same-seed runs are byte-identical after stripping.
 //!
-//! The schema is versioned ([`SCHEMA_VERSION`]); [`schema::validate_journal`]
-//! checks a journal line by line, and [`report::render_report`] renders the
+//! The schema is versioned ([`SCHEMA_VERSION`]). [`journal::read`] is the
+//! one journal reader: it parses each line once, checks it against the
+//! schema and folds it in the same pass. [`schema::validate_journal`]
+//! keeps its verdict; [`report::render_report`] renders the fold as the
 //! per-stage/convergence/counter summary behind `cstuner report`.
 
+pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod report;
@@ -544,12 +547,7 @@ fn write_value(out: &mut String, v: &FieldValue<'_>) {
         }
         FieldValue::F64s(xs) => {
             out.push('[');
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_f64(out, *x);
-            }
+            json::write_joined(out, *xs, |out, x| write_f64(out, *x));
             out.push(']');
         }
     }

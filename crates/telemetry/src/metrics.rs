@@ -23,7 +23,7 @@
 //!   histograms, transfer totals, uptime) must be registered through the
 //!   `wall_*` constructors.
 
-use crate::json::write_f64;
+use crate::json::{write_f64, write_joined};
 use crate::HistSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -233,27 +233,18 @@ impl MetricsSnapshot {
     pub fn write_deterministic(&self, out: &mut String) {
         let _ = write!(out, "\"metrics_version\":{METRICS_VERSION}");
         out.push_str(",\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        write_joined(out, &self.counters, |out, (name, v)| {
             let _ = write!(out, "\"{name}\":{v}");
-        }
+        });
         out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        write_joined(out, &self.gauges, |out, (name, v)| {
             let _ = write!(out, "\"{name}\":{v}");
-        }
+        });
         out.push_str("},\"hists\":{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        write_joined(out, &self.hists, |out, (name, h)| {
             let _ = write!(out, "\"{name}\":");
             write_hist_object(out, h);
-        }
+        });
         out.push('}');
     }
 
@@ -262,20 +253,14 @@ impl MetricsSnapshot {
     /// this after every deterministic field of the record.
     pub fn write_wall(&self, out: &mut String) {
         out.push_str(",\"wall_counters\":{");
-        for (i, (name, v)) in self.wall_counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        write_joined(out, &self.wall_counters, |out, (name, v)| {
             let _ = write!(out, "\"{name}\":{v}");
-        }
+        });
         out.push_str("},\"wall_hists\":{");
-        for (i, (name, h)) in self.wall_hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        write_joined(out, &self.wall_hists, |out, (name, h)| {
             let _ = write!(out, "\"{name}\":");
             write_hist_object(out, h);
-        }
+        });
         out.push('}');
     }
 }
@@ -291,12 +276,9 @@ pub fn write_hist_object(out: &mut String, s: &HistSnapshot) {
     out.push_str(",\"max\":");
     write_f64(out, s.max);
     out.push_str(",\"buckets\":[");
-    for (i, b) in s.buckets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    write_joined(out, &s.buckets, |out, b| {
         let _ = write!(out, "{b}");
-    }
+    });
     out.push_str("]}");
 }
 

@@ -1,84 +1,24 @@
 //! `cstuner report` — render a run journal into the human-readable
 //! summary the paper's figures are built from: per-stage virtual/wall
 //! cost breakdown, per-group convergence table, and fault/memo/GA
-//! counter summaries.
+//! counter summaries. Everything here renders the [`journal`] reader's
+//! fold; the stage table is its span rows, one per call path.
 
 use std::fmt::Write as _;
 
-use crate::json::{self, Value};
-use crate::schema;
-
-fn num(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
-fn uint(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_u64).unwrap_or(0)
-}
-
-/// Estimate the `q`-quantile (`0 < q <= 1`) of a journal histogram from
-/// its log₁₀ bucket counts. Bucket `i` covers `[10^(i-8), 10^(i-7))`; the
-/// estimator finds the bucket holding the `ceil(q·count)`-th observation
-/// and interpolates the observation's position inside the bucket linearly
-/// in log space (bucket-midpoint interpolation: a lone observation lands
-/// on the bucket's geometric midpoint). Returns `None` for an empty
-/// histogram.
-pub fn hist_percentile(buckets: &[u64], q: f64) -> Option<f64> {
-    let count: u64 = buckets.iter().sum();
-    if count == 0 || !(0.0..=1.0).contains(&q) || q == 0.0 {
-        return None;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut cum = 0u64;
-    for (i, &n) in buckets.iter().enumerate() {
-        if cum + n >= rank && n > 0 {
-            let f = (((rank - cum) as f64 - 0.5) / n as f64).clamp(0.0, 1.0);
-            return Some(10f64.powf(i as f64 - 8.0 + f));
-        }
-        cum += n;
-    }
-    None
-}
-
-/// The `p50`/`p95` percentile estimates of a `counters`-record histogram
-/// object (`None` when empty or malformed). Shared by the report below
-/// and by `cst-obs` run summaries, so both quote identical estimates.
-pub fn hist_percentiles(hist: &Value) -> Option<(f64, f64)> {
-    let buckets: Vec<u64> =
-        hist.get("buckets").and_then(Value::as_arr)?.iter().filter_map(Value::as_u64).collect();
-    Some((hist_percentile(&buckets, 0.5)?, hist_percentile(&buckets, 0.95)?))
-}
-
-fn render_hist(out: &mut String, label: &str, h: &Value) {
-    if uint(h, "count") == 0 {
-        return;
-    }
-    let _ = writeln!(
-        out,
-        "{label}: n={} mean={:.4} min={:.4} max={:.4}",
-        uint(h, "count"),
-        num(h, "sum").unwrap_or(0.0) / uint(h, "count") as f64,
-        num(h, "min").unwrap_or(0.0),
-        num(h, "max").unwrap_or(0.0)
-    );
-    if let Some((p50, p95)) = hist_percentiles(h) {
-        let _ = writeln!(
-            out,
-            "  percentiles: p50~{p50:.4} p95~{p95:.4} max={:.4}",
-            num(h, "max").unwrap_or(0.0)
-        );
-    }
-}
+use crate::journal::{self, num, text, uint};
+use crate::json::Value;
+use crate::SCHEMA_VERSION;
 
 /// Render a journal (one JSON record per line) to the report text.
 /// Validates the journal first, so a malformed line is an error, not a
 /// garbled table.
 pub fn render_report(lines: &[String]) -> Result<String, String> {
-    let summary = schema::validate_journal(lines)?;
+    let j = journal::read(lines)?;
     // A journal that only opens and closes (no spans, iterations, outcomes
     // or any other pipeline record) has nothing to report; rendering its
     // empty tables would read as "the run did nothing and that is fine".
-    let vacuous = summary
+    let vacuous = j
         .types_seen
         .iter()
         .all(|t| matches!(t.as_str(), "journal_start" | "run_meta" | "counters" | "journal_end"));
@@ -88,22 +28,17 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
                 .to_string(),
         );
     }
-    let records: Vec<Value> = lines.iter().map(|l| json::parse(l).expect("validated")).collect();
-    let of_type = |ty: &str| -> Vec<&Value> {
-        records.iter().filter(|r| r.get("type").and_then(Value::as_str) == Some(ty)).collect()
-    };
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "run journal: schema {}, {} records, {} record types",
-        records[0].get("schema").and_then(Value::as_u64).unwrap_or(0),
-        summary.records,
-        summary.types_seen.len()
+        "run journal: schema {SCHEMA_VERSION}, {} records, {} record types",
+        lines.len(),
+        j.types_seen.len()
     );
 
     // Free-form run metadata, in emission order.
-    for meta in of_type("run_meta") {
+    for meta in &j.run_meta {
         if let Value::Obj(fields) = meta {
             let rendered: Vec<String> = fields
                 .iter()
@@ -125,35 +60,30 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
         }
     }
 
-    // Per-stage breakdown from span_end records, in completion order.
-    let spans = of_type("span_end");
-    if !spans.is_empty() {
-        let total: f64 = spans.iter().filter_map(|s| num(s, "v_cost_s")).sum();
+    // Per-stage breakdown: one row per span call path, in first-completion
+    // order; the total is the root rows'.
+    if !j.spans.is_empty() {
+        let total = journal::roots_total_s(&j.spans);
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "{:<14} {:>12} {:>8} {:>12}",
             "stage", "v-cost (s)", "share", "wall (ms)"
         );
-        for s in &spans {
-            let name = s.get("name").and_then(Value::as_str).unwrap_or("?");
-            let cost = num(s, "v_cost_s").unwrap_or(0.0);
-            let share = if total > 0.0 { 100.0 * cost / total } else { 0.0 };
-            let wall = num(s, "wall_cost_ms")
-                .map(|w| format!("{w:.1}"))
-                .unwrap_or_else(|| "-".to_string());
-            let _ = writeln!(out, "{name:<14} {cost:>12.4} {share:>7.1}% {wall:>12}");
+        for r in &j.spans {
+            let share = if total > 0.0 { 100.0 * r.total_s / total } else { 0.0 };
+            let wall = r.wall_ms.map(|w| format!("{w:.1}")).unwrap_or_else(|| "-".to_string());
+            let _ = writeln!(out, "{:<14} {:>12.4} {share:>7.1}% {wall:>12}", r.key(), r.total_s);
         }
         let _ = writeln!(out, "{:<14} {total:>12.4}", "total");
     }
 
     // Convergence: the best-so-far trajectory plus per-group pin points.
-    let iterations = of_type("iteration");
-    if !iterations.is_empty() {
+    if !j.iterations.is_empty() {
         let _ = writeln!(out);
-        let _ = writeln!(out, "convergence ({} iterations):", iterations.len());
+        let _ = writeln!(out, "convergence ({} iterations):", j.iterations.len());
         let _ = writeln!(out, "  {:>4} {:>10} {:>12}", "it", "v_s", "best_ms");
-        for it in &iterations {
+        for it in &j.iterations {
             let best =
                 num(it, "best_ms").map(|b| format!("{b:.4}")).unwrap_or_else(|| "-".to_string());
             let _ = writeln!(
@@ -164,10 +94,9 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
             );
         }
     }
-    let pins = of_type("group_pinned");
-    if !pins.is_empty() {
+    if !j.pins.is_empty() {
         let _ = writeln!(out, "groups pinned:");
-        for p in &pins {
+        for p in &j.pins {
             let _ = writeln!(
                 out,
                 "  group {} at iteration {} (v={:.2}s)",
@@ -179,16 +108,15 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
     }
 
     // Sampling: per-group keep ratios.
-    let sampled = of_type("sampling_group");
-    if !sampled.is_empty() {
+    if !j.sampling.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "sampling:");
-        for s in &sampled {
+        for s in &j.sampling {
             let _ = writeln!(
                 out,
                 "  group {} [{}]: kept {}/{} candidates",
                 uint(s, "group"),
-                s.get("params").and_then(Value::as_str).unwrap_or("?"),
+                text(s, "params"),
                 uint(s, "kept"),
                 uint(s, "candidates")
             );
@@ -196,30 +124,29 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
     }
 
     // Counter summaries (the counters record is emitted once by finish()).
-    if let Some(c) = of_type("counters").first() {
+    if let Some(counters) = &j.counters {
+        let c = |name: &str| uint(counters, name);
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "evaluations: {} attempted, {} committed ({} memo hits / {} misses)",
-            uint(c, "evals_attempted"),
-            uint(c, "evals_committed"),
-            uint(c, "memo_hits"),
-            uint(c, "memo_misses")
+            c("evals_attempted"),
+            c("evals_committed"),
+            c("memo_hits"),
+            c("memo_misses")
         );
-        let faults = uint(c, "fault_compile")
-            + uint(c, "fault_launch")
-            + uint(c, "fault_timeout")
-            + uint(c, "fault_outliers");
-        if faults > 0 || uint(c, "fault_retries") > 0 {
+        let faults =
+            c("fault_compile") + c("fault_launch") + c("fault_timeout") + c("fault_outliers");
+        if faults > 0 || c("fault_retries") > 0 {
             let _ = writeln!(
                 out,
                 "faults: {} compile, {} launch, {} timeout, {} outliers; {} retries, {} quarantined",
-                uint(c, "fault_compile"),
-                uint(c, "fault_launch"),
-                uint(c, "fault_timeout"),
-                uint(c, "fault_outliers"),
-                uint(c, "fault_retries"),
-                uint(c, "fault_quarantined")
+                c("fault_compile"),
+                c("fault_launch"),
+                c("fault_timeout"),
+                c("fault_outliers"),
+                c("fault_retries"),
+                c("fault_quarantined")
             );
         } else {
             let _ = writeln!(out, "faults: none");
@@ -227,27 +154,35 @@ pub fn render_report(lines: &[String]) -> Result<String, String> {
         let _ = writeln!(
             out,
             "search: {} GA generations; sampling kept {} / rejected {}; {} PMNF fits",
-            uint(c, "ga_generations"),
-            uint(c, "samples_accepted"),
-            uint(c, "samples_rejected"),
-            uint(c, "pmnf_fits")
+            c("ga_generations"),
+            c("samples_accepted"),
+            c("samples_rejected"),
+            c("pmnf_fits")
         );
-        if let Some(h) = c.get("hist_pmnf_rse") {
-            render_hist(&mut out, "pmnf rse", h);
-        }
-        if let Some(h) = c.get("hist_eval_time_ms") {
-            render_hist(&mut out, "eval time (ms)", h);
+        for (name, label) in [("pmnf_rse", "pmnf rse"), ("eval_time_ms", "eval time (ms)")] {
+            let Some(h) = j.hists.iter().find(|h| h.name == name) else { continue };
+            // A `null` min or max reads as 0 here.
+            let [min, max] = [h.min, h.max].map(|x| if x.is_nan() { 0.0 } else { x });
+            let _ = writeln!(
+                out,
+                "{label}: n={} mean={:.4} min={min:.4} max={max:.4}",
+                h.count, h.mean
+            );
+            if !h.p50.is_nan() {
+                let _ =
+                    writeln!(out, "  percentiles: p50~{:.4} p95~{:.4} max={max:.4}", h.p50, h.p95);
+            }
         }
     }
 
-    // Outcome lines (the shootout example journals several tuners).
-    for o in of_type("outcome") {
+    // One line per `outcome` record.
+    for o in &j.outcomes {
         let best =
             num(o, "best_ms").map(|b| format!("{b:.4} ms")).unwrap_or_else(|| "-".to_string());
         let _ = writeln!(
             out,
             "outcome: {} best {best} in {} evaluations ({:.1}s search)",
-            o.get("tuner").and_then(Value::as_str).unwrap_or("?"),
+            text(o, "tuner"),
             uint(o, "evaluations"),
             num(o, "search_s").unwrap_or(0.0)
         );
@@ -315,29 +250,6 @@ mod tests {
         tel.finish(0.0);
         let err = render_report(&tel.lines().unwrap()).unwrap_err();
         assert!(err.contains("header-only"), "{err}");
-    }
-
-    #[test]
-    fn percentiles_interpolate_log_buckets() {
-        assert_eq!(hist_percentile(&[0; 16], 0.5), None);
-        // A lone observation lands on its bucket's geometric midpoint:
-        // bucket 8 covers [1, 10), midpoint 10^0.5.
-        let mut b = [0u64; 16];
-        b[8] = 1;
-        let p = hist_percentile(&b, 0.5).unwrap();
-        assert!((p - 10f64.sqrt()).abs() < 1e-12, "{p}");
-        // With observations split across two buckets, p95 must come from
-        // the upper one and p50 from the lower.
-        let mut b = [0u64; 16];
-        b[8] = 10;
-        b[10] = 1;
-        let p50 = hist_percentile(&b, 0.5).unwrap();
-        let p95 = hist_percentile(&b, 0.95).unwrap();
-        assert!((1.0..10.0).contains(&p50), "{p50}");
-        assert!((100.0..1000.0).contains(&p95), "{p95}");
-        // The estimator is monotone in q.
-        assert!(p50 <= p95);
-        assert_eq!(hist_percentile(&b, 0.0), None);
     }
 
     #[test]

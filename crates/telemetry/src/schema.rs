@@ -2,10 +2,11 @@
 //! validator. The schema is a closed set: every record type the pipeline
 //! emits is registered here with its required fields, so an unknown type
 //! or a missing/mistyped field is a validation error. CI pipes every
-//! journal it produces through [`validate_journal`].
+//! journal it produces through [`validate_journal`], which runs the
+//! [`journal`] reader and keeps only its verdict.
 
 use crate::json::{self, Value};
-use crate::{Counter, Hist, SCHEMA_VERSION};
+use crate::{journal, Counter, Hist, SCHEMA_VERSION};
 
 /// Expected kind of a required field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,23 +100,28 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
 /// Validate one journal line (any schema rule that applies to a single
 /// record). Returns the parsed record type.
 pub fn validate_line(line: &str) -> Result<String, String> {
-    let v = json::parse(line)?;
+    check_record(&json::parse(line)?).map(|(ty, _)| ty.to_string())
+}
+
+/// Apply the single-record rules to a parsed line. Returns its type and
+/// `seq`.
+pub(crate) fn check_record(v: &Value) -> Result<(&'static str, u64), String> {
     let Value::Obj(_) = v else {
         return Err(format!("record is {}, expected object", v.kind()));
     };
     let ty = v
         .get("type")
         .and_then(Value::as_str)
-        .ok_or_else(|| "missing string field 'type'".to_string())?
-        .to_string();
-    v.get("seq")
+        .ok_or_else(|| "missing string field 'type'".to_string())?;
+    let seq = v
+        .get("seq")
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("{ty}: missing integer field 'seq'"))?;
-    let (_, required) = EVENT_TYPES
+    let &(ty, required) = EVENT_TYPES
         .iter()
         .find(|(t, _)| *t == ty)
         .ok_or_else(|| format!("unknown record type '{ty}'"))?;
-    for (name, kind) in *required {
+    for (name, kind) in required {
         match v.get(name) {
             None => return Err(format!("{ty}: missing field '{name}'")),
             Some(val) if !kind.matches(val) => {
@@ -124,7 +130,7 @@ pub fn validate_line(line: &str) -> Result<String, String> {
             Some(_) => {}
         }
     }
-    match ty.as_str() {
+    match ty {
         "journal_start" => {
             let schema = v.get("schema").and_then(Value::as_u64);
             if schema != Some(SCHEMA_VERSION) {
@@ -133,10 +139,10 @@ pub fn validate_line(line: &str) -> Result<String, String> {
                 ));
             }
         }
-        "counters" => validate_counters(&v)?,
+        "counters" => validate_counters(v)?,
         _ => {}
     }
-    Ok(ty)
+    Ok((ty, seq))
 }
 
 fn validate_counters(v: &Value) -> Result<(), String> {
@@ -149,8 +155,7 @@ fn validate_counters(v: &Value) -> Result<(), String> {
         let key = format!("hist_{}", h.name());
         let obj = v.get(&key).ok_or_else(|| format!("counters: missing histogram '{key}'"))?;
         for field in ["count", "sum", "min", "max"] {
-            let present = matches!(obj.get(field), Some(Value::Num(_) | Value::Null));
-            if !present {
+            if !obj.get(field).is_some_and(|v| FieldKind::NumOrNull.matches(v)) {
                 return Err(format!("counters: histogram '{key}' missing '{field}'"));
             }
         }
@@ -173,29 +178,7 @@ pub struct JournalSummary {
 /// Validate a whole journal: every line individually, plus the stream
 /// rules — `seq` dense from 0, `journal_start` first, `journal_end` last.
 pub fn validate_journal(lines: &[String]) -> Result<JournalSummary, String> {
-    if lines.is_empty() {
-        return Err("empty journal".to_string());
-    }
-    let mut types_seen: Vec<String> = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let ty = validate_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let seq = json::parse(line)
-            .ok()
-            .and_then(|v| v.get("seq").and_then(Value::as_u64))
-            .expect("validated above");
-        if seq != i as u64 {
-            return Err(format!("line {}: seq {seq}, expected {i}", i + 1));
-        }
-        if i == 0 && ty != "journal_start" {
-            return Err(format!("first record is '{ty}', expected 'journal_start'"));
-        }
-        if i == lines.len() - 1 && ty != "journal_end" {
-            return Err(format!("last record is '{ty}', expected 'journal_end'"));
-        }
-        if !types_seen.iter().any(|t| t == &ty) {
-            types_seen.push(ty);
-        }
-    }
+    let types_seen = journal::read(lines)?.types_seen;
     Ok(JournalSummary { records: lines.len(), types_seen })
 }
 

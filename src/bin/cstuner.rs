@@ -52,10 +52,10 @@ use cstuner::baselines::zoo::edit_distance;
 use cstuner::campaign;
 use cstuner::obs::{self, DriftPolicy, JournalStore};
 use cstuner::prelude::*;
-use cstuner::serve::{proto, Connection, ServeConfig, Server};
+use cstuner::serve::{proto, Connection, ServeConfig, Server, StreamEvent};
 use cstuner::serve::{DoneInfo, FaultSpec, SessionOutcome, TuneRequest};
-use cstuner::sim::FaultStats;
 use cstuner::stencil::{suite, suite_ext};
+use cstuner::telemetry::journal::{self, uint};
 use cstuner::telemetry::json::{self, Value};
 use cstuner::telemetry::{report, schema};
 use cstuner::transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K, KB_FILE, KB_VERSION};
@@ -616,26 +616,10 @@ fn obs_store(args: &Args) -> JournalStore {
     JournalStore::open(Path::new(obs_store_dir(args))).or_die(2)
 }
 
-fn obs_load(path: &str) -> obs::RunSummary {
+/// Load a run argument, a journal or a `*.summary.json` (exit 2).
+fn obs_load(path: &str) -> obs::Run {
     obs::load_run(Path::new(path))
         .unwrap_or_else(|e| die(2, format!("cannot load run `{path}`: {e}")))
-}
-
-/// Load a run argument as a span profile: a raw journal folds its span
-/// tree; a `*.summary.json` falls back to the flat per-stage profile.
-fn obs_profile_load(path: &str) -> obs::Profile {
-    let text = read_file(path);
-    let source = Path::new(path).file_stem().and_then(|s| s.to_str()).unwrap_or(path).to_string();
-    let first = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
-    if first.contains("\"summary_version\"") {
-        let summary = obs::RunSummary::from_json(first)
-            .unwrap_or_else(|e| die(2, format!("cannot load summary `{path}`: {e}")));
-        obs::profile_summary(&source, &summary)
-    } else {
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        obs::profile_journal(&source, &lines)
-            .unwrap_or_else(|e| die(1, format!("cannot profile `{path}`: {e}")))
-    }
 }
 
 fn obs_ingest(args: &Args) {
@@ -658,13 +642,20 @@ fn obs_ingest(args: &Args) {
     }
 }
 
+/// The summaries of the two run operands.
+fn obs_pair(args: &Args) -> (obs::RunSummary, obs::RunSummary) {
+    (obs_load(&args.operands[0]).summary, obs_load(&args.operands[1]).summary)
+}
+
 fn obs_diff(args: &Args) {
-    let diff = obs::diff_runs(&obs_load(&args.operands[0]), &obs_load(&args.operands[1]));
+    let (base, cand) = obs_pair(args);
+    let diff = obs::diff_runs(&base, &cand);
     print!("{}", obs::render_diff(&diff));
 }
 
 fn obs_gate(args: &Args) {
-    let diff = obs::diff_runs(&obs_load(&args.operands[0]), &obs_load(&args.operands[1]));
+    let (base, cand) = obs_pair(args);
+    let diff = obs::diff_runs(&base, &cand);
     let policy = DriftPolicy::default();
     let gate = obs::evaluate_gate(&diff, &policy);
     let text =
@@ -677,12 +668,12 @@ fn obs_gate(args: &Args) {
 fn obs_profile(args: &Args) {
     match (args.operands.as_slice(), args.on("diff")) {
         ([base, cand], true) => {
-            let (b, c) = (obs_profile_load(base), obs_profile_load(cand));
+            let (b, c) = (obs_load(base).profile, obs_load(cand).profile);
             let metrics = obs::diff_profiles(&b, &c);
             print!("{}", obs::render_profile_diff(&b, &c, &metrics));
         }
         ([run], false) => {
-            let p = obs_profile_load(run);
+            let p = obs_load(run).profile;
             if args.on("json") {
                 println!("{}", obs::profile_json(&p));
             } else if args.on("fold") {
@@ -764,7 +755,7 @@ fn kb_rank(args: &Args) {
 
 fn kb_gate(args: &Args) {
     let pct = args.u64("pct").unwrap_or(5) as u32;
-    let (cold_run, warm_run) = (obs_load(&args.operands[0]), obs_load(&args.operands[1]));
+    let (cold_run, warm_run) = obs_pair(args);
     let evals = |run: &obs::RunSummary, label: &str| match run.milestone(pct) {
         Some(m) => {
             println!(
@@ -937,16 +928,12 @@ fn daemon_reply(args: &Args, request: &str) -> String {
     frames.into_iter().next().unwrap_or_else(|| die(1, "daemon sent no reply"))
 }
 
-/// `frame`, unless it is not of type `want` (exit 1).
-fn expect_frame(frame: String, want: &str) -> String {
-    if proto::frame_type(&frame).as_deref() != Some(want) {
-        die(1, format!("unexpected reply: {frame}"));
+/// The parsed `frame`, unless it is not a `want` frame (exit 1).
+fn expect_frame(frame: &str, want: &str) -> Value {
+    match json::parse(frame) {
+        Ok(v) if v.get("type").and_then(Value::as_str) == Some(want) => v,
+        _ => die(1, format!("unexpected reply: {frame}")),
     }
-    frame
-}
-
-fn json_u64(v: &Value, key: &str) -> u64 {
-    v.get(key).and_then(Value::as_u64).unwrap_or(0)
 }
 
 fn json_f64(v: &Value, key: &str) -> f64 {
@@ -957,28 +944,8 @@ fn json_str(v: &Value, key: &str) -> String {
     v.get(key).and_then(Value::as_str).unwrap_or("").to_string()
 }
 
-/// Rebuild the outcome summary a `session_done` frame carries.
-fn done_info_from_frame(v: &Value) -> DoneInfo {
-    DoneInfo {
-        tuner: json_str(v, "tuner"),
-        best_ms: json_f64(v, "best_ms"),
-        baseline_ms: json_f64(v, "baseline_ms"),
-        setting: json_str(v, "setting"),
-        evaluations: json_u64(v, "evaluations"),
-        search_s: json_f64(v, "search_s"),
-        faults: FaultStats {
-            compile_errors: json_u64(v, "fault_compile"),
-            launch_failures: json_u64(v, "fault_launch"),
-            timeouts: json_u64(v, "fault_timeout"),
-            outliers: json_u64(v, "fault_outliers"),
-            retries: json_u64(v, "fault_retries"),
-            quarantined: json_u64(v, "fault_quarantined"),
-        },
-    }
-}
-
 /// Consume a session stream (from `client tune` or `client watch`):
-/// control frames drive the terminal UX, journal records optionally tee
+/// the `accepted` notice goes to stderr, journal records optionally tee
 /// into `--journal FILE`. Exits nonzero unless the session finished.
 fn client_stream(conn: &mut Connection, args: &Args) {
     let mut journal: Option<std::fs::File> =
@@ -986,54 +953,18 @@ fn client_stream(conn: &mut Connection, args: &Args) {
             std::fs::File::create(p)
                 .unwrap_or_else(|e| die(2, format!("cannot open journal `{p}`: {e}")))
         });
-    loop {
-        let frame = conn
-            .next_frame()
-            .or_die(1)
-            .unwrap_or_else(|| die(1, "daemon closed the stream before the session finished"));
-        match proto::frame_type(&frame).as_deref() {
-            Some("accepted") => {
-                let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                eprintln!("session {} accepted (queued)", json_u64(&v, "session"));
-            }
-            Some("busy") => {
-                let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                die(
-                    1,
-                    format!(
-                        "daemon busy: {} running, {} queued (limit {})",
-                        json_u64(&v, "running"),
-                        json_u64(&v, "queued"),
-                        json_u64(&v, "limit")
-                    ),
-                );
-            }
-            Some("error") => {
-                let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                die(1, json_str(&v, "message"));
-            }
-            Some("session_done") => {
-                let v = json::parse(&frame).expect("daemon frames are valid JSON");
-                let state = json_str(&v, "state");
-                if state == "done" {
-                    print_outcome(&done_info_from_frame(&v));
-                    return;
-                }
-                let error = json_str(&v, "error");
-                if error.is_empty() {
-                    die(1, format!("session {}: {state}", json_u64(&v, "session")));
-                }
-                die(1, format!("tuning failed: {error}"));
-            }
-            _ => {
-                // A raw journal record, verbatim from the daemon.
+    let done = conn
+        .follow_session(|event| match event {
+            StreamEvent::Accepted(session) => eprintln!("session {session} accepted (queued)"),
+            StreamEvent::Record(line) => {
                 if let Some(f) = journal.as_mut() {
-                    writeln!(f, "{frame}")
+                    writeln!(f, "{line}")
                         .unwrap_or_else(|e| die(2, format!("cannot write journal: {e}")));
                 }
             }
-        }
-    }
+        })
+        .or_die(1);
+    print_outcome(&proto::done_info_from_frame(&done));
 }
 
 fn client_tune(args: &Args) {
@@ -1064,20 +995,20 @@ fn client_cancel(args: &Args) {
     print_session_reply(&daemon_reply(args, &proto::session_request_line("cancel", session)));
 }
 
-/// Print a `session` or `status` reply; anything else is the daemon's
-/// error (exit 1).
+/// Print a `session` or `status` reply; an `error` reply is the daemon's
+/// message and anything else is unexpected (exit 1 both).
 fn print_session_reply(frame: &str) {
-    let v = json::parse(frame).expect("daemon frames are valid JSON");
-    match proto::frame_type(frame).as_deref() {
+    let v = json::parse(frame).unwrap_or(Value::Null);
+    match v.get("type").and_then(Value::as_str) {
         Some("session") => println!(
             "session {}: {} ({} records)",
-            json_u64(&v, "session"),
+            uint(&v, "session"),
             json_str(&v, "state"),
-            json_u64(&v, "records")
+            uint(&v, "records")
         ),
         Some("status") => {
             let s = v.get("sessions");
-            let count = |k: &str| s.map(|s| json_u64(s, k)).unwrap_or(0);
+            let count = |k: &str| s.map(|s| uint(s, k)).unwrap_or(0);
             println!(
                 "sessions: {} queued, {} running, {} done, {} failed, {} cancelled",
                 count("queued"),
@@ -1089,17 +1020,18 @@ fn print_session_reply(frame: &str) {
             for row in v.get("list").and_then(Value::as_arr).unwrap_or(&[]) {
                 println!(
                     "  session {}: {} ({} records) {}/{} {} seed {}",
-                    json_u64(row, "session"),
+                    uint(row, "session"),
                     json_str(row, "state"),
-                    json_u64(row, "records"),
+                    uint(row, "records"),
                     json_str(row, "stencil"),
                     json_str(row, "arch"),
                     json_str(row, "tuner"),
-                    json_u64(row, "seed")
+                    uint(row, "seed")
                 );
             }
         }
-        _ => die(1, json_str(&v, "message")),
+        Some("error") => die(1, json_str(&v, "message")),
+        _ => die(1, format!("unexpected reply: {frame}")),
     }
 }
 
@@ -1107,22 +1039,18 @@ fn client_metrics(args: &Args) {
     if args.on("watch") {
         return metrics_watch(args);
     }
-    let frame = fetch_metrics_frame(args);
+    let frame = daemon_reply(args, &proto::metrics_request_line());
+    let v = expect_frame(&frame, "metrics");
     if args.on("json") {
         println!("{frame}");
     } else {
-        print!("{}", render_metrics_frame(&frame));
+        print!("{}", render_metrics_frame(&v));
     }
 }
 
 fn client_shutdown(args: &Args) {
-    let frame = expect_frame(daemon_reply(args, &proto::shutdown_request_line()), "bye");
-    let v = json::parse(&frame).expect("daemon frames are valid JSON");
-    println!("daemon stopped after {} sessions", json_u64(&v, "sessions_completed"));
-}
-
-fn fetch_metrics_frame(args: &Args) -> String {
-    expect_frame(daemon_reply(args, &proto::metrics_request_line()), "metrics")
+    let v = expect_frame(&daemon_reply(args, &proto::shutdown_request_line()), "bye");
+    println!("daemon stopped after {} sessions", uint(&v, "sessions_completed"));
 }
 
 /// One `name value` line per numeric field of an object section.
@@ -1147,50 +1075,49 @@ fn metrics_kv_section(out: &mut String, v: &Value, key: &str, title: &str) {
 /// One `name count p50 p95 max` line per non-empty histogram digest.
 fn metrics_hist_section(out: &mut String, v: &Value, key: &str, title: &str) {
     if let Some(Value::Obj(fields)) = v.get(key) {
-        let live: Vec<_> = fields.iter().filter(|(_, h)| json_u64(h, "count") > 0).collect();
+        let live: Vec<_> = fields.iter().filter(|(_, h)| uint(h, "count") > 0).collect();
         if live.is_empty() {
             return;
         }
         let _ = writeln!(out, "{title}:");
         for (name, h) in live {
-            let (p50, p95) = report::hist_percentiles(h).unwrap_or((f64::NAN, f64::NAN));
+            let (p50, p95) = journal::hist_percentiles(h).unwrap_or((f64::NAN, f64::NAN));
             let _ = writeln!(
                 out,
                 "  {name:<28} count {:>8}  p50 {p50:>10.3}  p95 {p95:>10.3}  max {:>10.3}",
-                json_u64(h, "count"),
+                uint(h, "count"),
                 json_f64(h, "max")
             );
         }
     }
 }
 
-/// Render a `metrics` frame as the text dashboard shared by
+/// Render a parsed `metrics` frame as the text dashboard shared by
 /// `cstuner client metrics` and `cstuner top`.
-fn render_metrics_frame(frame: &str) -> String {
-    let v = json::parse(frame).expect("daemon frames are valid JSON");
+fn render_metrics_frame(v: &Value) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "cst-serve metrics v{}  uptime {:.1}s",
-        json_u64(&v, "metrics_version"),
-        json_f64(&v, "wall_uptime_ms") / 1e3
+        uint(v, "metrics_version"),
+        json_f64(v, "wall_uptime_ms") / 1e3
     );
     if let Some(s) = v.get("sessions") {
         let _ = writeln!(
             out,
             "sessions: {} queued, {} running, {} done, {} failed, {} cancelled",
-            json_u64(s, "queued"),
-            json_u64(s, "running"),
-            json_u64(s, "done"),
-            json_u64(s, "failed"),
-            json_u64(s, "cancelled")
+            uint(s, "queued"),
+            uint(s, "running"),
+            uint(s, "done"),
+            uint(s, "failed"),
+            uint(s, "cancelled")
         );
     }
-    metrics_kv_section(&mut out, &v, "counters", "counters");
-    metrics_kv_section(&mut out, &v, "gauges", "gauges");
-    metrics_hist_section(&mut out, &v, "hists", "histograms");
-    metrics_kv_section(&mut out, &v, "wall_counters", "wall counters");
-    metrics_hist_section(&mut out, &v, "wall_hists", "request latency (wall ms)");
+    metrics_kv_section(&mut out, v, "counters", "counters");
+    metrics_kv_section(&mut out, v, "gauges", "gauges");
+    metrics_hist_section(&mut out, v, "hists", "histograms");
+    metrics_kv_section(&mut out, v, "wall_counters", "wall counters");
+    metrics_hist_section(&mut out, v, "wall_hists", "request latency (wall ms)");
     if let Some(rows) = v.get("wall_memo").and_then(Value::as_arr) {
         if !rows.is_empty() {
             let _ = writeln!(out, "shared memo:");
@@ -1199,11 +1126,11 @@ fn render_metrics_frame(frame: &str) -> String {
                     out,
                     "  {:<28} hits {:>8}  misses {:>8}  evictions {:>6}  entries {:>8} (cap {})",
                     format!("{}/{}", json_str(m, "stencil"), json_str(m, "arch")),
-                    json_u64(m, "hits"),
-                    json_u64(m, "misses"),
-                    json_u64(m, "evictions"),
-                    json_u64(m, "entries"),
-                    json_u64(m, "cap")
+                    uint(m, "hits"),
+                    uint(m, "misses"),
+                    uint(m, "evictions"),
+                    uint(m, "entries"),
+                    uint(m, "cap")
                 );
             }
         }
@@ -1221,13 +1148,13 @@ fn metrics_watch(args: &Args) {
     let count = args.u64("count");
     let mut polls = 0u64;
     loop {
-        let frame = fetch_metrics_frame(args);
+        let v = expect_frame(&daemon_reply(args, &proto::metrics_request_line()), "metrics");
         if std::io::stdout().is_terminal() {
             print!("\x1b[2J\x1b[H");
         } else if polls > 0 {
             println!();
         }
-        print!("{}", render_metrics_frame(&frame));
+        print!("{}", render_metrics_frame(&v));
         polls += 1;
         if count.is_some_and(|c| polls >= c) {
             return;

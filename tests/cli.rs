@@ -1,7 +1,9 @@
-//! CLI surface tests: version reporting and unknown-flag rejection.
+//! CLI surface tests: version reporting, unknown-flag rejection and
+//! malformed daemon replies.
 //!
-//! These run the real `cstuner` binary (no daemon needed — flag
-//! validation happens before any connection attempt).
+//! These run the real `cstuner` binary with no daemon: flag validation
+//! happens before any connection attempt, and the reply tests stand up a
+//! fake peer.
 
 use std::process::Command;
 
@@ -208,4 +210,29 @@ fn codegen_reports_an_unwritable_out_path() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot write `/nonexistent/dir/k.cu`"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn malformed_daemon_replies_are_exit_1_errors_not_panics() {
+    use std::io::{BufRead, BufReader, Write};
+    // A fake daemon: a valid `hello`, then a reply that is not JSON.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        for stream in listener.incoming().take(2) {
+            let mut stream = stream.unwrap();
+            stream.write_all(b"{\"type\":\"hello\",\"proto\":1}\n").unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            stream.write_all(b"not json\n").unwrap();
+        }
+    });
+    for cmd in [&["client", "status"][..], &["client", "cancel", "--session", "1"][..]] {
+        let out = cstuner(&[cmd, &["--addr", &addr]].concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}: {err}");
+        assert!(err.contains("unexpected reply: not json"), "{cmd:?}: {err}");
+        assert!(!err.contains("panicked"), "{cmd:?}: {err}");
+    }
+    peer.join().unwrap();
 }
