@@ -7,8 +7,10 @@
 //! fixture diff. After an *intentional* change, re-bless with
 //! `CST_BLESS=1 cargo test -p cst-testkit --test golden_quick`.
 
-use cst_gpu_sim::{FaultProfile, GpuArch};
-use cst_testkit::{check_golden, preproc_trace, quick_tune_trace, TraceOptions};
+use cst_gpu_sim::{FaultProfile, GpuArch, GpuSim, ValidSpace};
+use cst_space::{OptSpace, ParamId, Setting};
+use cst_testkit::{check_golden, preproc_trace, quick_tune_trace, valid_settings, TraceOptions};
+use std::fmt::Write as _;
 
 #[test]
 fn quick_tune_j3d7pt_a100_is_pinned() {
@@ -38,4 +40,87 @@ fn quick_tune_under_hostile_faults_is_pinned() {
     let opts = TraceOptions { seed: 1, profile: FaultProfile::hostile(7), ..Default::default() };
     let trace = quick_tune_trace("j3d7pt", &GpuArch::a100(), &opts);
     check_golden("quick_tune_j3d7pt_a100_hostile", &trace);
+}
+
+/// FNV-1a-64 of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Hand-picked settings that together reach every emission branch of
+/// the code generator: shared tiles with and without a streaming window,
+/// streaming along each axis, prefetch, the constant table, retiming,
+/// cyclic and block merging, and unroll factors at coverage > 1 and 1.
+fn emission_settings() -> Vec<(&'static str, Setting)> {
+    use ParamId::*;
+    let b = Setting::baseline();
+    let stream = |sd: u32, tb: ParamId, sb: u32| {
+        b.with(UseStreaming, 2)
+            .with(SD, sd)
+            .with(TBx, 16)
+            .with(TBy, 8)
+            .with(TBz, 4)
+            .with(tb, 1)
+            .with(SB, sb)
+    };
+    let (sx, sy, sz) = (stream(1, TBx, 16), stream(2, TBy, 32), stream(3, TBz, 64));
+    vec![
+        ("baseline", b),
+        ("shared", b.with(UseShared, 2)),
+        ("stream_x", sx),
+        ("stream_x_shared", sx.with(UseShared, 2)),
+        ("stream_y", sy),
+        ("stream_y_shared", sy.with(UseShared, 2)),
+        ("stream_z", sz),
+        ("stream_z_shared", sz.with(UseShared, 2)),
+        ("prefetch", sz.with(UsePrefetching, 2)),
+        ("prefetch_shared", sz.with(UseShared, 2).with(UsePrefetching, 2)),
+        ("prefetch_no_stream", b.with(UsePrefetching, 2)),
+        ("constant", b.with(UseConstant, 2)),
+        ("retiming", b.with(UseRetiming, 2)),
+        ("retiming_constant", b.with(UseRetiming, 2).with(UseConstant, 2)),
+        ("cyclic", b.with(CMx, 2).with(CMy, 4)),
+        ("cyclic_unroll", b.with(CMz, 2).with(UFz, 2)),
+        ("block_merge_unroll", b.with(BMy, 8).with(UFy, 4)),
+        ("unroll_coverage_1", b.with(UFx, 2)),
+        ("block_and_cyclic", b.with(BMx, 2).with(CMy, 2).with(UFx, 2).with(UFy, 2)),
+        (
+            "everything",
+            sz.with(UseShared, 2)
+                .with(UseConstant, 2)
+                .with(UseRetiming, 2)
+                .with(UsePrefetching, 2)
+                .with(BMx, 2)
+                .with(UFx, 2)
+                .with(CMy, 2),
+        ),
+    ]
+}
+
+#[test]
+fn codegen_suite_digest_is_pinned() {
+    // The generated CUDA bytes themselves, not just their totals: one
+    // line per (stencil, setting) with the source length and its
+    // FNV-1a-64, over every kernel of the suite and extensions.
+    let mut t = String::new();
+    for k in cst_serve::all_stencils() {
+        let valid = ValidSpace::new(
+            OptSpace::for_stencil(&k.spec),
+            GpuSim::new(k.spec.clone(), GpuArch::a100()),
+        );
+        let seeded = valid_settings(&valid, 17, 3);
+        let seeded =
+            seeded.iter().enumerate().map(|(i, &s)| (["valid0", "valid1", "valid2"][i], s));
+        for (label, s) in emission_settings().into_iter().chain(seeded) {
+            let code = cst_codegen::generate_cuda(&k, &s).code;
+            let _ = writeln!(
+                t,
+                "{} {label} len={} fnv={:016x}",
+                k.spec.name,
+                code.len(),
+                fnv1a(code.as_bytes())
+            );
+        }
+    }
+    check_golden("codegen_suite_digest", &t);
 }
