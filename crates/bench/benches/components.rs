@@ -3,18 +3,25 @@
 //!
 //! - the GPU model evaluation (millions of calls per experiment),
 //! - parameter-space validation and sampling,
-//! - PMNF fitting (the `curve_fit` replacement),
+//! - PMNF fitting (the `curve_fit` replacement), one target and all of a
+//!   session's targets,
+//! - the full-scale sampling stage (fits, enumeration and the scored cut),
 //! - parameter grouping (Algorithm 1 incl. pairwise CVs),
 //! - one GA generation,
-//! - CUDA code generation,
+//! - CUDA code generation, baseline and retimed,
 //! - a small end-to-end tuning session.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cst_ga::{GaConfig, GaState, Genome};
 use cst_gpu_sim::{GpuArch, GpuSim, ValidSpace};
+use cst_space::ParamId;
 use cst_space::{OptSpace, Setting};
 use cst_stencil::suite;
-use cstuner_core::{group_from_dataset, CsTuner, CsTunerConfig, PerfDataset, SimEvaluator, Tuner};
+use cst_telemetry::Telemetry;
+use cstuner_core::{
+    combine_metrics, group_from_dataset, sample_space, select_representatives, CsTuner,
+    CsTunerConfig, PerfDataset, SamplingConfig, SimEvaluator, Tuner,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -68,6 +75,36 @@ fn bench_pmnf(c: &mut Criterion) {
             ))
         })
     });
+    // A session's targets: four metric models and the time model.
+    let columns: Vec<Vec<f64>> = (0..4).map(|m| ds.metric_column(m)).chain([y.clone()]).collect();
+    let targets: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+    c.bench_function("pmnf/fit_all_targets", |b| {
+        b.iter(|| {
+            black_box(cst_stats::fit_pmnf_targets(
+                black_box(&xs),
+                black_box(&targets),
+                black_box(&groups),
+                &[0, 1, 2],
+                &[0, 1],
+            ))
+        })
+    });
+}
+
+fn bench_sampling(c: &mut Criterion) {
+    let cfg = CsTunerConfig::default();
+    let mut e = SimEvaluator::new(suite::spec_by_name("hypterm").unwrap(), GpuArch::a100(), 7);
+    let ds = PerfDataset::collect(&mut e, cfg.dataset_size, 7);
+    let groups = group_from_dataset(&ds);
+    let reps = select_representatives(&ds, &combine_metrics(&ds, cfg.n_metric_collections));
+    let scfg = SamplingConfig::default();
+    let tel = Telemetry::noop();
+    let mut g = c.benchmark_group("sampling");
+    g.sample_size(20);
+    g.bench_function("sample_space", |b| {
+        b.iter(|| black_box(sample_space(&ds, &groups, &reps, &e, &scfg, &tel).scored))
+    });
+    g.finish();
 }
 
 fn bench_grouping(c: &mut Criterion) {
@@ -101,6 +138,12 @@ fn bench_codegen(c: &mut Criterion) {
             b.iter(|| black_box(cst_codegen::generate_cuda(black_box(&kernel), black_box(&s))))
         });
     }
+    // The expensive path: every term of every stage on its own line.
+    let kernel = suite::kernel_by_name("rhs4center").unwrap();
+    let s = Setting::baseline().with(ParamId::UseRetiming, 2);
+    g.bench_function("generate/rhs4center_retimed", |b| {
+        b.iter(|| black_box(cst_codegen::generate_cuda(black_box(&kernel), black_box(&s))))
+    });
     g.finish();
 }
 
@@ -128,6 +171,7 @@ criterion_group!(
     bench_sim_eval,
     bench_space,
     bench_pmnf,
+    bench_sampling,
     bench_grouping,
     bench_ga,
     bench_codegen,

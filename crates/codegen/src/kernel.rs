@@ -30,96 +30,123 @@ struct Ctx {
     in_device: bool,
 }
 
-fn array_ident(r: ArrayRef) -> String {
-    match r {
-        ArrayRef::Input(i) => format!("in{i}"),
-        ArrayRef::Temp(i) => format!("t{i}"),
-        ArrayRef::Output(i) => format!("out{i}"),
+/// An array's identifier: `in{i}`, `t{i}` or `out{i}`.
+struct Ident(ArrayRef);
+
+impl std::fmt::Display for Ident {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0 {
+            ArrayRef::Input(i) => write!(f, "in{i}"),
+            ArrayRef::Temp(i) => write!(f, "t{i}"),
+            ArrayRef::Output(i) => write!(f, "out{i}"),
+        }
     }
 }
 
-/// Read expression for one grid point of an array at offsets (dx, dy, dz).
+/// Write the read expression for one grid point of an array at offsets
+/// (dx, dy, dz).
 ///
 /// Temporaries with a zero offset in the kernel body come from the local
 /// register; any offset (or any use inside a device helper) re-computes the
 /// producing stage through its `t{i}_at` helper, exactly as an inlining
 /// code generator would.
-fn point_expr(r: ArrayRef, dx: i32, dy: i32, dz: i32, ctx: Ctx) -> String {
+fn write_point(w: &mut String, r: ArrayRef, dx: i32, dy: i32, dz: i32, ctx: Ctx) {
+    let name = Ident(r);
     match r {
-        ArrayRef::Temp(i) => {
-            if dx == 0 && dy == 0 && dz == 0 && !ctx.in_device {
-                format!("t{i}")
-            } else {
-                format!("t{i}_at(PASS_ARGS, x + ({dx}), y + ({dy}), z + ({dz}))")
-            }
+        ArrayRef::Temp(_) if dx == 0 && dy == 0 && dz == 0 && !ctx.in_device => {
+            write!(w, "{name}")
         }
-        _ => {
-            let name = array_ident(r);
-            if ctx.staged && !ctx.in_device && matches!(r, ArrayRef::Input(_)) {
-                if ctx.streaming {
-                    // Staged plane window: z offset selects the window slot.
-                    format!("s_{name}[W({dz})][ly + ({dy})][lx + ({dx})]")
-                } else {
-                    format!("s_{name}[lz + ({dz})][ly + ({dy})][lx + ({dx})]")
-                }
-            } else {
-                format!("{name}[IDX(x + ({dx}), y + ({dy}), z + ({dz}))]")
-            }
+        ArrayRef::Temp(i) => write!(w, "t{i}_at(PASS_ARGS, x + ({dx}), y + ({dy}), z + ({dz}))"),
+        // Staged plane window: z offset selects the window slot.
+        ArrayRef::Input(_) if ctx.staged && !ctx.in_device && ctx.streaming => {
+            write!(w, "s_{name}[W({dz})][ly + ({dy})][lx + ({dx})]")
         }
+        ArrayRef::Input(_) if ctx.staged && !ctx.in_device => {
+            write!(w, "s_{name}[lz + ({dz})][ly + ({dy})][lx + ({dx})]")
+        }
+        _ => write!(w, "{name}[IDX(x + ({dx}), y + ({dy}), z + ({dz}))]"),
+    }
+    .unwrap();
+}
+
+/// Write a coefficient that is neither 1 nor -1, followed by ` * `: the
+/// `c_coeff` slot `slot` under constant memory, the literal otherwise.
+/// Returns the number of slots used.
+fn write_coeff(w: &mut String, coeff: f64, ctx: Ctx, slot: usize) -> usize {
+    if ctx.const_mem {
+        write!(w, "c_coeff[{slot}] * ").unwrap();
+        1
+    } else {
+        write!(w, "{coeff:?} * ").unwrap();
+        0
     }
 }
 
-fn tap_expr(r: ArrayRef, taps: &TapStencil, ctx: Ctx, coeff_idx: &mut usize) -> String {
-    let mut parts = Vec::with_capacity(taps.len());
-    for t in taps.taps() {
-        let p = point_expr(r, t.dx, t.dy, t.dz, ctx);
-        if t.coeff == 1.0 {
-            parts.push(p);
-        } else if t.coeff == -1.0 {
-            parts.push(format!("-{p}"));
-        } else {
-            let c = if ctx.const_mem {
-                let e = format!("c_coeff[{}]", *coeff_idx);
-                *coeff_idx += 1;
-                e
-            } else {
-                format!("{:?}", t.coeff)
-            };
-            parts.push(format!("{c} * {p}"));
-        }
-    }
-    parts.join(" + ")
+/// Whether a coefficient is written out (and, under constant memory,
+/// takes a `c_coeff` slot): every value but 1 and -1.
+fn scaled(coeff: f64) -> bool {
+    coeff != 1.0 && coeff != -1.0
 }
 
-fn term_exprs(terms: &[Term], ctx: Ctx, coeff_idx: &mut usize) -> Vec<String> {
-    let mut out = Vec::with_capacity(terms.len());
-    for t in terms {
-        let mut fparts = Vec::with_capacity(t.factors.len());
-        for f in &t.factors {
-            match f {
-                Factor::Point(a) => fparts.push(point_expr(*a, 0, 0, 0, ctx)),
-                Factor::Taps(a, taps) => {
-                    fparts.push(format!("({})", tap_expr(*a, taps, ctx, coeff_idx)))
-                }
+fn write_taps(w: &mut String, r: ArrayRef, taps: &TapStencil, ctx: Ctx, coeff_idx: &mut usize) {
+    for (n, t) in taps.taps().iter().enumerate() {
+        if n > 0 {
+            w.push_str(" + ");
+        }
+        if t.coeff == -1.0 {
+            w.push('-');
+        } else if scaled(t.coeff) {
+            *coeff_idx += write_coeff(w, t.coeff, ctx, *coeff_idx);
+        }
+        write_point(w, r, t.dx, t.dy, t.dz, ctx);
+    }
+}
+
+/// Write one term: its coefficient, then the product of its factors.
+fn write_term(w: &mut String, t: &Term, ctx: Ctx, coeff_idx: &mut usize) {
+    let mut own_slots = 0;
+    if t.coeff == -1.0 {
+        w.push_str("-(");
+    } else if scaled(t.coeff) {
+        // The term's own slot follows the slots of its factors' taps.
+        let inner: usize = t
+            .factors
+            .iter()
+            .map(|f| match f {
+                Factor::Taps(_, taps) => taps.taps().iter().filter(|t| scaled(t.coeff)).count(),
+                Factor::Point(_) => 0,
+            })
+            .sum();
+        own_slots = write_coeff(w, t.coeff, ctx, *coeff_idx + inner);
+        w.push('(');
+    }
+    for (n, f) in t.factors.iter().enumerate() {
+        if n > 0 {
+            w.push_str(" * ");
+        }
+        match f {
+            Factor::Point(a) => write_point(w, *a, 0, 0, 0, ctx),
+            Factor::Taps(a, taps) => {
+                w.push('(');
+                write_taps(w, *a, taps, ctx, coeff_idx);
+                w.push(')');
             }
         }
-        let prod = fparts.join(" * ");
-        if t.coeff == 1.0 {
-            out.push(prod);
-        } else if t.coeff == -1.0 {
-            out.push(format!("-({prod})"));
-        } else {
-            let cexpr = if ctx.const_mem {
-                let e = format!("c_coeff[{}]", *coeff_idx);
-                *coeff_idx += 1;
-                e
-            } else {
-                format!("{:?}", t.coeff)
-            };
-            out.push(format!("{cexpr} * ({prod})"));
-        }
     }
-    out
+    if t.coeff != 1.0 {
+        w.push(')');
+    }
+    *coeff_idx += own_slots;
+}
+
+/// Write a stage's terms joined by `sep`.
+fn write_terms(w: &mut String, terms: &[Term], sep: &str, ctx: Ctx, coeff_idx: &mut usize) {
+    for (n, t) in terms.iter().enumerate() {
+        if n > 0 {
+            w.push_str(sep);
+        }
+        write_term(w, t, ctx, coeff_idx);
+    }
 }
 
 fn input_params(def: &KernelDef) -> String {
@@ -185,16 +212,15 @@ pub fn generate_cuda(kernel: &StencilKernel, s: &Setting) -> CudaSource {
     let mut dev_coeff_idx = 0usize;
     for st in &def.stages {
         if let ArrayRef::Temp(i) = st.out {
-            let exprs = term_exprs(&st.terms, ctx_dev, &mut dev_coeff_idx);
             writeln!(
                 w,
                 "__device__ __forceinline__ double t{i}_at({}, int x, int y, int z) {{",
                 input_params(def)
             )
             .unwrap();
-            writeln!(w, "    return {};", exprs.join("\n         + ")).unwrap();
-            writeln!(w, "}}").unwrap();
-            writeln!(w).unwrap();
+            w.push_str("    return ");
+            write_terms(w, &st.terms, "\n         + ", ctx_dev, &mut dev_coeff_idx);
+            w.push_str(";\n}\n\n");
         }
     }
 
@@ -336,32 +362,36 @@ pub fn generate_cuda(kernel: &StencilKernel, s: &Setting) -> CudaSource {
     let retiming = s.use_retiming();
     let mut coeff_idx = 0usize;
     for st in &def.stages {
-        let dst = array_ident(st.out);
-        let exprs = term_exprs(&st.terms, ctx_body, &mut coeff_idx);
-        match st.out {
-            ArrayRef::Temp(_) => {
-                if retiming {
-                    writeln!(w, "{indent}double {dst} = 0.0;  // retimed sub-computation").unwrap();
-                    for te in &exprs {
-                        writeln!(w, "{indent}{dst} += {te};").unwrap();
-                    }
-                } else {
-                    writeln!(w, "{indent}double {dst} = {};", exprs.join(" + ")).unwrap();
-                }
-            }
-            ArrayRef::Output(_) => {
-                if retiming {
-                    writeln!(w, "{indent}double acc_{dst} = 0.0;  // retimed accumulation")
-                        .unwrap();
-                    for te in &exprs {
-                        writeln!(w, "{indent}acc_{dst} += {te};").unwrap();
-                    }
-                    writeln!(w, "{indent}{dst}[IDX(x, y, z)] = acc_{dst};").unwrap();
-                } else {
-                    writeln!(w, "{indent}{dst}[IDX(x, y, z)] = {};", exprs.join(" + ")).unwrap();
-                }
-            }
+        let dst = Ident(st.out);
+        let temp = match st.out {
+            ArrayRef::Temp(_) => true,
+            ArrayRef::Output(_) => false,
             ArrayRef::Input(_) => unreachable!("KernelDef forbids writing inputs"),
+        };
+        if retiming {
+            let acc = if temp {
+                writeln!(w, "{indent}double {dst} = 0.0;  // retimed sub-computation").unwrap();
+                dst.to_string()
+            } else {
+                writeln!(w, "{indent}double acc_{dst} = 0.0;  // retimed accumulation").unwrap();
+                format!("acc_{dst}")
+            };
+            for t in &st.terms {
+                write!(w, "{indent}{acc} += ").unwrap();
+                write_term(w, t, ctx_body, &mut coeff_idx);
+                w.push_str(";\n");
+            }
+            if !temp {
+                writeln!(w, "{indent}{dst}[IDX(x, y, z)] = {acc};").unwrap();
+            }
+        } else {
+            if temp {
+                write!(w, "{indent}double {dst} = ").unwrap();
+            } else {
+                write!(w, "{indent}{dst}[IDX(x, y, z)] = ").unwrap();
+            }
+            write_terms(w, &st.terms, " + ", ctx_body, &mut coeff_idx);
+            w.push_str(";\n");
         }
     }
 

@@ -49,4 +49,4 @@ pub use pipeline::{
     journal_outcome, CsTuner, CsTunerConfig, CurvePoint, PreprocBreakdown, TuneError, Tuner,
     TuningOutcome,
 };
-pub use sampling::{sample_space, SampledSpace, SamplingConfig};
+pub use sampling::{sample_space, scoring_contexts, SampledSpace, SamplingConfig};

@@ -24,9 +24,11 @@ pub fn all_stencils() -> Vec<StencilKernel> {
     v
 }
 
-/// Look up a stencil (paper suite or extensions) by name.
+/// Look up a stencil (paper suite or extensions) by name, building only
+/// that kernel.
 pub fn find_stencil(name: &str) -> Option<StencilKernel> {
-    all_stencils().into_iter().find(|k| k.spec.name == name)
+    suite::build_by_name(suite::KERNELS, name)
+        .or_else(|| suite::build_by_name(suite_ext::KERNELS, name))
 }
 
 /// Build a tuner by its canonical flag name (resolved through the

@@ -315,7 +315,6 @@ impl OptSpace {
         let step_budget = limit.saturating_mul(64).max(200_000);
         let mut steps = 0usize;
         let mut out: Vec<Vec<u32>> = Vec::new();
-        let mut seen: std::collections::HashSet<Vec<u32>> = std::collections::HashSet::new();
         let lists: Vec<&[u32]> = params.iter().map(|&p| self.values(p)).collect();
         let mut idx = vec![0usize; params.len()];
         'outer: loop {
@@ -323,10 +322,9 @@ impl OptSpace {
             if steps > step_budget {
                 break;
             }
-            let combo: Vec<u32> = idx.iter().zip(&lists).map(|(&i, l)| l[i]).collect();
             let mut s = *base;
-            for (&p, &v) in params.iter().zip(&combo) {
-                s.set(p, v);
+            for ((&p, l), &i) in params.iter().zip(&lists).zip(&idx) {
+                s.set(p, l[i]);
             }
             self.canonicalize(&mut s);
             if self.is_explicit_valid(&s) {
@@ -334,12 +332,12 @@ impl OptSpace {
                 // base may flatten values (e.g. force TB to 1 along the
                 // base's streaming dimension) that become meaningful again
                 // when another group later moves the topology. Decoding
-                // re-canonicalizes in the final context.
-                if seen.insert(combo.clone()) {
-                    out.push(combo);
-                    if out.len() >= limit {
-                        break;
-                    }
+                // re-canonicalizes in the final context. The odometer visits
+                // each index tuple once and every value list is strictly
+                // ascending, so the combinations are distinct.
+                out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i]).collect());
+                if out.len() >= limit {
+                    break;
                 }
             }
             let mut d = params.len();
@@ -363,7 +361,7 @@ impl OptSpace {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn space512() -> OptSpace {
         OptSpace::for_grid([512, 512, 512])
@@ -545,6 +543,51 @@ mod tests {
                 s.canonicalize();
                 assert!(sp.is_explicit_valid(&s), "{s} from {combo:?}");
             }
+        }
+    }
+
+    #[test]
+    fn repaired_combos_ascend_and_match_brute_force() {
+        let sp = space512();
+        let mut rng = StdRng::seed_from_u64(2024);
+        for _ in 0..40 {
+            let base = sp.random_explicit_valid(&mut rng);
+            let mut group = ParamId::ALL.to_vec();
+            group.shuffle(&mut rng);
+            group.truncate(rng.gen_range(2..5));
+            let combos = sp.enumerate_group_repaired(&base, &group, usize::MAX);
+            // Strictly increasing value-index tuples, hence distinct.
+            let index_of = |c: &Vec<u32>| -> Vec<usize> {
+                group.iter().zip(c).map(|(&p, &v)| sp.value_index(p, v).unwrap()).collect()
+            };
+            for w in combos.windows(2) {
+                assert!(index_of(&w[0]) < index_of(&w[1]), "{:?} !< {:?}", w[0], w[1]);
+            }
+            // Small groups: exactly the valid part of the cartesian product.
+            let total = sp.group_combo_count(&group);
+            if total > 20_000 {
+                continue;
+            }
+            let brute: Vec<Vec<u32>> = (0..total)
+                .map(|mut k| {
+                    let mut c = vec![0; group.len()];
+                    for (d, &p) in group.iter().enumerate().rev() {
+                        let l = sp.values(p);
+                        c[d] = l[k % l.len()];
+                        k /= l.len();
+                    }
+                    c
+                })
+                .filter(|c| {
+                    let mut s = base;
+                    for (&p, &v) in group.iter().zip(c) {
+                        s.set(p, v);
+                    }
+                    sp.canonicalize(&mut s);
+                    sp.is_explicit_valid(&s)
+                })
+                .collect();
+            assert_eq!(combos, brute, "group {group:?}");
         }
     }
 

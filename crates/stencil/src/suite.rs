@@ -409,9 +409,30 @@ pub fn rhs4center() -> StencilKernel {
     }
 }
 
+/// Kernel constructors by name, so a lookup builds only the kernel it
+/// returns.
+pub type KernelTable = [(&'static str, fn() -> StencilKernel)];
+
+/// The eight evaluation kernels in the paper's Table III order.
+pub const KERNELS: &KernelTable = &[
+    ("j3d7pt", j3d7pt),
+    ("j3d27pt", j3d27pt),
+    ("helmholtz", helmholtz),
+    ("cheby", cheby),
+    ("hypterm", hypterm),
+    ("addsgd4", addsgd4),
+    ("addsgd6", addsgd6),
+    ("rhs4center", rhs4center),
+];
+
+/// Build the kernel named `name` in `table`, and no other.
+pub fn build_by_name(table: &KernelTable, name: &str) -> Option<StencilKernel> {
+    table.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
+}
+
 /// All eight evaluation kernels in the paper's Table III order.
 pub fn all_kernels() -> Vec<StencilKernel> {
-    vec![j3d7pt(), j3d27pt(), helmholtz(), cheby(), hypterm(), addsgd4(), addsgd6(), rhs4center()]
+    KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
 /// All eight specs (no executable definitions).
@@ -421,12 +442,12 @@ pub fn all_specs() -> Vec<StencilSpec> {
 
 /// Look up a kernel by its paper name.
 pub fn kernel_by_name(name: &str) -> Option<StencilKernel> {
-    all_kernels().into_iter().find(|k| k.spec.name == name)
+    build_by_name(KERNELS, name)
 }
 
 /// Look up a spec by its paper name.
 pub fn spec_by_name(name: &str) -> Option<StencilSpec> {
-    all_specs().into_iter().find(|s| s.name == name)
+    kernel_by_name(name).map(|k| k.spec)
 }
 
 #[cfg(test)]
@@ -500,6 +521,13 @@ mod tests {
                 "{}: derived {derived} vs paper {paper} (ratio {ratio:.2})",
                 k.spec.name
             );
+        }
+    }
+
+    #[test]
+    fn table_names_match_kernel_names() {
+        for (name, build) in KERNELS {
+            assert_eq!(*name, build().spec.name);
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::compose::{ArrayRef, KernelDef, Stage, Term};
 use crate::pattern::{StencilClass, StencilShape, StencilSpec};
-use crate::suite::StencilKernel;
+use crate::suite::{KernelTable, StencilKernel};
 use crate::tap::TapStencil;
 
 const A: fn(usize) -> ArrayRef = ArrayRef::Input;
@@ -213,9 +213,18 @@ pub fn biharmonic() -> StencilKernel {
     }
 }
 
+/// The extension kernels by name.
+pub const KERNELS: &KernelTable = &[
+    ("j3d13pt", j3d13pt),
+    ("poisson", poisson),
+    ("gradient3d", gradient3d),
+    ("fdtd3d", fdtd3d),
+    ("biharmonic", biharmonic),
+];
+
 /// All extension kernels.
 pub fn extension_kernels() -> Vec<StencilKernel> {
-    vec![j3d13pt(), poisson(), gradient3d(), fdtd3d(), biharmonic()]
+    KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
 #[cfg(test)]
@@ -223,6 +232,13 @@ mod tests {
     use super::*;
     use crate::exec::{max_diff_on_valid, run_reference, run_transformed, TransformCfg};
     use crate::grid::Grid3;
+
+    #[test]
+    fn table_names_match_kernel_names() {
+        for (name, build) in KERNELS {
+            assert_eq!(*name, build().spec.name);
+        }
+    }
 
     #[test]
     fn extensions_have_distinct_names() {

@@ -6,10 +6,23 @@
 //! Approximate agreement is not enough: the precomputed path backs every
 //! memoized record, so a single ULP of drift would silently change golden
 //! fixtures, journal bytes and tuning outcomes.
+//!
+//! The same bar holds for the sampling stage's precomputation: the
+//! multi-target PMNF fit and the table-driven slowness scorer must
+//! reproduce separate fits and [`cst_stats::PmnfModel::predict`] bit for
+//! bit.
 
 use cst_gpu_sim::GpuArch;
+use cst_space::Setting;
+use cst_stats::{fit_pmnf, PmnfModel};
 use cst_stencil::suite;
-use cst_testkit::{arb_setting, precomp_vs_direct, PropRunner};
+use cst_telemetry::Telemetry;
+use cst_testkit::{arb_setting, precomp_vs_direct, seeded_rng, PropRunner};
+use cstuner_core::{
+    combine_metrics, group_from_dataset, sample_space, scoring_contexts, select_representatives,
+    Evaluator, PerfDataset, SampledSpace, SamplingConfig, SimEvaluator,
+};
+use rand::Rng;
 
 /// Full suite × both arches × random settings (valid ones plus raw
 /// spilled/overflowing corners — the oracle generates both).
@@ -56,4 +69,88 @@ fn precomputed_model_matches_direct_path_on_generated_settings() {
         }
         Ok(())
     });
+}
+
+fn same_model(what: &str, a: &PmnfModel, b: &PmnfModel) -> Result<(), String> {
+    let bits = |m: &PmnfModel| m.coeffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    if a.candidate != b.candidate || bits(a) != bits(b) || a.rse.to_bits() != b.rse.to_bits() {
+        return Err(format!("{what}: shared fit {a:?} vs separate fit {b:?}"));
+    }
+    Ok(())
+}
+
+/// The slowness rule stated over the reference [`PmnfModel::predict`].
+fn reference_slowness(sampled: &SampledSpace, s: &Setting) -> f64 {
+    let x: Vec<f64> = s.0.iter().map(|&v| v as f64).collect();
+    let mut sc = 2.0 * (sampled.time_model.predict(&x) - sampled.time_mu) / sampled.time_sigma;
+    for m in &sampled.models {
+        let z = (m.model.predict(&x) - m.mu) / m.sigma;
+        sc += m.time_pcc * z;
+    }
+    sc
+}
+
+fn same_slowness(sampled: &SampledSpace, s: &Setting) -> Result<(), String> {
+    let (got, want) = (sampled.predicted_slowness(s), reference_slowness(sampled, s));
+    if got.to_bits() != want.to_bits() {
+        return Err(format!("slowness of {s}: scorer {got:e} vs reference {want:e}"));
+    }
+    Ok(())
+}
+
+/// One full-scale sampling stage against its references: every fitted
+/// model against a separate [`fit_pmnf`] on its target, and the scorer
+/// against the reference rule on every (combo, context) the cut scores
+/// and on random decoded gene vectors.
+fn sampling_vs_reference(name: &str, arch: &GpuArch, seed: u64) -> Result<(), String> {
+    let cfg = SamplingConfig::default();
+    let mut e = SimEvaluator::new(suite::spec_by_name(name).unwrap(), arch.clone(), seed);
+    let ds = PerfDataset::collect(&mut e, 128, seed);
+    let groups = group_from_dataset(&ds);
+    let reps = select_representatives(&ds, &combine_metrics(&ds, 4));
+    let sampled = sample_space(&ds, &groups, &reps, &e, &cfg, &Telemetry::noop());
+
+    let xs = ds.param_values();
+    let terms = &sampled.time_model.groups;
+    let fit = |y: &[f64]| fit_pmnf(&xs, y, terms, &cfg.i_range, &cfg.j_range);
+    for m in &sampled.models {
+        same_model(&format!("metric {}", m.metric), &m.model, &fit(&ds.metric_column(m.metric)))?;
+    }
+    let log_times: Vec<f64> = ds.times().iter().map(|t| t.max(1e-6).ln()).collect();
+    same_model("log_time_ms", &sampled.time_model, &fit(&log_times))?;
+
+    let contexts = scoring_contexts(&ds);
+    for group in &sampled.groups {
+        for combo in e.space().enumerate_group_repaired(&sampled.base, group, cfg.enum_limit) {
+            for ctx in &contexts {
+                let mut s = *ctx;
+                for (&p, &v) in group.iter().zip(&combo) {
+                    s.set(p, v);
+                }
+                s.canonicalize();
+                same_slowness(&sampled, &s)?;
+            }
+        }
+    }
+    let cards = sampled.cards();
+    let mut rng = seeded_rng(seed);
+    for _ in 0..256 {
+        let genes: Vec<u32> = cards.iter().map(|&c| rng.gen_range(0..c)).collect();
+        same_slowness(&sampled, &sampled.decode(&genes))?;
+    }
+    Ok(())
+}
+
+/// The sampling stage's shared fit and scorer across the paper suite,
+/// both arches and two seeds, at full scale (128-record datasets).
+#[test]
+fn sampling_fit_and_scorer_match_their_references() {
+    for k in suite::all_specs() {
+        for arch in [GpuArch::a100(), GpuArch::v100()] {
+            for seed in [1, 2] {
+                sampling_vs_reference(k.name, &arch, seed)
+                    .unwrap_or_else(|e| panic!("{} on {} seed {seed}: {e}", k.name, arch.name));
+            }
+        }
+    }
 }
