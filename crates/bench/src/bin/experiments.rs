@@ -1,19 +1,22 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! cargo run -p cst-bench --release --bin experiments -- <id> [--quick]
+//! cargo run -p cst-bench --release --bin experiments -- [<id>...] [--quick] [--seeds N]
 //! ```
 //!
 //! where `<id>` is one of `table1 table2 table3 fig2 fig3 fig4 fig8 fig9
-//! fig10 fig11 fig12 ablation all`. `--quick` shrinks sample counts and
-//! repetitions for smoke runs. Results print as markdown and are written
-//! as JSON under `results/`.
+//! fig10 fig11 fig12 ablation all` (no id means `all`). `--quick` shrinks
+//! sample counts and repetitions for smoke runs; `--seeds N` sets the
+//! repetitions of every seeded experiment. An unknown id or flag, or a
+//! `--seeds` value that is not a positive integer, exits 2 before anything
+//! runs. Results print as markdown and are written as JSON under
+//! `results/`.
 
 use cst_bench::landscape::{
     fraction_at_least, pair_divergence_distribution, sample_landscape, speedup_distribution,
     top_n_speedup, Landscape,
 };
-use cst_bench::report::{f3, pct, Table};
+use cst_bench::report::{f3, pct, Json, Table};
 use cst_bench::runners::{
     mean_best_at_iteration, mean_best_at_time, run_cstuner_with_ratio, run_iso_iteration,
     run_iso_time, sweep, RunResult, TunerKind,
@@ -34,9 +37,10 @@ struct Scale {
 }
 
 impl Scale {
-    /// Full scale. The paper repeats every tuning run 10×; on this
-    /// single-core reproduction box we default to 5 repetitions to keep
-    /// the whole suite under an hour — pass `--seeds N` to override.
+    /// Full scale. The paper repeats every tuning run 10×; the default is
+    /// 5 repetitions, and 2 for the sampling-ratio sweep and the
+    /// ablation, until `results/` is regenerated at the paper's count.
+    /// `--seeds N` sets all of them.
     fn full() -> Self {
         Scale { landscape_n: 20_000, seeds: 5, ratio_seeds: 2, iso_iterations: 10, budget_s: 100.0 }
     }
@@ -50,7 +54,7 @@ fn results_dir() -> PathBuf {
     PathBuf::from("results")
 }
 
-fn emit(table: Table, raw: &impl serde::Serialize) {
+fn emit(table: Table, raw: &dyn Json) {
     println!("{}", table.to_markdown());
     if let Err(e) = table.write_json(&results_dir(), raw) {
         eprintln!("warning: could not write {}.json: {e}", table.id);
@@ -59,7 +63,7 @@ fn emit(table: Table, raw: &impl serde::Serialize) {
 
 // ---------------------------------------------------------------- tables --
 
-fn table1() {
+fn table1(_: &Scale) {
     let space = OptSpace::for_grid([512, 512, 512]);
     let mut t = Table::new(
         "table1",
@@ -82,7 +86,7 @@ fn table1() {
     emit(t, &log10);
 }
 
-fn table2() {
+fn table2(_: &Scale) {
     let mut t = Table::new(
         "table2",
         "Table II — simulated hardware standing in for the testbeds",
@@ -104,7 +108,7 @@ fn table2() {
     emit(t, &"static");
 }
 
-fn table3() {
+fn table3(_: &Scale) {
     let mut t = Table::new(
         "table3",
         "Table III — stencils used for evaluation",
@@ -488,50 +492,154 @@ fn ablation(scale: &Scale) {
     emit(t, &runs);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut scale = if quick { Scale::quick() } else { Scale::full() };
-    if let Some(pos) = args.iter().position(|a| a == "--seeds") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
+/// One experiment: its id and its runner.
+type Experiment = (&'static str, fn(&Scale));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 12] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("ablation", ablation),
+];
+
+/// A parsed command line.
+struct Cli {
+    experiments: Vec<Experiment>,
+    quick: bool,
+    seeds: Option<u64>,
+}
+
+impl Cli {
+    /// The scale to run at; `--seeds` sets every repetition count.
+    fn scale(&self) -> Scale {
+        let mut scale = if self.quick { Scale::quick() } else { Scale::full() };
+        if let Some(n) = self.seeds {
             scale.seeds = n;
+            scale.ratio_seeds = n;
+        }
+        scale
+    }
+}
+
+/// Parse the arguments after the program name. Every error is one line
+/// for an exit-2 report.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli { experiments: Vec::new(), quick: false, seeds: None };
+    let mut all = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => cli.quick = true,
+            "--seeds" => {
+                let value = args.next().ok_or("`--seeds` needs a positive integer")?;
+                let n = value.parse().ok().filter(|&n| n > 0);
+                let n =
+                    n.ok_or_else(|| format!("`--seeds` needs a positive integer, got `{value}`"))?;
+                cli.seeds = Some(n);
+            }
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}`; flags are --quick and --seeds N"));
+            }
+            "all" => all = true,
+            id => match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+                Some(&experiment) => cli.experiments.push(experiment),
+                None => {
+                    let ids = EXPERIMENTS.map(|(id, _)| id).join(" ");
+                    return Err(format!("unknown experiment `{id}`; ids are {ids} all"));
+                }
+            },
         }
     }
-    let ids: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--seeds"))
-        .map(|(_, s)| s.as_str())
-        .collect();
-    let ids: Vec<&str> = if ids.is_empty() || ids.contains(&"all") {
-        vec![
-            "table1", "table2", "table3", "fig2", "fig3", "fig4", "fig8", "fig9", "fig10", "fig11",
-            "fig12", "ablation",
-        ]
-    } else {
-        ids
-    };
-    for id in ids {
+    if all || cli.experiments.is_empty() {
+        cli.experiments = EXPERIMENTS.to_vec();
+    }
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
+    let scale = cli.scale();
+    for (id, run) in cli.experiments {
         eprintln!("== running {id} ==");
         let t0 = std::time::Instant::now();
-        match id {
-            "table1" => table1(),
-            "table2" => table2(),
-            "table3" => table3(),
-            "fig2" => fig2(&scale),
-            "fig3" => fig3(&scale),
-            "fig4" => fig4(&scale),
-            "fig8" => fig8(&scale),
-            "fig9" => fig9(&scale),
-            "fig10" => fig10(&scale),
-            "fig11" => fig11(&scale),
-            "fig12" => fig12(&scale),
-            "ablation" => ablation(&scale),
-            other => {
-                eprintln!("unknown experiment `{other}`; see --help text in the module docs");
-                std::process::exit(2);
-            }
-        }
+        run(&scale);
         eprintln!("== {id} done in {:.1}s ==\n", t0.elapsed().as_secs_f64());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_args(&line.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+    }
+
+    fn ids(cli: &Cli) -> Vec<&'static str> {
+        cli.experiments.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn no_id_or_all_runs_every_experiment_in_order() {
+        let every: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        for line in ["", "all", "--quick", "fig2 all", "all --seeds 3"] {
+            assert_eq!(ids(&parse(line).unwrap()), every, "{line:?}");
+        }
+    }
+
+    #[test]
+    fn ids_run_in_the_order_given() {
+        let cli = parse("fig3 table1 --quick fig2").unwrap();
+        assert_eq!(ids(&cli), ["fig3", "table1", "fig2"]);
+        assert!(cli.quick);
+        assert_eq!(cli.seeds, None);
+    }
+
+    #[test]
+    fn seeds_take_a_positive_integer_anywhere() {
+        assert_eq!(parse("--seeds 10 fig11").unwrap().seeds, Some(10));
+        let cli = parse("fig11 --quick --seeds 2").unwrap();
+        assert_eq!((ids(&cli), cli.quick, cli.seeds), (vec!["fig11"], true, Some(2)));
+    }
+
+    #[test]
+    fn bad_input_is_rejected_before_anything_runs() {
+        for (line, want) in [
+            ("--seeds abc --quick", "`--seeds` needs a positive integer, got `abc`"),
+            ("fig2 --seeds 0", "`--seeds` needs a positive integer, got `0`"),
+            ("fig2 --seeds -3", "`--seeds` needs a positive integer, got `-3`"),
+            ("fig2 --seeds", "`--seeds` needs a positive integer"),
+            ("fig11 --quick --sedes 2", "unknown flag `--sedes`"),
+            ("fig11 -q", "unknown flag `-q`"),
+            ("fig2 bogus", "unknown experiment `bogus`; ids are table1 table2"),
+        ] {
+            let err = parse(line).err().unwrap_or_else(|| panic!("{line:?} parsed"));
+            assert!(err.starts_with(want), "{line:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn seeds_reach_the_ratio_sweep_and_the_ablation() {
+        let counts = |line| {
+            let scale = parse(line).unwrap().scale();
+            (scale.seeds, scale.ratio_seeds)
+        };
+        assert_eq!(counts("all"), (5, 2));
+        assert_eq!(counts("all --quick"), (2, 1));
+        assert_eq!(counts("all --seeds 10"), (10, 10));
+        assert_eq!(counts("fig11 --quick --seeds 2"), (2, 2));
     }
 }

@@ -7,8 +7,9 @@
 //! - [`runners`]: tuner construction and the iso-iteration / iso-time
 //!   protocols of §V-B/C/D (Figs. 8–10), the sampling-ratio sweep
 //!   (Fig. 11) and the pre-processing breakdown (Fig. 12).
-//! - [`report`]: result types (serde-serializable) and markdown rendering,
-//!   so `EXPERIMENTS.md` tables come straight from the harness output.
+//! - [`report`]: result tables, their pretty JSON writer and markdown
+//!   rendering, so `EXPERIMENTS.md` tables come straight from the
+//!   harness output.
 //!
 //! Run everything with
 //! `cargo run -p cst-bench --release --bin experiments -- all`.

@@ -2,12 +2,12 @@
 //! (§V-C, Fig. 9; §V-D, Fig. 10), the sampling-ratio sweep (§V-E, Fig. 11)
 //! and the pre-processing breakdown (§V-F, Fig. 12).
 
+use crate::report::{write_object, Json};
 use cst_baselines::zoo;
 use cst_gpu_sim::GpuArch;
 use cst_stencil::StencilSpec;
 use cstuner_core::{CsTuner, CsTunerConfig, SamplingConfig, SimEvaluator, Tuner, TuningOutcome};
 use rayon::prelude::*;
-use serde::{Serialize, Value};
 
 /// The tuners of the §V comparison, constructed fresh per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,20 +54,6 @@ impl TunerKind {
     }
 }
 
-impl Serialize for TunerKind {
-    fn to_value(&self) -> Value {
-        // Match serde-derive's unit-variant encoding: the variant name.
-        let variant = match self {
-            TunerKind::CsTuner => "CsTuner",
-            TunerKind::Garvey => "Garvey",
-            TunerKind::OpenTuner => "OpenTuner",
-            TunerKind::Artemis => "Artemis",
-            TunerKind::Random => "Random",
-        };
-        Value::String(variant.to_string())
-    }
-}
-
 /// One tuning run's curve, serializable for the JSON result files.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -89,18 +75,22 @@ pub struct RunResult {
     pub search_s: f64,
 }
 
-impl Serialize for RunResult {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("stencil".to_string(), self.stencil.to_value()),
-            ("tuner".to_string(), self.tuner.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("best_ms".to_string(), self.best_ms.to_value()),
-            ("curve".to_string(), self.curve.to_value()),
-            ("evaluations".to_string(), self.evaluations.to_value()),
-            ("preproc_s".to_string(), self.preproc_s.to_value()),
-            ("search_s".to_string(), self.search_s.to_value()),
-        ])
+impl Json for RunResult {
+    fn write(&self, out: &mut String, depth: usize) {
+        write_object(
+            out,
+            depth,
+            &[
+                ("stencil", &self.stencil),
+                ("tuner", &self.tuner),
+                ("seed", &self.seed),
+                ("best_ms", &self.best_ms),
+                ("curve", &self.curve),
+                ("evaluations", &self.evaluations),
+                ("preproc_s", &self.preproc_s),
+                ("search_s", &self.search_s),
+            ],
+        );
     }
 }
 

@@ -4,8 +4,8 @@
 //! [`JournalStore`]. The archive doubles as the checkpoint: before
 //! anything runs, every cell is probed by its content-hashed name, and
 //! cells whose summary already parses are *cached* — reported but not
-//! re-executed. Only the pending remainder runs, fanned across the
-//! in-process worker pool (vendored rayon) or submitted one-by-one to an
+//! re-executed. Only the pending remainder runs, fanned across
+//! in-process lanes (vendored rayon) or submitted one-by-one to an
 //! external `cst-serve` daemon over the JSONL protocol.
 //!
 //! Every executed cell's journal is wall-stripped
@@ -26,7 +26,7 @@ use rayon::prelude::*;
 /// Where pending cells execute.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Run sessions in this process, fanned across the rayon pool.
+    /// Run sessions in this process, fanned across rayon lanes.
     #[default]
     InProcess,
     /// Submit each cell to a `cst-serve` daemon at `host:port` over the

@@ -13,8 +13,8 @@
 //!   runnable and its errors are the CLI's own messages. A spec expands
 //!   to a deterministic list of [`spec::Cell`]s, each identified by a
 //!   content hash of its fully-resolved request.
-//! - [`exec`] — the executor: fans pending cells across the in-process
-//!   worker pool (vendored rayon) or an external `cst-serve` daemon via
+//! - [`exec`] — the executor: fans pending cells across in-process
+//!   lanes (vendored rayon) or an external `cst-serve` daemon via
 //!   the JSONL client, and auto-ingests each cell's wall-stripped
 //!   journal into a campaign-scoped [`cst_obs::JournalStore`]. Cells
 //!   whose summary is already archived are *skipped*, so an interrupted

@@ -38,6 +38,7 @@
 //! different configuration.
 
 use cst_baselines::zoo::edit_distance;
+use cst_serve::proto::parse_fault;
 use cst_serve::{FaultSpec, TuneRequest};
 use cst_telemetry::json::{self, Value};
 use std::fmt::Write as _;
@@ -148,25 +149,6 @@ fn u64_list(v: &Value, key: &str) -> Result<Option<Vec<u64>>, String> {
                 .map(Some)
         }
         Some(x) => Err(format!("`{key}` must be an array of integers, got {}", x.kind())),
-    }
-}
-
-/// Same fault grammar as a serve `tune` request: `"off"`, `"env"` (the
-/// `None` default) or `{"seed": N}` for the hostile profile.
-fn parse_fault(v: &Value) -> Result<Option<FaultSpec>, String> {
-    match v.get("fault") {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) if s == "off" => Ok(Some(FaultSpec::Off)),
-        Some(Value::Str(s)) if s == "env" => Ok(None),
-        Some(obj @ Value::Obj(_)) => {
-            let seed = obj.get("seed").and_then(Value::as_u64).ok_or_else(|| {
-                "`fault` object requires a non-negative integer `seed`".to_string()
-            })?;
-            Ok(Some(FaultSpec::Hostile { seed }))
-        }
-        Some(x) => {
-            Err(format!("`fault` must be \"off\", \"env\" or {{\"seed\":N}}, got {}", x.kind()))
-        }
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::arch::GpuArch;
 use crate::cost::CostBreakdown;
 use crate::footprint::{Footprint, ModelParams};
-use crate::memo::{EvalRecord, MemoStats, SimMemo};
+use crate::memo::{EvalRecord, SimMemo};
 use crate::metrics::{synthesize, MetricsReport};
 use crate::precomp::ModelPrecomp;
 use cst_space::Setting;
@@ -74,12 +74,6 @@ impl GpuSim {
     /// Number of settings with cached model output.
     pub fn memo_len(&self) -> usize {
         self.memo.as_ref().map_or(0, |m| m.len())
-    }
-
-    /// Monitoring counters of the backing memo (all-zero when disabled).
-    /// Racy-by-design under concurrent sessions; never journal material.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.memo.as_ref().map_or_else(MemoStats::default, |m| m.stats())
     }
 
     /// Swap the private memo for the process-wide one shared by every

@@ -110,7 +110,10 @@ fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
-fn parse_fault(v: &Value) -> Result<Option<FaultSpec>, String> {
+/// The `fault` knob of a `tune` request (and of a campaign spec):
+/// `"off"`, `"env"` (the `None` default) or `{"seed": N}` for the
+/// hostile profile.
+pub fn parse_fault(v: &Value) -> Result<Option<FaultSpec>, String> {
     match v.get("fault") {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Str(s)) if s == "off" => Ok(Some(FaultSpec::Off)),

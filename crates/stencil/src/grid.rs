@@ -146,12 +146,6 @@ impl Grid3 {
         &self.data
     }
 
-    /// Mutable view of the flat data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Split the grid into mutable z-slabs of `slab_nz` planes each (the
     /// last slab may be shorter). This is the rayon decomposition unit of
     /// the parallel executor: slabs are disjoint so they can be updated
