@@ -265,28 +265,15 @@ impl CampaignSpec {
             [("stencils", &self.stencils), ("archs", &self.archs), ("tuners", &self.tuners)]
         {
             let _ = write!(o, ",\"{key}\":[");
-            for (i, x) in list.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                json::write_escaped(&mut o, x);
-            }
+            json::write_joined(&mut o, list, |o, x| json::write_escaped(o, x));
             o.push(']');
         }
         o.push_str(",\"budgets_s\":[");
-        for (i, &b) in self.budgets_s.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            json::write_f64(&mut o, b);
-        }
+        json::write_joined(&mut o, &self.budgets_s, |o, &b| json::write_f64(o, b));
         o.push_str("],\"seeds\":[");
-        for (i, &s) in self.seeds.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
+        json::write_joined(&mut o, &self.seeds, |o, s| {
             let _ = write!(o, "{s}");
-        }
+        });
         let _ = write!(o, "],\"quick\":{}", self.quick);
         match self.fault {
             None => o.push_str(",\"fault\":\"env\""),

@@ -290,11 +290,10 @@ impl SimEvaluator {
     }
 
     /// Opt this session's simulator into the process-wide shared memo so
-    /// concurrent sessions on the same (stencil, arch) hit each other's
-    /// cache — see [`cst_gpu_sim::GpuSim::enable_shared_memo`] for the
-    /// gating rules (`CST_NO_MEMO`/`without_memo` and non-default model
-    /// params keep their semantics). The serving layer calls this per
-    /// session; results are unaffected, only evaluation speed.
+    /// sessions on the same (stencil, arch) reuse each other's records —
+    /// see [`cst_gpu_sim::GpuSim::enable_shared_memo`]. Session runners
+    /// call this per session; results are unaffected, only evaluation
+    /// speed. Without it the simulator caches nothing.
     pub fn enable_shared_memo(&mut self) {
         self.valid.enable_shared_memo();
     }

@@ -2,6 +2,7 @@
 
 use crate::arch::GpuArch;
 use crate::footprint::{footprint, occ_factor, Footprint, ModelParams};
+use cst_space::hash::fnv1a;
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
 
@@ -28,23 +29,14 @@ pub fn perturbation(spec: &StencilSpec, arch: &GpuArch, s: &Setting) -> f64 {
     let mut x = s
         .stable_hash()
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(fnv(spec.name.as_bytes()))
-        .wrapping_add(fnv(arch.name.as_bytes()).rotate_left(17));
+        .wrapping_add(fnv1a(spec.name.bytes()))
+        .wrapping_add(fnv1a(arch.name.bytes()).rotate_left(17));
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Model the kernel time of one sweep under `s`.

@@ -16,11 +16,15 @@
 //!   metric-combination stage (§IV-D).
 //! - [`precomp`]: setting-independent model tables hoisted out of the
 //!   evaluation hot path, bit-identical to the direct
-//!   [`footprint`]/[`cost`] composition.
-//! - [`registry`]: opt-in process-wide memo sharing keyed by
-//!   (stencil, arch), so concurrent serve sessions hit each other's cache.
+//!   [`footprint`]/[`cost`] composition; its footprint stage runs alone
+//!   for the validity check.
+//! - [`memo`]: the per-setting record cache, and [`registry`], which
+//!   hands every opted-in simulator on one (stencil, arch) the same
+//!   process-wide cache. A [`GpuSim`] holds none until a session runner
+//!   opts it in.
 //! - [`valid`]: the composed explicit+implicit validity check ("only
-//!   non-spilled parameter settings are explored", §IV-B).
+//!   non-spilled parameter settings are explored", §IV-B), read from the
+//!   footprint alone.
 //! - [`clock`]: the virtual wall clock that charges per-evaluation compile
 //!   and run costs, enabling faithful iso-time comparisons (§V-C).
 //! - [`fault`]: deterministic fault injection (compile errors, launch
@@ -51,5 +55,5 @@ pub use footprint::{Footprint, ModelParams};
 pub use memo::{EvalRecord, MemoStats, SimMemo};
 pub use metrics::{MetricsReport, METRIC_NAMES, N_METRICS};
 pub use precomp::ModelPrecomp;
-pub use sim::{noisy_measurement, FootprintView, GpuSim};
+pub use sim::{noisy_measurement, GpuSim};
 pub use valid::{Invalid, ValidSpace};

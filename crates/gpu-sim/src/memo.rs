@@ -1,16 +1,18 @@
-//! Shared memoization of the analytical model's per-setting outputs.
+//! Memoization of the analytical model's per-setting records.
 //!
-//! The evaluation hot path historically recomputed the footprint three
-//! times per fresh candidate (`is_valid` → `measure` → `eval_cost_s`).
-//! [`SimMemo`] computes everything once per distinct [`Setting`] and
-//! shares the record across clones of a [`crate::GpuSim`] and across
-//! evaluation threads — the in-silico analogue of csTuner's
-//! avoid-recompiling-seen-configurations convention.
+//! [`SimMemo`] computes the [`EvalRecord`] of a [`Setting`] once and
+//! serves it to every simulator that a session runner opted into the
+//! process-wide memo of its (stencil, arch) — see [`crate::registry`] —
+//! and to their evaluation threads: the in-silico analogue of csTuner's
+//! avoid-recompiling-seen-configurations convention. Only settings that
+//! are measured, profiled or timed get a record; the validity check
+//! reads the footprint stage alone and never fills the memo.
 
 use crate::cost::CostBreakdown;
 use crate::footprint::Footprint;
 use cst_space::{BuildFastHasher, Setting};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -31,12 +33,6 @@ impl EvalRecord {
     /// Modeled kernel time in milliseconds.
     pub fn time_ms(&self) -> f64 {
         self.cost.total_ms
-    }
-
-    /// Whether the setting launches without spilling registers or
-    /// overflowing shared memory.
-    pub fn resource_ok(&self) -> bool {
-        !self.footprint.spilled && !self.footprint.shmem_overflow && self.footprint.tb_per_sm > 0
     }
 }
 
@@ -95,23 +91,13 @@ impl std::fmt::Debug for SimMemo {
     }
 }
 
-/// FNV-1a over the setting's values; `Setting` is a small fixed array so
-/// this beats the default SipHash for shard selection.
+/// Shard of a setting: bits of the shard maps' own fast hash that their
+/// bucket index and tag bits leave unused.
 fn shard_index(s: &Setting) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in &s.0 {
-        h ^= v as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h >> 32) as usize % N_SHARDS
+    (BuildFastHasher::default().hash_one(s) >> 32) as usize % N_SHARDS
 }
 
 impl SimMemo {
-    /// Empty, unbounded memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Empty memo bounded to roughly `cap` entries (0 = unbounded).
     pub fn with_cap(cap: usize) -> Self {
         let memo = Self::default();
@@ -151,16 +137,6 @@ impl SimMemo {
             shard.remove(&victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Cached record, if present.
-    pub fn get(&self, s: &Setting) -> Option<Arc<EvalRecord>> {
-        let found = self.shards[shard_index(s)].read().unwrap().get(s).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
     }
 
     /// Cached record, computing and inserting via `compute` on a miss.
@@ -205,16 +181,6 @@ impl SimMemo {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop every cached record and reset the monitoring counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap().clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -234,7 +200,8 @@ mod tests {
 
     #[test]
     fn get_or_insert_computes_once() {
-        let memo = SimMemo::new();
+        let memo = SimMemo::default();
+        assert!(memo.is_empty());
         let s = Setting::baseline();
         let mut calls = 0;
         let a = memo.get_or_insert_with(&s, || {
@@ -253,32 +220,15 @@ mod tests {
 
     #[test]
     fn stats_track_hits_and_misses() {
-        let memo = SimMemo::new();
+        let memo = SimMemo::default();
         let s = Setting::baseline();
         assert_eq!(memo.stats(), MemoStats::default());
-        assert!(memo.get(&s).is_none());
         memo.get_or_insert_with(&s, || dummy_record(1.0));
         memo.get_or_insert_with(&s, || dummy_record(2.0));
-        let _ = memo.get(&s);
+        memo.get_or_insert_with(&s, || dummy_record(3.0));
         let stats = memo.stats();
-        assert_eq!(stats.misses, 2, "one get miss + one insert miss");
-        assert_eq!(stats.hits, 2, "one memoized insert + one get hit");
-        memo.clear();
-        assert_eq!(memo.stats(), MemoStats::default());
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let memo = SimMemo::new();
-        // Distinct settings spread across shards.
-        for v in 1..=32u32 {
-            let mut s = Setting::baseline();
-            s.0[0] = v;
-            memo.get_or_insert_with(&s, || dummy_record(v as f64));
-        }
-        assert_eq!(memo.len(), 32);
-        memo.clear();
-        assert!(memo.is_empty());
+        assert_eq!(stats.misses, 1, "the first lookup computes");
+        assert_eq!(stats.hits, 2, "repeats are served from the shard");
     }
 
     #[test]
@@ -301,13 +251,11 @@ mod tests {
         s.0[0] = 3;
         let r = memo.get_or_insert_with(&s, || dummy_record(3.0));
         assert_eq!(r.time_ms(), 3.0);
-        memo.clear();
-        assert_eq!(memo.stats(), MemoStats::default());
     }
 
     #[test]
     fn set_cap_trims_immediately_and_zero_means_unbounded() {
-        let memo = SimMemo::new();
+        let memo = SimMemo::default();
         for v in 0..64u32 {
             let mut s = Setting::baseline();
             s.0[0] = v;
@@ -322,7 +270,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let memo = Arc::new(SimMemo::new());
+        let memo = Arc::new(SimMemo::default());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let memo = Arc::clone(&memo);

@@ -25,12 +25,13 @@ use crate::arch::GpuArch;
 use crate::cost::CostBreakdown;
 use crate::footprint::{Footprint, ModelParams};
 use crate::memo::EvalRecord;
+use cst_space::hash::fnv1a;
 use cst_space::Setting;
 use cst_stencil::{StencilClass, StencilSpec};
 
-/// Per-setting values decoded once per record. The accessor calls on
-/// [`Setting`] are cheap, but the three model stages used to re-decode
-/// them independently.
+/// Per-setting values decoded once per footprint or record. The accessor
+/// calls on [`Setting`] are cheap, but the three model stages used to
+/// re-decode them independently.
 #[derive(Debug, Clone)]
 struct Decoded {
     streaming: bool,
@@ -45,7 +46,6 @@ struct Decoded {
     use_constant: bool,
     use_prefetching: bool,
     use_retiming: bool,
-    stable_hash: u64,
 }
 
 impl Decoded {
@@ -63,18 +63,8 @@ impl Decoded {
             use_constant: s.use_constant(),
             use_prefetching: s.use_prefetching(),
             use_retiming: s.use_retiming(),
-            stable_hash: s.stable_hash(),
         }
     }
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Setting-independent model state for one `(stencil, arch, params)`
@@ -129,7 +119,7 @@ pub struct ModelPrecomp {
     mem_denom: f64,
     barrier_shared: f64,
     barrier_plain: f64,
-    /// `fnv(spec.name) ⊞ rotl(fnv(arch.name), 17)` — wrapping addition is
+    /// `fnv1a(spec.name) ⊞ rotl(fnv1a(arch.name), 17)` — wrapping addition is
     /// associative, so the two per-call string hashes fold into one salt.
     perturb_salt: u64,
 
@@ -209,8 +199,8 @@ impl ModelPrecomp {
             mem_denom: arch.dram_gbps * 1e6,
             barrier_shared: arch.sync_us,
             barrier_plain: arch.sync_us * 0.3,
-            perturb_salt: fnv(spec.name.as_bytes())
-                .wrapping_add(fnv(arch.name.as_bytes()).rotate_left(17)),
+            perturb_salt: fnv1a(spec.name.bytes())
+                .wrapping_add(fnv1a(arch.name.bytes()).rotate_left(17)),
             log2_lut,
             complexity_base: flops / 10.0,
             runs_f: mp.runs_per_eval as f64,
@@ -230,9 +220,11 @@ impl ModelPrecomp {
         &self.arch
     }
 
-    /// The model constants the tables were built for.
-    pub fn params(&self) -> &ModelParams {
-        &self.params
+    /// The footprint stage alone: [`crate::footprint::footprint`],
+    /// bit for bit, with no cost stage, setting hash or allocation. The
+    /// resource check ([`crate::ValidSpace::check`]) reads only this.
+    pub fn footprint(&self, s: &Setting) -> Footprint {
+        self.footprint_stage(&Decoded::new(s))
     }
 
     /// [`crate::footprint::footprint`] with every hoisted constant read
@@ -414,7 +406,7 @@ impl ModelPrecomp {
     }
 
     /// [`crate::cost::kernel_cost_from_footprint`] over the tables.
-    fn cost_stage(&self, d: &Decoded, f: &Footprint) -> CostBreakdown {
+    fn cost_stage(&self, s: &Setting, d: &Decoded, f: &Footprint) -> CostBreakdown {
         let mp = &self.params;
         let launch_ms = self.launch_ms;
         if f.tb_per_sm == 0 {
@@ -457,15 +449,15 @@ impl ModelPrecomp {
         let (hi, lo) =
             if compute_ms >= memory_ms { (compute_ms, memory_ms) } else { (memory_ms, compute_ms) };
         let mut total = hi + (1.0 - mp.overlap) * lo + sync_ms + launch_ms;
-        total *= 1.0 + mp.ruggedness * self.perturbation(d);
+        total *= 1.0 + mp.ruggedness * self.perturbation(s);
         CostBreakdown { compute_ms, memory_ms, sync_ms, launch_ms, total_ms: total }
     }
 
     /// [`crate::cost::perturbation`] with both string hashes folded into
     /// the precomputed salt.
-    fn perturbation(&self, d: &Decoded) -> f64 {
+    fn perturbation(&self, s: &Setting) -> f64 {
         let mut x =
-            d.stable_hash.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.perturb_salt);
+            s.stable_hash().wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.perturb_salt);
         x ^= x >> 30;
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= x >> 27;
@@ -498,7 +490,7 @@ impl ModelPrecomp {
     pub fn record(&self, s: &Setting) -> EvalRecord {
         let d = Decoded::new(s);
         let footprint = self.footprint_stage(&d);
-        let cost = self.cost_stage(&d, &footprint);
+        let cost = self.cost_stage(s, &d, &footprint);
         let cost_s = self.eval_cost_stage(&d, cost.total_ms);
         EvalRecord { footprint, cost, cost_s }
     }
@@ -526,11 +518,9 @@ mod tests {
         EvalRecord { footprint: f, cost, cost_s }
     }
 
-    fn assert_bit_identical(a: &EvalRecord, b: &EvalRecord) {
-        // PartialEq would conflate -0.0 with 0.0; compare the f64 payloads
-        // by bit pattern.
-        let af = &a.footprint;
-        let bf = &b.footprint;
+    // PartialEq would conflate -0.0 with 0.0; both helpers compare the
+    // f64 payloads by bit pattern.
+    fn assert_footprint_bit_identical(af: &Footprint, bf: &Footprint) {
         let pairs = [
             (af.regs_per_thread, bf.regs_per_thread),
             (af.occupancy, bf.occupancy),
@@ -543,12 +533,6 @@ mod tests {
             (af.flops_eff, bf.flops_eff),
             (af.ilp, bf.ilp),
             (af.cache_capture, bf.cache_capture),
-            (a.cost.compute_ms, b.cost.compute_ms),
-            (a.cost.memory_ms, b.cost.memory_ms),
-            (a.cost.sync_ms, b.cost.sync_ms),
-            (a.cost.launch_ms, b.cost.launch_ms),
-            (a.cost.total_ms, b.cost.total_ms),
-            (a.cost_s, b.cost_s),
         ];
         for (x, y) in pairs {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} != {y}");
@@ -565,22 +549,49 @@ mod tests {
         assert_eq!(af.merged_pts, bf.merged_pts);
     }
 
+    fn assert_bit_identical(a: &EvalRecord, b: &EvalRecord) {
+        assert_footprint_bit_identical(&a.footprint, &b.footprint);
+        let pairs = [
+            (a.cost.compute_ms, b.cost.compute_ms),
+            (a.cost.memory_ms, b.cost.memory_ms),
+            (a.cost.sync_ms, b.cost.sync_ms),
+            (a.cost.launch_ms, b.cost.launch_ms),
+            (a.cost.total_ms, b.cost.total_ms),
+            (a.cost_s, b.cost_s),
+        ];
+        for (x, y) in pairs {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} != {y}");
+        }
+    }
+
     #[test]
     fn precomp_matches_direct_path_on_random_raw_settings() {
         // Raw (un-repaired) settings included: the model must agree even
-        // on spilled/overflowing/unlaunchable corners.
+        // on spilled/overflowing/unlaunchable corners, and the
+        // footprint-only stage the resource check reads must be the
+        // record's footprint.
         let mp = ModelParams::default();
+        let (mut spilled, mut overflowing, mut unlaunchable) = (0, 0, 0);
         for k in suite::all_kernels() {
             for arch in [GpuArch::a100(), GpuArch::v100()] {
                 let pre = ModelPrecomp::new(k.spec.clone(), arch.clone(), mp.clone());
                 let space = OptSpace::for_stencil(&k.spec);
-                let mut rng = StdRng::seed_from_u64(fnv(k.spec.name.as_bytes()));
+                let mut rng = StdRng::seed_from_u64(fnv1a(k.spec.name.bytes()));
                 for _ in 0..40 {
                     let s = space.random_raw(&mut rng);
-                    assert_bit_identical(&pre.record(&s), &direct_record(&k.spec, &arch, &s, &mp));
+                    let direct = direct_record(&k.spec, &arch, &s, &mp);
+                    let record = pre.record(&s);
+                    assert_bit_identical(&record, &direct);
+                    let f = pre.footprint(&s);
+                    assert_footprint_bit_identical(&f, &record.footprint);
+                    assert_footprint_bit_identical(&f, &direct.footprint);
+                    spilled += f.spilled as usize;
+                    overflowing += f.shmem_overflow as usize;
+                    unlaunchable += (f.tb_per_sm == 0 && !f.shmem_overflow) as usize;
                 }
             }
         }
+        assert!(spilled > 0 && overflowing > 0 && unlaunchable > 0, "corners not reached");
     }
 
     #[test]

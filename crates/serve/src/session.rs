@@ -24,11 +24,15 @@ pub fn all_stencils() -> Vec<StencilKernel> {
     v
 }
 
+/// The (name, builder) rows of the full suite, paper kernels first.
+fn kernel_rows() -> impl Iterator<Item = &'static (&'static str, fn() -> StencilKernel)> {
+    suite::KERNELS.iter().chain(suite_ext::KERNELS)
+}
+
 /// Look up a stencil (paper suite or extensions) by name, building only
 /// that kernel.
 pub fn find_stencil(name: &str) -> Option<StencilKernel> {
-    suite::build_by_name(suite::KERNELS, name)
-        .or_else(|| suite::build_by_name(suite_ext::KERNELS, name))
+    kernel_rows().find(|(n, _)| *n == name).map(|(_, build)| build())
 }
 
 /// Build a tuner by its canonical flag name (resolved through the
@@ -110,7 +114,8 @@ impl TuneRequest {
             None if quick => "j3d7pt".to_string(),
             None => return Err("--stencil is required; run `cstuner list`".to_string()),
         };
-        if find_stencil(&stencil).is_none() {
+        // A name check: the session builds the kernel when it runs.
+        if !kernel_rows().any(|(n, _)| *n == stencil) {
             return Err(format!("unknown stencil `{stencil}`; run `cstuner list`"));
         }
         let arch = arch.unwrap_or("a100").to_string();
@@ -273,11 +278,12 @@ pub fn run_session(
     if let Some(token) = cancel {
         eval.set_cancel_token(token);
     }
-    // Daemon workers run many sessions per process, often on the same
-    // (stencil, arch): share the sim-level record cache across them. The
-    // shared memo holds no observable state (the journal's memo counters
-    // come from the evaluator's serial commit path), so identical requests
-    // still produce byte-identical streams — sharing only saves recompute.
+    // Daemons and campaigns run many sessions per process, often on the
+    // same (stencil, arch): put each on the process-wide record cache, the
+    // simulator's only memo. It holds no observable state (the journal's
+    // memo counters come from the evaluator's serial commit path), so
+    // identical requests still produce byte-identical streams — sharing
+    // only saves recompute.
     eval.enable_shared_memo();
     eval.set_telemetry(tel);
     let baseline_ms = eval.sim().kernel_time_ms(&Setting::baseline());

@@ -1,4 +1,5 @@
-//! Fast hashing for [`Setting`](crate::Setting)-keyed containers.
+//! Fast hashing for [`Setting`](crate::Setting)-keyed containers, and
+//! [`fnv1a`], the one stable content hash.
 //!
 //! A [`Setting`](crate::Setting) is 19 `u32`s (76 bytes). The standard library's default
 //! SipHash is DoS-resistant but processes that key in many dependent
@@ -81,6 +82,17 @@ impl Hasher for FastHasher {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`: the one stable content hash of the
+/// workspace. Unlike [`FastHasher`] its value is part of the output
+/// (model perturbation salts, shared-memo keys, knowledge-base content
+/// hashes, [`Setting::stable_hash`](crate::Setting::stable_hash)), so it
+/// must never change.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// `BuildHasher` for [`FastHasher`] (stateless, so `Default` suffices).
 pub type BuildFastHasher = BuildHasherDefault<FastHasher>;
 
@@ -122,6 +134,14 @@ mod tests {
         if s.0[0] != s.0[1] {
             assert_ne!(hash_of(&s), hash_of(&swapped));
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(*b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

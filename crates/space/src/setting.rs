@@ -180,14 +180,7 @@ impl Setting {
     /// Stable 64-bit hash (FNV-1a over the raw values), used to seed the
     /// deterministic per-setting perturbations of the GPU model.
     pub fn stable_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &v in &self.0 {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        crate::hash::fnv1a(self.0.iter().flat_map(|v| v.to_le_bytes()))
     }
 }
 

@@ -9,7 +9,9 @@
 
 use cst_gpu_sim::cost::{eval_cost_s, kernel_cost_from_footprint};
 use cst_gpu_sim::footprint::footprint;
-use cst_gpu_sim::{EvalRecord, FaultProfile, GpuArch, GpuSim, ModelParams, ModelPrecomp};
+use cst_gpu_sim::{
+    EvalRecord, FaultProfile, GpuArch, GpuSim, ModelParams, ModelPrecomp, ValidSpace,
+};
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
 use cstuner_core::{Evaluator, FaultStats, SimEvaluator, Tuner};
@@ -40,35 +42,32 @@ fn stats_equal(a: FaultStats, b: FaultStats) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle: the simulator's sharded memo is transparent — a memoized and
-/// an unmemoized [`GpuSim`] produce bit-identical records (times, clock
-/// charges, resource verdicts) for the same settings, including repeats.
+/// Oracle: the simulator's shared memo is transparent — a shared-memo
+/// [`GpuSim`] and its uncached twin produce bit-identical records and
+/// identical validity verdicts for the same settings, including repeats.
 pub fn memo_transparency(
     spec: &StencilSpec,
     arch: &GpuArch,
     seed: u64,
     n: usize,
 ) -> Result<(), String> {
-    let memoized = GpuSim::new(spec.clone(), arch.clone());
-    let bare = GpuSim::new(spec.clone(), arch.clone()).without_memo();
-    let mut batch = raw_settings(&cst_space::OptSpace::for_stencil(spec), seed, n);
+    let mut memoized = GpuSim::new(spec.clone(), arch.clone());
+    memoized.enable_shared_memo();
+    let bare = memoized.clone().without_memo();
+    let space = cst_space::OptSpace::for_stencil(spec);
+    let mut batch = raw_settings(&space, seed, n);
     // Repeats exercise the memo-hit path against a fresh computation.
     let dups: Vec<Setting> = batch.iter().take(n / 4).copied().collect();
     batch.extend(dups);
-    let (mut ta, mut tb, mut ca, mut cb) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for s in &batch {
-        let ra = memoized.evaluate_full(s);
-        let rb = bare.evaluate_full(s);
-        if ra.resource_ok() != rb.resource_ok() {
-            return Err(format!("resource verdict diverged for {s:?}"));
+    let (va, vb) =
+        (ValidSpace::new(space.clone(), memoized.clone()), ValidSpace::new(space, bare.clone()));
+    for (i, s) in batch.iter().enumerate() {
+        records_equal(&format!("record[{i}]"), &memoized.evaluate_full(s), &bare.evaluate_full(s))?;
+        if va.check(s) != vb.check(s) {
+            return Err(format!("validity verdict diverged for {s:?}"));
         }
-        ta.push(ra.time_ms());
-        tb.push(rb.time_ms());
-        ca.push(ra.cost_s);
-        cb.push(rb.cost_s);
     }
-    bits_equal("time_ms", &ta, &tb)?;
-    bits_equal("cost_s", &ca, &cb)
+    Ok(())
 }
 
 /// Compare two [`EvalRecord`]s field-by-field, f64s by bit pattern.
@@ -130,7 +129,7 @@ pub fn precomp_vs_direct(
 ) -> Result<(), String> {
     let mp = ModelParams::default();
     let sim = GpuSim::new(spec.clone(), arch.clone());
-    let valid = cst_gpu_sim::ValidSpace::new(cst_space::OptSpace::for_stencil(spec), sim.clone());
+    let valid = ValidSpace::new(cst_space::OptSpace::for_stencil(spec), sim.clone());
     let pre = ModelPrecomp::new(spec.clone(), arch.clone(), mp.clone());
     let mut batch = valid_settings(&valid, seed, n);
     batch.extend(raw_settings(valid.space(), seed ^ 0x5eed, n));
@@ -145,7 +144,7 @@ pub fn precomp_vs_direct(
         .collect();
     for (i, (s, d)) in batch.iter().zip(&direct).enumerate() {
         records_equal(&format!("record[{i}]"), &pre.record(s), d)?;
-        // The memoized simulator front door serves the same bits.
+        // The simulator front door serves the same bits.
         records_equal(&format!("evaluate_full[{i}]"), &sim.evaluate_full(s), d)?;
     }
     Ok(())

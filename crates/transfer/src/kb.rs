@@ -74,15 +74,10 @@ pub struct KbBuild {
     pub warnings: Vec<String>,
 }
 
-/// FNV-1a over raw bytes (the same constants as
-/// `Setting::stable_hash`), rendered as 16 hex digits.
+/// FNV-1a over raw bytes ([`cst_space::hash::fnv1a`]), rendered as 16
+/// hex digits.
 pub fn content_hash(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", cst_space::hash::fnv1a(bytes.iter().copied()))
 }
 
 impl KnowledgeBase {
