@@ -77,7 +77,7 @@ impl SaOptimizer {
             };
             let mut s = cur;
             s.set(p, vals[ni]);
-            ctx.space().canonicalize(&mut s);
+            s.canonicalize();
             if ctx.is_valid(&s) && !self.seen.contains(&s) {
                 return s;
             }
@@ -123,7 +123,7 @@ impl Optimizer for SaOptimizer {
         // Drain warm-start seeds first (rank order): the walk then starts
         // its Metropolis chain from the best measurement among them.
         while let Some(mut s) = self.warm.pop_front() {
-            ctx.space().canonicalize(&mut s);
+            s.canonicalize();
             if ctx.is_valid(&s) && !self.seen.contains(&s) {
                 self.seen.insert(s);
                 return vec![s];
@@ -135,7 +135,7 @@ impl Optimizer for SaOptimizer {
                 // the tuning story every practitioner begins with — else
                 // from a seeded valid draw.
                 let mut b = Setting::baseline();
-                ctx.space().canonicalize(&mut b);
+                b.canonicalize();
                 if ctx.is_valid(&b) {
                     b
                 } else {

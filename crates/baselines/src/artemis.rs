@@ -163,7 +163,7 @@ impl ArtemisOptimizer {
                         .filter(|&v| v != current.get(p))
                         .filter_map(|v| {
                             let mut s = current.with(p, v);
-                            ctx.space().canonicalize(&mut s);
+                            s.canonicalize();
                             ctx.space().is_explicit_valid(&s).then_some(s)
                         })
                         .collect();
@@ -234,7 +234,7 @@ impl Optimizer for ArtemisOptimizer {
         }
         let mut cleaned: Vec<Setting> = Vec::new();
         for mut s in phase1 {
-            ctx.space().canonicalize(&mut s);
+            s.canonicalize();
             if ctx.space().is_explicit_valid(&s) && !cleaned.contains(&s) {
                 cleaned.push(s);
             }

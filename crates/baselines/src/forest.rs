@@ -94,7 +94,7 @@ impl Optimizer for ForestOptimizer {
             let firsts: Vec<Setting> = warm
                 .into_iter()
                 .map(|mut s| {
-                    ctx.space().canonicalize(&mut s);
+                    s.canonicalize();
                     s
                 })
                 .filter(|s| ctx.is_valid(s))

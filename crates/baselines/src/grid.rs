@@ -109,7 +109,7 @@ impl Optimizer for GridOptimizer {
                 let vals = ctx.space().values(p);
                 s.set(p, vals[self.lattice[i][cur[i]]]);
             }
-            ctx.space().canonicalize(&mut s);
+            s.canonicalize();
             if self.seen.insert(s) {
                 batch.push(s);
             }

@@ -10,8 +10,10 @@
 //! population (§V-B).
 //!
 //! The production path runs the GA through the ask/tell kernel
-//! ([`cstuner_core::drive`]) via [`GaOptimizer`], a split-phase adapter
-//! over [`GaState`]. The pre-kernel closed-loop driver is preserved as
+//! ([`cstuner_core::drive`]) via [`GaOptimizer`], a thin adapter over
+//! [`GaState::ask`]/[`GaState::tell`] that adds only what is OpenTuner's:
+//! seeding, decoding genes into settings, and collecting tells that
+//! arrive in chunks. The pre-kernel closed-loop driver is preserved as
 //! [`OpenTunerGa::tune_legacy`] solely as the reference side of the
 //! `ga_asktell_oracle` differential test — the two are bit-identical.
 
@@ -49,7 +51,7 @@ impl OpenTunerGa {
         // structurally consistent (dependent parameters are normalized),
         // so canonicalize; resource-level failures (spills, unlaunchable
         // blocks) are still discovered by running.
-        space.canonicalize(&mut s);
+        s.canonicalize();
         s
     }
 
@@ -112,28 +114,17 @@ impl OpenTunerGa {
     }
 }
 
-/// Where the split-phase GA ledger stands inside one generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GaPhase {
-    /// Next fitness assignment completes the pre-breed evaluation.
-    PreBreed,
-    /// Next fitness assignment completes the post-breed evaluation.
-    PostBreed,
-}
-
-/// The island GA as an ask/tell [`Optimizer`]: one legacy
-/// `GaState::step` call unrolls to `ask(pre-breed pending) → tell →
-/// breed → ask(children) → tell → finish_generation`, with fitness
-/// `-time_ms` and skipped settings mapped to `NEG_INFINITY` exactly as
-/// the closed-loop driver did. Bit-identical to
-/// [`OpenTunerGa::tune_legacy`], which the `ga_asktell_oracle` test
+/// The island GA as an ask/tell [`Optimizer`]: each ask decodes the
+/// next [`GaState::ask`] batch, and once every asked setting is told the
+/// fitnesses (`-time_ms`, skipped settings `NEG_INFINITY`, exactly as the
+/// closed-loop driver mapped them) go to [`GaState::tell`]. Bit-identical
+/// to [`OpenTunerGa::tune_legacy`], which the `ga_asktell_oracle` test
 /// pins.
 #[derive(Debug)]
 pub struct GaOptimizer {
     ga: GaConfig,
     state: Option<GaState>,
-    phase: GaPhase,
-    /// Settings asked and not yet fully told in the current phase.
+    /// Settings asked and not yet fully told.
     pending: usize,
     /// Fitnesses accumulated across (possibly chunked) tells.
     acc: Vec<f64>,
@@ -144,31 +135,7 @@ pub struct GaOptimizer {
 impl GaOptimizer {
     /// New adapter with the given GA options (state is built in `init`).
     pub fn new(ga: GaConfig) -> Self {
-        GaOptimizer {
-            ga,
-            state: None,
-            phase: GaPhase::PreBreed,
-            pending: 0,
-            acc: Vec::new(),
-            warm: Vec::new(),
-        }
-    }
-
-    /// Balance the ledger for the just-completed phase and advance the
-    /// generation machinery.
-    fn advance(&mut self, fits: &[f64]) {
-        let state = self.state.as_mut().expect("init before advance");
-        state.assign_pending(fits);
-        match self.phase {
-            GaPhase::PreBreed => {
-                state.breed_generation();
-                self.phase = GaPhase::PostBreed;
-            }
-            GaPhase::PostBreed => {
-                state.finish_generation();
-                self.phase = GaPhase::PreBreed;
-            }
-        }
+        GaOptimizer { ga, state: None, pending: 0, acc: Vec::new(), warm: Vec::new() }
     }
 }
 
@@ -214,7 +181,7 @@ impl Optimizer for GaOptimizer {
             if seeds.len() >= pop {
                 break;
             }
-            ctx.space().canonicalize(&mut s);
+            s.canonicalize();
             let encodable =
                 ParamId::ALL.iter().all(|&p| ctx.space().value_index(p, s.get(p)).is_some());
             if encodable {
@@ -230,18 +197,10 @@ impl Optimizer for GaOptimizer {
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        loop {
-            let genes = self.state.as_ref().expect("init before ask").pending_genes();
-            if !genes.is_empty() {
-                self.pending = genes.len();
-                self.acc.clear();
-                return genes.iter().map(|g| OpenTunerGa::decode(ctx.space(), g)).collect();
-            }
-            // Nothing pending in this phase: the empty assignment still
-            // refreshes best-so-far (first-encounter tie rule), exactly
-            // like the legacy eval_pending on an empty batch.
-            self.advance(&[]);
-        }
+        let genes = self.state.as_mut().expect("init before ask").ask();
+        self.pending = genes.len();
+        self.acc.clear();
+        genes.iter().map(|g| OpenTunerGa::decode(ctx.space(), g)).collect()
     }
 
     fn tell(&mut self, obs: &[Observation]) {
@@ -255,16 +214,16 @@ impl Optimizer for GaOptimizer {
             assert_eq!(self.acc.len(), self.pending, "told more settings than asked");
             let fits = std::mem::take(&mut self.acc);
             self.pending = 0;
-            self.advance(&fits);
+            self.state.as_mut().expect("init before tell").tell(&fits);
         }
     }
 
     fn mid_generation(&self) -> bool {
-        // After the pre-breed tell the generation's ledger is only half
-        // balanced: the kernel must keep feeding (possibly all-skip)
-        // batches until finish_generation runs, as the legacy driver's
-        // between-generations-only budget check did.
-        self.phase == GaPhase::PostBreed || self.pending > 0
+        // A half-told generation or a half-told batch: the kernel keeps
+        // feeding (possibly all-skip) batches until the generation
+        // closes, as the legacy driver's between-generations-only budget
+        // check did.
+        self.state.as_ref().is_some_and(GaState::mid_generation) || self.pending > 0
     }
 
     fn asks_valid_only(&self) -> bool {

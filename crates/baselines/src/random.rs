@@ -39,7 +39,7 @@ impl Optimizer for RandomOptimizer {
             let firsts: Vec<Setting> = warm
                 .into_iter()
                 .map(|mut s| {
-                    ctx.space().canonicalize(&mut s);
+                    s.canonicalize();
                     s
                 })
                 .filter(|s| ctx.is_valid(s))

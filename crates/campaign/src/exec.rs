@@ -19,7 +19,6 @@ use crate::spec::{CampaignSpec, Cell};
 use cst_obs::{JournalStore, RunSummary};
 use cst_serve::proto;
 use cst_serve::{run_session, Connection, StreamEvent, TuneRequest};
-use cst_telemetry::metrics;
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use rayon::prelude::*;
 
@@ -99,12 +98,6 @@ pub fn run_campaign(
 ) -> Result<CampaignRun, String> {
     let cells = spec.cells()?;
     let total = cells.len();
-    // Live-ops counters on the process-wide registry: cells satisfied
-    // from the archive, executed fresh, or failed. Observability only —
-    // never read back into any decision.
-    let ctr_cached = metrics::global().counter("campaign_cells_cached");
-    let ctr_executed = metrics::global().counter("campaign_cells_executed");
-    let ctr_failed = metrics::global().counter("campaign_cells_failed");
     let mut done: Vec<Option<CellRun>> = vec![None; total];
     let mut pending: Vec<usize> = Vec::new();
     for (i, cell) in cells.iter().enumerate() {
@@ -112,7 +105,6 @@ pub fn run_campaign(
         // counts as absent: the cell simply re-runs.
         match store.load(&cell.name()) {
             Ok(summary) => {
-                ctr_cached.inc();
                 progress(i + 1, total, cell, CellState::Cached);
                 done[i] =
                     Some(CellRun { cell: cell.clone(), summary, cached: true, journal: None });
@@ -141,15 +133,10 @@ pub fn run_campaign(
     let mut executed = 0;
     for (i, lines) in journals {
         let cell = &cells[i];
-        let lines = lines.map_err(|e| {
-            ctr_failed.inc();
-            format!("cell `{}`: {e}", cell.name())
-        })?;
-        let summary = store.ingest_lines(&cell.name(), &lines).map_err(|e| {
-            ctr_failed.inc();
-            format!("cell `{}`: {e}", cell.name())
-        })?;
-        ctr_executed.inc();
+        let lines = lines.map_err(|e| format!("cell `{}`: {e}", cell.name()))?;
+        let summary = store
+            .ingest_lines(&cell.name(), &lines)
+            .map_err(|e| format!("cell `{}`: {e}", cell.name()))?;
         progress(i + 1, total, cell, CellState::Ran);
         done[i] =
             Some(CellRun { cell: cell.clone(), summary, cached: false, journal: Some(lines) });
@@ -272,22 +259,6 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir_a);
         let _ = fs::remove_dir_all(&dir_b);
-    }
-
-    #[test]
-    fn executor_advances_global_cell_counters() {
-        // The registry is process-wide and other tests in this binary run
-        // campaigns too, so assert deltas, not absolute values.
-        let ctr_executed = metrics::global().counter("campaign_cells_executed");
-        let ctr_cached = metrics::global().counter("campaign_cells_cached");
-        let (exec0, cached0) = (ctr_executed.get(), ctr_cached.get());
-        let spec = tiny_spec();
-        let (dir, store) = tmp_store("counters");
-        run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
-        assert!(ctr_executed.get() >= exec0 + 2, "two cells executed fresh");
-        run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
-        assert!(ctr_cached.get() >= cached0 + 2, "resume satisfied both from archive");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

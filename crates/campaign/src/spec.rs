@@ -40,6 +40,7 @@
 use cst_baselines::zoo::edit_distance;
 use cst_serve::proto::parse_fault;
 use cst_serve::{FaultSpec, TuneRequest};
+use cst_space::hash::fnv1a;
 use cst_telemetry::json::{self, Value};
 use std::fmt::Write as _;
 
@@ -329,20 +330,6 @@ impl CampaignSpec {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_u64(h: &mut u64, x: u64) {
-    fnv_bytes(h, &x.to_le_bytes());
-}
-
 /// One expanded matrix cell: a fully-resolved tuning request plus its
 /// content-hash identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,32 +354,31 @@ fn budget_token(budget_s: f64) -> String {
 impl Cell {
     /// Wrap a validated request, computing its identity hash.
     pub fn new(request: TuneRequest) -> Cell {
-        let mut h = FNV_OFFSET;
-        fnv_u64(&mut h, CELL_IDENT_VERSION);
+        let mut bytes = CELL_IDENT_VERSION.to_le_bytes().to_vec();
         // Length-prefix the strings so ("ab","c") and ("a","bc") differ.
         for s in [&request.stencil, &request.arch, &request.tuner] {
-            fnv_u64(&mut h, s.len() as u64);
-            fnv_bytes(&mut h, s.as_bytes());
+            bytes.extend((s.len() as u64).to_le_bytes());
+            bytes.extend(s.as_bytes());
         }
-        fnv_u64(&mut h, request.seed);
-        fnv_u64(&mut h, request.budget_s.to_bits());
-        fnv_bytes(&mut h, &[request.quick as u8]);
+        bytes.extend(request.seed.to_le_bytes());
+        bytes.extend(request.budget_s.to_bits().to_le_bytes());
+        bytes.push(request.quick as u8);
         match request.fault {
-            None => fnv_bytes(&mut h, &[0]),
-            Some(FaultSpec::Off) => fnv_bytes(&mut h, &[1]),
+            None => bytes.push(0),
+            Some(FaultSpec::Off) => bytes.push(1),
             Some(FaultSpec::Hostile { seed }) => {
-                fnv_bytes(&mut h, &[2]);
-                fnv_u64(&mut h, seed);
+                bytes.push(2);
+                bytes.extend(seed.to_le_bytes());
             }
         }
         // Folded only when present, so cold cells keep the ids (hence
         // archive names) they had before the warm knob existed.
         if let Some(warm) = &request.warm {
-            fnv_bytes(&mut h, &[3]);
-            fnv_u64(&mut h, warm.len() as u64);
-            fnv_bytes(&mut h, warm.as_bytes());
+            bytes.push(3);
+            bytes.extend((warm.len() as u64).to_le_bytes());
+            bytes.extend(warm.as_bytes());
         }
-        Cell { request, id: h }
+        Cell { request, id: fnv1a(bytes) }
     }
 
     /// The cell's archive name:

@@ -43,7 +43,7 @@ impl PerfDataset {
         // larger than any dataset so this terminates quickly.
         while records.len() < n {
             let mut s = eval.space().random_raw(&mut rng);
-            eval.space().canonicalize(&mut s);
+            s.canonicalize();
             if !eval.is_valid(&s) || !seen.insert(s) {
                 continue;
             }

@@ -14,7 +14,7 @@ use crate::asktell::Recorder;
 use crate::evaluator::Evaluator;
 use crate::pipeline::CurvePoint;
 use crate::sampling::SampledSpace;
-use cst_ga::{GaConfig, GaState, Genome, IslandGa};
+use cst_ga::{GaConfig, GaState, Genome};
 use cst_space::Setting;
 use cst_stats::coefficient_of_variation;
 use cst_telemetry::{event, Telemetry};
@@ -286,15 +286,17 @@ fn screen_group(
     k: usize,
     seed: u64,
 ) -> u32 {
-    let genome = Genome::new(cards.to_vec());
-    let frozen: Vec<(usize, u32)> =
-        current.iter().enumerate().filter(|&(d, _)| d != k).map(|(d, &v)| (d, v)).collect();
-    let ga = IslandGa::new(genome, GaConfig::default())
-        .with_seeds(&[current.to_vec()])
-        .with_frozen(&frozen);
-    let fitness = |genes: &[u32]| -sampled.predicted_slowness(&sampled.decode(genes));
     let sub_seed = seed ^ 0x9e37_79b9_7f4a_7c15 ^ (k as u64);
-    ga.run_serial(6, sub_seed, fitness).best.genes[k]
+    let mut state = GaState::new(Genome::new(cards.to_vec()), GaConfig::default(), sub_seed);
+    state.seed_with(&[current.to_vec()]);
+    for (d, &v) in current.iter().enumerate().filter(|&(d, _)| d != k) {
+        state.freeze(d, v);
+    }
+    let mut fitness = |genes: &[u32]| -sampled.predicted_slowness(&sampled.decode(genes));
+    for _ in 0..6 {
+        state.step(&mut fitness);
+    }
+    state.best().expect("stepped six generations").genes[k]
 }
 
 #[cfg(test)]

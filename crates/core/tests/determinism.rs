@@ -23,7 +23,7 @@ proptest! {
             let vals = space.values(*p);
             s.set(*p, vals[pick % vals.len()]);
         }
-        space.canonicalize(&mut s);
+        s.canonicalize();
         let vc = ValidSpace::new(space.clone(), cached.clone());
         let vu = ValidSpace::new(space, uncached.clone());
         // Twice, so the second pass reads the cache.

@@ -43,7 +43,16 @@ struct Island {
     rng: StdRng,
 }
 
-/// Stepping GA state: the caller drives generations and supplies fitness.
+/// One island GA and the one copy of its generation ledger.
+///
+/// A generation evaluates the pending individuals (those without a
+/// finite fitness, so infeasible ones are re-evaluated), breeds, evaluates
+/// the children and closes: the counter advances, islands migrate on
+/// schedule and a `ga_gen` record is emitted. An empty batch still
+/// refreshes the best-so-far. Callers drive it one of two ways, with
+/// bit-identical results: [`GaState::step`] runs a whole generation over
+/// a fitness closure, and [`GaState::ask`]/[`GaState::tell`] hand out each
+/// batch and take its fitnesses back, for callers that measure in between.
 #[derive(Debug, Clone)]
 pub struct GaState {
     genome: Genome,
@@ -53,23 +62,14 @@ pub struct GaState {
     evaluations: u64,
     best: Option<Individual>,
     frozen: Vec<Option<u32>>,
+    /// The generation's children are bred and not yet told.
+    bred: bool,
     tel: Telemetry,
-}
-
-/// Result summary of a GA run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaSummary {
-    /// Best individual found.
-    pub best: Individual,
-    /// Generations executed.
-    pub generations: u32,
-    /// Fitness evaluations performed.
-    pub evaluations: u64,
 }
 
 impl GaState {
     /// Initialize random islands (individuals unevaluated until the first
-    /// [`GaState::step`]).
+    /// generation).
     pub fn new(genome: Genome, cfg: GaConfig, seed: u64) -> Self {
         assert!(cfg.n_islands >= 1 && cfg.pop_per_island >= 4, "population too small");
         let mut seeder = StdRng::seed_from_u64(seed);
@@ -89,6 +89,7 @@ impl GaState {
             evaluations: 0,
             best: None,
             frozen,
+            bred: false,
             tel: Telemetry::noop(),
         }
     }
@@ -130,7 +131,7 @@ impl GaState {
 
     /// Seed the initial population with known genomes (e.g. a baseline
     /// configuration and valid random samples), distributed round-robin
-    /// across islands. Call before the first [`GaState::step`].
+    /// across islands. Call before the first generation.
     ///
     /// # Panics
     /// Panics if any genome is out of range for the layout.
@@ -159,7 +160,7 @@ impl GaState {
         self.evaluations
     }
 
-    /// Best individual seen so far (after at least one step).
+    /// Best individual seen so far (after the first tell).
     pub fn best(&self) -> Option<&Individual> {
         self.best.as_ref()
     }
@@ -178,31 +179,62 @@ impl GaState {
         f
     }
 
-    /// Advance one generation: evaluate any unevaluated individuals, breed
-    /// the next population island by island, then migrate around the ring
-    /// every `migration_interval` generations.
+    /// Advance one generation: evaluate the pending individuals, breed the
+    /// next population island by island, evaluate the children, then
+    /// close the generation, migrating around the ring every
+    /// `migration_interval` generations.
     ///
     /// `eval` maps genes to fitness (higher is better; return
     /// `f64::NEG_INFINITY` for infeasible candidates).
     pub fn step(&mut self, eval: &mut impl FnMut(&[u32]) -> f64) {
-        self.eval_pending(eval);
-        self.breed();
-        // Evaluate the new generation immediately so callers observe a
-        // consistent population after each step.
-        self.eval_pending(eval);
-        self.finish_generation();
+        loop {
+            let fits: Vec<f64> = self.pending_genes().iter().map(|g| eval(g)).collect();
+            self.tell(&fits);
+            if !self.mid_generation() {
+                return;
+            }
+        }
     }
 
-    /// Genes of every individual currently lacking a finite fitness, in
-    /// canonical island-major order — exactly the batch the next
-    /// [`GaState::assign_pending`] call must cover. Together with
-    /// [`GaState::breed_generation`] and [`GaState::finish_generation`]
-    /// this is the resumable (ask/tell-style) form of
-    /// [`GaState::step`]: one step is `pending → assign → breed →
-    /// pending → assign → finish`, and an external driver interleaving
-    /// its own bookkeeping between those calls reproduces the closed-loop
-    /// step bit for bit.
-    pub fn pending_genes(&self) -> Vec<Vec<u32>> {
+    /// The next batch to evaluate: the genes of every pending individual,
+    /// in island-major order. Never empty: when nothing is pending before
+    /// breeding, the empty batch is told here and the children are
+    /// returned.
+    pub fn ask(&mut self) -> Vec<Vec<u32>> {
+        loop {
+            let genes = self.pending_genes();
+            if !genes.is_empty() {
+                return genes;
+            }
+            self.tell(&[]);
+        }
+    }
+
+    /// Take the fitnesses of the last [`GaState::ask`] batch, in its
+    /// order. A generation's first tell breeds its children; its second
+    /// closes it.
+    ///
+    /// # Panics
+    /// Panics when `fits` does not line up with the pending batch.
+    pub fn tell(&mut self, fits: &[f64]) {
+        self.assign_pending(fits);
+        if self.bred {
+            self.finish_generation();
+        } else {
+            self.breed();
+        }
+    }
+
+    /// Whether the generation is half told: its children are bred and not
+    /// yet evaluated. A caller that stops on a budget keeps telling
+    /// (possibly all-infeasible) batches until this is false, so the
+    /// generation closes as [`GaState::step`] closes it.
+    pub fn mid_generation(&self) -> bool {
+        self.bred
+    }
+
+    /// Genes of every individual lacking a finite fitness, island-major.
+    fn pending_genes(&self) -> Vec<Vec<u32>> {
         self.islands
             .iter()
             .flat_map(|isl| isl.pop.iter())
@@ -211,16 +243,10 @@ impl GaState {
             .collect()
     }
 
-    /// Assign fitnesses to the pending individuals (island-major order,
-    /// lining up with [`GaState::pending_genes`]) and refresh the
-    /// best-so-far over the *whole* population using the serial driver's
-    /// first-encounter tie rule. Call with an empty slice when there is
-    /// nothing pending — the best-so-far refresh still runs, as it does
-    /// on the closed-loop path.
-    ///
-    /// # Panics
-    /// Panics when `fits` does not line up with the pending batch.
-    pub fn assign_pending(&mut self, fits: &[f64]) {
+    /// Assign fitnesses to the pending individuals, lining up with
+    /// `pending_genes`, and refresh the best-so-far over the
+    /// whole population with the first-encounter tie rule.
+    fn assign_pending(&mut self, fits: &[f64]) {
         let mut fit_iter = fits.iter().copied();
         for isl in &mut self.islands {
             for ind in &mut isl.pop {
@@ -237,18 +263,10 @@ impl GaState {
         assert!(fit_iter.next().is_none(), "batch evaluator arity mismatch");
     }
 
-    /// Breed the next generation (the public split-phase form of the
-    /// middle of [`GaState::step`]). New children carry
-    /// `NEG_INFINITY` fitness, so they appear in the next
-    /// [`GaState::pending_genes`] batch.
-    pub fn breed_generation(&mut self) {
-        self.breed();
-    }
-
-    /// Close out a generation after its post-breed fitness assignment:
-    /// bump the generation counter, run ring migration on schedule, and
-    /// emit the `ga_gen` telemetry record.
-    pub fn finish_generation(&mut self) {
+    /// Close the generation after its children are told: bump the
+    /// counter, run ring migration on schedule, and emit `ga_gen`.
+    fn finish_generation(&mut self) {
+        self.bred = false;
         self.generation += 1;
         // Migrate best individuals around the single ring.
         if self.cfg.n_islands > 1 && self.generation.is_multiple_of(self.cfg.migration_interval) {
@@ -273,17 +291,12 @@ impl GaState {
         }
     }
 
-    /// Evaluate every individual without finite fitness, in island-major
-    /// order, and refresh the best-so-far over the whole population using
-    /// the first-encounter tie rule.
-    fn eval_pending(&mut self, eval: &mut impl FnMut(&[u32]) -> f64) {
-        let fits: Vec<f64> = self.pending_genes().iter().map(|g| eval(g)).collect();
-        self.assign_pending(&fits);
-    }
-
     /// Breed the next population island by island: elitism, neighborhood
     /// parent selection, crossover-or-clone, mutation, frozen-gene pinning.
+    /// The children carry `NEG_INFINITY` fitness, so they are the next
+    /// pending batch.
     fn breed(&mut self) {
+        self.bred = true;
         let cfg = self.cfg;
         let frozen = self.frozen.clone();
         for isl in &mut self.islands {
@@ -391,69 +404,10 @@ fn select_parents(pop: &[Individual], slot: usize, rng: &mut impl Rng) -> (usize
     (a, b)
 }
 
-/// A self-contained island GA run: islands advance in deterministic
-/// lockstep over a pure fitness function, the in-process analogue of the
-/// paper's MPI deployment.
-#[derive(Debug, Clone)]
-pub struct IslandGa {
-    genome: Genome,
-    cfg: GaConfig,
-    seeds: Vec<Vec<u32>>,
-    frozen: Vec<(usize, u32)>,
-}
-
-impl IslandGa {
-    /// Build an island GA.
-    pub fn new(genome: Genome, cfg: GaConfig) -> Self {
-        IslandGa { genome, cfg, seeds: Vec::new(), frozen: Vec::new() }
-    }
-
-    /// Seed the initial population with known genomes (round-robin across
-    /// islands, applied before the first generation).
-    pub fn with_seeds(mut self, seeds: &[Vec<u32>]) -> Self {
-        self.seeds = seeds.to_vec();
-        self
-    }
-
-    /// Pin genes to fixed values for the whole run (csTuner's per-group
-    /// refinement: search one parameter group while the rest stay fixed).
-    pub fn with_frozen(mut self, frozen: &[(usize, u32)]) -> Self {
-        self.frozen = frozen.to_vec();
-        self
-    }
-
-    fn build_state(&self, seed: u64) -> GaState {
-        let mut state = GaState::new(self.genome.clone(), self.cfg, seed);
-        if !self.seeds.is_empty() {
-            state.seed_with(&self.seeds);
-        }
-        for &(d, v) in &self.frozen {
-            state.freeze(d, v);
-        }
-        state
-    }
-
-    /// Run `generations` generations, evaluating one individual at a
-    /// time in island-major order.
-    pub fn run_serial<F>(&self, generations: u32, seed: u64, eval: F) -> GaSummary
-    where
-        F: Fn(&[u32]) -> f64,
-    {
-        let mut state = self.build_state(seed);
-        for _ in 0..generations {
-            state.step(&mut |g: &[u32]| eval(g));
-        }
-        GaSummary {
-            best: state.best().cloned().expect("ran at least one generation"),
-            generations,
-            evaluations: state.evaluations(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cst_telemetry::strip_wall_fields;
 
     /// A deceptive multimodal fitness over 6 genes of cardinality 16:
     /// global optimum at all-12, local traps at all-3.
@@ -560,34 +514,25 @@ mod tests {
     }
 
     #[test]
-    fn seeded_and_frozen_runs_honor_their_constraints() {
-        let optimum = vec![12u32; 6];
-        let ga =
-            IslandGa::new(genome(), GaConfig::default()).with_seeds(std::slice::from_ref(&optimum));
-        let summary = ga.run_serial(5, 31, fitness);
-        assert_eq!(summary.best.genes, optimum);
-
-        let ga = IslandGa::new(genome(), GaConfig::default()).with_frozen(&[(0, 4), (3, 9)]);
-        let mut state = ga.build_state(31);
-        for _ in 0..6 {
-            state.step(&mut |g: &[u32]| fitness(g));
-            assert!(state.population().all(|ind| ind.genes[0] == 4 && ind.genes[3] == 9));
-        }
-        assert_eq!(ga.run_serial(6, 31, fitness).best.genes[0], 4);
-    }
-
-    #[test]
     fn frozen_genes_never_change() {
-        let mut state = GaState::new(genome(), GaConfig::default(), 23);
         let mut eval = |g: &[u32]| fitness(g);
-        state.step(&mut eval);
-        state.freeze(2, 9);
+        // Frozen after the first generation...
+        let mut late = GaState::new(genome(), GaConfig::default(), 23);
+        late.step(&mut eval);
+        late.freeze(2, 9);
+        // ...and before it.
+        let mut early = GaState::new(genome(), GaConfig::default(), 31);
+        early.freeze(0, 4);
+        early.freeze(3, 9);
         for _ in 0..10 {
-            state.step(&mut eval);
-            assert!(state.population().all(|ind| ind.genes[2] == 9));
+            late.step(&mut eval);
+            early.step(&mut eval);
+            assert!(late.population().all(|ind| ind.genes[2] == 9));
+            assert!(early.population().all(|ind| ind.genes[0] == 4 && ind.genes[3] == 9));
         }
-        assert_eq!(state.frozen()[2], Some(9));
-        assert_eq!(state.frozen()[0], None);
+        assert_eq!(early.best().unwrap().genes[0], 4);
+        assert_eq!(late.frozen()[2], Some(9));
+        assert_eq!(late.frozen()[0], None);
     }
 
     #[test]
@@ -626,5 +571,57 @@ mod tests {
         let best = state.best().unwrap();
         assert!(best.fitness.is_finite());
         assert_eq!(best.genes[0] % 2, 1);
+    }
+
+    #[test]
+    fn ask_tell_and_step_share_one_ledger() {
+        // Half the space is infeasible: pre-breed batches re-evaluate the
+        // infeasible individuals, and once none is left the pre-breed
+        // phase is empty and `ask` tells it itself.
+        let f = |g: &[u32]| if g[0].is_multiple_of(2) { f64::NEG_INFINITY } else { fitness(g) };
+        let fits = |batch: &[Vec<u32>]| batch.iter().map(|g| f(g)).collect::<Vec<f64>>();
+        let build = |tel: &Telemetry| {
+            let mut s = GaState::new(genome(), GaConfig::default(), 13);
+            s.set_telemetry(tel);
+            s.freeze(4, 5);
+            s
+        };
+        let bits = |i: &Individual| (i.genes.clone(), i.fitness.to_bits());
+        let ledger = |s: &GaState| {
+            let pop: Vec<_> = s.population().map(bits).collect();
+            (s.generation(), s.evaluations(), s.best().map(bits), pop)
+        };
+        let (tel_step, tel_ask) = (Telemetry::in_memory(), Telemetry::in_memory());
+        let (mut stepped, mut asked) = (build(&tel_step), build(&tel_ask));
+        let (mut reevaluated, mut empty) = (0, 0);
+        for _ in 0..16 {
+            stepped.step(&mut |g: &[u32]| f(g));
+            let generation = asked.generation();
+            assert!(!asked.mid_generation());
+            let mut batch = asked.ask();
+            if asked.mid_generation() {
+                empty += 1;
+            } else {
+                if generation > 0 {
+                    assert!(batch.iter().all(|g| f(g) == f64::NEG_INFINITY));
+                    reevaluated += 1;
+                }
+                asked.tell(&fits(&batch));
+                assert!(asked.mid_generation(), "the first tell leaves the generation half told");
+                batch = asked.ask();
+                assert!(asked.mid_generation(), "asking for the children tells nothing");
+            }
+            assert_eq!(asked.generation(), generation);
+            asked.tell(&fits(&batch));
+            assert!(!asked.mid_generation(), "the second tell closes the generation");
+            assert_eq!(ledger(&asked), ledger(&stepped));
+        }
+        assert!(reevaluated > 0 && empty > 0, "reevaluated {reevaluated}, empty {empty}");
+        let ga_gen = |tel: &Telemetry| -> Vec<String> {
+            let lines = tel.lines().unwrap().into_iter();
+            lines.filter(|l| l.contains("\"ga_gen\"")).map(|l| strip_wall_fields(&l)).collect()
+        };
+        assert_eq!(ga_gen(&tel_ask).len(), 16);
+        assert_eq!(ga_gen(&tel_ask), ga_gen(&tel_step));
     }
 }

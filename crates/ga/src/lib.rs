@@ -4,14 +4,17 @@
 //! around a single-ring topology; new individuals are bred by uniform
 //! gene-level crossover from fitness-biased neighborhood parents and
 //! bit-level mutation over binary-encoded genes. This crate reproduces that
-//! design in one process, with two drivers over the same state:
+//! design in one process with one driver, [`GaState`], which alone knows
+//! the order of a generation. It is used two ways:
 //!
-//! - [`GaState::step`]: one synchronous generation at a time, letting the
-//!   caller evaluate individuals itself (csTuner interleaves evaluation
-//!   with virtual-clock accounting and the CV(top-n) approximation stop).
-//! - [`IslandGa::run_serial`]: a fixed number of generations over a pure
-//!   fitness function (csTuner screens large groups on its own PMNF
-//!   models this way).
+//! - [`GaState::step`]: one whole generation over a fitness closure
+//!   (csTuner's search loop, which interleaves evaluation with
+//!   virtual-clock accounting and the CV(top-n) approximation stop, and
+//!   its per-group screening on its own PMNF models).
+//! - [`GaState::ask`]/[`GaState::tell`]: the same generation one batch at
+//!   a time, for a caller that measures between the two (the OpenTuner GA
+//!   on the ask/tell kernel); [`GaState::mid_generation`] reports a
+//!   half-told generation.
 //!
 //! Islands advance in lockstep and migrate around the ring between
 //! generations; fitness is evaluated one individual at a time.
@@ -23,5 +26,5 @@
 pub mod engine;
 pub mod genome;
 
-pub use engine::{GaConfig, GaState, GaSummary, IslandGa};
+pub use engine::{GaConfig, GaState};
 pub use genome::{Genome, Individual};

@@ -250,7 +250,7 @@ mod tests {
         (0..n)
             .map(|_| {
                 let mut s = space.random_raw(&mut rng);
-                space.canonicalize(&mut s);
+                s.canonicalize();
                 s
             })
             .collect()

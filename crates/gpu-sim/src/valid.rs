@@ -107,7 +107,7 @@ impl ValidSpace {
     pub fn random_valid(&self, rng: &mut impl Rng) -> Setting {
         loop {
             let mut s = self.space.random_raw(rng);
-            self.space.canonicalize(&mut s);
+            s.canonicalize();
             if self.is_valid(&s) {
                 return s;
             }
@@ -182,7 +182,7 @@ mod tests {
         let mut valid = 0;
         for _ in 0..1000 {
             let mut s = v.space().random_raw(&mut rng);
-            v.space().canonicalize(&mut s);
+            s.canonicalize();
             valid += v.is_valid(&s) as usize;
         }
         assert!(valid > 0, "no draw reached the resource check and passed");

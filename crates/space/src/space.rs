@@ -229,18 +229,11 @@ impl OptSpace {
     pub fn random_explicit_valid(&self, rng: &mut impl Rng) -> Setting {
         loop {
             let mut s = self.random_raw(rng);
-            self.canonicalize(&mut s);
+            s.canonicalize();
             if self.is_explicit_valid(&s) {
                 return s;
             }
         }
-    }
-
-    /// Normalize dependent parameters (delegates to
-    /// [`Setting::canonicalize`]; kept as a space method for call-site
-    /// symmetry with the validity checks).
-    pub fn canonicalize(&self, s: &mut Setting) {
-        s.canonicalize();
     }
 
     /// Enumerate all value combinations of a parameter subset that are
@@ -326,7 +319,7 @@ impl OptSpace {
             for ((&p, l), &i) in params.iter().zip(&lists).zip(&idx) {
                 s.set(p, l[i]);
             }
-            self.canonicalize(&mut s);
+            s.canonicalize();
             if self.is_explicit_valid(&s) {
                 // Keep the *raw* combination: canonicalization against this
                 // base may flatten values (e.g. force TB to 1 along the
@@ -487,9 +480,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
             let mut s = sp.random_raw(&mut rng);
-            sp.canonicalize(&mut s);
+            s.canonicalize();
             let mut t = s;
-            sp.canonicalize(&mut t);
+            t.canonicalize();
             assert_eq!(s, t, "canonicalize not idempotent");
         }
     }
@@ -583,7 +576,7 @@ mod tests {
                     for (&p, &v) in group.iter().zip(c) {
                         s.set(p, v);
                     }
-                    sp.canonicalize(&mut s);
+                    s.canonicalize();
                     sp.is_explicit_valid(&s)
                 })
                 .collect();

@@ -367,16 +367,6 @@ impl Telemetry {
         Self::start(SinkKind::Tee(Box::new(sink)))
     }
 
-    /// An enabled handle whose record lines arrive on the returned
-    /// channel, in `seq` order. A convenience wrapper over
-    /// [`Telemetry::to_sink`] for consumers that want to drain the
-    /// stream from another thread; once the receiver is dropped,
-    /// subsequent records are discarded silently.
-    pub fn to_channel() -> (Self, std::sync::mpsc::Receiver<String>) {
-        let (tx, rx) = std::sync::mpsc::channel::<String>();
-        (Self::to_sink(move |line: &str| drop(tx.send(line.to_string()))), rx)
-    }
-
     /// Emit one event. `ty` becomes the record's `"type"`; a sequence
     /// number and a trailing `wall_ms` field are added automatically.
     /// Prefer the [`event!`] macro at call sites.
@@ -701,19 +691,6 @@ mod tests {
         }
         assert!(lines.first().unwrap().contains("journal_start"));
         assert!(lines.last().unwrap().contains("journal_end"));
-    }
-
-    #[test]
-    fn channel_sink_delivers_the_stream() {
-        let (tel, rx) = Telemetry::to_channel();
-        event!(tel, "run_meta", stencil = "cheby");
-        tel.finish(0.0);
-        let lines: Vec<String> = rx.try_iter().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[1].contains("\"stencil\":\"cheby\""));
-        // Dropping the receiver must not break later emits.
-        drop(rx);
-        event!(tel, "run_meta", stencil = "ignored");
     }
 
     #[test]

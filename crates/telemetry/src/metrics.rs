@@ -1,7 +1,6 @@
-//! Process-wide operational metrics: monotonic counters, gauges and
-//! log₁₀-bucket histograms for the *serving* plane (daemon, campaign
-//! executor, shared memo) — as opposed to the per-run journal, which
-//! records one tuning run's deterministic history.
+//! Operational metrics: monotonic counters, gauges and log₁₀-bucket
+//! histograms for the *serving* plane (the daemon) — as opposed to the
+//! per-run journal, which records one tuning run's deterministic history.
 //!
 //! Design rules, in force everywhere a metric is touched:
 //!
@@ -28,7 +27,7 @@ use crate::HistSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Version stamped into every metrics snapshot as `metrics_version`.
 /// Bump when a section or required field changes incompatibly.
@@ -103,8 +102,7 @@ struct Slots {
     wall_hists: BTreeMap<&'static str, Arc<Mutex<HistSnapshot>>>,
 }
 
-/// A named-metric registry. The daemon owns one per server instance;
-/// [`global`] serves in-process consumers (the campaign executor).
+/// A named-metric registry. The daemon owns one per server instance.
 #[derive(Default)]
 pub struct MetricsRegistry {
     slots: Mutex<Slots>,
@@ -200,15 +198,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-}
-
-/// The process-wide registry for components without a daemon to hang
-/// metrics off (the campaign executor). The serve daemon deliberately
-/// uses its own instance so concurrent servers in one process (tests,
-/// future coordinator/worker splits) stay independent.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 /// A sorted point-in-time copy of a registry, split into deterministic
@@ -349,13 +338,5 @@ mod tests {
         reg2.snapshot().write_deterministic(&mut line2);
         line2.push('}');
         assert_eq!(stripped, line2);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let c = global().counter("metrics_test_probe");
-        let before = c.get();
-        global().counter("metrics_test_probe").inc();
-        assert_eq!(c.get(), before + 1);
     }
 }

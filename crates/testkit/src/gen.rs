@@ -25,7 +25,7 @@ pub fn raw_settings(space: &OptSpace, seed: u64, n: usize) -> Vec<Setting> {
     (0..n)
         .map(|_| {
             let mut s = space.random_raw(&mut rng);
-            space.canonicalize(&mut s);
+            s.canonicalize();
             s
         })
         .collect()
@@ -53,7 +53,7 @@ pub fn decode_genes(space: &OptSpace, genes: &[u32]) -> Setting {
     for (&p, &g) in ParamId::ALL.iter().zip(genes) {
         s.set(p, space.values(p)[g as usize]);
     }
-    space.canonicalize(&mut s);
+    s.canonicalize();
     s
 }
 
@@ -70,7 +70,7 @@ impl Strategy for SettingStrategy {
             let vals = self.space.values(p);
             s.set(p, vals[rng.gen_range(0..vals.len())]);
         }
-        self.space.canonicalize(&mut s);
+        s.canonicalize();
         s
     }
 }
@@ -125,7 +125,7 @@ mod tests {
         assert_eq!(a, b);
         for s in &a {
             let mut c = *s;
-            space.canonicalize(&mut c);
+            c.canonicalize();
             assert_eq!(c, *s, "generator output must already be canonical");
         }
         assert_ne!(a, raw_settings(&space, 10, 32), "seed must matter");

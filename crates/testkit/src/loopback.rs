@@ -9,7 +9,6 @@
 use cst_serve::{
     proto, Connection, ServeConfig, Server, ServerHandle, SessionManager, TuneRequest,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A daemon bound to `127.0.0.1:0` for the lifetime of a test.
@@ -21,7 +20,7 @@ pub struct LoopbackServer {
 impl LoopbackServer {
     /// Start a daemon with the given worker/queue limits.
     pub fn start(workers: usize, queue_depth: usize) -> LoopbackServer {
-        Self::start_with(workers, queue_depth, None, true)
+        Self::start_with(workers, queue_depth, true)
     }
 
     /// Start a daemon whose worker pool is *not* running: admitted
@@ -29,25 +28,15 @@ impl LoopbackServer {
     /// deterministic. Queued sessions must be cancelled before
     /// [`LoopbackServer::shutdown`] can drain.
     pub fn start_paused(workers: usize, queue_depth: usize) -> LoopbackServer {
-        Self::start_with(workers, queue_depth, None, false)
+        Self::start_with(workers, queue_depth, false)
     }
 
-    /// Start a daemon archiving finished sessions into `archive`.
-    pub fn start_archiving(workers: usize, queue_depth: usize, archive: PathBuf) -> LoopbackServer {
-        Self::start_with(workers, queue_depth, Some(archive), true)
-    }
-
-    fn start_with(
-        workers: usize,
-        queue_depth: usize,
-        archive: Option<PathBuf>,
-        run_workers: bool,
-    ) -> LoopbackServer {
+    fn start_with(workers: usize, queue_depth: usize, run_workers: bool) -> LoopbackServer {
         let cfg = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers,
             queue_depth,
-            archive,
+            archive: None,
             memo_cap: None,
         };
         let handle = if run_workers { Server::spawn(&cfg) } else { Server::spawn_paused(&cfg) }

@@ -8,6 +8,7 @@
 //! `CST_BLESS=1 cargo test -p cst-testkit --test golden_quick`.
 
 use cst_gpu_sim::{FaultProfile, GpuArch, GpuSim, ValidSpace};
+use cst_space::hash::fnv1a;
 use cst_space::{OptSpace, ParamId, Setting};
 use cst_testkit::{check_golden, preproc_trace, quick_tune_trace, valid_settings, TraceOptions};
 use std::fmt::Write as _;
@@ -40,11 +41,6 @@ fn quick_tune_under_hostile_faults_is_pinned() {
     let opts = TraceOptions { seed: 1, profile: FaultProfile::hostile(7), ..Default::default() };
     let trace = quick_tune_trace("j3d7pt", &GpuArch::a100(), &opts);
     check_golden("quick_tune_j3d7pt_a100_hostile", &trace);
-}
-
-/// FNV-1a-64 of a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Hand-picked settings that together reach every emission branch of
@@ -118,7 +114,7 @@ fn codegen_suite_digest_is_pinned() {
                 "{} {label} len={} fnv={:016x}",
                 k.spec.name,
                 code.len(),
-                fnv1a(code.as_bytes())
+                fnv1a(code.bytes())
             );
         }
     }

@@ -13,9 +13,8 @@ proptest! {
     /// to itself, so generator output can be hashed/memoized safely.
     #[test]
     fn canonicalize_is_idempotent(s in arb_setting([512, 512, 512])) {
-        let space = OptSpace::for_grid([512, 512, 512]);
         let mut again = s;
-        space.canonicalize(&mut again);
+        again.canonicalize();
         prop_assert_eq!(again, s);
     }
 

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::codegen::generate_cuda;
     pub use crate::core::{drive, KernelConfig, KernelTuner, Observation, Optimizer, SearchCtx};
     pub use crate::core::{CsTuner, CsTunerConfig, Evaluator, SimEvaluator, Tuner, TuningOutcome};
-    pub use crate::ga::{GaConfig, IslandGa};
+    pub use crate::ga::GaConfig;
     pub use crate::sim::{GpuArch, GpuSim, MetricsReport};
     pub use crate::space::{OptSpace, ParamId, Setting};
     pub use crate::stencil::{Grid3, StencilKernel, StencilSpec};
