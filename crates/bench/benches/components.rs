@@ -3,6 +3,7 @@
 //!
 //! - the GPU model evaluation (millions of calls per experiment),
 //! - parameter-space validation and sampling,
+//! - the offline performance dataset (rejection sampling and profiles),
 //! - PMNF fitting (the `curve_fit` replacement), one target and all of a
 //!   session's targets,
 //! - the full-scale sampling stage (fits, enumeration and the scored cut),
@@ -54,6 +55,22 @@ fn bench_space(c: &mut Criterion) {
     g.bench_function("random_valid", |b| {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| black_box(vs.random_valid(&mut rng)))
+    });
+    g.finish();
+}
+
+fn bench_dataset(c: &mut Criterion) {
+    // The offline dataset at full scale: 128 records rejection-sampled
+    // through the explicit and resource checks, each profiled once, by a
+    // fresh evaluator as in a session.
+    let mut g = c.benchmark_group("dataset");
+    g.sample_size(20);
+    g.bench_function("collect_128", |b| {
+        b.iter_batched(
+            || SimEvaluator::new(suite::spec_by_name("hypterm").unwrap(), GpuArch::a100(), 7),
+            |mut e| black_box(PerfDataset::collect(&mut e, 128, 7).len()),
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }
@@ -170,6 +187,7 @@ criterion_group!(
     benches,
     bench_sim_eval,
     bench_space,
+    bench_dataset,
     bench_pmnf,
     bench_sampling,
     bench_grouping,

@@ -33,13 +33,49 @@ struct Ctx {
 /// An array's identifier: `in{i}`, `t{i}` or `out{i}`.
 struct Ident(ArrayRef);
 
+impl Ident {
+    /// The identifier's prefix and index.
+    fn parts(&self) -> (&'static str, usize) {
+        match self.0 {
+            ArrayRef::Input(i) => ("in", i),
+            ArrayRef::Temp(i) => ("t", i),
+            ArrayRef::Output(i) => ("out", i),
+        }
+    }
+
+    fn push(&self, w: &mut String) {
+        let (prefix, i) = self.parts();
+        w.push_str(prefix);
+        push_int(w, i as i64);
+    }
+}
+
 impl std::fmt::Display for Ident {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            ArrayRef::Input(i) => write!(f, "in{i}"),
-            ArrayRef::Temp(i) => write!(f, "t{i}"),
-            ArrayRef::Output(i) => write!(f, "out{i}"),
+        let (prefix, i) = self.parts();
+        write!(f, "{prefix}{i}")
+    }
+}
+
+/// Append `v` in decimal, as `{v}` would. Tap offsets and coefficient
+/// slots are written once per tap, so they skip `fmt`'s machinery.
+fn push_int(w: &mut String, v: i64) {
+    if v < 0 {
+        w.push('-');
+    }
+    let mut n = v.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
+    }
+    for &d in &digits[start..] {
+        w.push(d as char);
     }
 }
 
@@ -51,22 +87,44 @@ impl std::fmt::Display for Ident {
 /// producing stage through its `t{i}_at` helper, exactly as an inlining
 /// code generator would.
 fn write_point(w: &mut String, r: ArrayRef, dx: i32, dy: i32, dz: i32, ctx: Ctx) {
-    let name = Ident(r);
+    // `x + (dx), y + (dy), z + (dz)`: a helper call's or `IDX`'s point.
+    let xyz = |w: &mut String| {
+        w.push_str("x + (");
+        push_int(w, dx.into());
+        w.push_str("), y + (");
+        push_int(w, dy.into());
+        w.push_str("), z + (");
+        push_int(w, dz.into());
+        w.push(')');
+    };
     match r {
-        ArrayRef::Temp(_) if dx == 0 && dy == 0 && dz == 0 && !ctx.in_device => {
-            write!(w, "{name}")
+        ArrayRef::Temp(_) if dx == 0 && dy == 0 && dz == 0 && !ctx.in_device => Ident(r).push(w),
+        ArrayRef::Temp(_) => {
+            Ident(r).push(w);
+            w.push_str("_at(PASS_ARGS, ");
+            xyz(w);
+            w.push(')');
         }
-        ArrayRef::Temp(i) => write!(w, "t{i}_at(PASS_ARGS, x + ({dx}), y + ({dy}), z + ({dz}))"),
-        // Staged plane window: z offset selects the window slot.
-        ArrayRef::Input(_) if ctx.staged && !ctx.in_device && ctx.streaming => {
-            write!(w, "s_{name}[W({dz})][ly + ({dy})][lx + ({dx})]")
-        }
+        // Staged tile; under streaming the z offset selects the plane
+        // window slot.
         ArrayRef::Input(_) if ctx.staged && !ctx.in_device => {
-            write!(w, "s_{name}[lz + ({dz})][ly + ({dy})][lx + ({dx})]")
+            w.push_str("s_");
+            Ident(r).push(w);
+            w.push_str(if ctx.streaming { "[W(" } else { "[lz + (" });
+            push_int(w, dz.into());
+            w.push_str(")][ly + (");
+            push_int(w, dy.into());
+            w.push_str(")][lx + (");
+            push_int(w, dx.into());
+            w.push_str(")]");
         }
-        _ => write!(w, "{name}[IDX(x + ({dx}), y + ({dy}), z + ({dz}))]"),
+        _ => {
+            Ident(r).push(w);
+            w.push_str("[IDX(");
+            xyz(w);
+            w.push_str(")]");
+        }
     }
-    .unwrap();
 }
 
 /// Write a coefficient that is neither 1 nor -1, followed by ` * `: the
@@ -74,7 +132,9 @@ fn write_point(w: &mut String, r: ArrayRef, dx: i32, dy: i32, dz: i32, ctx: Ctx)
 /// Returns the number of slots used.
 fn write_coeff(w: &mut String, coeff: f64, ctx: Ctx, slot: usize) -> usize {
     if ctx.const_mem {
-        write!(w, "c_coeff[{slot}] * ").unwrap();
+        w.push_str("c_coeff[");
+        push_int(w, slot as i64);
+        w.push_str("] * ");
         1
     } else {
         write!(w, "{coeff:?} * ").unwrap();

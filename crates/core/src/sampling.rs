@@ -12,9 +12,10 @@
 
 use crate::dataset::PerfDataset;
 use crate::evaluator::Evaluator;
-use cst_space::{ParamId, Setting};
+use cst_space::{BuildFastHasher, ParamId, Setting};
 use cst_stats::{fit_pmnf_targets, mean, std_dev, PmnfBank, PmnfModel};
 use cst_telemetry::{event, Counter, Hist, Telemetry};
+use std::hash::BuildHasher;
 
 /// One fitted metric model with its sampling weight.
 #[derive(Debug, Clone)]
@@ -146,6 +147,44 @@ impl SampledSpace {
     }
 }
 
+/// A direct-mapped cache of predicted-slowness scores in front of the
+/// bank. The cut scores every combo in up to four contexts, and the
+/// canonical settings it reaches repeat: canonicalization flattens
+/// values, and contexts share values with each other and with the
+/// combos. The slowness rule is pure, so a hit returns the bits a
+/// recomputation would.
+struct ScoreCache {
+    slots: Vec<Option<(Setting, f64)>>,
+}
+
+impl ScoreCache {
+    /// log2 of the slot count; a slot is picked by the top bits of the
+    /// setting's fast hash.
+    const BITS: u32 = 10;
+
+    fn new() -> Self {
+        ScoreCache { slots: vec![None; 1 << Self::BITS] }
+    }
+
+    /// The cached score of `s`, or `score()` stored in its slot.
+    fn get_or(&mut self, s: &Setting, score: impl FnOnce() -> f64) -> f64 {
+        let slot = (BuildFastHasher::default().hash_one(s) >> (64 - Self::BITS)) as usize;
+        match self.slots[slot] {
+            Some((k, v)) if k == *s => v,
+            _ => {
+                let v = score();
+                self.slots[slot] = Some((*s, v));
+                v
+            }
+        }
+    }
+}
+
+// A table of 128 KiB or more would come from mmap, and freeing it would
+// raise malloc's mmap threshold for the rest of the process.
+const _: () =
+    assert!(std::mem::size_of::<Option<(Setting, f64)>>() << ScoreCache::BITS < 128 << 10);
+
 /// Configuration of the sampling stage.
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
@@ -274,6 +313,7 @@ pub fn sample_space(
     let space = eval.space();
     let contexts = scoring_contexts(dataset);
     let mut buf = Vec::new();
+    let mut cache = ScoreCache::new();
     for (group_idx, group) in groups.iter().enumerate() {
         let candidates = space.enumerate_group_repaired(&base, group, cfg.enum_limit);
         // Score each candidate by the models' predicted slowness — in the
@@ -299,7 +339,7 @@ pub fn sample_space(
                 if ci == 0 {
                     is_context_dependent = group.iter().zip(&combo).any(|(&p, &v)| s.get(p) != v);
                 }
-                slowness = slowness.min(sampled.slowness(&s.0, &mut buf));
+                slowness = slowness.min(cache.get_or(&s, || sampled.slowness(&s.0, &mut buf)));
             }
             // Ablation: random (Garvey-style) sampling scores combos by a
             // seeded hash instead of the models' prediction.

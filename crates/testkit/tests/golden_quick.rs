@@ -10,7 +10,14 @@
 use cst_gpu_sim::{FaultProfile, GpuArch, GpuSim, ValidSpace};
 use cst_space::hash::fnv1a;
 use cst_space::{OptSpace, ParamId, Setting};
-use cst_testkit::{check_golden, preproc_trace, quick_tune_trace, valid_settings, TraceOptions};
+use cst_telemetry::Telemetry;
+use cst_testkit::{
+    check_golden, hex_bits, preproc_trace, quick_tune_trace, valid_settings, TraceOptions,
+};
+use cstuner_core::{
+    combine_metrics, group_from_dataset, sample_space, select_representatives, CsTunerConfig,
+    PerfDataset, SimEvaluator,
+};
 use std::fmt::Write as _;
 
 #[test]
@@ -119,4 +126,40 @@ fn codegen_suite_digest_is_pinned() {
         }
     }
     check_golden("codegen_suite_digest", &t);
+}
+
+#[test]
+fn sampled_space_digest_is_pinned() {
+    // The sampling stage at full scale, which the quick fixtures never
+    // reach: the default configuration's dataset, groups and scored cut
+    // for every paper stencil on both paper GPUs at seed 0. One line per
+    // (stencil, arch) with the candidates scored, each group's impact
+    // bits, and an FNV-1a over each group's count and kept combos.
+    let cfg = CsTunerConfig::default();
+    let mut t = String::new();
+    for k in cst_stencil::suite::all_kernels() {
+        for arch in [GpuArch::a100(), GpuArch::v100()] {
+            let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), 0)
+                .with_fault_profile(FaultProfile::off());
+            let ds = PerfDataset::collect(&mut eval, cfg.dataset_size, 0);
+            let groups = group_from_dataset(&ds);
+            let reps = select_representatives(&ds, &combine_metrics(&ds, cfg.n_metric_collections));
+            let tel = Telemetry::noop();
+            let sampled = sample_space(&ds, &groups, &reps, &eval, &cfg.sampling, &tel);
+            let impact: Vec<String> = sampled.impact.iter().map(|&x| hex_bits(x)).collect();
+            let kept = sampled.combos.iter().flat_map(|group| {
+                std::iter::once(group.len() as u32).chain(group.iter().flatten().copied())
+            });
+            let kept = fnv1a(kept.flat_map(u32::to_le_bytes));
+            let _ = writeln!(
+                t,
+                "{} {} scored={} impact=[{}] kept={kept:016x}",
+                k.spec.name,
+                arch.name,
+                sampled.scored,
+                impact.join(",")
+            );
+        }
+    }
+    check_golden("sampled_space_digest", &t);
 }
