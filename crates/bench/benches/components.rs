@@ -8,6 +8,8 @@
 //!   session's targets,
 //! - the full-scale sampling stage (fits, enumeration and the scored cut),
 //! - parameter grouping (Algorithm 1 incl. pairwise CVs),
+//! - the shared forest surrogate, as Garvey and warm starts fit it, and
+//!   warm-start ranking,
 //! - one GA generation,
 //! - CUDA code generation, baseline and retimed,
 //! - a small end-to-end tuning session.
@@ -15,10 +17,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cst_ga::{GaConfig, GaState, Genome};
 use cst_gpu_sim::{GpuArch, GpuSim, ValidSpace};
+use cst_ml::Surrogate;
 use cst_space::ParamId;
 use cst_space::{OptSpace, Setting};
 use cst_stencil::suite;
 use cst_telemetry::Telemetry;
+use cst_transfer::warm::arch_features;
+use cst_transfer::{warm_seeds, KbRecord, KnowledgeBase, DEFAULT_TOP_K};
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, select_representatives, CsTuner,
     CsTunerConfig, PerfDataset, SamplingConfig, SimEvaluator, Tuner,
@@ -132,6 +137,59 @@ fn bench_grouping(c: &mut Criterion) {
     });
 }
 
+/// `hypterm` records measured on V100 only: three seeded 128-record
+/// datasets, so ranking for A100 trains the cross-arch surrogate.
+fn hypterm_v100_kb() -> KnowledgeBase {
+    let spec = suite::spec_by_name("hypterm").unwrap();
+    let mut records = Vec::new();
+    for seed in 0..3 {
+        let mut e = SimEvaluator::new(spec.clone(), GpuArch::v100(), seed);
+        for r in PerfDataset::collect(&mut e, 128, seed).records {
+            records.push(KbRecord {
+                stencil: "hypterm".into(),
+                arch: GpuArch::v100().name.into(),
+                setting: r.setting.to_string(),
+                time_ms: r.time_ms,
+                source: format!("feed-{seed}"),
+                origin: String::new(),
+            });
+        }
+    }
+    KnowledgeBase { records }
+}
+
+fn bench_surrogate(c: &mut Criterion) {
+    // The forest fit as Garvey makes it (hypterm/a100, the seed-7
+    // dataset, Garvey's rng stream), then as a cross-arch warm start
+    // makes it: 384 V100 rows of 19 setting and 12 arch features.
+    let mut g = c.benchmark_group("ml");
+    let mut e = SimEvaluator::new(suite::spec_by_name("hypterm").unwrap(), GpuArch::a100(), 7);
+    let ds = PerfDataset::collect(&mut e, 128, 7);
+    let xs: Vec<Vec<f64>> = ds.records.iter().map(|r| r.setting.features().to_vec()).collect();
+    let times = ds.times();
+    g.bench_function("surrogate_fit/garvey_128x19", |b| {
+        b.iter(|| black_box(Surrogate::fit(&xs, &times, &mut StdRng::seed_from_u64(7 ^ 0x6a2_7e1))))
+    });
+    let kb = hypterm_v100_kb();
+    let arch = arch_features(&GpuArch::v100());
+    let (xs, times): (Vec<Vec<f64>>, Vec<f64>) = kb
+        .records
+        .iter()
+        .map(|r| {
+            let mut x = r.parsed_setting().unwrap().features().to_vec();
+            x.extend(&arch);
+            (x, r.time_ms)
+        })
+        .unzip();
+    g.bench_function("surrogate_fit/cross_arch", |b| {
+        b.iter(|| black_box(Surrogate::fit(&xs, &times, &mut StdRng::seed_from_u64(7))))
+    });
+    g.finish();
+    c.bench_function("transfer/warm_seeds", |b| {
+        b.iter(|| black_box(warm_seeds(&kb, "hypterm", GpuArch::a100().name, DEFAULT_TOP_K, 7)))
+    });
+}
+
 fn bench_ga(c: &mut Criterion) {
     c.bench_function("ga/step_2x16_13genes", |b| {
         b.iter_batched(
@@ -191,6 +249,7 @@ criterion_group!(
     bench_pmnf,
     bench_sampling,
     bench_grouping,
+    bench_surrogate,
     bench_ga,
     bench_codegen,
     bench_end_to_end

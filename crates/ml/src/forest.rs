@@ -1,6 +1,6 @@
 //! Random forest: bagged CART trees with random feature subsets.
 
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{Bins, DecisionTree, TreeConfig};
 use rand::Rng;
 
 /// Hyperparameters of a forest.
@@ -28,10 +28,11 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fit the forest: each tree sees a bootstrap resample of the rows and
-    /// √features candidates per split (unless overridden).
+    /// √features candidates per split (unless overridden). The features
+    /// are binned once for all the trees.
     ///
     /// # Panics
-    /// Panics on empty or inconsistent data.
+    /// Panics on empty or inconsistent data, or a NaN feature value.
     pub fn fit(
         xs: &[Vec<f64>],
         ys: &[usize],
@@ -47,10 +48,11 @@ impl RandomForest {
             tree_cfg.feature_subset = Some(((n_features as f64).sqrt().ceil() as usize).max(1));
         }
         let n = xs.len();
+        let bins = Bins::new(xs);
         let trees = (0..cfg.n_trees)
             .map(|_| {
-                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                DecisionTree::fit_indices(xs, ys, &idx, n_classes, &tree_cfg, rng)
+                let mut idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                DecisionTree::fit_binned(&bins, ys, &mut idx, n_classes, &tree_cfg, rng)
             })
             .collect();
         RandomForest { trees, n_classes }
@@ -84,6 +86,12 @@ impl RandomForest {
     /// Whether the forest has no trees (never true once fitted).
     pub fn is_empty(&self) -> bool {
         self.trees.is_empty()
+    }
+
+    /// The fitted trees, in fit order.
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> &[DecisionTree] {
+        &self.trees
     }
 
     /// Training accuracy over a labeled set.

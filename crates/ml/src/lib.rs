@@ -7,6 +7,12 @@
 //! crates are in the approved dependency set, so the forest is built from
 //! scratch: Gini-impurity CART trees over bootstrap samples with random
 //! feature subsets, majority-vote prediction.
+//!
+//! The split search is binned: a forest sorts each feature's distinct
+//! values once, and a node sweeps a per-bin class histogram over the
+//! midpoints of the values present at the node. It finds the counts a
+//! rescan of the node's rows would, so the trees, the rng draws and every
+//! [`Surrogate`] score are plain CART's, bit for bit (see [`tree`]).
 
 pub mod forest;
 pub mod surrogate;

@@ -421,6 +421,15 @@ impl SessionManager {
 
     /// Admit a session or reject it (typed). Admission never blocks.
     pub fn submit(&self, request: TuneRequest) -> Result<Arc<Session>, Rejection> {
+        // The registry reports display names (`GpuArch::name`), which can
+        // differ from the request's spelling (`a100` vs `A100`): record
+        // the resolved arch so the snapshot filter matches. The stencil
+        // needs no lookup, since requests admit only kernel-table names
+        // and each equals its kernel's `StencilSpec::name`.
+        let stencil = request.stencil.clone();
+        let arch = cst_gpu_sim::GpuArch::by_name(&request.arch)
+            .map(|a| a.name.to_string())
+            .unwrap_or_else(|| request.arch.clone());
         let mut g = self.shared.lock().expect("manager lock");
         if g.shutting_down {
             return Err(Rejection::ShuttingDown);
@@ -440,16 +449,6 @@ impl SessionManager {
         g.sessions.insert(id, Arc::clone(&session));
         g.queue.push_back(id);
         g.active += 1;
-        // The registry reports display names (`StencilSpec::name`,
-        // `GpuArch::name`), which differ from the request's spelling
-        // (e.g. `a100` vs `A100`): store the resolved names so the
-        // snapshot filter actually matches.
-        let stencil = crate::session::find_stencil(&session.request.stencil)
-            .map(|k| k.spec.name.to_string())
-            .unwrap_or_else(|| session.request.stencil.clone());
-        let arch = cst_gpu_sim::GpuArch::by_name(&session.request.arch)
-            .map(|a| a.name.to_string())
-            .unwrap_or_else(|| session.request.arch.clone());
         g.memo_pairs.insert((stencil, arch));
         self.admission_accepted.inc();
         drop(g);

@@ -8,16 +8,22 @@
 //! `CST_BLESS=1 cargo test -p cst-testkit --test golden_quick`.
 
 use cst_gpu_sim::{FaultProfile, GpuArch, GpuSim, ValidSpace};
+use cst_ml::Surrogate;
+use cst_obs::JournalStore;
+use cst_serve::{run_session, FaultSpec, TuneRequest};
 use cst_space::hash::fnv1a;
 use cst_space::{OptSpace, ParamId, Setting};
-use cst_telemetry::Telemetry;
+use cst_telemetry::{strip_wall_fields, Telemetry};
 use cst_testkit::{
     check_golden, hex_bits, preproc_trace, quick_tune_trace, valid_settings, TraceOptions,
 };
+use cst_transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K};
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, select_representatives, CsTunerConfig,
     PerfDataset, SimEvaluator,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 
 #[test]
@@ -162,4 +168,74 @@ fn sampled_space_digest_is_pinned() {
         }
     }
     check_golden("sampled_space_digest", &t);
+}
+
+#[test]
+fn surrogate_digest_is_pinned() {
+    // The shared forest surrogate, which no session fixture pins on its
+    // own. First Garvey's exact fit (the seed-0 dataset of 128 records
+    // and Garvey's rng stream) for every paper stencil on both paper
+    // GPUs: an FNV-1a over the bits of each record's score, and the
+    // rng's next draw, which pins how many draws the fit took.
+    let mut t = String::new();
+    for k in cst_stencil::suite::all_kernels() {
+        for arch in [GpuArch::a100(), GpuArch::v100()] {
+            let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), 0)
+                .with_fault_profile(FaultProfile::off());
+            let ds = PerfDataset::collect(&mut eval, 128, 0);
+            let xs: Vec<Vec<f64>> =
+                ds.records.iter().map(|r| r.setting.features().to_vec()).collect();
+            let mut rng = StdRng::seed_from_u64(0x6a2_7e1);
+            let fit = Surrogate::fit(&xs, &ds.times(), &mut rng).expect("128 records");
+            let scores = fnv1a(xs.iter().flat_map(|x| fit.score(x).to_bits().to_le_bytes()));
+            let next = rng.gen::<u64>();
+            let _ =
+                writeln!(t, "{} {} scores={scores:016x} next={next:016x}", k.spec.name, arch.name);
+        }
+    }
+    // Then warm-start ranking over a store of four fixed quick sessions,
+    // in each mode: exact, cross-arch both ways, and empty. Targets use
+    // the display names the KB records and the daemon passes.
+    let dir = std::env::temp_dir().join(format!("cst_surrogate_digest_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = JournalStore::open(&dir).unwrap();
+    let sessions = [
+        ("j3d7pt", "a100", "forest"),
+        ("j3d7pt", "a100", "random"),
+        ("hypterm", "v100", "anneal"),
+        ("hypterm", "v100", "opentuner"),
+    ];
+    for (stencil, arch, tuner) in sessions {
+        let req = TuneRequest::build(
+            Some(stencil),
+            Some(arch),
+            Some(tuner),
+            Some(1),
+            None,
+            true,
+            Some(FaultSpec::Off),
+        )
+        .unwrap();
+        let tel = Telemetry::in_memory();
+        run_session(&req, &tel, None).expect("session succeeds");
+        let lines: Vec<String> =
+            tel.lines().expect("in-memory sink").iter().map(|l| strip_wall_fields(l)).collect();
+        store.ingest_lines(&format!("{stencil}-{arch}-{tuner}"), &lines).unwrap();
+    }
+    let kb = KnowledgeBase::build(&store).unwrap().kb;
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a100, v100) = (GpuArch::a100().name, GpuArch::v100().name);
+    for (stencil, arch) in [("j3d7pt", a100), ("j3d7pt", v100), ("hypterm", a100), ("cheby", a100)]
+    {
+        let w = warm_seeds(&kb, stencil, arch, DEFAULT_TOP_K, 7);
+        let _ = writeln!(
+            t,
+            "warm {stencil} {arch} mode={} n_train={} candidates={}",
+            w.mode, w.n_train, w.candidates
+        );
+        for s in &w.seeds {
+            let _ = writeln!(t, "  {s}");
+        }
+    }
+    check_golden("surrogate_digest", &t);
 }

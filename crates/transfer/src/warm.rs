@@ -27,6 +27,7 @@ use cst_ml::Surrogate;
 use cst_space::Setting;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Default number of seeds offered to a tuner. One half of the kernel's
 /// default population: warm seeds steer the start without erasing the
@@ -160,17 +161,18 @@ pub struct WarmStart {
 /// top `k` as seeds for tuning on `arch`.
 pub fn warm_seeds(kb: &KnowledgeBase, stencil: &str, arch: &str, k: usize, seed: u64) -> WarmStart {
     // Distinct candidates: every setting ever measured for the stencil,
-    // keyed by canonical string, carrying the minimum observed time.
-    let mut cands: Vec<(String, Setting, f64)> = Vec::new();
+    // keyed (and so sorted) by canonical string, carrying the minimum
+    // observed time.
+    let mut distinct: BTreeMap<String, (Setting, f64)> = BTreeMap::new();
     for r in kb.for_stencil(stencil) {
         let Some(s) = r.parsed_setting() else { continue };
-        let key = s.to_string();
-        match cands.iter_mut().find(|(k0, _, _)| *k0 == key) {
-            Some((_, _, t)) => *t = t.min(r.time_ms),
-            None => cands.push((key, s, r.time_ms)),
-        }
+        distinct
+            .entry(s.to_string())
+            .and_modify(|(_, t)| *t = t.min(r.time_ms))
+            .or_insert((s, r.time_ms));
     }
-    cands.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut cands: Vec<(String, Setting, f64)> =
+        distinct.into_iter().map(|(key, (s, t))| (key, s, t)).collect();
     if cands.is_empty() {
         return WarmStart { seeds: Vec::new(), mode: "empty", n_train: 0, candidates: 0 };
     }
@@ -255,6 +257,30 @@ mod tests {
         assert_eq!(w.candidates, 2);
         assert_eq!(w.seeds[0], s_fast);
         assert_eq!(w.seeds[1], s_slow);
+    }
+
+    #[test]
+    fn a_setting_recurring_across_archs_and_sources_keeps_its_minimum_time() {
+        // `a` is recorded three times (two archs, three sources) at 5, 3
+        // and 4 ms; `b` once at 4.5 ms. Too few rows for a forest, so the
+        // observed fallback ranks by each candidate's minimum time.
+        let a = Setting::baseline();
+        let mut b = Setting::baseline();
+        b.set(ParamId::TBx, 64);
+        b.canonicalize();
+        let mut records = vec![
+            record("j3d7pt", "A100", &a, 5.0),
+            record("j3d7pt", "V100", &a, 3.0),
+            record("j3d7pt", "A100", &b, 4.5),
+            record("j3d7pt", "A100", &a, 4.0),
+        ];
+        for (r, source) in records.iter_mut().zip(["r1", "r2", "r1", "r3"]) {
+            r.source = source.into();
+        }
+        let w = warm_seeds(&KnowledgeBase { records }, "j3d7pt", "A100", 8, 1);
+        assert_eq!(w.mode, "observed");
+        assert_eq!(w.candidates, 2);
+        assert_eq!(w.seeds, vec![a, b]);
     }
 
     #[test]
