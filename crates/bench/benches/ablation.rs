@@ -4,44 +4,28 @@
 //! variant; the quality numbers print alongside via the experiment binary
 //! (`experiments -- ablation`).
 //!
-//! Variants (DESIGN.md "Ablations"):
-//! 1. full          — the complete pipeline,
-//! 2. no-grouping   — singleton groups (Algorithm 1 off),
-//! 3. random-sampling — Garvey-style random cut (PMNF filter off),
-//! 4. no-approximation — CV(top-n) stop disabled,
-//! 5. no-migration  — isolated GA islands.
+//! The variants are the harness's [`ABLATION`] table (DESIGN.md
+//! "Ablations"), applied here to a smaller base configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cst_bench::runners::{run, ABLATION};
 use cst_gpu_sim::GpuArch;
 use cst_stencil::suite;
-use cstuner_core::{CsTuner, CsTunerConfig, SamplingConfig, SimEvaluator, Tuner};
+use cstuner_core::{CsTuner, CsTunerConfig};
 use std::hint::black_box;
-
-fn variant(name: &str) -> CsTunerConfig {
-    let mut cfg = CsTunerConfig { dataset_size: 48, codegen_cap: 8, ..Default::default() };
-    match name {
-        "full" => {}
-        "no-grouping" => cfg.flat_grouping = true,
-        "random-sampling" => {
-            cfg.sampling = SamplingConfig { random_mode: Some(7), ..Default::default() }
-        }
-        "no-approximation" => cfg.cv_threshold = 0.0,
-        "no-migration" => cfg.ga.migration_interval = u32::MAX,
-        other => panic!("unknown variant {other}"),
-    }
-    cfg
-}
 
 fn bench_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation");
     g.sample_size(10);
-    for name in ["full", "no-grouping", "random-sampling", "no-approximation", "no-migration"] {
+    for (name, edit) in ABLATION {
         g.bench_function(format!("cheby_30s/{name}"), |b| {
             b.iter(|| {
                 let spec = suite::spec_by_name("cheby").unwrap();
-                let mut e = SimEvaluator::with_budget(spec, GpuArch::a100(), 1, 30.0);
-                let out = CsTuner::new(variant(name)).tune(&mut e, 1).unwrap();
-                black_box(out.best_time_ms)
+                let mut cfg =
+                    CsTunerConfig { dataset_size: 48, codegen_cap: 8, ..Default::default() };
+                edit(&mut cfg);
+                let r = run(&spec, &GpuArch::a100(), &mut CsTuner::new(cfg), Some(30.0), 1);
+                black_box(r.best_ms)
             })
         });
     }

@@ -12,19 +12,19 @@
 //! runs. Results print as markdown and are written as JSON under
 //! `results/`.
 
+use cst_baselines::zoo;
 use cst_bench::landscape::{
     fraction_at_least, pair_divergence_distribution, sample_landscape, speedup_distribution,
     top_n_speedup, Landscape,
 };
 use cst_bench::report::{f3, pct, Json, Table};
 use cst_bench::runners::{
-    mean_best_at_iteration, mean_best_at_time, run_cstuner_with_ratio, run_iso_iteration,
-    run_iso_time, sweep, RunResult, TunerKind,
+    mean_best_at_iteration, mean_best_at_time, run, sweep, tuner, RunResult, ABLATION, PAPER,
 };
 use cst_gpu_sim::GpuArch;
 use cst_space::{OptSpace, ParamId};
 use cst_stencil::{all_specs, StencilSpec};
-use cstuner_core::{CsTuner, CsTunerConfig, SamplingConfig, SimEvaluator, Tuner};
+use cstuner_core::{CsTuner, CsTunerConfig};
 use std::path::PathBuf;
 
 /// Experiment scale knobs.
@@ -233,13 +233,14 @@ fn curve_table(
             .collect::<Vec<_>>(),
     );
     for spec in specs {
-        for kind in TunerKind::PAPER {
+        for flag in PAPER {
+            let tuner = zoo::find(flag).expect("the paper's tuners are registered").display;
             let subset: Vec<&RunResult> =
-                runs.iter().filter(|r| r.stencil == spec.name && r.tuner == kind.name()).collect();
+                runs.iter().filter(|r| r.stencil == spec.name && r.tuner == tuner).collect();
             if subset.is_empty() {
                 continue;
             }
-            let mut row = vec![format!("{} / {}", spec.name, kind.name())];
+            let mut row = vec![format!("{} / {tuner}", spec.name)];
             for (_, f) in columns {
                 row.push(f(&subset).map(f3).unwrap_or_else(|| "–".to_string()));
             }
@@ -249,12 +250,24 @@ fn curve_table(
     emit(t, &runs);
 }
 
+/// The paper's four tuners on every stencil, each run capped at
+/// `iterations`; `budget_s` selects iso-time (see [`run`]).
+fn paper_sweep(
+    specs: &[StencilSpec],
+    scale: &Scale,
+    arch: &GpuArch,
+    iterations: u32,
+    budget_s: Option<f64>,
+) -> Vec<RunResult> {
+    sweep(specs, &PAPER, scale.seeds, |s, &flag, seed| {
+        run(s, arch, tuner(flag, iterations).as_mut(), budget_s, seed)
+    })
+}
+
 fn fig8(scale: &Scale) {
     let specs = all_specs();
     let iters = scale.iso_iterations;
-    let runs = sweep(&specs, &TunerKind::PAPER, scale.seeds, |s, k, seed| {
-        run_iso_iteration(s, &GpuArch::a100(), k, iters, seed)
-    });
+    let runs = paper_sweep(&specs, scale, &GpuArch::a100(), iters, None);
     let marks: Vec<u32> = (1..=iters).collect();
     let columns: Vec<ColumnFn> = marks
         .into_iter()
@@ -278,9 +291,7 @@ fn fig8(scale: &Scale) {
 fn fig9(scale: &Scale) {
     let specs = all_specs();
     let budget = scale.budget_s;
-    let runs = sweep(&specs, &TunerKind::PAPER, scale.seeds, |s, k, seed| {
-        run_iso_time(s, &GpuArch::a100(), k, budget, seed)
-    });
+    let runs = paper_sweep(&specs, scale, &GpuArch::a100(), u32::MAX, Some(budget));
     let marks: Vec<f64> = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0].iter().map(|f| f * budget).collect();
     let columns: Vec<ColumnFn> = marks
         .into_iter()
@@ -303,10 +314,7 @@ fn fig9(scale: &Scale) {
 
 fn fig10(scale: &Scale) {
     let specs = all_specs();
-    let budget = scale.budget_s;
-    let runs = sweep(&specs, &TunerKind::PAPER, scale.seeds, |s, k, seed| {
-        run_iso_time(s, &GpuArch::v100(), k, budget, seed)
-    });
+    let runs = paper_sweep(&specs, scale, &GpuArch::v100(), u32::MAX, Some(scale.budget_s));
     let mut t = Table::new(
         "fig10",
         "Fig. 10 — iso-time performance on V100, normalized to Garvey (higher is better)",
@@ -344,60 +352,61 @@ fn fig10(scale: &Scale) {
     emit(t, &runs);
 }
 
+/// csTuner at iso-time on A100 over every stencil, one arm per
+/// configuration: `configure` edits the default for each arm.
+fn cstuner_sweep<A: Sync>(
+    specs: &[StencilSpec],
+    arms: &[A],
+    seeds: u64,
+    budget_s: f64,
+    configure: impl Fn(&mut CsTunerConfig, &A) + Sync,
+) -> Vec<RunResult> {
+    sweep(specs, arms, seeds, |s, arm, seed| {
+        let mut cfg = CsTunerConfig::default();
+        configure(&mut cfg, arm);
+        run(s, &GpuArch::a100(), &mut CsTuner::new(cfg), Some(budget_s), seed)
+    })
+}
+
+/// Emit a [`cstuner_sweep`]'s table: one row per stencil and one column
+/// per arm, each cell the mean best (ms) over its seeds. The raw rows are
+/// `[stencil, key, best]` per run, `key` naming the run's arm.
+fn emit_arms<K: Json>(mut t: Table, specs: &[StencilSpec], runs: &[RunResult], keys: &[K]) {
+    let seeds = runs.len() / (specs.len() * keys.len());
+    for (spec, row) in specs.iter().zip(runs.chunks(seeds * keys.len())) {
+        let means = row
+            .chunks(seeds)
+            .map(|cell| f3(cell.iter().map(|r| r.best_ms).sum::<f64>() / cell.len() as f64));
+        t.push(std::iter::once(spec.name.to_string()).chain(means).collect());
+    }
+    let raw: Vec<(&str, &K, f64)> = runs
+        .chunks(seeds)
+        .zip(keys.iter().cycle())
+        .flat_map(|(cell, key)| cell.iter().map(move |r| (r.stencil.as_str(), key, r.best_ms)))
+        .collect();
+    emit(t, &raw);
+}
+
 fn fig11(scale: &Scale) {
     let specs = all_specs();
     let ratios: Vec<f64> = (1..=10).map(|k| k as f64 * 0.05).collect();
-    let budget = scale.budget_s;
-    let seeds = scale.ratio_seeds;
-    let mut jobs = Vec::new();
-    for spec in &specs {
-        for &r in &ratios {
-            for seed in 0..seeds {
-                jobs.push((spec.clone(), r, seed));
-            }
-        }
-    }
-    use rayon::prelude::*;
-    let runs: Vec<(String, f64, RunResult)> = jobs
-        .par_iter()
-        .map(|(spec, r, seed)| {
-            (
-                spec.name.to_string(),
-                *r,
-                run_cstuner_with_ratio(spec, &GpuArch::a100(), *r, budget, *seed),
-            )
-        })
+    let runs = cstuner_sweep(&specs, &ratios, scale.ratio_seeds, scale.budget_s, |c, &r| {
+        c.sampling.ratio = r;
+    });
+    let header: Vec<String> = std::iter::once("Stencil".to_string())
+        .chain(ratios.iter().map(|r| format!("{:.0}%", r * 100.0)))
         .collect();
-    let mut t = Table::new(
+    let t = Table::new(
         "fig11",
         "Fig. 11 — csTuner iso-time best (ms) vs. sampling ratio",
-        &std::iter::once("Stencil".to_string())
-            .chain(ratios.iter().map(|r| format!("{:.0}%", r * 100.0)))
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>(),
+        &header.iter().map(String::as_str).collect::<Vec<_>>(),
     );
-    for spec in &specs {
-        let mut row = vec![spec.name.to_string()];
-        for &r in &ratios {
-            let vals: Vec<f64> = runs
-                .iter()
-                .filter(|(n, rr, _)| n == spec.name && (*rr - r).abs() < 1e-9)
-                .map(|(_, _, run)| run.best_ms)
-                .collect();
-            row.push(f3(vals.iter().sum::<f64>() / vals.len() as f64));
-        }
-        t.push(row);
-    }
-    let raw: Vec<(String, f64, f64)> =
-        runs.iter().map(|(n, r, run)| (n.clone(), *r, run.best_ms)).collect();
-    emit(t, &raw);
+    emit_arms(t, &specs, &runs, &ratios);
 }
 
 fn fig12(scale: &Scale) {
     let specs = all_specs();
+    let runs = cstuner_sweep(&specs, &[()], 1, scale.budget_s, |_, _| {});
     let mut t = Table::new(
         "fig12",
         "Fig. 12 — pre-processing breakdown normalized to the search time",
@@ -405,14 +414,9 @@ fn fig12(scale: &Scale) {
     );
     let mut raw = Vec::new();
     let mut avg_total = 0.0;
-    for spec in &specs {
-        let mut eval = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), 0, scale.budget_s);
-        let mut tuner = CsTuner::new(CsTunerConfig::default());
-        let out = tuner.tune(&mut eval, 0).expect("tuning run failed");
-        let search = out.search_s.max(1e-9);
-        let g = out.preproc.grouping_s / search;
-        let s = out.preproc.sampling_s / search;
-        let c = out.preproc.codegen_s / search;
+    for (spec, r) in specs.iter().zip(&runs) {
+        let search = r.search_s.max(1e-9);
+        let [g, s, c] = r.preproc_s.map(|x| x / search);
         avg_total += g + s + c;
         t.push(vec![spec.name.to_string(), pct(g), pct(s), pct(c), pct(g + s + c)]);
         raw.push((spec.name, [g, s, c]));
@@ -424,72 +428,19 @@ fn fig12(scale: &Scale) {
     emit(t, &raw);
 }
 
-/// One ablation variant: label plus a factory for its tuner config.
-type VariantFn = (&'static str, Box<dyn Fn() -> CsTunerConfig + Sync>);
-
 fn ablation(scale: &Scale) {
     let specs = all_specs();
-    let budget = scale.budget_s;
-    let seeds = scale.ratio_seeds;
-    let variants: Vec<VariantFn> = vec![
-        ("full", Box::new(CsTunerConfig::default)),
-        ("no-grouping", Box::new(|| CsTunerConfig { flat_grouping: true, ..Default::default() })),
-        (
-            "random-sampling",
-            Box::new(|| CsTunerConfig {
-                sampling: SamplingConfig { random_mode: Some(7), ..Default::default() },
-                ..Default::default()
-            }),
-        ),
-        (
-            "no-approximation",
-            Box::new(|| CsTunerConfig { cv_threshold: 0.0, ..Default::default() }),
-        ),
-        (
-            "no-migration",
-            Box::new(|| {
-                let mut c = CsTunerConfig::default();
-                c.ga.migration_interval = u32::MAX;
-                c
-            }),
-        ),
-    ];
-    use rayon::prelude::*;
-    let mut jobs = Vec::new();
-    for spec in &specs {
-        for (vi, _) in variants.iter().enumerate() {
-            for seed in 0..seeds {
-                jobs.push((spec.clone(), vi, seed));
-            }
-        }
-    }
-    let runs: Vec<(String, usize, f64)> = jobs
-        .par_iter()
-        .map(|(spec, vi, seed)| {
-            let mut eval = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), *seed, budget);
-            let mut tuner = CsTuner::new(variants[*vi].1());
-            let out = tuner.tune(&mut eval, *seed).expect("tuning run failed");
-            (spec.name.to_string(), *vi, out.best_time_ms)
-        })
-        .collect();
-    let mut t = Table::new(
+    let runs =
+        cstuner_sweep(&specs, &ABLATION, scale.ratio_seeds, scale.budget_s, |c, (_, edit)| {
+            edit(c);
+        });
+    let t = Table::new(
         "ablation",
         "Ablation — csTuner variants, iso-time best (ms)",
-        &std::iter::once("Stencil").chain(variants.iter().map(|(n, _)| *n)).collect::<Vec<_>>(),
+        &std::iter::once("Stencil").chain(ABLATION.iter().map(|(n, _)| *n)).collect::<Vec<_>>(),
     );
-    for spec in &specs {
-        let mut row = vec![spec.name.to_string()];
-        for (vi, _) in variants.iter().enumerate() {
-            let vals: Vec<f64> = runs
-                .iter()
-                .filter(|(n, v, _)| n == spec.name && *v == vi)
-                .map(|(_, _, b)| *b)
-                .collect();
-            row.push(f3(vals.iter().sum::<f64>() / vals.len() as f64));
-        }
-        t.push(row);
-    }
-    emit(t, &runs);
+    let variants: Vec<usize> = (0..ABLATION.len()).collect();
+    emit_arms(t, &specs, &runs, &variants);
 }
 
 /// One experiment: its id and its runner.

@@ -4,9 +4,12 @@
 //! Structure:
 //! - [`landscape`]: the §III motivation studies — large random samples of
 //!   the valid space per stencil feeding Figs. 2–4.
-//! - [`runners`]: tuner construction and the iso-iteration / iso-time
-//!   protocols of §V-B/C/D (Figs. 8–10), the sampling-ratio sweep
-//!   (Fig. 11) and the pre-processing breakdown (Fig. 12).
+//! - [`runners`]: the one harness behind every seeded experiment
+//!   (Figs. 8–12 and the ablation). [`runners::sweep`] fans an
+//!   experiment's (stencil × arm × seed) cells out in parallel, and
+//!   [`runners::run`] runs one tuner per cell, iso-iteration or
+//!   iso-time. Tuners come from the zoo by flag; the ablation's variant
+//!   table lives here too.
 //! - [`report`]: result tables, their pretty JSON writer and markdown
 //!   rendering, so `EXPERIMENTS.md` tables come straight from the
 //!   harness output.

@@ -1,56 +1,56 @@
-//! Tuner-comparison protocols: iso-iteration (§V-B, Fig. 8), iso-time
-//! (§V-C, Fig. 9; §V-D, Fig. 10), the sampling-ratio sweep (§V-E, Fig. 11)
-//! and the pre-processing breakdown (§V-F, Fig. 12).
+//! The experiment harness behind every seeded experiment: iso-iteration
+//! (§V-B, Fig. 8), iso-time (§V-C, Fig. 9; §V-D, Fig. 10), the
+//! sampling-ratio sweep (§V-E, Fig. 11), the pre-processing breakdown
+//! (§V-F, Fig. 12) and the ablation. Each is one [`sweep`] over
+//! (stencil × arm × seed) cells, where an arm is a zoo tuner flag, a
+//! sampling ratio or an ablation variant, and each cell is one [`run`]
+//! that returns a seeded [`RunResult`].
 
 use crate::report::{write_object, Json};
 use cst_baselines::zoo;
 use cst_gpu_sim::GpuArch;
 use cst_stencil::StencilSpec;
-use cstuner_core::{CsTuner, CsTunerConfig, SamplingConfig, SimEvaluator, Tuner, TuningOutcome};
+use cstuner_core::{CsTuner, CsTunerConfig, SimEvaluator, Tuner};
 use rayon::prelude::*;
 
-/// The tuners of the §V comparison, constructed fresh per run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TunerKind {
-    /// The paper's contribution.
-    CsTuner,
-    /// Garvey & Abdelrahman (ICPP'15).
-    Garvey,
-    /// OpenTuner-style global GA.
-    OpenTuner,
-    /// Artemis-style hierarchical tuner.
-    Artemis,
-    /// Uniform random search (extra sanity baseline).
-    Random,
-}
+/// The four tuners of the paper's comparison by zoo flag, in figure
+/// order.
+pub const PAPER: [&str; 4] = ["cstuner", "garvey", "opentuner", "artemis"];
 
-impl TunerKind {
-    /// The four tuners of the paper's comparison, in figure order.
-    pub const PAPER: [TunerKind; 4] =
-        [TunerKind::CsTuner, TunerKind::Garvey, TunerKind::OpenTuner, TunerKind::Artemis];
+/// An ablation variant: its label and the one edit it makes to a csTuner
+/// configuration.
+pub type Variant = (&'static str, fn(&mut CsTunerConfig));
 
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TunerKind::CsTuner => "csTuner",
-            TunerKind::Garvey => "Garvey",
-            TunerKind::OpenTuner => "OpenTuner",
-            TunerKind::Artemis => "Artemis",
-            TunerKind::Random => "Random",
+/// The ablation's variants (DESIGN.md "Ablations"). `experiments
+/// ablation` applies them to the default configuration, the criterion
+/// bench to its smaller one.
+pub const ABLATION: [Variant; 5] = [
+    // The complete pipeline.
+    ("full", |_| {}),
+    // Singleton groups: Algorithm 1 off.
+    ("no-grouping", |c| c.flat_grouping = true),
+    // A Garvey-style random cut at the same ratio: the PMNF filter off.
+    ("random-sampling", |c| c.sampling.random_mode = Some(7)),
+    // The CV(top-n) stop off.
+    ("no-approximation", |c| c.cv_threshold = 0.0),
+    // Isolated GA islands.
+    ("no-migration", |c| c.ga.migration_interval = u32::MAX),
+];
+
+/// The zoo's tuner behind `flag` with the paper's §V-A options, capped at
+/// `max_iterations`: the entry's kernel tuner, or csTuner's default
+/// configuration.
+///
+/// # Panics
+/// Panics if `flag` is not registered in the zoo.
+pub fn tuner(flag: &str, max_iterations: u32) -> Box<dyn Tuner> {
+    let entry = zoo::find(flag).unwrap_or_else(|| panic!("`{flag}` is not a registered tuner"));
+    match entry.kernel_tuner() {
+        Some(mut tuner) => {
+            tuner.cfg.max_iterations = max_iterations;
+            Box::new(tuner)
         }
-    }
-
-    /// Build the tuner with the paper's §V-A options and the given
-    /// iteration cap.
-    pub fn build(self, max_iterations: u32) -> Box<dyn Tuner> {
-        if self == TunerKind::CsTuner {
-            return Box::new(CsTuner::new(CsTunerConfig { max_iterations, ..Default::default() }));
-        }
-        let mut tuner = zoo::find(&self.name().to_lowercase())
-            .and_then(zoo::TunerEntry::kernel_tuner)
-            .expect("every baseline is a registered kernel tuner");
-        tuner.cfg.max_iterations = max_iterations;
-        Box::new(tuner)
+        None => Box::new(CsTuner::new(CsTunerConfig { max_iterations, ..Default::default() })),
     }
 }
 
@@ -94,9 +94,26 @@ impl Json for RunResult {
     }
 }
 
-fn to_run_result(stencil: &str, seed: u64, out: &TuningOutcome) -> RunResult {
+/// Run one tuner on one stencil. `budget_s` picks the protocol: `None` is
+/// iso-iteration (the tuner's iteration cap ends the run), `Some(s)` is
+/// iso-time with `s` virtual seconds (the paper uses 100). The evaluator
+/// follows the ambient fault profile (`CST_FAULT_SEED`).
+pub fn run(
+    spec: &StencilSpec,
+    arch: &GpuArch,
+    tuner: &mut dyn Tuner,
+    budget_s: Option<f64>,
+    seed: u64,
+) -> RunResult {
+    let (spec, arch) = (spec.clone(), arch.clone());
+    let stencil = spec.name.to_string();
+    let mut eval = match budget_s {
+        None => SimEvaluator::new(spec, arch, seed),
+        Some(budget_s) => SimEvaluator::with_budget(spec, arch, seed, budget_s),
+    };
+    let out = tuner.tune(&mut eval, seed).expect("tuning run failed");
     RunResult {
-        stencil: stencil.to_string(),
+        stencil,
         tuner: out.tuner,
         seed,
         best_ms: out.best_time_ms,
@@ -107,71 +124,24 @@ fn to_run_result(stencil: &str, seed: u64, out: &TuningOutcome) -> RunResult {
     }
 }
 
-/// Run one tuner on one stencil under the iso-iteration protocol: a fixed
-/// number of iterations, no time budget.
-pub fn run_iso_iteration(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    kind: TunerKind,
-    iterations: u32,
-    seed: u64,
-) -> RunResult {
-    let mut eval = SimEvaluator::new(spec.clone(), arch.clone(), seed);
-    let mut tuner = kind.build(iterations);
-    let out = tuner.tune(&mut eval, seed).expect("tuning run failed");
-    to_run_result(spec.name, seed, &out)
-}
-
-/// Run one tuner on one stencil under the iso-time protocol: a fixed
-/// virtual wall-clock budget (the paper uses 100 s), no iteration cap.
-pub fn run_iso_time(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    kind: TunerKind,
-    budget_s: f64,
-    seed: u64,
-) -> RunResult {
-    let mut eval = SimEvaluator::with_budget(spec.clone(), arch.clone(), seed, budget_s);
-    let mut tuner = kind.build(u32::MAX);
-    let out = tuner.tune(&mut eval, seed).expect("tuning run failed");
-    to_run_result(spec.name, seed, &out)
-}
-
-/// Run a csTuner iso-time session with an explicit sampling ratio
-/// (Fig. 11).
-pub fn run_cstuner_with_ratio(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    ratio: f64,
-    budget_s: f64,
-    seed: u64,
-) -> RunResult {
-    let mut eval = SimEvaluator::with_budget(spec.clone(), arch.clone(), seed, budget_s);
-    let cfg = CsTunerConfig {
-        sampling: SamplingConfig { ratio, ..Default::default() },
-        ..Default::default()
-    };
-    let mut tuner = CsTuner::new(cfg);
-    let out = tuner.tune(&mut eval, seed).expect("tuning run failed");
-    to_run_result(spec.name, seed, &out)
-}
-
-/// Run a full (stencils × tuners × seeds) sweep in parallel with the given
-/// per-run protocol. Deterministic: every run derives only from its own
-/// descriptor.
-pub fn sweep<F>(specs: &[StencilSpec], kinds: &[TunerKind], seeds: u64, run: F) -> Vec<RunResult>
+/// Run every (stencil, arm, seed) cell of an experiment in parallel, seeds
+/// `0..seeds`. The runs come back in cell order: stencil-major, then arm,
+/// then seed, so each `seeds`-long chunk is one (stencil, arm) cell.
+/// Deterministic: every run derives only from its own cell.
+pub fn sweep<A, F>(specs: &[StencilSpec], arms: &[A], seeds: u64, run: F) -> Vec<RunResult>
 where
-    F: Fn(&StencilSpec, TunerKind, u64) -> RunResult + Sync,
+    A: Sync,
+    F: Fn(&StencilSpec, &A, u64) -> RunResult + Sync,
 {
-    let mut jobs = Vec::new();
+    let mut cells = Vec::new();
     for spec in specs {
-        for &kind in kinds {
+        for arm in arms {
             for seed in 0..seeds {
-                jobs.push((spec.clone(), kind, seed));
+                cells.push((spec, arm, seed));
             }
         }
     }
-    jobs.par_iter().map(|(spec, kind, seed)| run(spec, *kind, *seed)).collect()
+    cells.par_iter().map(|&(spec, arm, seed)| run(spec, arm, seed)).collect()
 }
 
 /// Average the best-so-far value of a set of runs at a given iteration
@@ -206,7 +176,7 @@ mod tests {
     #[test]
     fn iso_iteration_respects_cap() {
         let spec = suite::spec_by_name("j3d7pt").unwrap();
-        let r = run_iso_iteration(&spec, &GpuArch::a100(), TunerKind::Random, 4, 0);
+        let r = run(&spec, &GpuArch::a100(), tuner("random", 4).as_mut(), None, 0);
         assert!(r.curve.last().unwrap().0 <= 5);
         assert!(r.best_ms.is_finite());
     }
@@ -214,27 +184,59 @@ mod tests {
     #[test]
     fn iso_time_respects_budget() {
         let spec = suite::spec_by_name("j3d7pt").unwrap();
-        let r = run_iso_time(&spec, &GpuArch::a100(), TunerKind::CsTuner, 30.0, 1);
+        let r = run(&spec, &GpuArch::a100(), tuner("cstuner", u32::MAX).as_mut(), Some(30.0), 1);
         assert!(r.search_s <= 35.0, "search {}", r.search_s);
     }
 
     #[test]
     fn all_paper_tuners_run() {
         let spec = suite::spec_by_name("helmholtz").unwrap();
-        for kind in TunerKind::PAPER {
-            let r = run_iso_iteration(&spec, &GpuArch::a100(), kind, 3, 0);
-            assert!(r.best_ms.is_finite(), "{:?}", kind);
-            assert_eq!(r.tuner, kind.name());
+        for flag in PAPER {
+            let r = run(&spec, &GpuArch::a100(), tuner(flag, 3).as_mut(), None, 0);
+            assert!(r.best_ms.is_finite(), "{flag}");
+            assert_eq!(r.tuner, zoo::find(flag).unwrap().display);
         }
     }
 
     #[test]
     fn sweep_produces_all_combinations() {
-        let specs = vec![suite::spec_by_name("j3d7pt").unwrap()];
-        let runs = sweep(&specs, &[TunerKind::Random, TunerKind::Garvey], 2, |s, k, seed| {
-            run_iso_iteration(s, &GpuArch::a100(), k, 2, seed)
+        // Fig. 11 and the ablation read each run's arm from its position:
+        // stencil-major, then arm, then seed.
+        let specs = ["j3d7pt", "cheby"].map(|s| suite::spec_by_name(s).unwrap());
+        let runs = sweep(&specs, &["random", "garvey"], 2, |s, &flag, seed| {
+            run(s, &GpuArch::a100(), tuner(flag, 2).as_mut(), None, seed)
         });
-        assert_eq!(runs.len(), 4);
+        let cells: Vec<(&str, &str, u64)> =
+            runs.iter().map(|r| (r.stencil.as_str(), r.tuner, r.seed)).collect();
+        assert_eq!(
+            cells,
+            [
+                ("j3d7pt", "Random", 0),
+                ("j3d7pt", "Random", 1),
+                ("j3d7pt", "Garvey", 0),
+                ("j3d7pt", "Garvey", 1),
+                ("cheby", "Random", 0),
+                ("cheby", "Random", 1),
+                ("cheby", "Garvey", 0),
+                ("cheby", "Garvey", 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn ablation_variants_are_distinct_edits() {
+        let configs: Vec<String> = ABLATION
+            .iter()
+            .map(|(_, edit)| {
+                let mut cfg = CsTunerConfig::default();
+                edit(&mut cfg);
+                format!("{cfg:?}")
+            })
+            .collect();
+        assert_eq!(configs[0], format!("{:?}", CsTunerConfig::default()), "`full` edits nothing");
+        for (i, a) in configs.iter().enumerate() {
+            assert!(configs[i + 1..].iter().all(|b| a != b), "{} repeats a variant", ABLATION[i].0);
+        }
     }
 
     #[test]
@@ -255,12 +257,5 @@ mod tests {
         assert_eq!(mean_best_at_iteration(&rs, 0), None);
         assert_eq!(mean_best_at_time(&rs, 1.5), Some(10.0));
         assert_eq!(mean_best_at_time(&rs, 99.0), Some(5.0));
-    }
-
-    #[test]
-    fn ratio_runner_accepts_range() {
-        let spec = suite::spec_by_name("j3d7pt").unwrap();
-        let r = run_cstuner_with_ratio(&spec, &GpuArch::a100(), 0.05, 20.0, 0);
-        assert!(r.best_ms.is_finite());
     }
 }

@@ -18,8 +18,8 @@
 
 use crate::spec::{CampaignSpec, Cell};
 use cst_obs::{
-    diff_groups, evaluate_gate, render_gate_dashboard, DriftClass, DriftPolicy, GateReport,
-    JournalStore, RunSummary,
+    diff_groups, evaluate_gate, render_gate_dashboard, sample_cv, DriftClass, DriftPolicy,
+    GateReport, JournalStore, RunSummary,
 };
 use cst_telemetry::json;
 use std::fmt::Write as _;
@@ -78,18 +78,6 @@ fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-fn cv(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    if m == 0.0 {
-        return 0.0;
-    }
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt() / m.abs()
-}
-
 /// Fold archived `(cell, summary)` pairs into per-scenario statistics.
 /// Scenarios keep first-appearance (spec expansion) order; within a
 /// scenario, runs keep seed order.
@@ -122,7 +110,7 @@ pub fn aggregate(pairs: &[(Cell, RunSummary)]) -> Vec<ScenarioStats> {
     for stats in &mut out {
         let best: Vec<f64> = stats.runs.iter().map(|r| r.best_ms).collect();
         stats.best_ms_mean = mean(&best);
-        stats.best_ms_cv = cv(&best);
+        stats.best_ms_cv = sample_cv(&best);
         stats.best_ms_worst = best.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         stats.evaluations_mean =
             mean(&stats.runs.iter().map(|r| r.evaluations as f64).collect::<Vec<_>>());

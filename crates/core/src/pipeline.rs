@@ -4,7 +4,7 @@ use crate::dataset::PerfDataset;
 use crate::evaluator::Evaluator;
 use crate::grouping::group_from_dataset;
 use crate::metric_comb::{combine_metrics, select_representatives};
-use crate::sampling::{sample_space, SampledSpace, SamplingConfig};
+use crate::sampling::{sample_space, SamplingConfig};
 use crate::search::{evolutionary_search, SearchConfig};
 use cst_ga::GaConfig;
 use cst_gpu_sim::FaultStats;
@@ -69,19 +69,6 @@ pub struct TuningOutcome {
     /// Per-stage failure/retry counters from the measurement path
     /// (all-zero on a fault-free testbed).
     pub faults: FaultStats,
-}
-
-impl TuningOutcome {
-    /// Best time at or before the given iteration, if any iteration
-    /// completed by then.
-    pub fn best_at_iteration(&self, iter: u32) -> Option<f64> {
-        self.curve.iter().take_while(|p| p.iteration <= iter).last().map(|p| p.best_ms)
-    }
-
-    /// Best time at or before the given virtual time.
-    pub fn best_at_time(&self, t_s: f64) -> Option<f64> {
-        self.curve.iter().take_while(|p| p.elapsed_s <= t_s).last().map(|p| p.best_ms)
-    }
 }
 
 /// Tuning failure modes.
@@ -205,24 +192,12 @@ impl Default for CsTunerConfig {
 #[derive(Debug, Clone)]
 pub struct CsTuner {
     cfg: CsTunerConfig,
-    last_sampled: Option<SampledSpace>,
 }
 
 impl CsTuner {
     /// Build with a configuration.
     pub fn new(cfg: CsTunerConfig) -> Self {
-        CsTuner { cfg, last_sampled: None }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &CsTunerConfig {
-        &self.cfg
-    }
-
-    /// The sampled space of the most recent [`CsTuner::tune`] call
-    /// (useful for inspection and the sampling-ratio experiments).
-    pub fn last_sampled(&self) -> Option<&SampledSpace> {
-        self.last_sampled.as_ref()
+        CsTuner { cfg }
     }
 }
 
@@ -318,7 +293,6 @@ impl Tuner for CsTuner {
         let sp = tel.span("search", eval.clock().now_s());
         let result = evolutionary_search(eval, &sampled, &search_cfg, seed, tel);
         sp.end(eval.clock().now_s());
-        self.last_sampled = Some(sampled);
         if !result.best_ms.is_finite() {
             return Err(TuneError::EmptySpace);
         }
@@ -384,30 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn curve_helpers_slice_correctly() {
-        let curve = vec![
-            CurvePoint { iteration: 1, elapsed_s: 5.0, best_ms: 10.0 },
-            CurvePoint { iteration: 2, elapsed_s: 9.0, best_ms: 8.0 },
-            CurvePoint { iteration: 3, elapsed_s: 16.0, best_ms: 7.5 },
-        ];
-        let out = TuningOutcome {
-            tuner: "x",
-            best_setting: Setting::baseline(),
-            best_time_ms: 7.5,
-            curve,
-            evaluations: 0,
-            search_s: 16.0,
-            preproc: PreprocBreakdown::default(),
-            faults: FaultStats::default(),
-        };
-        assert_eq!(out.best_at_iteration(0), None);
-        assert_eq!(out.best_at_iteration(2), Some(8.0));
-        assert_eq!(out.best_at_iteration(99), Some(7.5));
-        assert_eq!(out.best_at_time(10.0), Some(8.0));
-        assert_eq!(out.best_at_time(1.0), None);
-    }
-
-    #[test]
     fn preprocessing_is_small_relative_to_search() {
         // §V-F: pre-processing ≈ 0.76% of search. With the virtual search
         // clock the exact share differs, but it must stay a small fraction.
@@ -431,16 +381,5 @@ mod tests {
             CsTuner::new(quick_cfg()).tune(&mut e, seed).unwrap().best_time_ms
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn sampled_space_is_exposed_after_tune() {
-        let spec = suite::spec_by_name("helmholtz").unwrap();
-        let mut e = SimEvaluator::new(spec, GpuArch::a100(), 4);
-        let mut tuner = CsTuner::new(quick_cfg());
-        assert!(tuner.last_sampled().is_none());
-        tuner.tune(&mut e, 4).unwrap();
-        let s = tuner.last_sampled().unwrap();
-        assert!(s.size() >= 1);
     }
 }

@@ -157,19 +157,29 @@ pub fn diff_runs(baseline: &RunSummary, candidate: &RunSummary) -> RunDiff {
     )
 }
 
-/// Mean and coefficient of variation of present values; `None` when no
-/// run in the group has the metric.
+/// Sample coefficient of variation of repeated runs: the n−1 standard
+/// deviation over |mean|, and 0 for fewer than two values or a zero mean.
+/// It sets every gate's CV allowance and campaign scenarios' `cv%`.
+pub fn sample_cv(xs: &[f64]) -> f64 {
+    if xs.len() < 2 {
+        return 0.0;
+    }
+    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+    if mean == 0.0 {
+        return 0.0;
+    }
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
+    var.sqrt() / mean.abs()
+}
+
+/// Mean and [`sample_cv`] of present values; `None` when no run in the
+/// group has the metric.
 fn mean_cv(values: &[Option<f64>]) -> (Option<f64>, f64) {
     let xs: Vec<f64> = values.iter().flatten().copied().collect();
     if xs.is_empty() {
         return (None, 0.0);
     }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if xs.len() < 2 || mean == 0.0 {
-        return (Some(mean), 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    (Some(mean), var.sqrt() / mean.abs())
+    (Some(xs.iter().sum::<f64>() / xs.len() as f64), sample_cv(&xs))
 }
 
 /// Compare two labeled groups of runs, metric-by-metric over group means.
@@ -324,6 +334,14 @@ mod tests {
         let text = render_diff(&d);
         assert!(text.contains("best_ms") && text.contains("(worse)"), "{text}");
         assert!(text.contains("memo_hit_ratio") && text.contains("(better)"), "{text}");
+    }
+
+    #[test]
+    fn sample_cv_divides_by_n_minus_1() {
+        assert_eq!(sample_cv(&[4.0, 6.0]), 2f64.sqrt() / 5.0);
+        assert_eq!(sample_cv(&[7.0]), 0.0);
+        assert_eq!(sample_cv(&[]), 0.0);
+        assert_eq!(sample_cv(&[-1.0, 1.0]), 0.0, "a zero mean has no CV");
     }
 
     #[test]

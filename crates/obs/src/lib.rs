@@ -40,7 +40,7 @@ pub mod store;
 pub mod summary;
 
 pub use dashboard::{dashboard_json, render_dashboard};
-pub use diff::{diff_groups, diff_runs, render_diff, Direction, MetricDelta, RunDiff};
+pub use diff::{diff_groups, diff_runs, render_diff, sample_cv, Direction, MetricDelta, RunDiff};
 pub use drift::{
     evaluate_gate, render_gate_dashboard, verdict_json, DriftClass, DriftPolicy, GateReport,
 };

@@ -24,15 +24,10 @@ pub fn all_stencils() -> Vec<StencilKernel> {
     v
 }
 
-/// The (name, builder) rows of the full suite, paper kernels first.
-fn kernel_rows() -> impl Iterator<Item = &'static (&'static str, fn() -> StencilKernel)> {
-    suite::KERNELS.iter().chain(suite_ext::KERNELS)
-}
-
 /// Look up a stencil (paper suite or extensions) by name, building only
 /// that kernel.
 pub fn find_stencil(name: &str) -> Option<StencilKernel> {
-    kernel_rows().find(|(n, _)| *n == name).map(|(_, build)| build())
+    cst_stencil::kernel_by_name(name)
 }
 
 /// Build a tuner by its canonical flag name (resolved through the
@@ -115,7 +110,7 @@ impl TuneRequest {
             None => return Err("--stencil is required; run `cstuner list`".to_string()),
         };
         // A name check: the session builds the kernel when it runs.
-        if !kernel_rows().any(|(n, _)| *n == stencil) {
+        if cst_stencil::kernel_builder(&stencil).is_none() {
             return Err(format!("unknown stencil `{stencil}`; run `cstuner list`"));
         }
         let arch = arch.unwrap_or("a100").to_string();

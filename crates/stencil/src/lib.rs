@@ -30,5 +30,5 @@ pub use compose::{ArrayRef, Arrays, Factor, KernelDef, Stage, Term};
 pub use exec::{run_reference, run_reference_parallel, run_transformed, TransformCfg};
 pub use grid::Grid3;
 pub use pattern::{StencilClass, StencilShape, StencilSpec};
-pub use suite::{all_specs, kernel_by_name, spec_by_name, StencilKernel};
+pub use suite::{all_specs, kernel_builder, kernel_by_name, spec_by_name, StencilKernel};
 pub use tap::{Tap, TapStencil};

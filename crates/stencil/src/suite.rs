@@ -425,11 +425,6 @@ pub const KERNELS: &KernelTable = &[
     ("rhs4center", rhs4center),
 ];
 
-/// Build the kernel named `name` in `table`, and no other.
-pub fn build_by_name(table: &KernelTable, name: &str) -> Option<StencilKernel> {
-    table.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
-}
-
 /// All eight evaluation kernels in the paper's Table III order.
 pub fn all_kernels() -> Vec<StencilKernel> {
     KERNELS.iter().map(|(_, build)| build()).collect()
@@ -440,12 +435,19 @@ pub fn all_specs() -> Vec<StencilSpec> {
     all_kernels().into_iter().map(|k| k.spec).collect()
 }
 
-/// Look up a kernel by its paper name.
-pub fn kernel_by_name(name: &str) -> Option<StencilKernel> {
-    build_by_name(KERNELS, name)
+/// The constructor of the kernel named `name`, looked up in the paper's
+/// suite and then in the extension kernels ([`crate::suite_ext`]).
+pub fn kernel_builder(name: &str) -> Option<fn() -> StencilKernel> {
+    KERNELS.iter().chain(crate::suite_ext::KERNELS).find(|(n, _)| *n == name).map(|&(_, b)| b)
 }
 
-/// Look up a spec by its paper name.
+/// Look up a kernel (paper suite or extension) by name, building only
+/// that kernel.
+pub fn kernel_by_name(name: &str) -> Option<StencilKernel> {
+    kernel_builder(name).map(|build| build())
+}
+
+/// Look up a spec (paper suite or extension) by name.
 pub fn spec_by_name(name: &str) -> Option<StencilSpec> {
     kernel_by_name(name).map(|k| k.spec)
 }
@@ -534,6 +536,7 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         assert!(kernel_by_name("hypterm").is_some());
+        assert_eq!(kernel_by_name("poisson").unwrap().spec.name, "poisson");
         assert!(kernel_by_name("nonexistent").is_none());
         assert_eq!(spec_by_name("cheby").unwrap().io_arrays, 5);
     }

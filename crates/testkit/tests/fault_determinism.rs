@@ -7,7 +7,8 @@
 //! This binary owns its process environment: it forces the pool width
 //! before first use, so it must stay the only test file that does so.
 
-use cst_bench::runners::TunerKind;
+use cst_baselines::zoo;
+use cst_bench::runners::tuner;
 use cst_gpu_sim::{FaultProfile, GpuArch};
 use cst_stencil::suite;
 use cst_testkit::hex_bits;
@@ -28,6 +29,9 @@ fn force_parallel_lanes() {
     });
 }
 
+/// The paper's four tuners plus random search, by zoo flag.
+const TUNERS: [&str; 5] = ["cstuner", "garvey", "opentuner", "artemis", "random"];
+
 /// One `--quick`-scale iso-iteration sweep (stencils × tuners × seeds)
 /// with an explicit nonzero fault profile, run on the parallel pool, and
 /// formatted as a deterministic byte-exact report: only seed-derived
@@ -35,35 +39,29 @@ fn force_parallel_lanes() {
 /// never wall-clock.
 fn faulty_quick_sweep(fault_seed: u64) -> String {
     let stencils = ["j3d7pt", "cheby"];
-    let kinds = [
-        TunerKind::CsTuner,
-        TunerKind::Garvey,
-        TunerKind::OpenTuner,
-        TunerKind::Artemis,
-        TunerKind::Random,
-    ];
     let mut jobs = Vec::new();
     for stencil in stencils {
-        for kind in kinds {
+        for flag in TUNERS {
             for seed in 0..2u64 {
-                jobs.push((stencil, kind, seed));
+                jobs.push((stencil, flag, seed));
             }
         }
     }
     let mut lines: Vec<String> = jobs
         .par_iter()
-        .map(|&(stencil, kind, seed)| {
+        .map(|&(stencil, flag, seed)| {
             let spec = suite::spec_by_name(stencil).unwrap();
             let mut eval = SimEvaluator::new(spec, GpuArch::a100(), seed)
                 .with_fault_profile(FaultProfile::hostile(fault_seed));
-            let mut tuner = kind.build(4);
-            let out = tuner.tune(&mut eval, seed).expect("tuning must survive a hostile testbed");
+            let out = tuner(flag, 4)
+                .tune(&mut eval, seed)
+                .expect("tuning must survive a hostile testbed");
             let f = out.faults;
             let mut line = String::new();
             let _ = write!(
                 line,
                 "{stencil}/{}/{seed}: best={} evals={} search={} faults={}/{}/{}/{} retries={} quarantined={} curve=",
-                kind.name(),
+                out.tuner,
                 hex_bits(out.best_time_ms),
                 out.evaluations,
                 hex_bits(out.search_s),
@@ -108,22 +106,15 @@ fn all_drivers_survive_a_totally_failing_testbed() {
     // virtual clock.
     let total_failure = FaultProfile { p_compile: 1.0, ..FaultProfile::hostile(3) };
     let spec = suite::spec_by_name("j3d7pt").unwrap();
-    for kind in [
-        TunerKind::CsTuner,
-        TunerKind::Garvey,
-        TunerKind::OpenTuner,
-        TunerKind::Artemis,
-        TunerKind::Random,
-    ] {
+    for flag in TUNERS {
+        let name = zoo::find(flag).unwrap().display;
         let mut eval = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), 1, 30.0)
             .with_fault_profile(total_failure);
-        let mut tuner = kind.build(4);
-        let result = tuner.tune(&mut eval, 1);
+        let result = tuner(flag, 4).tune(&mut eval, 1);
         assert!(
             result.is_err(),
-            "{}: a testbed where nothing runs cannot produce a best setting",
-            kind.name()
+            "{name}: a testbed where nothing runs cannot produce a best setting"
         );
-        assert!(eval.fault_stats().failures() > 0, "{}: no faults recorded", kind.name());
+        assert!(eval.fault_stats().failures() > 0, "{name}: no faults recorded");
     }
 }

@@ -7,20 +7,22 @@
 //! fixture diff. After an *intentional* change, re-bless with
 //! `CST_BLESS=1 cargo test -p cst-testkit --test golden_quick`.
 
+use cst_bench::runners::{run, sweep, tuner, RunResult, ABLATION, PAPER};
 use cst_gpu_sim::{FaultProfile, GpuArch, GpuSim, ValidSpace};
 use cst_ml::Surrogate;
 use cst_obs::JournalStore;
 use cst_serve::{run_session, FaultSpec, TuneRequest};
 use cst_space::hash::fnv1a;
 use cst_space::{OptSpace, ParamId, Setting};
+use cst_stencil::StencilSpec;
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use cst_testkit::{
     check_golden, hex_bits, preproc_trace, quick_tune_trace, valid_settings, TraceOptions,
 };
 use cst_transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K};
 use cstuner_core::{
-    combine_metrics, group_from_dataset, sample_space, select_representatives, CsTunerConfig,
-    PerfDataset, SimEvaluator,
+    combine_metrics, group_from_dataset, sample_space, select_representatives, CsTuner,
+    CsTunerConfig, PerfDataset, SimEvaluator,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -238,4 +240,65 @@ fn surrogate_digest_is_pinned() {
         }
     }
     check_golden("surrogate_digest", &t);
+}
+
+#[test]
+fn experiment_harness_digest_is_pinned() {
+    // Every seeded experiment's protocol through the one harness, on two
+    // stencils on the A100 at seed 0: the paper's four tuners at 4
+    // iso-iterations and at a 30 s iso-time budget, csTuner at two
+    // sampling ratios, and the five ablation variants. One line per run:
+    // its best and search time bits, its evaluation count and an FNV-1a
+    // over its curve's bits. The harness's evaluators follow the ambient
+    // fault profile, as `experiments` does; this digest pins the
+    // fault-free protocol on both CI legs, and no other test in this
+    // binary reads that profile.
+    std::env::remove_var("CST_FAULT_SEED");
+    let specs = ["j3d7pt", "cheby"].map(|s| cst_stencil::spec_by_name(s).unwrap());
+    let a100 = GpuArch::a100();
+    let paper = |iterations, budget_s| {
+        sweep(&specs, &PAPER, 1, |s, &flag, seed| {
+            run(s, &a100, tuner(flag, iterations).as_mut(), budget_s, seed)
+        })
+    };
+    let cstuner =
+        |s: &StencilSpec, cfg, seed| run(s, &a100, &mut CsTuner::new(cfg), Some(30.0), seed);
+    let ratios = [0.05, 0.5];
+    let ratio_runs = sweep(&specs, &ratios, 1, |s, &ratio, seed| {
+        let mut cfg = CsTunerConfig::default();
+        cfg.sampling.ratio = ratio;
+        cstuner(s, cfg, seed)
+    });
+    let ablation_runs = sweep(&specs, &ABLATION, 1, |s, (_, edit), seed| {
+        let mut cfg = CsTunerConfig::default();
+        edit(&mut cfg);
+        cstuner(s, cfg, seed)
+    });
+    let mut t = String::new();
+    let mut line = |label: String, r: &RunResult| {
+        let curve = fnv1a(r.curve.iter().flat_map(|&(i, e, b)| {
+            [u64::from(i), e.to_bits(), b.to_bits()].into_iter().flat_map(u64::to_le_bytes)
+        }));
+        let _ = writeln!(
+            t,
+            "{} {label} best={} search={} evals={} curve={curve:016x}",
+            r.stencil,
+            hex_bits(r.best_ms),
+            hex_bits(r.search_s),
+            r.evaluations
+        );
+    };
+    for r in paper(4, None) {
+        line(format!("iso-iteration {}", r.tuner), &r);
+    }
+    for r in paper(u32::MAX, Some(30.0)) {
+        line(format!("iso-time {}", r.tuner), &r);
+    }
+    for (r, ratio) in ratio_runs.iter().zip(ratios.iter().cycle()) {
+        line(format!("ratio {ratio}"), r);
+    }
+    for (r, (name, _)) in ablation_runs.iter().zip(ABLATION.iter().cycle()) {
+        line(format!("ablation {name}"), r);
+    }
+    check_golden("experiment_harness_digest", &t);
 }

@@ -20,6 +20,8 @@ fn extension_kernels_tune_end_to_end() {
             panic!("{} failed to tune: {e}", kernel.spec.name);
         });
         assert!(out.best_time_ms.is_finite(), "{}", kernel.spec.name);
+        // Pre-processing generates CUDA for the sampled settings here too.
+        assert!(out.preproc.codegen_s > 0.0, "{}: no code generated", kernel.spec.name);
         // `best_time_ms` carries measurement noise and the short budget
         // (8 iterations) may not beat an already near-optimal default for
         // the bandwidth-trivial kernels — allow a small tolerance.
