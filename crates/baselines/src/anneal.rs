@@ -15,14 +15,17 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Initial temperature as a fraction of the first measured time (this
+/// tree's choice).
+const T0_FRAC: f64 = 0.3;
+/// Geometric cooling factor per accepted-or-rejected step (this tree's
+/// choice).
+const ALPHA: f64 = 0.97;
+
 /// Simulated annealing as an ask/tell [`Optimizer`]: batch-of-one asks,
 /// Metropolis accept/reject in `tell`.
 #[derive(Debug)]
 pub struct SaOptimizer {
-    /// Initial temperature as a fraction of the first measured time.
-    t0_frac: f64,
-    /// Geometric cooling factor per accepted-or-rejected step.
-    alpha: f64,
     rng: StdRng,
     /// Incumbent setting and its measured time (None before the first
     /// observation).
@@ -39,19 +42,6 @@ pub struct SaOptimizer {
 const NEIGHBOR_ATTEMPTS: usize = 8;
 
 impl SaOptimizer {
-    /// New annealer; the rng is seeded in `init`.
-    pub fn new(t0_frac: f64, alpha: f64) -> Self {
-        SaOptimizer {
-            t0_frac,
-            alpha,
-            rng: StdRng::seed_from_u64(0),
-            cur: None,
-            temp: 0.0,
-            seen: SettingSet::default(),
-            warm: std::collections::VecDeque::new(),
-        }
-    }
-
     /// One-parameter, one-step perturbation of the incumbent; falls back
     /// to a fresh valid draw when the local neighborhood is exhausted.
     fn propose(&mut self, ctx: &mut SearchCtx<'_>, cur: Setting) -> Setting {
@@ -95,9 +85,15 @@ impl SaOptimizer {
 }
 
 impl Default for SaOptimizer {
-    /// Start at 30% of the first measured time, cool by 3% per step.
+    /// New annealer; the rng is seeded in `init`.
     fn default() -> Self {
-        SaOptimizer::new(0.3, 0.97)
+        SaOptimizer {
+            rng: StdRng::seed_from_u64(0),
+            cur: None,
+            temp: 0.0,
+            seen: SettingSet::default(),
+            warm: std::collections::VecDeque::new(),
+        }
     }
 }
 
@@ -157,7 +153,7 @@ impl Optimizer for SaOptimizer {
             match self.cur {
                 None => {
                     self.cur = Some((o.setting, t));
-                    self.temp = (t * self.t0_frac).max(f64::MIN_POSITIVE);
+                    self.temp = (t * T0_FRAC).max(f64::MIN_POSITIVE);
                 }
                 Some((_, cur_ms)) => {
                     // Metropolis rule; non-finite measurements (faulted
@@ -170,7 +166,7 @@ impl Optimizer for SaOptimizer {
                     if accept {
                         self.cur = Some((o.setting, t));
                     }
-                    self.temp = (self.temp * self.alpha).max(f64::MIN_POSITIVE);
+                    self.temp = (self.temp * ALPHA).max(f64::MIN_POSITIVE);
                 }
             }
         }
@@ -184,15 +180,15 @@ mod tests {
     use cst_stencil::suite;
     use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
 
-    fn anneal(pop: usize, max_iterations: u32) -> KernelTuner {
-        let cfg = KernelConfig { pop, max_iterations, stall_limit: 10_000 };
+    fn anneal(max_iterations: u32) -> KernelTuner {
+        let cfg = KernelConfig { max_iterations, stall_limit: 10_000 };
         KernelTuner::new(|| Box::new(SaOptimizer::default()), cfg)
     }
 
     #[test]
     fn anneal_finds_finite_best_and_improves() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 7);
-        let out = anneal(8, 10).tune(&mut e, 7).unwrap();
+        let out = anneal(10).tune(&mut e, 7).unwrap();
         assert_eq!(out.tuner, "Anneal");
         assert!(out.best_time_ms.is_finite());
         let first = out.curve.first().unwrap().best_ms;
@@ -205,7 +201,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::v100(), 5);
-            anneal(8, 6).tune(&mut e, 5).unwrap()
+            anneal(6).tune(&mut e, 5).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
@@ -221,7 +217,7 @@ mod tests {
             4,
             15.0,
         );
-        let out = anneal(32, u32::MAX).tune(&mut e, 4).unwrap();
+        let out = anneal(u32::MAX).tune(&mut e, 4).unwrap();
         assert!(out.search_s >= 15.0);
         assert!(out.search_s < 25.0);
     }

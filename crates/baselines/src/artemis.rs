@@ -16,6 +16,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// High-performance candidates kept after the first phase and refined in
+/// the second (this tree's choice).
+const CANDIDATES: usize = 4;
+
 /// Expert choice of high-impact optimizations per stencil class:
 /// bandwidth-bound stencils live or die by the thread-block shape,
 /// streaming and shared-memory staging; compute-bound stencils by the
@@ -87,10 +91,6 @@ enum Stage {
 /// its starting points are the expert grid.
 #[derive(Debug, Clone)]
 pub struct ArtemisOptimizer {
-    /// High-performance candidates kept after the first phase.
-    candidates: usize,
-    /// Cap on enumerated combinations of the high-impact phase.
-    enum_limit: usize,
     stage: Stage,
     /// The phase-1 grid, built in `init` and asked once.
     grid: Vec<Setting>,
@@ -108,12 +108,10 @@ pub struct ArtemisOptimizer {
     told: Vec<Option<f64>>,
 }
 
-impl ArtemisOptimizer {
+impl Default for ArtemisOptimizer {
     /// New tuner state; the grid is built in `init`.
-    pub fn new(candidates: usize, enum_limit: usize) -> Self {
+    fn default() -> Self {
         ArtemisOptimizer {
-            candidates,
-            enum_limit,
             stage: Stage::Grid,
             grid: Vec::new(),
             ranked: Vec::new(),
@@ -126,7 +124,9 @@ impl ArtemisOptimizer {
             told: Vec::new(),
         }
     }
+}
 
+impl ArtemisOptimizer {
     /// The next batch to measure, advancing the stage; empty once every
     /// kept candidate is refined.
     fn next_batch(&mut self, ctx: &SearchCtx<'_>) -> Vec<Setting> {
@@ -173,13 +173,6 @@ impl ArtemisOptimizer {
                 }
             }
         }
-    }
-}
-
-impl Default for ArtemisOptimizer {
-    /// Keep 4 candidates from a grid of at most 1024 settings.
-    fn default() -> Self {
-        ArtemisOptimizer::new(4, 1024)
     }
 }
 
@@ -240,14 +233,13 @@ impl Optimizer for ArtemisOptimizer {
             }
         }
         cleaned.shuffle(&mut rng);
-        cleaned.truncate(self.enum_limit);
 
         *self = ArtemisOptimizer {
             grid: cleaned,
             // Phase 2: per candidate, greedy coordinate sweep over the
             // low-impact parameters.
             low: low_impact_params(&high),
-            ..ArtemisOptimizer::new(self.candidates, self.enum_limit)
+            ..ArtemisOptimizer::default()
         };
     }
 
@@ -272,7 +264,7 @@ impl Optimizer for ArtemisOptimizer {
                     .filter_map(|(&s, t)| t.filter(|t| t.is_finite()).map(|t| (t, s)))
                     .collect();
                 ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                ranked.truncate(self.candidates);
+                ranked.truncate(CANDIDATES);
                 self.ranked = ranked.into_iter().map(|(_, s)| s).collect();
                 self.stage = Stage::Candidate;
             }

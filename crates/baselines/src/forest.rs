@@ -11,6 +11,7 @@
 //! and keeps only the forest's top picks. Before enough records exist
 //! it degrades gracefully to random search.
 
+use cst_ga::POPULATION;
 use cst_ml::Surrogate;
 use cst_space::{Setting, N_PARAMS};
 use cst_telemetry::Telemetry;
@@ -21,14 +22,14 @@ use rand::SeedableRng;
 /// Most recent told records kept as forest training data.
 const TRAIN_WINDOW: usize = 512;
 
+/// Candidates drawn per ask, as a multiple of the population it keeps
+/// (this tree's choice).
+const POOL_FACTOR: usize = 4;
+
 /// The surrogate as an ask/tell [`Optimizer`]: over-draw, rank by
-/// predicted P(fast), keep the top `pop`.
+/// predicted P(fast), keep the top population.
 #[derive(Debug)]
 pub struct ForestOptimizer {
-    /// Settings per ask, after ranking.
-    pop: usize,
-    /// Candidate pool over-draw factor per ask.
-    pool_factor: usize,
     /// Told records required before the forest starts ranking.
     min_train: usize,
     rng: StdRng,
@@ -40,11 +41,8 @@ pub struct ForestOptimizer {
 
 impl ForestOptimizer {
     /// New surrogate optimizer; the rng is seeded in `init`.
-    pub fn new(pop: usize, pool_factor: usize, min_train: usize) -> Self {
-        assert!(pop > 0 && pool_factor > 0);
+    pub fn new(min_train: usize) -> Self {
         ForestOptimizer {
-            pop,
-            pool_factor,
             min_train: min_train.max(2),
             rng: StdRng::seed_from_u64(0),
             records: Vec::new(),
@@ -64,9 +62,9 @@ impl ForestOptimizer {
 }
 
 impl Default for ForestOptimizer {
-    /// 32 settings per ask from a pool of 128, ranking from 32 records on.
+    /// Ranking from 32 records on.
     fn default() -> Self {
-        ForestOptimizer::new(32, 4, 32)
+        ForestOptimizer::new(32)
     }
 }
 
@@ -98,24 +96,24 @@ impl Optimizer for ForestOptimizer {
                     s
                 })
                 .filter(|s| ctx.is_valid(s))
-                .take(self.pop)
+                .take(POPULATION)
                 .collect();
             if !firsts.is_empty() {
                 return firsts;
             }
         }
         let pool: Vec<Setting> =
-            (0..self.pop * self.pool_factor).map(|_| ctx.random_valid()).collect();
+            (0..POPULATION * POOL_FACTOR).map(|_| ctx.random_valid()).collect();
         if self.records.len() < self.min_train {
             // Cold start: plain random search until the forest has data.
-            return pool.into_iter().take(self.pop).collect();
+            return pool.into_iter().take(POPULATION).collect();
         }
         let scores = self.rank_scores(&pool);
         let mut order: Vec<usize> = (0..pool.len()).collect();
         // Stable by construction: descending score, pool index breaks
         // ties, so ranking is bit-deterministic.
         order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-        order.into_iter().take(self.pop).map(|i| pool[i]).collect()
+        order.into_iter().take(POPULATION).map(|i| pool[i]).collect()
     }
 
     fn tell(&mut self, obs: &[Observation]) {
@@ -141,13 +139,13 @@ mod tests {
     use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
 
     fn forest(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
-        KernelTuner::new(make, KernelConfig { pop: 8, max_iterations, stall_limit: 10_000 })
+        KernelTuner::new(make, KernelConfig { max_iterations, stall_limit: 10_000 })
     }
 
     #[test]
     fn forest_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 6);
-        let mut t = forest(|| Box::new(ForestOptimizer::new(8, 4, 32)), 8);
+        let mut t = forest(|| Box::new(ForestOptimizer::new(32)), 8);
         let out = t.tune(&mut e, 6).unwrap();
         assert_eq!(out.tuner, "Forest");
         assert!(out.best_time_ms.is_finite());
@@ -159,7 +157,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100(), 8);
-            forest(|| Box::new(ForestOptimizer::new(8, 4, 8)), 6).tune(&mut e, 8).unwrap()
+            forest(|| Box::new(ForestOptimizer::new(8)), 6).tune(&mut e, 8).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
@@ -178,7 +176,7 @@ mod tests {
             9,
             40.0,
         );
-        let out = forest(|| Box::new(ForestOptimizer::new(8, 4, 4)), u32::MAX).tune(&mut e, 9);
+        let out = forest(|| Box::new(ForestOptimizer::new(4)), u32::MAX).tune(&mut e, 9);
         assert!(out.unwrap().best_time_ms.is_finite());
     }
 }

@@ -14,6 +14,7 @@
 use cst_ml::Surrogate;
 use cst_space::{ParamId, Setting};
 use cst_telemetry::Telemetry;
+use cstuner_core::sampling::ENUM_LIMIT;
 use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -48,8 +49,6 @@ pub struct GarveyOptimizer {
     dataset_size: usize,
     /// Random sampling ratio per group (§V-A2: 10%).
     sampling_ratio: f64,
-    /// Cap on enumerated combinations per group.
-    enum_limit: usize,
     rng: StdRng,
     /// The incumbent every group's sample is drawn around.
     base: Setting,
@@ -67,11 +66,10 @@ pub struct GarveyOptimizer {
 
 impl GarveyOptimizer {
     /// New tuner state; the dataset, forest and rng are built in `init`.
-    pub fn new(dataset_size: usize, sampling_ratio: f64, enum_limit: usize) -> Self {
+    pub fn new(dataset_size: usize, sampling_ratio: f64) -> Self {
         GarveyOptimizer {
             dataset_size,
             sampling_ratio,
-            enum_limit,
             rng: StdRng::seed_from_u64(0),
             base: Setting::baseline(),
             started: false,
@@ -105,7 +103,7 @@ impl GarveyOptimizer {
 impl Default for GarveyOptimizer {
     /// The paper's 128-setting dataset and 10% sampling (§V-A2).
     fn default() -> Self {
-        GarveyOptimizer::new(128, 0.10, 8192)
+        GarveyOptimizer::new(128, 0.10)
     }
 }
 
@@ -158,7 +156,7 @@ impl Optimizer for GarveyOptimizer {
         *self = GarveyOptimizer {
             rng,
             base,
-            ..GarveyOptimizer::new(self.dataset_size, self.sampling_ratio, self.enum_limit)
+            ..GarveyOptimizer::new(self.dataset_size, self.sampling_ratio)
         };
     }
 
@@ -173,8 +171,7 @@ impl Optimizer for GarveyOptimizer {
         // group combinations.
         while let Some(&group) = DIMENSION_GROUPS.get(self.next_group) {
             self.next_group += 1;
-            let mut combos =
-                ctx.space().enumerate_group_repaired(&self.base, group, self.enum_limit);
+            let mut combos = ctx.space().enumerate_group_repaired(&self.base, group, ENUM_LIMIT);
             combos.shuffle(&mut self.rng);
             let keep = ((combos.len() as f64 * self.sampling_ratio).ceil() as usize)
                 .max(2)
@@ -227,7 +224,7 @@ mod tests {
     }
 
     fn quick() -> KernelTuner {
-        garvey(|| Box::new(GarveyOptimizer::new(48, 0.10, 8192)), 20)
+        garvey(|| Box::new(GarveyOptimizer::new(48, 0.10)), 20)
     }
 
     #[test]
@@ -277,7 +274,7 @@ mod tests {
         // iteration cap, with far fewer evaluations than the full group
         // spaces contain.
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 5);
-        let mut t = garvey(|| Box::new(GarveyOptimizer::new(48, 0.05, 8192)), 1000);
+        let mut t = garvey(|| Box::new(GarveyOptimizer::new(48, 0.05)), 1000);
         let out = t.tune(&mut e, 5).unwrap();
         assert!(out.evaluations < 500, "evaluated {}", out.evaluations);
         assert!(out.best_time_ms.is_finite());

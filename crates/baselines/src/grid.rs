@@ -8,6 +8,7 @@
 //! (which has no coverage guarantee) and the GA (which has no order
 //! guarantee).
 
+use cst_ga::POPULATION;
 use cst_space::{ParamId, Setting, SettingSet};
 use cst_telemetry::Telemetry;
 use cstuner_core::{Observation, Optimizer, SearchCtx};
@@ -15,13 +16,13 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 /// Grid sweep as an ask/tell [`Optimizer`]: a mixed-radix odometer over
 /// per-parameter lattice index lists, canonicalized and deduplicated
 /// (canonicalization collapses inactive-dimension combos onto one
-/// setting), `pop` fresh lattice points per ask, empty ask once the
-/// lattice is exhausted. It takes no warm-start seeds: the sweep visits
-/// the lattice exhaustively, so seeds would only reorder its coverage.
+/// setting), one population of fresh lattice points per ask, empty ask
+/// once the lattice is exhausted. It takes no warm-start seeds: the sweep
+/// visits the lattice exhaustively, so seeds would only reorder its
+/// coverage.
 #[derive(Debug)]
 pub struct GridOptimizer {
     levels: usize,
-    pop: usize,
     /// Per-parameter lattice: indices into the parameter's value list.
     lattice: Vec<Vec<usize>>,
     /// Odometer over `lattice` (None once exhausted).
@@ -31,17 +32,10 @@ pub struct GridOptimizer {
 }
 
 impl GridOptimizer {
-    /// New sweep with `levels` lattice points per parameter, `pop`
-    /// settings per ask.
-    pub fn new(levels: usize, pop: usize) -> Self {
-        assert!(levels > 0 && pop > 0);
-        GridOptimizer {
-            levels,
-            pop,
-            lattice: Vec::new(),
-            cursor: None,
-            seen: SettingSet::default(),
-        }
+    /// New sweep with `levels` lattice points per parameter.
+    pub fn new(levels: usize) -> Self {
+        assert!(levels > 0);
+        GridOptimizer { levels, lattice: Vec::new(), cursor: None, seen: SettingSet::default() }
     }
 
     /// Advance the odometer (last parameter fastest). Returns false once
@@ -64,9 +58,9 @@ impl GridOptimizer {
 }
 
 impl Default for GridOptimizer {
-    /// Four lattice levels per parameter, 32 settings per ask.
+    /// Four lattice levels per parameter.
     fn default() -> Self {
-        GridOptimizer::new(4, 32)
+        GridOptimizer::new(4)
     }
 }
 
@@ -98,8 +92,8 @@ impl Optimizer for GridOptimizer {
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        let mut batch = Vec::with_capacity(self.pop);
-        while batch.len() < self.pop {
+        let mut batch = Vec::with_capacity(POPULATION);
+        while batch.len() < POPULATION {
             let cur = match &self.cursor {
                 Some(c) => c.clone(),
                 None => break,
@@ -141,8 +135,8 @@ mod tests {
         let run = |seed| {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 1);
-            let cfg = KernelConfig { pop: 8, max_iterations: 4, stall_limit: 10_000 };
-            KernelTuner::new(|| Box::new(GridOptimizer::new(4, 8)), cfg).tune(&mut e, seed).unwrap()
+            let cfg = KernelConfig { max_iterations: 4, stall_limit: 10_000 };
+            KernelTuner::new(|| Box::new(GridOptimizer::new(4)), cfg).tune(&mut e, seed).unwrap()
         };
         let a = run(1);
         let b = run(99);
@@ -159,16 +153,16 @@ mod tests {
         // list): the sweep exhausts after one setting and the run ends
         // without touching the budget loop.
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 2);
-        let cfg = KernelConfig { pop: 8, max_iterations: 100, stall_limit: 10_000 };
+        let cfg = KernelConfig { max_iterations: 100, stall_limit: 10_000 };
         let out =
-            KernelTuner::new(|| Box::new(GridOptimizer::new(1, 8)), cfg).tune(&mut e, 2).unwrap();
+            KernelTuner::new(|| Box::new(GridOptimizer::new(1)), cfg).tune(&mut e, 2).unwrap();
         assert_eq!(out.evaluations, 1);
     }
 
     #[test]
     fn asked_settings_never_repeat() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 3);
-        let mut opt = GridOptimizer::new(3, 16);
+        let mut opt = GridOptimizer::new(3);
         opt.init(&mut SearchCtx::new(&mut e), 0, &Telemetry::noop());
         let mut all = SettingSet::default();
         for _ in 0..6 {

@@ -17,7 +17,7 @@
 //! [`OpenTunerGa::tune_legacy`] solely as the reference side of the
 //! `ga_asktell_oracle` differential test — the two are bit-identical.
 
-use cst_ga::{GaConfig, GaState, Genome};
+use cst_ga::{GaConfig, GaState, Genome, POPULATION};
 use cst_space::{OptSpace, ParamId, Setting, N_PARAMS};
 use cst_telemetry::Telemetry;
 use cstuner_core::{
@@ -77,8 +77,7 @@ impl OpenTunerGa {
         let cards: Vec<u32> =
             ParamId::ALL.iter().map(|&p| eval.space().values(p).len() as u32).collect();
         assert_eq!(cards.len(), N_PARAMS);
-        let pop = self.ga.n_islands * self.ga.pop_per_island;
-        let mut rec = Recorder::new(pop, self.max_iterations).with_telemetry(tel);
+        let mut rec = Recorder::new(self.max_iterations).with_telemetry(tel);
         let mut state = GaState::new(Genome::new(cards), self.ga, seed);
         state.set_telemetry(tel);
         // OpenTuner starts from the user's default configuration and its
@@ -91,7 +90,7 @@ impl OpenTunerGa {
                 .collect()
         };
         let mut seeds = vec![encode(eval, &Setting::baseline())];
-        for _ in 1..pop {
+        for _ in 1..POPULATION {
             let s = eval.random_valid();
             seeds.push(encode(eval, &s));
         }
@@ -160,11 +159,10 @@ impl Optimizer for GaOptimizer {
         let cards: Vec<u32> =
             ParamId::ALL.iter().map(|&p| ctx.space().values(p).len() as u32).collect();
         assert_eq!(cards.len(), N_PARAMS);
-        let pop = self.ga.n_islands * self.ga.pop_per_island;
         let mut state = GaState::new(Genome::new(cards), self.ga, seed);
         state.set_telemetry(tel);
         // Same seeding as the legacy driver: the baseline setting plus
-        // pop−1 valid draws from the evaluator's stream, in that order.
+        // POPULATION−1 valid draws from the evaluator's stream, in order.
         let encode = |ctx: &SearchCtx<'_>, s: &Setting| -> Vec<u32> {
             ParamId::ALL
                 .iter()
@@ -173,12 +171,12 @@ impl Optimizer for GaOptimizer {
         };
         let mut seeds = vec![encode(ctx, &Setting::baseline())];
         // Warm-start seeds join right after the baseline (capped at
-        // pop−1, skipping any not encodable on this space's value
+        // POPULATION−1, skipping any not encodable on this space's value
         // lists); the rest of the population stays random draws, so a
         // cold run consumes the evaluator's stream exactly as before.
         let warm = std::mem::take(&mut self.warm);
         for mut s in warm {
-            if seeds.len() >= pop {
+            if seeds.len() >= POPULATION {
                 break;
             }
             s.canonicalize();
@@ -188,7 +186,7 @@ impl Optimizer for GaOptimizer {
                 seeds.push(encode(ctx, &s));
             }
         }
-        while seeds.len() < pop {
+        while seeds.len() < POPULATION {
             let s = ctx.random_valid();
             seeds.push(encode(ctx, &s));
         }

@@ -1,5 +1,6 @@
 //! Uniform random search over valid settings.
 
+use cst_ga::POPULATION;
 use cst_space::Setting;
 use cstuner_core::{Observation, Optimizer, SearchCtx};
 
@@ -8,19 +9,11 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 /// seeded stream, so draw order matches the pre-kernel loop bit for
 /// bit), nothing learned from tells. Any informed tuner must beat this
 /// at equal budget.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RandomOptimizer {
-    /// Draws per ask (matched to the recorded iteration size).
-    pub pop: usize,
     /// Warm-start seeds served as the first ask (instead of random
     /// draws, keeping the post-warm draw stream aligned with cold runs).
     pub warm: Vec<Setting>,
-}
-
-impl Default for RandomOptimizer {
-    fn default() -> Self {
-        RandomOptimizer { pop: 32, warm: Vec::new() }
-    }
 }
 
 impl Optimizer for RandomOptimizer {
@@ -43,13 +36,13 @@ impl Optimizer for RandomOptimizer {
                     s
                 })
                 .filter(|s| ctx.is_valid(s))
-                .take(self.pop)
+                .take(POPULATION)
                 .collect();
             if !firsts.is_empty() {
                 return firsts;
             }
         }
-        (0..self.pop).map(|_| ctx.random_valid()).collect()
+        (0..POPULATION).map(|_| ctx.random_valid()).collect()
     }
 
     fn tell(&mut self, _obs: &[Observation]) {}
@@ -65,8 +58,8 @@ mod tests {
     #[test]
     fn random_search_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 3);
-        let cfg = KernelConfig { pop: 8, max_iterations: 5, ..KernelConfig::DEFAULT };
-        let mut t = KernelTuner::new(|| Box::new(RandomOptimizer { pop: 8, warm: vec![] }), cfg);
+        let cfg = KernelConfig { max_iterations: 5, ..KernelConfig::DEFAULT };
+        let mut t = KernelTuner::new(|| Box::new(RandomOptimizer::default()), cfg);
         let out = t.tune(&mut e, 3).unwrap();
         assert_eq!(out.tuner, "Random");
         assert!(out.best_time_ms.is_finite());

@@ -25,15 +25,18 @@ use cst_gpu_sim::GpuArch;
 use cst_space::{OptSpace, ParamId};
 use cst_stencil::{all_specs, StencilSpec};
 use cstuner_core::{CsTuner, CsTunerConfig};
+use std::cell::OnceCell;
 use std::path::PathBuf;
 
-/// Experiment scale knobs.
+/// Experiment scale knobs, and the landscapes sampled at this scale.
 struct Scale {
     landscape_n: usize,
     seeds: u64,
     ratio_seeds: u64,
     iso_iterations: u32,
     budget_s: f64,
+    /// Figs. 2–4 read the same landscapes: sampled on first use, once.
+    landscapes: OnceCell<Vec<Landscape>>,
 }
 
 impl Scale {
@@ -42,11 +45,35 @@ impl Scale {
     /// ablation, until `results/` is regenerated at the paper's count.
     /// `--seeds N` sets all of them.
     fn full() -> Self {
-        Scale { landscape_n: 20_000, seeds: 5, ratio_seeds: 2, iso_iterations: 10, budget_s: 100.0 }
+        Scale {
+            landscape_n: 20_000,
+            seeds: 5,
+            ratio_seeds: 2,
+            iso_iterations: 10,
+            budget_s: 100.0,
+            landscapes: OnceCell::new(),
+        }
     }
 
     fn quick() -> Self {
-        Scale { landscape_n: 2_000, seeds: 2, ratio_seeds: 1, iso_iterations: 4, budget_s: 30.0 }
+        Scale {
+            landscape_n: 2_000,
+            seeds: 2,
+            ratio_seeds: 1,
+            iso_iterations: 4,
+            budget_s: 30.0,
+            landscapes: OnceCell::new(),
+        }
+    }
+
+    /// Every stencil's landscape on the A100.
+    fn landscapes(&self) -> &[Landscape] {
+        self.landscapes.get_or_init(|| {
+            all_specs()
+                .iter()
+                .map(|s| sample_landscape(s, &GpuArch::a100(), self.landscape_n, 0xf16))
+                .collect()
+        })
     }
 }
 
@@ -128,15 +155,8 @@ fn table3(_: &Scale) {
 
 // --------------------------------------------------------------- figures --
 
-fn landscapes(scale: &Scale) -> Vec<Landscape> {
-    all_specs()
-        .iter()
-        .map(|s| sample_landscape(s, &GpuArch::a100(), scale.landscape_n, 0xf16))
-        .collect()
-}
-
 fn fig2(scale: &Scale) {
-    let ls = landscapes(scale);
+    let ls = scale.landscapes();
     let mut t = Table::new(
         "fig2",
         "Fig. 2 — speedup distribution of settings over the optimum",
@@ -145,7 +165,7 @@ fn fig2(scale: &Scale) {
     let mut raw = Vec::new();
     let mut avg_top = 0.0;
     let mut avg_bottom = 0.0;
-    for l in &ls {
+    for l in ls {
         let bins = speedup_distribution(l);
         avg_top += fraction_at_least(l, 0.8);
         avg_bottom += bins[0];
@@ -164,7 +184,7 @@ fn fig2(scale: &Scale) {
 }
 
 fn fig3(scale: &Scale) {
-    let ls = landscapes(scale);
+    let ls = scale.landscapes();
     let mut t = Table::new(
         "fig3",
         "Fig. 3 — distribution of parameter-pair divergence from the optimum",
@@ -173,7 +193,7 @@ fn fig3(scale: &Scale) {
     let mut raw = Vec::new();
     let mut avg_diverging = 0.0;
     let mut avg_gt40 = 0.0;
-    for l in &ls {
+    for l in ls {
         let bins = pair_divergence_distribution(l);
         avg_diverging += 1.0 - bins[0];
         avg_gt40 += bins[2] + bins[3] + bins[4];
@@ -192,7 +212,7 @@ fn fig3(scale: &Scale) {
 }
 
 fn fig4(scale: &Scale) {
-    let ls = landscapes(scale);
+    let ls = scale.landscapes();
     let mut t = Table::new(
         "fig4",
         "Fig. 4 — speedup of the top-n settings over the optimum",
@@ -200,7 +220,7 @@ fn fig4(scale: &Scale) {
     );
     let mut raw = Vec::new();
     let mut sums = [0.0; 3];
-    for l in &ls {
+    for l in ls {
         let s = [top_n_speedup(l, 10), top_n_speedup(l, 50), top_n_speedup(l, 100)];
         for (acc, v) in sums.iter_mut().zip(s) {
             *acc += v;

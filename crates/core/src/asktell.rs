@@ -34,6 +34,7 @@
 //!    rounds until the generation closes — preserving the legacy
 //!    journal event sequence bit for bit.
 
+use cst_ga::POPULATION;
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
 use cst_telemetry::{event, Telemetry};
@@ -145,12 +146,10 @@ pub trait Optimizer {
     }
 }
 
-/// Driver knobs for one [`drive`] run.
+/// Driver knobs for one [`drive`] run. A recorded iteration is always
+/// one population of fresh evaluations ([`cst_ga::POPULATION`], §V-A2).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
-    /// Evaluations per recorded iteration (csTuner's population-size
-    /// accounting, §V-A2).
-    pub pop: usize,
     /// Iteration cap (u32::MAX = budget-bound only).
     pub max_iterations: u32,
     /// Abort after this many consecutive told settings without a fresh
@@ -165,10 +164,9 @@ pub struct KernelConfig {
 }
 
 impl KernelConfig {
-    /// csTuner's population of 32 evaluations per iteration, bound only by
-    /// the budget, with no stall backstop.
+    /// Bound only by the budget, with no stall backstop.
     pub const DEFAULT: KernelConfig =
-        KernelConfig { pop: 32, max_iterations: u32::MAX, stall_limit: u64::MAX };
+        KernelConfig { max_iterations: u32::MAX, stall_limit: u64::MAX };
 }
 
 /// Run an optimizer to completion under one evaluator: the single search
@@ -188,7 +186,7 @@ pub fn drive(
     seed: u64,
     tel: &Telemetry,
 ) -> Result<TuningOutcome, TuneError> {
-    let mut rec = Recorder::new(cfg.pop, cfg.max_iterations).with_telemetry(tel);
+    let mut rec = Recorder::new(cfg.max_iterations).with_telemetry(tel);
     let span = tel.span("search", eval.clock().now_s());
     opt.init(&mut SearchCtx::new(eval), seed, tel);
     let mut stalled: u64 = 0;
@@ -270,13 +268,13 @@ impl Tuner for KernelTuner {
     }
 }
 
-/// Batches evaluations into iterations of `pop` and records the
-/// best-so-far curve, matching the accounting of csTuner's search stage
-/// ("the number of parameter settings evaluated during one iteration is
-/// set to the population size", §V-A2).
+/// Batches evaluations into iterations of one population
+/// ([`cst_ga::POPULATION`]) and records the best-so-far curve, matching
+/// the accounting of csTuner's search stage ("the number of parameter
+/// settings evaluated during one iteration is set to the population
+/// size", §V-A2).
 #[derive(Debug, Clone)]
 pub struct Recorder {
-    pop: usize,
     in_iter: usize,
     iteration: u32,
     best_ms: f64,
@@ -296,11 +294,9 @@ pub struct Recorder {
 const SAMPLE_CAP: usize = 48;
 
 impl Recorder {
-    /// New recorder with the iteration batch size and iteration cap.
-    pub fn new(pop: usize, max_iterations: u32) -> Self {
-        assert!(pop > 0);
+    /// New recorder with the iteration cap.
+    pub fn new(max_iterations: u32) -> Self {
         Recorder {
-            pop,
             in_iter: 0,
             iteration: 0,
             best_ms: f64::INFINITY,
@@ -348,7 +344,7 @@ impl Recorder {
                 self.fresh_finite += 1;
             }
         }
-        if self.in_iter >= self.pop {
+        if self.in_iter >= POPULATION {
             self.close_iteration(eval);
         }
         t
@@ -463,13 +459,15 @@ mod tests {
     #[test]
     fn recorder_batches_iterations() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 1);
-        let mut r = Recorder::new(4, 100);
-        for _ in 0..9 {
+        let mut r = Recorder::new(100);
+        for _ in 0..2 * POPULATION + 1 {
             let s = e.random_valid();
             r.measure(&mut e, s);
         }
         let out = r.finish("test", &e).unwrap();
-        // 9 evals at pop 4 → 2 full iterations + 1 flush.
+        // 65 fresh evals at a population of 32 → 2 full iterations + 1
+        // flush.
+        assert_eq!(out.evaluations, 65);
         assert_eq!(out.curve.len(), 3);
         assert_eq!(out.curve.last().unwrap().iteration, 3);
     }
@@ -477,14 +475,14 @@ mod tests {
     #[test]
     fn recorder_respects_iteration_cap() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 2);
-        let mut r = Recorder::new(2, 3);
+        let mut r = Recorder::new(3);
         let mut n = 0;
-        while !r.done(&e) && n < 100 {
+        while !r.done(&e) && n < 1000 {
             let s = e.random_valid();
             r.measure(&mut e, s);
             n += 1;
         }
-        assert_eq!(n, 6, "3 iterations × pop 2");
+        assert_eq!(n, 96, "3 iterations × a population of 32");
     }
 
     /// A strategy that proposes one fixed setting forever: the stall
@@ -514,7 +512,7 @@ mod tests {
             1e9,
         );
         let mut opt = OneTrickPony { s: None };
-        let cfg = KernelConfig { pop: 1, stall_limit: 16, ..KernelConfig::DEFAULT };
+        let cfg = KernelConfig { stall_limit: 16, ..KernelConfig::DEFAULT };
         let out = drive(&mut opt, &mut e, &cfg, 3, &Telemetry::noop()).unwrap();
         assert_eq!(out.evaluations, 1, "one fresh evaluation, then memoized spins");
         assert!(out.best_time_ms.is_finite());
@@ -537,7 +535,7 @@ mod tests {
     #[test]
     fn recorder_sample_log_is_bounded_and_keeps_the_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 5);
-        let mut r = Recorder::new(8, 1000);
+        let mut r = Recorder::new(1000);
         for _ in 0..500 {
             let s = e.random_valid();
             r.measure(&mut e, s);
@@ -554,7 +552,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 6);
-            let mut r = Recorder::new(8, 1000);
+            let mut r = Recorder::new(1000);
             for _ in 0..200 {
                 let s = e.random_valid();
                 r.measure(&mut e, s);

@@ -143,9 +143,9 @@ pub struct CsTunerConfig {
     pub dataset_size: usize,
     /// Number of metric collections for Algorithm 2.
     pub n_metric_collections: usize,
-    /// Sampling stage options (ratio, PMNF exponent ranges).
+    /// Sampling stage options (ratio, random-sampling ablation).
     pub sampling: SamplingConfig,
-    /// Genetic algorithm options.
+    /// Genetic algorithm options (migration on or off).
     pub ga: GaConfig,
     /// `n` for the CV(top-n) approximation.
     pub top_n: usize,

@@ -185,21 +185,23 @@ impl ScoreCache {
 const _: () =
     assert!(std::mem::size_of::<Option<(Setting, f64)>>() << ScoreCache::BITS < 128 << 10);
 
+/// PMNF polynomial exponents `i` (the paper's §V-A: {0, 1, 2}).
+pub const PMNF_I: [u32; 3] = [0, 1, 2];
+/// PMNF logarithm exponents `j` (the paper's §V-A: {0, 1}).
+pub const PMNF_J: [u32; 2] = [0, 1];
+/// Cap on the combinations enumerated per parameter group, here and in
+/// Garvey's group sampling (this tree's choice).
+pub const ENUM_LIMIT: usize = 8192;
+/// Combos kept per group whatever the ratio, so groups no larger than
+/// this are not pruned at all: they are searched exhaustively anyway per
+/// the §IV-E degeneration rule (this tree's choice).
+const MIN_KEEP: usize = 32;
+
 /// Configuration of the sampling stage.
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
     /// Fraction of each group's candidate combinations kept (§V-A: 10%).
     pub ratio: f64,
-    /// PMNF polynomial exponents (§V-A: {0, 1, 2}).
-    pub i_range: Vec<u32>,
-    /// PMNF logarithm exponents (§V-A: {0, 1}).
-    pub j_range: Vec<u32>,
-    /// Cap on enumerated combinations per group.
-    pub enum_limit: usize,
-    /// Keep at least this many combos per group regardless of ratio —
-    /// groups no larger than this are not pruned at all (they will be
-    /// searched exhaustively anyway per the §IV-E degeneration rule).
-    pub min_keep: usize,
     /// Ablation: when set, replace the PMNF-guided cut with a *random*
     /// sample at the same ratio (Garvey-style), seeded by the value. This
     /// isolates the contribution of the model-guided filtering (§IV-D).
@@ -208,14 +210,7 @@ pub struct SamplingConfig {
 
 impl Default for SamplingConfig {
     fn default() -> Self {
-        SamplingConfig {
-            ratio: 0.10,
-            i_range: vec![0, 1, 2],
-            j_range: vec![0, 1],
-            enum_limit: 8192,
-            min_keep: 32,
-            random_mode: None,
-        }
+        SamplingConfig { ratio: 0.10, random_mode: None }
     }
 }
 
@@ -278,7 +273,7 @@ pub fn sample_space(
     let log_times: Vec<f64> = dataset.times().iter().map(|t| t.max(1e-6).ln()).collect();
     let targets: Vec<&[f64]> =
         columns.iter().map(Vec::as_slice).chain([log_times.as_slice()]).collect();
-    let mut fitted = fit_pmnf_targets(&xs, &targets, &group_indices, &cfg.i_range, &cfg.j_range);
+    let mut fitted = fit_pmnf_targets(&xs, &targets, &group_indices, &PMNF_I, &PMNF_J);
     let time_model = fitted.pop().expect("one model per target");
     let models: Vec<MetricModel> = representatives
         .iter()
@@ -315,7 +310,7 @@ pub fn sample_space(
     let mut buf = Vec::new();
     let mut cache = ScoreCache::new();
     for (group_idx, group) in groups.iter().enumerate() {
-        let candidates = space.enumerate_group_repaired(&base, group, cfg.enum_limit);
+        let candidates = space.enumerate_group_repaired(&base, group, ENUM_LIMIT);
         // Score each candidate by the models' predicted slowness — in the
         // *base context* with the combo applied and repaired, since that is
         // the only context available before the search runs. Combos whose
@@ -362,7 +357,7 @@ pub fn sample_space(
         sampled.impact.push(std_dev(&all_scores));
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let keep =
-            ((scored.len() as f64 * cfg.ratio).ceil() as usize).max(cfg.min_keep).min(scored.len());
+            ((scored.len() as f64 * cfg.ratio).ceil() as usize).max(MIN_KEEP).min(scored.len());
         let mut kept: Vec<Vec<u32>> = scored.into_iter().take(keep).map(|(_, c)| c).collect();
         kept.extend(context_dependent);
         // Always retain the incumbent's own values so the search starts

@@ -14,7 +14,7 @@ use crate::asktell::Recorder;
 use crate::evaluator::Evaluator;
 use crate::pipeline::CurvePoint;
 use crate::sampling::SampledSpace;
-use cst_ga::{GaConfig, GaState, Genome};
+use cst_ga::{GaConfig, GaState, Genome, POPULATION};
 use cst_space::Setting;
 use cst_stats::coefficient_of_variation;
 use cst_telemetry::{event, Telemetry};
@@ -30,7 +30,7 @@ const SCREEN_CARD_MIN: u32 = 512;
 /// Search stage configuration.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Genetic algorithm options (§V-A defaults).
+    /// Genetic algorithm options (migration on or off).
     pub ga: GaConfig,
     /// `n` of the CV(top-n) approximation test.
     pub top_n: usize,
@@ -73,12 +73,11 @@ pub fn evolutionary_search(
     tel: &Telemetry,
 ) -> SearchResult {
     let cards = sampled.cards();
-    let pop_total = cfg.ga.n_islands * cfg.ga.pop_per_island;
     // Iteration accounting matches the paper's §V-A2 convention: one
     // iteration is one GA generation (≈ one population of evaluations);
     // the exhaustive pre-pass and the refinement batch their evaluations
     // by population size.
-    let mut rec = Recorder::new(pop_total, cfg.max_iterations).with_telemetry(tel);
+    let mut rec = Recorder::new(cfg.max_iterations).with_telemetry(tel);
 
     // Seed the incumbent and the untuned default configuration — a tuner
     // must never report a setting worse than what the user started with.
@@ -95,7 +94,7 @@ pub fn evolutionary_search(
 
     // Degeneration rule (§IV-E): a sampled space that fits inside one
     // population is searched exhaustively — the GA has nothing to evolve.
-    if sampled.size() <= pop_total as u64 {
+    if sampled.size() <= POPULATION as u64 {
         let mut idx = vec![0u32; cards.len()];
         'exh: loop {
             if rec.done(eval) {
@@ -167,7 +166,7 @@ pub fn evolutionary_search(
             }
             // CV(top-n) over the current population's times.
             let top: Vec<f64> = state.top_n_fitness(cfg.top_n).iter().map(|f| -f).collect();
-            let converged = top.len() >= cfg.top_n.min(pop_total)
+            let converged = top.len() >= cfg.top_n.min(POPULATION)
                 && coefficient_of_variation(&top) < cfg.cv_threshold;
             if converged || stalled >= 2 {
                 let g = open_groups[cursor];

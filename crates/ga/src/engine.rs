@@ -5,35 +5,36 @@ use cst_telemetry::{event, Counter, Telemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Genetic algorithm options, defaulting to the paper's §V-A values:
-/// 2 sub-populations of 16 individuals, crossover 0.8, mutation 0.005.
+/// Islands (sub-populations) of the GA (the paper's §V-A: 2).
+const ISLANDS: usize = 2;
+/// Individuals per island (the paper's §V-A: 16).
+const ISLAND_POP: usize = 16;
+/// The whole population, which is also one iteration's evaluations for
+/// every tuner (the paper's §V-A2 accounting).
+pub const POPULATION: usize = ISLANDS * ISLAND_POP;
+/// Probability a child is bred by crossover, otherwise the fitter parent
+/// is cloned (the paper's §V-A: 0.8).
+const CROSSOVER_RATE: f64 = 0.8;
+/// Per-bit mutation probability (the paper's §V-A: 0.005).
+const MUTATION_RATE: f64 = 0.005;
+/// Individuals each island sends per ring migration (this tree's choice).
+const MIGRATION_COUNT: usize = 1;
+
+// Neighborhood selection draws two distinct parents among four ring
+// neighbours.
+const _: () = assert!(ISLANDS >= 1 && ISLAND_POP >= 4, "population too small");
+
+/// The one GA option a run may change: the no-migration ablation turns
+/// migration off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
-    /// Number of islands (sub-populations).
-    pub n_islands: usize,
-    /// Individuals per island.
-    pub pop_per_island: usize,
-    /// Probability a child is bred by crossover (otherwise the fitter
-    /// parent is cloned).
-    pub crossover_rate: f64,
-    /// Per-bit mutation probability.
-    pub mutation_rate: f64,
-    /// Generations between ring migrations.
+    /// Generations between ring migrations (this tree's default: 2).
     pub migration_interval: u32,
-    /// Individuals exchanged per migration per island.
-    pub migration_count: usize,
 }
 
 impl Default for GaConfig {
     fn default() -> Self {
-        GaConfig {
-            n_islands: 2,
-            pop_per_island: 16,
-            crossover_rate: 0.8,
-            mutation_rate: 0.005,
-            migration_interval: 2,
-            migration_count: 1,
-        }
+        GaConfig { migration_interval: 2 }
     }
 }
 
@@ -71,12 +72,11 @@ impl GaState {
     /// Initialize random islands (individuals unevaluated until the first
     /// generation).
     pub fn new(genome: Genome, cfg: GaConfig, seed: u64) -> Self {
-        assert!(cfg.n_islands >= 1 && cfg.pop_per_island >= 4, "population too small");
         let mut seeder = StdRng::seed_from_u64(seed);
-        let islands = (0..cfg.n_islands)
+        let islands = (0..ISLANDS)
             .map(|_| {
                 let mut rng = StdRng::seed_from_u64(seeder.gen());
-                let pop = (0..cfg.pop_per_island).map(|_| genome.random(&mut rng)).collect();
+                let pop = (0..ISLAND_POP).map(|_| genome.random(&mut rng)).collect();
                 Island { pop, rng }
             })
             .collect();
@@ -136,12 +136,10 @@ impl GaState {
     /// # Panics
     /// Panics if any genome is out of range for the layout.
     pub fn seed_with(&mut self, genomes: &[Vec<u32>]) {
-        let n_islands = self.islands.len();
-        let pop = self.cfg.pop_per_island;
-        for (i, genes) in genomes.iter().take(n_islands * pop).enumerate() {
+        for (i, genes) in genomes.iter().take(POPULATION).enumerate() {
             let ind = Individual::new(genes.clone());
             assert!(self.genome.in_range(&ind), "seed genome out of range");
-            self.islands[i % n_islands].pop[i / n_islands] = ind;
+            self.islands[i % ISLANDS].pop[i / ISLANDS] = ind;
         }
     }
 
@@ -269,7 +267,7 @@ impl GaState {
         self.bred = false;
         self.generation += 1;
         // Migrate best individuals around the single ring.
-        if self.cfg.n_islands > 1 && self.generation.is_multiple_of(self.cfg.migration_interval) {
+        if ISLANDS > 1 && self.generation.is_multiple_of(self.cfg.migration_interval) {
             self.migrate();
         }
         self.tel.add(Counter::GaGenerations, 1);
@@ -297,7 +295,6 @@ impl GaState {
     /// pending batch.
     fn breed(&mut self) {
         self.bred = true;
-        let cfg = self.cfg;
         let frozen = self.frozen.clone();
         for isl in &mut self.islands {
             let mut next = Vec::with_capacity(isl.pop.len());
@@ -312,13 +309,13 @@ impl GaState {
             while next.len() < isl.pop.len() {
                 let slot = next.len();
                 let (pa, pb) = select_parents(&isl.pop, slot, &mut isl.rng);
-                let mut child = if isl.rng.gen_bool(cfg.crossover_rate) {
+                let mut child = if isl.rng.gen_bool(CROSSOVER_RATE) {
                     self.genome.crossover(&isl.pop[pa], &isl.pop[pb], &mut isl.rng)
                 } else {
                     let better = if isl.pop[pa].fitness >= isl.pop[pb].fitness { pa } else { pb };
                     Individual::new(isl.pop[better].genes.clone())
                 };
-                self.genome.mutate(&mut child, cfg.mutation_rate, &mut isl.rng);
+                self.genome.mutate(&mut child, MUTATION_RATE, &mut isl.rng);
                 for (d, f) in frozen.iter().enumerate() {
                     if let Some(v) = f {
                         child.genes[d] = *v;
@@ -333,7 +330,6 @@ impl GaState {
 
     fn migrate(&mut self) {
         let n = self.islands.len();
-        let count = self.cfg.migration_count;
         // Collect emigrants first so migration is simultaneous.
         let emigrants: Vec<Vec<Individual>> = self
             .islands
@@ -341,7 +337,7 @@ impl GaState {
             .map(|isl| {
                 let mut sorted: Vec<&Individual> = isl.pop.iter().collect();
                 sorted.sort_by(|a, b| b.fitness.partial_cmp(&a.fitness).unwrap());
-                sorted.into_iter().take(count).cloned().collect()
+                sorted.into_iter().take(MIGRATION_COUNT).cloned().collect()
             })
             .collect();
         for (k, movers) in emigrants.into_iter().enumerate() {
@@ -496,8 +492,8 @@ mod tests {
         // With migration the second island benefits from the first's
         // discoveries; verify runs with migration at least match isolated
         // islands on the deceptive fitness (statistically, fixed seeds).
-        let cfg_mig = GaConfig { migration_interval: 1, ..Default::default() };
-        let cfg_iso = GaConfig { migration_interval: u32::MAX, ..Default::default() };
+        let cfg_mig = GaConfig { migration_interval: 1 };
+        let cfg_iso = GaConfig { migration_interval: u32::MAX };
         let score = |cfg: GaConfig| {
             let mut acc = 0.0;
             for seed in 0..8 {

@@ -26,5 +26,5 @@
 pub mod engine;
 pub mod genome;
 
-pub use engine::{GaConfig, GaState};
+pub use engine::{GaConfig, GaState, POPULATION};
 pub use genome::{Genome, Individual};

@@ -1,7 +1,10 @@
 //! The timing half of the performance model: footprint → milliseconds.
 
 use crate::arch::GpuArch;
-use crate::footprint::{footprint, occ_factor, Footprint, ModelParams};
+use crate::footprint::{
+    footprint, occ_factor, Footprint, COMPILE_PER_COMPLEXITY, OVERLAP, RUGGEDNESS, RUNS_PER_EVAL,
+    RUN_TIMEOUT_MS, SPILL_COMPUTE_PENALTY,
+};
 use cst_space::hash::fnv1a;
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
@@ -47,14 +50,9 @@ pub fn perturbation(spec: &StencilSpec, arch: &GpuArch, s: &Setting) -> f64 {
 /// validity layer excludes both classes up front (§IV-B "non-spilled
 /// parameter settings"), but baselines without that layer will see the
 /// penalty.
-pub fn kernel_cost(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    s: &Setting,
-    mp: &ModelParams,
-) -> CostBreakdown {
-    let f = footprint(spec, arch, s, mp);
-    kernel_cost_from_footprint(spec, arch, s, &f, mp)
+pub fn kernel_cost(spec: &StencilSpec, arch: &GpuArch, s: &Setting) -> CostBreakdown {
+    let f = footprint(spec, arch, s);
+    kernel_cost_from_footprint(spec, arch, s, &f)
 }
 
 /// Same as [`kernel_cost`] but reusing an existing footprint.
@@ -63,7 +61,6 @@ pub fn kernel_cost_from_footprint(
     arch: &GpuArch,
     s: &Setting,
     f: &Footprint,
-    mp: &ModelParams,
 ) -> CostBreakdown {
     let launch_ms = arch.launch_us / 1000.0;
     if f.tb_per_sm == 0 {
@@ -76,7 +73,7 @@ pub fn kernel_cost_from_footprint(
         };
     }
     let pts = spec.total_points() as f64;
-    let occ_c = occ_factor(f.occupancy, spec.class, mp);
+    let occ_c = occ_factor(f.occupancy, spec.class);
 
     // SM-level utilization: a grid smaller than one wave leaves SMs idle.
     let sm_util = f.waves.min(1.0);
@@ -89,7 +86,7 @@ pub fn kernel_cost_from_footprint(
         comp_eff *= 1.0 + 0.035 * (spec.coefficients as f64 / 40.0).min(1.0);
     }
     if f.spilled {
-        comp_eff *= mp.spill_compute_penalty;
+        comp_eff *= SPILL_COMPUTE_PENALTY;
     }
     let compute_ms = pts * f.flops_eff / (arch.fp64_gflops * 1e6) / comp_eff.max(1e-3);
 
@@ -99,7 +96,7 @@ pub fn kernel_cost_from_footprint(
     // occupancy — the two penalties are sub-multiplicative.
     let occ_mem = (f.occupancy / f.gld_eff.max(0.25)).min(1.0);
     let mem_eff =
-        occ_factor(occ_mem, cst_stencil::StencilClass::MemoryBound, mp) * f.tail_eff * sm_util;
+        occ_factor(occ_mem, cst_stencil::StencilClass::MemoryBound) * f.tail_eff * sm_util;
     let memory_ms = f.dram_bytes / (arch.dram_gbps * 1e6) / mem_eff.max(1e-3);
 
     // --- Synchronization -------------------------------------------------------
@@ -115,8 +112,8 @@ pub fn kernel_cost_from_footprint(
 
     let (hi, lo) =
         if compute_ms >= memory_ms { (compute_ms, memory_ms) } else { (memory_ms, compute_ms) };
-    let mut total = hi + (1.0 - mp.overlap) * lo + sync_ms + launch_ms;
-    total *= 1.0 + mp.ruggedness * perturbation(spec, arch, s);
+    let mut total = hi + (1.0 - OVERLAP) * lo + sync_ms + launch_ms;
+    total *= 1.0 + RUGGEDNESS * perturbation(spec, arch, s);
     CostBreakdown { compute_ms, memory_ms, sync_ms, launch_ms, total_ms: total }
 }
 
@@ -126,20 +123,14 @@ pub fn kernel_cost_from_footprint(
 /// are pre-generated and batch-compiled so the online search is dominated
 /// by launching and timing; the residual build share still grows with
 /// generated code size (unrolled/merged bodies are bigger).
-pub fn eval_cost_s(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    s: &Setting,
-    kernel_ms: f64,
-    mp: &ModelParams,
-) -> f64 {
+pub fn eval_cost_s(spec: &StencilSpec, arch: &GpuArch, s: &Setting, kernel_ms: f64) -> f64 {
     let uf: u64 = s.uf().iter().map(|&v| v as u64).product();
     let body = s.bm().iter().chain(s.cm().iter()).map(|&v| v as u64).product::<u64>();
     let complexity = spec.flops as f64 / 10.0
         * (1.0 + (uf.min(64) as f64).log2() + 0.5 * (body.min(64) as f64).log2());
-    let compile = arch.compile_base_s * (1.0 + mp.compile_per_complexity * complexity);
+    let compile = arch.compile_base_s * (1.0 + COMPILE_PER_COMPLEXITY * complexity);
     let runs = if kernel_ms.is_finite() {
-        mp.runs_per_eval as f64 * kernel_ms.min(mp.run_timeout_ms) / 1000.0
+        RUNS_PER_EVAL as f64 * kernel_ms.min(RUN_TIMEOUT_MS) / 1000.0
     } else {
         0.0
     };
@@ -154,7 +145,7 @@ mod tests {
 
     fn cost(name: &str, s: &Setting) -> CostBreakdown {
         let spec = suite::spec_by_name(name).unwrap();
-        kernel_cost(&spec, &GpuArch::a100(), s, &ModelParams::default())
+        kernel_cost(&spec, &GpuArch::a100(), s)
     }
 
     #[test]
@@ -262,15 +253,9 @@ mod tests {
     fn eval_cost_grows_with_unrolling() {
         let spec = suite::spec_by_name("hypterm").unwrap();
         let arch = GpuArch::a100();
-        let mp = ModelParams::default();
-        let e0 = eval_cost_s(&spec, &arch, &Setting::baseline(), 5.0, &mp);
-        let e1 = eval_cost_s(
-            &spec,
-            &arch,
-            &Setting::baseline().with(ParamId::UFx, 16).with(ParamId::BMx, 16),
-            5.0,
-            &mp,
-        );
+        let e0 = eval_cost_s(&spec, &arch, &Setting::baseline(), 5.0);
+        let unrolled = Setting::baseline().with(ParamId::UFx, 16).with(ParamId::BMx, 16);
+        let e1 = eval_cost_s(&spec, &arch, &unrolled, 5.0);
         assert!(e1 > e0);
         assert!(e0 > arch.compile_base_s, "compile dominates");
     }
@@ -278,10 +263,9 @@ mod tests {
     #[test]
     fn v100_is_slower_than_a100() {
         let spec = suite::spec_by_name("j3d27pt").unwrap();
-        let mp = ModelParams::default();
         let s = Setting::baseline();
-        let ta = kernel_cost(&spec, &GpuArch::a100(), &s, &mp).total_ms;
-        let tv = kernel_cost(&spec, &GpuArch::v100(), &s, &mp).total_ms;
+        let ta = kernel_cost(&spec, &GpuArch::a100(), &s).total_ms;
+        let tv = kernel_cost(&spec, &GpuArch::v100(), &s).total_ms;
         assert!(tv > ta);
     }
 }

@@ -142,28 +142,12 @@ impl FaultProfile {
     }
 
     /// Read the profile from the environment: `CST_FAULT_SEED=<u64>`
-    /// enables injection with [`FaultProfile::hostile`] defaults, and
-    /// `CST_FAULT_COMPILE` / `CST_FAULT_LAUNCH` / `CST_FAULT_TIMEOUT` /
-    /// `CST_FAULT_OUTLIER` override the per-stage probabilities. Returns
+    /// enables injection with the [`FaultProfile::hostile`] rates. Returns
     /// `None` (injection disabled) when `CST_FAULT_SEED` is unset or
     /// unparsable.
     pub fn from_env() -> Option<Self> {
         let seed = std::env::var("CST_FAULT_SEED").ok()?.trim().parse::<u64>().ok()?;
-        let mut p = FaultProfile::hostile(seed);
-        let knob = |name: &str, field: &mut f64| {
-            if let Ok(v) = std::env::var(name) {
-                if let Ok(x) = v.trim().parse::<f64>() {
-                    if (0.0..=1.0).contains(&x) {
-                        *field = x;
-                    }
-                }
-            }
-        };
-        knob("CST_FAULT_COMPILE", &mut p.p_compile);
-        knob("CST_FAULT_LAUNCH", &mut p.p_launch);
-        knob("CST_FAULT_TIMEOUT", &mut p.p_timeout);
-        knob("CST_FAULT_OUTLIER", &mut p.p_outlier);
-        Some(p)
+        Some(FaultProfile::hostile(seed))
     }
 
     /// Whether any fault can ever fire. The fast path that evaluators
@@ -374,16 +358,11 @@ mod tests {
 
     #[test]
     fn env_profile_requires_seed() {
-        // Serialized env access: these vars are only touched here.
+        // Serialized env access: this var is only touched here.
         std::env::remove_var("CST_FAULT_SEED");
         assert!(FaultProfile::from_env().is_none());
         std::env::set_var("CST_FAULT_SEED", "99");
-        std::env::set_var("CST_FAULT_COMPILE", "0.25");
-        let p = FaultProfile::from_env().unwrap();
-        assert_eq!(p.seed, 99);
-        assert_eq!(p.p_compile, 0.25);
-        assert_eq!(p.p_launch, FaultProfile::hostile(0).p_launch);
+        assert_eq!(FaultProfile::from_env(), Some(FaultProfile::hostile(99)));
         std::env::remove_var("CST_FAULT_SEED");
-        std::env::remove_var("CST_FAULT_COMPILE");
     }
 }

@@ -10,73 +10,60 @@ use crate::arch::GpuArch;
 use cst_space::Setting;
 use cst_stencil::{StencilClass, StencilSpec};
 
-/// Tunable constants of the analytical model, collected so tests and
-/// ablations can perturb them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelParams {
-    /// Intrinsic register base for any kernel.
-    pub reg_base: f64,
-    /// Registers per FLOP of straight-line arithmetic.
-    pub reg_per_flop: f64,
-    /// Registers (f64 pairs) per concurrently-merged output point.
-    pub reg_per_merge: f64,
-    /// Extra live registers per additional unrolled iteration.
-    pub reg_per_unroll: f64,
-    /// Register relief factor when retiming homogenizes accesses.
-    pub retiming_reg_relief: f64,
-    /// FLOP overhead factor of retiming's extra accumulations.
-    pub retiming_flop_cost: f64,
-    /// Registers of the per-thread prefetch double buffer, per read array.
-    pub prefetch_reg_per_array: f64,
-    /// Fraction of compute time hidden per unit occupancy for
-    /// compute-bound kernels (half-saturation constant).
-    pub occ_half_compute: f64,
-    /// Same for memory-bound kernels (need more warps in flight).
-    pub occ_half_memory: f64,
-    /// ILP gain per log2 of unroll product.
-    pub ilp_gain: f64,
-    /// Compute-efficiency multiplier once registers spill.
-    pub spill_compute_penalty: f64,
-    /// Extra DRAM bytes per spilled register per point.
-    pub spill_bytes_per_reg: f64,
-    /// Fraction of compute/memory overlap achieved by the hardware.
-    pub overlap: f64,
-    /// Multiplicative amplitude of the deterministic per-setting
-    /// perturbation standing in for unmodeled microarchitectural effects.
-    pub ruggedness: f64,
-    /// Number of timed runs per evaluated setting.
-    pub runs_per_eval: u32,
-    /// Per-run timeout in milliseconds: auto-tuners abort kernels that run
-    /// absurdly long instead of waiting them out, so a setting's charged
-    /// run time is capped here.
-    pub run_timeout_ms: f64,
-    /// Compile-time growth per unit of generated-code complexity.
-    pub compile_per_complexity: f64,
-}
+// The model's calibration: one value per constant for every stencil and
+// architecture, all of them this tree's choice (the paper measures real
+// GPUs). `crate::precomp` reads the same constants, so an A/B of the
+// calibration edits one line here.
 
-impl Default for ModelParams {
-    fn default() -> Self {
-        ModelParams {
-            reg_base: 18.0,
-            reg_per_flop: 0.085,
-            reg_per_merge: 2.0,
-            reg_per_unroll: 2.6,
-            retiming_reg_relief: 0.75,
-            retiming_flop_cost: 1.08,
-            prefetch_reg_per_array: 2.0,
-            occ_half_compute: 0.08,
-            occ_half_memory: 0.18,
-            ilp_gain: 0.06,
-            spill_compute_penalty: 0.35,
-            spill_bytes_per_reg: 0.16,
-            overlap: 0.75,
-            ruggedness: 0.06,
-            runs_per_eval: 3,
-            run_timeout_ms: 400.0,
-            compile_per_complexity: 0.004,
-        }
-    }
-}
+/// Intrinsic register base for any kernel (this tree's calibration).
+pub(crate) const REG_BASE: f64 = 18.0;
+/// Registers per FLOP of straight-line arithmetic (this tree's calibration).
+pub(crate) const REG_PER_FLOP: f64 = 0.085;
+/// Registers (f64 pairs) per concurrently-merged output point (this tree's
+/// calibration).
+pub(crate) const REG_PER_MERGE: f64 = 2.0;
+/// Extra live registers per additional unrolled iteration (this tree's
+/// calibration).
+pub(crate) const REG_PER_UNROLL: f64 = 2.6;
+/// Register relief factor when retiming homogenizes accesses (this tree's
+/// calibration).
+pub(crate) const RETIMING_REG_RELIEF: f64 = 0.75;
+/// FLOP overhead factor of retiming's extra accumulations (this tree's
+/// calibration).
+pub(crate) const RETIMING_FLOP_COST: f64 = 1.08;
+/// Registers of the per-thread prefetch double buffer, per read array
+/// (this tree's calibration).
+pub(crate) const PREFETCH_REG_PER_ARRAY: f64 = 2.0;
+/// Half-saturation occupancy of latency hiding for compute-bound kernels
+/// (this tree's calibration).
+pub(crate) const OCC_HALF_COMPUTE: f64 = 0.08;
+/// Same for memory-bound kernels, which need more warps in flight (this
+/// tree's calibration).
+pub(crate) const OCC_HALF_MEMORY: f64 = 0.18;
+/// ILP gain per log2 of the unroll product (this tree's calibration).
+pub(crate) const ILP_GAIN: f64 = 0.06;
+/// Compute-efficiency multiplier once registers spill (this tree's
+/// calibration).
+pub(crate) const SPILL_COMPUTE_PENALTY: f64 = 0.35;
+/// Extra DRAM bytes per spilled register per point (this tree's
+/// calibration).
+pub(crate) const SPILL_BYTES_PER_REG: f64 = 0.16;
+/// Fraction of compute/memory overlap the hardware achieves (this tree's
+/// calibration).
+pub(crate) const OVERLAP: f64 = 0.75;
+/// Multiplicative amplitude of the deterministic per-setting perturbation
+/// standing in for unmodeled microarchitectural effects (this tree's
+/// calibration).
+pub(crate) const RUGGEDNESS: f64 = 0.06;
+/// Timed runs per evaluated setting (this tree's calibration).
+pub(crate) const RUNS_PER_EVAL: u32 = 3;
+/// Per-run timeout in milliseconds: auto-tuners abort kernels that run
+/// absurdly long instead of waiting them out, so a setting's charged run
+/// time is capped here (this tree's calibration).
+pub(crate) const RUN_TIMEOUT_MS: f64 = 400.0;
+/// Compile-time growth per unit of generated-code complexity (this tree's
+/// calibration).
+pub(crate) const COMPILE_PER_COMPLEXITY: f64 = 0.004;
 
 /// Everything the cost model needs about a (stencil, setting) pair on a
 /// specific architecture.
@@ -128,7 +115,7 @@ pub struct Footprint {
 
 /// Compute the footprint. Pure and cheap (a few hundred FLOPs), so tuners
 /// can call it millions of times.
-pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting, mp: &ModelParams) -> Footprint {
+pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting) -> Footprint {
     let h = spec.halo() as u64;
     let ext = [spec.grid[0] as u64, spec.grid[1] as u64, spec.grid[2] as u64];
     let streaming = s.use_streaming();
@@ -167,24 +154,24 @@ pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting, mp: &ModelPara
     // --- Registers ----------------------------------------------------------
     let uf_eff: u64 = (0..3).map(|d| uf[d].min(cover[d].max(1))).product::<u64>().max(1);
     let flops = spec.flops as f64;
-    let mut regs = mp.reg_base
-        + mp.reg_per_flop * flops.min(700.0)
+    let mut regs = REG_BASE
+        + REG_PER_FLOP * flops.min(700.0)
         + 1.2 * spec.read_arrays as f64
         + 0.8 * spec.write_arrays as f64
-        + mp.reg_per_merge * (merged_pts.saturating_sub(1)) as f64
-        + mp.reg_per_unroll * (uf_eff - 1) as f64;
+        + REG_PER_MERGE * (merged_pts.saturating_sub(1)) as f64
+        + REG_PER_UNROLL * (uf_eff - 1) as f64;
     if s.use_prefetching() {
-        regs += mp.prefetch_reg_per_array * spec.read_arrays as f64;
+        regs += PREFETCH_REG_PER_ARRAY * spec.read_arrays as f64;
     }
     let mut flops_eff = flops;
     if s.use_retiming() {
         if spec.order >= 2 {
-            regs *= mp.retiming_reg_relief;
-            flops_eff *= mp.retiming_flop_cost;
+            regs *= RETIMING_REG_RELIEF;
+            flops_eff *= RETIMING_FLOP_COST;
         } else {
             // Low-order stencils have little register pressure to relieve;
             // retiming only adds accumulation overhead (§II-B4).
-            flops_eff *= mp.retiming_flop_cost;
+            flops_eff *= RETIMING_FLOP_COST;
         }
     }
     if s.use_shared() {
@@ -305,11 +292,11 @@ pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting, mp: &ModelPara
     let mut dram_bytes = pts * 8.0 * (reads_eff / byte_eff + spec.write_arrays as f64 / byte_eff);
     if spilled {
         let excess = regs - arch.max_regs_per_thread as f64;
-        dram_bytes += pts * 8.0 * (mp.spill_bytes_per_reg * excess).min(24.0);
+        dram_bytes += pts * 8.0 * (SPILL_BYTES_PER_REG * excess).min(24.0);
     }
 
     // --- ILP ------------------------------------------------------------------------
-    let ilp = 1.0 + mp.ilp_gain * (uf_eff.min(16) as f64).log2();
+    let ilp = 1.0 + ILP_GAIN * (uf_eff.min(16) as f64).log2();
 
     let stream_steps = if streaming { sb.max(1) } else { 1 };
 
@@ -340,10 +327,10 @@ pub fn footprint(spec: &StencilSpec, arch: &GpuArch, s: &Setting, mp: &ModelPara
 
 /// Occupancy-dependent latency-hiding factor in (0, 1]: saturating in
 /// occupancy, with memory-bound kernels needing more resident warps.
-pub fn occ_factor(occ: f64, class: StencilClass, mp: &ModelParams) -> f64 {
+pub fn occ_factor(occ: f64, class: StencilClass) -> f64 {
     let half = match class {
-        StencilClass::ComputeBound => mp.occ_half_compute,
-        StencilClass::MemoryBound => mp.occ_half_memory,
+        StencilClass::ComputeBound => OCC_HALF_COMPUTE,
+        StencilClass::MemoryBound => OCC_HALF_MEMORY,
     };
     if occ <= 0.0 {
         return 0.0;
@@ -359,14 +346,13 @@ mod tests {
 
     fn fp(name: &str, s: &Setting) -> Footprint {
         let spec = suite::spec_by_name(name).unwrap();
-        footprint(&spec, &GpuArch::a100(), s, &ModelParams::default())
+        footprint(&spec, &GpuArch::a100(), s)
     }
 
     #[test]
     fn baseline_launches_everywhere() {
         for k in suite::all_kernels() {
-            let f =
-                footprint(&k.spec, &GpuArch::a100(), &Setting::baseline(), &ModelParams::default());
+            let f = footprint(&k.spec, &GpuArch::a100(), &Setting::baseline());
             assert!(!f.spilled, "{} spilled at baseline", k.spec.name);
             assert!(f.tb_per_sm > 0, "{} unlaunchable at baseline", k.spec.name);
             assert!(f.occupancy > 0.2, "{} occupancy {}", k.spec.name, f.occupancy);
@@ -479,16 +465,15 @@ mod tests {
 
     #[test]
     fn occ_factor_saturates() {
-        let mp = ModelParams::default();
-        let lo = occ_factor(0.1, StencilClass::MemoryBound, &mp);
-        let mid = occ_factor(0.5, StencilClass::MemoryBound, &mp);
-        let hi = occ_factor(1.0, StencilClass::MemoryBound, &mp);
+        let lo = occ_factor(0.1, StencilClass::MemoryBound);
+        let mid = occ_factor(0.5, StencilClass::MemoryBound);
+        let hi = occ_factor(1.0, StencilClass::MemoryBound);
         assert!(lo < mid && mid < hi);
         assert!((hi - 1.0).abs() < 1e-9);
         // Compute-bound kernels tolerate lower occupancy.
         assert!(
-            occ_factor(0.2, StencilClass::ComputeBound, &mp)
-                > occ_factor(0.2, StencilClass::MemoryBound, &mp)
+            occ_factor(0.2, StencilClass::ComputeBound)
+                > occ_factor(0.2, StencilClass::MemoryBound)
         );
     }
 

@@ -51,7 +51,7 @@ pub use arch::GpuArch;
 pub use clock::VirtualClock;
 pub use cost::CostBreakdown;
 pub use fault::{FaultKind, FaultProfile, FaultStats};
-pub use footprint::{Footprint, ModelParams};
+pub use footprint::Footprint;
 pub use memo::{EvalRecord, MemoStats, SimMemo};
 pub use metrics::{MetricsReport, METRIC_NAMES, N_METRICS};
 pub use precomp::ModelPrecomp;

@@ -13,7 +13,7 @@ use crate::footprint::Footprint;
 use cst_space::{BuildFastHasher, Setting};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Everything the tuner needs about one setting, computed once: the
@@ -56,10 +56,11 @@ pub struct SimMemo {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Entry cap across all shards; 0 means unbounded. Eviction only
-    /// drops cache entries — the model is deterministic, so a re-computed
-    /// record is identical and results never depend on the cap.
-    cap: AtomicUsize,
+    /// Entry cap across all shards, fixed at creation; 0 means unbounded.
+    /// Eviction only drops cache entries — the model is deterministic, so
+    /// a re-computed record is identical and results never depend on the
+    /// cap.
+    cap: usize,
 }
 
 /// Snapshot of [`SimMemo`]'s monitoring counters.
@@ -74,14 +75,9 @@ pub struct MemoStats {
 }
 
 impl Default for SimMemo {
+    /// An unbounded memo.
     fn default() -> Self {
-        SimMemo {
-            shards: std::array::from_fn(|_| RwLock::new(ShardMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            cap: AtomicUsize::new(0),
-        }
+        SimMemo::with_cap(0)
     }
 }
 
@@ -98,40 +94,33 @@ fn shard_index(s: &Setting) -> usize {
 }
 
 impl SimMemo {
-    /// Empty memo bounded to roughly `cap` entries (0 = unbounded).
+    /// Empty memo bounded to roughly `cap` entries (0 = unbounded). The
+    /// cap is spread evenly over the shards, rounding each shard's share
+    /// up, so occupancy can sit above `cap` by less than one entry per
+    /// shard.
     pub fn with_cap(cap: usize) -> Self {
-        let memo = Self::default();
-        memo.set_cap(cap);
-        memo
-    }
-
-    /// The configured entry cap (0 = unbounded).
-    pub fn cap(&self) -> usize {
-        self.cap.load(Ordering::Relaxed)
-    }
-
-    /// Set the entry cap (0 = unbounded) and immediately trim overflowing
-    /// shards. The cap is spread evenly over the shards, rounding each
-    /// shard's share up, so occupancy can sit above `cap` by less than one
-    /// entry per shard.
-    pub fn set_cap(&self, cap: usize) {
-        self.cap.store(cap, Ordering::Relaxed);
-        if cap > 0 {
-            for shard in &self.shards {
-                self.evict_overflow(&mut shard.write().unwrap());
-            }
+        SimMemo {
+            shards: std::array::from_fn(|_| RwLock::new(ShardMap::default())),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            cap,
         }
+    }
+
+    /// The entry cap (0 = unbounded).
+    pub fn cap(&self) -> usize {
+        self.cap
     }
 
     /// Drop arbitrary entries until `shard` fits its per-shard budget.
     /// Which entries go is not deterministic (HashMap order), but eviction
     /// only forgets cache state — recomputation yields identical records.
     fn evict_overflow(&self, shard: &mut ShardMap) {
-        let cap = self.cap.load(Ordering::Relaxed);
-        if cap == 0 {
+        if self.cap == 0 {
             return;
         }
-        let budget = cap.div_ceil(N_SHARDS);
+        let budget = self.cap.div_ceil(N_SHARDS);
         while shard.len() > budget {
             let victim = *shard.keys().next().expect("non-empty over-budget shard");
             shard.remove(&victim);
@@ -190,10 +179,9 @@ mod tests {
     fn dummy_record(t: f64) -> EvalRecord {
         let spec = cst_stencil::spec_by_name("j3d7pt").unwrap();
         let arch = crate::arch::GpuArch::a100();
-        let mp = crate::footprint::ModelParams::default();
         let s = Setting::baseline();
-        let footprint = crate::footprint::footprint(&spec, &arch, &s, &mp);
-        let mut cost = crate::cost::kernel_cost_from_footprint(&spec, &arch, &s, &footprint, &mp);
+        let footprint = crate::footprint::footprint(&spec, &arch, &s);
+        let mut cost = crate::cost::kernel_cost_from_footprint(&spec, &arch, &s, &footprint);
         cost.total_ms = t;
         EvalRecord { footprint, cost, cost_s: t / 1000.0 }
     }
@@ -254,8 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn set_cap_trims_immediately_and_zero_means_unbounded() {
+    fn zero_cap_means_unbounded() {
         let memo = SimMemo::default();
+        assert_eq!(memo.cap(), 0);
         for v in 0..64u32 {
             let mut s = Setting::baseline();
             s.0[0] = v;
@@ -263,9 +252,6 @@ mod tests {
         }
         assert_eq!(memo.len(), 64);
         assert_eq!(memo.stats().evictions, 0, "unbounded memo never evicts");
-        memo.set_cap(16);
-        assert!(memo.len() <= 16);
-        assert!(memo.stats().evictions >= 48);
     }
 
     #[test]

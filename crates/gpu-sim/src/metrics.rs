@@ -111,16 +111,15 @@ pub fn synthesize(
 mod tests {
     use super::*;
     use crate::cost::kernel_cost_from_footprint;
-    use crate::footprint::{footprint, ModelParams};
+    use crate::footprint::footprint;
     use cst_space::{ParamId, Setting};
     use cst_stencil::suite;
 
     fn report(name: &str, s: &Setting) -> MetricsReport {
         let spec = suite::spec_by_name(name).unwrap();
         let arch = GpuArch::a100();
-        let mp = ModelParams::default();
-        let f = footprint(&spec, &arch, s, &mp);
-        let c = kernel_cost_from_footprint(&spec, &arch, s, &f, &mp);
+        let f = footprint(&spec, &arch, s);
+        let c = kernel_cost_from_footprint(&spec, &arch, s, &f);
         synthesize(&spec, &arch, &f, &c)
     }
 

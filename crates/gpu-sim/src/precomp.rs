@@ -2,7 +2,7 @@
 //!
 //! [`crate::footprint::footprint`], [`crate::cost::kernel_cost_from_footprint`]
 //! and [`crate::cost::eval_cost_s`] interleave two kinds of work: quantities
-//! that depend only on `(StencilSpec, GpuArch, ModelParams)` — grid extents,
+//! that depend only on `(StencilSpec, GpuArch)` — grid extents,
 //! per-stencil traffic/flop coefficients, arch throughput denominators, the
 //! L2 plane-window capture ratio, the string hashes seeding the perturbation
 //! — and the handful of flops that actually depend on the [`Setting`].
@@ -23,7 +23,12 @@
 
 use crate::arch::GpuArch;
 use crate::cost::CostBreakdown;
-use crate::footprint::{Footprint, ModelParams};
+use crate::footprint::{
+    Footprint, COMPILE_PER_COMPLEXITY, ILP_GAIN, OCC_HALF_COMPUTE, OCC_HALF_MEMORY, OVERLAP,
+    PREFETCH_REG_PER_ARRAY, REG_BASE, REG_PER_FLOP, REG_PER_MERGE, REG_PER_UNROLL,
+    RETIMING_FLOP_COST, RETIMING_REG_RELIEF, RUGGEDNESS, RUNS_PER_EVAL, RUN_TIMEOUT_MS,
+    SPILL_BYTES_PER_REG, SPILL_COMPUTE_PENALTY,
+};
 use crate::memo::EvalRecord;
 use cst_space::hash::fnv1a;
 use cst_space::Setting;
@@ -67,13 +72,12 @@ impl Decoded {
     }
 }
 
-/// Setting-independent model state for one `(stencil, arch, params)`
-/// triple, built once per [`crate::GpuSim`].
+/// Setting-independent model state for one `(stencil, arch)` pair, built
+/// once per [`crate::GpuSim`].
 #[derive(Debug, Clone)]
 pub struct ModelPrecomp {
     spec: StencilSpec,
     arch: GpuArch,
-    params: ModelParams,
 
     // --- footprint stage ---
     ext: [u64; 3],
@@ -132,8 +136,7 @@ pub struct ModelPrecomp {
 
 impl ModelPrecomp {
     /// Hoist everything setting-independent out of the three model stages.
-    pub fn new(spec: StencilSpec, arch: GpuArch, params: ModelParams) -> Self {
-        let mp = &params;
+    pub fn new(spec: StencilSpec, arch: GpuArch) -> Self {
         let h = spec.halo() as u64;
         let ext = [spec.grid[0] as u64, spec.grid[1] as u64, spec.grid[2] as u64];
         let flops = spec.flops as f64;
@@ -149,22 +152,22 @@ impl ModelPrecomp {
         let f_l2_plain = (0.78 * ratio / (ratio + 0.6)).clamp(0.10, 0.75);
         let mut ilp_lut = [0.0; 17];
         for (i, slot) in ilp_lut.iter_mut().enumerate() {
-            *slot = 1.0 + mp.ilp_gain * (i as f64).log2();
+            *slot = 1.0 + ILP_GAIN * (i as f64).log2();
         }
         let mut log2_lut = [0.0; 65];
         for (i, slot) in log2_lut.iter_mut().enumerate() {
             *slot = (i as f64).log2();
         }
         let half_main = match spec.class {
-            StencilClass::ComputeBound => mp.occ_half_compute,
-            StencilClass::MemoryBound => mp.occ_half_memory,
+            StencilClass::ComputeBound => OCC_HALF_COMPUTE,
+            StencilClass::MemoryBound => OCC_HALF_MEMORY,
         };
-        let half_mem = mp.occ_half_memory;
+        let half_mem = OCC_HALF_MEMORY;
         ModelPrecomp {
             ext,
             flops,
-            regs_prefix: mp.reg_base + mp.reg_per_flop * flops.min(700.0) + 1.2 * ra_f + 0.8 * wa_f,
-            prefetch_regs: mp.prefetch_reg_per_array * ra_f,
+            regs_prefix: REG_BASE + REG_PER_FLOP * flops.min(700.0) + 1.2 * ra_f + 0.8 * wa_f,
+            prefetch_regs: PREFETCH_REG_PER_ARRAY * ra_f,
             no_const_regs: (spec.coefficients as f64 / 16.0).min(6.0),
             retiming_relieves: spec.order >= 2,
             max_regs_f: arch.max_regs_per_thread as f64,
@@ -203,10 +206,9 @@ impl ModelPrecomp {
                 .wrapping_add(fnv1a(arch.name.bytes()).rotate_left(17)),
             log2_lut,
             complexity_base: flops / 10.0,
-            runs_f: mp.runs_per_eval as f64,
+            runs_f: RUNS_PER_EVAL as f64,
             spec,
             arch,
-            params,
         }
     }
 
@@ -233,8 +235,6 @@ impl ModelPrecomp {
     /// matters more than iterator idiom here).
     #[allow(clippy::needless_range_loop)]
     fn footprint_stage(&self, d: &Decoded) -> Footprint {
-        let mp = &self.params;
-
         // --- Decomposition ---
         let mut cover = [0u64; 3];
         let mut merged_pts = 1u64;
@@ -262,18 +262,18 @@ impl ModelPrecomp {
         let uf_eff: u64 =
             (0..3).map(|dim| d.uf[dim].min(cover[dim].max(1))).product::<u64>().max(1);
         let mut regs = self.regs_prefix
-            + mp.reg_per_merge * (merged_pts.saturating_sub(1)) as f64
-            + mp.reg_per_unroll * (uf_eff - 1) as f64;
+            + REG_PER_MERGE * (merged_pts.saturating_sub(1)) as f64
+            + REG_PER_UNROLL * (uf_eff - 1) as f64;
         if d.use_prefetching {
             regs += self.prefetch_regs;
         }
         let mut flops_eff = self.flops;
         if d.use_retiming {
             if self.retiming_relieves {
-                regs *= mp.retiming_reg_relief;
-                flops_eff *= mp.retiming_flop_cost;
+                regs *= RETIMING_REG_RELIEF;
+                flops_eff *= RETIMING_FLOP_COST;
             } else {
-                flops_eff *= mp.retiming_flop_cost;
+                flops_eff *= RETIMING_FLOP_COST;
             }
         }
         if d.use_shared {
@@ -363,7 +363,7 @@ impl ModelPrecomp {
         let mut dram_bytes = self.pts8 * (reads_eff / byte_eff + self.wa_f / byte_eff);
         if spilled {
             let excess = regs - self.max_regs_f;
-            dram_bytes += self.pts8 * (mp.spill_bytes_per_reg * excess).min(24.0);
+            dram_bytes += self.pts8 * (SPILL_BYTES_PER_REG * excess).min(24.0);
         }
 
         // --- ILP ---
@@ -407,7 +407,6 @@ impl ModelPrecomp {
 
     /// [`crate::cost::kernel_cost_from_footprint`] over the tables.
     fn cost_stage(&self, s: &Setting, d: &Decoded, f: &Footprint) -> CostBreakdown {
-        let mp = &self.params;
         let launch_ms = self.launch_ms;
         if f.tb_per_sm == 0 {
             return CostBreakdown {
@@ -427,7 +426,7 @@ impl ModelPrecomp {
             comp_eff *= self.const_boost;
         }
         if f.spilled {
-            comp_eff *= mp.spill_compute_penalty;
+            comp_eff *= SPILL_COMPUTE_PENALTY;
         }
         let compute_ms = self.pts_f * f.flops_eff / self.compute_denom / comp_eff.max(1e-3);
 
@@ -448,8 +447,8 @@ impl ModelPrecomp {
 
         let (hi, lo) =
             if compute_ms >= memory_ms { (compute_ms, memory_ms) } else { (memory_ms, compute_ms) };
-        let mut total = hi + (1.0 - mp.overlap) * lo + sync_ms + launch_ms;
-        total *= 1.0 + mp.ruggedness * self.perturbation(s);
+        let mut total = hi + (1.0 - OVERLAP) * lo + sync_ms + launch_ms;
+        total *= 1.0 + RUGGEDNESS * self.perturbation(s);
         CostBreakdown { compute_ms, memory_ms, sync_ms, launch_ms, total_ms: total }
     }
 
@@ -469,16 +468,15 @@ impl ModelPrecomp {
     /// [`crate::cost::eval_cost_s`] over the tables (the two `log2` calls
     /// become lookups over the clamped pow2 products).
     fn eval_cost_stage(&self, d: &Decoded, kernel_ms: f64) -> f64 {
-        let mp = &self.params;
         let uf: u64 = d.uf.iter().product();
         let body: u64 = d.bm.iter().chain(d.cm.iter()).product();
         let complexity = self.complexity_base
             * (1.0
                 + self.log2_lut[uf.min(64) as usize]
                 + 0.5 * self.log2_lut[body.min(64) as usize]);
-        let compile = self.arch.compile_base_s * (1.0 + mp.compile_per_complexity * complexity);
+        let compile = self.arch.compile_base_s * (1.0 + COMPILE_PER_COMPLEXITY * complexity);
         let runs = if kernel_ms.is_finite() {
-            self.runs_f * kernel_ms.min(mp.run_timeout_ms) / 1000.0
+            self.runs_f * kernel_ms.min(RUN_TIMEOUT_MS) / 1000.0
         } else {
             0.0
         };
@@ -506,15 +504,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn direct_record(
-        spec: &StencilSpec,
-        arch: &GpuArch,
-        s: &Setting,
-        mp: &ModelParams,
-    ) -> EvalRecord {
-        let f = footprint(spec, arch, s, mp);
-        let cost = kernel_cost_from_footprint(spec, arch, s, &f, mp);
-        let cost_s = eval_cost_s(spec, arch, s, cost.total_ms, mp);
+    fn direct_record(spec: &StencilSpec, arch: &GpuArch, s: &Setting) -> EvalRecord {
+        let f = footprint(spec, arch, s);
+        let cost = kernel_cost_from_footprint(spec, arch, s, &f);
+        let cost_s = eval_cost_s(spec, arch, s, cost.total_ms);
         EvalRecord { footprint: f, cost, cost_s }
     }
 
@@ -570,16 +563,15 @@ mod tests {
         // on spilled/overflowing/unlaunchable corners, and the
         // footprint-only stage the resource check reads must be the
         // record's footprint.
-        let mp = ModelParams::default();
         let (mut spilled, mut overflowing, mut unlaunchable) = (0, 0, 0);
         for k in suite::all_kernels() {
             for arch in [GpuArch::a100(), GpuArch::v100()] {
-                let pre = ModelPrecomp::new(k.spec.clone(), arch.clone(), mp.clone());
+                let pre = ModelPrecomp::new(k.spec.clone(), arch.clone());
                 let space = OptSpace::for_stencil(&k.spec);
                 let mut rng = StdRng::seed_from_u64(fnv1a(k.spec.name.bytes()));
                 for _ in 0..40 {
                     let s = space.random_raw(&mut rng);
-                    let direct = direct_record(&k.spec, &arch, &s, &mp);
+                    let direct = direct_record(&k.spec, &arch, &s);
                     let record = pre.record(&s);
                     assert_bit_identical(&record, &direct);
                     let f = pre.footprint(&s);
@@ -592,25 +584,5 @@ mod tests {
             }
         }
         assert!(spilled > 0 && overflowing > 0 && unlaunchable > 0, "corners not reached");
-    }
-
-    #[test]
-    fn precomp_respects_custom_model_params() {
-        let spec = suite::spec_by_name("rhs4center").unwrap();
-        let arch = GpuArch::small();
-        let mp = ModelParams {
-            ilp_gain: 0.11,
-            occ_half_memory: 0.3,
-            ruggedness: 0.2,
-            runs_per_eval: 7,
-            ..ModelParams::default()
-        };
-        let pre = ModelPrecomp::new(spec.clone(), arch.clone(), mp.clone());
-        let space = OptSpace::for_stencil(&spec);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..40 {
-            let s = space.random_raw(&mut rng);
-            assert_bit_identical(&pre.record(&s), &direct_record(&spec, &arch, &s, &mp));
-        }
     }
 }

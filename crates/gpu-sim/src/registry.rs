@@ -16,10 +16,8 @@
 //! commit path — so a shared cache cannot change any session's results,
 //! only its speed.
 //!
-//! The registry honours `CST_MEMO_CAP` (entries per shared memo, 0 or
-//! unset = unbounded) read once at first use; [`set_shared_memo_cap`]
-//! overrides it at runtime for existing and future entries, which is how
-//! `cst-serve --memo-cap` bounds a long-running daemon's footprint.
+//! The registry caps each memo at `CST_MEMO_CAP` entries (0 or unset =
+//! unbounded), read once at first use and fixed when a memo is created.
 
 use crate::arch::GpuArch;
 use crate::memo::SimMemo;
@@ -112,7 +110,7 @@ fn arch_key(arch: &GpuArch) -> u64 {
 }
 
 /// The process-wide shared memo for this (stencil, arch) pair, created on
-/// first use with the registry's current cap.
+/// first use with the registry's cap.
 pub fn shared_memo(spec: &StencilSpec, arch: &GpuArch) -> Arc<SimMemo> {
     let key = (spec_key(spec), arch_key(arch));
     let mut reg = registry().lock().unwrap();
@@ -127,16 +125,6 @@ pub fn shared_memo(spec: &StencilSpec, arch: &GpuArch) -> Arc<SimMemo> {
             })
             .memo,
     )
-}
-
-/// Set the per-memo entry cap (0 = unbounded) for every existing and
-/// future shared memo, trimming overflowing ones immediately.
-pub fn set_shared_memo_cap(cap: usize) {
-    let mut reg = registry().lock().unwrap();
-    reg.cap = cap;
-    for entry in reg.memos.values() {
-        entry.memo.set_cap(cap);
-    }
 }
 
 /// Observability snapshot of one shared memo: the display names of its

@@ -1,7 +1,7 @@
 //! The simulator facade: one stencil on one architecture.
 
 use crate::arch::GpuArch;
-use crate::footprint::{Footprint, ModelParams};
+use crate::footprint::Footprint;
 use crate::memo::{EvalRecord, SimMemo};
 use crate::metrics::{synthesize, MetricsReport};
 use crate::precomp::ModelPrecomp;
@@ -28,9 +28,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpuSim {
-    /// Precomputed model tables for this (stencil, arch) pair under the
-    /// default model constants; also owns the canonical copies of the
-    /// inputs. Built once, shared by clones.
+    /// Precomputed model tables for this (stencil, arch) pair; also owns
+    /// the canonical copies of the inputs. Built once, shared by clones.
     precomp: Arc<ModelPrecomp>,
     /// The process-wide record cache of this (stencil, arch) once
     /// [`GpuSim::enable_shared_memo`] opts in; `None` computes every
@@ -39,9 +38,9 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Build a simulator with the default model constants and no memo.
+    /// Build a simulator with no memo.
     pub fn new(spec: StencilSpec, arch: GpuArch) -> Self {
-        let precomp = ModelPrecomp::new(spec, arch, ModelParams::default());
+        let precomp = ModelPrecomp::new(spec, arch);
         GpuSim { precomp: Arc::new(precomp), memo: None }
     }
 

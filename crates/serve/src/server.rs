@@ -34,10 +34,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Auto-ingest finished runs into this [`JournalStore`] directory.
     pub archive: Option<PathBuf>,
-    /// Entry cap per shared (stencil, arch) record memo (`--memo-cap`);
-    /// `None` leaves the process-wide default (the `CST_MEMO_CAP` env
-    /// var, else unbounded) untouched.
-    pub memo_cap: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -48,7 +44,6 @@ impl Default for ServeConfig {
             workers: limits.workers,
             queue_depth: limits.queue_depth,
             archive: None,
-            memo_cap: None,
         }
     }
 }
@@ -72,11 +67,6 @@ impl Server {
             Some(dir) => Some(JournalStore::open(dir)?),
             None => None,
         };
-        if let Some(cap) = cfg.memo_cap {
-            // Bound the daemon's long-run memory: every shared record memo
-            // (existing and future) is capped, trimming overflow now.
-            cst_gpu_sim::registry::set_shared_memo_cap(cap);
-        }
         let limits = SessionLimits { workers: cfg.workers.max(1), queue_depth: cfg.queue_depth };
         Ok(Server { listener, manager: SessionManager::new(limits, archive), stop: Arc::default() })
     }
@@ -420,13 +410,7 @@ mod tests {
     }
 
     fn ephemeral(workers: usize, queue_depth: usize) -> ServeConfig {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            queue_depth,
-            archive: None,
-            memo_cap: None,
-        }
+        ServeConfig { addr: "127.0.0.1:0".to_string(), workers, queue_depth, archive: None }
     }
 
     #[test]

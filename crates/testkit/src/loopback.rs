@@ -32,13 +32,8 @@ impl LoopbackServer {
     }
 
     fn start_with(workers: usize, queue_depth: usize, run_workers: bool) -> LoopbackServer {
-        let cfg = ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers,
-            queue_depth,
-            archive: None,
-            memo_cap: None,
-        };
+        let cfg =
+            ServeConfig { addr: "127.0.0.1:0".to_string(), workers, queue_depth, archive: None };
         let handle = if run_workers { Server::spawn(&cfg) } else { Server::spawn_paused(&cfg) }
             .expect("loopback daemon binds");
         let addr = handle.addr.to_string();

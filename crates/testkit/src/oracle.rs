@@ -9,9 +9,7 @@
 
 use cst_gpu_sim::cost::{eval_cost_s, kernel_cost_from_footprint};
 use cst_gpu_sim::footprint::footprint;
-use cst_gpu_sim::{
-    EvalRecord, FaultProfile, GpuArch, GpuSim, ModelParams, ModelPrecomp, ValidSpace,
-};
+use cst_gpu_sim::{EvalRecord, FaultProfile, GpuArch, GpuSim, ModelPrecomp, ValidSpace};
 use cst_space::Setting;
 use cst_stencil::StencilSpec;
 use cstuner_core::{Evaluator, FaultStats, SimEvaluator, Tuner};
@@ -127,18 +125,17 @@ pub fn precomp_vs_direct(
     seed: u64,
     n: usize,
 ) -> Result<(), String> {
-    let mp = ModelParams::default();
     let sim = GpuSim::new(spec.clone(), arch.clone());
     let valid = ValidSpace::new(cst_space::OptSpace::for_stencil(spec), sim.clone());
-    let pre = ModelPrecomp::new(spec.clone(), arch.clone(), mp.clone());
+    let pre = ModelPrecomp::new(spec.clone(), arch.clone());
     let mut batch = valid_settings(&valid, seed, n);
     batch.extend(raw_settings(valid.space(), seed ^ 0x5eed, n));
     let direct: Vec<EvalRecord> = batch
         .iter()
         .map(|s| {
-            let f = footprint(spec, arch, s, &mp);
-            let cost = kernel_cost_from_footprint(spec, arch, s, &f, &mp);
-            let cost_s = eval_cost_s(spec, arch, s, cost.total_ms, &mp);
+            let f = footprint(spec, arch, s);
+            let cost = kernel_cost_from_footprint(spec, arch, s, &f);
+            let cost_s = eval_cost_s(spec, arch, s, cost.total_ms);
             EvalRecord { footprint: f, cost, cost_s }
         })
         .collect();

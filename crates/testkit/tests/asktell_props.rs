@@ -120,7 +120,7 @@ fn tell_chunking_never_changes_the_outcome() {
     for entry in zoo::tuners() {
         let Some(mut plain) = entry.optimizer() else { continue };
         let Some(inner) = entry.optimizer() else { continue };
-        let cfg = KernelConfig { pop: 32, max_iterations: 6, stall_limit: 10_000 };
+        let cfg = KernelConfig { max_iterations: 6, stall_limit: 10_000 };
 
         let mut e = sim(7, 18.0);
         let whole = drive(&mut *plain, &mut e, &cfg, 7, &Telemetry::noop())

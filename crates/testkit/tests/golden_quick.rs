@@ -137,6 +137,41 @@ fn codegen_suite_digest_is_pinned() {
 }
 
 #[test]
+fn model_record_digest_is_pinned() {
+    // The model's absolute output, which `precomp_oracle` cannot pin: it
+    // compares two paths that read the same constants. Every kernel on
+    // every preset, at the baseline plus 8 raw and 8 valid settings drawn
+    // from a per-kernel seeded rng. One line per (kernel, arch) with an
+    // FNV-1a over the `Debug` text of each setting's record and profile;
+    // f64 `Debug` round-trips, so equal text means equal bits.
+    let mut t = String::new();
+    for k in cst_serve::all_stencils() {
+        for arch in [GpuArch::a100(), GpuArch::v100(), GpuArch::small()] {
+            let sim = GpuSim::new(k.spec.clone(), arch.clone());
+            let space = OptSpace::for_stencil(&k.spec);
+            let valid = ValidSpace::new(space.clone(), sim.clone());
+            let mut rng = StdRng::seed_from_u64(fnv1a(k.spec.name.bytes()));
+            let mut settings = vec![Setting::baseline()];
+            settings.extend((0..8).map(|_| space.random_raw(&mut rng)));
+            settings.extend((0..8).map(|_| valid.random_valid(&mut rng)));
+            let mut text = String::new();
+            for s in &settings {
+                let _ = write!(text, "{:?}{:?}", sim.evaluate_full(s), sim.profile(s));
+            }
+            let _ = writeln!(
+                t,
+                "{} {} settings={} fnv={:016x}",
+                k.spec.name,
+                arch.name,
+                settings.len(),
+                fnv1a(text.bytes())
+            );
+        }
+    }
+    check_golden("model_record_digest", &t);
+}
+
+#[test]
 fn sampled_space_digest_is_pinned() {
     // The sampling stage at full scale, which the quick fixtures never
     // reach: the default configuration's dataset, groups and scored cut

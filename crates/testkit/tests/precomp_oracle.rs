@@ -18,6 +18,7 @@ use cst_stats::{fit_pmnf, PmnfModel};
 use cst_stencil::suite;
 use cst_telemetry::Telemetry;
 use cst_testkit::{arb_setting, precomp_vs_direct, seeded_rng, PropRunner};
+use cstuner_core::sampling::{ENUM_LIMIT, PMNF_I, PMNF_J};
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, scoring_contexts, select_representatives,
     Evaluator, PerfDataset, SampledSpace, SamplingConfig, SimEvaluator,
@@ -43,16 +44,11 @@ fn precomputed_model_matches_direct_path_across_the_suite() {
 fn precomputed_model_matches_direct_path_on_generated_settings() {
     let spec = suite::spec_by_name("hypterm").unwrap();
     let arch = GpuArch::a100();
-    let pre = cst_gpu_sim::ModelPrecomp::new(
-        spec.clone(),
-        arch.clone(),
-        cst_gpu_sim::ModelParams::default(),
-    );
-    let mp = cst_gpu_sim::ModelParams::default();
+    let pre = cst_gpu_sim::ModelPrecomp::new(spec.clone(), arch.clone());
     PropRunner::new("precomp-vs-direct").cases(96).run(&arb_setting(spec.grid), |s| {
-        let f = cst_gpu_sim::footprint::footprint(&spec, &arch, &s, &mp);
-        let cost = cst_gpu_sim::cost::kernel_cost_from_footprint(&spec, &arch, &s, &f, &mp);
-        let cost_s = cst_gpu_sim::cost::eval_cost_s(&spec, &arch, &s, cost.total_ms, &mp);
+        let f = cst_gpu_sim::footprint::footprint(&spec, &arch, &s);
+        let cost = cst_gpu_sim::cost::kernel_cost_from_footprint(&spec, &arch, &s, &f);
+        let cost_s = cst_gpu_sim::cost::eval_cost_s(&spec, &arch, &s, cost.total_ms);
         let got = pre.record(&s);
         let bits = [
             ("total_ms", got.cost.total_ms, cost.total_ms),
@@ -112,7 +108,7 @@ fn sampling_vs_reference(name: &str, arch: &GpuArch, seed: u64) -> Result<(), St
 
     let xs = ds.param_values();
     let terms = &sampled.time_model.groups;
-    let fit = |y: &[f64]| fit_pmnf(&xs, y, terms, &cfg.i_range, &cfg.j_range);
+    let fit = |y: &[f64]| fit_pmnf(&xs, y, terms, &PMNF_I, &PMNF_J);
     for m in &sampled.models {
         same_model(&format!("metric {}", m.metric), &m.model, &fit(&ds.metric_column(m.metric)))?;
     }
@@ -121,7 +117,7 @@ fn sampling_vs_reference(name: &str, arch: &GpuArch, seed: u64) -> Result<(), St
 
     let contexts = scoring_contexts(&ds);
     for group in &sampled.groups {
-        for combo in e.space().enumerate_group_repaired(&sampled.base, group, cfg.enum_limit) {
+        for combo in e.space().enumerate_group_repaired(&sampled.base, group, ENUM_LIMIT) {
             for ctx in &contexts {
                 let mut s = *ctx;
                 for (&p, &v) in group.iter().zip(&combo) {

@@ -26,7 +26,6 @@
 //! cstuner campaign report <spec.json> [--store DIR] [--json] [--save FILE]
 //! cstuner campaign gate <spec.json> [--store DIR] [--baseline DIR] [--save FILE]
 //! cstuner serve [--addr HOST:PORT] [--workers N] [--queue N] [--archive DIR]
-//!     [--memo-cap N]
 //! cstuner client tune [--stencil S] [--arch A] [--budget SECONDS] [--seed N] [--tuner T]
 //!     [--quick] [--journal FILE] [--fault-off] [--warm STORE|$CST_WARM]
 //!     [--addr HOST:PORT|$CST_ADDR]
@@ -222,8 +221,7 @@ static COMMANDS: &[Command] = &[
     row("campaign gate", &["<spec.json>"], &[STORE, flag("baseline", Kind::Text, "DIR"), SAVE],
         campaign_gate, "verdict vs the --baseline store (required); exit 1 on a regression"),
     row("serve", &[], &[flag("addr", Kind::Addr, "HOST:PORT"), flag("workers", Kind::U64, "N"),
-            flag("queue", Kind::U64, "N"), flag("archive", Kind::Text, "DIR"),
-            flag("memo-cap", Kind::U64, "N")], cmd_serve,
+            flag("queue", Kind::U64, "N"), flag("archive", Kind::Text, "DIR")], cmd_serve,
         "run the tuning daemon until a client sends shutdown"),
     row("client tune", &[], &[STENCIL, ARCH, BUDGET, SEED, TUNER, QUICK, JOURNAL, FAULT_OFF, WARM,
             ADDR], client_tune,
@@ -891,7 +889,6 @@ fn cmd_serve(args: &Args) {
         workers: args.u64("workers").map_or(defaults.workers, |w| w as usize),
         queue_depth: args.u64("queue").map_or(defaults.queue_depth, |q| q as usize),
         archive: args.text("archive").filter(|p| !p.is_empty()).map(PathBuf::from),
-        memo_cap: args.u64("memo-cap").map(|c| c as usize),
     };
     let server = Server::bind(&cfg).or_die(1);
     // Stdout is line-buffered: this line reaches a redirected log
