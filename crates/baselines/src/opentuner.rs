@@ -28,15 +28,13 @@ use cstuner_core::{
 /// implementation [`GaOptimizer`] is proven bit-identical against.
 #[derive(Debug, Clone)]
 pub struct OpenTunerGa {
-    /// GA options (kept consistent with csTuner per §V-A2).
-    pub ga: GaConfig,
     /// Iteration cap.
     pub max_iterations: u32,
 }
 
 impl Default for OpenTunerGa {
     fn default() -> Self {
-        OpenTunerGa { ga: GaConfig::default(), max_iterations: u32::MAX }
+        OpenTunerGa { max_iterations: u32::MAX }
     }
 }
 
@@ -78,7 +76,7 @@ impl OpenTunerGa {
             ParamId::ALL.iter().map(|&p| eval.space().values(p).len() as u32).collect();
         assert_eq!(cards.len(), N_PARAMS);
         let mut rec = Recorder::new(self.max_iterations).with_telemetry(tel);
-        let mut state = GaState::new(Genome::new(cards), self.ga, seed);
+        let mut state = GaState::new(Genome::new(cards), GaConfig::default(), seed);
         state.set_telemetry(tel);
         // OpenTuner starts from the user's default configuration and its
         // manipulators only produce well-formed configurations; seed the
@@ -118,10 +116,9 @@ impl OpenTunerGa {
 /// fitnesses (`-time_ms`, skipped settings `NEG_INFINITY`, exactly as the
 /// closed-loop driver mapped them) go to [`GaState::tell`]. Bit-identical
 /// to [`OpenTunerGa::tune_legacy`], which the `ga_asktell_oracle` test
-/// pins.
-#[derive(Debug)]
+/// pins. Both run csTuner's GA options (§V-A2), `GaConfig::default()`.
+#[derive(Debug, Default)]
 pub struct GaOptimizer {
-    ga: GaConfig,
     state: Option<GaState>,
     /// Settings asked and not yet fully told.
     pending: usize,
@@ -129,20 +126,6 @@ pub struct GaOptimizer {
     acc: Vec<f64>,
     /// Warm-start seeds folded into the initial population.
     warm: Vec<Setting>,
-}
-
-impl GaOptimizer {
-    /// New adapter with the given GA options (state is built in `init`).
-    pub fn new(ga: GaConfig) -> Self {
-        GaOptimizer { ga, state: None, pending: 0, acc: Vec::new(), warm: Vec::new() }
-    }
-}
-
-impl Default for GaOptimizer {
-    /// csTuner's GA options (§V-A2).
-    fn default() -> Self {
-        GaOptimizer::new(GaConfig::default())
-    }
 }
 
 impl Optimizer for GaOptimizer {
@@ -159,7 +142,7 @@ impl Optimizer for GaOptimizer {
         let cards: Vec<u32> =
             ParamId::ALL.iter().map(|&p| ctx.space().values(p).len() as u32).collect();
         assert_eq!(cards.len(), N_PARAMS);
-        let mut state = GaState::new(Genome::new(cards), self.ga, seed);
+        let mut state = GaState::new(Genome::new(cards), GaConfig::default(), seed);
         state.set_telemetry(tel);
         // Same seeding as the legacy driver: the baseline setting plus
         // POPULATION−1 valid draws from the evaluator's stream, in order.

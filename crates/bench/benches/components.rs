@@ -2,7 +2,7 @@
 //! per experiment stage:
 //!
 //! - the GPU model evaluation (millions of calls per experiment),
-//! - parameter-space validation and sampling,
+//! - parameter-space validation and sampling, explicit and fully valid,
 //! - the offline performance dataset (rejection sampling and profiles),
 //! - PMNF fitting (the `curve_fit` replacement), one target and all of a
 //!   session's targets,
@@ -56,8 +56,20 @@ fn bench_space(c: &mut Criterion) {
     g.bench_function("check_explicit", |b| {
         b.iter(|| black_box(space.check_explicit(black_box(&s))))
     });
+    g.bench_function("random_explicit_valid/j3d7pt", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| black_box(space.random_explicit_valid(&mut rng)))
+    });
+    // j3d7pt on the A100 takes about 67 raw draws per valid setting,
+    // addsgd6 on the small preset about 370.
     let vs = ValidSpace::new(space, GpuSim::new(spec, GpuArch::a100()));
     g.bench_function("random_valid", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| black_box(vs.random_valid(&mut rng)))
+    });
+    let spec = suite::spec_by_name("addsgd6").unwrap();
+    let vs = ValidSpace::new(OptSpace::for_stencil(&spec), GpuSim::new(spec, GpuArch::small()));
+    g.bench_function("random_valid/addsgd6_small", |b| {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| black_box(vs.random_valid(&mut rng)))
     });

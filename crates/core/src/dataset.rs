@@ -40,10 +40,11 @@ impl PerfDataset {
         let mut seen = std::collections::HashSet::with_capacity(n);
         let mut records = Vec::with_capacity(n);
         // Rejection sampling over the valid space; the space is vastly
-        // larger than any dataset so this terminates quickly.
+        // larger than any dataset so this terminates quickly. The space
+        // draws explicitly valid settings, so `is_valid`, which implies
+        // explicit validity, is asked only what the explicit rules leave.
         while records.len() < n {
-            let mut s = eval.space().random_raw(&mut rng);
-            s.canonicalize();
+            let s = eval.space().random_explicit_valid(&mut rng);
             if !eval.is_valid(&s) || !seen.insert(s) {
                 continue;
             }
@@ -92,6 +93,7 @@ impl PerfDataset {
 mod tests {
     use super::*;
     use crate::evaluator::SimEvaluator;
+    use crate::Evaluator;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
 
@@ -107,6 +109,32 @@ mod tests {
         let set: std::collections::HashSet<_> = ds.records.iter().map(|r| r.setting).collect();
         assert_eq!(set.len(), 32);
         assert!(ds.records.iter().all(|r| r.time_ms.is_finite()));
+    }
+
+    #[test]
+    fn collect_keeps_the_full_check_loops_settings() {
+        // The reference is the loop `collect` replaced: canonicalize every
+        // raw draw and ask the evaluator whether it is valid.
+        let kernels =
+            suite::all_kernels().into_iter().chain(cst_stencil::suite_ext::extension_kernels());
+        for (seed, k) in kernels.enumerate() {
+            for arch in [GpuArch::a100(), GpuArch::v100(), GpuArch::small()] {
+                let mut e = SimEvaluator::new(k.spec.clone(), arch.clone(), 3);
+                let mut rng = StdRng::seed_from_u64(seed as u64 ^ 0x0da7_a5e7);
+                let mut seen = std::collections::HashSet::new();
+                let mut expected = Vec::new();
+                while expected.len() < 32 {
+                    let mut s = e.space().random_raw(&mut rng);
+                    s.canonicalize();
+                    if e.is_valid(&s) && seen.insert(s) {
+                        expected.push(s);
+                    }
+                }
+                let got = PerfDataset::collect(&mut e, 32, seed as u64);
+                let got: Vec<Setting> = got.records.iter().map(|r| r.setting).collect();
+                assert_eq!(got, expected, "{} {}", k.spec.name, arch.name);
+            }
+        }
     }
 
     #[test]

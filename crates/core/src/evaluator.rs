@@ -57,7 +57,10 @@ pub trait Evaluator {
     /// The explicit parameter space.
     fn space(&self) -> &OptSpace;
 
-    /// Full validity (explicit constraints + resources).
+    /// Full validity (explicit constraints + resources). A setting valid
+    /// here is explicitly valid in [`Evaluator::space`]:
+    /// [`PerfDataset::collect`](crate::PerfDataset::collect) asks only
+    /// explicitly valid draws, and skips the others unasked.
     fn is_valid(&self, s: &Setting) -> bool;
 
     /// Measure a setting's kernel time in milliseconds. The first

@@ -79,6 +79,12 @@ impl ValidSpace {
     /// resource rule; it builds no cost record and touches no memo.
     pub fn check(&self, s: &Setting) -> Result<(), Invalid> {
         self.space.check_explicit(s).map_err(Invalid::Explicit)?;
+        self.check_resources(s)
+    }
+
+    /// The resource half of [`ValidSpace::check`], for a setting already
+    /// known to be explicitly valid.
+    fn check_resources(&self, s: &Setting) -> Result<(), Invalid> {
         let f = self.sim.footprint(s);
         if f.shmem_overflow {
             return Err(Invalid::SharedOverflow {
@@ -103,12 +109,15 @@ impl ValidSpace {
         self.check(s).is_ok()
     }
 
-    /// Rejection-sample one fully valid setting.
+    /// Rejection-sample one fully valid setting: draw explicitly valid
+    /// settings ([`OptSpace::random_explicit_valid`]) until one passes the
+    /// resource check. Only those draws reach the footprint stage, and
+    /// the stream and the settings are those of canonicalizing every raw
+    /// draw and running the full [`ValidSpace::check`] on it.
     pub fn random_valid(&self, rng: &mut impl Rng) -> Setting {
         loop {
-            let mut s = self.space.random_raw(rng);
-            s.canonicalize();
-            if self.is_valid(&s) {
+            let s = self.space.random_explicit_valid(rng);
+            if self.check_resources(&s).is_ok() {
                 return s;
             }
         }
@@ -122,7 +131,7 @@ mod tests {
     use cst_space::ParamId;
     use cst_stencil::suite;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn vs(name: &str) -> ValidSpace {
         let spec = suite::spec_by_name(name).unwrap();
@@ -158,6 +167,33 @@ mod tests {
             let s = v.random_valid(&mut rng);
             assert!(v.is_valid(&s));
             assert!(!v.sim().footprint(&s).spilled);
+        }
+    }
+
+    #[test]
+    fn random_valid_draws_the_full_check_loops_stream() {
+        // The reference is the loop `random_valid` replaced: canonicalize
+        // every raw draw and run the full check on it.
+        let kernels =
+            suite::all_kernels().into_iter().chain(cst_stencil::suite_ext::extension_kernels());
+        for (i, k) in kernels.enumerate() {
+            for arch in [GpuArch::a100(), GpuArch::v100(), GpuArch::small()] {
+                let space = OptSpace::for_stencil(&k.spec);
+                let v = ValidSpace::new(space, GpuSim::new(k.spec.clone(), arch.clone()));
+                let mut rng = StdRng::seed_from_u64(i as u64);
+                let mut reference = rng.clone();
+                for _ in 0..16 {
+                    let expected = loop {
+                        let mut s = v.space().random_raw(&mut reference);
+                        s.canonicalize();
+                        if v.is_valid(&s) {
+                            break s;
+                        }
+                    };
+                    assert_eq!(v.random_valid(&mut rng), expected, "{} {}", k.spec.name, arch.name);
+                }
+                assert_eq!(rng.next_u64(), reference.next_u64(), "{} {}", k.spec.name, arch.name);
+            }
         }
     }
 

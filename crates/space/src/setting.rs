@@ -1,6 +1,15 @@
 //! A concrete assignment of all 19 tuning parameters.
 
 use crate::param::{ParamId, N_PARAMS};
+use std::hint::select_unpredictable;
+
+/// The parameters [`Setting::canonicalize`] repairs along each axis:
+/// `[TB, CM, UF]`.
+const AXIS_REPAIRS: [[ParamId; 3]; 3] = [
+    [ParamId::TBx, ParamId::CMx, ParamId::UFx],
+    [ParamId::TBy, ParamId::CMy, ParamId::UFy],
+    [ParamId::TBz, ParamId::CMz, ParamId::UFz],
+];
 
 /// A full parameter setting: one value per Table I parameter, stored in
 /// [`ParamId`] order. Values use the paper's encoding (booleans are
@@ -142,39 +151,64 @@ impl Setting {
     /// generator applies: with streaming off, `SD = 1`, `SB = 1` and
     /// prefetching off; with streaming on, the thread block is flattened
     /// along the stream; merge conflicts resolve in favor of block
-    /// merging.
+    /// merging; an unroll factor floors into the loop it unrolls.
+    ///
+    /// The per-axis rules are `repaired_tb`, `repaired_cm` and
+    /// `repaired_uf`, which the rejection sampler of
+    /// [`OptSpace::random_explicit_valid`](crate::OptSpace::random_explicit_valid)
+    /// also reads, so the two cannot disagree on a setting's canonical
+    /// form.
     pub fn canonicalize(&mut self) {
-        if !self.use_streaming() {
+        if self.stream_axis().is_none() {
             self.set(ParamId::SD, 1);
             self.set(ParamId::SB, 1);
             self.set(ParamId::UsePrefetching, 1);
-        } else {
-            let sd = self.sd_axis();
-            let tb_p = [ParamId::TBx, ParamId::TBy, ParamId::TBz][sd];
-            self.set(tb_p, 1);
         }
-        for d in 0..3 {
-            let (bm_p, cm_p, uf_p) = match d {
-                0 => (ParamId::BMx, ParamId::CMx, ParamId::UFx),
-                1 => (ParamId::BMy, ParamId::CMy, ParamId::UFy),
-                _ => (ParamId::BMz, ParamId::CMz, ParamId::UFz),
-            };
-            if self.get(bm_p) > 1 && self.get(cm_p) > 1 {
-                self.set(cm_p, 1);
-            }
-            // Unrolling cannot exceed the per-thread loop it unrolls.
-            let coverage = if self.use_streaming() && self.sd_axis() == d {
-                self.sb()
-            } else {
-                self.get(bm_p) * self.get(cm_p)
-            };
-            if self.get(uf_p) > coverage {
-                // Clamp down to the nearest allowed power of two.
-                let mut v = coverage.max(1);
-                v = 1 << (31 - v.leading_zeros()); // floor to pow2
-                self.set(uf_p, v);
-            }
+        for (d, [tb_p, cm_p, uf_p]) in AXIS_REPAIRS.into_iter().enumerate() {
+            // In this order: the unroll repair reads the repaired CM.
+            self.set(tb_p, self.repaired_tb(d));
+            self.set(cm_p, self.repaired_cm(d));
+            self.set(uf_p, self.repaired_uf(d));
         }
+    }
+
+    // The repairs below select with `select_unpredictable`: on random
+    // draws each condition is a coin flip, which a branch mispredicts.
+
+    /// The axis the stream runs along, or `None` with streaming off.
+    #[inline]
+    pub(crate) fn stream_axis(&self) -> Option<usize> {
+        self.use_streaming().then(|| self.sd_axis())
+    }
+
+    /// `TB` along axis `d` after the repair: 2.5-D streaming keeps the
+    /// block flat along the stream. Depends on `TB`, `useStreaming` and
+    /// `SD`.
+    #[inline]
+    pub(crate) fn repaired_tb(&self, d: usize) -> u32 {
+        select_unpredictable(self.stream_axis() == Some(d), 1, self.tb()[d])
+    }
+
+    /// `CM` along axis `d` after the repair: a conflict with block
+    /// merging resolves in favor of block merging. Depends on `BM` and
+    /// `CM`.
+    #[inline]
+    pub(crate) fn repaired_cm(&self, d: usize) -> u32 {
+        let [bm, cm] = [self.bm()[d], self.cm()[d]];
+        select_unpredictable(bm > 1 && cm > 1, 1, cm)
+    }
+
+    /// `UF` along axis `d` after the repair: unrolling cannot exceed the
+    /// per-thread loop it unrolls, `SB` points along the stream and
+    /// `BM·CM` (with the repaired `CM`) elsewhere, so a larger factor
+    /// floors to the loop's largest power of two. Depends on `UF`, `BM`,
+    /// `CM`, `useStreaming`, and on `SD` and `SB` when streaming.
+    #[inline]
+    pub(crate) fn repaired_uf(&self, d: usize) -> u32 {
+        let loop_len = self.bm()[d] * self.repaired_cm(d);
+        let coverage = select_unpredictable(self.stream_axis() == Some(d), self.sb(), loop_len);
+        let uf = self.uf()[d];
+        select_unpredictable(uf > coverage, 1 << (31 - coverage.max(1).leading_zeros()), uf)
     }
 
     /// Stable 64-bit hash (FNV-1a over the raw values), used to seed the

@@ -103,7 +103,53 @@ const POW2: [u32; 32] = {
 /// `SD`'s values: x, y, z.
 const SD_VALUES: [u32; 3] = [1, 2, 3];
 
+/// The most threads a block may hold.
+const MAX_BLOCK_THREADS: u32 = 1024;
+
+/// One warp: the fewest threads a block may hold.
+const WARP_THREADS: u32 = 32;
+
+/// Whether a block of `threads` threads passes `BlockTooLarge` and
+/// `BlockSmallerThanWarp`.
+fn block_fits(threads: u32) -> bool {
+    (WARP_THREADS..=MAX_BLOCK_THREADS).contains(&threads)
+}
+
+/// The value a raw draw's word `w` picks from `list`: the index
+/// `SliceRandom::choose` takes from that word.
+#[inline(always)]
+fn pick(list: &[u32], w: u64) -> u32 {
+    list[(w % list.len() as u64) as usize]
+}
+
+/// The parameters `MergeExceedsExtent` reads along each axis:
+/// `[BM, CM, UF]`.
+const MERGE_PARAMS: [[ParamId; 3]; 3] = [
+    [ParamId::BMx, ParamId::CMx, ParamId::UFx],
+    [ParamId::BMy, ParamId::CMy, ParamId::UFy],
+    [ParamId::BMz, ParamId::CMz, ParamId::UFz],
+];
+
+/// The lists that do not depend on the grid: the thread block's, `SD`'s
+/// and the booleans'. Inlined, so a draw decoding a value from one of
+/// them divides by a constant length.
+#[inline(always)]
+fn fixed_values(p: ParamId) -> Option<&'static [u32]> {
+    match p {
+        ParamId::TBx | ParamId::TBy => Some(pow2_up_to(1024)),
+        ParamId::TBz => Some(pow2_up_to(64)),
+        ParamId::SD => Some(&SD_VALUES),
+        ParamId::UseShared
+        | ParamId::UseConstant
+        | ParamId::UseStreaming
+        | ParamId::UseRetiming
+        | ParamId::UsePrefetching => Some(pow2_up_to(2)),
+        _ => None,
+    }
+}
+
 /// The powers of two up to `max`, ascending.
+#[inline(always)]
 fn pow2_up_to(max: u32) -> &'static [u32] {
     &POW2[..(u32::BITS - max.leading_zeros()) as usize]
 }
@@ -119,14 +165,11 @@ impl OptSpace {
         let m = [grid[0] as u32, grid[1] as u32, grid[2] as u32];
         let max_m = *m.iter().max().unwrap();
         let values = ParamId::ALL.map(|p| match p {
-            ParamId::TBx | ParamId::TBy => pow2_up_to(1024),
-            ParamId::TBz => pow2_up_to(64),
-            ParamId::SD => &SD_VALUES,
             ParamId::SB => pow2_up_to(max_m),
             ParamId::UFx | ParamId::CMx | ParamId::BMx => pow2_up_to(m[0]),
             ParamId::UFy | ParamId::CMy | ParamId::BMy => pow2_up_to(m[1]),
             ParamId::UFz | ParamId::CMz | ParamId::BMz => pow2_up_to(m[2]),
-            _ => pow2_up_to(2), // booleans
+            _ => fixed_values(p).expect("every other list is fixed"),
         });
         OptSpace { grid, values }
     }
@@ -169,11 +212,13 @@ impl OptSpace {
                 return Err(ConstraintViolation::ValueOutOfRange(p, v));
             }
         }
-        if s.tb_size() > 1024 {
-            return Err(ConstraintViolation::BlockTooLarge(s.tb_size()));
-        }
-        if s.tb_size() < 32 {
-            return Err(ConstraintViolation::BlockSmallerThanWarp(s.tb_size()));
+        let threads = s.tb_size();
+        if !block_fits(threads) {
+            return Err(if threads > MAX_BLOCK_THREADS {
+                ConstraintViolation::BlockTooLarge(threads)
+            } else {
+                ConstraintViolation::BlockSmallerThanWarp(threads)
+            });
         }
         let sd = s.sd_axis();
         if !s.use_streaming() {
@@ -205,8 +250,7 @@ impl OptSpace {
             if s.bm()[d] > 1 && s.cm()[d] > 1 {
                 return Err(ConstraintViolation::ConflictingMerge(d));
             }
-            let per_thread = s.bm()[d] as u64 * s.cm()[d] as u64 * s.uf()[d] as u64;
-            if per_thread > self.grid[d] as u64 {
+            if !self.merge_fits(d, s.bm()[d], s.cm()[d], s.uf()[d]) {
                 return Err(ConstraintViolation::MergeExceedsExtent(d));
             }
             // Unrolling applies to the per-thread loop: along the streaming
@@ -241,16 +285,91 @@ impl OptSpace {
         Setting(v)
     }
 
-    /// Draw one explicitly-valid setting by canonicalizing a raw draw and
-    /// rejection-sampling the rest.
+    /// Draw one explicitly-valid setting: rejection-sample raw draws
+    /// ([`OptSpace::random_raw`]) until one is explicitly valid once
+    /// canonicalized, and return it canonicalized.
+    ///
+    /// Each draw takes one `next_u64` per parameter in [`ParamId::ALL`]
+    /// order, exactly as `random_raw` does, but decodes only the values
+    /// the rules read until a draw passes them all, and stops at the
+    /// first rule that fails. So it consumes the same stream and returns
+    /// the same settings as canonicalizing and checking every raw draw,
+    /// while a rejected draw costs little more than its 19 words. What
+    /// the rules leave to decide, a caller checks on the returned
+    /// setting: the resource stage (`ValidSpace::random_valid`) or an
+    /// evaluator's validity and a dedup (`PerfDataset::collect`).
     pub fn random_explicit_valid(&self, rng: &mut impl Rng) -> Setting {
         loop {
-            let mut s = self.random_raw(rng);
-            s.canonicalize();
-            if self.is_explicit_valid(&s) {
+            let words: [u64; N_PARAMS] = std::array::from_fn(|_| rng.next_u64());
+            if let Some(s) = self.canonical_draw(&words) {
                 return s;
             }
         }
+    }
+
+    /// The value a raw draw's word picks from `p`'s list.
+    #[inline]
+    fn decode(&self, words: &[u64; N_PARAMS], p: ParamId) -> u32 {
+        pick(self.values(p), words[p.index()])
+    }
+
+    /// The raw draw `words`, canonicalized, if that passes
+    /// [`OptSpace::check_explicit`]; `None` at the first rule it fails.
+    ///
+    /// A raw draw takes every value from its list, and
+    /// [`Setting::canonicalize`] repairs exactly what the range check and
+    /// seven of the rules test, so the canonical form can fail only four
+    /// ways: `BlockTooLarge` or `BlockSmallerThanWarp` (the repaired `TB`
+    /// product), `StreamingBlockTooLarge` (`SB` against the stream's
+    /// extent) and `MergeExceedsExtent` (the repaired `BM·CM·UF` per
+    /// axis). They are tested in `check_explicit`'s order, through the
+    /// setting's own repair rules, on a raw setting filled in as they
+    /// read it. `SD` is read even with streaming off, which spares a
+    /// branch on a coin flip; the repair resets it then, and `SB` too,
+    /// which stays unread.
+    fn canonical_draw(&self, words: &[u64; N_PARAMS]) -> Option<Setting> {
+        let mut s = Setting([1; N_PARAMS]);
+        let take = |s: &mut Setting, params: &[ParamId]| {
+            for &p in params {
+                s.set(p, self.decode(words, p));
+            }
+        };
+        // The block rule's lists are fixed, so these divide by constants.
+        for p in [ParamId::TBx, ParamId::TBy, ParamId::TBz, ParamId::UseStreaming, ParamId::SD] {
+            let list = fixed_values(p).expect("the block rule reads fixed lists");
+            s.set(p, pick(list, words[p.index()]));
+        }
+        if !block_fits((0..3).map(|d| s.repaired_tb(d)).product()) {
+            return None;
+        }
+        if let Some(sd) = s.stream_axis() {
+            take(&mut s, &[ParamId::SB]);
+            if s.sb() > self.grid[sd] as u32 {
+                return None;
+            }
+        }
+        for (d, merge) in MERGE_PARAMS.iter().enumerate() {
+            take(&mut s, merge);
+            if !self.merge_fits(d, s.bm()[d], s.repaired_cm(d), s.repaired_uf(d)) {
+                return None;
+            }
+        }
+        // Accepted: the values no rule reads, then the repair.
+        let rest = [
+            ParamId::UseShared,
+            ParamId::UseConstant,
+            ParamId::UseRetiming,
+            ParamId::UsePrefetching,
+        ];
+        take(&mut s, &rest);
+        s.canonicalize();
+        debug_assert_eq!(self.check_explicit(&s), Ok(()), "{s}");
+        Some(s)
+    }
+
+    /// Whether `bm·cm·uf` points per thread fit in the grid along `d`.
+    fn merge_fits(&self, d: usize, bm: u32, cm: u32, uf: u32) -> bool {
+        bm as u64 * cm as u64 * uf as u64 <= self.grid[d] as u64
     }
 
     /// Enumerate all value combinations of a parameter subset that are
@@ -372,7 +491,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn space512() -> OptSpace {
         OptSpace::for_grid([512, 512, 512])
@@ -679,6 +798,130 @@ mod tests {
                 });
             }
             prop_assert_eq!(range_verdict(sp, &s), reference_ranges(sp, &s));
+        }
+    }
+
+    /// [`suite_spaces`] and a flat grid, whose streams along y and z can
+    /// break `StreamingBlockTooLarge` (every kernel's grid is a cube).
+    fn sampler_spaces() -> Vec<OptSpace> {
+        let mut spaces = suite_spaces();
+        spaces.push(OptSpace::for_grid([512, 64, 16]));
+        spaces
+    }
+
+    /// The rejection loop the sampler replaced, kept as its reference:
+    /// draw raw, canonicalize, then run the full explicit check.
+    fn reference_explicit_valid(sp: &OptSpace, rng: &mut StdRng) -> Setting {
+        loop {
+            let mut s = sp.random_raw(rng);
+            s.canonicalize();
+            if sp.is_explicit_valid(&s) {
+                return s;
+            }
+        }
+    }
+
+    /// Which of the four ways a canonicalized in-list draw can fail `e`
+    /// is, or `None` for any other violation.
+    fn four_rule_index(e: &ConstraintViolation) -> Option<usize> {
+        match e {
+            ConstraintViolation::BlockTooLarge(_) => Some(0),
+            ConstraintViolation::BlockSmallerThanWarp(_) => Some(1),
+            ConstraintViolation::StreamingBlockTooLarge { .. } => Some(2),
+            ConstraintViolation::MergeExceedsExtent(_) => Some(3),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_sampler_matches_the_reference_on_many_draws() {
+        for (i, sp) in sampler_spaces().iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let mut reference = rng.clone();
+            for _ in 0..500 {
+                assert_eq!(
+                    sp.random_explicit_valid(&mut rng),
+                    reference_explicit_valid(sp, &mut reference),
+                    "{:?}",
+                    sp.grid()
+                );
+            }
+            assert_eq!(rng.next_u64(), reference.next_u64(), "{:?}", sp.grid());
+        }
+    }
+
+    #[test]
+    fn the_early_verdict_matches_the_full_check_on_many_draws() {
+        // Every kernel's space, 20k raw draws each: all four rules fire,
+        // and only they do.
+        let mut fired = [0usize; 4];
+        for (i, sp) in sampler_spaces().iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xd1a5 + i as u64);
+            for _ in 0..20_000 {
+                let words: [u64; N_PARAMS] = std::array::from_fn(|_| rng.next_u64());
+                let mut s = Setting(ParamId::ALL.map(|p| sp.decode(&words, p)));
+                s.canonicalize();
+                let verdict = sp.check_explicit(&s);
+                let expected = verdict.is_ok().then_some(s);
+                assert_eq!(sp.canonical_draw(&words), expected, "{s} on {:?}", sp.grid());
+                if let Err(e) = verdict {
+                    let rule = four_rule_index(&e);
+                    fired[rule.unwrap_or_else(|| panic!("{e:?}: {s} on {:?}", sp.grid()))] += 1;
+                }
+            }
+        }
+        assert!(fired.iter().all(|&n| n > 0), "a rule never fired: {fired:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_sampler_draws_the_reference_stream(
+            space in 0usize..15,
+            seed in 0u64..u64::MAX,
+            draws in 1usize..24,
+        ) {
+            // Same settings, and the rng left at the same next word.
+            let sp = &sampler_spaces()[space];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = rng.clone();
+            for _ in 0..draws {
+                prop_assert_eq!(
+                    sp.random_explicit_valid(&mut rng),
+                    reference_explicit_valid(sp, &mut reference)
+                );
+            }
+            prop_assert_eq!(rng.next_u64(), reference.next_u64());
+        }
+
+        #[test]
+        fn canonical_draws_fail_only_four_rules_and_the_sampler_sees_which(
+            space in 0usize..15,
+            words in prop::collection::vec(0u64..u64::MAX, N_PARAMS),
+        ) {
+            // The words pick arbitrary in-list values, as `random_raw`
+            // would from the same stream.
+            let sp = &sampler_spaces()[space];
+            let words: [u64; N_PARAMS] = words.try_into().unwrap();
+            let raw = Setting(ParamId::ALL.map(|p| sp.decode(&words, p)));
+            prop_assert_eq!(raw, sp.random_raw(&mut WordRng(words.iter())));
+            let mut s = raw;
+            s.canonicalize();
+            let verdict = sp.check_explicit(&s);
+            if let Err(e) = &verdict {
+                prop_assert!(four_rule_index(e).is_some(), "{:?}: {}", e, s);
+            }
+            prop_assert_eq!(sp.canonical_draw(&words), verdict.is_ok().then_some(s), "{}", s);
+        }
+    }
+
+    /// An rng that replays given words.
+    struct WordRng<'a>(std::slice::Iter<'a, u64>);
+
+    impl RngCore for WordRng<'_> {
+        fn next_u64(&mut self) -> u64 {
+            *self.0.next().expect("more words than given")
         }
     }
 

@@ -25,7 +25,7 @@ use cstuner_core::{
     CsTunerConfig, PerfDataset, SimEvaluator,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::fmt::Write as _;
 
 #[test]
@@ -169,6 +169,43 @@ fn model_record_digest_is_pinned() {
         }
     }
     check_golden("model_record_digest", &t);
+}
+
+#[test]
+fn valid_draw_digest_is_pinned() {
+    // The valid-setting streams every tuner draws from: for every kernel
+    // on every preset and two seeds, an FNV-1a over the first 64
+    // `random_valid` settings, the rng's next word after them, and an
+    // FNV-1a over the settings of a 128-record offline dataset.
+    let digest =
+        |settings: &[Setting]| fnv1a(settings.iter().flat_map(|s| s.0).flat_map(u32::to_le_bytes));
+    let mut t = String::new();
+    for k in cst_serve::all_stencils() {
+        for arch in [GpuArch::a100(), GpuArch::v100(), GpuArch::small()] {
+            for seed in [0, 1] {
+                let valid = ValidSpace::new(
+                    OptSpace::for_stencil(&k.spec),
+                    GpuSim::new(k.spec.clone(), arch.clone()),
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                let draws: Vec<Setting> = (0..64).map(|_| valid.random_valid(&mut rng)).collect();
+                let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), seed)
+                    .with_fault_profile(FaultProfile::off());
+                let ds = PerfDataset::collect(&mut eval, 128, seed);
+                let records: Vec<Setting> = ds.records.iter().map(|r| r.setting).collect();
+                let _ = writeln!(
+                    t,
+                    "{} {} seed={seed} valid64={:016x} next={:016x} dataset128={:016x}",
+                    k.spec.name,
+                    arch.name,
+                    digest(&draws),
+                    rng.next_u64(),
+                    digest(&records)
+                );
+            }
+        }
+    }
+    check_golden("valid_draw_digest", &t);
 }
 
 #[test]
