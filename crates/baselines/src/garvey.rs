@@ -216,7 +216,9 @@ impl Optimizer for GarveyOptimizer {
 mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
-    use cst_stencil::suite;
+    use cst_space::OptSpace;
+    use cst_stencil::{suite, suite_ext};
+    use cstuner_core::grouping::MAX_GROUP;
     use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
 
     fn garvey(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
@@ -246,6 +248,26 @@ mod tests {
         assert_eq!(all.len(), 17); // everything except the two memory bools
         assert!(!all.contains(&ParamId::UseShared));
         assert!(!all.contains(&ParamId::UseConstant));
+    }
+
+    #[test]
+    fn every_group_the_tree_forms_enumerates_within_200k_raw_steps() {
+        // `enumerate_group_repaired` walks each raw combination of a group
+        // once. It used to stop after max(64 × limit, 200 000) steps; no
+        // group formed here can reach that floor, so the budget went. The
+        // groups: Algorithm 1's (at most `MAX_GROUP` parameters, the flat
+        // singletons included) and Garvey's dimension bundles.
+        let kernels = suite::all_kernels().into_iter().chain(suite_ext::extension_kernels());
+        let longest = kernels
+            .flat_map(|k| {
+                let space = OptSpace::for_stencil(&k.spec);
+                ParamId::ALL.map(|p| space.values(p).len())
+            })
+            .max()
+            .unwrap();
+        let largest = DIMENSION_GROUPS.iter().map(|g| g.len()).fold(MAX_GROUP, usize::max);
+        let raw = longest.pow(largest as u32);
+        assert!(raw <= 200_000, "{largest} parameters of {longest} values: {raw} combinations");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! guarantee).
 
 use cst_ga::POPULATION;
-use cst_space::{ParamId, Setting, SettingSet};
+use cst_space::{odometer_step, ParamId, Setting, SettingSet};
 use cst_telemetry::Telemetry;
 use cstuner_core::{Observation, Optimizer, SearchCtx};
 
 /// Grid sweep as an ask/tell [`Optimizer`]: a mixed-radix odometer over
-/// per-parameter lattice index lists, canonicalized and deduplicated
+/// per-parameter lattice values, canonicalized and deduplicated
 /// (canonicalization collapses inactive-dimension combos onto one
 /// setting), one population of fresh lattice points per ask, empty ask
 /// once the lattice is exhausted. It takes no warm-start seeds: the sweep
@@ -23,10 +23,10 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 #[derive(Debug)]
 pub struct GridOptimizer {
     levels: usize,
-    /// Per-parameter lattice: indices into the parameter's value list.
-    lattice: Vec<Vec<usize>>,
+    /// Per-parameter lattice: values from the parameter's list.
+    lattice: Vec<Vec<u32>>,
     /// Odometer over `lattice` (None once exhausted).
-    cursor: Option<Vec<usize>>,
+    cursor: Option<Vec<u32>>,
     /// Canonical settings already asked this run.
     seen: SettingSet,
 }
@@ -36,24 +36,6 @@ impl GridOptimizer {
     pub fn new(levels: usize) -> Self {
         assert!(levels > 0);
         GridOptimizer { levels, lattice: Vec::new(), cursor: None, seen: SettingSet::default() }
-    }
-
-    /// Advance the odometer (last parameter fastest). Returns false once
-    /// the sweep wraps.
-    fn step(&mut self) -> bool {
-        let cur = match &mut self.cursor {
-            Some(c) => c,
-            None => return false,
-        };
-        for i in (0..cur.len()).rev() {
-            cur[i] += 1;
-            if cur[i] < self.lattice[i].len() {
-                return true;
-            }
-            cur[i] = 0;
-        }
-        self.cursor = None;
-        false
     }
 }
 
@@ -73,7 +55,8 @@ impl Optimizer for GridOptimizer {
         self.lattice = ParamId::ALL
             .iter()
             .map(|&p| {
-                let n = ctx.space().values(p).len();
+                let vals = ctx.space().values(p);
+                let n = vals.len();
                 let mut idx: Vec<usize> = if self.levels == 1 {
                     vec![0]
                 } else if n <= self.levels {
@@ -84,30 +67,28 @@ impl Optimizer for GridOptimizer {
                         .collect()
                 };
                 idx.dedup();
-                idx
+                idx.into_iter().map(|i| vals[i]).collect()
             })
             .collect();
         self.cursor = Some(vec![0; self.lattice.len()]);
         self.seen.clear();
     }
 
-    fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
+    fn ask(&mut self, _ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
         let mut batch = Vec::with_capacity(POPULATION);
         while batch.len() < POPULATION {
-            let cur = match &self.cursor {
-                Some(c) => c.clone(),
-                None => break,
-            };
+            let Some(cur) = &mut self.cursor else { break };
             let mut s = Setting::baseline();
             for (i, &p) in ParamId::ALL.iter().enumerate() {
-                let vals = ctx.space().values(p);
-                s.set(p, vals[self.lattice[i][cur[i]]]);
+                s.set(p, self.lattice[i][cur[i] as usize]);
             }
             s.canonicalize();
             if self.seen.insert(s) {
                 batch.push(s);
             }
-            if !self.step() {
+            // Last parameter fastest; a wrapped odometer ends the sweep.
+            if !odometer_step(cur, |i| self.lattice[i].len()) {
+                self.cursor = None;
                 break;
             }
         }

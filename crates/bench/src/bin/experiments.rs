@@ -31,8 +31,8 @@ use std::path::PathBuf;
 /// Experiment scale knobs, and the landscapes sampled at this scale.
 struct Scale {
     landscape_n: usize,
+    /// Repetitions of every seeded experiment (`--seeds N` sets it).
     seeds: u64,
-    ratio_seeds: u64,
     iso_iterations: u32,
     budget_s: f64,
     /// Figs. 2–4 read the same landscapes: sampled on first use, once.
@@ -40,15 +40,11 @@ struct Scale {
 }
 
 impl Scale {
-    /// Full scale. The paper repeats every tuning run 10×; the default is
-    /// 5 repetitions, and 2 for the sampling-ratio sweep and the
-    /// ablation, until `results/` is regenerated at the paper's count.
-    /// `--seeds N` sets all of them.
+    /// Full scale: every tuning run repeated 10×, as in the paper (§V).
     fn full() -> Self {
         Scale {
             landscape_n: 20_000,
-            seeds: 5,
-            ratio_seeds: 2,
+            seeds: 10,
             iso_iterations: 10,
             budget_s: 100.0,
             landscapes: OnceCell::new(),
@@ -59,7 +55,6 @@ impl Scale {
         Scale {
             landscape_n: 2_000,
             seeds: 2,
-            ratio_seeds: 1,
             iso_iterations: 4,
             budget_s: 30.0,
             landscapes: OnceCell::new(),
@@ -410,7 +405,7 @@ fn emit_arms<K: Json>(mut t: Table, specs: &[StencilSpec], runs: &[RunResult], k
 fn fig11(scale: &Scale) {
     let specs = all_specs();
     let ratios: Vec<f64> = (1..=10).map(|k| k as f64 * 0.05).collect();
-    let runs = cstuner_sweep(&specs, &ratios, scale.ratio_seeds, scale.budget_s, |c, &r| {
+    let runs = cstuner_sweep(&specs, &ratios, scale.seeds, scale.budget_s, |c, &r| {
         c.sampling.ratio = r;
     });
     let header: Vec<String> = std::iter::once("Stencil".to_string())
@@ -450,10 +445,9 @@ fn fig12(scale: &Scale) {
 
 fn ablation(scale: &Scale) {
     let specs = all_specs();
-    let runs =
-        cstuner_sweep(&specs, &ABLATION, scale.ratio_seeds, scale.budget_s, |c, (_, edit)| {
-            edit(c);
-        });
+    let runs = cstuner_sweep(&specs, &ABLATION, scale.seeds, scale.budget_s, |c, (_, edit)| {
+        edit(c);
+    });
     let t = Table::new(
         "ablation",
         "Ablation — csTuner variants, iso-time best (ms)",
@@ -490,12 +484,11 @@ struct Cli {
 }
 
 impl Cli {
-    /// The scale to run at; `--seeds` sets every repetition count.
+    /// The scale to run at; `--seeds` sets the repetition count.
     fn scale(&self) -> Scale {
         let mut scale = if self.quick { Scale::quick() } else { Scale::full() };
         if let Some(n) = self.seeds {
             scale.seeds = n;
-            scale.ratio_seeds = n;
         }
         scale
     }
@@ -603,14 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn seeds_reach_the_ratio_sweep_and_the_ablation() {
-        let counts = |line| {
-            let scale = parse(line).unwrap().scale();
-            (scale.seeds, scale.ratio_seeds)
-        };
-        assert_eq!(counts("all"), (5, 2));
-        assert_eq!(counts("all --quick"), (2, 1));
-        assert_eq!(counts("all --seeds 10"), (10, 10));
-        assert_eq!(counts("fig11 --quick --seeds 2"), (2, 2));
+    fn one_repetition_count_defaults_to_the_papers_ten() {
+        let seeds = |line| parse(line).unwrap().scale().seeds;
+        assert_eq!(seeds("all"), 10);
+        assert_eq!(seeds("all --quick"), 2);
+        assert_eq!(seeds("all --seeds 3"), 3);
+        assert_eq!(seeds("fig11 --quick --seeds 5"), 5);
     }
 }

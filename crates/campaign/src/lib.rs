@@ -24,7 +24,7 @@
 //!   seed repeats (mean/CV/worst of the archived [`cst_obs::RunSummary`]
 //!   milestones), a cross-tuner comparative dashboard, a machine-readable
 //!   JSON form, and a significance-aware campaign gate built on
-//!   [`cst_obs::diff_groups`] + [`cst_obs::DriftPolicy`] (group CV scales
+//!   [`cst_obs::diff_groups`] + [`cst_obs::evaluate_gate`] (group CV scales
 //!   the thresholds, echoing the paper's CV(top-n) trust in repeat
 //!   statistics) with a CI exit code.
 //!

@@ -18,8 +18,8 @@
 
 use crate::spec::{CampaignSpec, Cell};
 use cst_obs::{
-    diff_groups, evaluate_gate, render_gate_dashboard, sample_cv, DriftClass, DriftPolicy,
-    GateReport, JournalStore, RunSummary,
+    diff_groups, evaluate_gate, render_gate_dashboard, sample_cv, DriftClass, GateReport,
+    JournalStore, RunSummary,
 };
 use cst_telemetry::json;
 use std::fmt::Write as _;
@@ -301,12 +301,11 @@ impl CampaignGate {
 
 /// Gate a candidate campaign archive against a baseline one,
 /// scenario-by-scenario. Each scenario's repeats diff as *groups*, so
-/// [`DriftPolicy`]'s CV allowance is fed by the baseline repeats of that
-/// same scenario — significance scales with observed seed noise.
+/// the gate's CV allowance is fed by the baseline repeats of that same
+/// scenario — significance scales with observed seed noise.
 pub fn gate_campaign(
     baseline: &[(Cell, RunSummary)],
     candidate: &[(Cell, RunSummary)],
-    policy: &DriftPolicy,
 ) -> CampaignGate {
     let base = aggregate(baseline);
     let cand = aggregate(candidate);
@@ -323,7 +322,7 @@ pub fn gate_campaign(
                 );
                 scenarios.push(ScenarioGate {
                     scenario: c.scenario.clone(),
-                    report: evaluate_gate(&diff, policy),
+                    report: evaluate_gate(&diff),
                 });
             }
             None => missing_baseline.push(c.scenario.clone()),
@@ -344,13 +343,13 @@ pub fn gate_campaign(
 /// Render the campaign gate: one verdict line per scenario, full drift
 /// detail (indented) for any non-`ok` scenario, then the overall
 /// verdict. Deterministic for fixed inputs.
-pub fn render_campaign_gate(gate: &CampaignGate, policy: &DriftPolicy) -> String {
+pub fn render_campaign_gate(gate: &CampaignGate) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "campaign gate: {} scenarios", gate.scenarios.len());
     for s in &gate.scenarios {
         let _ = writeln!(out, "  {:<40} {}", s.scenario, s.report.verdict.label());
         if s.report.verdict != DriftClass::Ok {
-            for line in render_gate_dashboard(&s.report, policy).lines() {
+            for line in render_gate_dashboard(&s.report).lines() {
                 let _ = writeln!(out, "    {line}");
             }
         }
@@ -491,11 +490,11 @@ mod tests {
     #[test]
     fn identical_campaigns_gate_ok() {
         let base = pairs(&[4.0, 4.2, 5.0, 5.1]);
-        let gate = gate_campaign(&base, &base, &DriftPolicy::default());
+        let gate = gate_campaign(&base, &base);
         assert_eq!(gate.verdict, DriftClass::Ok);
         assert_eq!(gate.exit_code(), 0);
         assert_eq!(gate.scenarios.len(), 2);
-        let text = render_campaign_gate(&gate, &DriftPolicy::default());
+        let text = render_campaign_gate(&gate);
         assert!(text.contains("verdict: ok"), "{text}");
     }
 
@@ -505,12 +504,12 @@ mod tests {
         // The random tuner slows 10% (past the 5% regress band, no CV
         // slack since the baseline repeats agree); cstuner is untouched.
         let cand = pairs(&[4.0, 4.0, 5.5, 5.5]);
-        let gate = gate_campaign(&base, &cand, &DriftPolicy::default());
+        let gate = gate_campaign(&base, &cand);
         assert_eq!(gate.verdict, DriftClass::Regress);
         assert_eq!(gate.exit_code(), 1);
         assert_eq!(gate.scenarios[0].report.verdict, DriftClass::Ok);
         assert_eq!(gate.scenarios[1].report.verdict, DriftClass::Regress);
-        let text = render_campaign_gate(&gate, &DriftPolicy::default());
+        let text = render_campaign_gate(&gate);
         assert!(text.contains("j3d7pt-a100-random-b6p0"), "{text}");
         assert!(text.contains("best_ms"), "{text}");
         let j = campaign_verdict_json(&gate);
@@ -524,7 +523,7 @@ mod tests {
         // same +10% move that regressed above is soaked by 2×CV here.
         let base = pairs(&[4.0, 5.0, 5.0, 5.0]);
         let cand = pairs(&[4.95, 4.95, 5.0, 5.0]);
-        let gate = gate_campaign(&base, &cand, &DriftPolicy::default());
+        let gate = gate_campaign(&base, &cand);
         assert_eq!(gate.scenarios[0].report.verdict, DriftClass::Ok);
     }
 
@@ -534,13 +533,13 @@ mod tests {
         // Candidate only ran the cstuner scenario.
         let cand: Vec<_> =
             base.iter().filter(|(c, _)| c.request.tuner == "cstuner").cloned().collect();
-        let gate = gate_campaign(&base, &cand, &DriftPolicy::default());
+        let gate = gate_campaign(&base, &cand);
         assert_eq!(gate.verdict, DriftClass::Regress);
         assert_eq!(gate.missing_candidate, ["j3d7pt-a100-random-b6p0"]);
-        let text = render_campaign_gate(&gate, &DriftPolicy::default());
+        let text = render_campaign_gate(&gate);
         assert!(text.contains("MISSING from candidate"), "{text}");
         // The mirror case: candidate grew a scenario — informational only.
-        let gate = gate_campaign(&cand, &base, &DriftPolicy::default());
+        let gate = gate_campaign(&cand, &base);
         assert_eq!(gate.verdict, DriftClass::Ok);
         assert_eq!(gate.missing_baseline, ["j3d7pt-a100-random-b6p0"]);
         let j = campaign_verdict_json(&gate);

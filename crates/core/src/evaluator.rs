@@ -185,11 +185,6 @@ impl SimEvaluator {
         self
     }
 
-    /// The active fault profile.
-    pub fn fault_profile(&self) -> &FaultProfile {
-        &self.faults
-    }
-
     /// Whether a setting has been quarantined after exhausting retries.
     pub fn is_quarantined(&self, s: &Setting) -> bool {
         self.quarantine.contains(s)
@@ -208,21 +203,6 @@ impl SimEvaluator {
     /// The composed valid space.
     pub fn valid_space(&self) -> &ValidSpace {
         &self.valid
-    }
-
-    /// Reset the clock, evaluation memo and fault state (fresh tuning run
-    /// on the same stencil/arch). The fault *profile* persists — it is
-    /// configuration, not session state.
-    pub fn reset(&mut self, seed: u64, budget_s: Option<f64>) {
-        self.clock = match budget_s {
-            Some(b) => VirtualClock::with_budget(b),
-            None => VirtualClock::unbounded(),
-        };
-        self.rng = StdRng::seed_from_u64(seed ^ 0x5eed_e7a1);
-        self.memo.clear();
-        self.unique = 0;
-        self.fault_stats = FaultStats::default();
-        self.quarantine.clear();
     }
 
     /// Bounded retry loop for one setting under an active fault profile.
@@ -444,16 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut e = eval();
-        e.evaluate(&Setting::baseline());
-        e.reset(9, Some(5.0));
-        assert_eq!(e.clock().now_s(), 0.0);
-        assert_eq!(e.unique_evaluations(), 0);
-        assert_eq!(e.clock().remaining_s(), 5.0);
-    }
-
-    #[test]
     fn measurements_use_noise_but_stay_close_to_model() {
         let mut e = eval();
         let s = Setting::baseline();
@@ -538,19 +508,6 @@ mod tests {
         let before = e.clock().now_s();
         assert_eq!(e.evaluate(&s), f64::INFINITY);
         assert_eq!(e.clock().now_s(), before);
-    }
-
-    #[test]
-    fn reset_clears_fault_state_but_keeps_profile() {
-        let profile = FaultProfile { p_compile: 1.0, ..FaultProfile::hostile(5) };
-        let mut e = eval().with_fault_profile(profile);
-        e.evaluate(&Setting::baseline());
-        assert!(e.fault_stats().any());
-        assert_eq!(e.quarantined_count(), 1);
-        e.reset(3, None);
-        assert!(!e.fault_stats().any());
-        assert_eq!(e.quarantined_count(), 0);
-        assert_eq!(*e.fault_profile(), profile, "profile is config, not session state");
     }
 
     #[test]

@@ -66,6 +66,13 @@ pub fn pairwise_cv(dataset: &PerfDataset) -> Vec<PairCv> {
     out
 }
 
+/// Group-size cap: PMNF tooling the paper builds on (Extra-P) supports at
+/// most four-parameter models, and a group's combination space is
+/// enumerated by the sampler — unbounded groups would make both
+/// intractable. A full group stops absorbing; the partner parameter gets
+/// its own group instead.
+pub const MAX_GROUP: usize = 4;
+
 /// Algorithm 1: deque-based parameter grouping.
 ///
 /// `pairs` may be in any order; they are sorted ascending by CV and pushed
@@ -74,12 +81,6 @@ pub fn pairwise_cv(dataset: &PerfDataset) -> Vec<PairCv> {
 /// are appended as singletons at the end, so the result always partitions
 /// the full parameter set.
 pub fn group_parameters(pairs: &[PairCv]) -> Vec<Vec<ParamId>> {
-    // Group-size cap: PMNF tooling the paper builds on (Extra-P) supports
-    // at most four-parameter models, and a group's combination space is
-    // enumerated by the sampler — unbounded groups would make both
-    // intractable. A full group stops absorbing; the partner parameter
-    // gets its own group instead.
-    const MAX_GROUP: usize = 4;
     let mut sorted = pairs.to_vec();
     sorted.sort_by(|x, y| x.cv.partial_cmp(&y.cv).unwrap_or(std::cmp::Ordering::Equal));
     let mut deque: VecDeque<PairCv> = sorted.into();

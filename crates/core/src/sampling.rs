@@ -502,35 +502,25 @@ mod tests {
         // Find the group containing TBx.
         let k = s.groups.iter().position(|g| g.contains(&ParamId::TBx));
         let Some(k) = k else { return };
-        let kept_mean: f64 = {
-            let ts: Vec<f64> = s.combos[k]
+        // Mean model time of a group's combos decoded around the base.
+        let mean_ms = |combos: &[Vec<u32>]| {
+            let ts: Vec<f64> = combos
                 .iter()
                 .map(|c| {
                     let mut st = s.base;
                     for (&p, &v) in s.groups[k].iter().zip(c) {
                         st.set(p, v);
                     }
+                    st.canonicalize();
                     sim.kernel_time_ms(&st)
                 })
                 .filter(|t| t.is_finite())
                 .collect();
             ts.iter().sum::<f64>() / ts.len() as f64
         };
-        let all = e.space().enumerate_group(&s.base, &s.groups[k], 8192);
-        let all_mean: f64 = {
-            let ts: Vec<f64> = all
-                .iter()
-                .map(|c| {
-                    let mut st = s.base;
-                    for (&p, &v) in s.groups[k].iter().zip(c) {
-                        st.set(p, v);
-                    }
-                    sim.kernel_time_ms(&st)
-                })
-                .filter(|t| t.is_finite())
-                .collect();
-            ts.iter().sum::<f64>() / ts.len() as f64
-        };
+        let kept_mean = mean_ms(&s.combos[k]);
+        let all_mean =
+            mean_ms(&e.space().enumerate_group_repaired(&s.base, &s.groups[k], ENUM_LIMIT));
         assert!(
             kept_mean <= all_mean * 1.1,
             "sampled mean {kept_mean} should not be worse than population mean {all_mean}"

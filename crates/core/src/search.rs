@@ -15,7 +15,7 @@ use crate::evaluator::Evaluator;
 use crate::pipeline::CurvePoint;
 use crate::sampling::SampledSpace;
 use cst_ga::{GaConfig, GaState, Genome, POPULATION};
-use cst_space::Setting;
+use cst_space::{odometer_step, Setting};
 use cst_stats::coefficient_of_variation;
 use cst_telemetry::{event, Telemetry};
 
@@ -96,7 +96,7 @@ pub fn evolutionary_search(
     // population is searched exhaustively — the GA has nothing to evolve.
     if sampled.size() <= POPULATION as u64 {
         let mut idx = vec![0u32; cards.len()];
-        'exh: loop {
+        loop {
             if rec.done(eval) {
                 break;
             }
@@ -104,18 +104,8 @@ pub fn evolutionary_search(
             if t <= rec.best_ms() {
                 best_genes = idx.clone();
             }
-            // Odometer step; wrapping the first digit ends the enumeration.
-            let mut d = cards.len();
-            loop {
-                if d == 0 {
-                    break 'exh;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < cards[d] {
-                    break;
-                }
-                idx[d] = 0;
+            if !odometer_step(&mut idx, |d| cards[d] as usize) {
+                break;
             }
         }
     } else if !rec.done(eval) {

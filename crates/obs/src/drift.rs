@@ -1,8 +1,8 @@
 //! Drift detection: classify a [`RunDiff`] into `ok | warn | regress`.
 //!
-//! Each metric gets a threshold rule from a [`DriftPolicy`]: an absolute
+//! Each metric gets a threshold rule from one fixed table: an absolute
 //! floor (deltas smaller than measurement granularity are never drift), a
-//! CV allowance (deltas within `cv_mult ×` the baseline group's
+//! CV allowance (deltas within `2 ×` the baseline group's
 //! coefficient of variation are noise — the same statistic the paper's
 //! CV(top-n) stopping rule trusts), and two relative bands (`rel_warn`,
 //! `rel_regress`). Movement in a metric's *good* direction is always
@@ -37,97 +37,85 @@ impl DriftClass {
 
 /// Per-metric thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Thresholds {
+struct Thresholds {
     /// Absolute floor: |delta| at or below this is never drift.
-    pub abs_tol: f64,
+    abs_tol: f64,
     /// Relative band where the class becomes [`DriftClass::Warn`].
-    pub rel_warn: f64,
+    rel_warn: f64,
     /// Relative band where the class becomes [`DriftClass::Regress`].
-    pub rel_regress: f64,
+    rel_regress: f64,
 }
 
-/// Threshold policy: maps metric names to [`Thresholds`] plus the global
-/// CV allowance for group baselines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftPolicy {
-    /// Deltas within `cv_mult × baseline_cv × |baseline|` are noise.
-    pub cv_mult: f64,
-    /// `(metric-name prefix, thresholds)`, first match wins; exact names
-    /// sort before prefixes because the table is checked in order.
-    pub rules: Vec<(String, Thresholds)>,
-    /// Fallback when no rule matches.
-    pub default: Thresholds,
+/// Deltas within `CV_MULT × baseline_cv × |baseline|` are noise.
+const CV_MULT: f64 = 2.0;
+
+/// One row of [`RULES`], kept short so the table reads as a table.
+const fn t(abs_tol: f64, rel_warn: f64, rel_regress: f64) -> Thresholds {
+    Thresholds { abs_tol, rel_warn, rel_regress }
 }
 
-impl Default for DriftPolicy {
-    fn default() -> Self {
-        let t = |abs_tol, rel_warn, rel_regress| Thresholds { abs_tol, rel_warn, rel_regress };
-        DriftPolicy {
-            cv_mult: 2.0,
-            rules: vec![
-                // The headline metric: tight bands.
-                ("best_ms".into(), t(1e-6, 0.02, 0.05)),
-                // Convergence speed: virtual-time/eval milestones wobble
-                // with seed, so the bands are loose.
-                ("milestone_".into(), t(0.05, 0.15, 0.40)),
-                ("evaluations".into(), t(1.0, 0.15, 0.40)),
-                // Memo efficiency: an absolute two-point drop matters more
-                // than its relative size.
-                ("memo_hit_ratio".into(), t(0.02, 0.10, 0.50)),
-                // Fault machinery: rates near zero, so absolute floors do
-                // the work and relative bands are wide.
-                ("fault_rate".into(), t(0.01, 0.5, 2.0)),
-                ("quarantine_rate".into(), t(0.01, 0.5, 2.0)),
-                ("hist_".into(), t(1e-6, 0.25, 1.0)),
-            ],
-            default: t(1e-9, 0.10, 0.30),
-        }
+/// `(metric-name prefix, thresholds)`, first match wins; exact names sort
+/// before prefixes because the table is checked in order.
+const RULES: [(&str, Thresholds); 7] = [
+    // The headline metric: tight bands.
+    ("best_ms", t(1e-6, 0.02, 0.05)),
+    // Convergence speed: virtual-time/eval milestones wobble with seed,
+    // so the bands are loose.
+    ("milestone_", t(0.05, 0.15, 0.40)),
+    ("evaluations", t(1.0, 0.15, 0.40)),
+    // Memo efficiency: an absolute two-point drop matters more than its
+    // relative size.
+    ("memo_hit_ratio", t(0.02, 0.10, 0.50)),
+    // Fault machinery: rates near zero, so absolute floors do the work
+    // and relative bands are wide.
+    ("fault_rate", t(0.01, 0.5, 2.0)),
+    ("quarantine_rate", t(0.01, 0.5, 2.0)),
+    ("hist_", t(1e-6, 0.25, 1.0)),
+];
+
+/// The thresholds of a metric no rule matches.
+const DEFAULT_THRESHOLDS: Thresholds = t(1e-9, 0.10, 0.30);
+
+/// The thresholds that apply to a metric name.
+fn thresholds(metric: &str) -> Thresholds {
+    RULES
+        .iter()
+        .find(|(prefix, _)| metric.starts_with(prefix))
+        .map_or(DEFAULT_THRESHOLDS, |&(_, t)| t)
+}
+
+/// Classify one compared metric.
+fn classify(m: &MetricDelta) -> DriftClass {
+    // Neutral metrics are diagnostic only — never drift.
+    if m.direction == Direction::Neutral {
+        return DriftClass::Ok;
     }
-}
-
-impl DriftPolicy {
-    /// The thresholds that apply to a metric name.
-    pub fn thresholds(&self, metric: &str) -> Thresholds {
-        self.rules
-            .iter()
-            .find(|(prefix, _)| metric.starts_with(prefix.as_str()))
-            .map(|&(_, t)| t)
-            .unwrap_or(self.default)
+    let t = thresholds(&m.name);
+    let (b, c) = match (m.baseline, m.candidate) {
+        (Some(b), Some(c)) => (b, c),
+        // One-sided: losing a metric the baseline had (an unreached
+        // milestone, a best that became infinite) is a regression;
+        // gaining one is fine.
+        (Some(_), None) => return DriftClass::Regress,
+        _ => return DriftClass::Ok,
+    };
+    let delta = c - b;
+    if m.improved() != Some(false) {
+        return DriftClass::Ok;
     }
-
-    /// Classify one compared metric.
-    pub fn classify(&self, m: &MetricDelta) -> DriftClass {
-        // Neutral metrics are diagnostic only — never drift.
-        if m.direction == Direction::Neutral {
-            return DriftClass::Ok;
-        }
-        let t = self.thresholds(&m.name);
-        let (b, c) = match (m.baseline, m.candidate) {
-            (Some(b), Some(c)) => (b, c),
-            // One-sided: losing a metric the baseline had (an unreached
-            // milestone, a best that became infinite) is a regression;
-            // gaining one is fine.
-            (Some(_), None) => return DriftClass::Regress,
-            _ => return DriftClass::Ok,
-        };
-        let delta = c - b;
-        if m.improved() != Some(false) {
-            return DriftClass::Ok;
-        }
-        if delta.abs() <= t.abs_tol {
-            return DriftClass::Ok;
-        }
-        if delta.abs() <= self.cv_mult * m.baseline_cv * b.abs() {
-            return DriftClass::Ok;
-        }
-        let rel = delta.abs() / b.abs().max(t.abs_tol);
-        if rel >= t.rel_regress {
-            DriftClass::Regress
-        } else if rel >= t.rel_warn {
-            DriftClass::Warn
-        } else {
-            DriftClass::Ok
-        }
+    if delta.abs() <= t.abs_tol {
+        return DriftClass::Ok;
+    }
+    if delta.abs() <= CV_MULT * m.baseline_cv * b.abs() {
+        return DriftClass::Ok;
+    }
+    let rel = delta.abs() / b.abs().max(t.abs_tol);
+    if rel >= t.rel_regress {
+        DriftClass::Regress
+    } else if rel >= t.rel_warn {
+        DriftClass::Warn
+    } else {
+        DriftClass::Ok
     }
 }
 
@@ -169,11 +157,11 @@ impl GateReport {
 }
 
 /// Run the drift detector over a diff.
-pub fn evaluate_gate(diff: &RunDiff, policy: &DriftPolicy) -> GateReport {
+pub fn evaluate_gate(diff: &RunDiff) -> GateReport {
     let findings: Vec<GateFinding> = diff
         .metrics
         .iter()
-        .map(|m| GateFinding { metric: m.clone(), class: policy.classify(m) })
+        .map(|m| GateFinding { metric: m.clone(), class: classify(m) })
         .collect();
     let verdict = findings.iter().map(|f| f.class).max().unwrap_or(DriftClass::Ok);
     GateReport { diff: diff.clone(), findings, verdict }
@@ -182,7 +170,7 @@ pub fn evaluate_gate(diff: &RunDiff, policy: &DriftPolicy) -> GateReport {
 /// Render the gate dashboard: verdict header, then every non-`ok` finding
 /// with its thresholds, then a one-line count of the quiet metrics.
 /// Deterministic for fixed inputs.
-pub fn render_gate_dashboard(report: &GateReport, policy: &DriftPolicy) -> String {
+pub fn render_gate_dashboard(report: &GateReport) -> String {
     let mut out = String::new();
     let d = &report.diff;
     let _ = writeln!(
@@ -201,7 +189,7 @@ pub fn render_gate_dashboard(report: &GateReport, policy: &DriftPolicy) -> Strin
         );
         for f in &noisy {
             let m = &f.metric;
-            let t = policy.thresholds(&m.name);
+            let t = thresholds(&m.name);
             let rel =
                 m.rel().map(|r| format!("{:+.1}%", 100.0 * r)).unwrap_or_else(|| "-".to_string());
             let _ = writeln!(
@@ -294,39 +282,36 @@ mod tests {
     #[test]
     fn identical_runs_gate_ok_with_exit_0() {
         let s = summary(4.0);
-        let report = evaluate_gate(&diff_runs(&s, &s), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&s, &s));
         assert_eq!(report.verdict, DriftClass::Ok);
         assert_eq!(report.exit_code(), 0);
-        assert!(render_gate_dashboard(&report, &DriftPolicy::default()).contains("verdict: ok"));
+        assert!(render_gate_dashboard(&report).contains("verdict: ok"));
     }
 
     #[test]
     fn big_best_ms_slowdown_regresses_and_exits_nonzero() {
-        let report =
-            evaluate_gate(&diff_runs(&summary(4.0), &summary(4.5)), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.5)));
         assert_eq!(report.verdict, DriftClass::Regress);
         assert_eq!(report.exit_code(), 1);
-        let dash = render_gate_dashboard(&report, &DriftPolicy::default());
+        let dash = render_gate_dashboard(&report);
         assert!(dash.contains("regress") && dash.contains("best_ms"), "{dash}");
         assert!(verdict_json(&report).contains("\"verdict\":\"regress\""));
     }
 
     #[test]
     fn small_best_ms_wobble_is_ok_and_mid_band_warns() {
-        let policy = DriftPolicy::default();
         // +1% < 2% warn band.
-        let r = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.04)), &policy);
+        let r = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.04)));
         assert_eq!(r.verdict, DriftClass::Ok);
         // +3% sits between warn (2%) and regress (5%).
-        let r = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.12)), &policy);
+        let r = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.12)));
         assert_eq!(r.verdict, DriftClass::Warn);
         assert_eq!(r.exit_code(), 0);
     }
 
     #[test]
     fn improvement_is_always_ok() {
-        let report =
-            evaluate_gate(&diff_runs(&summary(4.0), &summary(2.0)), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&summary(4.0), &summary(2.0)));
         assert_eq!(report.verdict, DriftClass::Ok);
     }
 
@@ -336,11 +321,10 @@ mod tests {
         // Baseline group with ~14% CV; a +20% candidate move stays inside
         // 2×CV and must be treated as noise despite exceeding rel_regress.
         let group = [summary(4.0), summary(4.6), summary(5.4)];
-        let policy = DriftPolicy::default();
         let d = diff_groups("base", &group, "cand", &[summary(5.6)]);
         let m = d.metric("best_ms").unwrap();
-        assert!(m.rel().unwrap() > policy.thresholds("best_ms").rel_regress);
-        let report = evaluate_gate(&d, &policy);
+        assert!(m.rel().unwrap() > thresholds("best_ms").rel_regress);
+        let report = evaluate_gate(&d);
         let f = report.findings.iter().find(|f| f.metric.name == "best_ms").unwrap();
         assert_eq!(f.class, DriftClass::Ok);
     }
@@ -350,9 +334,9 @@ mod tests {
         let b = summary(4.0);
         let mut c = summary(4.0);
         c.milestones.clear();
-        let report = evaluate_gate(&diff_runs(&b, &c), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&b, &c));
         assert_eq!(report.verdict, DriftClass::Regress);
-        let dash = render_gate_dashboard(&report, &DriftPolicy::default());
+        let dash = render_gate_dashboard(&report);
         assert!(dash.contains("milestone_10pct_v_s"), "{dash}");
     }
 
@@ -363,14 +347,13 @@ mod tests {
         c.iterations = 300;
         c.ga_generations = 0;
         c.counters = vec![("evals_attempted".into(), 9999)];
-        let report = evaluate_gate(&diff_runs(&b, &c), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&b, &c));
         assert_eq!(report.verdict, DriftClass::Ok);
     }
 
     #[test]
     fn verdict_json_is_deterministic_and_parses() {
-        let report =
-            evaluate_gate(&diff_runs(&summary(4.0), &summary(4.5)), &DriftPolicy::default());
+        let report = evaluate_gate(&diff_runs(&summary(4.0), &summary(4.5)));
         let j = verdict_json(&report);
         assert_eq!(j, verdict_json(&report));
         let v = json::parse(&j).unwrap();

@@ -41,9 +41,7 @@ pub mod summary;
 
 pub use dashboard::{dashboard_json, render_dashboard};
 pub use diff::{diff_groups, diff_runs, render_diff, sample_cv, Direction, MetricDelta, RunDiff};
-pub use drift::{
-    evaluate_gate, render_gate_dashboard, verdict_json, DriftClass, DriftPolicy, GateReport,
-};
+pub use drift::{evaluate_gate, render_gate_dashboard, verdict_json, DriftClass, GateReport};
 pub use profile::{
     diff_profiles, profile_journal, profile_json, profile_summary, render_fold, render_profile,
     render_profile_diff, Profile, ProfileRow, PROFILE_VERSION,

@@ -419,7 +419,12 @@ impl SessionManager {
         }
     }
 
-    /// Admit a session or reject it (typed). Admission never blocks.
+    /// Admit a session or reject it (typed). Admission never blocks, and
+    /// it wakes no worker: the caller writes its client's `accepted`
+    /// frame first and then calls [`SessionManager::wake_worker`], so an
+    /// idle worker cannot start the session before that frame is written.
+    /// A worker that finishes another session meanwhile still takes it
+    /// from the queue.
     pub fn submit(&self, request: TuneRequest) -> Result<Arc<Session>, Rejection> {
         // The registry reports display names (`GpuArch::name`), which can
         // differ from the request's spelling (`a100` vs `A100`): record
@@ -451,21 +456,19 @@ impl SessionManager {
         g.active += 1;
         g.memo_pairs.insert((stencil, arch));
         self.admission_accepted.inc();
-        drop(g);
-        self.work_cv.notify_one();
         Ok(session)
+    }
+
+    /// Wake one idle worker for a session [`SessionManager::submit`]
+    /// admitted.
+    pub fn wake_worker(&self) {
+        self.work_cv.notify_one();
     }
 
     /// Look up a session (alive for the daemon's lifetime, so finished
     /// sessions stay watchable).
     pub fn get(&self, id: u64) -> Option<Arc<Session>> {
         self.shared.lock().expect("manager lock").sessions.get(&id).cloned()
-    }
-
-    /// `(running, queued, completed)` at this instant.
-    pub fn counts(&self) -> (usize, usize, u64) {
-        let g = self.shared.lock().expect("manager lock");
-        (g.active - g.queue.len(), g.queue.len(), g.completed)
     }
 
     /// Cancel a session. A queued session is finalized as `cancelled`
@@ -649,7 +652,12 @@ mod tests {
         let s1 = mgr.submit(quick_req(1)).unwrap();
         assert_eq!(mgr.cancel(s0.id), Some(SessionState::Cancelled));
         assert_eq!(mgr.cancel(s1.id), Some(SessionState::Cancelled));
-        assert_eq!(mgr.counts(), (0, 0, 2), "cancelled sessions leave no residue");
+        let counts = mgr.counts_by_state();
+        assert_eq!(
+            (counts.running, counts.queued, counts.cancelled),
+            (0, 0, 2),
+            "cancelled sessions leave no residue"
+        );
         // Refill to the admission limit, then one more: the busy frame
         // must report sane counts, not a wrapped running count.
         let _s2 = mgr.submit(quick_req(2)).expect("slot freed by first cancel");
@@ -678,6 +686,7 @@ mod tests {
             std::thread::spawn(move || mgr.worker_loop())
         };
         let session = mgr.submit(quick_req(1)).unwrap();
+        mgr.wake_worker();
         // Follow to the end like a watcher would.
         let mut cursor = 0;
         let terminal = loop {
@@ -721,6 +730,7 @@ mod tests {
         )
         .unwrap();
         let session = mgr.submit(req).unwrap();
+        mgr.wake_worker();
         // Wait for the run to actually start emitting, then cancel.
         while session.record_count() < 2 {
             std::thread::yield_now();

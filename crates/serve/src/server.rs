@@ -15,7 +15,7 @@ use crate::manager::{Progress, Rejection, Session, SessionLimits, SessionManager
 use crate::proto;
 use cst_obs::JournalStore;
 use cst_telemetry::metrics::CounterHandle;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,10 +186,25 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-fn send_line(stream: &mut TcpStream, line: &str, wire_out: &CounterHandle) -> std::io::Result<()> {
+fn send_line(stream: &mut impl Write, line: &str, wire_out: &CounterHandle) -> std::io::Result<()> {
     proto::write_frame(stream, line)?;
     wire_out.add(line.len() as u64 + 1);
     Ok(())
+}
+
+/// Send an admitted session's `accepted` frame, then `wake` a worker for
+/// it, also when the write failed, so the session runs either way. Waking
+/// first would let an idle worker start the session, warm start included,
+/// before the frame is even written.
+fn send_accepted(
+    stream: &mut impl Write,
+    session: u64,
+    wake: impl FnOnce(),
+    wire_out: &CounterHandle,
+) -> std::io::Result<()> {
+    let sent = send_line(stream, &proto::accepted_frame(session), wire_out);
+    wake();
+    sent
 }
 
 /// Replay a session's records from the start and follow until terminal,
@@ -320,7 +335,8 @@ fn handle_connection(
         }
         Ok(proto::Request::Tune(request)) => match manager.submit(request) {
             Ok(session) => {
-                if send_line(&mut stream, &proto::accepted_frame(session.id), &wire_out).is_ok() {
+                let wake = || manager.wake_worker();
+                if send_accepted(&mut stream, session.id, wake, &wire_out).is_ok() {
                     let watchers = metrics.gauge("watchers");
                     watchers.add(1);
                     stream_session(&mut stream, &session, &wire_out);
@@ -463,6 +479,40 @@ mod tests {
         // Returns only if the wake-up connection reached the blocked
         // accept loop through loopback.
         handle.join();
+    }
+
+    #[test]
+    fn accepted_is_sent_before_a_worker_is_woken() {
+        /// A client connection that logs each write, and refuses it when
+        /// `refuse` is set.
+        struct Client<'a> {
+            log: &'a std::cell::RefCell<Vec<String>>,
+            refuse: bool,
+        }
+        impl Write for Client<'_> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.log.borrow_mut().push(String::from_utf8_lossy(buf).into_owned());
+                if self.refuse {
+                    Err(std::io::ErrorKind::BrokenPipe.into())
+                } else {
+                    Ok(buf.len())
+                }
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let wire_out = cst_telemetry::metrics::MetricsRegistry::new().counter("wire_bytes_out");
+        for refuse in [false, true] {
+            let log = std::cell::RefCell::new(Vec::new());
+            let wake = || log.borrow_mut().push("wake".to_string());
+            let sent = send_accepted(&mut Client { log: &log, refuse }, 7, wake, &wire_out);
+            assert_eq!(sent.is_ok(), !refuse);
+            // The frame first, then the wake: a refused write still wakes.
+            assert_eq!(log.into_inner(), [proto::accepted_frame(7) + "\n", "wake".to_string()]);
+        }
+        let accepted_bytes = proto::accepted_frame(7).len() as u64 + 1;
+        assert_eq!(wire_out.get(), accepted_bytes, "only the sent frame counts");
     }
 
     #[test]

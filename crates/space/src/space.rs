@@ -372,88 +372,34 @@ impl OptSpace {
         bm as u64 * cm as u64 * uf as u64 <= self.grid[d] as u64
     }
 
-    /// Enumerate all value combinations of a parameter subset that are
-    /// explicitly valid when substituted into `base`, up to `limit`
-    /// combinations (in lexicographic order of value indices). This is the
-    /// per-group combination space of the iterative search (§IV-E).
-    pub fn enumerate_group(
-        &self,
-        base: &Setting,
-        params: &[ParamId],
-        limit: usize,
-    ) -> Vec<Vec<u32>> {
-        let step_budget = limit.saturating_mul(64).max(200_000);
-        let mut steps = 0usize;
-        let mut out = Vec::new();
-        let lists: Vec<&[u32]> = params.iter().map(|&p| self.values(p)).collect();
-        let mut idx = vec![0usize; params.len()];
-        'outer: loop {
-            steps += 1;
-            if steps > step_budget {
-                break;
-            }
-            let combo: Vec<u32> = idx.iter().zip(&lists).map(|(&i, l)| l[i]).collect();
-            let mut s = *base;
-            for (&p, &v) in params.iter().zip(&combo) {
-                s.set(p, v);
-            }
-            if self.is_explicit_valid(&s) {
-                out.push(combo);
-                if out.len() >= limit {
-                    break;
-                }
-            }
-            // Odometer increment.
-            let mut d = params.len();
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < lists[d].len() {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        out
-    }
-
-    /// Total combinations of a parameter subset ignoring constraints.
-    pub fn group_combo_count(&self, params: &[ParamId]) -> usize {
-        params.iter().map(|&p| self.values(p).len()).product()
-    }
-
-    /// Like [`OptSpace::enumerate_group`], but a combination is feasible
-    /// when the *canonicalized* substitution is valid. Strict validity
-    /// against a base setting couples the group to the base's topology —
-    /// e.g. with a streaming base, `useStreaming = 1` alone is invalid
-    /// because `SD`/`SB` stay set — so a tuner enumerating strictly can
-    /// never leave the base's streaming configuration. Canonicalization
-    /// repairs the dependent parameters exactly as a code generator would.
+    /// Enumerate the value combinations of a parameter subset that are
+    /// feasible around `base`, up to `limit` combinations, in
+    /// lexicographic order of value indices: the per-group combination
+    /// space of the iterative search (§IV-E). A combination is feasible
+    /// when the *canonicalized* substitution is explicitly valid. Strict
+    /// validity against the base would couple the group to the base's
+    /// topology — e.g. with a streaming base, `useStreaming = 1` alone is
+    /// invalid because `SD`/`SB` stay set — so a tuner could never leave
+    /// the base's streaming configuration. Canonicalization repairs the
+    /// dependent parameters exactly as a code generator would.
+    ///
+    /// The walk visits each raw combination of the group once. Every group
+    /// this tree forms has at most four parameters, and no list on the
+    /// kernels' grids has more than 11 values, so a walk takes at most
+    /// 11⁴ steps.
     pub fn enumerate_group_repaired(
         &self,
         base: &Setting,
         params: &[ParamId],
         limit: usize,
     ) -> Vec<Vec<u32>> {
-        // Hard step budget: a large group whose feasible combinations are
-        // rare in lexicographic order must not turn enumeration into an
-        // unbounded scan of the cartesian space.
-        let step_budget = limit.saturating_mul(64).max(200_000);
-        let mut steps = 0usize;
         let mut out: Vec<Vec<u32>> = Vec::new();
         let lists: Vec<&[u32]> = params.iter().map(|&p| self.values(p)).collect();
-        let mut idx = vec![0usize; params.len()];
-        'outer: loop {
-            steps += 1;
-            if steps > step_budget {
-                break;
-            }
+        let mut idx = vec![0u32; params.len()];
+        loop {
             let mut s = *base;
             for ((&p, l), &i) in params.iter().zip(&lists).zip(&idx) {
-                s.set(p, l[i]);
+                s.set(p, l[i as usize]);
             }
             s.canonicalize();
             if self.is_explicit_valid(&s) {
@@ -464,26 +410,34 @@ impl OptSpace {
                 // re-canonicalizes in the final context. The odometer visits
                 // each index tuple once and every value list is strictly
                 // ascending, so the combinations are distinct.
-                out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i]).collect());
+                out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i as usize]).collect());
                 if out.len() >= limit {
                     break;
                 }
             }
-            let mut d = params.len();
-            loop {
-                if d == 0 {
-                    break 'outer;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < lists[d].len() {
-                    break;
-                }
-                idx[d] = 0;
+            if !odometer_step(&mut idx, |d| lists[d].len()) {
+                break;
             }
         }
         out
     }
+}
+
+/// Step `idx`, a mixed-radix counter whose digit `d` runs over
+/// `0..radix(d)`, to the next tuple in lexicographic order (the last
+/// digit fastest). Returns `false`, with every digit back at 0, once the
+/// counter wraps past its last tuple. Group enumeration, csTuner's
+/// exhaustive pass over a small sampled space and the grid sweep all
+/// count with it.
+pub fn odometer_step(idx: &mut [u32], radix: impl Fn(usize) -> usize) -> bool {
+    for d in (0..idx.len()).rev() {
+        idx[d] += 1;
+        if (idx[d] as usize) < radix(d) {
+            return true;
+        }
+        idx[d] = 0;
+    }
+    false
 }
 
 #[cfg(test)]
@@ -628,20 +582,21 @@ mod tests {
     fn enumerate_group_respects_constraints_and_limit() {
         let sp = space512();
         let base = Setting::baseline();
-        let combos = sp.enumerate_group(&base, &[ParamId::TBx, ParamId::TBy], usize::MAX);
+        let tb = [ParamId::TBx, ParamId::TBy];
+        let combos = sp.enumerate_group_repaired(&base, &tb, usize::MAX);
         // All TBx×TBy with 32 ≤ product ≤ 1024 (TBz = 1): 51 combinations.
         assert_eq!(combos.len(), 51);
         for c in &combos {
             assert!((32..=1024).contains(&(c[0] * c[1])));
         }
-        let limited = sp.enumerate_group(&base, &[ParamId::TBx, ParamId::TBy], 10);
-        assert_eq!(limited.len(), 10);
+        let limited = sp.enumerate_group_repaired(&base, &tb, 10);
+        assert_eq!(limited, combos[..10]);
     }
 
     #[test]
     fn enumerate_group_repaired_unlocks_topology_changes() {
         let sp = space512();
-        // Streaming-along-y base: strict enumeration of [TBy] yields only
+        // Streaming-along-y base: a strict check of [TBy] admits only
         // {1}; repaired enumeration keeps all raw values because another
         // group may later move the stream.
         let base = Setting::baseline()
@@ -649,8 +604,9 @@ mod tests {
             .with(ParamId::SD, 2)
             .with(ParamId::TBy, 1)
             .with(ParamId::SB, 8);
-        let strict = sp.enumerate_group(&base, &[ParamId::TBy], usize::MAX);
-        assert_eq!(strict.len(), 1);
+        let tby = sp.values(ParamId::TBy);
+        let strict = tby.iter().filter(|&&v| sp.is_explicit_valid(&base.with(ParamId::TBy, v)));
+        assert_eq!(strict.count(), 1);
         let repaired = sp.enumerate_group_repaired(&base, &[ParamId::TBy], usize::MAX);
         assert!(repaired.len() > 1, "{repaired:?}");
         // And turning streaming off alone is representable.
@@ -694,7 +650,7 @@ mod tests {
                 assert!(index_of(&w[0]) < index_of(&w[1]), "{:?} !< {:?}", w[0], w[1]);
             }
             // Small groups: exactly the valid part of the cartesian product.
-            let total = sp.group_combo_count(&group);
+            let total: usize = group.iter().map(|&p| sp.values(p).len()).product();
             if total > 20_000 {
                 continue;
             }
@@ -928,14 +884,25 @@ mod tests {
     #[test]
     fn enumerate_group_sees_cross_constraints_from_base() {
         let sp = space512();
-        // Base has streaming on along z with SB = 4: UFz choices are capped.
-        let base = Setting::baseline()
-            .with(ParamId::UseStreaming, 2)
-            .with(ParamId::SD, 3)
-            .with(ParamId::TBz, 1)
-            .with(ParamId::SB, 4);
-        let combos = sp.enumerate_group(&base, &[ParamId::UFz], usize::MAX);
+        // Base merges 128 points per thread along z: the repair floors UFz
+        // into that loop, but 128·UFz must still fit the 512-point extent.
+        let base = Setting::baseline().with(ParamId::BMz, 128);
+        let combos = sp.enumerate_group_repaired(&base, &[ParamId::UFz], usize::MAX);
         let vals: Vec<u32> = combos.into_iter().map(|c| c[0]).collect();
         assert_eq!(vals, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn the_odometer_counts_every_tuple_in_order_then_wraps() {
+        let radix = [2, 1, 3];
+        let mut idx = [0u32; 3];
+        let mut seen = vec![idx];
+        while odometer_step(&mut idx, |d| radix[d]) {
+            seen.push(idx);
+        }
+        assert_eq!(idx, [0; 3], "a wrapped odometer is back at zero");
+        let expected: Vec<[u32; 3]> = (0..2).flat_map(|a| (0..3).map(move |c| [a, 0, c])).collect();
+        assert_eq!(seen, expected);
+        assert!(!odometer_step(&mut [], |_| 1), "the empty tuple has no successor");
     }
 }

@@ -120,8 +120,7 @@ fn campaign_gate_fails_on_an_injected_per_tuner_slowdown() {
     let (baseline, _) = load_cells(&spec, &store).unwrap();
 
     // Identical candidate: ok, exit 0.
-    let policy = cst_obs::DriftPolicy::default();
-    let gate = gate_campaign(&baseline, &baseline, &policy);
+    let gate = gate_campaign(&baseline, &baseline);
     assert_eq!(gate.exit_code(), 0);
 
     // Inject a 10% best_ms slowdown into every `grid` cell — past the 5%
@@ -137,7 +136,7 @@ fn campaign_gate_fails_on_an_injected_per_tuner_slowdown() {
             (c.clone(), s)
         })
         .collect();
-    let gate = gate_campaign(&baseline, &candidate, &policy);
+    let gate = gate_campaign(&baseline, &candidate);
     assert_eq!(gate.exit_code(), 1);
     let slow: Vec<_> = gate
         .scenarios

@@ -16,15 +16,14 @@ use cstuner_core::{Evaluator, SimEvaluator};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 
-/// Force a multi-lane pool even on single-CPU hosts, before its first
-/// use anywhere in this binary. `CST_FORCE_LANES` takes precedence over
-/// everything, so an ambient `RAYON_NUM_THREADS=1` cannot serialize us.
+/// Force a four-lane pool even on single-CPU hosts, before its first
+/// use anywhere in this binary. The lane count is read once, so setting
+/// `RAYON_NUM_THREADS` here overrides any ambient value, including
+/// `RAYON_NUM_THREADS=1`.
 fn force_parallel_lanes() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        if std::env::var_os("CST_FORCE_LANES").is_none() {
-            std::env::set_var("CST_FORCE_LANES", "4");
-        }
+        std::env::set_var("RAYON_NUM_THREADS", "4");
         assert!(rayon::current_num_threads() > 1, "pool must be multi-lane");
     });
 }

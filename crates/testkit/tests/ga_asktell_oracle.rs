@@ -9,7 +9,7 @@
 //! differently-skipped setting would silently change tuning outcomes and
 //! golden fixtures.
 //!
-//! The fault-injection CI leg (`CST_FORCE_LANES=4 CST_FAULT_SEED=7`)
+//! The fault-injection CI leg (`RAYON_NUM_THREADS=4 CST_FAULT_SEED=7`)
 //! reruns this binary with an ambient fault seed, which the explicit
 //! per-case profiles here override.
 

@@ -10,7 +10,7 @@
 //! `CST_BLESS=1 cargo test -p cst-testkit --test obs_golden`.
 
 use cst_gpu_sim::{FaultProfile, GpuArch};
-use cst_obs::{diff_runs, evaluate_gate, render_diff, summarize, DriftClass, DriftPolicy};
+use cst_obs::{diff_runs, evaluate_gate, render_diff, summarize, DriftClass};
 use cst_telemetry::report::render_report;
 use cst_testkit::{check_golden, quick_tune_journal, TraceOptions};
 
@@ -51,17 +51,16 @@ fn summary_and_diff_are_byte_deterministic() {
 
 #[test]
 fn gate_passes_an_unchanged_run_and_fails_an_injected_slowdown() {
-    let policy = DriftPolicy::default();
     let clean = clean_run();
     // Same seeds, same pipeline → identical summary → verdict ok, exit 0.
-    let ok = evaluate_gate(&diff_runs(&clean, &clean_run()), &policy);
+    let ok = evaluate_gate(&diff_runs(&clean, &clean_run()));
     assert_eq!(ok.verdict, DriftClass::Ok);
     assert_eq!(ok.exit_code(), 0);
     // An injected 10% best-time slowdown is far past the 5% regress band
     // → the gate must refuse it with a nonzero exit.
     let mut slow = clean_run();
     slow.best_ms *= 1.10;
-    let bad = evaluate_gate(&diff_runs(&clean, &slow), &policy);
+    let bad = evaluate_gate(&diff_runs(&clean, &slow));
     assert_eq!(bad.verdict, DriftClass::Regress);
     assert_eq!(bad.exit_code(), 1);
     let regressed = bad.of_class(DriftClass::Regress);
@@ -73,7 +72,7 @@ fn gate_flags_hostile_fault_injection() {
     // Hostile fault injection degrades the run (fault rate appears,
     // retry-inflated eval times, later milestones); the gate must at
     // least warn — it is not an `ok` run.
-    let report = evaluate_gate(&diff_runs(&clean_run(), &hostile_run()), &DriftPolicy::default());
+    let report = evaluate_gate(&diff_runs(&clean_run(), &hostile_run()));
     assert!(report.verdict >= DriftClass::Warn, "verdict: {:?}", report.verdict);
     assert!(
         report

@@ -191,7 +191,7 @@ fn kernel_tuner_request_streams_and_gates_cleanly() {
     // self-gated against its own summary reports zero drift.
     let summary = cst_obs::summarize("serve_stream_forest", &journal).expect("summarize");
     let diff = cst_obs::diff_runs(&summary, &summary);
-    let gate = cst_obs::evaluate_gate(&diff, &cst_obs::DriftPolicy::default());
+    let gate = cst_obs::evaluate_gate(&diff);
     assert_eq!(gate.exit_code(), 0, "kernel-tuner journal must self-gate clean");
 
     server.shutdown();

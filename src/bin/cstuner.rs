@@ -49,7 +49,7 @@
 
 use cstuner::baselines::zoo::edit_distance;
 use cstuner::campaign;
-use cstuner::obs::{self, DriftPolicy, JournalStore};
+use cstuner::obs::{self, JournalStore};
 use cstuner::prelude::*;
 use cstuner::serve::{proto, Connection, ServeConfig, Server, StreamEvent};
 use cstuner::serve::{DoneInfo, FaultSpec, SessionOutcome, TuneRequest};
@@ -654,10 +654,8 @@ fn obs_diff(args: &Args) {
 fn obs_gate(args: &Args) {
     let (base, cand) = obs_pair(args);
     let diff = obs::diff_runs(&base, &cand);
-    let policy = DriftPolicy::default();
-    let gate = obs::evaluate_gate(&diff, &policy);
-    let text =
-        format!("{}{}\n", obs::render_gate_dashboard(&gate, &policy), obs::verdict_json(&gate));
+    let gate = obs::evaluate_gate(&diff);
+    let text = format!("{}{}\n", obs::render_gate_dashboard(&gate), obs::verdict_json(&gate));
     print!("{text}");
     save(args, &text);
     std::process::exit(gate.exit_code());
@@ -868,11 +866,10 @@ fn campaign_gate(args: &Args) {
     let baseline_store = JournalStore::open(Path::new(baseline_dir)).or_die(2);
     let (baseline, _) = campaign::load_cells(&spec, &baseline_store).or_die(1);
     let (candidate, _) = campaign::load_cells(&spec, &store).or_die(1);
-    let policy = DriftPolicy::default();
-    let gate = campaign::gate_campaign(&baseline, &candidate, &policy);
+    let gate = campaign::gate_campaign(&baseline, &candidate);
     let text = format!(
         "{}{}\n",
-        campaign::render_campaign_gate(&gate, &policy),
+        campaign::render_campaign_gate(&gate),
         campaign::campaign_verdict_json(&gate)
     );
     print!("{text}");
