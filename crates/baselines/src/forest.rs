@@ -26,12 +26,14 @@ const TRAIN_WINDOW: usize = 512;
 /// (this tree's choice).
 const POOL_FACTOR: usize = 4;
 
+/// Told records required before the forest starts ranking (this tree's
+/// choice).
+const MIN_TRAIN: usize = 32;
+
 /// The surrogate as an ask/tell [`Optimizer`]: over-draw, rank by
 /// predicted P(fast), keep the top population.
 #[derive(Debug)]
 pub struct ForestOptimizer {
-    /// Told records required before the forest starts ranking.
-    min_train: usize,
     rng: StdRng,
     /// (features, measured ms) for every finite told evaluation.
     records: Vec<([f64; N_PARAMS], f64)>,
@@ -40,31 +42,21 @@ pub struct ForestOptimizer {
 }
 
 impl ForestOptimizer {
-    /// New surrogate optimizer; the rng is seeded in `init`.
-    pub fn new(min_train: usize) -> Self {
-        ForestOptimizer {
-            min_train: min_train.max(2),
-            rng: StdRng::seed_from_u64(0),
-            records: Vec::new(),
-            warm: Vec::new(),
-        }
-    }
-
     /// Fit a fast/slow surrogate on the record window (Garvey's q30
     /// labeling, shared via [`cst_ml::Surrogate`]) and return P(fast)
     /// per pool candidate.
     fn rank_scores(&mut self, pool: &[Setting]) -> Vec<f64> {
         let times: Vec<f64> = self.records.iter().map(|r| r.1).collect();
         let xs: Vec<Vec<f64>> = self.records.iter().map(|r| r.0.to_vec()).collect();
-        let surrogate = Surrogate::fit(&xs, &times, &mut self.rng).expect("min_train >= 2 records");
+        let surrogate = Surrogate::fit(&xs, &times, &mut self.rng).expect("MIN_TRAIN >= 2 records");
         pool.iter().map(|s| surrogate.score(&s.features())).collect()
     }
 }
 
 impl Default for ForestOptimizer {
-    /// Ranking from 32 records on.
+    /// New surrogate optimizer; the rng is seeded in `init`.
     fn default() -> Self {
-        ForestOptimizer::new(32)
+        ForestOptimizer { rng: StdRng::seed_from_u64(0), records: Vec::new(), warm: Vec::new() }
     }
 }
 
@@ -104,7 +96,7 @@ impl Optimizer for ForestOptimizer {
         }
         let pool: Vec<Setting> =
             (0..POPULATION * POOL_FACTOR).map(|_| ctx.random_valid()).collect();
-        if self.records.len() < self.min_train {
+        if self.records.len() < MIN_TRAIN {
             // Cold start: plain random search until the forest has data.
             return pool.into_iter().take(POPULATION).collect();
         }
@@ -136,17 +128,19 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
 
-    fn forest(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
-        KernelTuner::new(make, KernelConfig { max_iterations, stall_limit: 10_000 })
+    fn forest(max_iterations: u32) -> KernelTuner {
+        KernelTuner::new(
+            || Box::new(ForestOptimizer::default()),
+            KernelConfig { max_iterations, stall_limit: 10_000 },
+        )
     }
 
     #[test]
     fn forest_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 6);
-        let mut t = forest(|| Box::new(ForestOptimizer::new(32)), 8);
-        let out = t.tune(&mut e, 6).unwrap();
+        let out = forest(8).tune(&mut e, 6).unwrap();
         assert_eq!(out.tuner, "Forest");
         assert!(out.best_time_ms.is_finite());
         assert_eq!(out.curve.len(), 8);
@@ -157,7 +151,7 @@ mod tests {
         let run = || {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("helmholtz").unwrap(), GpuArch::a100(), 8);
-            forest(|| Box::new(ForestOptimizer::new(8)), 6).tune(&mut e, 8).unwrap()
+            forest(6).tune(&mut e, 8).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.best_time_ms.to_bits(), b.best_time_ms.to_bits());
@@ -168,15 +162,15 @@ mod tests {
 
     #[test]
     fn surrogate_ranking_kicks_in_after_min_train() {
-        // With min_train below one iteration's evals, the second ask must
-        // rank — and the run must still complete cleanly.
+        // The budget holds many more than MIN_TRAIN evaluations, so the
+        // later asks rank — and the run must still complete cleanly.
         let mut e = SimEvaluator::with_budget(
             suite::spec_by_name("cheby").unwrap(),
             GpuArch::a100(),
             9,
-            40.0,
+            160.0,
         );
-        let out = forest(|| Box::new(ForestOptimizer::new(4)), u32::MAX).tune(&mut e, 9);
+        let out = forest(u32::MAX).tune(&mut e, 9);
         assert!(out.unwrap().best_time_ms.is_finite());
     }
 }

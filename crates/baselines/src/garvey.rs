@@ -37,6 +37,12 @@ const DIMENSION_GROUPS: [&[ParamId]; 5] = [
     &[ParamId::UseRetiming],
 ];
 
+/// Offline dataset size the memory-type forest trains on (§V-A2: 128).
+const DATASET_SIZE: usize = 128;
+
+/// Random sampling ratio per group (§V-A2: 10%).
+const SAMPLING_RATIO: f64 = 0.10;
+
 /// The Garvey baseline as an ask/tell [`Optimizer`]. `init` trains the
 /// memory-type forest on the uncharged offline dataset and fixes the
 /// starting setting; the first ask measures it, and every later ask is
@@ -45,10 +51,6 @@ const DIMENSION_GROUPS: [&[ParamId]; 5] = [
 /// forest's pick.
 #[derive(Debug, Clone)]
 pub struct GarveyOptimizer {
-    /// Offline dataset size used to train the memory-type forest.
-    dataset_size: usize,
-    /// Random sampling ratio per group (§V-A2: 10%).
-    sampling_ratio: f64,
     rng: StdRng,
     /// The incumbent every group's sample is drawn around.
     base: Setting,
@@ -65,21 +67,6 @@ pub struct GarveyOptimizer {
 }
 
 impl GarveyOptimizer {
-    /// New tuner state; the dataset, forest and rng are built in `init`.
-    pub fn new(dataset_size: usize, sampling_ratio: f64) -> Self {
-        GarveyOptimizer {
-            dataset_size,
-            sampling_ratio,
-            rng: StdRng::seed_from_u64(0),
-            base: Setting::baseline(),
-            started: false,
-            next_group: 0,
-            group: &[],
-            combos: Vec::new(),
-            told: Vec::new(),
-        }
-    }
-
     /// The current group's sample is fully told: move the incumbent to
     /// its fastest finite combination, if any.
     fn settle_group(&mut self) {
@@ -101,9 +88,17 @@ impl GarveyOptimizer {
 }
 
 impl Default for GarveyOptimizer {
-    /// The paper's 128-setting dataset and 10% sampling (§V-A2).
+    /// New tuner state; the dataset, forest and rng are built in `init`.
     fn default() -> Self {
-        GarveyOptimizer::new(128, 0.10)
+        GarveyOptimizer {
+            rng: StdRng::seed_from_u64(0),
+            base: Setting::baseline(),
+            started: false,
+            next_group: 0,
+            group: &[],
+            combos: Vec::new(),
+            told: Vec::new(),
+        }
     }
 }
 
@@ -116,7 +111,7 @@ impl Optimizer for GarveyOptimizer {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6a2_7e1);
         // Offline: dataset for the memory-type forest (like csTuner's
         // dataset, not charged to the tuning clock).
-        let dataset = ctx.dataset(self.dataset_size, seed);
+        let dataset = ctx.dataset(DATASET_SIZE, seed);
 
         // Train the shared fast/slow surrogate (q30 labeling lives in
         // cst_ml::Surrogate), then pick the memory class with the
@@ -153,11 +148,7 @@ impl Optimizer for GarveyOptimizer {
         base.set(ParamId::UseShared, 1 + (best_class & 1) as u32);
         base.set(ParamId::UseConstant, 1 + ((best_class >> 1) & 1) as u32);
 
-        *self = GarveyOptimizer {
-            rng,
-            base,
-            ..GarveyOptimizer::new(self.dataset_size, self.sampling_ratio)
-        };
+        *self = GarveyOptimizer { rng, base, ..GarveyOptimizer::default() };
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
@@ -173,9 +164,8 @@ impl Optimizer for GarveyOptimizer {
             self.next_group += 1;
             let mut combos = ctx.space().enumerate_group_repaired(&self.base, group, ENUM_LIMIT);
             combos.shuffle(&mut self.rng);
-            let keep = ((combos.len() as f64 * self.sampling_ratio).ceil() as usize)
-                .max(2)
-                .min(combos.len());
+            let keep =
+                ((combos.len() as f64 * SAMPLING_RATIO).ceil() as usize).max(2).min(combos.len());
             combos.truncate(keep);
             if combos.is_empty() {
                 continue;
@@ -219,20 +209,19 @@ mod tests {
     use cst_space::OptSpace;
     use cst_stencil::{suite, suite_ext};
     use cstuner_core::grouping::MAX_GROUP;
-    use cstuner_core::{KernelConfig, KernelTuner, MakeOptimizer, SimEvaluator, Tuner};
+    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
 
-    fn garvey(make: MakeOptimizer, max_iterations: u32) -> KernelTuner {
-        KernelTuner::new(make, KernelConfig { max_iterations, ..KernelConfig::DEFAULT })
-    }
-
-    fn quick() -> KernelTuner {
-        garvey(|| Box::new(GarveyOptimizer::new(48, 0.10)), 20)
+    fn garvey(max_iterations: u32) -> KernelTuner {
+        KernelTuner::new(
+            || Box::new(GarveyOptimizer::default()),
+            KernelConfig { max_iterations, ..KernelConfig::DEFAULT },
+        )
     }
 
     #[test]
     fn garvey_finds_reasonable_setting() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 7);
-        let out = quick().tune(&mut e, 7).unwrap();
+        let out = garvey(20).tune(&mut e, 7).unwrap();
         assert_eq!(out.tuner, "Garvey");
         assert!(out.best_time_ms.is_finite());
         // Should at least match the dataset incumbent's ballpark.
@@ -284,20 +273,19 @@ mod tests {
         let run = |seed| {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), seed);
-            quick().tune(&mut e, seed).unwrap().best_time_ms
+            garvey(20).tune(&mut e, seed).unwrap().best_time_ms
         };
         assert_eq!(run(11), run(11));
     }
 
     #[test]
     fn sampling_ratio_bounds_evaluations() {
-        // Garvey's whole point: a tiny randomly-sampled subspace. At 5%
+        // Garvey's whole point: a tiny randomly-sampled subspace. At 10%
         // it must finish (space exhausted) well before a generous
         // iteration cap, with far fewer evaluations than the full group
         // spaces contain.
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 5);
-        let mut t = garvey(|| Box::new(GarveyOptimizer::new(48, 0.05)), 1000);
-        let out = t.tune(&mut e, 5).unwrap();
+        let out = garvey(1000).tune(&mut e, 5).unwrap();
         assert!(out.evaluations < 500, "evaluated {}", out.evaluations);
         assert!(out.best_time_ms.is_finite());
     }
@@ -311,7 +299,7 @@ mod tests {
         let mut results = Vec::new();
         for seed in 0..5 {
             let mut e = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), seed, 60.0);
-            results.push(quick().tune(&mut e, seed).unwrap().best_time_ms);
+            results.push(garvey(20).tune(&mut e, seed).unwrap().best_time_ms);
         }
         let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = results.iter().cloned().fold(0.0f64, f64::max);

@@ -23,26 +23,13 @@ use cst_telemetry::{strip_wall_fields, Telemetry};
 use rayon::prelude::*;
 
 /// Where pending cells execute.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Backend {
     /// Run sessions in this process, fanned across rayon lanes.
-    #[default]
     InProcess,
     /// Submit each cell to a `cst-serve` daemon at `host:port` over the
     /// JSONL protocol, one connection per cell.
     Daemon(String),
-}
-
-/// Execution knobs for one [`run_campaign`] invocation.
-#[derive(Debug, Clone, Default)]
-pub struct ExecOptions {
-    /// Backend for pending cells.
-    pub backend: Backend,
-    /// Stop after executing this many pending cells (cached cells don't
-    /// count), leaving the rest for a later resume. `None` runs the
-    /// whole matrix. This is how tests (and cautious operators)
-    /// interrupt a campaign mid-matrix deterministically.
-    pub stop_after: Option<usize>,
 }
 
 /// How one cell was satisfied.
@@ -78,14 +65,13 @@ pub struct CampaignRun {
     pub executed: usize,
     /// Cells satisfied from the archive.
     pub cached: usize,
-    /// Pending cells left unrun by [`ExecOptions::stop_after`].
-    pub remaining: usize,
 }
 
-/// Run (or resume) a campaign. `progress` is called once per completed
-/// cell with its 1-based position in the expansion, the total cell
-/// count, the cell, and how it was satisfied — cached cells during the
-/// pre-scan, executed cells as their journals are ingested.
+/// Run (or resume) a campaign, executing its pending cells on
+/// `backend`. `progress` is called once per completed cell with its
+/// 1-based position in the expansion, the total cell count, the cell,
+/// and how it was satisfied — cached cells during the pre-scan, executed
+/// cells as their journals are ingested.
 ///
 /// Fails on the first cell whose session or ingest fails, naming the
 /// cell; cells already ingested stay archived, so a fixed-up re-run
@@ -93,7 +79,7 @@ pub struct CampaignRun {
 pub fn run_campaign(
     spec: &CampaignSpec,
     store: &JournalStore,
-    opts: &ExecOptions,
+    backend: &Backend,
     progress: &mut dyn FnMut(usize, usize, &Cell, CellState),
 ) -> Result<CampaignRun, String> {
     let cells = spec.cells()?;
@@ -113,13 +99,10 @@ pub fn run_campaign(
         }
     }
     let cached = total - pending.len();
-    let budget = opts.stop_after.unwrap_or(pending.len()).min(pending.len());
-    let remaining = pending.len() - budget;
-    pending.truncate(budget);
 
     // Execute pending cells: rayon fan-out in process, serial submission
     // to a daemon. Either way `journals` comes back in `pending` order.
-    let journals: Vec<(usize, Result<Vec<String>, String>)> = match &opts.backend {
+    let journals: Vec<(usize, Result<Vec<String>, String>)> = match backend {
         Backend::InProcess => {
             pending.par_iter().map(|&i| (i, run_cell_local(&cells[i].request))).collect()
         }
@@ -143,7 +126,7 @@ pub fn run_campaign(
         executed += 1;
     }
 
-    Ok(CampaignRun { cells: done.into_iter().flatten().collect(), executed, cached, remaining })
+    Ok(CampaignRun { cells: done.into_iter().flatten().collect(), executed, cached })
 }
 
 /// Drop every archived summary belonging to `spec`'s cells (the CLI's
@@ -191,16 +174,25 @@ fn run_cell_remote(addr: &str, req: &TuneRequest) -> Result<Vec<String>, String>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load_cells;
     use cst_serve::FaultSpec;
     use std::fs;
     use std::path::PathBuf;
 
-    fn tiny_spec() -> CampaignSpec {
-        CampaignSpec::from_json(
-            r#"{"campaign":"exec-test","stencils":["j3d7pt"],"tuners":["random"],
-                "budgets_s":[4.0],"seeds":[0,1],"quick":true,"fault":"off"}"#,
-        )
+    fn spec_with_seeds(seeds: &str) -> CampaignSpec {
+        CampaignSpec::from_json(&format!(
+            r#"{{"campaign":"exec-test","stencils":["j3d7pt"],"tuners":["random"],
+                "budgets_s":[4.0],"seeds":{seeds},"quick":true,"fault":"off"}}"#
+        ))
         .unwrap()
+    }
+
+    fn tiny_spec() -> CampaignSpec {
+        spec_with_seeds("[0,1]")
+    }
+
+    fn run(spec: &CampaignSpec, store: &JournalStore) -> CampaignRun {
+        run_campaign(spec, store, &Backend::InProcess, &mut |_, _, _, _| {}).unwrap()
     }
 
     fn tmp_store(tag: &str) -> (PathBuf, JournalStore) {
@@ -216,20 +208,19 @@ mod tests {
         let spec = tiny_spec();
         let (dir, store) = tmp_store("resume");
         let mut seen = Vec::new();
-        let run = run_campaign(&spec, &store, &ExecOptions::default(), &mut |i, n, _, s| {
+        let first = run_campaign(&spec, &store, &Backend::InProcess, &mut |i, n, _, s| {
             seen.push((i, n, s));
         })
         .unwrap();
-        assert_eq!((run.executed, run.cached, run.remaining), (2, 0, 0));
-        assert_eq!(run.cells.len(), 2);
-        assert!(run.cells.iter().all(|c| !c.cached && c.journal.is_some()));
+        assert_eq!((first.executed, first.cached), (2, 0));
+        assert_eq!(first.cells.len(), 2);
+        assert!(first.cells.iter().all(|c| !c.cached && c.journal.is_some()));
         assert_eq!(seen, [(1, 2, CellState::Ran), (2, 2, CellState::Ran)]);
         // Second invocation: everything cached, summaries identical.
-        let rerun =
-            run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
-        assert_eq!((rerun.executed, rerun.cached, rerun.remaining), (0, 2, 0));
+        let rerun = run(&spec, &store);
+        assert_eq!((rerun.executed, rerun.cached), (0, 2));
         assert!(rerun.cells.iter().all(|c| c.cached && c.journal.is_none()));
-        for (a, b) in run.cells.iter().zip(&rerun.cells) {
+        for (a, b) in first.cells.iter().zip(&rerun.cells) {
             assert_eq!(a.summary, b.summary);
             assert_eq!(a.cell, b.cell);
         }
@@ -237,19 +228,17 @@ mod tests {
     }
 
     #[test]
-    fn stop_after_interrupts_and_resume_completes_identically() {
+    fn an_interrupted_run_resumes_to_identical_bytes() {
+        // The first seed's sub-spec stands in for a run cut short after
+        // one cell: cell names hash the request, not the spec's name.
         let spec = tiny_spec();
         let (dir_a, full_store) = tmp_store("full");
         let (dir_b, cut_store) = tmp_store("cut");
-        let full = run_campaign(&spec, &full_store, &ExecOptions::default(), &mut |_, _, _, _| {})
-            .unwrap();
-        let opts = ExecOptions { stop_after: Some(1), ..Default::default() };
-        let cut = run_campaign(&spec, &cut_store, &opts, &mut |_, _, _, _| {}).unwrap();
-        assert_eq!((cut.executed, cut.cached, cut.remaining), (1, 0, 1));
-        assert_eq!(cut.cells.len(), 1);
-        let resumed =
-            run_campaign(&spec, &cut_store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
-        assert_eq!((resumed.executed, resumed.cached, resumed.remaining), (1, 1, 0));
+        let full = run(&spec, &full_store);
+        let cut = run(&spec_with_seeds("[0]"), &cut_store);
+        assert_eq!((cut.executed, cut.cached), (1, 0));
+        let resumed = run(&spec, &cut_store);
+        assert_eq!((resumed.executed, resumed.cached), (1, 1));
         // Interrupted-then-resumed archive is byte-identical to the
         // uninterrupted one.
         for cell in full.cells.iter().map(|c| &c.cell) {
@@ -265,14 +254,12 @@ mod tests {
     fn corrupt_summaries_rerun_instead_of_failing() {
         let spec = tiny_spec();
         let (dir, store) = tmp_store("corrupt");
-        let run =
-            run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
-        let victim = run.cells[0].cell.name();
+        let first = run(&spec, &store);
+        let victim = first.cells[0].cell.name();
         fs::write(store.path_of(&victim), "{truncated").unwrap();
-        let healed =
-            run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
+        let healed = run(&spec, &store);
         assert_eq!((healed.executed, healed.cached), (1, 1));
-        assert_eq!(healed.cells[0].summary, run.cells[0].summary);
+        assert_eq!(healed.cells[0].summary, first.cells[0].summary);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -280,7 +267,7 @@ mod tests {
     fn forget_cells_clears_only_this_spec() {
         let spec = tiny_spec();
         let (dir, store) = tmp_store("forget");
-        run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
+        run(&spec, &store);
         // A foreign record in the same store survives --fresh.
         fs::write(store.path_of("someone-else"), "{}").unwrap();
         assert_eq!(forget_cells(&spec, &store).unwrap(), 2);
@@ -293,13 +280,12 @@ mod tests {
     fn cell_identity_shields_the_archive_from_spec_edits() {
         let spec = tiny_spec();
         let (dir, store) = tmp_store("shield");
-        run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {}).unwrap();
+        run(&spec, &store);
         // Same axes, different fault knob: nothing is trusted as cached.
         let mut edited = spec.clone();
         edited.fault = Some(FaultSpec::Hostile { seed: 3 });
-        let opts = ExecOptions { stop_after: Some(0), ..Default::default() };
-        let probe = run_campaign(&edited, &store, &opts, &mut |_, _, _, _| {}).unwrap();
-        assert_eq!((probe.cached, probe.remaining), (0, 2));
+        let (have, missing) = load_cells(&edited, &store).unwrap();
+        assert_eq!((have.len(), missing.len()), (0, 2));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -38,7 +38,7 @@ pub mod exec;
 pub mod report;
 pub mod spec;
 
-pub use exec::{forget_cells, run_campaign, Backend, CampaignRun, CellRun, CellState, ExecOptions};
+pub use exec::{forget_cells, run_campaign, Backend, CampaignRun, CellRun, CellState};
 pub use report::{
     aggregate, campaign_json, campaign_verdict_json, gate_campaign, load_cells, render_campaign,
     render_campaign_gate, CampaignGate, ScenarioGate, ScenarioStats,

@@ -1,9 +1,9 @@
-//! CART classification trees with Gini impurity.
+//! CART classification trees over fast/slow labels, with Gini impurity.
 //!
 //! The split search is a binned sweep. `Bins` sorts each feature's
 //! distinct values once (a forest shares one across its trees) and
-//! records every row's bin. A node counts its rows per (bin, class),
-//! then walks the bins present at the node in ascending order; each
+//! records every row's bin. A node counts its rows and its fast rows per
+//! bin, then walks the bins present at the node in ascending order; each
 //! candidate threshold is the midpoint `(a + b) / 2` of two consecutive
 //! present values, and every bin whose value is `<= thr` moves into the
 //! left counts. Those are exactly the counts a rescan of the node's rows
@@ -13,54 +13,38 @@
 
 use rand::Rng;
 
-/// Hyperparameters of one tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeConfig {
-    /// Maximum depth (root = depth 0).
-    pub max_depth: u32,
-    /// Minimum samples required to attempt a split.
-    pub min_samples_split: usize,
-    /// Number of candidate features per split; `None` tries all (plain
-    /// CART), `Some(k)` samples `k` without replacement (random-forest
-    /// style).
-    pub feature_subset: Option<usize>,
-}
+/// Maximum depth of a tree, the root at depth 0 (this tree's value).
+/// A node also stops when it is pure, which covers CART's minimum of two
+/// rows per split: one row is always pure.
+const MAX_DEPTH: u32 = 12;
 
-impl Default for TreeConfig {
-    fn default() -> Self {
-        TreeConfig { max_depth: 12, min_samples_split: 2, feature_subset: None }
-    }
-}
-
+/// A fitted tree: a row whose feature value is `<= threshold` goes left.
 #[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf { class: usize },
-    Split { feature: usize, threshold: f64, left: Box<Node>, right: Box<Node> },
+pub(crate) enum Tree {
+    Leaf { fast: bool },
+    Split { feature: usize, threshold: f64, left: Box<Tree>, right: Box<Tree> },
 }
 
-/// A fitted classification tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecisionTree {
-    root: Node,
-    n_features: usize,
-    n_classes: usize,
-}
-
-fn gini(counts: &[usize], total: usize) -> f64 {
-    if total == 0 {
-        return 0.0;
+impl Tree {
+    /// Whether this tree votes `x` fast.
+    pub(crate) fn predict(&self, x: &[f64]) -> bool {
+        let mut node = self;
+        loop {
+            match node {
+                Tree::Leaf { fast } => return *fast,
+                Tree::Split { feature, threshold, left, right } => {
+                    node = if x[*feature] <= *threshold { left } else { right };
+                }
+            }
+        }
     }
-    let mut g = 1.0;
-    for &c in counts {
-        let p = c as f64 / total as f64;
-        g -= p * p;
-    }
-    g
 }
 
-/// The most frequent class; ties go to the highest class index.
-fn majority(counts: &[usize]) -> usize {
-    counts.iter().enumerate().max_by_key(|(_, &c)| c).map(|(k, _)| k).unwrap_or(0)
+/// Gini impurity of `n > 0` rows of which `fast` are fast:
+/// `1 - p_slow² - p_fast²`, subtracted in that order.
+fn gini(fast: usize, n: usize) -> f64 {
+    let (p_slow, p_fast) = ((n - fast) as f64 / n as f64, fast as f64 / n as f64);
+    1.0 - p_slow * p_slow - p_fast * p_fast
 }
 
 /// Every feature's sorted distinct values and each row's bin among them,
@@ -106,71 +90,63 @@ impl Bins {
     }
 }
 
-/// One tree's fit: the shared bins plus buffers reused across its nodes.
-struct Grower<'a> {
+/// Grows the trees of one forest over its shared bins, reusing its
+/// buffers across trees and nodes.
+pub(crate) struct Grower<'a> {
     bins: &'a Bins,
-    ys: &'a [usize],
-    n_classes: usize,
-    cfg: &'a TreeConfig,
-    /// The node's rows per class.
-    counts: Vec<usize>,
-    /// The node's rows per (bin, class) of the feature being searched,
-    /// at `bin * n_classes + class`; all zero between features.
-    hist: Vec<usize>,
-    /// The node's rows per bin; all zero between features.
+    fast: &'a [bool],
+    /// Candidate features per split, drawn without replacement:
+    /// ⌈√features⌉ (this tree's value, the usual random-forest choice).
+    n_candidates: usize,
+    /// The node's rows per bin of the feature being searched; all zero
+    /// between features.
     bin_rows: Vec<usize>,
+    /// The node's fast rows per bin, likewise.
+    bin_fast: Vec<usize>,
     /// The bins present at the node, ascending once sorted.
     present: Vec<u32>,
-    left: Vec<usize>,
-    right: Vec<usize>,
     features: Vec<usize>,
 }
 
 impl<'a> Grower<'a> {
-    fn new(bins: &'a Bins, ys: &'a [usize], n_classes: usize, cfg: &'a TreeConfig) -> Self {
+    pub(crate) fn new(bins: &'a Bins, fast: &'a [bool]) -> Self {
+        let n_features = bins.values.len();
         let max_bins = bins.values.iter().map(Vec::len).max().unwrap_or(0);
         Grower {
             bins,
-            ys,
-            n_classes,
-            cfg,
-            counts: vec![0; n_classes],
-            hist: vec![0; max_bins * n_classes],
+            fast,
+            n_candidates: (n_features as f64).sqrt().ceil() as usize,
             bin_rows: vec![0; max_bins],
+            bin_fast: vec![0; max_bins],
             present: Vec::with_capacity(max_bins),
-            left: vec![0; n_classes],
-            right: vec![0; n_classes],
-            features: Vec::with_capacity(bins.values.len()),
+            features: Vec::with_capacity(n_features),
         }
     }
 
-    /// Grow the subtree over `idx` (row indices, repeats allowed). The
-    /// rows are reordered in place, left child's first.
-    fn build(&mut self, idx: &mut [usize], depth: u32, rng: &mut impl Rng) -> Node {
-        self.counts.fill(0);
-        for &i in idx.iter() {
-            self.counts[self.ys[i]] += 1;
+    /// Grow a tree over `idx` (row indices, repeats allowed), reordering
+    /// it in place.
+    pub(crate) fn grow(&mut self, idx: &mut [usize], rng: &mut impl Rng) -> Tree {
+        self.node(idx, 0, rng)
+    }
+
+    fn node(&mut self, idx: &mut [usize], depth: u32, rng: &mut impl Rng) -> Tree {
+        let n = idx.len();
+        let n_fast = idx.iter().filter(|&&i| self.fast[i]).count();
+        // The majority vote; a tie goes to the fast class.
+        let leaf = Tree::Leaf { fast: n_fast >= n - n_fast };
+        if depth >= MAX_DEPTH || n_fast == 0 || n_fast == n {
+            return leaf;
         }
-        let class = majority(&self.counts);
-        if depth >= self.cfg.max_depth || idx.len() < self.cfg.min_samples_split {
-            return Node::Leaf { class };
-        }
-        if self.counts.iter().filter(|&&c| c > 0).count() <= 1 {
-            return Node::Leaf { class };
-        }
-        // Candidate features: all, or a random subset without replacement.
         let n_features = self.bins.values.len();
         self.features.clear();
         self.features.extend(0..n_features);
-        if let Some(k) = self.cfg.feature_subset {
-            for i in 0..k.min(n_features) {
-                let j = rng.gen_range(i..n_features);
-                self.features.swap(i, j);
-            }
-            self.features.truncate(k.min(n_features));
+        for i in 0..self.n_candidates {
+            let j = rng.gen_range(i..n_features);
+            self.features.swap(i, j);
         }
-        let Some((feature, threshold)) = self.best_split(idx) else {
-            return Node::Leaf { class };
+        self.features.truncate(self.n_candidates);
+        let Some((feature, threshold)) = self.best_split(idx, n_fast) else {
+            return leaf;
         };
         // Zero-gain splits are allowed on impure nodes (XOR-style targets
         // have no first split with positive Gini gain); both sides are
@@ -184,24 +160,23 @@ impl<'a> Grower<'a> {
             }
         }
         let (li, ri) = idx.split_at_mut(mid);
-        Node::Split {
+        Tree::Split {
             feature,
             threshold,
-            left: Box::new(self.build(li, depth + 1, rng)),
-            right: Box::new(self.build(ri, depth + 1, rng)),
+            left: Box::new(self.node(li, depth + 1, rng)),
+            right: Box::new(self.node(ri, depth + 1, rng)),
         }
     }
 
     /// The best (feature, threshold) over the candidate features by Gini
-    /// gain, `self.counts` holding the node's class counts. Every bin
-    /// with value `<= thr` moves left, as a midpoint can round onto the
-    /// upper value or overflow to infinity; the strict `gain >` keeps
-    /// the first of equal gains.
-    fn best_split(&mut self, idx: &[usize]) -> Option<(usize, f64)> {
-        let Grower { bins, ys, n_classes: c, counts, hist, bin_rows, present, left, right, .. } =
-            self;
+    /// gain, for a node of `idx` with `n_fast` fast rows. Every bin with
+    /// value `<= thr` moves left, as a midpoint can round onto the upper
+    /// value or overflow to infinity; the strict `gain >` keeps the first
+    /// of equal gains.
+    fn best_split(&mut self, idx: &[usize], n_fast: usize) -> Option<(usize, f64)> {
+        let Grower { bins, fast, bin_rows, bin_fast, present, .. } = self;
         let n = idx.len();
-        let parent_gini = gini(counts, n);
+        let parent_gini = gini(n_fast, n);
         let mut best: Option<(usize, f64, f64)> = None; // feature, threshold, gain
         for &f in &self.features {
             let (column, values) = (bins.column(f), &bins.values[f]);
@@ -212,116 +187,43 @@ impl<'a> Grower<'a> {
                     present.push(b as u32);
                 }
                 bin_rows[b] += 1;
-                hist[b * *c + ys[i]] += 1;
+                bin_fast[b] += usize::from(fast[i]);
             }
             present.sort_unstable();
-            left.fill(0);
-            let (mut ln, mut moved) = (0, 0);
+            let (mut ln, mut lf, mut moved) = (0, 0, 0);
             for w in present.windows(2) {
                 let thr = (values[w[0] as usize] + values[w[1] as usize]) / 2.0;
                 while moved < present.len() && values[present[moved] as usize] <= thr {
                     let b = present[moved] as usize;
-                    left.iter_mut().zip(&hist[b * *c..]).for_each(|(l, h)| *l += h);
                     ln += bin_rows[b];
+                    lf += bin_fast[b];
                     moved += 1;
                 }
                 let rn = n - ln;
                 if ln == 0 || rn == 0 {
                     continue;
                 }
-                right.iter_mut().zip(counts.iter().zip(left.iter())).for_each(|(r, (t, l))| {
-                    *r = t - l;
-                });
                 let weighted =
-                    (ln as f64 * gini(left, ln) + rn as f64 * gini(right, rn)) / n as f64;
+                    (ln as f64 * gini(lf, ln) + rn as f64 * gini(n_fast - lf, rn)) / n as f64;
                 let gain = parent_gini - weighted;
                 if best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((f, thr, gain));
                 }
             }
             for &b in present.iter() {
-                let b = b as usize;
-                bin_rows[b] = 0;
-                hist[b * *c..][..*c].fill(0);
+                bin_rows[b as usize] = 0;
+                bin_fast[b as usize] = 0;
             }
         }
         best.map(|(f, thr, _)| (f, thr))
     }
 }
 
-impl DecisionTree {
-    /// Fit a tree on `(xs, ys)` with class labels in `0..n_classes`.
-    ///
-    /// # Panics
-    /// Panics on empty/ragged data, out-of-range labels or a NaN
-    /// feature value.
-    pub fn fit(
-        xs: &[Vec<f64>],
-        ys: &[usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        rng: &mut impl Rng,
-    ) -> Self {
-        assert!(!xs.is_empty() && xs.len() == ys.len(), "need paired samples");
-        let n_features = xs[0].len();
-        assert!(xs.iter().all(|x| x.len() == n_features), "ragged features");
-        assert!(ys.iter().all(|&y| y < n_classes), "label out of range");
-        let mut idx: Vec<usize> = (0..xs.len()).collect();
-        DecisionTree::fit_binned(&Bins::new(xs), ys, &mut idx, n_classes, cfg, rng)
-    }
-
-    /// Fit on a multiset of row indices over pre-binned features (used
-    /// by bagging, which bins once per forest). Reorders `idx`.
-    pub(crate) fn fit_binned(
-        bins: &Bins,
-        ys: &[usize],
-        idx: &mut [usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let root = Grower::new(bins, ys, n_classes, cfg).build(idx, 0, rng);
-        DecisionTree { root, n_features: bins.values.len(), n_classes }
-    }
-
-    /// Predict the class of one feature vector.
-    ///
-    /// # Panics
-    /// Panics if the vector length mismatches the training features.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        assert_eq!(x.len(), self.n_features, "feature length mismatch");
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { class } => return *class,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if x[*feature] <= *threshold { left } else { right };
-                }
-            }
-        }
-    }
-
-    /// Number of classes this tree was trained with.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
-    /// Depth of the fitted tree (leaf-only tree has depth 0).
-    pub fn depth(&self) -> u32 {
-        fn d(n: &Node) -> u32 {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
-            }
-        }
-        d(&self.root)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RandomForest, RandomForestConfig};
+    use crate::surrogate::fast_labels;
+    use crate::Surrogate;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -333,41 +235,43 @@ mod tests {
     /// The split search the binned sweep replaced, as it was but for
     /// reading the majority class from the node's counts: sort and dedup
     /// the node's values per feature, then rescan the node's rows for
-    /// every midpoint. The oracle for [`Grower`].
+    /// every midpoint. It keeps the per-class counts, Gini and majority
+    /// vote of multi-class CART, with class 1 the fast class. The oracle
+    /// for [`Grower`].
     fn reference_build(
         xs: &[Vec<f64>],
-        ys: &[usize],
+        fast: &[bool],
         idx: &[usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
         depth: u32,
         rng: &mut impl Rng,
-    ) -> Node {
-        let mut counts = vec![0usize; n_classes];
+    ) -> Tree {
+        fn class_gini(counts: &[usize; 2], total: usize) -> f64 {
+            let mut g = 1.0;
+            for &c in counts {
+                let p = c as f64 / total as f64;
+                g -= p * p;
+            }
+            g
+        }
+        let mut counts = [0usize; 2];
         for &i in idx {
-            counts[ys[i]] += 1;
+            counts[usize::from(fast[i])] += 1;
         }
-        let class = majority(&counts);
-        if depth >= cfg.max_depth || idx.len() < cfg.min_samples_split {
-            return Node::Leaf { class };
-        }
-        if counts.iter().filter(|&&c| c > 0).count() <= 1 {
-            return Node::Leaf { class };
+        // Ties go to the highest class index, the fast class.
+        let class = (0..2).max_by_key(|&k| counts[k]).unwrap();
+        let leaf = Tree::Leaf { fast: class == 1 };
+        if depth >= MAX_DEPTH || idx.len() < 2 || counts.contains(&0) {
+            return leaf;
         }
         let n_features = xs[0].len();
-        let features: Vec<usize> = match cfg.feature_subset {
-            None => (0..n_features).collect(),
-            Some(k) => {
-                let mut pool: Vec<usize> = (0..n_features).collect();
-                for i in 0..k.min(n_features) {
-                    let j = rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                }
-                pool.truncate(k.min(n_features));
-                pool
-            }
-        };
-        let parent_gini = gini(&counts, idx.len());
+        let k = (n_features as f64).sqrt().ceil() as usize;
+        let mut features: Vec<usize> = (0..n_features).collect();
+        for i in 0..k.min(n_features) {
+            let j = rng.gen_range(i..features.len());
+            features.swap(i, j);
+        }
+        features.truncate(k.min(n_features));
+        let parent_gini = class_gini(&counts, idx.len());
         let mut best: Option<(usize, f64, f64)> = None;
         for &f in &features {
             let mut vals: Vec<f64> = idx.iter().map(|&i| xs[i][f]).collect();
@@ -375,24 +279,22 @@ mod tests {
             vals.dedup();
             for w in vals.windows(2) {
                 let thr = (w[0] + w[1]) / 2.0;
-                let mut lc = vec![0usize; n_classes];
-                let mut rc = vec![0usize; n_classes];
-                let mut ln = 0;
-                let mut rn = 0;
+                let (mut lc, mut rc) = ([0usize; 2], [0usize; 2]);
+                let (mut ln, mut rn) = (0, 0);
                 for &i in idx {
                     if xs[i][f] <= thr {
-                        lc[ys[i]] += 1;
+                        lc[usize::from(fast[i])] += 1;
                         ln += 1;
                     } else {
-                        rc[ys[i]] += 1;
+                        rc[usize::from(fast[i])] += 1;
                         rn += 1;
                     }
                 }
                 if ln == 0 || rn == 0 {
                     continue;
                 }
-                let weighted =
-                    (ln as f64 * gini(&lc, ln) + rn as f64 * gini(&rc, rn)) / idx.len() as f64;
+                let weighted = (ln as f64 * class_gini(&lc, ln) + rn as f64 * class_gini(&rc, rn))
+                    / idx.len() as f64;
                 let gain = parent_gini - weighted;
                 if best.is_none_or(|(_, _, g)| gain > g) {
                     best = Some((f, thr, gain));
@@ -400,28 +302,26 @@ mod tests {
             }
         }
         let Some((feature, threshold, _gain)) = best else {
-            return Node::Leaf { class };
+            return leaf;
         };
         let (li, ri): (Vec<usize>, Vec<usize>) =
             idx.iter().partition(|&&i| xs[i][feature] <= threshold);
-        Node::Split {
+        Tree::Split {
             feature,
             threshold,
-            left: Box::new(reference_build(xs, ys, &li, n_classes, cfg, depth + 1, rng)),
-            right: Box::new(reference_build(xs, ys, &ri, n_classes, cfg, depth + 1, rng)),
+            left: Box::new(reference_build(xs, fast, &li, depth + 1, rng)),
+            right: Box::new(reference_build(xs, fast, &ri, depth + 1, rng)),
         }
     }
 
-    fn reference_tree(
-        xs: &[Vec<f64>],
-        ys: &[usize],
-        idx: &[usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        rng: &mut impl Rng,
-    ) -> DecisionTree {
-        let root = reference_build(xs, ys, idx, n_classes, cfg, 0, rng);
-        DecisionTree { root, n_features: xs[0].len(), n_classes }
+    /// A binned tree over `idx`.
+    fn grow(xs: &[Vec<f64>], fast: &[bool], idx: &mut [usize], rng: &mut impl Rng) -> Tree {
+        Grower::new(&Bins::new(xs), fast).grow(idx, rng)
+    }
+
+    /// A binned tree over every row.
+    fn grow_all(xs: &[Vec<f64>], fast: &[bool]) -> Tree {
+        grow(xs, fast, &mut (0..xs.len()).collect::<Vec<_>>(), &mut rng())
     }
 
     /// Values whose midpoints tie, round onto the upper value (1.0 + ε
@@ -447,13 +347,13 @@ mod tests {
         f64::INFINITY,
     ];
 
-    /// One random data set: 2–200 rows, 1–31 features, 2–4 classes. Each
-    /// feature draws from a few small integers, from a random handful of
-    /// [`EDGE_VALUES`], or from a continuum.
-    fn random_data(r: &mut StdRng) -> (Vec<Vec<f64>>, Vec<usize>, usize) {
+    /// One random data set: 2–200 rows of 1–31 features, and a time per
+    /// row. Each feature draws from a few small integers, from a random
+    /// handful of [`EDGE_VALUES`], or from a continuum. Times take a few
+    /// levels, so that ties straddle the q30 cut, or a continuum.
+    fn random_data(r: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
         let n_rows = r.gen_range(2..201);
         let n_features = r.gen_range(1..32);
-        let n_classes = r.gen_range(2..5);
         let columns: Vec<Vec<f64>> = (0..n_features)
             .map(|_| match r.gen_range(0..3) {
                 0 => {
@@ -470,23 +370,18 @@ mod tests {
             })
             .collect();
         let xs = (0..n_rows).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
-        let ys = (0..n_rows).map(|_| r.gen_range(0..n_classes)).collect();
-        (xs, ys, n_classes)
-    }
-
-    fn random_config(r: &mut StdRng, n_features: usize) -> TreeConfig {
-        TreeConfig {
-            max_depth: r.gen_range(0..13),
-            min_samples_split: r.gen_range(0..5),
-            feature_subset: match r.gen_range(0..3) {
-                0 => None,
-                _ => Some(r.gen_range(1..n_features + 2)),
-            },
-        }
+        let times = match r.gen_range(0..2) {
+            0 => {
+                let levels = r.gen_range(1..5);
+                (0..n_rows).map(|_| r.gen_range(0..levels) as f64).collect()
+            }
+            _ => (0..n_rows).map(|_| r.gen_range(0.5..5.0)).collect(),
+        };
+        (xs, times)
     }
 
     /// Equal as values and as bits: `Debug` tells `-0.0` from `0.0`.
-    fn assert_same_tree(got: &DecisionTree, want: &DecisionTree, case: u64) {
+    fn assert_same_tree(got: &Tree, want: &Tree, case: u64) {
         assert_eq!(got, want, "case {case}");
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
     }
@@ -495,38 +390,43 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn binned_fits_equal_the_rescanning_reference(case in 0u64..u64::MAX) {
+        fn binned_trees_equal_the_rescanning_reference(case in 0u64..u64::MAX) {
             let mut r = StdRng::seed_from_u64(case);
-            let (xs, ys, n_classes) = random_data(&mut r);
-            let cfg = random_config(&mut r, xs[0].len());
+            let (xs, times) = random_data(&mut r);
+            let fast = fast_labels(&times);
             let fit_seed = r.gen::<u64>();
 
             // One tree over every row.
             let (mut a, mut b) = (StdRng::seed_from_u64(fit_seed), StdRng::seed_from_u64(fit_seed));
-            let all: Vec<usize> = (0..xs.len()).collect();
-            let got = DecisionTree::fit(&xs, &ys, n_classes, &cfg, &mut a);
-            assert_same_tree(&got, &reference_tree(&xs, &ys, &all, n_classes, &cfg, &mut b), case);
+            let mut all: Vec<usize> = (0..xs.len()).collect();
+            let want = reference_build(&xs, &fast, &all, 0, &mut b);
+            assert_same_tree(&grow(&xs, &fast, &mut all, &mut a), &want, case);
             prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
 
             // One tree over a bootstrap list with repeats.
             let mut idx: Vec<usize> = (0..xs.len()).map(|_| r.gen_range(0..xs.len())).collect();
-            let want = reference_tree(&xs, &ys, &idx, n_classes, &cfg, &mut b);
-            let got = DecisionTree::fit_binned(&Bins::new(&xs), &ys, &mut idx, n_classes, &cfg, &mut a);
-            assert_same_tree(&got, &want, case);
+            let want = reference_build(&xs, &fast, &idx, 0, &mut b);
+            assert_same_tree(&grow(&xs, &fast, &mut idx, &mut a), &want, case);
             prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
 
-            // A forest: the same bootstrap draws, then every tree alike.
-            let forest_cfg = RandomForestConfig { n_trees: r.gen_range(1..5), tree: cfg };
-            let forest = RandomForest::fit(&xs, &ys, n_classes, &forest_cfg, &mut a);
-            let mut tree_cfg = cfg;
-            if tree_cfg.feature_subset.is_none() {
-                let k = (xs[0].len() as f64).sqrt().ceil() as usize;
-                tree_cfg.feature_subset = Some(k.max(1));
-            }
-            for got in forest.trees() {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn surrogate_trees_equal_the_rescanning_reference(case in 0u64..u64::MAX) {
+            // The same bootstrap draws, then every tree alike, and the
+            // same number of draws in all.
+            let mut r = StdRng::seed_from_u64(case);
+            let (xs, times) = random_data(&mut r);
+            let fast = fast_labels(&times);
+            let fit_seed = r.gen::<u64>();
+            let (mut a, mut b) = (StdRng::seed_from_u64(fit_seed), StdRng::seed_from_u64(fit_seed));
+            let surrogate = Surrogate::fit(&xs, &times, &mut a).expect("at least two rows");
+            for got in surrogate.trees() {
                 let idx: Vec<usize> = (0..xs.len()).map(|_| b.gen_range(0..xs.len())).collect();
-                let want = reference_tree(&xs, &ys, &idx, n_classes, &tree_cfg, &mut b);
-                assert_same_tree(got, &want, case);
+                assert_same_tree(got, &reference_build(&xs, &fast, &idx, 0, &mut b), case);
             }
             prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
@@ -544,73 +444,61 @@ mod tests {
             &[f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY],
             &[-0.0, 5e-324, 0.0, -5e-324],
         ];
-        let ys = [0, 1, 1, 0];
+        let fast = [false, true, true, false];
         for col in columns {
             let xs: Vec<Vec<f64>> =
                 col.iter().enumerate().map(|(i, &v)| vec![v, i as f64]).collect();
-            let cfg = TreeConfig::default();
-            let got = DecisionTree::fit(&xs, &ys, 2, &cfg, &mut rng());
-            let want = reference_tree(&xs, &ys, &[0, 1, 2, 3], 2, &cfg, &mut rng());
-            assert_same_tree(&got, &want, 0);
+            let want = reference_build(&xs, &fast, &[0, 1, 2, 3], 0, &mut rng());
+            assert_same_tree(&grow_all(&xs, &fast), &want, 0);
         }
     }
 
     #[test]
     #[should_panic(expected = "NaN feature value")]
     fn nan_feature_panics() {
-        let xs = vec![vec![0.0, 1.0], vec![1.0, f64::NAN]];
-        DecisionTree::fit(&xs, &[0, 1], 2, &TreeConfig::default(), &mut rng());
+        Bins::new(&[vec![0.0, 1.0], vec![1.0, f64::NAN]]);
     }
 
     #[test]
     fn separable_data_is_memorized() {
         let xs = vec![vec![0.0], vec![1.0], vec![2.0], vec![10.0], vec![11.0]];
-        let ys = vec![0, 0, 0, 1, 1];
-        let t = DecisionTree::fit(&xs, &ys, 2, &TreeConfig::default(), &mut rng());
-        for (x, &y) in xs.iter().zip(&ys) {
+        let fast = [true, true, true, false, false];
+        let t = grow_all(&xs, &fast);
+        for (x, &y) in xs.iter().zip(&fast) {
             assert_eq!(t.predict(x), y);
         }
-        assert_eq!(t.predict(&[100.0]), 1);
+        assert!(!t.predict(&[100.0]));
     }
 
     #[test]
-    fn xor_needs_depth_two() {
+    fn xor_is_learned_at_depth_two() {
+        // No depth-one split separates XOR, so a correct fit is deeper.
         let xs = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
-        let ys = vec![0, 1, 1, 0];
-        let t = DecisionTree::fit(&xs, &ys, 2, &TreeConfig::default(), &mut rng());
-        for (x, &y) in xs.iter().zip(&ys) {
+        let fast = [false, true, true, false];
+        let t = grow_all(&xs, &fast);
+        for (x, &y) in xs.iter().zip(&fast) {
             assert_eq!(t.predict(x), y, "{x:?}");
         }
-        assert!(t.depth() >= 2);
-    }
-
-    #[test]
-    fn depth_limit_forces_leaf() {
-        let xs = vec![vec![0.0], vec![1.0]];
-        let ys = vec![0, 1];
-        let cfg = TreeConfig { max_depth: 0, ..Default::default() };
-        let t = DecisionTree::fit(&xs, &ys, 2, &cfg, &mut rng());
-        assert_eq!(t.depth(), 0);
     }
 
     #[test]
     fn pure_node_stops_splitting() {
         let xs = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let ys = vec![1, 1, 1];
-        let t = DecisionTree::fit(&xs, &ys, 2, &TreeConfig::default(), &mut rng());
-        assert_eq!(t.depth(), 0);
-        assert_eq!(t.predict(&[5.0]), 1);
+        assert_eq!(grow_all(&xs, &[true; 3]), Tree::Leaf { fast: true });
+        assert_eq!(grow_all(&xs, &[false; 3]), Tree::Leaf { fast: false });
+    }
+
+    #[test]
+    fn a_majority_tie_goes_to_the_fast_class() {
+        // Two equal rows of either label: no split exists.
+        let xs = vec![vec![1.0], vec![1.0]];
+        assert_eq!(grow_all(&xs, &[true, false]), Tree::Leaf { fast: true });
     }
 
     #[test]
     fn gini_extremes() {
-        assert_eq!(gini(&[4, 0], 4), 0.0);
-        assert!((gini(&[2, 2], 4) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "label out of range")]
-    fn bad_label_panics() {
-        DecisionTree::fit(&[vec![0.0]], &[3], 2, &TreeConfig::default(), &mut rng());
+        assert_eq!(gini(0, 4), 0.0);
+        assert_eq!(gini(4, 4), 0.0);
+        assert!((gini(2, 4) - 0.5).abs() < 1e-12);
     }
 }

@@ -10,22 +10,30 @@
 
 use cst_campaign::{
     aggregate, campaign_json, gate_campaign, load_cells, render_campaign, run_campaign, Backend,
-    CampaignSpec, CellState,
+    CampaignRun, CampaignSpec, CellState,
 };
 use cst_obs::JournalStore;
 use cst_testkit::LoopbackServer;
 use std::fs;
 use std::path::PathBuf;
 
+fn spec_with_tuners(tuners: &str) -> CampaignSpec {
+    CampaignSpec::from_json(&format!(
+        r#"{{"campaign":"itest","stencils":["j3d7pt"],"tuners":{tuners},
+            "budgets_s":[4.0],"seeds":[0,1],"quick":true,"fault":"off"}}"#
+    ))
+    .unwrap()
+}
+
 fn spec() -> CampaignSpec {
     // Two tuners × two seeds: small enough for CI, wide enough that an
     // interruption lands mid-matrix. FaultSpec::Off pins the testbed so
     // the expected bytes are identical on both CI legs.
-    CampaignSpec::from_json(
-        r#"{"campaign":"itest","stencils":["j3d7pt"],"tuners":["random","grid"],
-            "budgets_s":[4.0],"seeds":[0,1],"quick":true,"fault":"off"}"#,
-    )
-    .unwrap()
+    spec_with_tuners(r#"["random","grid"]"#)
+}
+
+fn run_local(spec: &CampaignSpec, store: &JournalStore) -> CampaignRun {
+    run_campaign(spec, store, &Backend::InProcess, &mut |_, _, _, _| {}).unwrap()
 }
 
 fn tmp_store(tag: &str) -> (PathBuf, JournalStore) {
@@ -50,19 +58,22 @@ fn interrupted_campaign_resumes_to_identical_bytes() {
     let (dir_b, cut_store) = tmp_store("cut");
 
     // Reference: one uninterrupted run.
-    let full = run_campaign(&spec, &full_store, &Default::default(), &mut |_, _, _, _| {}).unwrap();
-    assert_eq!((full.executed, full.cached, full.remaining), (4, 0, 0));
+    let full = run_local(&spec, &full_store);
+    assert_eq!((full.executed, full.cached), (4, 0));
 
-    // Interrupt mid-matrix after 2 of 4 cells, then re-invoke.
-    let cut_opts = cst_campaign::ExecOptions { stop_after: Some(2), ..Default::default() };
-    let cut = run_campaign(&spec, &cut_store, &cut_opts, &mut |_, _, _, _| {}).unwrap();
-    assert_eq!((cut.executed, cut.cached, cut.remaining), (2, 0, 2));
+    // Interrupt mid-matrix after the first tuner's 2 of 4 cells, then
+    // re-invoke. Running the first tuner's sub-spec stands in for the
+    // interruption: cell names hash the request, not the spec's name.
+    let cut = run_local(&spec_with_tuners(r#"["random"]"#), &cut_store);
+    assert_eq!((cut.executed, cut.cached), (2, 0));
+    let (_, missing) = load_cells(&spec, &cut_store).unwrap();
+    assert_eq!(missing.len(), 2);
     let mut states = Vec::new();
-    let resumed = run_campaign(&spec, &cut_store, &Default::default(), &mut |_, _, _, state| {
+    let resumed = run_campaign(&spec, &cut_store, &Backend::InProcess, &mut |_, _, _, state| {
         states.push(state);
     })
     .unwrap();
-    assert_eq!((resumed.executed, resumed.cached, resumed.remaining), (2, 2, 0));
+    assert_eq!((resumed.executed, resumed.cached), (2, 2));
     assert_eq!(
         states,
         [CellState::Cached, CellState::Cached, CellState::Ran, CellState::Ran],
@@ -93,14 +104,11 @@ fn daemon_backend_archives_the_same_bytes_as_in_process() {
     let spec = spec();
     let (dir_a, local_store) = tmp_store("local");
     let (dir_b, remote_store) = tmp_store("remote");
-    run_campaign(&spec, &local_store, &Default::default(), &mut |_, _, _, _| {}).unwrap();
+    run_local(&spec, &local_store);
 
     let server = LoopbackServer::start(2, 8);
-    let opts = cst_campaign::ExecOptions {
-        backend: Backend::Daemon(server.addr().to_string()),
-        stop_after: None,
-    };
-    let remote = run_campaign(&spec, &remote_store, &opts, &mut |_, _, _, _| {}).unwrap();
+    let daemon = Backend::Daemon(server.addr().to_string());
+    let remote = run_campaign(&spec, &remote_store, &daemon, &mut |_, _, _, _| {}).unwrap();
     assert_eq!((remote.executed, remote.cached), (4, 0));
     server.shutdown();
 
@@ -116,7 +124,7 @@ fn daemon_backend_archives_the_same_bytes_as_in_process() {
 fn campaign_gate_fails_on_an_injected_per_tuner_slowdown() {
     let spec = spec();
     let (dir, store) = tmp_store("gate");
-    run_campaign(&spec, &store, &Default::default(), &mut |_, _, _, _| {}).unwrap();
+    run_local(&spec, &store);
     let (baseline, _) = load_cells(&spec, &store).unwrap();
 
     // Identical candidate: ok, exit 0.

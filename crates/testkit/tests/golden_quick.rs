@@ -314,6 +314,95 @@ fn surrogate_digest_is_pinned() {
     check_golden("surrogate_digest", &t);
 }
 
+/// Feature values whose midpoints tie, round onto the upper value (1.0 +
+/// ε steps), overflow (±MAX, ±0.75 MAX) or are NaN (-inf next to +inf),
+/// and zeros of both signs and subnormals.
+const EDGE_VALUES: [f64; 17] = [
+    f64::NEG_INFINITY,
+    -f64::MAX,
+    -0.75 * f64::MAX,
+    -1.0,
+    -5e-324,
+    -0.0,
+    0.0,
+    5e-324,
+    1e-323,
+    1.0,
+    1.0 + f64::EPSILON,
+    1.0 + 2.0 * f64::EPSILON,
+    1.0 + 3.0 * f64::EPSILON,
+    2.0,
+    0.75 * f64::MAX,
+    f64::MAX,
+    f64::INFINITY,
+];
+
+#[test]
+fn surrogate_edge_digest_is_pinned() {
+    // The surrogate on adversarial data, where `cst-ml`'s own oracle
+    // shares the code's reading of every tie. Each case draws 2-200 rows
+    // of 1, 19 or 31 features; each feature takes a few small integers
+    // (ties), a random handful of `EDGE_VALUES`, or a continuum. Times
+    // take a few levels (ties across the q30 cut), a few levels plus
+    // infinite penalties, or a continuum. One line per case: an FNV-1a
+    // over the bits of the score of every training row and of one probe
+    // row per edge value, and the rng's next draw.
+    let mut t = String::new();
+    for case in 0..96u64 {
+        let mut r = StdRng::seed_from_u64(case);
+        let n_rows = match case {
+            0 => 2,
+            1 => 200,
+            _ => r.gen_range(2..201),
+        };
+        let n_features = [1, 19, 31][case as usize % 3];
+        let columns: Vec<Vec<f64>> = (0..n_features)
+            .map(|_| match r.gen_range(0..3) {
+                0 => {
+                    let k = r.gen_range(1..6);
+                    (0..n_rows).map(|_| r.gen_range(0..k) as f64).collect()
+                }
+                1 => {
+                    let k: usize = r.gen_range(2..7);
+                    let pick: Vec<f64> =
+                        (0..k).map(|_| EDGE_VALUES[r.gen_range(0..EDGE_VALUES.len())]).collect();
+                    (0..n_rows).map(|_| pick[r.gen_range(0..k)]).collect()
+                }
+                _ => (0..n_rows).map(|_| r.gen_range(-4.0..4.0)).collect(),
+            })
+            .collect();
+        let xs: Vec<Vec<f64>> =
+            (0..n_rows).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
+        let times: Vec<f64> = match r.gen_range(0..3) {
+            0 => {
+                let levels = r.gen_range(1..5);
+                (0..n_rows).map(|_| 1.0 + r.gen_range(0..levels) as f64).collect()
+            }
+            1 => {
+                let levels = r.gen_range(1..4);
+                (0..n_rows)
+                    .map(|_| match r.gen_range(0..levels + 1) {
+                        0 => f64::INFINITY,
+                        l => l as f64,
+                    })
+                    .collect()
+            }
+            _ => (0..n_rows).map(|_| r.gen_range(0.5..5.0)).collect(),
+        };
+        let fit = Surrogate::fit(&xs, &times, &mut r).expect("at least two rows");
+        let probes = EDGE_VALUES.iter().map(|&v| vec![v; n_features]);
+        let scores = fnv1a(
+            xs.iter().cloned().chain(probes).flat_map(|x| fit.score(&x).to_bits().to_le_bytes()),
+        );
+        let next = r.gen::<u64>();
+        let _ = writeln!(
+            t,
+            "case {case} rows={n_rows} features={n_features} scores={scores:016x} next={next:016x}"
+        );
+    }
+    check_golden("surrogate_edge_digest", &t);
+}
+
 #[test]
 fn experiment_harness_digest_is_pinned() {
     // Every seeded experiment's protocol through the one harness, on two

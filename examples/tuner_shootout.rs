@@ -17,7 +17,7 @@
 //! campaign dashboard — feed any journal to `cstuner report`, or any
 //! pair of summaries to `cstuner obs diff`.
 
-use cstuner::campaign::{run_campaign, CampaignSpec, ExecOptions};
+use cstuner::campaign::{run_campaign, Backend, CampaignSpec};
 use cstuner::obs::JournalStore;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
         None => std::env::temp_dir().join(format!("cst_shootout_{}", std::process::id())),
     };
     let store = JournalStore::open(&store_dir).expect("open campaign store");
-    let run = run_campaign(&spec, &store, &ExecOptions::default(), &mut |_, _, _, _| {})
+    let run = run_campaign(&spec, &store, &Backend::InProcess, &mut |_, _, _, _| {})
         .unwrap_or_else(|e| panic!("shootout campaign failed: {e}"));
 
     // One comparable journal per tuner (seed 0 keeps them aligned).

@@ -801,8 +801,7 @@ fn campaign_run(args: &Args) {
         Some(addr) => campaign::Backend::Daemon(addr.to_string()),
         None => campaign::Backend::InProcess,
     };
-    let opts = campaign::ExecOptions { backend, stop_after: None };
-    let run = campaign::run_campaign(&spec, &store, &opts, &mut |i, total, cell, state| {
+    let run = campaign::run_campaign(&spec, &store, &backend, &mut |i, total, cell, state| {
         let what = match state {
             campaign::CellState::Cached => "cached",
             campaign::CellState::Ran => "done",

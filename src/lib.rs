@@ -10,7 +10,8 @@
 //!   A100/V100 testbeds (see `DESIGN.md` for the substitution rationale).
 //! - [`space`] — the Table I parameter space with validity constraints.
 //! - [`stats`] — CV/PCC/RSE statistics and PMNF regression modeling.
-//! - [`ml`] — decision trees / random forest (Garvey baseline substrate).
+//! - [`ml`] — the fast/slow random-forest surrogate (Garvey baseline,
+//!   forest tuner, transfer warm starts).
 //! - [`ga`] — island-model genetic algorithm.
 //! - [`codegen`] — CUDA C source generation per (stencil, setting).
 //! - [`core`] — the csTuner pipeline: grouping, sampling, evolutionary

@@ -50,10 +50,9 @@ fn tuned_setting_produces_generatable_cuda() {
 #[test]
 fn all_tuners_complete_under_iso_time_budget() {
     let spec = suite::spec_by_name("helmholtz").unwrap();
-    let garvey = || -> Box<dyn Optimizer> { Box::new(GarveyOptimizer::new(48, 0.10)) };
     let mut tuners: Vec<(&str, Box<dyn Tuner>)> = vec![
         ("csTuner", Box::new(CsTuner::new(CsTunerConfig::default()))),
-        ("Garvey", Box::new(KernelTuner::new(garvey, KernelConfig::DEFAULT))),
+        ("Garvey", zoo::build("garvey", false).unwrap()),
         ("OpenTuner", zoo::build("opentuner", false).unwrap()),
         ("Artemis", zoo::build("artemis", false).unwrap()),
         ("Random", zoo::build("random", false).unwrap()),
