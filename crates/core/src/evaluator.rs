@@ -6,6 +6,7 @@
 //! production implementation is [`SimEvaluator`] over the GPU model; tests
 //! substitute synthetic landscapes.
 
+use cst_gpu_sim::fault::{backoff_s, MAX_RETRIES};
 use cst_gpu_sim::{
     EvalRecord, FaultKind, FaultProfile, FaultStats, GpuArch, GpuSim, MetricsReport, ValidSpace,
     VirtualClock,
@@ -112,17 +113,17 @@ pub trait Evaluator {
 /// Simulator-backed evaluator: the stand-in for compiling and running on
 /// the paper's GPU testbeds.
 ///
-/// The measurement path is fault-tolerant: with an active
-/// [`FaultProfile`] (explicit via [`SimEvaluator::with_fault_profile`],
-/// or ambient via `CST_FAULT_SEED`, see [`FaultProfile::from_env`]),
-/// failed attempts are retried a bounded number of times with
-/// deterministic exponential backoff charged to the virtual clock, and
-/// settings that fail every attempt are quarantined: their measurement
-/// commits as `f64::INFINITY` (a penalty every search driver already
-/// treats as "worst possible"), never to be re-attempted. All fault
-/// decisions are pure functions of (profile seed, setting, attempt), so
-/// runs stay bit-deterministic, and an inactive profile takes the exact
-/// fault-free code path.
+/// The measurement path is fault-tolerant: on the hostile testbed
+/// ([`FaultProfile::Hostile`], explicit via
+/// [`SimEvaluator::with_fault_profile`], or ambient via `CST_FAULT_SEED`,
+/// see [`FaultProfile::from_env`]), failed attempts are retried a bounded
+/// number of times with deterministic exponential backoff charged to the
+/// virtual clock, and settings that fail every attempt are quarantined:
+/// their measurement commits as `f64::INFINITY` (a penalty every search
+/// driver already treats as "worst possible"), never to be re-attempted.
+/// All fault decisions are pure functions of (profile seed, setting,
+/// attempt), so runs stay bit-deterministic; under [`FaultProfile::Off`]
+/// every first attempt succeeds uninflated.
 #[derive(Debug, Clone)]
 pub struct SimEvaluator {
     valid: ValidSpace,
@@ -139,7 +140,7 @@ pub struct SimEvaluator {
 
 impl SimEvaluator {
     /// Build with an unbounded clock. Fault injection follows the
-    /// environment (`CST_FAULT_SEED` et al.); off when unset.
+    /// environment (`CST_FAULT_SEED`); off when unset.
     pub fn new(spec: StencilSpec, arch: GpuArch, seed: u64) -> Self {
         let space = OptSpace::for_stencil(&spec);
         let sim = GpuSim::new(spec, arch);
@@ -149,7 +150,7 @@ impl SimEvaluator {
             rng: StdRng::seed_from_u64(seed ^ 0x5eed_e7a1),
             memo: cst_space::SettingMap::default(),
             unique: 0,
-            faults: FaultProfile::from_env().unwrap_or_else(FaultProfile::off),
+            faults: FaultProfile::from_env(),
             fault_stats: FaultStats::default(),
             quarantine: cst_space::SettingSet::default(),
             tel: Telemetry::noop(),
@@ -179,7 +180,7 @@ impl SimEvaluator {
     }
 
     /// This evaluator with an explicit fault profile, overriding the
-    /// environment (including overriding it to [`FaultProfile::off`]).
+    /// environment (including overriding it to [`FaultProfile::Off`]).
     pub fn with_fault_profile(mut self, profile: FaultProfile) -> Self {
         self.faults = profile;
         self
@@ -205,15 +206,15 @@ impl SimEvaluator {
         &self.valid
     }
 
-    /// Bounded retry loop for one setting under an active fault profile.
-    /// Each failed attempt charges a stage-dependent fraction of the
-    /// setting's compile+run cost plus exponential backoff to the virtual
-    /// clock; a run of `1 + max_retries` consecutive failures quarantines
-    /// the setting and commits `f64::INFINITY` as its measurement. The
-    /// measurement-noise rng is only drawn on the successful attempt, so
-    /// the noise stream position depends solely on the sequence of
-    /// committed successes — never on how many faults preceded them.
-    fn evaluate_faulty(&mut self, s: &Setting, record: &EvalRecord) -> f64 {
+    /// Bounded retry loop measuring one setting. Each failed attempt
+    /// charges [`FaultKind::charge_s`] of the setting's compile+run cost
+    /// plus [`backoff_s`] to the virtual clock; a run of `1 + MAX_RETRIES`
+    /// consecutive failures quarantines the setting and commits
+    /// `f64::INFINITY` as its measurement. The measurement-noise rng is
+    /// only drawn on the successful attempt, so the noise stream position
+    /// depends solely on the sequence of committed successes — never on
+    /// how many faults preceded them.
+    fn measure(&mut self, s: &Setting, record: &EvalRecord) -> f64 {
         let mut attempt: u32 = 0;
         loop {
             match self.faults.decide(s, attempt) {
@@ -238,17 +239,8 @@ impl SimEvaluator {
                         },
                         1,
                     );
-                    // A failed attempt still costs real time, by the stage
-                    // it died at: a compile error skips the run entirely, a
-                    // launch failure pays compile plus setup, a timeout
-                    // burns the watchdog window on top of the compile.
-                    let charge = match kind {
-                        FaultKind::CompileError => 0.5 * record.cost_s,
-                        FaultKind::LaunchFailure => 0.6 * record.cost_s,
-                        FaultKind::Timeout => 2.0 * record.cost_s,
-                    };
-                    self.clock.advance(charge);
-                    if attempt >= self.faults.max_retries {
+                    self.clock.advance(kind.charge_s(record.cost_s));
+                    if attempt >= MAX_RETRIES {
                         self.fault_stats.quarantined += 1;
                         self.quarantine.insert(*s);
                         self.tel.add(Counter::FaultQuarantined, 1);
@@ -265,7 +257,7 @@ impl SimEvaluator {
                     }
                     self.fault_stats.retries += 1;
                     self.tel.add(Counter::FaultRetries, 1);
-                    self.clock.advance(self.faults.backoff_s(attempt));
+                    self.clock.advance(backoff_s(attempt));
                     attempt += 1;
                 }
             }
@@ -305,13 +297,7 @@ impl Evaluator for SimEvaluator {
         // One model evaluation yields both the measured time and the clock
         // charge (the old path recomputed the footprint for each).
         let record = self.valid.sim().evaluate_full(s);
-        let measured = if self.faults.is_active() {
-            self.evaluate_faulty(s, &record)
-        } else {
-            let m = cst_gpu_sim::noisy_measurement(record.time_ms(), &mut self.rng);
-            self.clock.advance(record.cost_s);
-            m
-        };
+        let measured = self.measure(s, &record);
         self.unique += 1;
         self.memo.insert(*s, measured);
         self.tel.add(Counter::EvalsCommitted, 1);
@@ -433,36 +419,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_probability_profile_is_bit_identical_to_fault_free() {
-        // Both profiles are pinned explicitly so this holds even under the
-        // CI fault leg, where CST_FAULT_SEED makes `new()` default hostile.
-        // The zeroed profile keeps aggressive non-probability knobs to prove
-        // they are inert when no fault can ever be drawn.
-        let mut plain = eval().with_fault_profile(FaultProfile::off());
-        let zero_probs = FaultProfile {
-            seed: 0xdead_beef,
-            max_retries: 9,
-            backoff_base_s: 9.9,
-            outlier_cap: 64.0,
-            ..FaultProfile::off()
-        };
-        let mut zeroed = eval().with_fault_profile(zero_probs);
-        let batch: Vec<Setting> = (0..64).map(|_| plain.random_valid()).collect();
-        // Re-sync the witness rng: random_valid above advanced plain's.
-        for _ in 0..64 {
-            zeroed.random_valid();
-        }
-        for s in &batch {
-            assert_eq!(plain.evaluate(s), zeroed.evaluate(s));
-        }
-        assert_eq!(plain.clock().now_s(), zeroed.clock().now_s());
-        assert!(!zeroed.fault_stats().any());
-        assert_eq!(zeroed.quarantined_count(), 0);
-    }
-
-    #[test]
     fn faulty_runs_are_deterministic_and_never_panic() {
-        let profile = FaultProfile::hostile(11);
+        let profile = FaultProfile::Hostile { seed: 11 };
         let run = || {
             let mut e = eval().with_fault_profile(profile);
             let batch: Vec<Setting> = (0..128).map(|_| e.random_valid()).collect();
@@ -484,25 +442,30 @@ mod tests {
 
     #[test]
     fn retries_charge_backoff_and_fault_time_to_the_clock() {
-        // A profile that always fails compile quarantines every setting
-        // after max_retries, charging 0.5·cost per attempt plus backoff.
-        let profile = FaultProfile {
-            p_compile: 1.0,
-            p_outlier: 0.0,
-            max_retries: 2,
-            ..FaultProfile::hostile(5)
-        };
-        let mut e = eval().with_fault_profile(profile);
+        // A fault seed under which every attempt at the baseline fails:
+        // the setting is quarantined after MAX_RETRIES retries, each
+        // failed attempt charging its stage's share of the cost, and each
+        // retry its backoff.
         let s = Setting::baseline();
+        let (profile, kinds) = (0..)
+            .map(|seed| FaultProfile::Hostile { seed })
+            .find_map(|p| {
+                let kinds: Option<Vec<FaultKind>> =
+                    (0..=MAX_RETRIES).map(|a| p.decide(&s, a)).collect();
+                kinds.map(|k| (p, k))
+            })
+            .unwrap();
+        let mut e = eval().with_fault_profile(profile);
         let cost = e.sim().evaluate_full(&s).cost_s;
         let t = e.evaluate(&s);
         assert_eq!(t, f64::INFINITY);
         assert!(e.is_quarantined(&s));
-        let stats = e.fault_stats();
-        assert_eq!(stats.compile_errors, 3, "1 attempt + 2 retries");
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.quarantined, 1);
-        let want = 3.0 * 0.5 * cost + profile.backoff_s(0) + profile.backoff_s(1);
+        let mut stats =
+            FaultStats { retries: MAX_RETRIES as u64, quarantined: 1, ..Default::default() };
+        kinds.iter().for_each(|&k| stats.record(k));
+        assert_eq!(e.fault_stats(), stats);
+        let want = kinds.iter().map(|k| k.charge_s(cost)).sum::<f64>()
+            + (0..MAX_RETRIES).map(backoff_s).sum::<f64>();
         assert!((e.clock().now_s() - want).abs() < 1e-12, "{} vs {want}", e.clock().now_s());
         // The quarantined measurement is memoized: a repeat is free.
         let before = e.clock().now_s();
@@ -512,32 +475,29 @@ mod tests {
 
     #[test]
     fn outliers_inflate_measurements_but_only_successes() {
-        let profile = FaultProfile {
-            p_compile: 0.0,
-            p_launch: 0.0,
-            p_timeout: 0.0,
-            p_outlier: 0.5,
-            outlier_cap: 20.0,
-            ..FaultProfile::hostile(13)
-        };
+        use cst_gpu_sim::fault::OUTLIER_CAP;
+        let profile = FaultProfile::Hostile { seed: 13 };
         let mut faulty = eval().with_fault_profile(profile);
-        let mut clean = eval().with_fault_profile(FaultProfile::off());
-        let batch: Vec<Setting> = (0..64).map(|_| faulty.random_valid()).collect();
-        for _ in 0..64 {
+        let mut clean = eval().with_fault_profile(FaultProfile::Off);
+        let drawn: Vec<Setting> = (0..512).map(|_| faulty.random_valid()).collect();
+        for _ in 0..512 {
             clean.random_valid();
         }
+        // Only settings whose first attempt succeeds: both evaluators then
+        // draw the same noise for each and charge the same clock.
+        let batch = drawn.iter().filter(|s| profile.decide(s, 0).is_none());
         let mut inflated = 0;
-        for s in &batch {
+        for s in batch {
             let f = faulty.evaluate(s);
             let c = clean.evaluate(s);
             assert!(f >= c, "outliers can only inflate: {f} < {c}");
             if f > c {
                 inflated += 1;
-                assert!(f / c <= 20.0 + 1e-9, "cap violated: {}", f / c);
+                assert!(f / c <= OUTLIER_CAP + 1e-9, "cap violated: {}", f / c);
             }
         }
         assert_eq!(faulty.fault_stats().outliers as usize, inflated);
-        assert!(inflated > 0, "p_outlier=0.5 over 64 settings should inflate some");
+        assert!(inflated > 0, "the hostile testbed over 512 settings should inflate some");
         // The clock charge is unchanged — outliers are timer artifacts,
         // not longer runs.
         assert_eq!(faulty.clock().now_s().to_bits(), clean.clock().now_s().to_bits());

@@ -12,11 +12,42 @@
 //! (setting, attempt) pair faults — and which way — is a pure function of
 //! the [`FaultProfile`]'s seed, independent of thread interleaving and
 //! the evaluator's measurement-noise rng stream. Two runs with the same
-//! seeds therefore observe byte-identical fault sequences, and a
-//! zero-probability profile is *exactly* the fault-free path (no extra
-//! rng draws, no extra clock charges).
+//! seeds therefore observe byte-identical fault sequences. There is one
+//! hostile testbed: its rates, outlier cap, retry budget, backoff and
+//! per-stage attempt charges are the constants below, and a profile is
+//! either [`FaultProfile::Off`] or that testbed under a seed.
 
 use cst_space::Setting;
+
+/// Per-attempt probability of a compile-stage failure on the hostile
+/// testbed (this tree's value).
+pub const P_COMPILE: f64 = 0.03;
+/// Per-attempt probability of a launch-stage failure on the hostile
+/// testbed (this tree's value).
+pub const P_LAUNCH: f64 = 0.02;
+/// Per-attempt probability of a run-stage watchdog timeout on the
+/// hostile testbed (this tree's value).
+pub const P_TIMEOUT: f64 = 0.01;
+/// Probability that a *successful* measurement on the hostile testbed is
+/// a heavy-tailed timing outlier (this tree's value).
+pub const P_OUTLIER: f64 = 0.03;
+/// Cap on the outlier multiplier's Pareto tail (this tree's value).
+pub const OUTLIER_CAP: f64 = 20.0;
+/// Retries granted after a failed attempt before the setting is
+/// quarantined (this tree's value).
+pub const MAX_RETRIES: u32 = 2;
+/// Base of the exponential retry backoff, in virtual seconds (this
+/// tree's value).
+const BACKOFF_BASE_S: f64 = 0.05;
+/// Share of a setting's compile-and-run cost that a compile error
+/// charges: the run never happens (this tree's value).
+const COMPILE_ERROR_CHARGE: f64 = 0.5;
+/// Share of a setting's compile-and-run cost that a launch failure
+/// charges: compile plus setup (this tree's value).
+const LAUNCH_FAILURE_CHARGE: f64 = 0.6;
+/// Share of a setting's compile-and-run cost that a timeout charges: the
+/// watchdog window on top of the compile (this tree's value).
+const TIMEOUT_CHARGE: f64 = 2.0;
 
 /// Ways a kernel measurement can fail, by pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +58,20 @@ pub enum FaultKind {
     LaunchFailure,
     /// The kernel ran past the watchdog and was killed.
     Timeout,
+}
+
+impl FaultKind {
+    /// Virtual seconds a failed attempt of this kind costs, for a setting
+    /// whose compile-and-run cost is `cost_s`: a failed attempt still
+    /// costs real time, by the stage it died at.
+    pub fn charge_s(self, cost_s: f64) -> f64 {
+        let share = match self {
+            FaultKind::CompileError => COMPILE_ERROR_CHARGE,
+            FaultKind::LaunchFailure => LAUNCH_FAILURE_CHARGE,
+            FaultKind::Timeout => TIMEOUT_CHARGE,
+        };
+        share * cost_s
+    }
 }
 
 /// Per-stage failure/retry counters accumulated by a fault-tolerant
@@ -82,93 +127,46 @@ impl std::ops::Add for FaultStats {
     }
 }
 
-/// Seeded per-setting failure model plus the retry policy evaluators
-/// apply against it.
+/// The testbed a session measures on.
 ///
 /// Probabilities are per *attempt*: retrying a compile error can succeed,
 /// so transient faults cost retries while a persistently unlucky setting
 /// (every attempt faulting) ends up quarantined.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultProfile {
-    /// Seed of the fault stream (independent of measurement noise).
-    pub seed: u64,
-    /// Per-attempt probability of a compile-stage failure.
-    pub p_compile: f64,
-    /// Per-attempt probability of a launch-stage failure.
-    pub p_launch: f64,
-    /// Per-attempt probability of a run-stage watchdog timeout.
-    pub p_timeout: f64,
-    /// Probability a *successful* measurement is a heavy-tailed outlier.
-    pub p_outlier: f64,
-    /// Cap on the outlier multiplier's Pareto tail (≥ 1).
-    pub outlier_cap: f64,
-    /// Retries granted after a failed attempt before quarantine.
-    pub max_retries: u32,
-    /// Base of the exponential retry backoff charged to the virtual
-    /// clock: retry `k` (0-based) waits `backoff_base_s · 2^k` seconds.
-    pub backoff_base_s: f64,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultProfile {
+    /// Fault-free: no attempt ever fails and no measurement is inflated.
+    Off,
+    /// The hostile testbed: compile errors, launch failures, timeouts and
+    /// timing outliers at the rates above, the default profile of the
+    /// fault-injection CI leg.
+    Hostile {
+        /// Seed of the fault stream (independent of measurement noise).
+        seed: u64,
+    },
 }
 
 impl FaultProfile {
-    /// The fault-free profile: every probability zero. Evaluators treat
-    /// this as "injection disabled" and take the exact legacy path.
-    pub fn off() -> Self {
-        FaultProfile {
-            seed: 0,
-            p_compile: 0.0,
-            p_launch: 0.0,
-            p_timeout: 0.0,
-            p_outlier: 0.0,
-            outlier_cap: 1.0,
-            max_retries: 2,
-            backoff_base_s: 0.05,
-        }
-    }
-
-    /// A mildly hostile testbed seeded with `seed`: a few percent of
-    /// attempts fail per stage, occasional timing outliers. The default
-    /// profile of the fault-injection CI leg.
-    pub fn hostile(seed: u64) -> Self {
-        FaultProfile {
-            seed,
-            p_compile: 0.03,
-            p_launch: 0.02,
-            p_timeout: 0.01,
-            p_outlier: 0.03,
-            outlier_cap: 20.0,
-            max_retries: 2,
-            backoff_base_s: 0.05,
-        }
-    }
-
     /// Read the profile from the environment: `CST_FAULT_SEED=<u64>`
-    /// enables injection with the [`FaultProfile::hostile`] rates. Returns
-    /// `None` (injection disabled) when `CST_FAULT_SEED` is unset or
-    /// unparsable.
-    pub fn from_env() -> Option<Self> {
-        let seed = std::env::var("CST_FAULT_SEED").ok()?.trim().parse::<u64>().ok()?;
-        Some(FaultProfile::hostile(seed))
-    }
-
-    /// Whether any fault can ever fire. The fast path that evaluators
-    /// branch on: an inactive profile must cost nothing.
-    pub fn is_active(&self) -> bool {
-        self.p_compile > 0.0 || self.p_launch > 0.0 || self.p_timeout > 0.0 || self.p_outlier > 0.0
+    /// selects [`FaultProfile::Hostile`] with that seed; unset or
+    /// unparsable is [`FaultProfile::Off`].
+    pub fn from_env() -> Self {
+        match std::env::var("CST_FAULT_SEED").ok().and_then(|v| v.trim().parse::<u64>().ok()) {
+            Some(seed) => FaultProfile::Hostile { seed },
+            None => FaultProfile::Off,
+        }
     }
 
     /// Decide deterministically whether attempt `attempt` at measuring
     /// `s` faults, and at which stage. Pure in (seed, setting, attempt):
     /// no shared rng stream, no ordering dependence.
     pub fn decide(&self, s: &Setting, attempt: u32) -> Option<FaultKind> {
-        if self.p_compile <= 0.0 && self.p_launch <= 0.0 && self.p_timeout <= 0.0 {
-            return None;
-        }
-        let u = unit(hash_setting(self.seed, s, attempt, 0xfa17));
-        if u < self.p_compile {
+        let FaultProfile::Hostile { seed } = *self else { return None };
+        let u = unit(hash_setting(seed, s, attempt, 0xfa17));
+        if u < P_COMPILE {
             Some(FaultKind::CompileError)
-        } else if u < self.p_compile + self.p_launch {
+        } else if u < P_COMPILE + P_LAUNCH {
             Some(FaultKind::LaunchFailure)
-        } else if u < self.p_compile + self.p_launch + self.p_timeout {
+        } else if u < P_COMPILE + P_LAUNCH + P_TIMEOUT {
             Some(FaultKind::Timeout)
         } else {
             None
@@ -177,27 +175,26 @@ impl FaultProfile {
 
     /// Multiplier a successful measurement of `s` on `attempt` suffers
     /// from timer outliers: `1.0` almost always, a capped Pareto tail
-    /// (`1/u`, at most [`FaultProfile::outlier_cap`]) with probability
-    /// `p_outlier`. Deterministic in (seed, setting, attempt).
+    /// (`1/u`, at most [`OUTLIER_CAP`]) with probability [`P_OUTLIER`].
+    /// Deterministic in (seed, setting, attempt).
     pub fn outlier_factor(&self, s: &Setting, attempt: u32) -> f64 {
-        if self.p_outlier <= 0.0 {
-            return 1.0;
-        }
-        let u = unit(hash_setting(self.seed, s, attempt, 0x0071_1e50));
-        if u >= self.p_outlier {
+        let FaultProfile::Hostile { seed } = *self else { return 1.0 };
+        let u = unit(hash_setting(seed, s, attempt, 0x0071_1e50));
+        if u >= P_OUTLIER {
             return 1.0;
         }
         // Rescale the hit's sub-uniform into (0,1] and take the Pareto
         // tail 1/u', capped so one outlier cannot dwarf the landscape.
-        let u2 = (u / self.p_outlier).max(1.0 / self.outlier_cap.max(1.0));
-        (1.0 / u2).clamp(1.0, self.outlier_cap.max(1.0))
+        let u2 = (u / P_OUTLIER).max(1.0 / OUTLIER_CAP);
+        (1.0 / u2).clamp(1.0, OUTLIER_CAP)
     }
+}
 
-    /// Deterministic backoff charged to the virtual clock before retry
-    /// `attempt` (0-based): exponential in the attempt index.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        self.backoff_base_s * (1u64 << attempt.min(16)) as f64
-    }
+/// Deterministic backoff charged to the virtual clock before retry
+/// `attempt` (0-based): `BACKOFF_BASE_S · 2^attempt`, the exponent capped
+/// at 16.
+pub fn backoff_s(attempt: u32) -> f64 {
+    BACKOFF_BASE_S * (1u64 << attempt.min(16)) as f64
 }
 
 /// splitmix64 finalizer — cheap avalanche over the accumulated state.
@@ -242,8 +239,7 @@ mod tests {
 
     #[test]
     fn off_profile_never_faults() {
-        let p = FaultProfile::off();
-        assert!(!p.is_active());
+        let p = FaultProfile::Off;
         for s in settings(200) {
             for attempt in 0..3 {
                 assert_eq!(p.decide(&s, attempt), None);
@@ -254,7 +250,7 @@ mod tests {
 
     #[test]
     fn decisions_are_pure_functions() {
-        let p = FaultProfile::hostile(42);
+        let p = FaultProfile::Hostile { seed: 42 };
         for s in settings(100) {
             for attempt in 0..3 {
                 assert_eq!(p.decide(&s, attempt), p.decide(&s, attempt));
@@ -265,39 +261,36 @@ mod tests {
 
     #[test]
     fn fault_rates_track_probabilities() {
-        let p = FaultProfile {
-            p_compile: 0.10,
-            p_launch: 0.05,
-            p_timeout: 0.05,
-            p_outlier: 0.10,
-            ..FaultProfile::hostile(7)
-        };
+        let p = FaultProfile::Hostile { seed: 7 };
         let ss = settings(4000);
         let mut counts = FaultStats::default();
         for s in &ss {
-            match p.decide(s, 0) {
-                Some(k) => counts.record(k),
-                None => {
-                    if p.outlier_factor(s, 0) > 1.0 {
-                        counts.outliers += 1;
+            for attempt in 0..4 {
+                match p.decide(s, attempt) {
+                    Some(k) => counts.record(k),
+                    None => {
+                        if p.outlier_factor(s, attempt) > 1.0 {
+                            counts.outliers += 1;
+                        }
                     }
                 }
             }
         }
-        let n = ss.len() as f64;
-        let close = |got: u64, want: f64| (got as f64 / n - want).abs() < 0.02;
-        assert!(close(counts.compile_errors, 0.10), "{counts:?}");
-        assert!(close(counts.launch_failures, 0.05), "{counts:?}");
-        assert!(close(counts.timeouts, 0.05), "{counts:?}");
+        let n = 4.0 * ss.len() as f64;
+        let close = |got: u64, want: f64| (got as f64 / n - want).abs() < want / 4.0;
+        assert!(close(counts.compile_errors, P_COMPILE), "{counts:?}");
+        assert!(close(counts.launch_failures, P_LAUNCH), "{counts:?}");
+        assert!(close(counts.timeouts, P_TIMEOUT), "{counts:?}");
         // Outliers only apply to non-faulted attempts, so the observed
-        // rate is p_outlier · (1 − p_fail) ≈ 0.08.
-        assert!(close(counts.outliers, 0.10 * 0.80), "{counts:?}");
+        // rate is P_OUTLIER · (1 − p_fail).
+        let p_fail = P_COMPILE + P_LAUNCH + P_TIMEOUT;
+        assert!(close(counts.outliers, P_OUTLIER * (1.0 - p_fail)), "{counts:?}");
     }
 
     #[test]
     fn different_seeds_give_different_fault_sets() {
-        let a = FaultProfile::hostile(1);
-        let b = FaultProfile::hostile(2);
+        let a = FaultProfile::Hostile { seed: 1 };
+        let b = FaultProfile::Hostile { seed: 2 };
         let ss = settings(500);
         let fa: Vec<bool> = ss.iter().map(|s| a.decide(s, 0).is_some()).collect();
         let fb: Vec<bool> = ss.iter().map(|s| b.decide(s, 0).is_some()).collect();
@@ -308,21 +301,24 @@ mod tests {
     fn retries_can_clear_transient_faults() {
         // With per-attempt independence, some setting that faults on
         // attempt 0 must succeed on a later attempt.
-        let p = FaultProfile { p_compile: 0.2, ..FaultProfile::hostile(3) };
+        let p = FaultProfile::Hostile { seed: 3 };
         let cleared = settings(500).iter().any(|s| {
             p.decide(s, 0) == Some(FaultKind::CompileError)
-                && (1..=p.max_retries).any(|a| p.decide(s, a).is_none())
+                && (1..=MAX_RETRIES).any(|a| p.decide(s, a).is_none())
         });
         assert!(cleared);
     }
 
     #[test]
     fn outlier_factor_is_heavy_tailed_and_capped() {
-        let p = FaultProfile { p_outlier: 0.5, outlier_cap: 20.0, ..FaultProfile::hostile(9) };
-        let factors: Vec<f64> =
-            settings(2000).iter().map(|s| p.outlier_factor(s, 0)).filter(|&f| f > 1.0).collect();
+        let p = FaultProfile::Hostile { seed: 9 };
+        let factors: Vec<f64> = settings(4000)
+            .iter()
+            .flat_map(|s| (0..4).map(move |a| p.outlier_factor(s, a)))
+            .filter(|&f| f > 1.0)
+            .collect();
         assert!(!factors.is_empty());
-        assert!(factors.iter().all(|&f| (1.0..=20.0).contains(&f)));
+        assert!(factors.iter().all(|&f| (1.0..=OUTLIER_CAP).contains(&f)));
         assert!(factors.iter().any(|&f| f > 5.0), "tail too light");
         let median = {
             let mut f = factors.clone();
@@ -334,11 +330,20 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_bounded() {
-        let p = FaultProfile::hostile(0);
-        assert_eq!(p.backoff_s(0), 0.05);
-        assert_eq!(p.backoff_s(1), 0.10);
-        assert_eq!(p.backoff_s(2), 0.20);
-        assert!(p.backoff_s(60) <= p.backoff_base_s * 65536.0);
+        assert_eq!(backoff_s(0), 0.05);
+        assert_eq!(backoff_s(1), 0.10);
+        assert_eq!(backoff_s(2), 0.20);
+        for a in 0..20 {
+            assert!(backoff_s(a + 1) >= backoff_s(a), "retries never get cheaper");
+        }
+        assert_eq!(backoff_s(60), backoff_s(16));
+    }
+
+    #[test]
+    fn failed_attempts_charge_by_stage() {
+        assert_eq!(FaultKind::CompileError.charge_s(2.0), 1.0);
+        assert_eq!(FaultKind::LaunchFailure.charge_s(2.0), 1.2);
+        assert_eq!(FaultKind::Timeout.charge_s(2.0), 4.0);
     }
 
     #[test]
@@ -360,9 +365,9 @@ mod tests {
     fn env_profile_requires_seed() {
         // Serialized env access: this var is only touched here.
         std::env::remove_var("CST_FAULT_SEED");
-        assert!(FaultProfile::from_env().is_none());
+        assert_eq!(FaultProfile::from_env(), FaultProfile::Off);
         std::env::set_var("CST_FAULT_SEED", "99");
-        assert_eq!(FaultProfile::from_env(), Some(FaultProfile::hostile(99)));
+        assert_eq!(FaultProfile::from_env(), FaultProfile::Hostile { seed: 99 });
         std::env::remove_var("CST_FAULT_SEED");
     }
 }

@@ -11,6 +11,7 @@ use crate::profile::{profile_summary, Profile};
 use crate::summary::{summarize, RunSummary};
 use cst_telemetry::journal;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File suffix of archived summaries.
@@ -64,9 +65,19 @@ impl JournalStore {
     /// Load one archived summary by name.
     pub fn load(&self, name: &str) -> Result<RunSummary, String> {
         let path = self.path_of(name);
-        let text = read_text(&path)?;
-        // A summary is one JSON object on its first line.
-        RunSummary::from_json(&text).map_err(|e| format!("{}: line 1: {e}", path.display()))
+        parse_summary(&path, &read_text(&path)?)
+    }
+
+    /// Parse the bytes of `name`'s summary file, already read, with the
+    /// errors [`JournalStore::load`] reports for the same bytes.
+    pub fn parse(&self, name: &str, bytes: &[u8]) -> Result<RunSummary, String> {
+        let path = self.path_of(name);
+        // `Read for &[u8]` rejects non-UTF-8 with the error
+        // `fs::read_to_string` gives.
+        let mut text = String::new();
+        io::Read::read_to_string(&mut &bytes[..], &mut text)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        parse_summary(&path, &text)
     }
 
     /// Names of every archived run, sorted for deterministic iteration.
@@ -92,6 +103,11 @@ impl JournalStore {
 
 fn read_text(path: &Path) -> Result<String, String> {
     fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// A summary is one JSON object on its first line.
+fn parse_summary(path: &Path, text: &str) -> Result<RunSummary, String> {
+    RunSummary::from_json(text).map_err(|e| format!("{}: line 1: {e}", path.display()))
 }
 
 /// A run loaded by [`load_run`]: its summary and its span profile.
@@ -122,8 +138,7 @@ pub fn load_run(path: &Path) -> Result<Run, String> {
             profile: Profile::from_journal(stem, j),
         })
     } else {
-        let summary =
-            RunSummary::from_json(&text).map_err(|e| format!("{}: line 1: {e}", path.display()))?;
+        let summary = parse_summary(path, &text)?;
         Ok(Run { profile: profile_summary(stem, &summary), summary })
     }
 }

@@ -38,8 +38,8 @@ pub fn build_tuner(name: &str, quick: bool) -> Option<Box<dyn Tuner>> {
 }
 
 /// A request's fault knob. Absent (`None` at the [`TuneRequest`] level)
-/// the session follows the daemon's environment (`CST_FAULT_SEED` et
-/// al.), exactly like a plain CLI run in that environment.
+/// the session follows the daemon's environment (`CST_FAULT_SEED`),
+/// exactly like a plain CLI run in that environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
     /// Explicitly fault-free, overriding a hostile environment. Pins
@@ -47,7 +47,7 @@ pub enum FaultSpec {
     Off,
     /// The hostile profile seeded here, overriding the environment.
     Hostile {
-        /// Fault-decision seed (see [`FaultProfile::hostile`]).
+        /// Fault-decision seed (see [`FaultProfile::Hostile`]).
         seed: u64,
     },
 }
@@ -56,8 +56,8 @@ impl FaultSpec {
     /// The explicit profile this knob selects.
     pub fn profile(&self) -> FaultProfile {
         match self {
-            FaultSpec::Off => FaultProfile::off(),
-            FaultSpec::Hostile { seed } => FaultProfile::hostile(*seed),
+            FaultSpec::Off => FaultProfile::Off,
+            FaultSpec::Hostile { seed } => FaultProfile::Hostile { seed: *seed },
         }
     }
 }

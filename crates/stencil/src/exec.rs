@@ -1,21 +1,19 @@
 //! CPU execution of composite kernels: the semantic ground truth.
 //!
-//! Three executors over the same [`KernelDef`]:
+//! Two executors over the same [`KernelDef`]:
 //!
 //! - [`run_reference`]: plain triple-nested interior sweep per stage.
-//! - [`run_reference_parallel`]: rayon z-slab decomposition per stage.
 //! - [`run_transformed`]: traverses each sweep in the *transformed* order
 //!   implied by a tuning setting — block merging, cyclic merging, loop
 //!   unrolling (chunked with remainder handling) and z-streaming tiles —
 //!   and must produce bit-identical output, validating that the loop
 //!   transformations the tuner explores are semantics-preserving.
 //!
-//! Every output point is computed by an identical expression tree, so all
-//! three agree bitwise, not just within floating-point tolerance.
+//! Every output point is computed by an identical expression tree, so the
+//! two agree bitwise, not just within floating-point tolerance.
 
 use crate::compose::{ArrayRef, Arrays, KernelDef, Stage};
 use crate::grid::Grid3;
-use rayon::prelude::*;
 
 /// Loop-transformation configuration mirroring the merging / unrolling /
 /// streaming parameters of the tuning space (Table I).
@@ -134,51 +132,6 @@ fn check_arity(def: &KernelDef, inputs: &[Grid3], outputs: &mut [Grid3]) {
     let dims = outputs[0].dims();
     for g in inputs.iter().chain(outputs.iter()) {
         assert_eq!(g.dims(), dims, "all grids must share extents");
-    }
-}
-
-/// Run the kernel with rayon-parallel z-slab sweeps per stage. Produces
-/// bitwise-identical results to [`run_reference`].
-pub fn run_reference_parallel(def: &KernelDef, inputs: &[Grid3], outputs: &mut [Grid3]) {
-    check_arity(def, inputs, outputs);
-    let dims = outputs[0].dims();
-    let mut temps = alloc_temps(def, dims);
-    let margins = stage_margins(def);
-    let plane = dims[0] * dims[1];
-    for (stage, &m) in def.stages.iter().zip(&margins) {
-        let Some(b) = stage_bounds(m, dims) else { continue };
-        // Split the destination out of temps/outputs so the rest can be
-        // shared immutably across worker threads.
-        let (dst_is_temp, dst_idx) = match stage.out {
-            ArrayRef::Temp(i) => (true, i),
-            ArrayRef::Output(i) => (false, i),
-            ArrayRef::Input(_) => unreachable!(),
-        };
-        let mut dst = if dst_is_temp {
-            std::mem::replace(&mut temps[dst_idx], Grid3::zeros(1, 1, 1))
-        } else {
-            std::mem::replace(&mut outputs[dst_idx], Grid3::zeros(1, 1, 1))
-        };
-        {
-            let arrays = Arrays { inputs, temps: &temps, outputs };
-            let slabs = dst.z_slabs_mut(1);
-            slabs.into_par_iter().for_each(|(z, slab)| {
-                if z < b[2].0 || z >= b[2].1 {
-                    return;
-                }
-                for y in b[1].0..b[1].1 {
-                    for x in b[0].0..b[0].1 {
-                        slab[x + dims[0] * y] = stage.eval(&arrays, x, y, z);
-                    }
-                }
-                let _ = plane;
-            });
-        }
-        if dst_is_temp {
-            temps[dst_idx] = dst;
-        } else {
-            outputs[dst_idx] = dst;
-        }
     }
 }
 
@@ -353,18 +306,6 @@ mod tests {
                     + g.get(5, 6, 8)
                     + g.get(5, 6, 6));
         assert!((out[0].get(5, 6, 7) - hand).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_bitwise() {
-        for k in suite::all_kernels() {
-            let n = (2 * k.def.valid_margin() as usize + 6).max(12);
-            let (inputs, mut seq) = small_io(&k, n);
-            let mut par = seq.clone();
-            run_reference(&k.def, &inputs, &mut seq);
-            run_reference_parallel(&k.def, &inputs, &mut par);
-            assert_eq!(max_diff_on_valid(&k.def, &seq, &par), 0.0, "{}", k.spec.name);
-        }
     }
 
     #[test]

@@ -146,26 +146,6 @@ impl Grid3 {
         &self.data
     }
 
-    /// Split the grid into mutable z-slabs of `slab_nz` planes each (the
-    /// last slab may be shorter). This is the rayon decomposition unit of
-    /// the parallel executor: slabs are disjoint so they can be updated
-    /// concurrently without synchronization.
-    pub fn z_slabs_mut(&mut self, slab_nz: usize) -> Vec<(usize, &mut [f64])> {
-        assert!(slab_nz > 0);
-        let plane = self.nx * self.ny;
-        let mut out = Vec::new();
-        let mut z0 = 0;
-        let mut rest: &mut [f64] = &mut self.data;
-        while z0 < self.nz {
-            let take = slab_nz.min(self.nz - z0);
-            let (head, tail) = rest.split_at_mut(take * plane);
-            out.push((z0, head));
-            rest = tail;
-            z0 += take;
-        }
-        out
-    }
-
     /// Maximum absolute difference from another grid of identical extents.
     ///
     /// # Panics
@@ -221,17 +201,6 @@ mod tests {
         let g = Grid3::synthetic(8, 8, 8);
         let first = g.get(0, 0, 0);
         assert!(g.as_slice().iter().any(|&v| v != first));
-    }
-
-    #[test]
-    fn z_slabs_cover_grid_disjointly() {
-        let mut g = Grid3::zeros(4, 4, 10);
-        let slabs = g.z_slabs_mut(3);
-        let zs: Vec<usize> = slabs.iter().map(|(z, _)| *z).collect();
-        assert_eq!(zs, vec![0, 3, 6, 9]);
-        let total: usize = slabs.iter().map(|(_, s)| s.len()).sum();
-        assert_eq!(total, 4 * 4 * 10);
-        assert_eq!(slabs.last().unwrap().1.len(), 4 * 4); // short tail slab
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! - [`suite`]: the eight 3-D double-precision stencils of Table III of the
 //!   paper (`j3d7pt`, `j3d27pt`, `helmholtz`, `cheby`, `hypterm`, `addsgd4`,
 //!   `addsgd6`, `rhs4center`).
-//! - [`exec`]: sequential and rayon-parallel CPU executors used as the
-//!   semantic ground truth: loop transformations that the tuner explores
-//!   (merging, unrolling, streaming) are validated against them.
+//! - [`exec`]: the sequential CPU reference executor, the semantic ground
+//!   truth: loop transformations that the tuner explores (merging,
+//!   unrolling, streaming) are validated against it.
 //!
 //! The stencil *semantics* run on the CPU; their *performance* under a
 //! parameter setting is predicted by the `cst-gpu-sim` crate (see DESIGN.md
@@ -27,7 +27,7 @@ pub mod suite_ext;
 pub mod tap;
 
 pub use compose::{ArrayRef, Arrays, Factor, KernelDef, Stage, Term};
-pub use exec::{run_reference, run_reference_parallel, run_transformed, TransformCfg};
+pub use exec::{run_reference, run_transformed, TransformCfg};
 pub use grid::Grid3;
 pub use pattern::{StencilClass, StencilShape, StencilSpec};
 pub use suite::{all_specs, kernel_builder, kernel_by_name, spec_by_name, StencilKernel};

@@ -11,6 +11,7 @@
 //! both values; rerunning with `CST_BLESS=1` rewrites the fixture after
 //! an intentional model or search change.
 
+use cst_gpu_sim::fault::{P_COMPILE, P_LAUNCH, P_OUTLIER, P_TIMEOUT};
 use cst_gpu_sim::{FaultProfile, GpuArch};
 use cstuner_core::{CsTuner, CsTunerConfig, SimEvaluator, Tuner};
 use std::fmt::Write as _;
@@ -36,7 +37,7 @@ pub struct TraceOptions {
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        TraceOptions { seed: 1, profile: FaultProfile::off(), max_iterations: 10, dataset_size: 48 }
+        TraceOptions { seed: 1, profile: FaultProfile::Off, max_iterations: 10, dataset_size: 48 }
     }
 }
 
@@ -61,14 +62,17 @@ pub fn quick_tune_trace(stencil: &str, arch: &GpuArch, opts: &TraceOptions) -> S
     let _ = writeln!(t, "stencil: {stencil}");
     let _ = writeln!(t, "arch: {}", arch.name);
     let _ = writeln!(t, "seed: {}", opts.seed);
+    let ([compile, launch, timeout, outlier], fault_seed) = match opts.profile {
+        FaultProfile::Off => ([0.0; 4], 0),
+        FaultProfile::Hostile { seed } => ([P_COMPILE, P_LAUNCH, P_TIMEOUT, P_OUTLIER], seed),
+    };
     let _ = writeln!(
         t,
-        "profile: compile={} launch={} timeout={} outlier={} fault_seed={}",
-        hex_bits(opts.profile.p_compile),
-        hex_bits(opts.profile.p_launch),
-        hex_bits(opts.profile.p_timeout),
-        hex_bits(opts.profile.p_outlier),
-        opts.profile.seed,
+        "profile: compile={} launch={} timeout={} outlier={} fault_seed={fault_seed}",
+        hex_bits(compile),
+        hex_bits(launch),
+        hex_bits(timeout),
+        hex_bits(outlier),
     );
     let _ = writeln!(t, "best_setting: {:?}", out.best_setting.0);
     let _ = writeln!(t, "best_ms: {}", hex_bits(out.best_time_ms));

@@ -2,10 +2,10 @@
 //!
 //! Each oracle runs the same workload down two code paths that the
 //! engine promises are observationally identical — memoized vs
-//! unmemoized simulator, zero-probability faults vs fault-free, same-seed
-//! run vs rerun — and compares the results as *bits* (`f64::to_bits`),
-//! not approximately. Any divergence returns `Err` with the first
-//! mismatching site, so a regression pinpoints itself.
+//! unmemoized simulator, same-seed run vs rerun — and compares the
+//! results as *bits* (`f64::to_bits`), not approximately. Any divergence
+//! returns `Err` with the first mismatching site, so a regression
+//! pinpoints itself.
 
 use cst_gpu_sim::cost::{eval_cost_s, kernel_cost_from_footprint};
 use cst_gpu_sim::footprint::footprint;
@@ -147,37 +147,6 @@ pub fn precomp_vs_direct(
     Ok(())
 }
 
-/// Oracle: a *zero-probability* fault profile (any seed, any retry
-/// policy) is bit-identical to [`FaultProfile::off`] — enabling the fault
-/// machinery without giving it probability mass must change nothing.
-pub fn zero_fault_transparency(
-    spec: &StencilSpec,
-    arch: &GpuArch,
-    seed: u64,
-    n: usize,
-) -> Result<(), String> {
-    let off =
-        SimEvaluator::new(spec.clone(), arch.clone(), seed).with_fault_profile(FaultProfile::off());
-    let zeroed_profile = FaultProfile {
-        seed: 0xdead_beef,
-        max_retries: 7,
-        backoff_base_s: 9.9,
-        outlier_cap: 64.0,
-        ..FaultProfile::off()
-    };
-    let zeroed =
-        SimEvaluator::new(spec.clone(), arch.clone(), seed).with_fault_profile(zeroed_profile);
-    let mut a = off;
-    let mut b = zeroed;
-    let batch = valid_settings(a.valid_space(), seed, n);
-    let ta: Vec<f64> = batch.iter().map(|s| a.evaluate(s)).collect();
-    let tbv: Vec<f64> = batch.iter().map(|s| b.evaluate(s)).collect();
-    bits_equal("zero-probability vs fault-free times", &ta, &tbv)?;
-    bits_equal("clock", &[a.clock().now_s()], &[b.clock().now_s()])?;
-    stats_equal(a.fault_stats(), FaultStats::default())?;
-    stats_equal(b.fault_stats(), FaultStats::default())
-}
-
 /// Oracle: with a fixed (evaluator seed, fault profile), two runs of the
 /// same workload are bit-identical — times, clock, counters — however
 /// hostile the profile.
@@ -304,8 +273,7 @@ mod tests {
         let spec = suite::spec_by_name("j3d7pt").unwrap();
         let arch = GpuArch::a100();
         memo_transparency(&spec, &arch, 1, 24).unwrap();
-        zero_fault_transparency(&spec, &arch, 1, 24).unwrap();
-        fault_run_determinism(&spec, &arch, 1, FaultProfile::hostile(5), 24).unwrap();
+        fault_run_determinism(&spec, &arch, 1, FaultProfile::Hostile { seed: 5 }, 24).unwrap();
     }
 
     #[test]

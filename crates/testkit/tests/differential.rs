@@ -6,8 +6,7 @@ use cst_gpu_sim::{GpuArch, GpuSim, ValidSpace};
 use cst_space::OptSpace;
 use cst_stencil::{suite, suite_ext};
 use cst_testkit::{
-    arb_fault_profile, fault_run_determinism, memo_transparency, seeded_rng,
-    zero_fault_transparency, PropRunner,
+    arb_fault_profile, fault_run_determinism, memo_transparency, seeded_rng, PropRunner,
 };
 
 const STENCILS: [&str; 3] = ["j3d7pt", "cheby", "helmholtz"];
@@ -21,14 +20,6 @@ fn memoized_and_unmemoized_sim_agree() {
     // A second architecture: the memo key must not leak across arch params.
     let spec = suite::spec_by_name("j3d7pt").unwrap();
     memo_transparency(&spec, &GpuArch::v100(), 9, 48).unwrap();
-}
-
-#[test]
-fn zero_probability_profile_is_the_fault_free_path() {
-    for (i, name) in STENCILS.iter().enumerate() {
-        let spec = suite::spec_by_name(name).unwrap();
-        zero_fault_transparency(&spec, &GpuArch::a100(), i as u64, 48).unwrap();
-    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Determinism under faults at experiment scale: a forced multi-lane
-//! worker pool plus a nonzero fault profile must still produce
+//! worker pool plus the hostile fault profile must still produce
 //! byte-identical `--quick`-style experiment output across two runs with
 //! the same seeds, and no search driver may panic or deadlock on a
 //! hostile — even totally failing — testbed.
@@ -9,8 +9,9 @@
 
 use cst_baselines::zoo;
 use cst_bench::runners::tuner;
-use cst_gpu_sim::{FaultProfile, GpuArch};
-use cst_stencil::suite;
+use cst_gpu_sim::{FaultKind, FaultProfile, FaultStats, GpuArch, MetricsReport, VirtualClock};
+use cst_space::{OptSpace, Setting, SettingSet};
+use cst_stencil::{suite, StencilSpec};
 use cst_testkit::hex_bits;
 use cstuner_core::{Evaluator, SimEvaluator};
 use rayon::prelude::*;
@@ -32,7 +33,7 @@ fn force_parallel_lanes() {
 const TUNERS: [&str; 5] = ["cstuner", "garvey", "opentuner", "artemis", "random"];
 
 /// One `--quick`-scale iso-iteration sweep (stencils × tuners × seeds)
-/// with an explicit nonzero fault profile, run on the parallel pool, and
+/// on the hostile testbed, run on the parallel pool, and
 /// formatted as a deterministic byte-exact report: only seed-derived
 /// quantities (virtual times, bit-exact measurements, counters) appear —
 /// never wall-clock.
@@ -51,7 +52,7 @@ fn faulty_quick_sweep(fault_seed: u64) -> String {
         .map(|&(stencil, flag, seed)| {
             let spec = suite::spec_by_name(stencil).unwrap();
             let mut eval = SimEvaluator::new(spec, GpuArch::a100(), seed)
-                .with_fault_profile(FaultProfile::hostile(fault_seed));
+                .with_fault_profile(FaultProfile::Hostile { seed: fault_seed });
             let out = tuner(flag, 4)
                 .tune(&mut eval, seed)
                 .expect("tuning must survive a hostile testbed");
@@ -96,19 +97,69 @@ fn quick_sweep_is_byte_identical_across_runs_under_faults() {
     assert_ne!(a, faulty_quick_sweep(8));
 }
 
+/// A testbed on which no measurement succeeds: each setting's first
+/// evaluation fails at compile, charges the virtual clock the setting's
+/// compile-and-run cost and commits `f64::INFINITY`, as a quarantined
+/// setting does; a repeat is free. The space, validity, offline
+/// profiling and draws are the simulator's.
+struct NothingRuns {
+    sim: SimEvaluator,
+    clock: VirtualClock,
+    failed: SettingSet,
+    stats: FaultStats,
+}
+
+impl Evaluator for NothingRuns {
+    fn spec(&self) -> &StencilSpec {
+        self.sim.spec()
+    }
+    fn space(&self) -> &OptSpace {
+        self.sim.space()
+    }
+    fn is_valid(&self, s: &Setting) -> bool {
+        self.sim.is_valid(s)
+    }
+    fn evaluate(&mut self, s: &Setting) -> f64 {
+        if self.failed.insert(*s) {
+            self.clock.advance(self.sim.sim().evaluate_full(s).cost_s);
+            self.stats.record(FaultKind::CompileError);
+            self.stats.quarantined += 1;
+        }
+        f64::INFINITY
+    }
+    fn profile_offline(&mut self, s: &Setting) -> MetricsReport {
+        self.sim.profile_offline(s)
+    }
+    fn clock(&self) -> &VirtualClock {
+        &self.clock
+    }
+    fn unique_evaluations(&self) -> u64 {
+        self.failed.len() as u64
+    }
+    fn fault_stats(&self) -> FaultStats {
+        self.stats
+    }
+    fn random_valid(&mut self) -> Setting {
+        self.sim.random_valid()
+    }
+}
+
 #[test]
 fn all_drivers_survive_a_totally_failing_testbed() {
     force_parallel_lanes();
-    // Every measurement attempt fails: the only acceptable outcomes are a
-    // clean error (nothing measurable) — never a panic or a hang. The
-    // budget bounds the run: every failed attempt still charges the
+    // Every measurement fails: the only acceptable outcome is a clean
+    // error (nothing measurable) — never a panic or a hang. The budget
+    // bounds the run: every failed measurement still charges the
     // virtual clock.
-    let total_failure = FaultProfile { p_compile: 1.0, ..FaultProfile::hostile(3) };
     let spec = suite::spec_by_name("j3d7pt").unwrap();
     for flag in TUNERS {
         let name = zoo::find(flag).unwrap().display;
-        let mut eval = SimEvaluator::with_budget(spec.clone(), GpuArch::a100(), 1, 30.0)
-            .with_fault_profile(total_failure);
+        let mut eval = NothingRuns {
+            sim: SimEvaluator::new(spec.clone(), GpuArch::a100(), 1),
+            clock: VirtualClock::with_budget(30.0),
+            failed: SettingSet::default(),
+            stats: FaultStats::default(),
+        };
         let result = tuner(flag, 4).tune(&mut eval, 1);
         assert!(
             result.is_err(),

@@ -91,7 +91,7 @@ fn ga_through_the_kernel_matches_legacy_across_the_suite() {
     for (i, k) in suite::all_kernels().iter().enumerate() {
         for (j, arch) in [GpuArch::a100(), GpuArch::v100()].iter().enumerate() {
             let seed = ((i as u64) << 8) | j as u64;
-            legacy_vs_kernel(k.spec.name, arch, FaultProfile::off(), seed, 25.0);
+            legacy_vs_kernel(k.spec.name, arch, FaultProfile::Off, seed, 25.0);
         }
     }
 }
@@ -103,7 +103,7 @@ fn ga_through_the_kernel_matches_legacy_across_the_suite() {
 fn ga_through_the_kernel_matches_legacy_under_hostile_faults() {
     for (stencil, seed) in [("j3d7pt", 11u64), ("cheby", 12), ("hypterm", 13)] {
         for arch in [GpuArch::a100(), GpuArch::v100()] {
-            legacy_vs_kernel(stencil, &arch, FaultProfile::hostile(seed), seed, 25.0);
+            legacy_vs_kernel(stencil, &arch, FaultProfile::Hostile { seed }, seed, 25.0);
         }
     }
 }
@@ -114,7 +114,13 @@ fn ga_through_the_kernel_matches_legacy_under_hostile_faults() {
 #[test]
 fn ga_through_the_kernel_matches_legacy_on_tiny_budgets() {
     for budget in [2.0, 5.0] {
-        legacy_vs_kernel("helmholtz", &GpuArch::a100(), FaultProfile::off(), 17, budget);
-        legacy_vs_kernel("j3d27pt", &GpuArch::v100(), FaultProfile::hostile(19), 19, budget);
+        legacy_vs_kernel("helmholtz", &GpuArch::a100(), FaultProfile::Off, 17, budget);
+        legacy_vs_kernel(
+            "j3d27pt",
+            &GpuArch::v100(),
+            FaultProfile::Hostile { seed: 19 },
+            19,
+            budget,
+        );
     }
 }

@@ -53,7 +53,8 @@ fn preproc_breakdown_fig12_is_pinned() {
 fn quick_tune_under_hostile_faults_is_pinned() {
     // The faulty path is as deterministic as the clean one: retries,
     // backoff charges and quarantines are part of the pinned trace.
-    let opts = TraceOptions { seed: 1, profile: FaultProfile::hostile(7), ..Default::default() };
+    let opts =
+        TraceOptions { seed: 1, profile: FaultProfile::Hostile { seed: 7 }, ..Default::default() };
     let trace = quick_tune_trace("j3d7pt", &GpuArch::a100(), &opts);
     check_golden("quick_tune_j3d7pt_a100_hostile", &trace);
 }
@@ -190,7 +191,7 @@ fn valid_draw_digest_is_pinned() {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let draws: Vec<Setting> = (0..64).map(|_| valid.random_valid(&mut rng)).collect();
                 let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), seed)
-                    .with_fault_profile(FaultProfile::off());
+                    .with_fault_profile(FaultProfile::Off);
                 let ds = PerfDataset::collect(&mut eval, 128, seed);
                 let records: Vec<Setting> = ds.records.iter().map(|r| r.setting).collect();
                 let _ = writeln!(
@@ -220,7 +221,7 @@ fn sampled_space_digest_is_pinned() {
     for k in cst_stencil::suite::all_kernels() {
         for arch in [GpuArch::a100(), GpuArch::v100()] {
             let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), 0)
-                .with_fault_profile(FaultProfile::off());
+                .with_fault_profile(FaultProfile::Off);
             let ds = PerfDataset::collect(&mut eval, cfg.dataset_size, 0);
             let groups = group_from_dataset(&ds);
             let reps = select_representatives(&ds, &combine_metrics(&ds, cfg.n_metric_collections));
@@ -255,7 +256,7 @@ fn surrogate_digest_is_pinned() {
     for k in cst_stencil::suite::all_kernels() {
         for arch in [GpuArch::a100(), GpuArch::v100()] {
             let mut eval = SimEvaluator::new(k.spec.clone(), arch.clone(), 0)
-                .with_fault_profile(FaultProfile::off());
+                .with_fault_profile(FaultProfile::Off);
             let ds = PerfDataset::collect(&mut eval, 128, 0);
             let xs: Vec<Vec<f64>> =
                 ds.records.iter().map(|r| r.setting.features().to_vec()).collect();

@@ -36,8 +36,8 @@ fn journaled_run(seed: u64, profile: FaultProfile) -> Vec<String> {
 
 #[test]
 fn two_runs_emit_byte_identical_journals_modulo_wall_time() {
-    let a = journaled_run(1, FaultProfile::off());
-    let b = journaled_run(1, FaultProfile::off());
+    let a = journaled_run(1, FaultProfile::Off);
+    let b = journaled_run(1, FaultProfile::Off);
     assert_eq!(a.len(), b.len(), "journal lengths diverged");
     for (i, (la, lb)) in a.iter().zip(&b).enumerate() {
         assert_eq!(strip_wall_fields(la), strip_wall_fields(lb), "journals diverged at record {i}");
@@ -47,15 +47,15 @@ fn two_runs_emit_byte_identical_journals_modulo_wall_time() {
 #[test]
 fn journal_on_does_not_perturb_the_tuning_run() {
     let spec = cst_stencil::spec_by_name("j3d7pt").unwrap();
-    journal_transparency(&spec, &GpuArch::a100(), 1, FaultProfile::off()).unwrap();
+    journal_transparency(&spec, &GpuArch::a100(), 1, FaultProfile::Off).unwrap();
     // The faulty path journals retries/quarantines; it must stay
     // transparent there too.
-    journal_transparency(&spec, &GpuArch::a100(), 1, FaultProfile::hostile(7)).unwrap();
+    journal_transparency(&spec, &GpuArch::a100(), 1, FaultProfile::Hostile { seed: 7 }).unwrap();
 }
 
 #[test]
 fn full_run_journal_is_schema_valid_and_covers_the_pipeline() {
-    let lines = journaled_run(1, FaultProfile::hostile(7));
+    let lines = journaled_run(1, FaultProfile::Hostile { seed: 7 });
     let summary = schema::validate_journal(&lines).expect("schema-valid journal");
     // All five pipeline stages appear as completed spans.
     for stage in ["dataset", "grouping", "sampling", "codegen", "search"] {
@@ -114,7 +114,7 @@ fn mutate(lines: &mut Vec<String>, kind: u32, at: usize, mask: u8) {
 
 #[test]
 fn mutated_journals_are_typed_errors_in_every_reader() {
-    let base = journaled_run(1, FaultProfile::off());
+    let base = journaled_run(1, FaultProfile::Off);
     assert!(base.iter().all(|l| l.is_ascii()), "byte cuts and flips assume ASCII");
     let mutations = prop::collection::vec((0u32..5, 0usize..1 << 24, 1u8..128), 1..4);
     PropRunner::new("mutated_journals_are_typed_errors_in_every_reader").cases(256).run(

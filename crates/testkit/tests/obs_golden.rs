@@ -20,7 +20,7 @@ fn clean_run() -> cst_obs::RunSummary {
 }
 
 fn hostile_run() -> cst_obs::RunSummary {
-    let opts = TraceOptions { profile: FaultProfile::hostile(7), ..Default::default() };
+    let opts = TraceOptions { profile: FaultProfile::Hostile { seed: 7 }, ..Default::default() };
     let lines = quick_tune_journal("j3d7pt", &GpuArch::a100(), &opts);
     summarize("quick_j3d7pt_a100_hostile", &lines).expect("summarize hostile run")
 }
@@ -96,8 +96,8 @@ fn report_text_is_pinned() {
     // summaries above come from: the stage table, convergence, sampling
     // and counter sections, byte for byte.
     for (name, profile) in [
-        ("report_quick_j3d7pt_a100", FaultProfile::off()),
-        ("report_quick_j3d7pt_a100_hostile", FaultProfile::hostile(7)),
+        ("report_quick_j3d7pt_a100", FaultProfile::Off),
+        ("report_quick_j3d7pt_a100_hostile", FaultProfile::Hostile { seed: 7 }),
     ] {
         let opts = TraceOptions { profile, ..Default::default() };
         let lines = quick_tune_journal("j3d7pt", &GpuArch::a100(), &opts);

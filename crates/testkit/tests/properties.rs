@@ -1,9 +1,10 @@
 //! Property tests over the testkit's own generators: domain invariants
 //! that every downstream consumer (GA, search, baselines) relies on.
 
+use cst_gpu_sim::fault::OUTLIER_CAP;
 use cst_gpu_sim::FaultProfile;
 use cst_space::{OptSpace, ParamId};
-use cst_testkit::{arb_fault_profile, arb_setting, PropRunner};
+use cst_testkit::{arb_fault_profile, arb_setting};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,34 +33,17 @@ proptest! {
     }
 
     /// Fault decisions are pure functions of (profile, setting, attempt):
-    /// re-deciding never flips, and the zero-probability profile never
-    /// faults regardless of seed.
+    /// re-deciding never flips, outliers stay within the cap, and the
+    /// off profile never faults.
     #[test]
     fn fault_decisions_are_stable(s in arb_setting([512, 512, 512]), p in arb_fault_profile()) {
         for attempt in 0..3u32 {
             prop_assert_eq!(p.decide(&s, attempt), p.decide(&s, attempt));
             let f = p.outlier_factor(&s, attempt);
             prop_assert_eq!(f.to_bits(), p.outlier_factor(&s, attempt).to_bits());
-            prop_assert!(f >= 1.0 && f <= p.outlier_cap.max(1.0));
+            prop_assert!((1.0..=OUTLIER_CAP).contains(&f));
         }
-        let zeroed = FaultProfile { p_compile: 0.0, p_launch: 0.0, p_timeout: 0.0, p_outlier: 0.0, ..p };
-        prop_assert!(!zeroed.is_active());
-        prop_assert_eq!(zeroed.decide(&s, 0), None);
-        prop_assert_eq!(zeroed.outlier_factor(&s, 0), 1.0);
+        prop_assert_eq!(FaultProfile::Off.decide(&s, 0), None);
+        prop_assert_eq!(FaultProfile::Off.outlier_factor(&s, 0), 1.0);
     }
-}
-
-/// The backoff schedule is monotone non-decreasing in the attempt index —
-/// retries never get cheaper, so quarantine is always reached in bounded
-/// virtual time.
-#[test]
-fn backoff_is_monotone_for_generated_profiles() {
-    PropRunner::new("backoff-monotone").cases(128).run(&arb_fault_profile(), |p| {
-        for a in 0..20u32 {
-            if p.backoff_s(a + 1) < p.backoff_s(a) {
-                return Err(format!("backoff({}) < backoff({a}) for {p:?}", a + 1));
-            }
-        }
-        Ok(())
-    });
 }

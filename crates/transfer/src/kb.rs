@@ -1,7 +1,7 @@
 //! The knowledge base: versioned, byte-deterministic training records
 //! extracted from an archive of run summaries.
 //!
-//! `kb build` walks a [`JournalStore`], reads each `*.summary.json`,
+//! `kb build` walks a [`JournalStore`], reads each `*.summary.json` once,
 //! and turns its sampled (setting, time) pairs into [`KbRecord`]s tagged
 //! with the run's stencil/arch identity and a content hash of the source
 //! summary bytes (provenance: a KB record can always be traced back to
@@ -98,7 +98,7 @@ impl KnowledgeBase {
                     continue;
                 }
             };
-            let summary = match store.load(&name) {
+            let summary = match store.parse(&name, &bytes) {
                 Ok(s) => s,
                 Err(e) => {
                     warnings.push(format!("skipping {e}"));
@@ -311,10 +311,24 @@ mod tests {
         store.ingest_lines("good", &journal("j3d7pt", "a100", &[(&baseline_str(), 2.0)])).unwrap();
         std::fs::write(store.path_of("corrupt"), "not json at all").unwrap();
         std::fs::write(store.path_of("foreign"), r#"{"summary_version":99}"#).unwrap();
+        std::fs::write(store.path_of("latin1"), b"{\"stencil\":\"caf\xe9\"}").unwrap();
         let build = KnowledgeBase::build(&store).unwrap();
         assert_eq!(build.kb.records.len(), 1);
-        assert_eq!(build.warnings.len(), 2);
-        assert!(build.warnings.iter().all(|w| w.starts_with("skipping")), "{:?}", build.warnings);
+        let path = |name: &str| store.path_of(name).display().to_string();
+        assert_eq!(
+            build.warnings,
+            [
+                format!("skipping {}: line 1: expected 'null' at byte 0", path("corrupt")),
+                format!(
+                    "skipping {}: line 1: summary version 99, this build understands 1",
+                    path("foreign")
+                ),
+                format!(
+                    "skipping cannot read {}: stream did not contain valid UTF-8",
+                    path("latin1")
+                ),
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
