@@ -74,7 +74,7 @@ pub fn expert_values(p: ParamId, full: &[u32]) -> Vec<u32> {
     }
 }
 
-/// What the pending ask holds, and so how its tell settles.
+/// What the last ask held, and so how its tell settles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
     /// Phase 1: the shuffled expert grid.
@@ -103,9 +103,6 @@ pub struct ArtemisOptimizer {
     /// The phase-2 incumbent and its time.
     current: Setting,
     current_t: f64,
-    /// The pending ask and the times told for it so far, in ask order.
-    asked: Vec<Setting>,
-    told: Vec<Option<f64>>,
 }
 
 impl Default for ArtemisOptimizer {
@@ -120,8 +117,6 @@ impl Default for ArtemisOptimizer {
             next_param: 0,
             current: Setting::baseline(),
             current_t: f64::INFINITY,
-            asked: Vec::new(),
-            told: Vec::new(),
         }
     }
 }
@@ -244,24 +239,16 @@ impl Optimizer for ArtemisOptimizer {
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        self.told.clear();
-        self.asked = self.next_batch(ctx);
-        self.asked.clone()
+        self.next_batch(ctx)
     }
 
     fn tell(&mut self, obs: &[Observation]) {
-        self.told.extend(obs.iter().map(|o| o.time_ms));
-        if self.asked.is_empty() || self.told.len() < self.asked.len() {
-            return;
-        }
         match self.stage {
             Stage::Grid => {
                 // Keep the fastest few finite grid points as candidates.
-                let mut ranked: Vec<(f64, Setting)> = self
-                    .asked
+                let mut ranked: Vec<(f64, Setting)> = obs
                     .iter()
-                    .zip(&self.told)
-                    .filter_map(|(&s, t)| t.filter(|t| t.is_finite()).map(|t| (t, s)))
+                    .filter_map(|o| o.time_ms.filter(|t| t.is_finite()).map(|t| (t, o.setting)))
                     .collect();
                 ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
                 ranked.truncate(CANDIDATES);
@@ -269,15 +256,15 @@ impl Optimizer for ArtemisOptimizer {
                 self.stage = Stage::Candidate;
             }
             Stage::Candidate => {
-                self.current_t = self.told[0].unwrap_or(f64::INFINITY);
+                self.current_t = obs[0].time_ms.unwrap_or(f64::INFINITY);
                 self.stage = Stage::Sweep;
             }
             Stage::Sweep => {
-                for (&s, t) in self.asked.iter().zip(&self.told) {
-                    if let Some(t) = *t {
+                for o in obs {
+                    if let Some(t) = o.time_ms {
                         if t < self.current_t {
                             self.current_t = t;
-                            self.current = s;
+                            self.current = o.setting;
                         }
                     }
                 }

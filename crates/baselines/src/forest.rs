@@ -19,6 +19,8 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::random::warm_ask;
+
 /// Most recent told records kept as forest training data.
 const TRAIN_WINDOW: usize = 512;
 
@@ -79,20 +81,9 @@ impl Optimizer for ForestOptimizer {
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
         // Warm-start seeds form the first asks (rank order, validity
         // re-checked against this evaluator), before any pool draw.
-        if !self.warm.is_empty() {
-            let warm = std::mem::take(&mut self.warm);
-            let firsts: Vec<Setting> = warm
-                .into_iter()
-                .map(|mut s| {
-                    s.canonicalize();
-                    s
-                })
-                .filter(|s| ctx.is_valid(s))
-                .take(POPULATION)
-                .collect();
-            if !firsts.is_empty() {
-                return firsts;
-            }
+        let firsts = warm_ask(&mut self.warm, ctx);
+        if !firsts.is_empty() {
+            return firsts;
         }
         let pool: Vec<Setting> =
             (0..POPULATION * POOL_FACTOR).map(|_| ctx.random_valid()).collect();

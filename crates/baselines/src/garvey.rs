@@ -58,33 +58,6 @@ pub struct GarveyOptimizer {
     started: bool,
     /// Index of the next group in [`DIMENSION_GROUPS`] to search.
     next_group: usize,
-    /// The group being searched and its asked combinations (both empty
-    /// for the incumbent's own ask).
-    group: &'static [ParamId],
-    combos: Vec<Vec<u32>>,
-    /// Times told for the current ask, in ask order.
-    told: Vec<Option<f64>>,
-}
-
-impl GarveyOptimizer {
-    /// The current group's sample is fully told: move the incumbent to
-    /// its fastest finite combination, if any.
-    fn settle_group(&mut self) {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, t) in self.told.iter().enumerate() {
-            if let Some(t) = *t {
-                if t < best.map_or(f64::INFINITY, |(_, b)| b) {
-                    best = Some((i, t));
-                }
-            }
-        }
-        if let Some((i, _)) = best {
-            for (&p, &v) in self.group.iter().zip(&self.combos[i]) {
-                self.base.set(p, v);
-            }
-            self.base.canonicalize();
-        }
-    }
 }
 
 impl Default for GarveyOptimizer {
@@ -95,9 +68,6 @@ impl Default for GarveyOptimizer {
             base: Setting::baseline(),
             started: false,
             next_group: 0,
-            group: &[],
-            combos: Vec::new(),
-            told: Vec::new(),
         }
     }
 }
@@ -152,8 +122,6 @@ impl Optimizer for GarveyOptimizer {
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        self.told.clear();
-        self.combos.clear();
         if !self.started {
             self.started = true;
             return vec![self.base];
@@ -170,7 +138,7 @@ impl Optimizer for GarveyOptimizer {
             if combos.is_empty() {
                 continue;
             }
-            let batch = combos
+            return combos
                 .iter()
                 .map(|combo| {
                     let mut s = self.base;
@@ -181,17 +149,22 @@ impl Optimizer for GarveyOptimizer {
                     s
                 })
                 .collect();
-            self.group = group;
-            self.combos = combos;
-            return batch;
         }
         Vec::new()
     }
 
     fn tell(&mut self, obs: &[Observation]) {
-        self.told.extend(obs.iter().map(|o| o.time_ms));
-        if !self.combos.is_empty() && self.told.len() == self.combos.len() {
-            self.settle_group();
+        // The incumbent moves to the first fastest finite setting told:
+        // for a group's sample, that combination applied to the
+        // incumbent; for the incumbent's own ask, the incumbent itself.
+        let mut best_t = f64::INFINITY;
+        for o in obs {
+            if let Some(t) = o.time_ms {
+                if t < best_t {
+                    best_t = t;
+                    self.base = o.setting;
+                }
+            }
         }
     }
 

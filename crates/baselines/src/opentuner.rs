@@ -12,8 +12,8 @@
 //! The production path runs the GA through the ask/tell kernel
 //! ([`cstuner_core::drive`]) via [`GaOptimizer`], a thin adapter over
 //! [`GaState::ask`]/[`GaState::tell`] that adds only what is OpenTuner's:
-//! seeding, decoding genes into settings, and collecting tells that
-//! arrive in chunks. The pre-kernel closed-loop driver is preserved as
+//! seeding, decoding genes into settings, and mapping each tell's times
+//! to fitnesses. The pre-kernel closed-loop driver is preserved as
 //! [`OpenTunerGa::tune_legacy`] solely as the reference side of the
 //! `ga_asktell_oracle` differential test — the two are bit-identical.
 
@@ -112,18 +112,14 @@ impl OpenTunerGa {
 }
 
 /// The island GA as an ask/tell [`Optimizer`]: each ask decodes the
-/// next [`GaState::ask`] batch, and once every asked setting is told the
-/// fitnesses (`-time_ms`, skipped settings `NEG_INFINITY`, exactly as the
-/// closed-loop driver mapped them) go to [`GaState::tell`]. Bit-identical
+/// next [`GaState::ask`] batch, and its tell hands the fitnesses
+/// (`-time_ms`, skipped settings `NEG_INFINITY`, exactly as the
+/// closed-loop driver mapped them) to [`GaState::tell`]. Bit-identical
 /// to [`OpenTunerGa::tune_legacy`], which the `ga_asktell_oracle` test
 /// pins. Both run csTuner's GA options (§V-A2), `GaConfig::default()`.
 #[derive(Debug, Default)]
 pub struct GaOptimizer {
     state: Option<GaState>,
-    /// Settings asked and not yet fully told.
-    pending: usize,
-    /// Fitnesses accumulated across (possibly chunked) tells.
-    acc: Vec<f64>,
     /// Warm-start seeds folded into the initial population.
     warm: Vec<Setting>,
 }
@@ -179,32 +175,20 @@ impl Optimizer for GaOptimizer {
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
         let genes = self.state.as_mut().expect("init before ask").ask();
-        self.pending = genes.len();
-        self.acc.clear();
         genes.iter().map(|g| OpenTunerGa::decode(ctx.space(), g)).collect()
     }
 
     fn tell(&mut self, obs: &[Observation]) {
-        for o in obs {
-            self.acc.push(match o.time_ms {
-                Some(t) => -t,
-                None => f64::NEG_INFINITY,
-            });
-        }
-        if self.pending > 0 && self.acc.len() >= self.pending {
-            assert_eq!(self.acc.len(), self.pending, "told more settings than asked");
-            let fits = std::mem::take(&mut self.acc);
-            self.pending = 0;
-            self.state.as_mut().expect("init before tell").tell(&fits);
-        }
+        let fits: Vec<f64> =
+            obs.iter().map(|o| o.time_ms.map_or(f64::NEG_INFINITY, |t| -t)).collect();
+        self.state.as_mut().expect("init before tell").tell(&fits);
     }
 
     fn mid_generation(&self) -> bool {
-        // A half-told generation or a half-told batch: the kernel keeps
-        // feeding (possibly all-skip) batches until the generation
-        // closes, as the legacy driver's between-generations-only budget
-        // check did.
-        self.state.as_ref().is_some_and(GaState::mid_generation) || self.pending > 0
+        // A half-told generation: the kernel keeps feeding (possibly
+        // all-skip) batches until it closes, as the legacy driver's
+        // between-generations-only budget check did.
+        self.state.as_ref().is_some_and(GaState::mid_generation)
     }
 
     fn asks_valid_only(&self) -> bool {

@@ -27,25 +27,30 @@ impl Optimizer for RandomOptimizer {
     }
 
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        if !self.warm.is_empty() {
-            let warm = std::mem::take(&mut self.warm);
-            let firsts: Vec<Setting> = warm
-                .into_iter()
-                .map(|mut s| {
-                    s.canonicalize();
-                    s
-                })
-                .filter(|s| ctx.is_valid(s))
-                .take(POPULATION)
-                .collect();
-            if !firsts.is_empty() {
-                return firsts;
-            }
+        let firsts = warm_ask(&mut self.warm, ctx);
+        if !firsts.is_empty() {
+            return firsts;
         }
         (0..POPULATION).map(|_| ctx.random_valid()).collect()
     }
 
     fn tell(&mut self, _obs: &[Observation]) {}
+}
+
+/// A warm-started strategy's first ask, taking its seeds: each one
+/// canonicalized, in rank order, the valid ones up to one population
+/// (validity checked lazily, so no seed past the population is looked
+/// at). Empty when no seed is left or none is valid on this evaluator.
+pub(crate) fn warm_ask(warm: &mut Vec<Setting>, ctx: &SearchCtx<'_>) -> Vec<Setting> {
+    std::mem::take(warm)
+        .into_iter()
+        .map(|mut s| {
+            s.canonicalize();
+            s
+        })
+        .filter(|s| ctx.is_valid(s))
+        .take(POPULATION)
+        .collect()
 }
 
 #[cfg(test)]

@@ -145,7 +145,7 @@ pub fn flag_list() -> String {
 }
 
 /// Classic Levenshtein distance, for `did you mean` hints.
-pub fn edit_distance(a: &str, b: &str) -> usize {
+fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
     let mut row: Vec<usize> = (0..=b.len()).collect();
     for (i, ca) in a.iter().enumerate() {
@@ -160,22 +160,23 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
     row[b.len()]
 }
 
-/// The registered flag nearest to `input` when it is a plausible typo
-/// (edit distance ≤ 2), for `did you mean` hints.
-pub fn did_you_mean(input: &str) -> Option<&'static str> {
-    TUNERS
-        .iter()
-        .map(|t| (edit_distance(input, t.flag), t.flag))
+/// The candidate nearest to `input` when it is a plausible typo (edit
+/// distance ≤ 2), the alphabetically first of equally near ones: the one
+/// `did you mean` rule of tuner names, CLI flags and campaign keys.
+pub fn nearest<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    candidates
+        .into_iter()
+        .map(|c| (edit_distance(input, c), c))
         .filter(|(d, _)| *d <= 2)
         .min()
-        .map(|(_, flag)| flag)
+        .map(|(_, c)| c)
 }
 
 /// The full rejection message for an unrecognized tuner name, shared by
 /// the CLI and the serve request validator so both transports reject
 /// identically.
 pub fn unknown_tuner_message(input: &str) -> String {
-    match did_you_mean(input) {
+    match nearest(input, TUNERS.iter().map(|t| t.flag)) {
         Some(near) => {
             format!("unknown tuner `{input}` ({}); did you mean `{near}`?", flag_list())
         }
@@ -231,9 +232,12 @@ mod tests {
 
     #[test]
     fn did_you_mean_catches_typos() {
-        assert_eq!(did_you_mean("anneel"), Some("anneal"));
-        assert_eq!(did_you_mean("cstunr"), Some("cstuner"));
-        assert_eq!(did_you_mean("zzzzzz"), None);
+        let flags = || tuners().iter().map(|t| t.flag);
+        assert_eq!(nearest("anneel", flags()), Some("anneal"));
+        assert_eq!(nearest("cstunr", flags()), Some("cstuner"));
+        assert_eq!(nearest("zzzzzz", flags()), None);
+        // Equally near candidates: the alphabetically first wins.
+        assert_eq!(nearest("ab", ["ad", "ac"]), Some("ac"));
         assert!(unknown_tuner_message("anneel").contains("did you mean `anneal`?"));
         assert!(unknown_tuner_message("zzzzzz").contains("grid|anneal|forest"));
     }

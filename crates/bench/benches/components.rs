@@ -99,15 +99,7 @@ fn bench_pmnf(c: &mut Criterion) {
     let y = ds.times();
     let groups: Vec<Vec<usize>> = (0..cst_space::N_PARAMS).map(|i| vec![i]).collect();
     c.bench_function("pmnf/fit_64x19", |b| {
-        b.iter(|| {
-            black_box(cst_stats::fit_pmnf(
-                black_box(&xs),
-                black_box(&y),
-                black_box(&groups),
-                &[0, 1, 2],
-                &[0, 1],
-            ))
-        })
+        b.iter(|| black_box(cst_stats::fit_pmnf(black_box(&xs), black_box(&y), black_box(&groups))))
     });
     // A session's targets: four metric models and the time model.
     let columns: Vec<Vec<f64>> = (0..4).map(|m| ds.metric_column(m)).chain([y.clone()]).collect();
@@ -118,8 +110,6 @@ fn bench_pmnf(c: &mut Criterion) {
                 black_box(&xs),
                 black_box(&targets),
                 black_box(&groups),
-                &[0, 1, 2],
-                &[0, 1],
             ))
         })
     });

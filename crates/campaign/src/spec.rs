@@ -37,7 +37,7 @@
 //! changes, so a resumed run never trusts a summary produced under a
 //! different configuration.
 
-use cst_baselines::zoo::edit_distance;
+use cst_baselines::zoo::nearest;
 use cst_serve::proto::parse_fault;
 use cst_serve::{FaultSpec, TuneRequest};
 use cst_space::hash::fnv1a;
@@ -91,65 +91,30 @@ pub struct CampaignSpec {
     pub warm: Option<String>,
 }
 
-fn str_list(v: &Value, key: &str) -> Result<Option<Vec<String>>, String> {
+/// The non-empty array under `key`, or `None` when the key is absent or
+/// null. `read` takes one entry; the type errors say that the entries
+/// must be `entries` and the value an array of `array`.
+fn list<T>(
+    v: &Value,
+    key: &str,
+    read: impl Fn(&Value) -> Option<T>,
+    entries: &str,
+    array: &str,
+) -> Result<Option<Vec<T>>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Arr(items)) => {
-            if items.is_empty() {
-                return Err(format!("`{key}` must be a non-empty array"));
-            }
-            items
-                .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("`{key}` entries must be strings, got {}", x.kind()))
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
+        Some(Value::Arr(items)) if items.is_empty() => {
+            Err(format!("`{key}` must be a non-empty array"))
         }
-        Some(x) => Err(format!("`{key}` must be an array of strings, got {}", x.kind())),
-    }
-}
-
-fn f64_list(v: &Value, key: &str) -> Result<Option<Vec<f64>>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Arr(items)) => {
-            if items.is_empty() {
-                return Err(format!("`{key}` must be a non-empty array"));
-            }
-            items
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| format!("`{key}` entries must be numbers, got {}", x.kind()))
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
-        }
-        Some(x) => Err(format!("`{key}` must be an array of numbers, got {}", x.kind())),
-    }
-}
-
-fn u64_list(v: &Value, key: &str) -> Result<Option<Vec<u64>>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Arr(items)) => {
-            if items.is_empty() {
-                return Err(format!("`{key}` must be a non-empty array"));
-            }
-            items
-                .iter()
-                .map(|x| {
-                    x.as_u64().ok_or_else(|| {
-                        format!("`{key}` entries must be non-negative integers, got {}", x.kind())
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some)
-        }
-        Some(x) => Err(format!("`{key}` must be an array of integers, got {}", x.kind())),
+        Some(Value::Arr(items)) => items
+            .iter()
+            .map(|x| {
+                read(x)
+                    .ok_or_else(|| format!("`{key}` entries must be {entries}, got {}", x.kind()))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(Some),
+        Some(x) => Err(format!("`{key}` must be an array of {array}, got {}", x.kind())),
     }
 }
 
@@ -174,13 +139,8 @@ impl CampaignSpec {
             if SPEC_KEYS.contains(&key.as_str()) {
                 continue;
             }
-            let hint = SPEC_KEYS
-                .iter()
-                .map(|k| (edit_distance(key, k), *k))
-                .filter(|(d, _)| *d <= 2)
-                .min();
-            return Err(match hint {
-                Some((_, near)) => {
+            return Err(match nearest(key, SPEC_KEYS) {
+                Some(near) => {
                     format!("unknown key `{key}` in campaign spec; did you mean `{near}`?")
                 }
                 None => format!(
@@ -204,19 +164,21 @@ impl CampaignSpec {
             Some(Value::Bool(b)) => *b,
             Some(x) => return Err(format!("`quick` must be a bool, got {}", x.kind())),
         };
-        let stencils = str_list(&v, "stencils")?
-            .ok_or("campaign spec requires a non-empty `stencils` array")?;
-        let archs = str_list(&v, "archs")?.unwrap_or_else(|| vec!["a100".to_string()]);
-        let tuners = str_list(&v, "tuners")?.unwrap_or_else(|| vec!["cstuner".to_string()]);
-        let budgets_s =
-            f64_list(&v, "budgets_s")?.unwrap_or_else(|| vec![if quick { 30.0 } else { 100.0 }]);
+        let strings = |key| list(&v, key, |x| x.as_str().map(str::to_string), "strings", "strings");
+        let stencils =
+            strings("stencils")?.ok_or("campaign spec requires a non-empty `stencils` array")?;
+        let archs = strings("archs")?.unwrap_or_else(|| vec!["a100".to_string()]);
+        let tuners = strings("tuners")?.unwrap_or_else(|| vec!["cstuner".to_string()]);
+        let budgets_s = list(&v, "budgets_s", Value::as_f64, "numbers", "numbers")?
+            .unwrap_or_else(|| vec![if quick { 30.0 } else { 100.0 }]);
         let repeats = match v.get("repeats") {
             None | Some(Value::Null) => None,
             Some(x) => Some(x.as_u64().ok_or_else(|| {
                 format!("`repeats` must be a positive integer, got {}", x.kind())
             })?),
         };
-        let seeds = match (u64_list(&v, "seeds")?, repeats) {
+        let seeds = list(&v, "seeds", Value::as_u64, "non-negative integers", "integers")?;
+        let seeds = match (seeds, repeats) {
             (Some(_), Some(_)) => {
                 return Err("give `seeds` or `repeats`, not both".to_string());
             }
@@ -321,12 +283,6 @@ impl CampaignSpec {
             }
         }
         Ok(cells)
-    }
-
-    /// Scenarios per spec: every (stencil, arch, tuner, budget)
-    /// combination, each aggregated over the seed axis.
-    pub fn scenario_count(&self) -> usize {
-        self.stencils.len() * self.archs.len() * self.tuners.len() * self.budgets_s.len()
     }
 }
 
@@ -435,7 +391,6 @@ mod tests {
         assert_eq!(spec.tuners, ["cstuner", "random"]);
         assert_eq!(spec.seeds, [0, 1]);
         assert_eq!(spec.fault, Some(FaultSpec::Off));
-        assert_eq!(spec.scenario_count(), 2);
         // Minimal spec: only name + stencils; everything else defaults.
         let min = CampaignSpec::from_json(r#"{"campaign":"m","stencils":["cheby"]}"#).unwrap();
         assert_eq!(min.archs, ["a100"]);
@@ -491,6 +446,30 @@ mod tests {
             CampaignSpec::from_json(r#"{"campaign":"x","stencils":["j3d7pt"],"budgets_s":[-1.0]}"#)
                 .unwrap_err();
         assert!(err.contains("positive"), "{err}");
+    }
+
+    #[test]
+    fn list_type_errors_name_the_key_and_the_kind() {
+        let err = |rest: &str| {
+            CampaignSpec::from_json(&format!(r#"{{"campaign":"x"{rest}}}"#)).unwrap_err()
+        };
+        assert_eq!(err(r#","stencils":[]"#), "`stencils` must be a non-empty array");
+        assert_eq!(
+            err(r#","stencils":"j3d7pt""#),
+            "`stencils` must be an array of strings, got string"
+        );
+        assert_eq!(err(r#","stencils":[1]"#), "`stencils` entries must be strings, got number");
+        let err = |rest: &str| err(&format!(r#","stencils":["j3d7pt"]{rest}"#));
+        assert_eq!(err(r#","archs":{}"#), "`archs` must be an array of strings, got object");
+        assert_eq!(err(r#","tuners":[null]"#), "`tuners` entries must be strings, got null");
+        assert_eq!(err(r#","budgets_s":[]"#), "`budgets_s` must be a non-empty array");
+        assert_eq!(err(r#","budgets_s":6"#), "`budgets_s` must be an array of numbers, got number");
+        assert_eq!(err(r#","budgets_s":["6"]"#), "`budgets_s` entries must be numbers, got string");
+        assert_eq!(err(r#","seeds":true"#), "`seeds` must be an array of integers, got bool");
+        assert_eq!(
+            err(r#","seeds":[[0]]"#),
+            "`seeds` entries must be non-negative integers, got array"
+        );
     }
 
     #[test]

@@ -22,14 +22,16 @@
 //!    passed to [`Optimizer::init`]; draws from the evaluator
 //!    ([`SearchCtx::random_valid`]) are part of the observable stream
 //!    and must happen in a deterministic order.
-//! 2. **`tell` is chunking-insensitive.** The kernel promises to tell
-//!    every asked setting exactly once, in ask order, but may split a
-//!    batch across calls; optimizers accumulate until the asked batch
-//!    is covered rather than assuming one `tell` per `ask`.
-//! 3. **Skips are explicit.** Once the budget expires mid-batch the
-//!    remaining settings are told with [`Observation::time_ms`]` = None`
-//!    (never measured, nothing charged). Generational optimizers that
-//!    must balance their ledger (the GA) report
+//! 2. **One tell per ask.** Each `tell` carries exactly the last ask's
+//!    settings, whole and in ask order, before the next `ask`; each
+//!    [`Observation::setting`] is the setting as asked. An optimizer
+//!    reads what it asked from the observations and keeps no record of
+//!    its pending ask.
+//! 3. **Skips are explicit and trail.** Once the budget expires
+//!    mid-batch the remaining settings are told with
+//!    [`Observation::time_ms`]` = None` (never measured, nothing
+//!    charged), so skips only ever end a batch. Generational optimizers
+//!    that must balance their ledger (the GA) report
 //!    [`Optimizer::mid_generation`] so the kernel keeps feeding all-skip
 //!    rounds until the generation closes — preserving the legacy
 //!    journal event sequence bit for bit.
@@ -113,8 +115,9 @@ pub trait Optimizer {
     /// means the strategy is exhausted and ends the run.
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting>;
 
-    /// Ingest costs for previously asked settings, in ask order. May
-    /// arrive split across calls (chunking-insensitive by contract).
+    /// Ingest the costs of the last asked batch: one observation per
+    /// asked setting, in ask order, skips trailing (rules 2 and 3 of the
+    /// determinism contract).
     fn tell(&mut self, obs: &[Observation]);
 
     /// True while the optimizer's internal ledger is mid-cycle and must
@@ -175,7 +178,7 @@ impl KernelConfig {
 /// Per round: check budget/iteration caps (honoring
 /// [`Optimizer::mid_generation`]), `ask`, measure each setting in ask
 /// order through the [`Recorder`] (settings past expiry are skipped, not
-/// measured), then `tell` the batch. Ends on an empty ask, the
+/// measured), then `tell` the whole batch once. Ends on an empty ask, the
 /// budget/iteration caps, or the stall backstop; always finalizes into
 /// the standard [`TuningOutcome`] with curve, fault stats, and a
 /// `search` telemetry span.

@@ -185,10 +185,6 @@ impl ScoreCache {
 const _: () =
     assert!(std::mem::size_of::<Option<(Setting, f64)>>() << ScoreCache::BITS < 128 << 10);
 
-/// PMNF polynomial exponents `i` (the paper's §V-A: {0, 1, 2}).
-pub const PMNF_I: [u32; 3] = [0, 1, 2];
-/// PMNF logarithm exponents `j` (the paper's §V-A: {0, 1}).
-pub const PMNF_J: [u32; 2] = [0, 1];
 /// Cap on the combinations enumerated per parameter group, here and in
 /// Garvey's group sampling (this tree's choice).
 pub const ENUM_LIMIT: usize = 8192;
@@ -273,7 +269,7 @@ pub fn sample_space(
     let log_times: Vec<f64> = dataset.times().iter().map(|t| t.max(1e-6).ln()).collect();
     let targets: Vec<&[f64]> =
         columns.iter().map(Vec::as_slice).chain([log_times.as_slice()]).collect();
-    let mut fitted = fit_pmnf_targets(&xs, &targets, &group_indices, &PMNF_I, &PMNF_J);
+    let mut fitted = fit_pmnf_targets(&xs, &targets, &group_indices);
     let time_model = fitted.pop().expect("one model per target");
     let models: Vec<MetricModel> = representatives
         .iter()

@@ -56,11 +56,6 @@ impl Genome {
         self.cards[d]
     }
 
-    /// Total number of distinct genomes (saturating).
-    pub fn space_size(&self) -> u64 {
-        self.cards.iter().fold(1u64, |acc, &c| acc.saturating_mul(c as u64))
-    }
-
     /// Draw a uniform random individual.
     pub fn random(&self, rng: &mut impl Rng) -> Individual {
         Individual::new(self.cards.iter().map(|&c| rng.gen_range(0..c)).collect())
@@ -167,13 +162,6 @@ mod tests {
         g.mutate(&mut ind, 0.0, &mut rng);
         assert_eq!(ind.genes, vec![3, 5]);
         assert_eq!(ind.fitness, 2.0);
-    }
-
-    #[test]
-    fn space_size_saturates() {
-        let g = Genome::new(vec![u32::MAX; 4]);
-        assert_eq!(g.space_size(), u64::MAX);
-        assert_eq!(Genome::new(vec![4, 4]).space_size(), 16);
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl ParamId {
         self as usize
     }
 
-    /// Inverse of [`ParamId::index`].
-    ///
-    /// # Panics
-    /// Panics if `i >= N_PARAMS`.
-    pub fn from_index(i: usize) -> ParamId {
-        Self::ALL[i]
-    }
-
     /// Short display name matching the paper's notation.
     pub fn name(self) -> &'static str {
         match self {
@@ -180,7 +172,6 @@ mod tests {
     fn all_indices_roundtrip() {
         for (i, p) in ParamId::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
-            assert_eq!(ParamId::from_index(i), *p);
         }
     }
 

@@ -120,16 +120,6 @@ impl Setting {
         self.get(ParamId::SB)
     }
 
-    /// Points computed per thread (merging × unrolling product).
-    pub fn points_per_thread(&self) -> u64 {
-        self.uf()
-            .iter()
-            .chain(self.cm().iter())
-            .chain(self.bm().iter())
-            .map(|&v| v as u64)
-            .product()
-    }
-
     /// Feature vector for regression/ML: numeric parameters are
     /// `log2`-transformed so that the coefficient-of-variation comparisons
     /// of §IV-C operate on a continuous scale; boolean and enumeration
@@ -275,7 +265,6 @@ mod tests {
         assert_eq!(s.tb_size(), 128);
         assert!(!s.use_shared());
         assert!(!s.use_streaming());
-        assert_eq!(s.points_per_thread(), 1);
     }
 
     #[test]
@@ -285,7 +274,6 @@ mod tests {
         assert!(!s.use_shared());
         assert!(t.use_shared());
         assert_eq!(t.uf(), [4, 1, 1]);
-        assert_eq!(t.points_per_thread(), 4);
     }
 
     #[test]

@@ -24,5 +24,5 @@ pub mod pmnf;
 pub use basic::{
     coefficient_of_variation, mean, pearson, residual_standard_error, std_dev, variance,
 };
-pub use matrix::{lstsq_ridge, Matrix};
+pub use matrix::Matrix;
 pub use pmnf::{fit_pmnf, fit_pmnf_targets, PmnfBank, PmnfCandidate, PmnfModel};

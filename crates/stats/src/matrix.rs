@@ -153,19 +153,11 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// Ridge-regularized linear least squares: solve
-/// `(XᵀX + λI) c = Xᵀ y`. The small ridge keeps degenerate PMNF design
-/// matrices (constant columns, collinear groups) solvable.
-///
-/// # Panics
-/// Panics if `y.len()` differs from the row count.
-pub fn lstsq_ridge(x: &Matrix, y: &[f64], lambda: f64) -> Option<Vec<f64>> {
-    ridge_gram(x, lambda).solve(x.t_mul_vec(y))
-}
-
-/// `XᵀX + λI`, the left-hand side of [`lstsq_ridge`]'s normal equations.
-/// It does not depend on `y`, so fits of several targets over one design
-/// matrix build it once and solve a clone per target.
+/// `XᵀX + λI`, the left-hand side of the ridge-regularized least-squares
+/// normal equations `(XᵀX + λI) c = Xᵀ y`; the small ridge keeps
+/// degenerate PMNF design matrices (constant columns, collinear groups)
+/// solvable. It does not depend on `y`, so fits of several targets over
+/// one design matrix build it once and solve a clone per target.
 pub(crate) fn ridge_gram(x: &Matrix, lambda: f64) -> Matrix {
     let mut g = x.gram();
     for i in 0..g.cols() {
@@ -227,7 +219,7 @@ mod tests {
             }
         }
         let x = Matrix::from_rows(&rows);
-        let c = lstsq_ridge(&x, &y, 1e-9).unwrap();
+        let c = ridge_gram(&x, 1e-9).solve(x.t_mul_vec(&y)).unwrap();
         assert!((c[0] - 2.0).abs() < 1e-5);
         assert!((c[1] - 3.0).abs() < 1e-5);
         assert!((c[2] + 1.0).abs() < 1e-5);
@@ -238,7 +230,7 @@ mod tests {
         // Two identical columns would be singular without the ridge.
         let rows = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![1.0, 1.0]];
         let x = Matrix::from_rows(&rows);
-        let c = lstsq_ridge(&x, &[2.0, 2.0, 2.0], 1e-6).unwrap();
+        let c = ridge_gram(&x, 1e-6).solve(x.t_mul_vec(&[2.0, 2.0, 2.0])).unwrap();
         let pred = x.mul_vec(&c);
         assert!((pred[0] - 2.0).abs() < 1e-3);
     }
@@ -283,7 +275,7 @@ mod tests {
             ) {
                 let y: Vec<f64> = rows.iter().map(|r| r.iter().zip(&coef).map(|(a, b)| a * b).sum()).collect();
                 let x = Matrix::from_rows(&rows);
-                let c = lstsq_ridge(&x, &y, 1e-8).expect("solvable with ridge");
+                let c = ridge_gram(&x, 1e-8).solve(x.t_mul_vec(&y)).expect("solvable with ridge");
                 prop_assert!(c.iter().all(|v| v.is_finite()));
                 let pred = x.mul_vec(&c);
                 let rss: f64 = pred.iter().zip(&y).map(|(p, t)| (p - t) * (p - t)).sum();

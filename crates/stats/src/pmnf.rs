@@ -24,6 +24,13 @@ use crate::matrix::{ridge_gram, Matrix};
 /// (constant columns, collinear groups) solvable.
 const RIDGE: f64 = 1e-8;
 
+/// Polynomial exponents `i` of the search space (the paper's §V-A:
+/// {0, 1, 2}).
+const PMNF_I: [u32; 3] = [0, 1, 2];
+/// Logarithm exponents `j` of the search space (the paper's §V-A:
+/// {0, 1}).
+const PMNF_J: [u32; 2] = [0, 1];
+
 /// Largest parameter value whose factors [`PmnfBank`] tabulates; the
 /// suite's values are powers of two up to 1024. Larger values are
 /// computed on the fly.
@@ -88,7 +95,7 @@ impl PmnfModel {
     }
 }
 
-/// Fit every `(i, j)` candidate over the given exponent ranges and return
+/// Fit every `(i, j)` candidate of `PMNF_I` × `PMNF_J` and return
 /// the model with the smallest RSE. Candidates whose design matrix cannot
 /// be solved are skipped; the degenerate all-zero candidate `(0, 0)`
 /// (a constant model) is kept as a fallback so the function always
@@ -101,14 +108,8 @@ impl PmnfModel {
 /// # Panics
 /// Panics if the sample set is empty, lengths mismatch, or `groups` is
 /// empty.
-pub fn fit_pmnf(
-    xs: &[Vec<f64>],
-    y: &[f64],
-    groups: &[Vec<usize>],
-    i_range: &[u32],
-    j_range: &[u32],
-) -> PmnfModel {
-    fit_pmnf_targets(xs, &[y], groups, i_range, j_range).remove(0)
+pub fn fit_pmnf(xs: &[Vec<f64>], y: &[f64], groups: &[Vec<usize>]) -> PmnfModel {
+    fit_pmnf_targets(xs, &[y], groups).remove(0)
 }
 
 /// [`fit_pmnf`] for several targets over the same samples and groups:
@@ -119,18 +120,12 @@ pub fn fit_pmnf(
 ///
 /// # Panics
 /// As [`fit_pmnf`], for any target.
-pub fn fit_pmnf_targets(
-    xs: &[Vec<f64>],
-    ys: &[&[f64]],
-    groups: &[Vec<usize>],
-    i_range: &[u32],
-    j_range: &[u32],
-) -> Vec<PmnfModel> {
+pub fn fit_pmnf_targets(xs: &[Vec<f64>], ys: &[&[f64]], groups: &[Vec<usize>]) -> Vec<PmnfModel> {
     assert!(!xs.is_empty() && ys.iter().all(|y| y.len() == xs.len()), "need paired samples");
     assert!(!groups.is_empty(), "need at least one parameter group");
     let mut best: Vec<Option<PmnfModel>> = vec![None; ys.len()];
-    for &i in i_range {
-        for &j in j_range {
+    for i in PMNF_I {
+        for j in PMNF_J {
             let cand = PmnfCandidate { i, j };
             let x = design(xs, groups, cand);
             let g = ridge_gram(&x, RIDGE);
@@ -260,7 +255,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let xs = grid_samples(&mut rng, 60);
         let y: Vec<f64> = xs.iter().map(|x| 3.0 + 2.0 * x[0] * x[1] + 5.0 * x[2]).collect();
-        let m = fit_pmnf(&xs, &y, &[vec![0, 1], vec![2]], &[0, 1, 2], &[0, 1]);
+        let m = fit_pmnf(&xs, &y, &[vec![0, 1], vec![2]]);
         assert_eq!(m.candidate, PmnfCandidate { i: 1, j: 0 });
         assert!(m.rse < 1e-6, "rse = {}", m.rse);
         assert!((m.predict(&[4.0, 8.0, 2.0]) - (3.0 + 2.0 * 32.0 + 10.0)).abs() < 1e-4);
@@ -272,7 +267,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let xs = grid_samples(&mut rng, 60);
         let y: Vec<f64> = xs.iter().map(|x| 1.0 + 4.0 * x[0].log2() * x[1].log2()).collect();
-        let m = fit_pmnf(&xs, &y, &[vec![0, 1]], &[0, 1, 2], &[0, 1]);
+        let m = fit_pmnf(&xs, &y, &[vec![0, 1]]);
         assert_eq!(m.candidate, PmnfCandidate { i: 0, j: 1 });
         assert!(m.rse < 1e-6, "rse = {}", m.rse);
     }
@@ -282,7 +277,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let xs = grid_samples(&mut rng, 80);
         let y: Vec<f64> = xs.iter().map(|x| 0.5 + 1.5 * x[2] * x[2]).collect();
-        let m = fit_pmnf(&xs, &y, &[vec![2]], &[0, 1, 2], &[0, 1]);
+        let m = fit_pmnf(&xs, &y, &[vec![2]]);
         assert_eq!(m.candidate, PmnfCandidate { i: 2, j: 0 });
     }
 
@@ -291,7 +286,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let xs = grid_samples(&mut rng, 120);
         let y: Vec<f64> = xs.iter().map(|x| 10.0 + 3.0 * x[0] + rng.gen_range(-0.5..0.5)).collect();
-        let m = fit_pmnf(&xs, &y, &[vec![0], vec![1], vec![2]], &[0, 1, 2], &[0, 1]);
+        let m = fit_pmnf(&xs, &y, &[vec![0], vec![1], vec![2]]);
         // Prediction tracks the trend despite the noise.
         let lo = m.predict(&[1.0, 4.0, 4.0]);
         let hi = m.predict(&[32.0, 4.0, 4.0]);
@@ -303,22 +298,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let xs = grid_samples(&mut rng, 30);
         let y = vec![7.0; 30];
-        let m = fit_pmnf(&xs, &y, &[vec![0, 1, 2]], &[0, 1, 2], &[0, 1]);
+        let m = fit_pmnf(&xs, &y, &[vec![0, 1, 2]]);
         assert!(m.rse < 1e-6);
         assert!((m.predict(&xs[0]) - 7.0).abs() < 1e-6);
     }
 
     #[test]
     fn values_below_one_are_clamped_not_nan() {
-        let m =
-            fit_pmnf(&[vec![1.0], vec![2.0], vec![4.0]], &[1.0, 2.0, 3.0], &[vec![0]], &[1], &[0]);
+        let m = fit_pmnf(&[vec![1.0], vec![2.0], vec![4.0]], &[1.0, 2.0, 3.0], &[vec![0]]);
         assert!(m.predict(&[0.5]).is_finite());
     }
 
     #[test]
     #[should_panic(expected = "paired samples")]
     fn empty_samples_panic() {
-        fit_pmnf(&[], &[], &[vec![0]], &[1], &[0]);
+        fit_pmnf(&[], &[], &[vec![0]]);
     }
 
     #[test]
@@ -332,9 +326,9 @@ mod tests {
         ];
         let targets: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
         let groups = [vec![0, 1], vec![2], vec![0]];
-        let shared = fit_pmnf_targets(&xs, &targets, &groups, &[0, 1, 2], &[0, 1]);
+        let shared = fit_pmnf_targets(&xs, &targets, &groups);
         for (m, y) in shared.iter().zip(&ys) {
-            let alone = fit_pmnf(&xs, y, &groups, &[0, 1, 2], &[0, 1]);
+            let alone = fit_pmnf(&xs, y, &groups);
             assert_eq!(m.candidate, alone.candidate);
             let bits = |m: &PmnfModel| m.coeffs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(m), bits(&alone));

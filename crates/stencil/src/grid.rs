@@ -146,15 +146,6 @@ impl Grid3 {
         &self.data
     }
 
-    /// Maximum absolute difference from another grid of identical extents.
-    ///
-    /// # Panics
-    /// Panics if the extents differ.
-    pub fn max_abs_diff(&self, other: &Grid3) -> f64 {
-        assert_eq!(self.dims(), other.dims(), "grid shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
-
     /// Sum of all points (useful as a cheap checksum in tests).
     pub fn checksum(&self) -> f64 {
         self.data.iter().sum()
@@ -193,7 +184,7 @@ mod tests {
     fn synthetic_is_deterministic() {
         let a = Grid3::synthetic(6, 7, 8);
         let b = Grid3::synthetic(6, 7, 8);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]
@@ -204,25 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_detects_change() {
-        let a = Grid3::synthetic(5, 5, 5);
-        let mut b = a.clone();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        b.set(1, 1, 1, b.get(1, 1, 1) + 0.25);
-        assert!((a.max_abs_diff(&b) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "grid extents must be positive")]
     fn zero_extent_panics() {
         let _ = Grid3::zeros(0, 4, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid shape mismatch")]
-    fn diff_shape_mismatch_panics() {
-        let a = Grid3::zeros(4, 4, 4);
-        let b = Grid3::zeros(4, 4, 5);
-        let _ = a.max_abs_diff(&b);
     }
 }

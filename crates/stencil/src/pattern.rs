@@ -57,29 +57,9 @@ pub struct StencilSpec {
 }
 
 impl StencilSpec {
-    /// Total number of output points of one sweep (interior updates write
-    /// the full grid minus the halo of width `order`).
-    pub fn interior_points(&self) -> usize {
-        let h = self.order as usize;
-        self.grid.iter().map(|&m| m.saturating_sub(2 * h)).product()
-    }
-
     /// Total points of the full grid.
     pub fn total_points(&self) -> usize {
         self.grid.iter().product()
-    }
-
-    /// Total double-precision FLOPs of one sweep.
-    pub fn sweep_flops(&self) -> u64 {
-        self.interior_points() as u64 * self.flops as u64
-    }
-
-    /// Arithmetic intensity in FLOPs per byte under a *no-reuse* model:
-    /// every read goes to DRAM. The performance model refines this with
-    /// the reuse the optimizations actually achieve.
-    pub fn naive_intensity(&self) -> f64 {
-        let bytes = (self.reads_per_point + self.write_arrays) as f64 * 8.0;
-        self.flops as f64 / bytes
     }
 
     /// Halo width in points along each dimension.
@@ -109,30 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn interior_excludes_halo() {
+    fn total_points_include_the_halo() {
         let s = spec();
-        assert_eq!(s.interior_points(), 14 * 14 * 14);
         assert_eq!(s.total_points(), 16 * 16 * 16);
-    }
-
-    #[test]
-    fn interior_saturates_for_tiny_grids() {
-        let mut s = spec();
-        s.grid = [2, 16, 16];
-        s.order = 2;
-        assert_eq!(s.interior_points(), 0);
-    }
-
-    #[test]
-    fn sweep_flops_scales_with_interior() {
-        let s = spec();
-        assert_eq!(s.sweep_flops(), (14 * 14 * 14) as u64 * 10);
-    }
-
-    #[test]
-    fn naive_intensity_matches_hand_count() {
-        let s = spec();
-        // 7 reads + 1 write = 8 accesses * 8 bytes = 64 bytes for 10 flops.
-        assert!((s.naive_intensity() - 10.0 / 64.0).abs() < 1e-12);
+        assert_eq!(s.halo(), 1);
     }
 }

@@ -62,25 +62,6 @@ impl TapStencil {
         TapStencil::new(taps)
     }
 
-    /// A full box stencil of the given radius with per-distance weights
-    /// `w[chebyshev distance]`.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != radius + 1`.
-    pub fn full_box(radius: i32, w: &[f64]) -> Self {
-        assert_eq!(w.len(), radius as usize + 1);
-        let mut taps = Vec::new();
-        for dz in -radius..=radius {
-            for dy in -radius..=radius {
-                for dx in -radius..=radius {
-                    let d = dx.abs().max(dy.abs()).max(dz.abs()) as usize;
-                    taps.push(Tap::new(dx, dy, dz, w[d]));
-                }
-            }
-        }
-        TapStencil::new(taps)
-    }
-
     /// Unit-coefficient taps at Chebyshev distance 1 with exactly
     /// `nonzero` non-zero offset components: `1` selects the 6 face
     /// neighbors, `2` the 12 edge neighbors, `3` the 8 corner neighbors.
@@ -208,16 +189,6 @@ mod tests {
         let s = TapStencil::star7(0.4, 0.1);
         assert_eq!(s.len(), 7);
         assert_eq!(s.radius(), 1);
-    }
-
-    #[test]
-    fn full_box_counts() {
-        let s = TapStencil::full_box(1, &[1.0, 0.5]);
-        assert_eq!(s.len(), 27);
-        assert_eq!(s.radius(), 1);
-        let s2 = TapStencil::full_box(2, &[1.0, 0.5, 0.25]);
-        assert_eq!(s2.len(), 125);
-        assert_eq!(s2.radius(), 2);
     }
 
     #[test]

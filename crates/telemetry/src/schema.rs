@@ -5,7 +5,7 @@
 //! journal it produces through [`validate_journal`], which runs the
 //! [`journal`] reader and keeps only its verdict.
 
-use crate::json::{self, Value};
+use crate::json::Value;
 use crate::{journal, Counter, Hist, SCHEMA_VERSION};
 
 /// Expected kind of a required field.
@@ -97,12 +97,6 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
     ("journal_end", &[("events", FieldKind::Num), ("v_s", FieldKind::Num)]),
 ];
 
-/// Validate one journal line (any schema rule that applies to a single
-/// record). Returns the parsed record type.
-pub fn validate_line(line: &str) -> Result<String, String> {
-    check_record(&json::parse(line)?).map(|(ty, _)| ty.to_string())
-}
-
 /// Apply the single-record rules to a parsed line. Returns its type and
 /// `seq`.
 pub(crate) fn check_record(v: &Value) -> Result<(&'static str, u64), String> {
@@ -185,7 +179,13 @@ pub fn validate_journal(lines: &[String]) -> Result<JournalSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::{event, strip_wall_fields, Telemetry};
+
+    /// The single-record rules on one parsed line; its type when it passes.
+    fn check_line(line: &str) -> Result<&'static str, String> {
+        check_record(&json::parse(line)?).map(|(ty, _)| ty)
+    }
 
     /// Emit a representative record of every registered type and check
     /// that each passes validation — the schema test over every event
@@ -253,16 +253,16 @@ mod tests {
 
     #[test]
     fn rejects_unknown_type_and_missing_fields() {
-        assert!(validate_line(r#"{"type":"mystery","seq":0}"#)
+        assert!(check_line(r#"{"type":"mystery","seq":0}"#)
             .unwrap_err()
             .contains("unknown record type"));
-        assert!(validate_line(r#"{"type":"span_start","seq":0,"name":"x"}"#)
+        assert!(check_line(r#"{"type":"span_start","seq":0,"name":"x"}"#)
             .unwrap_err()
             .contains("missing field 'v_s'"));
-        assert!(validate_line(r#"{"type":"span_start","seq":0,"name":7,"v_s":0.0}"#)
+        assert!(check_line(r#"{"type":"span_start","seq":0,"name":7,"v_s":0.0}"#)
             .unwrap_err()
             .contains("expected Str"));
-        assert!(validate_line(r#"{"type":"iteration","iteration":1,"v_s":0.0,"best_ms":null}"#)
+        assert!(check_line(r#"{"type":"iteration","iteration":1,"v_s":0.0,"best_ms":null}"#)
             .unwrap_err()
             .contains("seq"));
     }
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn rejects_wrong_schema_version() {
         let line = r#"{"type":"journal_start","seq":0,"schema":999,"source":"cstuner"}"#;
-        assert!(validate_line(line).unwrap_err().contains("schema"));
+        assert!(check_line(line).unwrap_err().contains("schema"));
     }
 
     #[test]

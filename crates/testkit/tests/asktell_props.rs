@@ -3,8 +3,9 @@
 //! Every tuner in the zoo must honor the kernel's contract
 //! (`crates/core/src/asktell.rs`): asked settings are valid when the
 //! strategy claims validity, the iso-time budget is never exceeded by
-//! more than one in-flight evaluation, `tell` chunking never changes the
-//! outcome, and two same-seed runs are byte-identical end to end. Every
+//! more than one in-flight evaluation, `drive` tells every ask once,
+//! whole and in order, with skips only trailing, and two same-seed runs
+//! are byte-identical end to end. Every
 //! entry but csTuner, which keeps its own search loop, exposes its
 //! optimizer to the raw `ask`/`tell` probes.
 
@@ -82,15 +83,20 @@ fn no_registered_tuner_exceeds_its_budget() {
     }
 }
 
-/// Forwarding wrapper that splits every `tell` into small chunks — the
-/// kernel promises optimizers tolerate exactly this (chunking-insensitive
-/// ingestion, rule 2 of the determinism contract).
-struct ChunkedTell {
+/// Forwarding wrapper that checks rules 2 and 3 of the determinism
+/// contract on every `tell` the kernel makes: it carries exactly the
+/// settings of the ask before it, in order, it comes before the next
+/// ask, and its skips only trail the batch.
+struct ToldOnce {
     inner: Box<dyn Optimizer>,
-    chunk: usize,
+    flag: &'static str,
+    /// The last ask, until it is told.
+    pending: Option<Vec<Setting>>,
+    /// Skipped settings told so far.
+    skips: usize,
 }
 
-impl Optimizer for ChunkedTell {
+impl Optimizer for ToldOnce {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -98,12 +104,20 @@ impl Optimizer for ChunkedTell {
         self.inner.init(ctx, seed, tel);
     }
     fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
-        self.inner.ask(ctx)
+        assert!(self.pending.is_none(), "{}: asked before the last ask was told", self.flag);
+        let batch = self.inner.ask(ctx);
+        self.pending = Some(batch.clone());
+        batch
     }
     fn tell(&mut self, obs: &[Observation]) {
-        for c in obs.chunks(self.chunk) {
-            self.inner.tell(c);
-        }
+        let asked = self.pending.take().unwrap_or_else(|| panic!("{}: told unasked", self.flag));
+        let told: Vec<Setting> = obs.iter().map(|o| o.setting).collect();
+        assert_eq!(told, asked, "{}: a tell is not its ask, whole and in order", self.flag);
+        let measured = obs.iter().take_while(|o| o.time_ms.is_some()).count();
+        let skipped = &obs[measured..];
+        assert!(skipped.iter().all(|o| o.time_ms.is_none()), "{}: a skip before a time", self.flag);
+        self.skips += skipped.len();
+        self.inner.tell(obs);
     }
     fn mid_generation(&self) -> bool {
         self.inner.mid_generation()
@@ -113,27 +127,32 @@ impl Optimizer for ChunkedTell {
     }
 }
 
-/// Splitting `tell` batches must be invisible: same seed, same budget,
-/// bit-identical outcome whether costs arrive whole or three at a time.
+/// `drive` tells every ask once, whole and in ask order, before the next
+/// ask, with skips only at the end, and watching that changes nothing:
+/// the wrapped run is bit-identical to a plain one. The budget expires
+/// mid-batch, so the sweep must see skips told.
 #[test]
-fn tell_chunking_never_changes_the_outcome() {
+fn every_ask_is_told_once_whole_and_in_order() {
+    let cfg = KernelConfig { max_iterations: 6, stall_limit: 10_000 };
+    let mut skips = 0;
     for entry in zoo::tuners() {
         let Some(mut plain) = entry.optimizer() else { continue };
         let Some(inner) = entry.optimizer() else { continue };
-        let cfg = KernelConfig { max_iterations: 6, stall_limit: 10_000 };
 
         let mut e = sim(7, 18.0);
-        let whole = drive(&mut *plain, &mut e, &cfg, 7, &Telemetry::noop())
+        let alone = drive(&mut *plain, &mut e, &cfg, 7, &Telemetry::noop())
             .unwrap_or_else(|err| panic!("{}: {err:?}", entry.flag));
 
         let mut e = sim(7, 18.0);
-        let mut chunked = ChunkedTell { inner, chunk: 3 };
-        let split = drive(&mut chunked, &mut e, &cfg, 7, &Telemetry::noop())
-            .unwrap_or_else(|err| panic!("{} (chunked): {err:?}", entry.flag));
+        let mut checked = ToldOnce { inner, flag: entry.flag, pending: None, skips: 0 };
+        let watched = drive(&mut checked, &mut e, &cfg, 7, &Telemetry::noop())
+            .unwrap_or_else(|err| panic!("{} (watched): {err:?}", entry.flag));
 
-        outcomes_bit_equal(&whole, &split)
-            .unwrap_or_else(|err| panic!("{}: chunked tell diverged: {err}", entry.flag));
+        outcomes_bit_equal(&alone, &watched)
+            .unwrap_or_else(|err| panic!("{}: the watched run diverged: {err}", entry.flag));
+        skips += checked.skips;
     }
+    assert!(skips > 0, "no budget expired mid-batch, so no skip was told");
 }
 
 /// One kernel tuner value may run many sessions (the experiment harness

@@ -18,7 +18,7 @@ use cst_stats::{fit_pmnf, PmnfModel};
 use cst_stencil::suite;
 use cst_telemetry::Telemetry;
 use cst_testkit::{arb_setting, precomp_vs_direct, seeded_rng, PropRunner};
-use cstuner_core::sampling::{ENUM_LIMIT, PMNF_I, PMNF_J};
+use cstuner_core::sampling::ENUM_LIMIT;
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, scoring_contexts, select_representatives,
     Evaluator, PerfDataset, SampledSpace, SamplingConfig, SimEvaluator,
@@ -108,7 +108,7 @@ fn sampling_vs_reference(name: &str, arch: &GpuArch, seed: u64) -> Result<(), St
 
     let xs = ds.param_values();
     let terms = &sampled.time_model.groups;
-    let fit = |y: &[f64]| fit_pmnf(&xs, y, terms, &PMNF_I, &PMNF_J);
+    let fit = |y: &[f64]| fit_pmnf(&xs, y, terms);
     for m in &sampled.models {
         same_model(&format!("metric {}", m.metric), &m.model, &fit(&ds.metric_column(m.metric)))?;
     }

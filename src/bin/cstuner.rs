@@ -47,7 +47,7 @@
 //! shorthand for `cstuner tune --quick ...`. A served `client tune`
 //! streams the exact journal a local `tune --journal` would write.
 
-use cstuner::baselines::zoo::edit_distance;
+use cstuner::baselines::zoo::nearest;
 use cstuner::campaign;
 use cstuner::obs::{self, JournalStore};
 use cstuner::prelude::*;
@@ -350,14 +350,8 @@ fn parse(cmd: &Command, argv: &[String]) -> Result<Args, String> {
 /// when one of its flags is a near miss (edit distance <= 2).
 fn unknown_flag(cmd: &Command, name: &str) -> String {
     let mut msg = format!("unknown flag `--{name}` for `cstuner {}`\n", cmd.name);
-    let near = cmd
-        .flags
-        .iter()
-        .map(|f| (edit_distance(name, f.name), f.name))
-        .filter(|(d, _)| *d <= 2)
-        .min();
-    match near {
-        Some((_, near)) => msg += &format!("did you mean `--{near}`?"),
+    match nearest(name, cmd.flags.iter().map(|f| f.name)) {
+        Some(near) => msg += &format!("did you mean `--{near}`?"),
         None if cmd.flags.is_empty() => msg += &format!("`cstuner {}` takes no flags", cmd.name),
         None => {
             let list: Vec<String> = cmd.flags.iter().map(|f| format!("--{}", f.name)).collect();

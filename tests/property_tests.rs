@@ -165,7 +165,7 @@ proptest! {
         let xs = ds.param_values();
         let y = ds.times();
         let groups: Vec<Vec<usize>> = (0..N_PARAMS).map(|i| vec![i]).collect();
-        let m = cstuner::stats::fit_pmnf(&xs, &y, &groups, &[0, 1, 2], &[0, 1]);
+        let m = cstuner::stats::fit_pmnf(&xs, &y, &groups);
         for x in &xs {
             prop_assert!(m.predict(x).is_finite());
         }
