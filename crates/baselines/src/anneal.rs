@@ -23,7 +23,8 @@ const T0_FRAC: f64 = 0.3;
 const ALPHA: f64 = 0.97;
 
 /// Simulated annealing as an ask/tell [`Optimizer`]: batch-of-one asks,
-/// Metropolis accept/reject in `tell`.
+/// Metropolis accept/reject in `tell`. Every asked setting is valid: each
+/// proposal is checked before it is asked.
 #[derive(Debug)]
 pub struct SaOptimizer {
     rng: StdRng,
@@ -98,10 +99,6 @@ impl Default for SaOptimizer {
 }
 
 impl Optimizer for SaOptimizer {
-    fn name(&self) -> &'static str {
-        "Anneal"
-    }
-
     fn init(&mut self, _ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
         // `warm` survives init: the kernel offers seeds first, then inits.
         self.rng = StdRng::seed_from_u64(seed ^ 0x0a11_ea1e);
@@ -175,14 +172,12 @@ impl Optimizer for SaOptimizer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     fn anneal(max_iterations: u32) -> KernelTuner {
-        let cfg = KernelConfig { max_iterations, stall_limit: 10_000 };
-        KernelTuner::new(|| Box::new(SaOptimizer::default()), cfg)
+        crate::zoo::capped("anneal", max_iterations)
     }
 
     #[test]

@@ -88,7 +88,9 @@ enum Stage {
 /// The Artemis baseline as an ask/tell [`Optimizer`]: one ask for the
 /// whole phase-1 grid, then per kept candidate one ask for the candidate
 /// and one per low-impact knob's sweep. It takes no warm-start seeds:
-/// its starting points are the expert grid.
+/// its starting points are the expert grid. Its asks may be invalid:
+/// expert settings are checked against the explicit constraints only,
+/// and resource overruns are found by measuring.
 #[derive(Debug, Clone)]
 pub struct ArtemisOptimizer {
     stage: Stage,
@@ -172,10 +174,6 @@ impl ArtemisOptimizer {
 }
 
 impl Optimizer for ArtemisOptimizer {
-    fn name(&self) -> &'static str {
-        "Artemis"
-    }
-
     fn init(&mut self, ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
         let high = high_impact_params(ctx.spec().class);
         let base = Setting::baseline();
@@ -271,12 +269,6 @@ impl Optimizer for ArtemisOptimizer {
             }
         }
     }
-
-    fn asks_valid_only(&self) -> bool {
-        // Expert settings are checked against the explicit constraints
-        // only; resource overruns are found by measuring.
-        false
-    }
 }
 
 #[cfg(test)]
@@ -284,11 +276,10 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     fn artemis(max_iterations: u32) -> KernelTuner {
-        let cfg = KernelConfig { max_iterations, ..KernelConfig::DEFAULT };
-        KernelTuner::new(|| Box::new(ArtemisOptimizer::default()), cfg)
+        crate::zoo::capped("artemis", max_iterations)
     }
 
     #[test]

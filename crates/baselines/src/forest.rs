@@ -33,7 +33,9 @@ const POOL_FACTOR: usize = 4;
 const MIN_TRAIN: usize = 32;
 
 /// The surrogate as an ask/tell [`Optimizer`]: over-draw, rank by
-/// predicted P(fast), keep the top population.
+/// predicted P(fast), keep the top population. Every asked setting is
+/// valid: warm seeds are checked, and pool draws are valid by
+/// construction.
 #[derive(Debug)]
 pub struct ForestOptimizer {
     rng: StdRng,
@@ -63,10 +65,6 @@ impl Default for ForestOptimizer {
 }
 
 impl Optimizer for ForestOptimizer {
-    fn name(&self) -> &'static str {
-        "Forest"
-    }
-
     fn init(&mut self, _ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
         // `warm` survives init: the kernel offers seeds first, then inits.
         self.rng = StdRng::seed_from_u64(seed ^ 0x0f0e_e57a);
@@ -116,16 +114,12 @@ impl Optimizer for ForestOptimizer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     fn forest(max_iterations: u32) -> KernelTuner {
-        KernelTuner::new(
-            || Box::new(ForestOptimizer::default()),
-            KernelConfig { max_iterations, stall_limit: 10_000 },
-        )
+        crate::zoo::capped("forest", max_iterations)
     }
 
     #[test]

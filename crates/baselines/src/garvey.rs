@@ -48,7 +48,9 @@ const SAMPLING_RATIO: f64 = 0.10;
 /// starting setting; the first ask measures it, and every later ask is
 /// one dimension group's random sample around the incumbent, searched
 /// exhaustively. It takes no warm-start seeds: its starting point is the
-/// forest's pick.
+/// forest's pick. Its asks may be invalid: fixing the memory type and
+/// substituting group combinations can break the resource limits, which
+/// Garvey finds out by measuring.
 #[derive(Debug, Clone)]
 pub struct GarveyOptimizer {
     rng: StdRng,
@@ -73,10 +75,6 @@ impl Default for GarveyOptimizer {
 }
 
 impl Optimizer for GarveyOptimizer {
-    fn name(&self) -> &'static str {
-        "Garvey"
-    }
-
     fn init(&mut self, ctx: &mut SearchCtx<'_>, seed: u64, _tel: &Telemetry) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6a2_7e1);
         // Offline: dataset for the memory-type forest (like csTuner's
@@ -167,12 +165,6 @@ impl Optimizer for GarveyOptimizer {
             }
         }
     }
-
-    fn asks_valid_only(&self) -> bool {
-        // Fixing the memory type and substituting group combinations can
-        // leave the resource limits; Garvey finds out by measuring.
-        false
-    }
 }
 
 #[cfg(test)]
@@ -182,13 +174,10 @@ mod tests {
     use cst_space::OptSpace;
     use cst_stencil::{suite, suite_ext};
     use cstuner_core::grouping::MAX_GROUP;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     fn garvey(max_iterations: u32) -> KernelTuner {
-        KernelTuner::new(
-            || Box::new(GarveyOptimizer::default()),
-            KernelConfig { max_iterations, ..KernelConfig::DEFAULT },
-        )
+        crate::zoo::capped("garvey", max_iterations)
     }
 
     #[test]

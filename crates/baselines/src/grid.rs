@@ -19,7 +19,9 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 /// setting), one population of fresh lattice points per ask, empty ask
 /// once the lattice is exhausted. It takes no warm-start seeds: the sweep
 /// visits the lattice exhaustively, so seeds would only reorder its
-/// coverage.
+/// coverage. Its asks may be invalid: lattice points are canonical but
+/// may break the resource limits, which, like OpenTuner, the grid
+/// discovers by charged evaluation.
 #[derive(Debug)]
 pub struct GridOptimizer {
     levels: usize,
@@ -47,10 +49,6 @@ impl Default for GridOptimizer {
 }
 
 impl Optimizer for GridOptimizer {
-    fn name(&self) -> &'static str {
-        "Grid"
-    }
-
     fn init(&mut self, ctx: &mut SearchCtx<'_>, _seed: u64, _tel: &Telemetry) {
         self.lattice = ParamId::ALL
             .iter()
@@ -96,28 +94,22 @@ impl Optimizer for GridOptimizer {
     }
 
     fn tell(&mut self, _obs: &[Observation]) {}
-
-    fn asks_valid_only(&self) -> bool {
-        // Lattice points are canonical but may be resource-invalid; like
-        // OpenTuner, the grid discovers that by charged evaluation.
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo::capped;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     #[test]
     fn grid_finds_finite_best_and_is_seedless_deterministic() {
         let run = |seed| {
             let mut e =
                 SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 1);
-            let cfg = KernelConfig { max_iterations: 4, stall_limit: 10_000 };
-            KernelTuner::new(|| Box::new(GridOptimizer::new(4)), cfg).tune(&mut e, seed).unwrap()
+            capped("grid", 4).tune(&mut e, seed).unwrap()
         };
         let a = run(1);
         let b = run(99);
@@ -134,9 +126,8 @@ mod tests {
         // list): the sweep exhausts after one setting and the run ends
         // without touching the budget loop.
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 2);
-        let cfg = KernelConfig { max_iterations: 100, stall_limit: 10_000 };
-        let out =
-            KernelTuner::new(|| Box::new(GridOptimizer::new(1)), cfg).tune(&mut e, 2).unwrap();
+        let mut tuner = KernelTuner::new("Grid", || Box::new(GridOptimizer::new(1)));
+        let out = tuner.tune(&mut e, 2).unwrap();
         assert_eq!(out.evaluations, 1);
     }
 

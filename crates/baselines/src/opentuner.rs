@@ -117,6 +117,9 @@ impl OpenTunerGa {
 /// closed-loop driver mapped them) to [`GaState::tell`]. Bit-identical
 /// to [`OpenTunerGa::tune_legacy`], which the `ga_asktell_oracle` test
 /// pins. Both run csTuner's GA options (§V-A2), `GaConfig::default()`.
+/// Its asks may be invalid: raw genome decodes are canonical but may
+/// break the resource limits, which OpenTuner discovers by charged
+/// evaluation.
 #[derive(Debug, Default)]
 pub struct GaOptimizer {
     state: Option<GaState>,
@@ -125,10 +128,6 @@ pub struct GaOptimizer {
 }
 
 impl Optimizer for GaOptimizer {
-    fn name(&self) -> &'static str {
-        "OpenTuner"
-    }
-
     fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.to_vec();
         self.warm.len()
@@ -190,12 +189,6 @@ impl Optimizer for GaOptimizer {
         // between-generations-only budget check did.
         self.state.as_ref().is_some_and(GaState::mid_generation)
     }
-
-    fn asks_valid_only(&self) -> bool {
-        // Raw genome decodes are canonical but may still be resource-
-        // invalid; OpenTuner discovers that by (charged) evaluation.
-        false
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +196,10 @@ mod tests {
     use super::*;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
 
     fn opentuner(max_iterations: u32) -> KernelTuner {
-        let cfg = KernelConfig { max_iterations, ..KernelConfig::DEFAULT };
-        KernelTuner::new(|| Box::new(GaOptimizer::default()), cfg)
+        crate::zoo::capped("opentuner", max_iterations)
     }
 
     #[test]

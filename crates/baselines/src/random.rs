@@ -8,7 +8,8 @@ use cstuner_core::{Observation, Optimizer, SearchCtx};
 /// population of valid draws per ask (all randomness on the evaluator's
 /// seeded stream, so draw order matches the pre-kernel loop bit for
 /// bit), nothing learned from tells. Any informed tuner must beat this
-/// at equal budget.
+/// at equal budget. Every asked setting is valid: warm seeds are
+/// checked, and draws are valid by construction.
 #[derive(Debug, Clone, Default)]
 pub struct RandomOptimizer {
     /// Warm-start seeds served as the first ask (instead of random
@@ -17,10 +18,6 @@ pub struct RandomOptimizer {
 }
 
 impl Optimizer for RandomOptimizer {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
     fn warm_start(&mut self, seeds: &[Setting]) -> usize {
         self.warm = seeds.to_vec();
         self.warm.len()
@@ -55,17 +52,15 @@ pub(crate) fn warm_ask(warm: &mut Vec<Setting>, ctx: &SearchCtx<'_>) -> Vec<Sett
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::zoo::capped;
     use cst_gpu_sim::GpuArch;
     use cst_stencil::suite;
-    use cstuner_core::{KernelConfig, KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{SimEvaluator, Tuner};
 
     #[test]
     fn random_search_finds_finite_best() {
         let mut e = SimEvaluator::new(suite::spec_by_name("cheby").unwrap(), GpuArch::a100(), 3);
-        let cfg = KernelConfig { max_iterations: 5, ..KernelConfig::DEFAULT };
-        let mut t = KernelTuner::new(|| Box::new(RandomOptimizer::default()), cfg);
-        let out = t.tune(&mut e, 3).unwrap();
+        let out = capped("random", 5).tune(&mut e, 3).unwrap();
         assert_eq!(out.tuner, "Random");
         assert!(out.best_time_ms.is_finite());
         assert_eq!(out.curve.len(), 5);
@@ -79,9 +74,7 @@ mod tests {
             4,
             15.0,
         );
-        let mut t =
-            KernelTuner::new(|| Box::new(RandomOptimizer::default()), KernelConfig::DEFAULT);
-        let out = t.tune(&mut e, 4).unwrap();
+        let out = capped("random", u32::MAX).tune(&mut e, 4).unwrap();
         assert!(out.search_s >= 15.0);
         assert!(out.search_s < 25.0);
     }

@@ -3,17 +3,18 @@
 //! The CLI (`cstuner tune --tuner`, `cstuner version`, `cstuner list`),
 //! the serve daemon's request validation, the shootout example, and the
 //! testkit property suites all resolve tuners here, so adding a tuner
-//! is one [`TunerEntry`] — the flag name, the journal display name, and
-//! its [`Optimizer`] with the driver knobs it runs under. Only csTuner,
-//! whose staged pipeline keeps its own search loop, has no optimizer.
+//! is one [`TunerEntry`] — the flag name, the display name, and the
+//! constructor of its [`Optimizer`]. The display name lives only here:
+//! it names the [`KernelTuner`] the entry builds, and so every outcome
+//! and journal of that tuner. Every optimizer runs under the kernel's
+//! one stopping rule; only csTuner, whose staged pipeline keeps its own
+//! search loop, has no optimizer.
 
 use crate::{
     ArtemisOptimizer, ForestOptimizer, GaOptimizer, GarveyOptimizer, GridOptimizer,
     RandomOptimizer, SaOptimizer,
 };
-use cstuner_core::{
-    CsTuner, CsTunerConfig, KernelConfig, KernelTuner, MakeOptimizer, Optimizer, Tuner,
-};
+use cstuner_core::{CsTuner, CsTunerConfig, KernelTuner, MakeOptimizer, Optimizer, Tuner};
 
 /// One registered tuner.
 pub struct TunerEntry {
@@ -23,9 +24,8 @@ pub struct TunerEntry {
     pub display: &'static str,
     /// One-line description for `cstuner list` / `version`.
     pub summary: &'static str,
-    /// The ask/tell strategy and the driver knobs it runs under; `None`
-    /// for csTuner.
-    kernel: Option<(MakeOptimizer, KernelConfig)>,
+    /// The ask/tell strategy; `None` for csTuner.
+    kernel: Option<MakeOptimizer>,
 }
 
 impl TunerEntry {
@@ -38,16 +38,16 @@ impl TunerEntry {
         }
     }
 
-    /// The kernel tuner behind this entry, whose driver knobs a caller
-    /// may adjust (`None` for csTuner).
+    /// The kernel tuner behind this entry, named by [`TunerEntry::display`],
+    /// whose iteration cap a caller may set (`None` for csTuner).
     pub fn kernel_tuner(&self) -> Option<KernelTuner> {
-        self.kernel.map(|(make, cfg)| KernelTuner::new(make, cfg))
+        self.kernel.map(|make| KernelTuner::new(self.display, make))
     }
 
     /// A fresh ask/tell optimizer of this entry (`None` for csTuner). The
     /// testkit property suite uses this to probe `ask`/`tell` directly.
     pub fn optimizer(&self) -> Option<Box<dyn Optimizer>> {
-        self.kernel.map(|(make, _)| make())
+        self.kernel.map(|make| make())
     }
 }
 
@@ -65,13 +65,6 @@ fn cstuner(quick: bool) -> CsTuner {
     CsTuner::new(cfg)
 }
 
-/// A finite stall backstop for strategies that could, in a small enough
-/// space, keep proposing only memoized settings: the grid's seen-filter,
-/// the annealer's unseen-neighbor walk and the forest's uniform pool all
-/// keep fresh settings coming, so it fires only once the reachable space
-/// is exhausted.
-const BACKSTOPPED: KernelConfig = KernelConfig { stall_limit: 10_000, ..KernelConfig::DEFAULT };
-
 static TUNERS: [TunerEntry; 8] = [
     TunerEntry {
         flag: "cstuner",
@@ -83,43 +76,43 @@ static TUNERS: [TunerEntry; 8] = [
         flag: "garvey",
         display: "Garvey",
         summary: "forest memory-type prediction + per-dimension group search",
-        kernel: Some((|| Box::new(GarveyOptimizer::default()), KernelConfig::DEFAULT)),
+        kernel: Some(|| Box::new(GarveyOptimizer::default())),
     },
     TunerEntry {
         flag: "opentuner",
         display: "OpenTuner",
         summary: "global GA over the full space (via the ask/tell kernel)",
-        kernel: Some((|| Box::new(GaOptimizer::default()), KernelConfig::DEFAULT)),
+        kernel: Some(|| Box::new(GaOptimizer::default())),
     },
     TunerEntry {
         flag: "artemis",
         display: "Artemis",
         summary: "hierarchical expert tuning: high-impact first, then greedy",
-        kernel: Some((|| Box::new(ArtemisOptimizer::default()), KernelConfig::DEFAULT)),
+        kernel: Some(|| Box::new(ArtemisOptimizer::default())),
     },
     TunerEntry {
         flag: "random",
         display: "Random",
         summary: "uniform valid sampling, the floor every tuner must beat",
-        kernel: Some((|| Box::new(RandomOptimizer::default()), KernelConfig::DEFAULT)),
+        kernel: Some(|| Box::new(RandomOptimizer::default())),
     },
     TunerEntry {
         flag: "grid",
         display: "Grid",
         summary: "deterministic coarse lattice sweep, no rng at all",
-        kernel: Some((|| Box::new(GridOptimizer::default()), BACKSTOPPED)),
+        kernel: Some(|| Box::new(GridOptimizer::default())),
     },
     TunerEntry {
         flag: "anneal",
         display: "Anneal",
         summary: "single-chain simulated annealing with Metropolis accepts",
-        kernel: Some((|| Box::new(SaOptimizer::default()), BACKSTOPPED)),
+        kernel: Some(|| Box::new(SaOptimizer::default())),
     },
     TunerEntry {
         flag: "forest",
         display: "Forest",
         summary: "online random-forest surrogate pre-ranking candidates",
-        kernel: Some((|| Box::new(ForestOptimizer::default()), BACKSTOPPED)),
+        kernel: Some(|| Box::new(ForestOptimizer::default())),
     },
 ];
 
@@ -184,6 +177,15 @@ pub fn unknown_tuner_message(input: &str) -> String {
     }
 }
 
+/// The zoo's kernel tuner behind `flag`, capped at `max_iterations`: how
+/// the optimizers' unit tests build the tuner they run.
+#[cfg(test)]
+pub(crate) fn capped(flag: &str, max_iterations: u32) -> KernelTuner {
+    let mut tuner = find(flag).and_then(TunerEntry::kernel_tuner).expect("a kernel tuner's flag");
+    tuner.max_iterations = max_iterations;
+    tuner
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,18 +201,6 @@ mod tests {
             // lowercased display name; the registry keeps that equal to
             // the flag so files and `--tuner` values line up.
             assert_eq!(t.display.to_lowercase(), t.flag, "{}", t.flag);
-        }
-    }
-
-    #[test]
-    fn optimizer_names_match_entries() {
-        // Every entry but csTuner, which keeps its own search loop, is an
-        // ask/tell optimizer the property suite can probe.
-        for t in tuners() {
-            match t.optimizer() {
-                Some(opt) => assert_eq!(opt.name(), t.display, "{}", t.flag),
-                None => assert_eq!(t.flag, "cstuner"),
-            }
         }
     }
 

@@ -47,7 +47,7 @@ pub fn tuner(flag: &str, max_iterations: u32) -> Box<dyn Tuner> {
     let entry = zoo::find(flag).unwrap_or_else(|| panic!("`{flag}` is not a registered tuner"));
     match entry.kernel_tuner() {
         Some(mut tuner) => {
-            tuner.cfg.max_iterations = max_iterations;
+            tuner.max_iterations = max_iterations;
             Box::new(tuner)
         }
         None => Box::new(CsTuner::new(CsTunerConfig { max_iterations, ..Default::default() })),

@@ -177,7 +177,7 @@ impl CampaignSpec {
                 format!("`repeats` must be a positive integer, got {}", x.kind())
             })?),
         };
-        let seeds = list(&v, "seeds", Value::as_u64, "non-negative integers", "integers")?;
+        let seeds = list(&v, "seeds", Value::as_u64, "integers from 0 to 2^53 - 1", "integers")?;
         let seeds = match (seeds, repeats) {
             (Some(_), Some(_)) => {
                 return Err("give `seeds` or `repeats`, not both".to_string());
@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(err(r#","seeds":true"#), "`seeds` must be an array of integers, got bool");
         assert_eq!(
             err(r#","seeds":[[0]]"#),
-            "`seeds` entries must be non-negative integers, got array"
+            "`seeds` entries must be integers from 0 to 2^53 - 1, got array"
         );
     }
 

@@ -4,12 +4,24 @@
 //! Artemis baselines, random and grid search, simulated annealing, the
 //! forest surrogate — reduces to the same minimal conversation: the
 //! optimizer *asks* for a batch of candidate [`Setting`]s, the kernel
-//! measures them, and the optimizer is *told* the costs. [`drive`] is
-//! the one driver loop that owns everything around that conversation:
-//! iteration accounting and the convergence curve ([`Recorder`]),
-//! budget/cancellation checks, the `search` telemetry span, and fault
-//! accounting (which rides along inside the evaluator). [`KernelTuner`]
-//! is the one [`Tuner`] every strategy runs behind.
+//! measures them, and the optimizer is *told* the costs. [`Optimizer`]
+//! is that conversation and nothing else: `init`, `ask`, `tell`,
+//! `mid_generation` and `warm_start`. [`drive`] is the one driver loop
+//! that owns everything around it: iteration accounting and the
+//! convergence curve ([`Recorder`]), budget/cancellation checks, the one
+//! stopping rule, the `search` telemetry span, and fault accounting
+//! (which rides along inside the evaluator). [`KernelTuner`] is the one
+//! [`Tuner`] every strategy runs behind; the tuner's name and its
+//! iteration cap are the kernel's only inputs besides the optimizer, and
+//! the name comes from the zoo's registry.
+//!
+//! # Stopping rule
+//!
+//! A run ends on an empty ask, the budget, the iteration cap, or
+//! [`STALL_LIMIT`] consecutive stalls, whatever the strategy. A stall is
+//! a told setting that was already measured: it charges no time and
+//! advances no iteration, so a strategy that only repeats itself (the
+//! GA or random search in a space they have used up) ends only there.
 //!
 //! # Determinism contract
 //!
@@ -105,9 +117,6 @@ impl<'a> SearchCtx<'a> {
 /// A search strategy under the kernel: propose candidates, learn from
 /// costs. See the module docs for the determinism contract.
 pub trait Optimizer {
-    /// Short display name, used as [`TuningOutcome::tuner`].
-    fn name(&self) -> &'static str;
-
     /// One-time setup before the first `ask`. The default does nothing.
     fn init(&mut self, _ctx: &mut SearchCtx<'_>, _seed: u64, _tel: &Telemetry) {}
 
@@ -128,14 +137,6 @@ pub trait Optimizer {
         false
     }
 
-    /// Whether every asked setting is guaranteed valid for the
-    /// (stencil, arch). Strategies that explore invalid encodings (the
-    /// GA's raw genomes, the grid lattice) return false; the property
-    /// suite checks validity only for strategies that claim it.
-    fn asks_valid_only(&self) -> bool {
-        true
-    }
-
     /// Offer warm-start seeds (surrogate-ranked settings from the
     /// transfer knowledge base) before [`Optimizer::init`], returning how
     /// many the strategy keeps. Strategies that support seeding fold them
@@ -149,52 +150,36 @@ pub trait Optimizer {
     }
 }
 
-/// Driver knobs for one [`drive`] run. A recorded iteration is always
-/// one population of fresh evaluations ([`cst_ga::POPULATION`], §V-A2).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelConfig {
-    /// Iteration cap (u32::MAX = budget-bound only).
-    pub max_iterations: u32,
-    /// Abort after this many consecutive told settings without a fresh
-    /// (non-memoized) evaluation. Memoized repeats charge nothing to the
-    /// clock, so a strategy proposing only seen settings would otherwise
-    /// spin forever inside an iso-time budget. Legacy-parity strategies
-    /// (GA, random, Garvey, Artemis) keep the default `u64::MAX` — they
-    /// end on their own or their draw streams always reach fresh
-    /// settings — while model-guided strategies set a finite limit as a
-    /// liveness backstop.
-    pub stall_limit: u64,
-}
-
-impl KernelConfig {
-    /// Bound only by the budget, with no stall backstop.
-    pub const DEFAULT: KernelConfig =
-        KernelConfig { max_iterations: u32::MAX, stall_limit: u64::MAX };
-}
+/// Consecutive stalls after which [`drive`] ends any run (this tree's
+/// value; see the module's stopping rule). Without it a strategy that
+/// proposes only seen settings would spin forever inside an iso-time
+/// budget. Fresh draws and seen-filters keep new settings coming, so it
+/// fires only once the space a strategy reaches is used up.
+pub const STALL_LIMIT: u64 = 10_000;
 
 /// Run an optimizer to completion under one evaluator: the single search
 /// loop shared by every tuner in the zoo.
 ///
-/// Per round: check budget/iteration caps (honoring
+/// Per round: check the budget and `max_iterations` (honoring
 /// [`Optimizer::mid_generation`]), `ask`, measure each setting in ask
 /// order through the [`Recorder`] (settings past expiry are skipped, not
-/// measured), then `tell` the whole batch once. Ends on an empty ask, the
-/// budget/iteration caps, or the stall backstop; always finalizes into
-/// the standard [`TuningOutcome`] with curve, fault stats, and a
-/// `search` telemetry span.
+/// measured), then `tell` the whole batch once. Ends by the module's
+/// stopping rule; always finalizes into the standard [`TuningOutcome`],
+/// named `name`, with curve, fault stats, and a `search` telemetry span.
 pub fn drive(
     opt: &mut dyn Optimizer,
     eval: &mut dyn Evaluator,
-    cfg: &KernelConfig,
+    name: &'static str,
+    max_iterations: u32,
     seed: u64,
     tel: &Telemetry,
 ) -> Result<TuningOutcome, TuneError> {
-    let mut rec = Recorder::new(cfg.max_iterations).with_telemetry(tel);
+    let mut rec = Recorder::new(max_iterations).with_telemetry(tel);
     let span = tel.span("search", eval.clock().now_s());
     opt.init(&mut SearchCtx::new(eval), seed, tel);
     let mut stalled: u64 = 0;
     loop {
-        if stalled >= cfg.stall_limit {
+        if stalled >= STALL_LIMIT {
             break;
         }
         if rec.done(eval) && !opt.mid_generation() {
@@ -221,7 +206,7 @@ pub fn drive(
         }
         opt.tell(&obs);
     }
-    let out = rec.finish(opt.name(), eval);
+    let out = rec.finish(name, eval);
     span.end(eval.clock().now_s());
     out
 }
@@ -232,19 +217,22 @@ pub type MakeOptimizer = fn() -> Box<dyn Optimizer>;
 /// The [`Tuner`] every ask/tell strategy runs behind: a fresh optimizer
 /// from `make` per tuning run (a tuner value may be reused, and no
 /// optimizer state may leak from one run into the next), handed the
-/// warm-start seeds, then [`drive`]n under `cfg`.
+/// warm-start seeds, then [`drive`]n under its name and iteration cap.
 #[derive(Debug, Clone)]
 pub struct KernelTuner {
+    name: &'static str,
     make: MakeOptimizer,
-    /// Driver knobs of every run.
-    pub cfg: KernelConfig,
+    /// Iteration cap of every run (`u32::MAX`, budget-bound only, unless
+    /// set).
+    pub max_iterations: u32,
     warm: Vec<Setting>,
 }
 
 impl KernelTuner {
-    /// A tuner over the optimizers `make` builds.
-    pub fn new(make: MakeOptimizer, cfg: KernelConfig) -> Self {
-        KernelTuner { make, cfg, warm: Vec::new() }
+    /// A tuner named `name` ([`TuningOutcome::tuner`], the zoo entry's
+    /// display name) over the optimizers `make` builds.
+    pub fn new(name: &'static str, make: MakeOptimizer) -> Self {
+        KernelTuner { name, make, max_iterations: u32::MAX, warm: Vec::new() }
     }
 }
 
@@ -267,7 +255,7 @@ impl Tuner for KernelTuner {
         if !self.warm.is_empty() {
             opt.warm_start(&self.warm);
         }
-        drive(opt.as_mut(), eval, &self.cfg, seed, tel)
+        drive(opt.as_mut(), eval, self.name, self.max_iterations, seed, tel)
     }
 }
 
@@ -493,13 +481,12 @@ mod tests {
     /// repeats) must end the run.
     struct OneTrickPony {
         s: Option<Setting>,
+        asks: u64,
     }
 
     impl Optimizer for OneTrickPony {
-        fn name(&self) -> &'static str {
-            "pony"
-        }
         fn ask(&mut self, ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
+            self.asks += 1;
             let s = *self.s.get_or_insert_with(|| ctx.random_valid());
             vec![s]
         }
@@ -514,10 +501,10 @@ mod tests {
             3,
             1e9,
         );
-        let mut opt = OneTrickPony { s: None };
-        let cfg = KernelConfig { stall_limit: 16, ..KernelConfig::DEFAULT };
-        let out = drive(&mut opt, &mut e, &cfg, 3, &Telemetry::noop()).unwrap();
+        let mut opt = OneTrickPony { s: None, asks: 0 };
+        let out = drive(&mut opt, &mut e, "pony", u32::MAX, 3, &Telemetry::noop()).unwrap();
         assert_eq!(out.evaluations, 1, "one fresh evaluation, then memoized spins");
+        assert_eq!(opt.asks, 1 + STALL_LIMIT, "the fresh ask, then STALL_LIMIT stalls");
         assert!(out.best_time_ms.is_finite());
     }
 
@@ -526,9 +513,6 @@ mod tests {
     struct Mute;
 
     impl Optimizer for Mute {
-        fn name(&self) -> &'static str {
-            "mute"
-        }
         fn ask(&mut self, _ctx: &mut SearchCtx<'_>) -> Vec<Setting> {
             Vec::new()
         }
@@ -570,7 +554,7 @@ mod tests {
     #[test]
     fn drive_empty_ask_is_budget_too_small() {
         let mut e = SimEvaluator::new(suite::spec_by_name("j3d7pt").unwrap(), GpuArch::a100(), 0);
-        let err = drive(&mut Mute, &mut e, &KernelConfig::DEFAULT, 0, &Telemetry::noop());
+        let err = drive(&mut Mute, &mut e, "mute", u32::MAX, 0, &Telemetry::noop());
         assert!(matches!(err, Err(TuneError::BudgetTooSmall)));
     }
 }

@@ -4,7 +4,10 @@
 //! through [`Evaluator`]: validity checks, timed evaluations that charge a
 //! virtual wall clock, and offline profiling for dataset collection. The
 //! production implementation is [`SimEvaluator`] over the GPU model; tests
-//! substitute synthetic landscapes.
+//! substitute synthetic landscapes. A [`SimEvaluator`]'s memo is its one
+//! record of what was measured: a quarantined setting's entry is
+//! `f64::INFINITY`, which answers any re-attempt, and
+//! [`Evaluator::fault_stats`] counts it.
 
 use cst_gpu_sim::fault::{backoff_s, MAX_RETRIES};
 use cst_gpu_sim::{
@@ -119,8 +122,9 @@ pub trait Evaluator {
 /// see [`FaultProfile::from_env`]), failed attempts are retried a bounded
 /// number of times with deterministic exponential backoff charged to the
 /// virtual clock, and settings that fail every attempt are quarantined:
-/// their measurement commits as `f64::INFINITY` (a penalty every search
-/// driver already treats as "worst possible"), never to be re-attempted.
+/// their measurement commits to the memo as `f64::INFINITY` (a penalty
+/// every search driver already treats as "worst possible"), so the memo
+/// answers any re-attempt, and [`FaultStats::quarantined`] counts them.
 /// All fault decisions are pure functions of (profile seed, setting,
 /// attempt), so runs stay bit-deterministic; under [`FaultProfile::Off`]
 /// every first attempt succeeds uninflated.
@@ -133,7 +137,6 @@ pub struct SimEvaluator {
     unique: u64,
     faults: FaultProfile,
     fault_stats: FaultStats,
-    quarantine: cst_space::SettingSet,
     tel: Telemetry,
     cancel: Option<CancelToken>,
 }
@@ -152,7 +155,6 @@ impl SimEvaluator {
             unique: 0,
             faults: FaultProfile::from_env(),
             fault_stats: FaultStats::default(),
-            quarantine: cst_space::SettingSet::default(),
             tel: Telemetry::noop(),
             cancel: None,
         }
@@ -184,16 +186,6 @@ impl SimEvaluator {
     pub fn with_fault_profile(mut self, profile: FaultProfile) -> Self {
         self.faults = profile;
         self
-    }
-
-    /// Whether a setting has been quarantined after exhausting retries.
-    pub fn is_quarantined(&self, s: &Setting) -> bool {
-        self.quarantine.contains(s)
-    }
-
-    /// Number of settings currently quarantined.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantine.len()
     }
 
     /// The underlying simulator.
@@ -242,7 +234,6 @@ impl SimEvaluator {
                     self.clock.advance(kind.charge_s(record.cost_s));
                     if attempt >= MAX_RETRIES {
                         self.fault_stats.quarantined += 1;
-                        self.quarantine.insert(*s);
                         self.tel.add(Counter::FaultQuarantined, 1);
                         if self.tel.enabled() {
                             let label = format!("{s:?}");
@@ -425,17 +416,16 @@ mod tests {
             let mut e = eval().with_fault_profile(profile);
             let batch: Vec<Setting> = (0..128).map(|_| e.random_valid()).collect();
             let times: Vec<f64> = batch.iter().map(|s| e.evaluate(s)).collect();
-            (times, e.clock().now_s(), e.fault_stats(), e.quarantined_count())
+            (times, e.clock().now_s(), e.fault_stats())
         };
-        let (t1, c1, s1, q1) = run();
-        let (t2, c2, s2, q2) = run();
+        let (t1, c1, s1) = run();
+        let (t2, c2, s2) = run();
         assert_eq!(
             t1.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
             t2.iter().map(|t| t.to_bits()).collect::<Vec<_>>()
         );
         assert_eq!(c1.to_bits(), c2.to_bits());
         assert_eq!(s1, s2);
-        assert_eq!(q1, q2);
         assert!(s1.failures() > 0, "hostile profile over 128 settings should fault: {s1:?}");
         assert!(t1.iter().all(|t| t.is_finite() || *t == f64::INFINITY));
     }
@@ -459,7 +449,6 @@ mod tests {
         let cost = e.sim().evaluate_full(&s).cost_s;
         let t = e.evaluate(&s);
         assert_eq!(t, f64::INFINITY);
-        assert!(e.is_quarantined(&s));
         let mut stats =
             FaultStats { retries: MAX_RETRIES as u64, quarantined: 1, ..Default::default() };
         kinds.iter().for_each(|&k| stats.record(k));

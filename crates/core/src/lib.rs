@@ -37,9 +37,7 @@ pub mod pipeline;
 pub mod sampling;
 pub mod search;
 
-pub use asktell::{
-    drive, KernelConfig, KernelTuner, MakeOptimizer, Observation, Optimizer, Recorder, SearchCtx,
-};
+pub use asktell::{drive, KernelTuner, MakeOptimizer, Observation, Optimizer, Recorder, SearchCtx};
 pub use cst_gpu_sim::{FaultKind, FaultProfile, FaultStats};
 pub use dataset::{DatasetRecord, PerfDataset};
 pub use evaluator::{CancelToken, Evaluator, SimEvaluator};

@@ -26,8 +26,8 @@ pub mod session;
 
 pub use client::{roundtrip, Connection, StreamError, StreamEvent};
 pub use manager::{
-    OpsSnapshot, Progress, Rejection, Session, SessionCounts, SessionLimits, SessionManager,
-    SessionRow, SessionState,
+    OpsSnapshot, Progress, Rejection, Session, SessionCounts, SessionManager, SessionRow,
+    SessionState,
 };
 pub use proto::{parse_request, validate_metrics_frame, Request, PROTO_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -3,12 +3,14 @@
 //! The daemon admits each `tune` request as a [`Session`] with a stable
 //! id and a `queued → running → done|failed` lifecycle (plus `cancelled`
 //! for sessions killed before or during their run). Admission is bounded
-//! by `workers + queue_depth`; a request over the limit gets a typed
-//! `busy` rejection instead of unbounded queueing. Worker threads drain
-//! the queue through [`SessionManager::worker_loop`], running each
-//! session through the shared [`crate::session::run_session`] path with
-//! a tee-sink telemetry handle, so the session's journal records land in
-//! the registry line by line while watchers stream them live.
+//! by `workers + queue_depth`, the two numbers [`SessionManager::new`]
+//! takes (the daemon's defaults live in [`crate::ServeConfig`]); a
+//! request over the limit gets a typed `busy` rejection instead of
+//! unbounded queueing. Worker threads drain the queue through
+//! [`SessionManager::worker_loop`], running each session through the
+//! shared [`crate::session::run_session`] path with a tee-sink telemetry
+//! handle, so the session's journal records land in the registry line by
+//! line while watchers stream them live.
 //!
 //! Determinism: a session's journal and outcome are a pure function of
 //! its request (plus the daemon environment's fault profile when the
@@ -16,6 +18,10 @@
 //! rng from the request seed, so concurrent sessions never share mutable
 //! tuning state and identical requests yield byte-identical streams
 //! modulo the explicitly wall-clock `wall_*` fields.
+//!
+//! A daemon runs alone in its process, so the process-wide shared memos
+//! hold exactly its sessions' (stencil, arch) pairs: the `metrics`
+//! snapshot reports every one of them.
 
 use crate::session::{run_session, DoneInfo, TuneRequest};
 use cst_gpu_sim::registry::{shared_memo_stats, SharedMemoStats};
@@ -24,7 +30,7 @@ use cst_telemetry::metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot};
 use cst_telemetry::{strip_wall_fields, Telemetry};
 use cst_transfer::KnowledgeBase;
 use cstuner_core::CancelToken;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -191,28 +197,6 @@ impl Session {
     }
 }
 
-/// Admission bounds of the daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionLimits {
-    /// Worker threads (max concurrently running sessions).
-    pub workers: usize,
-    /// Additional sessions allowed to wait in the queue.
-    pub queue_depth: usize,
-}
-
-impl SessionLimits {
-    /// Total admitted-but-unfinished sessions allowed at once.
-    pub fn admission_limit(&self) -> usize {
-        self.workers + self.queue_depth
-    }
-}
-
-impl Default for SessionLimits {
-    fn default() -> Self {
-        SessionLimits { workers: 2, queue_depth: 8 }
-    }
-}
-
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
@@ -238,11 +222,6 @@ struct MgrShared {
     /// Sessions that reached a terminal state.
     completed: u64,
     shutting_down: bool,
-    /// (stencil, arch) pairs this daemon's sessions have tuned — the
-    /// metrics snapshot reports shared-memo stats for these pairs only,
-    /// so concurrent daemons in one process (tests, future worker
-    /// splits) don't leak each other's cache traffic into a snapshot.
-    memo_pairs: BTreeSet<(String, String)>,
 }
 
 /// Sessions by lifecycle state at one instant.
@@ -288,7 +267,7 @@ pub struct OpsSnapshot {
     pub counts: SessionCounts,
     /// Registry snapshot (counters, gauges, histograms).
     pub snapshot: MetricsSnapshot,
-    /// Shared-memo stats for the pairs this daemon has tuned.
+    /// The process's shared-memo stats, one row per (stencil, arch).
     pub memo: Vec<SharedMemoStats>,
     /// Milliseconds since the manager was created (wall-class).
     pub wall_uptime_ms: f64,
@@ -297,7 +276,11 @@ pub struct OpsSnapshot {
 /// The session registry and scheduler shared by every connection thread
 /// and worker thread of one daemon.
 pub struct SessionManager {
-    limits: SessionLimits,
+    /// Worker threads (max concurrently running sessions).
+    workers: usize,
+    /// Admitted-but-unfinished sessions allowed at once: the workers
+    /// plus the queue depth.
+    admission_limit: usize,
     archive: Option<JournalStore>,
     shared: Mutex<MgrShared>,
     /// Wakes workers when the queue grows or shutdown begins.
@@ -315,9 +298,15 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    /// Build a manager. With an `archive` store, every `done` session's
-    /// wall-stripped journal is ingested as a run summary on completion.
-    pub fn new(limits: SessionLimits, archive: Option<JournalStore>) -> Arc<SessionManager> {
+    /// Build a manager for `workers` worker threads and `queue_depth`
+    /// more sessions waiting in the queue. With an `archive` store, every
+    /// `done` session's wall-stripped journal is ingested as a run
+    /// summary on completion.
+    pub fn new(
+        workers: usize,
+        queue_depth: usize,
+        archive: Option<JournalStore>,
+    ) -> Arc<SessionManager> {
         let metrics = MetricsRegistry::new();
         let admission_accepted = metrics.counter("admission_accepted");
         let admission_busy = metrics.counter("admission_busy");
@@ -333,7 +322,8 @@ impl SessionManager {
         metrics.gauge("watchers");
         metrics.gauge("warm_kb_train");
         Arc::new(SessionManager {
-            limits,
+            workers,
+            admission_limit: workers + queue_depth,
             archive,
             shared: Mutex::new(MgrShared {
                 sessions: BTreeMap::new(),
@@ -342,7 +332,6 @@ impl SessionManager {
                 active: 0,
                 completed: 0,
                 shutting_down: false,
-                memo_pairs: BTreeSet::new(),
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
@@ -355,9 +344,9 @@ impl SessionManager {
         })
     }
 
-    /// The configured admission bounds.
-    pub fn limits(&self) -> SessionLimits {
-        self.limits
+    /// Worker threads to run over [`SessionManager::worker_loop`].
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// The manager's metrics registry, for the connection layer to hang
@@ -406,15 +395,10 @@ impl SessionManager {
         let counts = self.counts_by_state();
         self.metrics.gauge("queue_depth").set(counts.queued as i64);
         self.metrics.gauge("sessions_running").set(counts.running as i64);
-        let pairs = self.shared.lock().expect("manager lock").memo_pairs.clone();
-        let memo = shared_memo_stats()
-            .into_iter()
-            .filter(|s| pairs.contains(&(s.stencil.clone(), s.arch.clone())))
-            .collect();
         OpsSnapshot {
             counts,
             snapshot: self.metrics.snapshot(),
-            memo,
+            memo: shared_memo_stats(),
             wall_uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
         }
     }
@@ -426,20 +410,11 @@ impl SessionManager {
     /// A worker that finishes another session meanwhile still takes it
     /// from the queue.
     pub fn submit(&self, request: TuneRequest) -> Result<Arc<Session>, Rejection> {
-        // The registry reports display names (`GpuArch::name`), which can
-        // differ from the request's spelling (`a100` vs `A100`): record
-        // the resolved arch so the snapshot filter matches. The stencil
-        // needs no lookup, since requests admit only kernel-table names
-        // and each equals its kernel's `StencilSpec::name`.
-        let stencil = request.stencil.clone();
-        let arch = cst_gpu_sim::GpuArch::by_name(&request.arch)
-            .map(|a| a.name.to_string())
-            .unwrap_or_else(|| request.arch.clone());
         let mut g = self.shared.lock().expect("manager lock");
         if g.shutting_down {
             return Err(Rejection::ShuttingDown);
         }
-        let limit = self.limits.admission_limit();
+        let limit = self.admission_limit;
         if g.active >= limit {
             self.admission_busy.inc();
             return Err(Rejection::Busy {
@@ -454,7 +429,6 @@ impl SessionManager {
         g.sessions.insert(id, Arc::clone(&session));
         g.queue.push_back(id);
         g.active += 1;
-        g.memo_pairs.insert((stencil, arch));
         self.admission_accepted.inc();
         Ok(session)
     }
@@ -502,7 +476,7 @@ impl SessionManager {
     }
 
     /// One worker: pop sessions and run them until shutdown drains the
-    /// queue. Spawn `limits.workers` threads over this.
+    /// queue. Spawn [`SessionManager::workers`] threads over this.
     pub fn worker_loop(&self) {
         loop {
             let next = {
@@ -625,7 +599,7 @@ mod tests {
     #[test]
     fn admission_is_bounded_with_a_typed_busy_rejection() {
         // No worker threads: everything stays queued, deterministically.
-        let mgr = SessionManager::new(SessionLimits { workers: 1, queue_depth: 1 }, None);
+        let mgr = SessionManager::new(1, 1, None);
         let s0 = mgr.submit(quick_req(0)).expect("first fits");
         let s1 = mgr.submit(quick_req(1)).expect("second fits the queue");
         assert_eq!((s0.id, s1.id), (0, 1));
@@ -647,7 +621,7 @@ mod tests {
         // count `active - queue.len()` underflowed (a debug panic while
         // holding the manager lock, wedging the daemon). No workers:
         // sessions stay queued deterministically.
-        let mgr = SessionManager::new(SessionLimits { workers: 1, queue_depth: 1 }, None);
+        let mgr = SessionManager::new(1, 1, None);
         let s0 = mgr.submit(quick_req(0)).unwrap();
         let s1 = mgr.submit(quick_req(1)).unwrap();
         assert_eq!(mgr.cancel(s0.id), Some(SessionState::Cancelled));
@@ -679,8 +653,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cst_serve_archive_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = JournalStore::open(&dir).unwrap();
-        let mgr =
-            SessionManager::new(SessionLimits { workers: 1, queue_depth: 2 }, Some(store.clone()));
+        let mgr = SessionManager::new(1, 2, Some(store.clone()));
         let worker = {
             let mgr = Arc::clone(&mgr);
             std::thread::spawn(move || mgr.worker_loop())
@@ -713,7 +686,7 @@ mod tests {
 
     #[test]
     fn cancelling_a_running_session_winds_it_down() {
-        let mgr = SessionManager::new(SessionLimits { workers: 1, queue_depth: 1 }, None);
+        let mgr = SessionManager::new(1, 1, None);
         let worker = {
             let mgr = Arc::clone(&mgr);
             std::thread::spawn(move || mgr.worker_loop())

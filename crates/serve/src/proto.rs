@@ -93,10 +93,9 @@ fn opt_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, String> {
 fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer, got {}", x.kind())),
+        Some(x) => x.as_u64().map(Some).ok_or_else(|| {
+            format!("`{key}` must be an integer from 0 to 2^53 - 1, got {}", x.kind())
+        }),
     }
 }
 
@@ -120,7 +119,7 @@ pub fn parse_fault(v: &Value) -> Result<Option<FaultSpec>, String> {
         Some(Value::Str(s)) if s == "env" => Ok(None),
         Some(obj @ Value::Obj(_)) => {
             let seed = obj.get("seed").and_then(Value::as_u64).ok_or_else(|| {
-                "`fault` object requires a non-negative integer `seed`".to_string()
+                "`fault` object requires an integer `seed` from 0 to 2^53 - 1".to_string()
             })?;
             Ok(Some(FaultSpec::Hostile { seed }))
         }
@@ -163,10 +162,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "status" => Ok(Request::Status { session: opt_u64(&v, "session")? }),
         "metrics" => Ok(Request::Metrics),
         "watch" | "cancel" => {
-            let session = v
-                .get("session")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("`{cmd}` requires a non-negative integer `session`"))?;
+            let session = v.get("session").and_then(Value::as_u64).ok_or_else(|| {
+                format!("`{cmd}` requires an integer `session` from 0 to 2^53 - 1")
+            })?;
             Ok(match cmd {
                 "watch" => Request::Watch { session },
                 _ => Request::Cancel { session },

@@ -11,7 +11,7 @@
 //! Accepted streams set `TCP_NODELAY` and every frame goes out in one
 //! write, so no frame waits on a delayed ACK.
 
-use crate::manager::{Progress, Rejection, Session, SessionLimits, SessionManager};
+use crate::manager::{Progress, Rejection, Session, SessionManager};
 use crate::proto;
 use cst_obs::JournalStore;
 use cst_telemetry::metrics::CounterHandle;
@@ -28,9 +28,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads (max concurrently running sessions).
+    /// Worker threads (max concurrently running sessions), 2 by default.
     pub workers: usize,
-    /// Additional sessions allowed to wait in the queue.
+    /// Additional sessions allowed to wait in the queue, 8 by default.
     pub queue_depth: usize,
     /// Auto-ingest finished runs into this [`JournalStore`] directory.
     pub archive: Option<PathBuf>,
@@ -38,11 +38,10 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let limits = SessionLimits::default();
         ServeConfig {
             addr: "127.0.0.1:4815".to_string(),
-            workers: limits.workers,
-            queue_depth: limits.queue_depth,
+            workers: 2,
+            queue_depth: 8,
             archive: None,
         }
     }
@@ -67,8 +66,8 @@ impl Server {
             Some(dir) => Some(JournalStore::open(dir)?),
             None => None,
         };
-        let limits = SessionLimits { workers: cfg.workers.max(1), queue_depth: cfg.queue_depth };
-        Ok(Server { listener, manager: SessionManager::new(limits, archive), stop: Arc::default() })
+        let manager = SessionManager::new(cfg.workers.max(1), cfg.queue_depth, archive);
+        Ok(Server { listener, manager, stop: Arc::default() })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -81,10 +80,10 @@ impl Server {
         Arc::clone(&self.manager)
     }
 
-    /// Spawn the worker pool (`limits.workers` threads over
+    /// Spawn the worker pool ([`SessionManager::workers`] threads over
     /// [`SessionManager::worker_loop`]).
     pub fn start_workers(&self) -> Vec<JoinHandle<()>> {
-        (0..self.manager.limits().workers)
+        (0..self.manager.workers())
             .map(|_| {
                 let manager = self.manager();
                 std::thread::spawn(move || manager.worker_loop())

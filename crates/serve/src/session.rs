@@ -11,6 +11,7 @@ use cst_baselines::zoo;
 use cst_gpu_sim::{FaultProfile, FaultStats, GpuArch};
 use cst_space::Setting;
 use cst_stencil::{suite, suite_ext, StencilKernel};
+use cst_telemetry::json::MAX_SAFE_INTEGER;
 use cst_telemetry::{Field, FieldValue, Telemetry};
 use cst_transfer::{warm_seeds, KnowledgeBase, DEFAULT_TOP_K};
 use cstuner_core::{journal_outcome, CancelToken, SimEvaluator, TuneError, Tuner, TuningOutcome};
@@ -94,7 +95,10 @@ impl TuneRequest {
     /// Validate raw request parts into a runnable request, applying the
     /// CLI defaults: stencil `j3d7pt` when `--quick` (required
     /// otherwise), arch `a100`, tuner `cstuner`, seed 0, budget 30
-    /// virtual seconds quick / 100 full.
+    /// virtual seconds quick / 100 full. A seed above
+    /// [`MAX_SAFE_INTEGER`] is refused: the wire and campaign specs
+    /// carry it as a JSON number, which holds no larger integer exactly,
+    /// so every transport accepts the same seeds and runs each as given.
     pub fn build(
         stencil: Option<&str>,
         arch: Option<&str>,
@@ -125,16 +129,14 @@ impl TuneRequest {
         if !budget_s.is_finite() || budget_s <= 0.0 {
             return Err(format!("budget must be a positive number of seconds, got {budget_s}"));
         }
-        Ok(TuneRequest {
-            stencil,
-            arch,
-            tuner,
-            seed: seed.unwrap_or(0),
-            budget_s,
-            quick,
-            fault,
-            warm: None,
-        })
+        let seed = seed.unwrap_or(0);
+        if seed > MAX_SAFE_INTEGER {
+            return Err(format!(
+                "seed must be at most 2^53 - 1 = {MAX_SAFE_INTEGER}, the largest integer a JSON \
+                 number carries exactly, got {seed}"
+            ));
+        }
+        Ok(TuneRequest { stencil, arch, tuner, seed, budget_s, quick, fault, warm: None })
     }
 }
 

@@ -11,6 +11,13 @@
 
 use std::fmt::Write as _;
 
+/// The largest integer a JSON number carries exactly here: 2^53 − 1.
+/// Numbers parse as `f64`, whose 53-bit significand holds every integer
+/// up to it; above it neighbours round together (2^53 + 1 parses as
+/// 2^53), so [`Value::as_u64`] refuses a larger number instead of
+/// reading another one.
+pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
+
 /// A parsed JSON value. Object keys keep their serialized order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -46,10 +53,14 @@ impl Value {
         }
     }
 
-    /// The number as u64, if this is a non-negative integral number.
+    /// The number as u64, if this is an integral number from 0 to
+    /// [`MAX_SAFE_INTEGER`]: every such number reads as the integer
+    /// written.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(x) if *x >= 0.0 && x.trunc() == *x => Some(*x as u64),
+            Value::Num(x) if *x >= 0.0 && x.trunc() == *x && *x <= MAX_SAFE_INTEGER as f64 => {
+                Some(*x as u64)
+            }
             _ => None,
         }
     }
@@ -377,5 +388,11 @@ mod tests {
         assert_eq!(parse("-1.5e-3").unwrap().as_f64(), Some(-0.0015));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740991").unwrap().as_u64(), Some(MAX_SAFE_INTEGER));
+        // From 2^53 on neighbours round together (2^53 + 1 parses as
+        // 2^53), and 1e300 would saturate to u64::MAX.
+        for big in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(parse(big).unwrap().as_u64(), None, "{big}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! typed `busy` frame, and shutdown drains cleanly.
 
 use cst_serve::{proto, run_session, DoneInfo, FaultSpec, TuneRequest};
-use cst_telemetry::json::{self, Value};
+use cst_telemetry::json::{self, Value, MAX_SAFE_INTEGER};
 use cst_telemetry::{schema, strip_wall_fields, Telemetry};
 use cst_testkit::{check_golden, hex_bits, split_stream, LoopbackServer};
 
@@ -83,6 +83,31 @@ fn served_session_matches_direct_cli_run() {
     let bye = server.shutdown();
     assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
     assert!(bye[0].contains("\"sessions_completed\":1"), "{}", bye[0]);
+}
+
+#[test]
+fn the_largest_seed_json_holds_runs_as_given_and_a_larger_one_is_refused() {
+    // A seed crosses the wire as a JSON number, which holds every integer
+    // up to 2^53 - 1 exactly: that one streams the direct run's journal,
+    // and 2^53 + 1, which would parse as 2^53, gets an error frame
+    // instead of another seed's run.
+    let server = LoopbackServer::start(1, 1);
+    let req = quick_req(MAX_SAFE_INTEGER);
+    let frames = server.tune(&req);
+    assert!(frames.last().unwrap().contains("\"state\":\"done\""), "{frames:#?}");
+    let (journal, _control) = split_stream(&frames);
+    let meta = journal.iter().find(|l| l.contains("\"type\":\"run_meta\"")).unwrap();
+    assert!(meta.contains("\"seed\":9007199254740991"), "{meta}");
+    let tel = Telemetry::in_memory();
+    run_session(&req, &tel, None).expect("direct run succeeds");
+    assert_eq!(strip(&journal), strip(&tel.lines().unwrap()), "served != direct");
+
+    let line = proto::tune_request_line(&req).replace("9007199254740991", "9007199254740993");
+    let reply = server.raw(&line);
+    assert_eq!(reply.len(), 1, "error is the whole reply: {reply:#?}");
+    assert_eq!(proto::frame_type(&reply[0]).as_deref(), Some("error"), "{}", reply[0]);
+    assert!(reply[0].contains("`seed` must be an integer from 0 to 2^53 - 1"), "{}", reply[0]);
+    server.shutdown();
 }
 
 #[test]
@@ -199,10 +224,9 @@ fn kernel_tuner_request_streams_and_gates_cleanly() {
 
 #[test]
 fn metrics_frame_is_deterministic_and_validates() {
-    // (rhs4center, v100) is this test's private registry key within this
-    // binary; the shared-memo rows are wall-class and stripped from the
-    // golden anyway, but keeping the pair private makes the full frame
-    // inspectable too.
+    // The shared-memo rows are wall-class and stripped from the golden:
+    // every daemon of this binary shares the process's memos, so they
+    // list every (stencil, arch) pair the binary has tuned so far.
     let server = LoopbackServer::start(2, 4);
     let req = TuneRequest::build(
         Some("rhs4center"),

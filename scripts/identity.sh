@@ -12,7 +12,8 @@
 # RAYON_NUM_THREADS=4 CST_FAULT_SEED=7. The battery:
 #   - `cstuner tune --stencil j3d7pt --quick --tuner T --seed 1`, for
 #     each of the 8 tuners: stdout and the journal;
-#   - `experiments all --quick`: stdout and its 12 results/*.json;
+#   - `experiments all --quick` and `experiments all` at the default
+#     scale (10 seeds): stdout and the 12 results/*.json of each;
 #   - `tuner_shootout cheby 30`: stdout, the 8 journals and the
 #     campaign archive's summaries;
 #   - the campaign smoke (`examples/campaign_smoke.json`): its summaries;
@@ -59,8 +60,9 @@ battery() {  # battery <tree> <bin-dir> <out-dir> [VAR=value...]
     env "$@" "$bin/cstuner" tune --stencil j3d7pt --quick --tuner "$t" --seed 1 \
       --journal "tune-$t.jsonl" > "tune-$t.stdout"
   done
-  mkdir experiments
+  mkdir experiments experiments-full
   (cd experiments && env "$@" "$bin/experiments" all --quick > stdout.md 2> /dev/null)
+  (cd experiments-full && env "$@" "$bin/experiments" all > stdout.md 2> /dev/null)
   mkdir shootout
   env "$@" CST_JOURNAL=shootout "$bin/examples/tuner_shootout" cheby 30 > shootout.stdout
   env "$@" "$bin/cstuner" campaign run "$src/examples/campaign_smoke.json" \

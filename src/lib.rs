@@ -68,7 +68,7 @@ pub mod prelude {
         RandomOptimizer, SaOptimizer,
     };
     pub use crate::codegen::generate_cuda;
-    pub use crate::core::{drive, KernelConfig, KernelTuner, Observation, Optimizer, SearchCtx};
+    pub use crate::core::{drive, KernelTuner, Observation, Optimizer, SearchCtx};
     pub use crate::core::{CsTuner, CsTunerConfig, Evaluator, SimEvaluator, Tuner, TuningOutcome};
     pub use crate::ga::GaConfig;
     pub use crate::sim::{GpuArch, GpuSim, MetricsReport};

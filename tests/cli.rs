@@ -98,6 +98,13 @@ fn malformed_numeric_flags_are_rejected() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--seed expects a non-negative integer"), "{err}");
+
+    // A seed a JSON number cannot hold exactly is refused, not rounded,
+    // as on the wire and in a campaign spec.
+    let out = cstuner(&["tune", "--quick", "--seed", "9007199254740993"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("seed must be at most 2^53 - 1"), "{err}");
 }
 
 #[test]
@@ -131,6 +138,14 @@ fn bad_campaign_specs_are_one_line_exit_2_errors() {
     assert!(err.contains("invalid campaign spec"), "{err}");
     assert!(err.contains("unknown key `stencil`"), "{err}");
     assert!(err.contains("did you mean `stencils`?"), "{err}");
+
+    std::fs::write(&spec, r#"{"campaign":"x","stencils":["j3d7pt"],"seeds":[9007199254740993]}"#)
+        .unwrap();
+    let out = cstuner(&["campaign", "status", spec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("`seeds` entries must be integers from 0 to 2^53 - 1"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
