@@ -58,6 +58,24 @@ pub const SPEC_KEYS: [&str; 10] = [
     "warm",
 ];
 
+/// The most cells a spec may expand to (the product of its axis
+/// lengths). This tree's value: no spec it runs has more than 40 (the
+/// shootout's 8 tuners × 5 seeds), and the cap refuses a hostile
+/// `repeats` before it becomes a seed list and a cell list.
+pub const MAX_CELLS: u64 = 10_000;
+
+/// Refuse a matrix whose stencil, arch, tuner and budget axis lengths
+/// times its seed count exceed [`MAX_CELLS`].
+fn check_cell_count(axes: [usize; 4], n_seeds: u64) -> Result<(), String> {
+    if axes.iter().fold(n_seeds, |n, &len| n.saturating_mul(len as u64)) > MAX_CELLS {
+        return Err(format!(
+            "campaign spec expands to more than {MAX_CELLS} cells (stencils × archs × tuners × \
+             budgets_s × seeds)"
+        ));
+    }
+    Ok(())
+}
+
 /// Version folded into every cell identity hash. Bump when the identity
 /// fields or their encoding change, so stale archives re-run instead of
 /// being mistaken for current results.
@@ -178,15 +196,17 @@ impl CampaignSpec {
             })?),
         };
         let seeds = list(&v, "seeds", Value::as_u64, "integers from 0 to 2^53 - 1", "integers")?;
-        let seeds = match (seeds, repeats) {
+        let n_seeds = match (&seeds, repeats) {
             (Some(_), Some(_)) => {
                 return Err("give `seeds` or `repeats`, not both".to_string());
             }
-            (Some(seeds), None) => seeds,
+            (Some(seeds), None) => seeds.len() as u64,
             (None, Some(0)) => return Err("`repeats` must be at least 1".to_string()),
-            (None, Some(n)) => (0..n).collect(),
-            (None, None) => vec![0],
+            (None, Some(n)) => n,
+            (None, None) => 1,
         };
+        check_cell_count([stencils.len(), archs.len(), tuners.len(), budgets_s.len()], n_seeds)?;
+        let seeds = seeds.unwrap_or_else(|| (0..n_seeds).collect());
         let fault = parse_fault(&v)?;
         let warm = match v.get("warm") {
             None | Some(Value::Null) => None,
@@ -259,6 +279,8 @@ impl CampaignSpec {
     /// [`TuneRequest::build`], so the error for a bad axis value is the
     /// CLI's own message.
     pub fn cells(&self) -> Result<Vec<Cell>, String> {
+        let axes = [self.stencils.len(), self.archs.len(), self.tuners.len(), self.budgets_s.len()];
+        check_cell_count(axes, self.seeds.len() as u64)?;
         let mut cells =
             Vec::with_capacity(self.stencils.len() * self.archs.len() * self.tuners.len());
         for stencil in &self.stencils {
@@ -402,6 +424,28 @@ mod tests {
             CampaignSpec::from_json(r#"{"campaign":"m","stencils":["cheby"],"quick":true}"#)
                 .unwrap();
         assert_eq!(quick.budgets_s, [30.0]);
+    }
+
+    #[test]
+    fn a_spec_past_the_cell_limit_is_refused_before_it_expands() {
+        let spec = |tail: &str| {
+            CampaignSpec::from_json(&format!(
+                r#"{{"campaign":"big","stencils":["j3d7pt","cheby"],"quick":true{tail}}}"#
+            ))
+        };
+        let limit = format!("more than {MAX_CELLS} cells");
+        // The largest `repeats` a JSON number carries would ask for a seed
+        // list of 2^53 - 1 entries: refused at once, as is a spec just
+        // past the limit, while the limit itself expands.
+        for repeats in [9007199254740991, MAX_CELLS / 2 + 1] {
+            let err = spec(&format!(r#","repeats":{repeats}"#)).unwrap_err();
+            assert!(err.contains(&limit), "{err}");
+        }
+        assert_eq!(spec(&format!(r#","repeats":{}"#, MAX_CELLS / 2)).unwrap().seeds.len(), 5000);
+        // `cells` checks too, before it builds a cell.
+        let mut big = spec("").unwrap();
+        big.seeds = (0..=MAX_CELLS / 2).collect();
+        assert!(big.cells().unwrap_err().contains(&limit));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! - [`proto`]: the length-delimited JSONL wire protocol (requests and
 //!   control frames, disjoint from journal record types).
 //! - [`manager`]: session registry, bounded admission, worker pool,
-//!   cancellation, optional archive auto-ingest, shutdown drain.
+//!   cancellation, optional archive auto-ingest, shutdown drain, and
+//!   the fixed table of operational metrics the `metrics` frame reports.
 //! - [`server`]: the TCP accept loop and per-connection handling.
 //! - [`client`]: a minimal blocking client used by `cstuner client`, the
 //!   campaign executor and the test harness, with the one reader of a
@@ -26,12 +27,11 @@ pub mod session;
 
 pub use client::{roundtrip, Connection, StreamError, StreamEvent};
 pub use manager::{
-    OpsSnapshot, Progress, Rejection, Session, SessionCounts, SessionManager, SessionRow,
-    SessionState,
+    Progress, Rejection, Session, SessionCounts, SessionManager, SessionRow, SessionState,
 };
 pub use proto::{parse_request, validate_metrics_frame, Request, PROTO_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{
-    all_stencils, build_tuner, find_stencil, run_session, DoneInfo, FaultSpec, SessionOutcome,
-    TuneRequest,
+    all_stencils, build_tuner, find_arch, find_stencil, run_session, DoneInfo, FaultSpec,
+    SessionOutcome, TuneRequest,
 };

@@ -19,18 +19,22 @@
 //! tuning state and identical requests yield byte-identical streams
 //! modulo the explicitly wall-clock `wall_*` fields.
 //!
-//! A daemon runs alone in its process, so the process-wide shared memos
-//! hold exactly its sessions' (stencil, arch) pairs: the `metrics`
-//! snapshot reports every one of them.
+//! The manager owns the daemon's `MetricsTable`: fixed named atomics
+//! that it and the connection handlers update in place, and that
+//! [`SessionManager::metrics_frame`] writes out. A daemon runs alone in
+//! its process, so the process-wide shared memos hold exactly its
+//! sessions' (stencil, arch) pairs: the `metrics` frame reports every
+//! one of them.
 
+use crate::proto::{self, RequestKind};
 use crate::session::{run_session, DoneInfo, TuneRequest};
-use cst_gpu_sim::registry::{shared_memo_stats, SharedMemoStats};
+use cst_gpu_sim::registry::shared_memo_stats;
 use cst_obs::JournalStore;
-use cst_telemetry::metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot};
-use cst_telemetry::{strip_wall_fields, Telemetry};
+use cst_telemetry::{strip_wall_fields, HistSnapshot, Telemetry};
 use cst_transfer::KnowledgeBase;
 use cstuner_core::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -258,19 +262,36 @@ pub struct SessionRow {
     pub seed: u64,
 }
 
-/// Everything a `metrics` frame reports, gathered under one snapshot.
-/// (Named to stay clear of `cst_gpu_sim::metrics::MetricsReport`, the
-/// per-kernel profiler report.)
-#[derive(Debug, Clone)]
-pub struct OpsSnapshot {
-    /// Sessions by state.
-    pub counts: SessionCounts,
-    /// Registry snapshot (counters, gauges, histograms).
-    pub snapshot: MetricsSnapshot,
-    /// The process's shared-memo stats, one row per (stencil, arch).
-    pub memo: Vec<SharedMemoStats>,
-    /// Milliseconds since the manager was created (wall-class).
-    pub wall_uptime_ms: f64,
+/// The daemon's operational metrics: one fixed table of named atomics
+/// that the manager and the connection handlers update in place, and
+/// that [`proto::metrics_frame`] writes under the field names. Counting
+/// takes no lock; each latency digest keeps a mutex of its own. The
+/// table is observability only: nothing reads it back into a tuning
+/// decision.
+#[derive(Default)]
+pub(crate) struct MetricsTable {
+    /// `tune` requests admitted.
+    pub(crate) admission_accepted: AtomicU64,
+    /// `tune` requests refused with a `busy` frame.
+    pub(crate) admission_busy: AtomicU64,
+    /// Warm starts whose knowledge base produced seeds.
+    pub(crate) warm_kb_hit: AtomicU64,
+    /// Warm starts that resolved to nothing (empty store, unknown
+    /// stencil, unreadable index).
+    pub(crate) warm_kb_miss: AtomicU64,
+    /// Training rows behind the latest warm start.
+    pub(crate) warm_kb_train: AtomicU64,
+    /// Connections streaming a session (`tune` or `watch`).
+    pub(crate) watchers: AtomicU64,
+    /// Request lines per [`RequestKind`], indexed by the kind.
+    pub(crate) requests: [AtomicU64; RequestKind::ALL.len()],
+    /// Request bytes read (wall-class, like every field below).
+    pub(crate) wall_wire_in_bytes: AtomicU64,
+    /// Frame bytes written.
+    pub(crate) wall_wire_out_bytes: AtomicU64,
+    /// Handling time per [`RequestKind`] in ms, from the request read to
+    /// the reply fully written.
+    pub(crate) wall_req_ms: [Mutex<HistSnapshot>; RequestKind::ALL.len()],
 }
 
 /// The session registry and scheduler shared by every connection thread
@@ -289,11 +310,7 @@ pub struct SessionManager {
     idle_cv: Condvar,
     /// Operational metrics. Per-manager (not process-global) so
     /// concurrent daemons in one process stay independent.
-    metrics: MetricsRegistry,
-    admission_accepted: CounterHandle,
-    admission_busy: CounterHandle,
-    warm_kb_hit: CounterHandle,
-    warm_kb_miss: CounterHandle,
+    metrics: MetricsTable,
     started: Instant,
 }
 
@@ -307,20 +324,6 @@ impl SessionManager {
         queue_depth: usize,
         archive: Option<JournalStore>,
     ) -> Arc<SessionManager> {
-        let metrics = MetricsRegistry::new();
-        let admission_accepted = metrics.counter("admission_accepted");
-        let admission_busy = metrics.counter("admission_busy");
-        // Warm-start resolution: hit = the knowledge base produced seeds,
-        // miss = the knob was set but resolved to nothing (empty store,
-        // unknown stencil, unreadable index).
-        let warm_kb_hit = metrics.counter("warm_kb_hit");
-        let warm_kb_miss = metrics.counter("warm_kb_miss");
-        // Register the point-in-time gauges up front so an idle daemon's
-        // snapshot still lists them (at zero).
-        metrics.gauge("queue_depth");
-        metrics.gauge("sessions_running");
-        metrics.gauge("watchers");
-        metrics.gauge("warm_kb_train");
         Arc::new(SessionManager {
             workers,
             admission_limit: workers + queue_depth,
@@ -335,11 +338,7 @@ impl SessionManager {
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            metrics,
-            admission_accepted,
-            admission_busy,
-            warm_kb_hit,
-            warm_kb_miss,
+            metrics: MetricsTable::default(),
             started: Instant::now(),
         })
     }
@@ -349,9 +348,9 @@ impl SessionManager {
         self.workers
     }
 
-    /// The manager's metrics registry, for the connection layer to hang
-    /// its own counters and latency histograms off.
-    pub fn metrics(&self) -> &MetricsRegistry {
+    /// The manager's metrics table, which the connection layer updates
+    /// too (requests, wire bytes, watchers, latencies).
+    pub(crate) fn metrics(&self) -> &MetricsTable {
         &self.metrics
     }
 
@@ -388,19 +387,16 @@ impl SessionManager {
             .collect()
     }
 
-    /// Gather everything a `metrics` frame reports. Point-in-time gauges
-    /// are set from the same per-state session counts the frame's
-    /// `sessions` section shows, so the two can never disagree.
-    pub fn ops_snapshot(&self) -> OpsSnapshot {
-        let counts = self.counts_by_state();
-        self.metrics.gauge("queue_depth").set(counts.queued as i64);
-        self.metrics.gauge("sessions_running").set(counts.running as i64);
-        OpsSnapshot {
-            counts,
-            snapshot: self.metrics.snapshot(),
-            memo: shared_memo_stats(),
-            wall_uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
-        }
+    /// The `metrics` frame at this instant. Its `queue_depth` and
+    /// `sessions_running` gauges are the same per-state session counts
+    /// the frame's `sessions` section shows, so the two never disagree.
+    pub fn metrics_frame(&self) -> String {
+        proto::metrics_frame(
+            &self.counts_by_state(),
+            &self.metrics,
+            &shared_memo_stats(),
+            self.started.elapsed().as_secs_f64() * 1e3,
+        )
     }
 
     /// Admit a session or reject it (typed). Admission never blocks, and
@@ -416,7 +412,7 @@ impl SessionManager {
         }
         let limit = self.admission_limit;
         if g.active >= limit {
-            self.admission_busy.inc();
+            self.metrics.admission_busy.fetch_add(1, Ordering::Relaxed);
             return Err(Rejection::Busy {
                 running: g.active - g.queue.len(),
                 queued: g.queue.len(),
@@ -429,7 +425,7 @@ impl SessionManager {
         g.sessions.insert(id, Arc::clone(&session));
         g.queue.push_back(id);
         g.active += 1;
-        self.admission_accepted.inc();
+        self.metrics.admission_accepted.fetch_add(1, Ordering::Relaxed);
         Ok(session)
     }
 
@@ -516,23 +512,17 @@ impl SessionManager {
             Ok(outcome) => {
                 let done = DoneInfo::new(&outcome);
                 if let Some(w) = &outcome.warm {
-                    if w.seeds > 0 {
-                        self.warm_kb_hit.inc();
-                    } else {
-                        self.warm_kb_miss.inc();
-                    }
-                    self.metrics.gauge("warm_kb_train").set(w.n_train as i64);
+                    let m = &self.metrics;
+                    let resolved = if w.seeds > 0 { &m.warm_kb_hit } else { &m.warm_kb_miss };
+                    resolved.fetch_add(1, Ordering::Relaxed);
+                    m.warm_kb_train.store(w.n_train as u64, Ordering::Relaxed);
                 }
                 if let Some(store) = &self.archive {
                     // Best effort: an unwritable archive must not fail
                     // the session (the client already has the stream).
                     let stripped: Vec<String> =
                         session.lines_snapshot().iter().map(|l| strip_wall_fields(l)).collect();
-                    let name = format!(
-                        "s{:03}-{}-seed{}",
-                        session.id, session.request.stencil, session.request.seed
-                    );
-                    let _ = store.ingest_lines(&name, &stripped);
+                    let _ = store.ingest_lines(&archive_name(store, session), &stripped);
                     // Auto-feed: once an operator has built a `kb.json`
                     // in the archive, every finished session refreshes
                     // it, so later `--warm <archive>` requests see the
@@ -584,6 +574,23 @@ impl SessionManager {
         }
         g.completed
     }
+}
+
+/// The archive name of a finished session, `s{id:03}-{stencil}-seed{seed}`.
+/// Session ids restart at 0 with each daemon, so when an earlier daemon
+/// on the same archive took that name, the session gets the first free
+/// `…-1`, `…-2`, …: a daemon never replaces a summary.
+fn archive_name(store: &JournalStore, session: &Session) -> String {
+    let req = &session.request;
+    let base = format!("s{:03}-{}-seed{}", session.id, req.stencil, req.seed);
+    let mut name = base.clone();
+    for n in 1.. {
+        if !store.path_of(&name).exists() {
+            break;
+        }
+        name = format!("{base}-{n}");
+    }
+    name
 }
 
 #[cfg(test)]

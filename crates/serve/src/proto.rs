@@ -12,18 +12,26 @@
 //! All frames are produced through the telemetry crate's canonical JSON
 //! writer ([`cst_telemetry::json`]), so float formatting and string
 //! escaping are byte-deterministic across the whole workspace.
+//! `metrics_frame` is the one writer of the `metrics` frame: every
+//! metric name in it is written there, from the daemon's
+//! `MetricsTable`.
 
-use crate::manager::{SessionCounts, SessionRow};
+use crate::manager::{MetricsTable, SessionCounts, SessionRow};
 use crate::session::{DoneInfo, FaultSpec, TuneRequest};
 use cst_gpu_sim::registry::SharedMemoStats;
 use cst_gpu_sim::FaultStats;
 use cst_telemetry::json::{self, write_escaped, write_f64, Value};
-use cst_telemetry::metrics::{MetricsSnapshot, METRICS_VERSION};
+use cst_telemetry::write_hist_object;
 use std::fmt::Write as _;
 use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Wire-protocol version, negotiated via the `hello` frame.
 pub const PROTO_VERSION: u64 = 1;
+
+/// Version stamped into every `metrics` frame as `metrics_version`.
+/// Bump when a section or required field changes incompatibly.
+pub const METRICS_VERSION: u64 = 1;
 
 /// Control frame types the server may emit. Deliberately disjoint from
 /// the journal schema's event-type registry
@@ -78,6 +86,68 @@ pub enum Request {
     },
     /// Drain every admitted session, then stop the daemon.
     Shutdown,
+}
+
+/// What a request line asked for, as the `metrics` frame counts it:
+/// one kind per [`Request`] variant, and `Invalid` for a line that did
+/// not parse. The variants are in the byte order of their names, so
+/// [`RequestKind::ALL`] lists the kinds' metric keys in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RequestKind {
+    /// `cancel`.
+    Cancel,
+    /// A line that did not parse (or was too long).
+    Invalid,
+    /// `metrics`.
+    Metrics,
+    /// `shutdown`.
+    Shutdown,
+    /// `status`, with or without a session.
+    Status,
+    /// `tune`.
+    Tune,
+    /// `watch`.
+    Watch,
+}
+
+impl RequestKind {
+    /// Every kind, in the byte order of its name.
+    pub(crate) const ALL: [RequestKind; 7] = [
+        RequestKind::Cancel,
+        RequestKind::Invalid,
+        RequestKind::Metrics,
+        RequestKind::Shutdown,
+        RequestKind::Status,
+        RequestKind::Tune,
+        RequestKind::Watch,
+    ];
+
+    /// The kind of a parsed request line.
+    pub(crate) fn of(parsed: &Result<Request, String>) -> RequestKind {
+        match parsed {
+            Err(_) => RequestKind::Invalid,
+            Ok(Request::Tune(_)) => RequestKind::Tune,
+            Ok(Request::Status { .. }) => RequestKind::Status,
+            Ok(Request::Metrics) => RequestKind::Metrics,
+            Ok(Request::Watch { .. }) => RequestKind::Watch,
+            Ok(Request::Cancel { .. }) => RequestKind::Cancel,
+            Ok(Request::Shutdown) => RequestKind::Shutdown,
+        }
+    }
+
+    /// The name in the kind's metric keys, `requests_<name>` and
+    /// `wall_req_<name>_ms`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            RequestKind::Cancel => "cancel",
+            RequestKind::Invalid => "invalid",
+            RequestKind::Metrics => "metrics",
+            RequestKind::Shutdown => "shutdown",
+            RequestKind::Status => "status",
+            RequestKind::Tune => "tune",
+            RequestKind::Watch => "watch",
+        }
+    }
 }
 
 fn opt_str<'v>(v: &'v Value, key: &str) -> Result<Option<&'v str>, String> {
@@ -359,7 +429,11 @@ pub fn status_frame(counts: &SessionCounts, rows: &[SessionRow]) -> String {
     s
 }
 
-/// Operational metrics snapshot (reply to a `metrics` request).
+/// Operational metrics (reply to a `metrics` request), written from the
+/// daemon's [`MetricsTable`]. Within each section the keys are in byte
+/// order. A `requests_<kind>` count, a wire-byte total and a
+/// `wall_req_<kind>_ms` digest are listed once nonzero, every other key
+/// always; `hists` is always empty, and version 1 requires it.
 ///
 /// Field order is part of the determinism contract: every deterministic
 /// section (session counts, counters, gauges, histograms) precedes the
@@ -369,34 +443,66 @@ pub fn status_frame(counts: &SessionCounts, rows: &[SessionRow]) -> String {
 /// is serialized contiguously last, so
 /// [`cst_telemetry::strip_wall_fields`] reduces the frame to a
 /// byte-deterministic core.
-pub fn metrics_frame(
+pub(crate) fn metrics_frame(
     counts: &SessionCounts,
-    snap: &MetricsSnapshot,
+    m: &MetricsTable,
     memo: &[SharedMemoStats],
     wall_uptime_ms: f64,
 ) -> String {
+    let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
     let mut s = format!("{{\"type\":\"metrics\",\"proto\":{PROTO_VERSION},");
     write_session_counts(&mut s, counts);
-    s.push(',');
-    snap.write_deterministic(&mut s);
-    s.push_str(",\"wall_uptime_ms\":");
-    let _ = write!(s, "{wall_uptime_ms:.3}");
-    snap.write_wall(&mut s);
-    s.push_str(",\"wall_memo\":[");
-    for (i, m) in memo.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+    let _ = write!(
+        s,
+        ",\"metrics_version\":{METRICS_VERSION},\"counters\":{{\"admission_accepted\":{},\
+         \"admission_busy\":{}",
+        get(&m.admission_accepted),
+        get(&m.admission_busy)
+    );
+    for kind in RequestKind::ALL {
+        let n = get(&m.requests[kind as usize]);
+        if n > 0 {
+            let _ = write!(s, ",\"requests_{}\":{n}", kind.name());
         }
+    }
+    let _ = write!(
+        s,
+        ",\"warm_kb_hit\":{},\"warm_kb_miss\":{}}},\"gauges\":{{\"queue_depth\":{},\
+         \"sessions_running\":{},\"warm_kb_train\":{},\"watchers\":{}}},\"hists\":{{}}",
+        get(&m.warm_kb_hit),
+        get(&m.warm_kb_miss),
+        counts.queued,
+        counts.running,
+        get(&m.warm_kb_train),
+        get(&m.watchers)
+    );
+    let _ = write!(s, ",\"wall_uptime_ms\":{wall_uptime_ms:.3},\"wall_counters\":{{");
+    let wire = [
+        ("wall_wire_in_bytes", get(&m.wall_wire_in_bytes)),
+        ("wall_wire_out_bytes", get(&m.wall_wire_out_bytes)),
+    ];
+    json::write_joined(&mut s, wire.iter().filter(|(_, n)| *n > 0), |s, (name, n)| {
+        let _ = write!(s, "\"{name}\":{n}");
+    });
+    s.push_str("},\"wall_hists\":{");
+    let latency =
+        RequestKind::ALL.map(|k| (k, *m.wall_req_ms[k as usize].lock().expect("digest lock")));
+    json::write_joined(&mut s, latency.iter().filter(|(_, h)| h.count > 0), |s, (kind, h)| {
+        let _ = write!(s, "\"wall_req_{}_ms\":", kind.name());
+        write_hist_object(s, h);
+    });
+    s.push_str("},\"wall_memo\":[");
+    json::write_joined(&mut s, memo, |s, row| {
         s.push_str("{\"stencil\":");
-        write_escaped(&mut s, &m.stencil);
+        write_escaped(s, &row.stencil);
         s.push_str(",\"arch\":");
-        write_escaped(&mut s, &m.arch);
+        write_escaped(s, &row.arch);
         let _ = write!(
             s,
             ",\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{},\"cap\":{}}}",
-            m.hits, m.misses, m.evictions, m.entries, m.cap
+            row.hits, row.misses, row.evictions, row.entries, row.cap
         );
-    }
+    });
     s.push_str("]}");
     s
 }
@@ -613,7 +719,7 @@ mod tests {
             session_done_frame(1, "failed", None, Some("no valid settings to search")),
             bye_frame(7),
             status_frame(&counts, std::slice::from_ref(&row)),
-            metrics_frame(&counts, &MetricsSnapshot::default(), &[], 12.5),
+            metrics_frame(&counts, &MetricsTable::default(), &[], 12.5),
         ];
         for frame in &frames {
             let v = json::parse(frame).expect("frame is valid JSON");
@@ -630,11 +736,10 @@ mod tests {
     #[test]
     fn metrics_frame_validates_and_strips_to_a_deterministic_core() {
         let counts = SessionCounts { queued: 0, running: 0, done: 1, failed: 0, cancelled: 0 };
-        let reg = cst_telemetry::metrics::MetricsRegistry::new();
-        reg.counter("admission_accepted").inc();
-        reg.gauge("queue_depth").set(0);
-        reg.wall_counter("wall_wire_out_bytes").add(4096);
-        reg.wall_hist("wall_req_tune_ms").observe(3.5);
+        let table = MetricsTable::default();
+        table.admission_accepted.fetch_add(1, Ordering::Relaxed);
+        table.wall_wire_out_bytes.fetch_add(4096, Ordering::Relaxed);
+        table.wall_req_ms[RequestKind::Tune as usize].lock().unwrap().observe(3.5);
         let memo = [SharedMemoStats {
             stencil: "j3d7pt".to_string(),
             arch: "a100".to_string(),
@@ -644,19 +749,18 @@ mod tests {
             entries: 4,
             cap: 0,
         }];
-        let frame = metrics_frame(&counts, &reg.snapshot(), &memo, 250.0);
+        let frame = metrics_frame(&counts, &table, &memo, 250.0);
         validate_metrics_frame(&frame).expect("frame validates");
         let stripped = cst_telemetry::strip_wall_fields(&frame);
         assert!(!stripped.contains("wall"), "{stripped}");
         assert!(!stripped.contains("memo"), "memo stats are wall-class: {stripped}");
         json::parse(&stripped).expect("stripped frame stays valid JSON");
-        // A second registry with the same deterministic state strips to
-        // the same bytes regardless of wall-class traffic.
-        let reg2 = cst_telemetry::metrics::MetricsRegistry::new();
-        reg2.counter("admission_accepted").inc();
-        reg2.gauge("queue_depth").set(0);
-        reg2.wall_counter("wall_wire_out_bytes").add(777);
-        let frame2 = metrics_frame(&counts, &reg2.snapshot(), &[], 9.0);
+        // A second table with the same deterministic state strips to the
+        // same bytes regardless of wall-class traffic.
+        let table2 = MetricsTable::default();
+        table2.admission_accepted.fetch_add(1, Ordering::Relaxed);
+        table2.wall_wire_out_bytes.fetch_add(777, Ordering::Relaxed);
+        let frame2 = metrics_frame(&counts, &table2, &[], 9.0);
         assert_eq!(stripped, cst_telemetry::strip_wall_fields(&frame2));
         // The validator rejects shape violations.
         assert!(validate_metrics_frame("{\"type\":\"metrics\"}").is_err());

@@ -10,11 +10,14 @@
 //! when bound to an unspecified address) to wake the loop so it exits.
 //! Accepted streams set `TCP_NODELAY` and every frame goes out in one
 //! write, so no frame waits on a delayed ACK.
+//!
+//! The handler counts into the manager's `MetricsTable` as it goes:
+//! wire bytes in and out, one request per `RequestKind`, the watchers
+//! streaming a session, and each request's handling time.
 
-use crate::manager::{Progress, Rejection, Session, SessionManager};
-use crate::proto;
+use crate::manager::{MetricsTable, Progress, Rejection, Session, SessionManager};
+use crate::proto::{self, RequestKind};
 use cst_obs::JournalStore;
-use cst_telemetry::metrics::CounterHandle;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -185,9 +188,9 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
     bound
 }
 
-fn send_line(stream: &mut impl Write, line: &str, wire_out: &CounterHandle) -> std::io::Result<()> {
+fn send_line(stream: &mut impl Write, line: &str, metrics: &MetricsTable) -> std::io::Result<()> {
     proto::write_frame(stream, line)?;
-    wire_out.add(line.len() as u64 + 1);
+    metrics.wall_wire_out_bytes.fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
     Ok(())
 }
 
@@ -199,25 +202,24 @@ fn send_accepted(
     stream: &mut impl Write,
     session: u64,
     wake: impl FnOnce(),
-    wire_out: &CounterHandle,
+    metrics: &MetricsTable,
 ) -> std::io::Result<()> {
-    let sent = send_line(stream, &proto::accepted_frame(session), wire_out);
+    let sent = send_line(stream, &proto::accepted_frame(session), metrics);
     wake();
     sent
 }
 
 /// Replay a session's records from the start and follow until terminal,
-/// then send the `session_done` frame. Returns early (leaving the
-/// session running) if the client went away.
-fn stream_session(stream: &mut TcpStream, session: &Arc<Session>, wire_out: &CounterHandle) {
+/// then send the `session_done` frame, counted as a watcher throughout.
+/// Returns early (leaving the session running) if the client went away.
+fn stream_session(stream: &mut TcpStream, session: &Arc<Session>, metrics: &MetricsTable) {
+    metrics.watchers.fetch_add(1, Ordering::Relaxed);
     let mut cursor = 0usize;
     loop {
         match session.follow(cursor) {
             Progress::Records(lines) => {
-                for line in &lines {
-                    if send_line(stream, line, wire_out).is_err() {
-                        return;
-                    }
+                if lines.iter().any(|line| send_line(stream, line, metrics).is_err()) {
+                    break;
                 }
                 cursor += lines.len();
             }
@@ -228,11 +230,12 @@ fn stream_session(stream: &mut TcpStream, session: &Arc<Session>, wire_out: &Cou
                     done.as_ref(),
                     error.as_deref(),
                 );
-                let _ = send_line(stream, &frame, wire_out);
-                return;
+                let _ = send_line(stream, &frame, metrics);
+                break;
             }
         }
     }
+    metrics.watchers.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// How long a connected client may take to send its request line
@@ -282,10 +285,8 @@ fn handle_connection(
     wake: SocketAddr,
 ) {
     let metrics = manager.metrics();
-    let wire_in = metrics.wall_counter("wall_wire_in_bytes");
-    let wire_out = metrics.wall_counter("wall_wire_out_bytes");
     if stream.set_nodelay(true).is_err()
-        || send_line(&mut stream, &proto::hello_frame(), &wire_out).is_err()
+        || send_line(&mut stream, &proto::hello_frame(), metrics).is_err()
     {
         return;
     }
@@ -308,50 +309,35 @@ fn handle_connection(
         // As `read_line` would, drop a line that is not UTF-8 unanswered.
         Err(_) => return,
     };
-    wire_in.add(line.len() as u64);
+    metrics.wall_wire_in_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
     let started = Instant::now();
     let parsed = if over_long {
         Err(format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"))
     } else {
         proto::parse_request(text.trim())
     };
-    // Per-request accounting: a deterministic count per command plus a
+    // Per-request accounting: a deterministic count per kind plus a
     // wall-class latency digest (handling time, request read to reply
-    // fully written). Names are static so handles resolve once.
-    let (request_counter, latency_hist) = match &parsed {
-        Err(_) => ("requests_invalid", "wall_req_invalid_ms"),
-        Ok(proto::Request::Tune(_)) => ("requests_tune", "wall_req_tune_ms"),
-        Ok(proto::Request::Status { .. }) => ("requests_status", "wall_req_status_ms"),
-        Ok(proto::Request::Metrics) => ("requests_metrics", "wall_req_metrics_ms"),
-        Ok(proto::Request::Watch { .. }) => ("requests_watch", "wall_req_watch_ms"),
-        Ok(proto::Request::Cancel { .. }) => ("requests_cancel", "wall_req_cancel_ms"),
-        Ok(proto::Request::Shutdown) => ("requests_shutdown", "wall_req_shutdown_ms"),
-    };
-    metrics.counter(request_counter).inc();
+    // fully written).
+    let kind = RequestKind::of(&parsed);
+    metrics.requests[kind as usize].fetch_add(1, Ordering::Relaxed);
     match parsed {
         Err(msg) => {
-            let _ = send_line(&mut stream, &proto::error_frame(&msg), &wire_out);
+            let _ = send_line(&mut stream, &proto::error_frame(&msg), metrics);
         }
         Ok(proto::Request::Tune(request)) => match manager.submit(request) {
             Ok(session) => {
                 let wake = || manager.wake_worker();
-                if send_accepted(&mut stream, session.id, wake, &wire_out).is_ok() {
-                    let watchers = metrics.gauge("watchers");
-                    watchers.add(1);
-                    stream_session(&mut stream, &session, &wire_out);
-                    watchers.add(-1);
+                if send_accepted(&mut stream, session.id, wake, metrics).is_ok() {
+                    stream_session(&mut stream, &session, metrics);
                 }
             }
             Err(Rejection::Busy { running, queued, limit }) => {
-                let _ =
-                    send_line(&mut stream, &proto::busy_frame(running, queued, limit), &wire_out);
+                let _ = send_line(&mut stream, &proto::busy_frame(running, queued, limit), metrics);
             }
             Err(Rejection::ShuttingDown) => {
-                let _ = send_line(
-                    &mut stream,
-                    &proto::error_frame("daemon is shutting down"),
-                    &wire_out,
-                );
+                let _ =
+                    send_line(&mut stream, &proto::error_frame("daemon is shutting down"), metrics);
             }
         },
         Ok(proto::Request::Status { session: Some(session) }) => {
@@ -359,31 +345,20 @@ fn handle_connection(
                 Some(s) => proto::session_frame(session, s.state().name(), s.record_count()),
                 None => proto::error_frame(&format!("unknown session {session}")),
             };
-            let _ = send_line(&mut stream, &frame, &wire_out);
+            let _ = send_line(&mut stream, &frame, metrics);
         }
         Ok(proto::Request::Status { session: None }) => {
             let frame = proto::status_frame(&manager.counts_by_state(), &manager.session_rows());
-            let _ = send_line(&mut stream, &frame, &wire_out);
+            let _ = send_line(&mut stream, &frame, metrics);
         }
         Ok(proto::Request::Metrics) => {
-            let ops = manager.ops_snapshot();
-            let frame =
-                proto::metrics_frame(&ops.counts, &ops.snapshot, &ops.memo, ops.wall_uptime_ms);
-            let _ = send_line(&mut stream, &frame, &wire_out);
+            let _ = send_line(&mut stream, &manager.metrics_frame(), metrics);
         }
         Ok(proto::Request::Watch { session }) => match manager.get(session) {
-            Some(s) => {
-                let watchers = metrics.gauge("watchers");
-                watchers.add(1);
-                stream_session(&mut stream, &s, &wire_out);
-                watchers.add(-1);
-            }
+            Some(s) => stream_session(&mut stream, &s, metrics),
             None => {
-                let _ = send_line(
-                    &mut stream,
-                    &proto::error_frame(&format!("unknown session {session}")),
-                    &wire_out,
-                );
+                let frame = proto::error_frame(&format!("unknown session {session}"));
+                let _ = send_line(&mut stream, &frame, metrics);
             }
         },
         Ok(proto::Request::Cancel { session }) => {
@@ -394,11 +369,11 @@ fn handle_connection(
                 }
                 None => proto::error_frame(&format!("unknown session {session}")),
             };
-            let _ = send_line(&mut stream, &frame, &wire_out);
+            let _ = send_line(&mut stream, &frame, metrics);
         }
         Ok(proto::Request::Shutdown) => {
             let completed = manager.begin_shutdown();
-            let _ = send_line(&mut stream, &proto::bye_frame(completed), &wire_out);
+            let _ = send_line(&mut stream, &proto::bye_frame(completed), metrics);
             stop.store(true, Ordering::Release);
             // The accept loop is blocked in `accept`: one throwaway
             // connection wakes it to see the flag. If the connect fails
@@ -407,9 +382,10 @@ fn handle_connection(
             let _ = TcpStream::connect(wake);
         }
     }
-    metrics.wall_hist(latency_hist).observe(started.elapsed().as_secs_f64() * 1e3);
+    let ms = started.elapsed().as_secs_f64() * 1e3;
+    metrics.wall_req_ms[kind as usize].lock().expect("digest lock").observe(ms);
     if over_long {
-        wire_in.add(discard_input(&mut stream));
+        metrics.wall_wire_in_bytes.fetch_add(discard_input(&mut stream), Ordering::Relaxed);
     }
 }
 
@@ -418,6 +394,8 @@ mod tests {
     use super::*;
     use crate::client;
     use crate::session::{FaultSpec, TuneRequest};
+    use cst_telemetry::json::{self, Value};
+    use cst_telemetry::strip_wall_fields;
 
     fn quick_req(seed: u64) -> TuneRequest {
         TuneRequest::build(None, None, None, Some(seed), Some(6.0), true, Some(FaultSpec::Off))
@@ -501,17 +479,18 @@ mod tests {
                 Ok(())
             }
         }
-        let wire_out = cst_telemetry::metrics::MetricsRegistry::new().counter("wire_bytes_out");
+        let metrics = MetricsTable::default();
         for refuse in [false, true] {
             let log = std::cell::RefCell::new(Vec::new());
             let wake = || log.borrow_mut().push("wake".to_string());
-            let sent = send_accepted(&mut Client { log: &log, refuse }, 7, wake, &wire_out);
+            let sent = send_accepted(&mut Client { log: &log, refuse }, 7, wake, &metrics);
             assert_eq!(sent.is_ok(), !refuse);
             // The frame first, then the wake: a refused write still wakes.
             assert_eq!(log.into_inner(), [proto::accepted_frame(7) + "\n", "wake".to_string()]);
         }
         let accepted_bytes = proto::accepted_frame(7).len() as u64 + 1;
-        assert_eq!(wire_out.get(), accepted_bytes, "only the sent frame counts");
+        let wire_out = metrics.wall_wire_out_bytes.load(Ordering::Relaxed);
+        assert_eq!(wire_out, accepted_bytes, "only the sent frame counts");
     }
 
     #[test]
@@ -520,6 +499,79 @@ mod tests {
         assert_eq!(wake("0.0.0.0:4815"), "127.0.0.1:4815");
         assert_eq!(wake("[::]:4815"), "[::1]:4815");
         assert_eq!(wake("192.0.2.7:4815"), "192.0.2.7:4815");
+    }
+
+    /// The keys of one section of a `metrics` frame, in frame order.
+    fn section_keys(frame: &str, section: &str) -> Vec<String> {
+        match json::parse(frame).unwrap().get(section) {
+            Some(Value::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("`{section}` is not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_metrics_table_lists_its_keys_in_byte_order_once_they_count() {
+        // A fresh manager lists only the keys that are always present.
+        let fresh = SessionManager::new(1, 1, None).metrics_frame();
+        proto::validate_metrics_frame(&fresh).unwrap();
+        let always = ["admission_accepted", "admission_busy", "warm_kb_hit", "warm_kb_miss"];
+        assert_eq!(section_keys(&fresh, "counters"), always);
+        let gauges = ["queue_depth", "sessions_running", "warm_kb_train", "watchers"];
+        assert_eq!(section_keys(&fresh, "gauges"), gauges);
+        for section in ["hists", "wall_counters", "wall_hists"] {
+            assert!(section_keys(&fresh, section).is_empty(), "{fresh}");
+        }
+
+        let handle = Server::spawn(&ephemeral(1, 1)).unwrap();
+        let addr = handle.addr.to_string();
+        let history = [
+            "this is not json".to_string(),
+            proto::status_summary_request_line(),
+            proto::session_request_line("watch", 7),
+            proto::session_request_line("cancel", 7),
+        ];
+        for line in &history {
+            client::roundtrip(&addr, line).unwrap();
+        }
+        let polls: Vec<String> = (0..2)
+            .map(|_| client::roundtrip(&addr, &proto::metrics_request_line()).unwrap().remove(0))
+            .collect();
+        for poll in &polls {
+            proto::validate_metrics_frame(poll).unwrap();
+            for section in ["counters", "gauges", "hists", "wall_counters", "wall_hists"] {
+                let keys = section_keys(poll, section);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{section}: {keys:?}");
+            }
+            assert_eq!(section_keys(poll, "gauges"), gauges);
+        }
+        // A request is counted before its reply is written, so each poll
+        // counts itself; its latency is observed after, so the first
+        // poll's digest shows only in the second.
+        let counters = section_keys(&polls[0], "counters");
+        let requests =
+            ["cancel", "invalid", "metrics", "status", "watch"].map(|k| format!("requests_{k}"));
+        assert_eq!(counters[..2], always[..2]);
+        assert_eq!(counters[2..7], requests);
+        assert_eq!(counters[7..], always[2..]);
+        let digests =
+            |kinds: &[&str]| kinds.iter().map(|k| format!("wall_req_{k}_ms")).collect::<Vec<_>>();
+        assert_eq!(
+            section_keys(&polls[0], "wall_hists"),
+            digests(&["cancel", "invalid", "status", "watch"])
+        );
+        assert_eq!(
+            section_keys(&polls[1], "wall_hists"),
+            digests(&["cancel", "invalid", "metrics", "status", "watch"])
+        );
+        let wire = ["wall_wire_in_bytes", "wall_wire_out_bytes"];
+        assert_eq!(section_keys(&polls[1], "wall_counters"), wire);
+        assert_eq!(
+            strip_wall_fields(&polls[1]),
+            strip_wall_fields(&polls[0])
+                .replace("\"requests_metrics\":1", "\"requests_metrics\":2")
+        );
+        client::roundtrip(&addr, &proto::shutdown_request_line()).unwrap();
+        handle.join();
     }
 
     #[test]

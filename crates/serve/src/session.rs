@@ -31,6 +31,12 @@ pub fn find_stencil(name: &str) -> Option<StencilKernel> {
     cst_stencil::kernel_by_name(name)
 }
 
+/// Look up a GPU architecture by name, case-insensitively, with the
+/// error a request, a campaign spec and `kb rank` give for an unknown one.
+pub fn find_arch(name: &str) -> Result<GpuArch, String> {
+    GpuArch::by_name(name).ok_or_else(|| format!("unknown arch `{name}` (a100|v100|small)"))
+}
+
 /// Build a tuner by its canonical flag name (resolved through the
 /// [`zoo`] registry); `quick` selects the CLI's reduced-scale csTuner
 /// configuration.
@@ -118,9 +124,7 @@ impl TuneRequest {
             return Err(format!("unknown stencil `{stencil}`; run `cstuner list`"));
         }
         let arch = arch.unwrap_or("a100").to_string();
-        if GpuArch::by_name(&arch).is_none() {
-            return Err(format!("unknown arch `{arch}` (a100|v100|small)"));
-        }
+        find_arch(&arch)?;
         let tuner = tuner.unwrap_or("cstuner").to_string();
         if zoo::find(&tuner).is_none() {
             return Err(zoo::unknown_tuner_message(&tuner));

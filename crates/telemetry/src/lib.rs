@@ -22,10 +22,13 @@
 //! schema and folds it in the same pass. [`schema::validate_journal`]
 //! keeps its verdict; [`report::render_report`] renders the fold as the
 //! per-stage/convergence/counter summary behind `cstuner report`.
+//!
+//! [`HistSnapshot`] is the one log₁₀-bucket digest and
+//! [`write_hist_object`] its one writer: the journal's `counters` record
+//! and the daemon's `metrics` frame (in `cst-serve`) both carry it.
 
 pub mod journal;
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod schema;
 
@@ -180,7 +183,8 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
-    pub(crate) fn observe(&mut self, v: f64) {
+    /// Record one observation (non-finite values are ignored).
+    pub fn observe(&mut self, v: f64) {
         if !v.is_finite() {
             return;
         }
@@ -195,6 +199,24 @@ impl HistSnapshot {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
+}
+
+/// Append one histogram digest in its canonical shape:
+/// `{"count":N,"sum":S,"min":m,"max":M,"buckets":[…]}`. The journal's
+/// `counters` record and the daemon's `metrics` frame both write it, so
+/// [`journal::hist_percentiles`] reads either.
+pub fn write_hist_object(out: &mut String, s: &HistSnapshot) {
+    let _ = write!(out, "{{\"count\":{},\"sum\":", s.count);
+    write_f64(out, s.sum);
+    out.push_str(",\"min\":");
+    write_f64(out, s.min);
+    out.push_str(",\"max\":");
+    write_f64(out, s.max);
+    out.push_str(",\"buckets\":[");
+    json::write_joined(out, &s.buckets, |out, b| {
+        let _ = write!(out, "{b}");
+    });
+    out.push_str("]}");
 }
 
 /// A field value of a journal event.
@@ -454,7 +476,7 @@ impl Telemetry {
             }
             for h in Hist::ALL {
                 let _ = write!(line, ",\"hist_{}\":", h.name());
-                metrics::write_hist_object(&mut line, &hists[h.index()]);
+                write_hist_object(&mut line, &hists[h.index()]);
             }
             let wall_ms = inner.epoch.elapsed().as_secs_f64() * 1e3;
             let _ = write!(line, ",\"wall_ms\":{wall_ms:.3}}}");

@@ -133,10 +133,36 @@ pub(crate) fn check_record(v: &Value) -> Result<(&'static str, u64), String> {
                 ));
             }
         }
+        "run_meta" => validate_run_meta(v)?,
         "counters" => validate_counters(v)?,
         _ => {}
     }
     Ok((ty, seq))
+}
+
+/// `run_meta` is free-form, but the fields a summary reads have one kind
+/// each when present: `stencil`, `arch` and `tuner` are strings,
+/// `budget_s` is a number and `seed` an integer from 0 to 2^53 - 1, the
+/// seeds a JSON number carries exactly. Any of them may be absent.
+fn validate_run_meta(v: &Value) -> Result<(), String> {
+    let kinds = [
+        ("stencil", FieldKind::Str),
+        ("arch", FieldKind::Str),
+        ("tuner", FieldKind::Str),
+        ("budget_s", FieldKind::Num),
+    ];
+    for (name, kind) in kinds {
+        if let Some(val) = v.get(name).filter(|val| !kind.matches(val)) {
+            return Err(format!("run_meta: field '{name}' is {}, expected {kind:?}", val.kind()));
+        }
+    }
+    match v.get("seed") {
+        Some(val) if val.as_u64().is_none() => Err(format!(
+            "run_meta: field 'seed' is {}, expected an integer from 0 to 2^53 - 1",
+            val.kind()
+        )),
+        _ => Ok(()),
+    }
 }
 
 fn validate_counters(v: &Value) -> Result<(), String> {

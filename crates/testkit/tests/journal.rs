@@ -113,6 +113,51 @@ fn mutate(lines: &mut Vec<String>, kind: u32, at: usize, mask: u8) {
 }
 
 #[test]
+fn run_meta_fields_of_the_wrong_kind_are_typed_errors_in_every_reader() {
+    // A served session's journal, as `cstuner tune --quick --seed 5` writes it.
+    let req = cst_serve::TuneRequest::build(
+        None,
+        None,
+        Some("random"),
+        Some(5),
+        None,
+        true,
+        Some(cst_serve::FaultSpec::Off),
+    )
+    .unwrap();
+    let tel = Telemetry::in_memory();
+    cst_serve::run_session(&req, &tel, None).expect("quick run");
+    let lines = tel.lines().unwrap();
+    let meta = lines.iter().position(|l| l.contains("\"type\":\"run_meta\"")).unwrap();
+    assert!(lines[meta].contains("\"seed\":5,"), "{}", lines[meta]);
+    schema::validate_journal(&lines).expect("the unmutated journal validates");
+    let archive = std::env::temp_dir().join(format!("cst_run_meta_{}", std::process::id()));
+    let store = cst_obs::JournalStore::open(&archive).unwrap();
+    for (from, to, error) in [
+        ("\"seed\":5,", "\"seed\":9007199254740993,", "field 'seed' is number"),
+        ("\"seed\":5,", "\"seed\":\"five\",", "field 'seed' is string"),
+        ("\"seed\":5,", "\"seed\":-5,", "field 'seed' is number"),
+        ("\"stencil\":\"j3d7pt\"", "\"stencil\":7", "field 'stencil' is number"),
+        ("\"budget_s\":30.0", "\"budget_s\":\"30\"", "field 'budget_s' is string"),
+    ] {
+        let mut mutated = lines.clone();
+        mutated[meta] = mutated[meta].replacen(from, to, 1);
+        assert_ne!(mutated[meta], lines[meta], "{from} is in {}", lines[meta]);
+        // `journal-check`, `report` and `obs ingest` refuse it alike, and
+        // the archive stays empty.
+        for err in [
+            schema::validate_journal(&mutated).map(drop).unwrap_err(),
+            report::render_report(&mutated).map(drop).unwrap_err(),
+            store.ingest_lines("mutated", &mutated).map(drop).unwrap_err(),
+        ] {
+            assert!(err.contains(error), "{to}: {err}");
+        }
+        assert!(store.list().unwrap().is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&archive);
+}
+
+#[test]
 fn mutated_journals_are_typed_errors_in_every_reader() {
     let base = journaled_run(1, FaultProfile::Off);
     assert!(base.iter().all(|l| l.is_ascii()), "byte cuts and flips assume ASCII");

@@ -380,3 +380,32 @@ fn a_hostile_deeply_nested_request_gets_an_error_frame_and_the_daemon_serves_on(
     let bye = server.shutdown();
     assert!(bye[0].contains("\"type\":\"bye\""), "{}", bye[0]);
 }
+
+#[test]
+fn a_restarted_daemon_keeps_its_predecessors_summaries() {
+    // Session ids restart at 0 with each daemon, so the second daemon's
+    // first session has the first one's archive name; it must archive
+    // beside that summary, never over it.
+    let dir = std::env::temp_dir().join(format!("cst_serve_restart_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for tuner in ["cstuner", "random"] {
+        let cfg = cst_serve::ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: 1,
+            archive: Some(dir.clone()),
+        };
+        let handle = cst_serve::Server::spawn(&cfg).unwrap();
+        let addr = handle.addr.to_string();
+        let req = TuneRequest { tuner: tuner.to_string(), ..quick_req(0) };
+        let frames = cst_serve::roundtrip(&addr, &proto::tune_request_line(&req)).unwrap();
+        assert!(frames.last().unwrap().contains("\"state\":\"done\""), "{frames:#?}");
+        cst_serve::roundtrip(&addr, &proto::shutdown_request_line()).unwrap();
+        handle.join();
+    }
+    let store = cst_obs::JournalStore::open(&dir).unwrap();
+    assert_eq!(store.list().unwrap(), ["s000-j3d7pt-seed0", "s000-j3d7pt-seed0-1"]);
+    let tuners: Vec<String> = store.load_all().unwrap().into_iter().map(|s| s.tuner).collect();
+    assert_eq!(tuners, ["cstuner", "random"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -19,11 +19,18 @@
 #   - the campaign smoke (`examples/campaign_smoke.json`): its summaries;
 #   - `kb build` on a copy of results/obs/warm-fixture, then warm runs
 #     (`tune --quick --seed 3 --warm`) of random, forest, anneal and
-#     opentuner: kb.json, stdout and the journals.
-# Journals are compared wall-stripped: every key starting with `wall` is
-# dropped. Prints one line per artifact, `equal <leg>/<artifact>` or
-# `DIFF <leg>/<artifact>: <first differing byte>`, and exits 1 on any
-# DIFF.
+#     opentuner: kb.json, stdout and the journals;
+#   - a daemon (`serve --addr 127.0.0.1:0 --archive DIR`) driven by
+#     `client tune --quick --seed 1 --journal`, `client watch --session
+#     0`, `client status`, `client status --session 7` and `client cancel
+#     --session 7` (unknown sessions: stderr and exit code kept),
+#     `client metrics --json` and `client shutdown`: each command's
+#     output, the served journal, the metrics frame and the archived
+#     summary.
+# Journals and the metrics frame are compared wall-stripped: every key
+# starting with `wall` is dropped. Prints one line per artifact, `equal
+# <leg>/<artifact>` or `DIFF <leg>/<artifact>: <first differing byte>`,
+# and exits 1 on any DIFF.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -73,6 +80,31 @@ battery() {  # battery <tree> <bin-dir> <out-dir> [VAR=value...]
     env "$@" "$bin/cstuner" tune --stencil j3d7pt --quick --tuner "$t" --seed 3 \
       --warm warm-kb --journal "warm-$t.jsonl" > "warm-$t.stdout"
   done
+  served "$@"
+}
+
+served() {  # served [VAR=value...]: one daemon, one client command at a time
+  local legenv=("$@") addr=
+  env "$@" "$bin/cstuner" serve --addr 127.0.0.1:0 --archive served-archive \
+    > serve.log 2>&1 &
+  local daemon=$!
+  trap "kill $daemon 2> /dev/null" EXIT
+  for _ in $(seq 100); do
+    addr=$(sed -n 's/^listening on //p' serve.log)
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  client() { env "${legenv[@]}" "$bin/cstuner" client "$@" --addr "$addr"; }
+  client tune --quick --seed 1 --journal served.jsonl > served-tune.stdout
+  client watch --session 0 > served-watch.stdout
+  client status > served-status.stdout
+  { client status --session 7 || echo "exit $?"; } > served-status-7.out 2>&1
+  { client cancel --session 7 || echo "exit $?"; } > served-cancel-7.out 2>&1
+  client metrics --json > served-metrics.json
+  client shutdown > served-shutdown.stdout
+  wait "$daemon"
+  trap - EXIT
+  rm serve.log
 }
 
 out=$(mktemp -d)
@@ -96,6 +128,9 @@ done
 strip_wall() {  # journal lines without their wall-clock keys
   sed -E 's/,"wall[a-z_]*":[^,}]*//g' "$1"
 }
+strip_wall_tail() {  # a metrics frame without its wall tail, which ends it
+  sed -E 's/,"wall.*$/}/' "$1"
+}
 
 diffs=0
 artifacts=$(cd "$out" && find rev work -type f | cut -d/ -f2- | sort -u)
@@ -108,6 +143,8 @@ for a in $artifacts; do
   fi
   case $a in
     *.jsonl) verdict=$(cmp <(strip_wall "$r") <(strip_wall "$w") 2>&1) || true ;;
+    */served-metrics.json)
+      verdict=$(cmp <(strip_wall_tail "$r") <(strip_wall_tail "$w") 2>&1) || true ;;
     *) verdict=$(cmp "$r" "$w" 2>&1) || true ;;
   esac
   if [ -z "$verdict" ]; then

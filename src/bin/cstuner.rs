@@ -727,13 +727,14 @@ fn kb_rank(args: &Args) {
     let Some(stencil) = args.text("stencil").filter(|s| !s.is_empty()) else {
         die(2, "--stencil is required for `cstuner kb rank`")
     };
-    let arch = args.text("arch").unwrap_or("A100");
+    // Sessions rank for the arch's canonical name, so `kb rank` does too.
+    let arch = cstuner::serve::find_arch(args.text("arch").unwrap_or("a100")).or_die(2);
     let top = args.u64("top").map_or(DEFAULT_TOP_K, |t| t as usize);
     let kb = load_kb(args);
-    let w = warm_seeds(&kb, stencil, arch, top, args.u64("seed").unwrap_or(0));
+    let w = warm_seeds(&kb, stencil, arch.name, top, args.u64("seed").unwrap_or(0));
     println!(
-        "kb rank: {stencil} on {arch} — {} mode, {} training rows, {} candidates",
-        w.mode, w.n_train, w.candidates
+        "kb rank: {stencil} on {} — {} mode, {} training rows, {} candidates",
+        arch.name, w.mode, w.n_train, w.candidates
     );
     for (i, s) in w.seeds.iter().enumerate() {
         println!("  #{:<3} {s}", i + 1);

@@ -146,6 +146,16 @@ fn bad_campaign_specs_are_one_line_exit_2_errors() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(err.lines().count(), 1, "{err}");
     assert!(err.contains("`seeds` entries must be integers from 0 to 2^53 - 1"), "{err}");
+
+    // The largest `repeats` a JSON number carries is refused before any
+    // seed list or cell is built.
+    std::fs::write(&spec, r#"{"campaign":"x","stencils":["j3d7pt"],"repeats":9007199254740991}"#)
+        .unwrap();
+    let out = cstuner(&["campaign", "status", spec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("more than 10000 cells"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -166,6 +176,31 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+#[test]
+fn kb_rank_resolves_its_arch_as_sessions_do() {
+    // `kb build` writes into its store, so it runs on a copy of the fixture.
+    let store = scratch("kb_rank_arch");
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/obs/warm-fixture");
+    for entry in std::fs::read_dir(fixture).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, store.join(path.file_name().unwrap())).unwrap();
+    }
+    let store = store.to_str().unwrap();
+    assert!(cstuner(&["kb", "build", "--store", store]).status.success());
+    let rank = |arch: &str| {
+        cstuner(&["kb", "rank", "--store", store, "--stencil", "j3d7pt", "--arch", arch])
+    };
+    let (lower, upper) = (rank("a100"), rank("A100"));
+    assert!(lower.status.success());
+    let text = String::from_utf8_lossy(&lower.stdout);
+    assert!(text.starts_with("kb rank: j3d7pt on A100 — exact mode"), "{text}");
+    assert_eq!(lower.stdout, upper.stdout);
+    let unknown = rank("h100");
+    assert_eq!(unknown.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&unknown.stderr), "unknown arch `h100` (a100|v100|small)\n");
+    let _ = std::fs::remove_dir_all(store);
 }
 
 #[test]
