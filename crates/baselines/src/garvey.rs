@@ -14,7 +14,6 @@
 use cst_ml::Surrogate;
 use cst_space::{ParamId, Setting};
 use cst_telemetry::Telemetry;
-use cstuner_core::sampling::ENUM_LIMIT;
 use cstuner_core::{Observation, Optimizer, SearchCtx};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -128,19 +127,23 @@ impl Optimizer for GarveyOptimizer {
         // group combinations.
         while let Some(&group) = DIMENSION_GROUPS.get(self.next_group) {
             self.next_group += 1;
-            let mut combos = ctx.space().enumerate_group_repaired(&self.base, group, ENUM_LIMIT);
-            combos.shuffle(&mut self.rng);
+            let n = group.len();
+            let combos = ctx.space().enumerate_group_repaired(&self.base, group);
+            // Shuffling the combos' indices draws what shuffling the
+            // combos would (a shuffle's draws depend only on the length)
+            // and permutes them alike.
+            let mut order: Vec<u32> = (0..(combos.len() / n) as u32).collect();
+            order.shuffle(&mut self.rng);
             let keep =
-                ((combos.len() as f64 * SAMPLING_RATIO).ceil() as usize).max(2).min(combos.len());
-            combos.truncate(keep);
-            if combos.is_empty() {
+                ((order.len() as f64 * SAMPLING_RATIO).ceil() as usize).max(2).min(order.len());
+            if keep == 0 {
                 continue;
             }
-            return combos
+            return order[..keep]
                 .iter()
-                .map(|combo| {
+                .map(|&i| {
                     let mut s = self.base;
-                    for (&p, &v) in group.iter().zip(combo) {
+                    for (&p, &v) in group.iter().zip(&combos[i as usize * n..][..n]) {
                         s.set(p, v);
                     }
                     s.canonicalize();
@@ -174,7 +177,8 @@ mod tests {
     use cst_space::OptSpace;
     use cst_stencil::{suite, suite_ext};
     use cstuner_core::grouping::MAX_GROUP;
-    use cstuner_core::{KernelTuner, SimEvaluator, Tuner};
+    use cstuner_core::{Evaluator, KernelTuner, SimEvaluator, Tuner};
+    use rand::RngCore;
 
     fn garvey(max_iterations: u32) -> KernelTuner {
         crate::zoo::capped("garvey", max_iterations)
@@ -203,10 +207,10 @@ mod tests {
 
     #[test]
     fn every_group_the_tree_forms_enumerates_within_200k_raw_steps() {
-        // `enumerate_group_repaired` walks each raw combination of a group
-        // once. It used to stop after max(64 × limit, 200 000) steps; no
-        // group formed here can reach that floor, so the budget went. The
-        // groups: Algorithm 1's (at most `MAX_GROUP` parameters, the flat
+        // `enumerate_group_repaired` visits each raw combination of a
+        // group at most once, skipping those below a digit that fails a
+        // check, so its cartesian product bounds its steps. The groups:
+        // Algorithm 1's (at most `MAX_GROUP` parameters, the flat
         // singletons included) and Garvey's dimension bundles.
         let kernels = suite::all_kernels().into_iter().chain(suite_ext::extension_kernels());
         let longest = kernels
@@ -219,6 +223,54 @@ mod tests {
         let largest = DIMENSION_GROUPS.iter().map(|g| g.len()).fold(MAX_GROUP, usize::max);
         let raw = longest.pow(largest as u32);
         assert!(raw <= 200_000, "{largest} parameters of {longest} values: {raw} combinations");
+    }
+
+    #[test]
+    fn the_index_shuffle_asks_what_the_combo_shuffle_asked() {
+        for (i, name) in ["j3d7pt", "hypterm", "cheby", "addsgd6"].into_iter().enumerate() {
+            let mut e = SimEvaluator::new(suite::spec_by_name(name).unwrap(), GpuArch::a100(), 1);
+            let mut draws = StdRng::seed_from_u64(i as u64);
+            for _ in 0..4 {
+                let base = e.space().random_explicit_valid(&mut draws);
+                let rng = StdRng::seed_from_u64(draws.next_u64());
+                let mut reference = rng.clone();
+                let mut opt = GarveyOptimizer { rng, base, started: true, next_group: 0 };
+                let mut ctx = SearchCtx::new(&mut e);
+                // The ask path as it was: shuffle the combos themselves,
+                // keep the first 10% and apply each to the incumbent; a
+                // group with no combos asks nothing, and then it is done.
+                let mut expected = Vec::new();
+                for group in DIMENSION_GROUPS {
+                    let flat = ctx.space().enumerate_group_repaired(&base, group);
+                    let mut combos: Vec<&[u32]> = flat.chunks_exact(group.len()).collect();
+                    combos.shuffle(&mut reference);
+                    let keep = ((combos.len() as f64 * SAMPLING_RATIO).ceil() as usize)
+                        .max(2)
+                        .min(combos.len());
+                    combos.truncate(keep);
+                    if combos.is_empty() {
+                        continue;
+                    }
+                    let asks: Vec<Setting> = combos
+                        .iter()
+                        .map(|&combo| {
+                            let mut s = base;
+                            for (&p, &v) in group.iter().zip(combo) {
+                                s.set(p, v);
+                            }
+                            s.canonicalize();
+                            s
+                        })
+                        .collect();
+                    expected.push(asks);
+                }
+                expected.push(Vec::new());
+                for asks in expected {
+                    assert_eq!(opt.ask(&mut ctx), asks, "{name} around {base}");
+                }
+                assert_eq!(opt.rng.next_u64(), reference.next_u64(), "{name} around {base}");
+            }
+        }
     }
 
     #[test]

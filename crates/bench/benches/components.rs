@@ -3,6 +3,7 @@
 //!
 //! - the GPU model evaluation (millions of calls per experiment),
 //! - parameter-space validation and sampling, explicit and fully valid,
+//!   and group enumeration,
 //! - the offline performance dataset (rejection sampling and profiles),
 //! - PMNF fitting (the `curve_fit` replacement), one target and all of a
 //!   session's targets,
@@ -26,7 +27,7 @@ use cst_transfer::warm::arch_features;
 use cst_transfer::{warm_seeds, KbRecord, KnowledgeBase, DEFAULT_TOP_K};
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, select_representatives, CsTuner,
-    CsTunerConfig, PerfDataset, SamplingConfig, SimEvaluator, Tuner,
+    CsTunerConfig, Evaluator, PerfDataset, SamplingConfig, SimEvaluator, Tuner,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +74,27 @@ fn bench_space(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| black_box(vs.random_valid(&mut rng)))
     });
+    g.finish();
+}
+
+fn bench_enumeration(c: &mut Criterion) {
+    // Group enumeration around a full-scale session's incumbent (the best
+    // of hypterm/a100's seed-7 dataset of 128 records): Garvey's x bundle,
+    // and the first four-parameter group Algorithm 1 forms from the same
+    // dataset, as csTuner's sampling cut enumerates it.
+    let mut e = SimEvaluator::new(suite::spec_by_name("hypterm").unwrap(), GpuArch::a100(), 7);
+    let ds = PerfDataset::collect(&mut e, 128, 7);
+    let base = ds.best().setting;
+    let cstuner =
+        group_from_dataset(&ds).into_iter().find(|g| g.len() == 4).expect("a four-parameter group");
+    let garvey = [ParamId::TBx, ParamId::UFx, ParamId::CMx, ParamId::BMx];
+    let space = e.space();
+    let mut g = c.benchmark_group("space");
+    for (name, group) in [("garvey_x", &garvey[..]), ("cstuner_4", &cstuner[..])] {
+        g.bench_function(format!("enumerate_group/{name}"), |b| {
+            b.iter(|| black_box(space.enumerate_group_repaired(black_box(&base), group).len()))
+        });
+    }
     g.finish();
 }
 
@@ -247,6 +269,7 @@ criterion_group!(
     benches,
     bench_sim_eval,
     bench_space,
+    bench_enumeration,
     bench_dataset,
     bench_pmnf,
     bench_sampling,

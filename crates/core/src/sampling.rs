@@ -185,9 +185,6 @@ impl ScoreCache {
 const _: () =
     assert!(std::mem::size_of::<Option<(Setting, f64)>>() << ScoreCache::BITS < 128 << 10);
 
-/// Cap on the combinations enumerated per parameter group, here and in
-/// Garvey's group sampling (this tree's choice).
-pub const ENUM_LIMIT: usize = 8192;
 /// Combos kept per group whatever the ratio, so groups no larger than
 /// this are not pruned at all: they are searched exhaustively anyway per
 /// the §IV-E degeneration rule (this tree's choice).
@@ -306,7 +303,7 @@ pub fn sample_space(
     let mut buf = Vec::new();
     let mut cache = ScoreCache::new();
     for (group_idx, group) in groups.iter().enumerate() {
-        let candidates = space.enumerate_group_repaired(&base, group, ENUM_LIMIT);
+        let candidates = space.enumerate_group_repaired(&base, group);
         // Score each candidate by the models' predicted slowness — in the
         // *base context* with the combo applied and repaired, since that is
         // the only context available before the search runs. Combos whose
@@ -314,21 +311,21 @@ pub fn sample_space(
         // dependent (their effect materializes only once another group
         // moves the topology); they bypass the cut because the base
         // context cannot judge them.
-        let mut scored: Vec<(f64, Vec<u32>)> = Vec::new();
-        let mut context_dependent: Vec<Vec<u32>> = Vec::new();
-        let mut all_scores = Vec::with_capacity(candidates.len());
-        for combo in candidates {
+        let mut scored: Vec<(f64, &[u32])> = Vec::new();
+        let mut context_dependent: Vec<&[u32]> = Vec::new();
+        let mut all_scores = Vec::with_capacity(candidates.len() / group.len());
+        for combo in candidates.chunks_exact(group.len()) {
             // Best predicted slowness over the scoring contexts.
             let mut slowness = f64::INFINITY;
             let mut is_context_dependent = false;
             for (ci, ctx) in contexts.iter().enumerate() {
                 let mut s = *ctx;
-                for (&p, &v) in group.iter().zip(&combo) {
+                for (&p, &v) in group.iter().zip(combo) {
                     s.set(p, v);
                 }
                 s.canonicalize();
                 if ci == 0 {
-                    is_context_dependent = group.iter().zip(&combo).any(|(&p, &v)| s.get(p) != v);
+                    is_context_dependent = group.iter().zip(combo).any(|(&p, &v)| s.get(p) != v);
                 }
                 slowness = slowness.min(cache.get_or(&s, || sampled.slowness(&s.0, &mut buf)));
             }
@@ -336,7 +333,7 @@ pub fn sample_space(
             // seeded hash instead of the models' prediction.
             if let Some(seed) = cfg.random_mode {
                 let mut h = seed ^ 0x5eed_ab1a;
-                for &v in &combo {
+                for &v in combo {
                     h = h.wrapping_mul(0x100000001b3).wrapping_add(v as u64);
                 }
                 h ^= h >> 33;
@@ -354,8 +351,9 @@ pub fn sample_space(
         scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
         let keep =
             ((scored.len() as f64 * cfg.ratio).ceil() as usize).max(MIN_KEEP).min(scored.len());
-        let mut kept: Vec<Vec<u32>> = scored.into_iter().take(keep).map(|(_, c)| c).collect();
-        kept.extend(context_dependent);
+        let mut kept: Vec<Vec<u32>> =
+            scored.into_iter().take(keep).map(|(_, c)| c.to_vec()).collect();
+        kept.extend(context_dependent.into_iter().map(<[u32]>::to_vec));
         // Always retain the incumbent's own values so the search starts
         // from a known-good point.
         let base_combo: Vec<u32> = group.iter().map(|&p| base.get(p)).collect();
@@ -515,8 +513,13 @@ mod tests {
             ts.iter().sum::<f64>() / ts.len() as f64
         };
         let kept_mean = mean_ms(&s.combos[k]);
-        let all_mean =
-            mean_ms(&e.space().enumerate_group_repaired(&s.base, &s.groups[k], ENUM_LIMIT));
+        let all: Vec<Vec<u32>> = e
+            .space()
+            .enumerate_group_repaired(&s.base, &s.groups[k])
+            .chunks_exact(s.groups[k].len())
+            .map(<[u32]>::to_vec)
+            .collect();
+        let all_mean = mean_ms(&all);
         assert!(
             kept_mean <= all_mean * 1.1,
             "sampled mean {kept_mean} should not be worse than population mean {all_mean}"

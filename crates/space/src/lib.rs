@@ -24,4 +24,4 @@ pub mod space;
 pub use hash::{setting_map_with_capacity, BuildFastHasher, FastHasher, SettingMap, SettingSet};
 pub use param::{ParamId, ParamKind, N_PARAMS};
 pub use setting::Setting;
-pub use space::{odometer_step, ConstraintViolation, OptSpace};
+pub use space::{odometer_step, ConstraintViolation, OptSpace, ENUM_LIMIT};

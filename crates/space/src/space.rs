@@ -122,13 +122,45 @@ fn pick(list: &[u32], w: u64) -> u32 {
     list[(w % list.len() as u64) as usize]
 }
 
-/// The parameters `MergeExceedsExtent` reads along each axis:
-/// `[BM, CM, UF]`.
-const MERGE_PARAMS: [[ParamId; 3]; 3] = [
-    [ParamId::BMx, ParamId::CMx, ParamId::UFx],
-    [ParamId::BMy, ParamId::CMy, ParamId::UFy],
-    [ParamId::BMz, ParamId::CMz, ParamId::UFz],
+/// A check that a canonicalized setting of in-list values can fail.
+/// [`Setting::canonicalize`] repairs everything else
+/// [`OptSpace::check_explicit`] tests, the range check included, so
+/// these are the only ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Check {
+    /// `BlockTooLarge` and `BlockSmallerThanWarp`: the repaired `TB`
+    /// product.
+    Block,
+    /// `StreamingBlockTooLarge`: `SB` against the stream's extent.
+    Stream,
+    /// `MergeExceedsExtent` along an axis: the repaired `BM·CM·UF`.
+    Merge(usize),
+}
+
+/// What picks the stream: whether there is one, its axis and its tile.
+const STREAM_PARAMS: [ParamId; 3] = [ParamId::UseStreaming, ParamId::SD, ParamId::SB];
+
+/// Every [`Check`] in `check_explicit`'s order, with the parameters it
+/// reads: first those no earlier check reads, then those an earlier one
+/// does. The sampler decodes a check's first list just before testing
+/// it; the group walk tests a check once the group's digits among both
+/// lists are set.
+const CHECKS: [(Check, &[ParamId], &[ParamId]); 5] = [
+    (
+        Check::Block,
+        &[ParamId::TBx, ParamId::TBy, ParamId::TBz, ParamId::UseStreaming, ParamId::SD],
+        &[],
+    ),
+    (Check::Stream, &[ParamId::SB], &[ParamId::UseStreaming, ParamId::SD]),
+    (Check::Merge(0), &[ParamId::BMx, ParamId::CMx, ParamId::UFx], &STREAM_PARAMS),
+    (Check::Merge(1), &[ParamId::BMy, ParamId::CMy, ParamId::UFy], &STREAM_PARAMS),
+    (Check::Merge(2), &[ParamId::BMz, ParamId::CMz, ParamId::UFz], &STREAM_PARAMS),
 ];
+
+/// The most combinations a group enumeration returns (this tree's
+/// choice): csTuner's sampling cut and Garvey's group sampling both
+/// start from at most this many.
+pub const ENUM_LIMIT: usize = 8192;
 
 /// The lists that do not depend on the grid: the thread block's, `SD`'s
 /// and the booleans'. Inlined, so a draw decoding a value from one of
@@ -307,64 +339,63 @@ impl OptSpace {
         }
     }
 
-    /// The value a raw draw's word picks from `p`'s list.
-    #[inline]
+    /// The value a raw draw's word picks from `p`'s list. A list that
+    /// does not depend on the grid divides by a constant once `p` is.
+    #[inline(always)]
     fn decode(&self, words: &[u64; N_PARAMS], p: ParamId) -> u32 {
-        pick(self.values(p), words[p.index()])
+        pick(fixed_values(p).unwrap_or(self.values(p)), words[p.index()])
     }
 
     /// The raw draw `words`, canonicalized, if that passes
     /// [`OptSpace::check_explicit`]; `None` at the first rule it fails.
     ///
-    /// A raw draw takes every value from its list, and
-    /// [`Setting::canonicalize`] repairs exactly what the range check and
-    /// seven of the rules test, so the canonical form can fail only four
-    /// ways: `BlockTooLarge` or `BlockSmallerThanWarp` (the repaired `TB`
-    /// product), `StreamingBlockTooLarge` (`SB` against the stream's
-    /// extent) and `MergeExceedsExtent` (the repaired `BM·CM·UF` per
-    /// axis). They are tested in `check_explicit`'s order, through the
-    /// setting's own repair rules, on a raw setting filled in as they
-    /// read it. `SD` is read even with streaming off, which spares a
-    /// branch on a coin flip; the repair resets it then, and `SB` too,
-    /// which stays unread.
+    /// A raw draw takes every value from its list, so its canonical form
+    /// can fail only the [`CHECKS`]. They are tested in their table
+    /// order, through the setting's own repair rules, on a raw setting
+    /// filled in as they read it. `SB` is read even with streaming off;
+    /// the repair resets it then, and `SD` too.
     fn canonical_draw(&self, words: &[u64; N_PARAMS]) -> Option<Setting> {
         let mut s = Setting([1; N_PARAMS]);
-        let take = |s: &mut Setting, params: &[ParamId]| {
-            for &p in params {
-                s.set(p, self.decode(words, p));
-            }
-        };
-        // The block rule's lists are fixed, so these divide by constants.
-        for p in [ParamId::TBx, ParamId::TBy, ParamId::TBz, ParamId::UseStreaming, ParamId::SD] {
-            let list = fixed_values(p).expect("the block rule reads fixed lists");
-            s.set(p, pick(list, words[p.index()]));
-        }
-        if !block_fits((0..3).map(|d| s.repaired_tb(d)).product()) {
-            return None;
-        }
-        if let Some(sd) = s.stream_axis() {
-            take(&mut s, &[ParamId::SB]);
-            if s.sb() > self.grid[sd] as u32 {
-                return None;
-            }
-        }
-        for (d, merge) in MERGE_PARAMS.iter().enumerate() {
-            take(&mut s, merge);
-            if !self.merge_fits(d, s.bm()[d], s.repaired_cm(d), s.repaired_uf(d)) {
-                return None;
-            }
-        }
-        // Accepted: the values no rule reads, then the repair.
-        let rest = [
+        self.draw_check::<0>(words, &mut s)?;
+        self.draw_check::<1>(words, &mut s)?;
+        self.draw_check::<2>(words, &mut s)?;
+        self.draw_check::<3>(words, &mut s)?;
+        self.draw_check::<4>(words, &mut s)?;
+        // Accepted: the values no check reads, then the repair.
+        for p in [
             ParamId::UseShared,
             ParamId::UseConstant,
             ParamId::UseRetiming,
             ParamId::UsePrefetching,
-        ];
-        take(&mut s, &rest);
+        ] {
+            s.set(p, self.decode(words, p));
+        }
         s.canonicalize();
         debug_assert_eq!(self.check_explicit(&s), Ok(()), "{s}");
         Some(s)
+    }
+
+    /// Decode the parameters `CHECKS[K]` reads first into `s`, then test
+    /// it. `K` is a constant, so the check and every list it decodes are
+    /// too.
+    #[inline(always)]
+    fn draw_check<const K: usize>(&self, words: &[u64; N_PARAMS], s: &mut Setting) -> Option<()> {
+        let (check, first, _) = CHECKS[K];
+        for &p in first {
+            s.set(p, self.decode(words, p));
+        }
+        self.passes(check, s).then_some(())
+    }
+
+    /// Whether `s`, canonicalized, passes `check`, for `s` whose values
+    /// lie in their lists. Reads only the check's [`CHECKS`] parameters.
+    #[inline(always)]
+    fn passes(&self, check: Check, s: &Setting) -> bool {
+        match check {
+            Check::Block => block_fits((0..3).map(|d| s.repaired_tb(d)).product()),
+            Check::Stream => s.stream_axis().is_none_or(|sd| s.sb() <= self.grid[sd] as u32),
+            Check::Merge(d) => self.merge_fits(d, s.bm()[d], s.repaired_cm(d), s.repaired_uf(d)),
+        }
     }
 
     /// Whether `bm·cm·uf` points per thread fit in the grid along `d`.
@@ -372,51 +403,80 @@ impl OptSpace {
         bm as u64 * cm as u64 * uf as u64 <= self.grid[d] as u64
     }
 
-    /// Enumerate the value combinations of a parameter subset that are
-    /// feasible around `base`, up to `limit` combinations, in
-    /// lexicographic order of value indices: the per-group combination
-    /// space of the iterative search (§IV-E). A combination is feasible
-    /// when the *canonicalized* substitution is explicitly valid. Strict
-    /// validity against the base would couple the group to the base's
-    /// topology — e.g. with a streaming base, `useStreaming = 1` alone is
-    /// invalid because `SD`/`SB` stay set — so a tuner could never leave
-    /// the base's streaming configuration. Canonicalization repairs the
-    /// dependent parameters exactly as a code generator would.
+    /// Enumerate the value combinations of a parameter group that are
+    /// feasible around `base`, in lexicographic order of value indices
+    /// (the last parameter fastest), up to [`ENUM_LIMIT`] combinations:
+    /// the per-group combination space of the iterative search (§IV-E).
+    /// Combination `i` is `out[i * n..(i + 1) * n]` for a group of `n`
+    /// parameters, its values in `params` order.
     ///
-    /// The walk visits each raw combination of the group once. Every group
-    /// this tree forms has at most four parameters, and no list on the
-    /// kernels' grids has more than 11 values, so a walk takes at most
-    /// 11⁴ steps.
-    pub fn enumerate_group_repaired(
-        &self,
-        base: &Setting,
-        params: &[ParamId],
-        limit: usize,
-    ) -> Vec<Vec<u32>> {
-        let mut out: Vec<Vec<u32>> = Vec::new();
+    /// A combination is feasible when the *canonicalized* substitution is
+    /// explicitly valid. Strict validity against the base would couple the
+    /// group to the base's topology — e.g. with a streaming base,
+    /// `useStreaming = 1` alone is invalid because `SD`/`SB` stay set — so
+    /// a tuner could never leave the base's streaming configuration.
+    /// Canonicalization repairs the dependent parameters exactly as a code
+    /// generator would. The combinations kept are the *raw* values:
+    /// canonicalizing against this base may flatten values (e.g. force
+    /// `TB` to 1 along the base's streaming dimension) that become
+    /// meaningful again once another group moves the topology.
+    ///
+    /// With every value in its list, the canonical form can fail only
+    /// five checks (the block's size, the stream's tile against its
+    /// extent, and the merged points along each axis), each reading a few
+    /// parameters. So the walk sets one digit at a time and tests each
+    /// check as soon as the group digits it reads are set (a check that
+    /// reads none, with the first digit), skipping every combination
+    /// below a digit that fails one. It visits no more raw combinations
+    /// than the cartesian product, which has at most 11⁴: no group this
+    /// tree forms has more than four parameters, nor any list on the
+    /// kernels' grids more than 11 values.
+    ///
+    /// # Panics
+    /// Panics unless `params` is a non-empty list of distinct parameters
+    /// and every value of `base` lies in its list.
+    pub fn enumerate_group_repaired(&self, base: &Setting, params: &[ParamId]) -> Vec<u32> {
+        let n = params.len();
+        assert!(n > 0, "a group has at least one parameter");
+        assert!(
+            params.iter().enumerate().all(|(i, p)| !params[..i].contains(p)),
+            "{params:?} repeats a parameter"
+        );
+        assert!(
+            ParamId::ALL.into_iter().all(|p| self.value_index(p, base.get(p)).is_some()),
+            "a value of {base} lies outside its list"
+        );
+        // due[k]: the checks whose last group digit is k.
+        let mut due = vec![Vec::new(); n];
+        for (check, first, again) in CHECKS {
+            let last = params.iter().rposition(|p| first.contains(p) || again.contains(p));
+            due[last.unwrap_or(0)].push(check);
+        }
         let lists: Vec<&[u32]> = params.iter().map(|&p| self.values(p)).collect();
-        let mut idx = vec![0u32; params.len()];
+        let mut out = Vec::new();
+        let mut s = *base;
+        let mut idx = vec![0; n];
+        let mut k = 0;
         loop {
-            let mut s = *base;
-            for ((&p, l), &i) in params.iter().zip(&lists).zip(&idx) {
-                s.set(p, l[i as usize]);
-            }
-            s.canonicalize();
-            if self.is_explicit_valid(&s) {
-                // Keep the *raw* combination: canonicalization against this
-                // base may flatten values (e.g. force TB to 1 along the
-                // base's streaming dimension) that become meaningful again
-                // when another group later moves the topology. Decoding
-                // re-canonicalizes in the final context. The odometer visits
-                // each index tuple once and every value list is strictly
-                // ascending, so the combinations are distinct.
-                out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i as usize]).collect());
-                if out.len() >= limit {
-                    break;
+            if let Some(&v) = lists[k].get(idx[k]) {
+                s.set(params[k], v);
+                if due[k].iter().all(|&check| self.passes(check, &s)) {
+                    if k + 1 < n {
+                        k += 1;
+                        idx[k] = 0;
+                        continue;
+                    }
+                    out.extend(params.iter().map(|&p| s.get(p)));
+                    if out.len() == ENUM_LIMIT * n {
+                        break;
+                    }
                 }
-            }
-            if !odometer_step(&mut idx, |d| lists[d].len()) {
+                idx[k] += 1;
+            } else if k == 0 {
                 break;
+            } else {
+                k -= 1;
+                idx[k] += 1;
             }
         }
         out
@@ -578,19 +638,64 @@ mod tests {
         }
     }
 
+    /// The odometer walk the rule walk replaced, kept as its reference:
+    /// copy the base, substitute, canonicalize and fully check every raw
+    /// combination in lexicographic order of value indices, keeping at
+    /// most `limit` combinations.
+    fn reference_enumeration(
+        sp: &OptSpace,
+        base: &Setting,
+        params: &[ParamId],
+        limit: usize,
+    ) -> Vec<Vec<u32>> {
+        let mut out: Vec<Vec<u32>> = Vec::new();
+        let lists: Vec<&[u32]> = params.iter().map(|&p| sp.values(p)).collect();
+        let mut idx = vec![0u32; params.len()];
+        loop {
+            let mut s = *base;
+            for ((&p, l), &i) in params.iter().zip(&lists).zip(&idx) {
+                s.set(p, l[i as usize]);
+            }
+            s.canonicalize();
+            if sp.is_explicit_valid(&s) {
+                out.push(idx.iter().zip(&lists).map(|(&i, l)| l[i as usize]).collect());
+                if out.len() >= limit {
+                    break;
+                }
+            }
+            if !odometer_step(&mut idx, |d| lists[d].len()) {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The group's combinations, one `Vec` each.
+    fn combos(sp: &OptSpace, base: &Setting, params: &[ParamId]) -> Vec<Vec<u32>> {
+        let flat = sp.enumerate_group_repaired(base, params);
+        assert_eq!(flat.len() % params.len(), 0, "a combination is cut short");
+        flat.chunks_exact(params.len()).map(<[u32]>::to_vec).collect()
+    }
+
     #[test]
     fn enumerate_group_respects_constraints_and_limit() {
         let sp = space512();
         let base = Setting::baseline();
         let tb = [ParamId::TBx, ParamId::TBy];
-        let combos = sp.enumerate_group_repaired(&base, &tb, usize::MAX);
+        let all = combos(&sp, &base, &tb);
         // All TBx×TBy with 32 ≤ product ≤ 1024 (TBz = 1): 51 combinations.
-        assert_eq!(combos.len(), 51);
-        for c in &combos {
+        assert_eq!(all.len(), 51);
+        for c in &all {
             assert!((32..=1024).contains(&(c[0] * c[1])));
         }
-        let limited = sp.enumerate_group_repaired(&base, &tb, 10);
-        assert_eq!(limited, combos[..10]);
+        // Streaming along y flattens TBy, and with UFy = 1 every BMy·CMy
+        // and UFz fits: all 10·11·10·10 raw combinations are feasible, and
+        // the walk stops at the cap, where the odometer walk stopped.
+        let base = base.with(ParamId::UseStreaming, 2).with(ParamId::SD, 2).with(ParamId::TBy, 1);
+        let group = [ParamId::UFz, ParamId::TBy, ParamId::BMy, ParamId::CMy];
+        let every = reference_enumeration(&sp, &base, &group, usize::MAX);
+        assert_eq!(every.len(), 11_000);
+        assert_eq!(combos(&sp, &base, &group), every[..ENUM_LIMIT]);
     }
 
     #[test]
@@ -607,10 +712,10 @@ mod tests {
         let tby = sp.values(ParamId::TBy);
         let strict = tby.iter().filter(|&&v| sp.is_explicit_valid(&base.with(ParamId::TBy, v)));
         assert_eq!(strict.count(), 1);
-        let repaired = sp.enumerate_group_repaired(&base, &[ParamId::TBy], usize::MAX);
+        let repaired = combos(&sp, &base, &[ParamId::TBy]);
         assert!(repaired.len() > 1, "{repaired:?}");
         // And turning streaming off alone is representable.
-        let off = sp.enumerate_group_repaired(&base, &[ParamId::UseStreaming], usize::MAX);
+        let off = combos(&sp, &base, &[ParamId::UseStreaming]);
         assert!(off.iter().any(|c| c[0] == 1), "{off:?}");
     }
 
@@ -621,7 +726,7 @@ mod tests {
         for _ in 0..20 {
             let base = sp.random_explicit_valid(&mut rng);
             let group = [ParamId::UseStreaming, ParamId::SD, ParamId::SB];
-            for combo in sp.enumerate_group_repaired(&base, &group, 200) {
+            for combo in combos(&sp, &base, &group) {
                 let mut s = base;
                 for (&p, &v) in group.iter().zip(&combo) {
                     s.set(p, v);
@@ -641,7 +746,7 @@ mod tests {
             let mut group = ParamId::ALL.to_vec();
             group.shuffle(&mut rng);
             group.truncate(rng.gen_range(2..5));
-            let combos = sp.enumerate_group_repaired(&base, &group, usize::MAX);
+            let combos = combos(&sp, &base, &group);
             // Strictly increasing value-index tuples, hence distinct.
             let index_of = |c: &Vec<u32>| -> Vec<usize> {
                 group.iter().zip(c).map(|(&p, &v)| sp.value_index(p, v).unwrap()).collect()
@@ -887,9 +992,145 @@ mod tests {
         // Base merges 128 points per thread along z: the repair floors UFz
         // into that loop, but 128·UFz must still fit the 512-point extent.
         let base = Setting::baseline().with(ParamId::BMz, 128);
-        let combos = sp.enumerate_group_repaired(&base, &[ParamId::UFz], usize::MAX);
-        let vals: Vec<u32> = combos.into_iter().map(|c| c[0]).collect();
+        let vals = sp.enumerate_group_repaired(&base, &[ParamId::UFz]);
         assert_eq!(vals, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn the_check_table_lists_what_each_check_reads() {
+        // A check's verdict never moves with a parameter it does not
+        // list, and the sampler has decoded every parameter a check
+        // lists by the time it tests it.
+        let mut decoded: Vec<ParamId> = Vec::new();
+        for (check, first, again) in CHECKS {
+            assert!(first.iter().all(|p| !decoded.contains(p)), "{check:?} decodes twice");
+            decoded.extend(first);
+            assert!(again.iter().all(|p| decoded.contains(p)), "{check:?} reads ahead");
+        }
+        let mut tested = 0;
+        for (i, sp) in sampler_spaces().iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xc4ec + i as u64);
+            for _ in 0..200 {
+                let s = sp.random_raw(&mut rng);
+                for (check, first, again) in CHECKS {
+                    let unread = ParamId::ALL
+                        .into_iter()
+                        .filter(|p| !first.contains(p) && !again.contains(p));
+                    for p in unread {
+                        for &v in sp.values(p) {
+                            let t = s.with(p, v);
+                            assert_eq!(
+                                sp.passes(check, &t),
+                                sp.passes(check, &s),
+                                "{check:?}, {p}: {s}"
+                            );
+                            tested += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tested > 0);
+    }
+
+    /// A group of 1–4 distinct parameters in the order `rng` shuffles
+    /// them into; with `stream`, one of them decides the stream.
+    fn random_group(rng: &mut StdRng, size: usize, stream: bool) -> Vec<ParamId> {
+        let mut pool = ParamId::ALL.to_vec();
+        pool.shuffle(rng);
+        if stream {
+            let p = *STREAM_PARAMS.choose(rng).unwrap();
+            pool.retain(|&q| q != p);
+            pool.insert(0, p);
+        }
+        pool.truncate(size);
+        pool.shuffle(rng);
+        pool
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn the_rule_walk_enumerates_what_the_odometer_walk_did(
+            space in 0usize..15,
+            seed in 0u64..u64::MAX,
+            size in 1usize..5,
+            kind in (0u32..2, 0u32..2),
+        ) {
+            // Canonical or raw in-list bases, on every kernel's grid, a
+            // 64³ one and a flat one.
+            let (raw_base, stream) = (kind.0 == 1, kind.1 == 1);
+            let sp = &sampler_spaces()[space];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let base =
+                if raw_base { sp.random_raw(&mut rng) } else { sp.random_explicit_valid(&mut rng) };
+            let group = random_group(&mut rng, size, stream);
+            prop_assert_eq!(
+                combos(sp, &base, &group),
+                reference_enumeration(sp, &base, &group, ENUM_LIMIT),
+                "{:?} around {} on {:?}",
+                group,
+                base,
+                sp.grid()
+            );
+        }
+    }
+
+    #[test]
+    fn groups_past_the_cap_stop_where_the_odometer_walk_did() {
+        // Streaming along `d` flattens TB there, and with UF = 1 along `d`
+        // every BM·CM fits, so each order of [UF along another axis, TB,
+        // BM, CM along `d`] keeps over ENUM_LIMIT combinations on a grid
+        // of 512 or more along both.
+        let mut past = 0;
+        for sp in sampler_spaces() {
+            for d in 0..3 {
+                let e = (d + 1) % 3;
+                let axis = |ps: [ParamId; 3]| ps[d];
+                let [tb, bm, cm] = [
+                    axis([ParamId::TBx, ParamId::TBy, ParamId::TBz]),
+                    axis([ParamId::BMx, ParamId::BMy, ParamId::BMz]),
+                    axis([ParamId::CMx, ParamId::CMy, ParamId::CMz]),
+                ];
+                let uf = [ParamId::UFx, ParamId::UFy, ParamId::UFz][e];
+                let base = Setting::baseline()
+                    .with(ParamId::TBx, 32)
+                    .with(ParamId::TBy, 1)
+                    .with(ParamId::TBz, 1)
+                    .with(ParamId::UseStreaming, 2)
+                    .with(ParamId::SD, d as u32 + 1);
+                let mut rng = StdRng::seed_from_u64(d as u64);
+                for _ in 0..3 {
+                    let mut group = vec![uf, tb, bm, cm];
+                    group.shuffle(&mut rng);
+                    let every = reference_enumeration(&sp, &base, &group, usize::MAX);
+                    let capped = &every[..every.len().min(ENUM_LIMIT)];
+                    assert_eq!(combos(&sp, &base, &group), capped, "{group:?} on {:?}", sp.grid());
+                    past += (every.len() > ENUM_LIMIT) as usize;
+                }
+            }
+        }
+        assert!(past >= 10, "only {past} groups went past the cap");
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats a parameter")]
+    fn a_group_with_a_repeated_parameter_is_refused() {
+        space512().enumerate_group_repaired(&Setting::baseline(), &[ParamId::UFx, ParamId::UFx]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside its list")]
+    fn a_base_value_off_its_list_is_refused() {
+        let base = Setting::baseline().with(ParamId::UFx, 3);
+        space512().enumerate_group_repaired(&base, &[ParamId::TBx]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one parameter")]
+    fn an_empty_group_is_refused() {
+        space512().enumerate_group_repaired(&Setting::baseline(), &[]);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use cst_stats::{fit_pmnf, PmnfModel};
 use cst_stencil::suite;
 use cst_telemetry::Telemetry;
 use cst_testkit::{arb_setting, precomp_vs_direct, seeded_rng, PropRunner};
-use cstuner_core::sampling::ENUM_LIMIT;
 use cstuner_core::{
     combine_metrics, group_from_dataset, sample_space, scoring_contexts, select_representatives,
     Evaluator, PerfDataset, SampledSpace, SamplingConfig, SimEvaluator,
@@ -117,10 +116,11 @@ fn sampling_vs_reference(name: &str, arch: &GpuArch, seed: u64) -> Result<(), St
 
     let contexts = scoring_contexts(&ds);
     for group in &sampled.groups {
-        for combo in e.space().enumerate_group_repaired(&sampled.base, group, ENUM_LIMIT) {
+        let combos = e.space().enumerate_group_repaired(&sampled.base, group);
+        for combo in combos.chunks_exact(group.len()) {
             for ctx in &contexts {
                 let mut s = *ctx;
-                for (&p, &v) in group.iter().zip(&combo) {
+                for (&p, &v) in group.iter().zip(combo) {
                     s.set(p, v);
                 }
                 s.canonicalize();

@@ -394,6 +394,30 @@ fn die(code: i32, msg: impl Display) -> ! {
     std::process::exit(code)
 }
 
+/// Write to stdout, as every command's output does (through [`out!`] and
+/// [`outln!`]). A reader that has gone away, as `cstuner ... | head`
+/// leaves one, ends the process quietly with status 0; any other write
+/// error is a failure while running.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(1, format_args!("cannot write to stdout: {e}"));
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 trait OrDie<T> {
     /// The value, or [`die`] with the error as the message.
     fn or_die(self, code: i32) -> T;
@@ -428,37 +452,46 @@ fn save(args: &Args, text: &str) {
 }
 
 fn cmd_list(_: &Args) {
-    println!("Stencils (paper suite):");
+    outln!("Stencils (paper suite):");
     for k in suite::all_kernels() {
-        println!(
+        outln!(
             "  {:11} {}³-ish grid {:?}, order {}, {} flops/pt, {} arrays",
-            k.spec.name, k.spec.grid[0], k.spec.grid, k.spec.order, k.spec.flops, k.spec.io_arrays
+            k.spec.name,
+            k.spec.grid[0],
+            k.spec.grid,
+            k.spec.order,
+            k.spec.flops,
+            k.spec.io_arrays
         );
     }
-    println!("Stencils (extensions):");
+    outln!("Stencils (extensions):");
     for k in suite_ext::extension_kernels() {
-        println!(
+        outln!(
             "  {:11} grid {:?}, order {}, {} flops/pt, {} arrays",
-            k.spec.name, k.spec.grid, k.spec.order, k.spec.flops, k.spec.io_arrays
+            k.spec.name,
+            k.spec.grid,
+            k.spec.order,
+            k.spec.flops,
+            k.spec.io_arrays
         );
     }
-    println!("GPUs: a100, v100, small");
-    println!("Tuners:");
+    outln!("GPUs: a100, v100, small");
+    outln!("Tuners:");
     for t in cstuner::baselines::zoo::tuners() {
         let default = if t.flag == "cstuner" { " (default)" } else { "" };
-        println!("  {:9} {}{default}", t.flag, t.summary);
+        outln!("  {:9} {}{default}", t.flag, t.summary);
     }
-    println!("Warm-start: {}", warm_provider_line());
+    outln!("Warm-start: {}", warm_provider_line());
 }
 
 fn cmd_version(_: &Args) {
-    println!(
+    outln!(
         "cstuner {} (journal schema v{})",
         env!("CARGO_PKG_VERSION"),
         cstuner::telemetry::SCHEMA_VERSION
     );
-    println!("tuners: {}", cstuner::baselines::zoo::flag_list());
-    println!("warm-start: {}", warm_provider_line());
+    outln!("tuners: {}", cstuner::baselines::zoo::flag_list());
+    outln!("warm-start: {}", warm_provider_line());
 }
 
 /// One-line warm-start provider report shared by `list` and `version`:
@@ -496,22 +529,22 @@ fn tune_request(args: &Args) -> TuneRequest {
 
 /// Human-readable outcome block, identical for local and served runs.
 fn print_outcome(d: &DoneInfo) {
-    println!("tuner:      {}", d.tuner);
-    println!(
+    outln!("tuner:      {}", d.tuner);
+    outln!(
         "best:       {:.4} ms  ({:.2}x over untuned baseline {:.4} ms)",
         d.best_ms,
         d.baseline_ms / d.best_ms,
         d.baseline_ms
     );
-    println!("setting:    {}", d.setting);
-    println!("evals:      {}", d.evaluations);
-    println!("search:     {:.1} s virtual", d.search_s);
+    outln!("setting:    {}", d.setting);
+    outln!("evals:      {}", d.evaluations);
+    outln!("search:     {:.1} s virtual", d.search_s);
     // Only a hostile testbed (CST_FAULT_SEED) produces nonzero counters;
     // keeping the line conditional preserves byte-identical fault-free
     // output.
     if d.faults.any() {
         let f = &d.faults;
-        println!(
+        outln!(
             "faults:     {} compile, {} launch, {} timeout, {} outliers; {} retries, {} quarantined",
             f.compile_errors, f.launch_failures, f.timeouts, f.outliers, f.retries, f.quarantined
         );
@@ -557,7 +590,7 @@ fn cmd_codegen(args: &Args) {
             write_file(path, &src.code);
             eprintln!("wrote {} bytes to {path}", src.code.len());
         }
-        None => println!("\n{}", src.code),
+        None => outln!("\n{}", src.code),
     }
 }
 
@@ -574,13 +607,13 @@ fn cmd_report(args: &Args) {
     } else {
         report::render_report(&lines)
     };
-    print!("{}", text.unwrap_or_else(|e| die(1, format!("invalid journal: {e}"))));
+    out!("{}", text.unwrap_or_else(|e| die(1, format!("invalid journal: {e}"))));
 }
 
 fn cmd_journal_check(args: &Args) {
     let summary = schema::validate_journal(&journal_lines(args))
         .unwrap_or_else(|e| die(1, format!("invalid journal: {e}")));
-    println!(
+    outln!(
         "ok: {} records, {} event types ({})",
         summary.records,
         summary.types_seen.len(),
@@ -596,7 +629,7 @@ fn cmd_metrics_check(args: &Args) {
     };
     cstuner::serve::validate_metrics_frame(line)
         .unwrap_or_else(|e| die(1, format!("invalid metrics frame: {e}")));
-    println!("ok: valid metrics frame");
+    outln!("ok: valid metrics frame");
 }
 
 /// The obs/kb archive directory: `--store DIR`, by default `results/obs`.
@@ -624,7 +657,7 @@ fn obs_ingest(args: &Args) {
         let s = store
             .ingest_file(Path::new(journal), name)
             .unwrap_or_else(|e| die(1, format!("cannot ingest `{journal}`: {e}")));
-        println!(
+        outln!(
             "ingested {} -> {} (best {:.4} ms, {} evals)",
             journal,
             store.path_of(&s.source).display(),
@@ -642,7 +675,7 @@ fn obs_pair(args: &Args) -> (obs::RunSummary, obs::RunSummary) {
 fn obs_diff(args: &Args) {
     let (base, cand) = obs_pair(args);
     let diff = obs::diff_runs(&base, &cand);
-    print!("{}", obs::render_diff(&diff));
+    out!("{}", obs::render_diff(&diff));
 }
 
 fn obs_gate(args: &Args) {
@@ -650,7 +683,7 @@ fn obs_gate(args: &Args) {
     let diff = obs::diff_runs(&base, &cand);
     let gate = obs::evaluate_gate(&diff);
     let text = format!("{}{}\n", obs::render_gate_dashboard(&gate), obs::verdict_json(&gate));
-    print!("{text}");
+    out!("{text}");
     save(args, &text);
     std::process::exit(gate.exit_code());
 }
@@ -660,16 +693,16 @@ fn obs_profile(args: &Args) {
         ([base, cand], true) => {
             let (b, c) = (obs_load(base).profile, obs_load(cand).profile);
             let metrics = obs::diff_profiles(&b, &c);
-            print!("{}", obs::render_profile_diff(&b, &c, &metrics));
+            out!("{}", obs::render_profile_diff(&b, &c, &metrics));
         }
         ([run], false) => {
             let p = obs_load(run).profile;
             if args.on("json") {
-                println!("{}", obs::profile_json(&p));
+                outln!("{}", obs::profile_json(&p));
             } else if args.on("fold") {
-                print!("{}", obs::render_fold(&p));
+                out!("{}", obs::render_fold(&p));
             } else {
-                print!("{}", obs::render_profile(&p));
+                out!("{}", obs::render_profile(&p));
             }
         }
         _ => die(2, usage("obs")),
@@ -683,7 +716,7 @@ fn obs_dashboard(args: &Args) {
     } else {
         obs::render_dashboard(&summaries)
     };
-    print!("{text}");
+    out!("{text}");
     save(args, &text);
 }
 
@@ -702,7 +735,7 @@ fn kb_build(args: &Args) {
         eprintln!("warning: {warning}");
     }
     build.kb.save(store.dir()).or_die(1);
-    println!(
+    outln!(
         "kb build: {} records from {} runs -> {} (schema v{KB_VERSION}, {} skipped)",
         build.kb.records.len(),
         store.list().map(|l| l.len()).unwrap_or(0),
@@ -713,13 +746,13 @@ fn kb_build(args: &Args) {
 
 fn kb_stat(args: &Args) {
     let kb = load_kb(args);
-    println!(
+    outln!(
         "kb stat: schema v{KB_VERSION}, {} records, {} (stencil, arch) pairs",
         kb.records.len(),
         kb.pairs().len()
     );
     for (stencil, arch, n) in kb.pairs() {
-        println!("  {stencil:<11} {arch:<6} {n:>6} records");
+        outln!("  {stencil:<11} {arch:<6} {n:>6} records");
     }
 }
 
@@ -732,15 +765,18 @@ fn kb_rank(args: &Args) {
     let top = args.u64("top").map_or(DEFAULT_TOP_K, |t| t as usize);
     let kb = load_kb(args);
     let w = warm_seeds(&kb, stencil, arch.name, top, args.u64("seed").unwrap_or(0));
-    println!(
+    outln!(
         "kb rank: {stencil} on {} — {} mode, {} training rows, {} candidates",
-        arch.name, w.mode, w.n_train, w.candidates
+        arch.name,
+        w.mode,
+        w.n_train,
+        w.candidates
     );
     for (i, s) in w.seeds.iter().enumerate() {
-        println!("  #{:<3} {s}", i + 1);
+        outln!("  #{:<3} {s}", i + 1);
     }
     if w.seeds.is_empty() {
-        println!("  (no recorded settings for this stencil)");
+        outln!("  (no recorded settings for this stencil)");
     }
 }
 
@@ -749,22 +785,24 @@ fn kb_gate(args: &Args) {
     let (cold_run, warm_run) = obs_pair(args);
     let evals = |run: &obs::RunSummary, label: &str| match run.milestone(pct) {
         Some(m) => {
-            println!(
+            outln!(
                 "{label:<5} {:<24} within {pct}% after {} evals (iteration {})",
-                run.source, m.evals, m.iteration
+                run.source,
+                m.evals,
+                m.iteration
             );
             m.evals
         }
         None => {
-            println!("{label:<5} {:<24} never reached within {pct}%", run.source);
+            outln!("{label:<5} {:<24} never reached within {pct}%", run.source);
             u64::MAX
         }
     };
     let (c, w) = (evals(&cold_run, "cold"), evals(&warm_run, "warm"));
     if w <= c {
-        println!("kb gate: PASS — warm start reached the {pct}% milestone in <= cold evals");
+        outln!("kb gate: PASS — warm start reached the {pct}% milestone in <= cold evals");
     } else {
-        println!("kb gate: FAIL — warm start needed more evals than cold");
+        outln!("kb gate: FAIL — warm start needed more evals than cold");
         std::process::exit(1);
     }
 }
@@ -804,7 +842,7 @@ fn campaign_run(args: &Args) {
         eprintln!("  [{i}/{total}] {} {what}", cell.name());
     })
     .or_die(1);
-    println!(
+    outln!(
         "campaign {}: {} executed, {} cached ({} cells) -> {}",
         spec.name,
         run.executed,
@@ -815,9 +853,9 @@ fn campaign_run(args: &Args) {
     let (have, missing) = campaign::load_cells(&spec, &store).or_die(1);
     let stats = campaign::aggregate(&have);
     if args.on("json") {
-        println!("{}", campaign::campaign_json(&spec.name, &stats, &missing));
+        outln!("{}", campaign::campaign_json(&spec.name, &stats, &missing));
     } else {
-        print!("{}", campaign::render_campaign(&spec.name, &stats, &missing));
+        out!("{}", campaign::render_campaign(&spec.name, &stats, &missing));
     }
 }
 
@@ -825,7 +863,7 @@ fn campaign_status(args: &Args) {
     let spec = campaign_spec(args);
     let store = campaign_store(args, &spec);
     let (have, missing) = campaign::load_cells(&spec, &store).or_die(1);
-    println!(
+    outln!(
         "campaign {}: {}/{} cells archived in {}",
         spec.name,
         have.len(),
@@ -833,7 +871,7 @@ fn campaign_status(args: &Args) {
         store.dir().display()
     );
     for cell in &missing {
-        println!("  pending {}", cell.name());
+        outln!("  pending {}", cell.name());
     }
 }
 
@@ -847,7 +885,7 @@ fn campaign_report(args: &Args) {
     } else {
         campaign::render_campaign(&spec.name, &stats, &missing)
     };
-    print!("{text}");
+    out!("{text}");
     save(args, &text);
 }
 
@@ -866,7 +904,7 @@ fn campaign_gate(args: &Args) {
         campaign::render_campaign_gate(&gate),
         campaign::campaign_verdict_json(&gate)
     );
-    print!("{text}");
+    out!("{text}");
     save(args, &text);
     std::process::exit(gate.exit_code());
 }
@@ -884,7 +922,7 @@ fn cmd_serve(args: &Args) {
     let server = Server::bind(&cfg).or_die(1);
     // Stdout is line-buffered: this line reaches a redirected log
     // immediately, so scripts can parse the (possibly ephemeral) port.
-    println!("listening on {}", server.local_addr());
+    outln!("listening on {}", server.local_addr());
     eprintln!(
         "cst-serve: {} workers, queue depth {}{}",
         cfg.workers.max(1),
@@ -988,7 +1026,7 @@ fn client_cancel(args: &Args) {
 fn print_session_reply(frame: &str) {
     let v = json::parse(frame).unwrap_or(Value::Null);
     match v.get("type").and_then(Value::as_str) {
-        Some("session") => println!(
+        Some("session") => outln!(
             "session {}: {} ({} records)",
             uint(&v, "session"),
             json_str(&v, "state"),
@@ -997,7 +1035,7 @@ fn print_session_reply(frame: &str) {
         Some("status") => {
             let s = v.get("sessions");
             let count = |k: &str| s.map(|s| uint(s, k)).unwrap_or(0);
-            println!(
+            outln!(
                 "sessions: {} queued, {} running, {} done, {} failed, {} cancelled",
                 count("queued"),
                 count("running"),
@@ -1006,7 +1044,7 @@ fn print_session_reply(frame: &str) {
                 count("cancelled")
             );
             for row in v.get("list").and_then(Value::as_arr).unwrap_or(&[]) {
-                println!(
+                outln!(
                     "  session {}: {} ({} records) {}/{} {} seed {}",
                     uint(row, "session"),
                     json_str(row, "state"),
@@ -1030,15 +1068,15 @@ fn client_metrics(args: &Args) {
     let frame = daemon_reply(args, &proto::metrics_request_line());
     let v = expect_frame(&frame, "metrics");
     if args.on("json") {
-        println!("{frame}");
+        outln!("{frame}");
     } else {
-        print!("{}", render_metrics_frame(&v));
+        out!("{}", render_metrics_frame(&v));
     }
 }
 
 fn client_shutdown(args: &Args) {
     let v = expect_frame(&daemon_reply(args, &proto::shutdown_request_line()), "bye");
-    println!("daemon stopped after {} sessions", uint(&v, "sessions_completed"));
+    outln!("daemon stopped after {} sessions", uint(&v, "sessions_completed"));
 }
 
 /// One `name value` line per numeric field of an object section.
@@ -1138,11 +1176,11 @@ fn metrics_watch(args: &Args) {
     loop {
         let v = expect_frame(&daemon_reply(args, &proto::metrics_request_line()), "metrics");
         if std::io::stdout().is_terminal() {
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         } else if polls > 0 {
-            println!();
+            outln!();
         }
-        print!("{}", render_metrics_frame(&v));
+        out!("{}", render_metrics_frame(&v));
         polls += 1;
         if count.is_some_and(|c| polls >= c) {
             return;

@@ -286,3 +286,24 @@ fn malformed_daemon_replies_are_exit_1_errors_not_panics() {
     }
     peer.join().unwrap();
 }
+
+#[test]
+fn a_reader_that_goes_away_ends_the_run_quietly() {
+    // `cstuner ... | head` once `head` has exited: the read end of stdout
+    // closes before the child writes its outcome, so every write fails
+    // with a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cstuner"))
+        .env_remove("CST_WARM")
+        .env_remove("CST_JOURNAL")
+        .args(["tune", "--stencil", "j3d7pt", "--quick", "--tuner", "random", "--seed", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run cstuner");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for cstuner");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+}
